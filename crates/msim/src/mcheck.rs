@@ -543,20 +543,24 @@ impl<'a> JsonParser<'a> {
 // Outcome canonicalization.
 // ---------------------------------------------------------------------------
 
+/// One FNV-1a step: fold `bytes` into the running hash `h`. Public so
+/// golden tests can extend [`outcome_digest`] over further observables
+/// (e.g. the canonical trace).
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// FNV-1a over the run's observable outcome: per-rank results (via
 /// `Debug`) and final virtual clocks. Schedule-invariant for correct
 /// programs (the determinism contract); any difference is a divergence.
-fn outcome_digest<T: fmt::Debug>(res: &SimResult<T>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(format!("{:?}", res.per_rank).as_bytes());
+pub fn outcome_digest<T: fmt::Debug>(res: &SimResult<T>) -> u64 {
+    let mut h = fnv1a(0xcbf2_9ce4_8422_2325, format!("{:?}", res.per_rank).as_bytes());
     for c in &res.clocks {
-        eat(&c.to_bits().to_le_bytes());
+        h = fnv1a(h, &c.to_bits().to_le_bytes());
     }
     h
 }
