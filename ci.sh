@@ -38,8 +38,9 @@
 #           byte-identically per the executor capability matrix, while
 #           the corrected programs explore clean in exactly one
 #           schedule), the exhaustive sweep tests (every Hy* family x
-#           3 sync methods + the k=2 multi-leader envelope at 2x2,
-#           DPOR proves one schedule each), then the `mcheck` binary's
+#           3 sync methods, plus allgather and allreduce built
+#           `with_leaders(.., 2)`, at 2x2 — DPOR proves one schedule
+#           each), then the `mcheck` binary's
 #           full sweep, gated by MCHECK_BUDGET_S. `--quick` trims the
 #           binary sweep to one family x one sync (`mcheck --quick`).
 #   ft      fault-tolerance gate (docs/fault-tolerance.md): the kill-
@@ -75,18 +76,22 @@
 #           artifact, canonical round-trip + per-app win bar enforced;
 #           the committed BENCH_overlap.json must verify too).
 #   multileader
-#           k-leaders-per-node gate (docs/multileader.md): the k-leader
-#           conformance wall (every HyK* family x k in {1,2,4} x 3 sync
-#           methods x regular 4x6 + irregular layouts x seeds, three
-#           executors bit-identical; k=1 bit-identical to the
-#           single-leader handles on results, clocks, and traces;
-#           race-detector-armed cooperative-fill rounds), then the
-#           multileader micro (`multileader --ci` writes a temp
-#           artifact, canonical round-trip + "k > 1 strictly wins
-#           somewhere" + per-cell estimator agreement enforced; the
-#           committed BENCH_multileader.json must verify too).
-#           `--quick` keeps the wall on a 1-seed subset
-#           (MSIM_CONF_SEEDS=1).
+#           k-leaders-per-node gate (docs/multileader.md). The leader
+#           count is a constructor argument of the one hybrid handle
+#           per collective, so the general walls (test / race / events
+#           / overlap stages) already run k in {1,2,4}; this stage
+#           adds the digest fixture (every family x 3 sync methods x
+#           k x 3 layouts, blocking and iexecute: results, clocks and
+#           traces pinned line for line), what only k >= 2 can show
+#           (uneven [2,3,4] nodes x seeds x three executors, striped
+#           bridge traffic, race-detector-armed cooperative-fill
+#           rounds), then the multileader micro: `multileader --ci`
+#           regenerates the full artifact to /tmp (canonical
+#           round-trip + "k > 1 strictly wins somewhere" + per-cell
+#           estimator agreement enforced) and it must be
+#           byte-identical to the committed BENCH_multileader.json
+#           (every field is virtual time). `--quick` keeps the wall
+#           on a 1-seed subset (MSIM_CONF_SEEDS=1).
 #   chaos   chaos soak (docs/fault-tolerance.md): seeded randomized
 #           fault campaigns (kill→shrink→grow→kill again, correlated
 #           node kills, a network partition blackholing the bridge
@@ -240,9 +245,10 @@ stage_mcheck() {
     # by >= 10x, and the committed certificate artifact must keep
     # replaying (crates/msim/tests/mcheck.rs pins all of it).
     cargo test -q -p msim --test mcheck
-    # Exhaustive sweep tests: every Hy* family x 3 sync methods + the
-    # k=2 multi-leader envelope, real data + armed race detector at
-    # 2x2 — zero violations, exactly one schedule each.
+    # Exhaustive sweep tests: every Hy* family x 3 sync methods, plus
+    # the two-leader envelope (allgather and allreduce built
+    # `with_leaders(.., 2)`), real data + armed race detector at 2x2 —
+    # zero violations, exactly one schedule each.
     cargo test -q -p hmpi-core --test mcheck
     # The full DPOR sweep through the binary (exit is nonzero on any
     # violation), budget-gated — see the header for the bump procedure.
@@ -344,22 +350,25 @@ stage_overlap() {
 ML_SEEDS=8
 
 stage_multileader() {
-    # The k-leader conformance wall: allgather / allgatherv / bcast /
-    # allreduce with k in {1, 2, 4} leader slots per node, all 3 sync
-    # methods, regular 4x6 + irregular (incl. a min-group-1 clamp case)
-    # layouts, across the fuzz seeds — three executors bit-identical,
-    # k=1 bit-identical to the single-leader handles (results, clocks,
-    # traces), and repeated cooperative-fill rounds with the race
-    # detector armed.
+    # The pinned numbers: allgather(v) / bcast / allreduce at k in
+    # {1, 2, 4}, alltoall(v) and reduce_scatter, all 3 sync methods, 3
+    # layouts, blocking and iexecute — results, clocks and traces must
+    # reproduce crates/core/tests/fixtures/hybrid_digests.txt.
+    cargo test -q -p hmpi-core --test digests
+    # What only k >= 2 can show (the k axis itself rides the general
+    # walls): uneven [2,3,4] nodes across the fuzz seeds with three
+    # executors bit-identical, striped bridge traffic, and repeated
+    # cooperative-fill rounds with the race detector armed.
     MSIM_CONF_SEEDS="$ML_SEEDS" cargo test -q -p hmpi-core --test multileader
-    # Multileader micro: temp artifact, self-verified (canonical
-    # round-trip, at least one (ppn, size) cell where k > 1 strictly
-    # beats k = 1, and per-cell agreement between the registry estimator
-    # and the measured winner). CI never touches the committed artifact...
+    # Multileader micro: the full sweep into a temp artifact,
+    # self-verified (canonical round-trip, at least one (ppn, size) cell
+    # where k > 1 strictly beats k = 1, and per-cell agreement between
+    # the registry estimator and the measured winner)...
     cargo run --release -p bench --bin multileader -- --ci --out /tmp/ci_multileader.json
-    # ...but the committed BENCH_multileader.json must verify too (this
-    # guards hand-edits and stale regenerations).
-    cargo run --release -p bench --bin multileader -- --verify BENCH_multileader.json
+    # ...and byte-identical to the committed BENCH_multileader.json:
+    # every field is virtual time, so any difference is a behaviour
+    # change (or a hand-edit, or a stale regeneration).
+    cmp /tmp/ci_multileader.json BENCH_multileader.json
 }
 
 # Seed count and wall-clock budget (seconds) for the chaos stage's
@@ -447,11 +456,11 @@ describe_stage() {
     test) echo "cargo test --workspace (differential suites + figure goldens)" ;;
     lint) echo "clippy wall, -D warnings" ;;
     race) echo "happens-before race detector: mutants + armed conformance suites" ;;
-    mcheck) echo "DPOR model checker: mutant wall + exhaustive Hy*/k-leader sweep" ;;
+    mcheck) echo "DPOR model checker: mutant wall + exhaustive Hy* sweep (1 and 2 leaders)" ;;
     ft) echo "fault tolerance: kill matrix, runtime retry, app recovery, BENCH_ft" ;;
     events) echo "event calendar: executor differential wall + 65536-rank smoke" ;;
     overlap) echo "split-phase: iexecute wall, app overlap wins, BENCH_overlap" ;;
-    multileader) echo "k-leader collectives: conformance wall + BENCH_multileader" ;;
+    multileader) echo "leader count: digest fixture, uneven-node wall, BENCH_multileader byte-identical" ;;
     chaos) echo "chaos soak: seeded fault campaigns + invariant oracle + mutant probe" ;;
     smoke) echo "pinned-seed fault injection + autotune + tuning-table goldens" ;;
     perf) echo "wall-clock budgets (96-rank pooled, 65536-rank events), BENCH_scale" ;;

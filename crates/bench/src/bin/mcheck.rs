@@ -30,8 +30,8 @@ use std::time::Duration;
 
 use collectives::{op::Sum, Tuning};
 use hmpi::{
-    HyAllgather, HyAllgatherv, HyAllreduce, HyAlltoall, HyBcast, HyGather, HyKAllgather, HyScatter,
-    HybridComm, SyncMethod,
+    HyAllgather, HyAllgatherv, HyAllreduce, HyAlltoall, HyBcast, HyGather, HyScatter, HybridComm,
+    SyncMethod,
 };
 use msim::{explore, Ctx, ExploreOpts, ExploreReport, SimConfig};
 use simnet::{ClusterSpec, CostModel};
@@ -131,7 +131,7 @@ fn collective(ctx: &mut Ctx, family: &str, sync: SyncMethod, k: usize) -> Vec<f6
             s.read_my_block()
         }
         "kleader" => {
-            let ag = HyKAllgather::<f64>::new(ctx, &hc, COUNT, k);
+            let ag = HyAllgather::<f64>::with_leaders(ctx, &hc, COUNT, k);
             ag.execute(ctx);
             (0..ctx.nranks()).flat_map(|r| ag.read_block(r)).collect()
         }

@@ -9,7 +9,7 @@
 //! evaluated".
 
 use collectives::{allgather, barrier, smp_aware::SmpAware, SelectionPolicy};
-use hmpi::{pipeline::HyAllgatherPipelined, HyAllgather, HyKAllgather, HybridComm, SyncMethod};
+use hmpi::{pipeline::HyAllgatherPipelined, HyAllgather, HybridComm, SyncMethod};
 use msim::{ExecMode, SimConfig, Universe};
 use simnet::{ClusterSpec, Placement};
 
@@ -47,7 +47,7 @@ pub enum AllgatherVariant {
     /// The multi-leader *hybrid* allgather: bridge traffic striped over
     /// `k` leader slots per node, straight from and into the shared
     /// window (`allgather.hy_kleader`). `leaders == 1` is the plain
-    /// hybrid allgather by construction.
+    /// hybrid allgather: the same handle, the same measurement arm.
     HybridKLeader {
         /// Leader slots per node.
         leaders: usize,
@@ -81,13 +81,16 @@ pub fn allgather_latency(
         let world = ctx.world();
         let p = world.size();
         match variant {
-            AllgatherVariant::Hybrid | AllgatherVariant::HybridSync(_) => {
-                let sync = match variant {
-                    AllgatherVariant::HybridSync(s) => s,
-                    _ => SyncMethod::Barrier,
+            AllgatherVariant::Hybrid
+            | AllgatherVariant::HybridSync(_)
+            | AllgatherVariant::HybridKLeader { .. } => {
+                let (leaders, sync) = match variant {
+                    AllgatherVariant::HybridSync(sync) => (1, sync),
+                    AllgatherVariant::HybridKLeader { leaders, sync } => (leaders, sync),
+                    _ => (1, SyncMethod::Barrier),
                 };
                 let hc = HybridComm::with_sync(ctx, &world, tuning.clone(), sync);
-                let ag = HyAllgather::<f64>::new(ctx, &hc, elems);
+                let ag = HyAllgather::<f64>::with_leaders(ctx, &hc, elems, leaders);
                 barrier::tuned(ctx, &world);
                 let t0 = ctx.now();
                 for _ in 0..iters {
@@ -154,16 +157,6 @@ pub fn allgather_latency(
                 let t0 = ctx.now();
                 for _ in 0..iters {
                     allgather::tuned(ctx, &world, &send, &mut recv, &tuning);
-                }
-                (ctx.now() - t0) / iters as f64
-            }
-            AllgatherVariant::HybridKLeader { leaders, sync } => {
-                let hc = HybridComm::with_sync(ctx, &world, tuning.clone(), sync);
-                let ag = HyKAllgather::<f64>::new(ctx, &hc, elems, leaders);
-                barrier::tuned(ctx, &world);
-                let t0 = ctx.now();
-                for _ in 0..iters {
-                    ag.execute(ctx);
                 }
                 (ctx.now() - t0) / iters as f64
             }

@@ -85,12 +85,7 @@ impl Hierarchy {
             Arc::clone(&layout.2),
         );
 
-        // Locate this rank's group (members are sorted ascending).
-        let me = comm.rank();
-        let node_index = group_members
-            .iter()
-            .position(|m| m.binary_search(&me).is_ok())
-            .expect("own rank must be present in some node group");
+        let node_index = locate(&group_members, sorted_pos[comm.rank()]).0;
 
         let shm = comm
             .split(ctx, Some(my_node as i64), 0)
@@ -105,6 +100,13 @@ impl Hierarchy {
             node_sorted,
             sorted_pos,
         }
+    }
+
+    /// Node group of parent rank `rank` and its index within that group
+    /// (= its on-node rank, groups being ordered like `shm`). O(nodes):
+    /// the rank's node-sorted position walked over the group sizes.
+    pub fn locate(&self, rank: usize) -> (usize, usize) {
+        locate(&self.group_members, self.sorted_pos[rank])
     }
 
     /// Whether this rank is its node group's leader.
@@ -136,6 +138,17 @@ impl Hierarchy {
     }
 }
 
+/// `(group, index in group)` of node-sorted position `pos`.
+fn locate(groups: &[Vec<usize>], mut pos: usize) -> (usize, usize) {
+    for (g, members) in groups.iter().enumerate() {
+        if pos < members.len() {
+            return (g, pos);
+        }
+        pos -= members.len();
+    }
+    unreachable!("node-sorted position past the last node group")
+}
+
 /// Contiguous k-way split of `len` items: bounds `(offset, length)` of
 /// part `j` of `k`. The first `len % k` parts are one longer, so parts
 /// cover `0..len` exactly and differ in size by at most one.
@@ -159,8 +172,9 @@ pub fn seg_bounds(len: usize, j: usize, k: usize) -> (usize, usize) {
 /// by construction.
 #[derive(Debug, Clone)]
 pub struct LeaderSet {
-    /// Effective leader count (requested k clamped to the smallest node
-    /// group, so every node fills every slot).
+    /// Effective leader count: the requested k clamped to the smallest
+    /// node group (every node fills every slot), and 1 on a single-node
+    /// communicator (no bridge traffic to stripe).
     pub k: usize,
     /// This rank's leader slot (`Some(j)` iff `shm.rank() == j < k`).
     pub slot: Option<usize>,
@@ -178,7 +192,11 @@ impl LeaderSet {
     /// is node group `g`'s slot-`j` leader regardless of placement.
     pub fn build(ctx: &mut Ctx, comm: &Communicator, h: &Hierarchy, k: usize) -> Self {
         let min_group = h.group_members.iter().map(Vec::len).min().unwrap_or(1);
-        let k_eff = k.clamp(1, min_group);
+        let k_eff = if h.num_groups() == 1 {
+            1
+        } else {
+            k.clamp(1, min_group)
+        };
         if k_eff == 1 {
             // Single-leader: the hierarchy's bridge *is* stripe 0. No
             // splits, no fences — identical to not having a LeaderSet.
@@ -300,6 +318,31 @@ mod tests {
     }
 
     #[test]
+    fn locate_matches_the_group_tables_on_every_layout() {
+        for cfg in [
+            SimConfig::new(ClusterSpec::regular(3, 4), CostModel::uniform_test()),
+            SimConfig::new(ClusterSpec::regular(2, 4), CostModel::uniform_test())
+                .with_placement(Placement::RoundRobin),
+            SimConfig::new(
+                ClusterSpec::irregular(vec![1, 3, 4]),
+                CostModel::uniform_test(),
+            ),
+        ] {
+            Universe::run(cfg, |ctx| {
+                let world = ctx.world();
+                let h = Hierarchy::build(ctx, &world);
+                for (g, members) in h.group_members.iter().enumerate() {
+                    for (i, &r) in members.iter().enumerate() {
+                        assert_eq!(h.locate(r), (g, i), "rank {r}");
+                    }
+                }
+                assert_eq!(h.locate(world.rank()), (h.node_index, h.shm.rank()));
+            })
+            .unwrap();
+        }
+    }
+
+    #[test]
     fn bridge_exists_only_on_leaders() {
         let cfg = SimConfig::new(ClusterSpec::regular(3, 2), CostModel::uniform_test());
         let r = Universe::run(cfg, |ctx| {
@@ -376,25 +419,31 @@ mod tests {
 
     #[test]
     fn leader_set_k1_reuses_the_hierarchy_bridge() {
-        let cfg = SimConfig::new(ClusterSpec::regular(2, 3), CostModel::uniform_test());
-        let r = Universe::run(cfg, |ctx| {
-            let world = ctx.world();
-            let t0 = ctx.now();
-            let h = Hierarchy::build(ctx, &world);
-            let after_h = ctx.now();
-            let ls = LeaderSet::build(ctx, &world, &h, 1);
-            // Construction must be free: no clock movement at all.
-            assert_eq!(ctx.now(), after_h);
-            let _ = t0;
-            (
-                ls.k,
-                ls.slot,
-                ls.bridge.map(|b| (b.rank(), b.size())) == h.bridge.map(|b| (b.rank(), b.size())),
-            )
-        })
-        .unwrap();
-        assert_eq!(r.per_rank[0], (1, Some(0), true));
-        assert_eq!(r.per_rank[1], (1, None, true));
+        // Requested k = 1 on two nodes, and requested k = 2 on a single
+        // node (nothing to stripe): both are the free k = 1 set.
+        for (spec, k) in [
+            (ClusterSpec::regular(2, 3), 1),
+            (ClusterSpec::single_node(3), 2),
+        ] {
+            let cfg = SimConfig::new(spec, CostModel::uniform_test());
+            let r = Universe::run(cfg, move |ctx| {
+                let world = ctx.world();
+                let h = Hierarchy::build(ctx, &world);
+                let after_h = ctx.now();
+                let ls = LeaderSet::build(ctx, &world, &h, k);
+                // Construction must be free: no clock movement at all.
+                assert_eq!(ctx.now(), after_h);
+                (
+                    ls.k,
+                    ls.slot,
+                    ls.bridge.map(|b| (b.rank(), b.size()))
+                        == h.bridge.map(|b| (b.rank(), b.size())),
+                )
+            })
+            .unwrap();
+            assert_eq!(r.per_rank[0], (1, Some(0), true));
+            assert_eq!(r.per_rank[1], (1, None, true));
+        }
     }
 
     #[test]

@@ -121,12 +121,7 @@ impl SmpAware {
         let len = buf.len();
 
         // Locate the root's node group and its leader.
-        let root_group = self
-            .h
-            .group_members
-            .iter()
-            .position(|m| m.contains(&root))
-            .expect("root must be in a group");
+        let root_group = self.h.locate(root).0;
         let root_leader = self.h.group_members[root_group][0];
 
         // Hop 1: root hands the message to its node leader (intra-node).

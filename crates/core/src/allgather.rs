@@ -11,7 +11,17 @@
 //! ```
 //!
 //! with the single-node case degenerating to one barrier (the paper's
-//! lines 29–38 of Fig. 4).
+//! lines 29–38 of Fig. 4). That sandwich is [`crate::envelope`]; this
+//! module supplies the window layout and the bridge stage.
+//!
+//! The leader count is a constructor argument
+//! ([`HyAllgatherv::with_leaders`]): with `k ≥ 2` leader slots per node
+//! each node block is cut into `k` contiguous segments
+//! ([`collectives::seg_bounds`]) and slot `j` runs a ring over its own
+//! stripe bridge moving only segment `j` of every node block, so no
+//! single rank serializes the node's inter-node traffic (PAPERS.md arXiv
+//! 1910.09650 / 2305.10612). `k = 1` is the paper's algorithm, with the
+//! library's tuned Bruck/ring exchange over whole node blocks.
 //!
 //! The window is laid out in *node-sorted* parent-rank order (paper §6's
 //! "node-sorted global rank array"), so each node's contribution is
@@ -20,13 +30,13 @@
 //! for readers.
 
 use collectives::allgatherv;
-use collectives::util::VectorLayout;
-use collectives::{run_blocking, DriveOp, IColl};
-use msim::{Buf, Ctx, Drive, SharedWindow, ShmElem, WaitError};
+use collectives::{seg_bounds, IColl, LeaderSet};
+use msim::{Buf, Communicator, Ctx, Drive, SharedWindow, ShmElem, WaitError};
+use std::ops::Deref;
 use std::sync::Arc;
 
+use crate::envelope::{HyOp, Open, Stage, RING};
 use crate::hybrid::HybridComm;
-use crate::sync::SyncSm;
 
 /// How per-rank blocks are laid out inside the shared window.
 ///
@@ -46,90 +56,158 @@ enum BlockLayout {
     },
 }
 
+/// What a slot leader exchanges over its bridge (indexed by bridge rank
+/// = node group).
+#[derive(Debug, Clone)]
+enum BridgePlan {
+    /// `k = 1`: the aggregate element count of every node block, shared
+    /// among the leaders.
+    Blocks(Arc<Vec<usize>>),
+    /// `k ≥ 2`: `(displs, counts)` of this slot's segment of every node
+    /// block.
+    Stripe(Arc<(Vec<usize>, Vec<usize>)>),
+}
+
+/// Displacement and length of stripe `j`'s segment inside every node
+/// block, the blocks being `node_lens` long and laid out back to back.
+fn stripe_layout(
+    node_lens: impl Iterator<Item = usize>,
+    j: usize,
+    k: usize,
+) -> (Vec<usize>, Vec<usize>) {
+    let (mut displs, mut counts) = (Vec::new(), Vec::new());
+    let mut start = 0usize;
+    for len in node_lens {
+        let (off, l) = seg_bounds(len, j, k);
+        displs.push(start + off);
+        counts.push(l);
+        start += len;
+    }
+    (displs, counts)
+}
+
 /// Irregular hybrid allgather: rank `r` contributes `counts[r]` elements.
 #[derive(Debug, Clone)]
 pub struct HyAllgatherv<T> {
     hc: HybridComm,
+    ls: LeaderSet,
     win: SharedWindow<T>,
     layout: BlockLayout,
-    /// Aggregate element count per node group (bridge exchange counts).
-    /// `Some` exactly on node leaders of multi-node communicators — the
-    /// only ranks that drive the bridge exchange — and shared among them.
-    bridge_counts: Option<Arc<Vec<usize>>>,
+    /// `Some` exactly on the slot leaders of multi-node communicators —
+    /// the only ranks that drive the bridge exchange.
+    plan: Option<BridgePlan>,
 }
 
 impl<T: ShmElem> HyAllgatherv<T> {
-    /// One-off setup: the node leader allocates a window for the whole
-    /// result; children allocate zero and address it through the shared
-    /// handle (`MPI_Win_shared_query`).
+    /// One-off setup with the paper's single leader per node: the node
+    /// leader allocates a window for the whole result; children allocate
+    /// zero and address it through the shared handle
+    /// (`MPI_Win_shared_query`).
     pub fn new(ctx: &mut Ctx, hc: &HybridComm, counts: &[usize]) -> Self {
+        Self::with_leaders(ctx, hc, counts, 1)
+    }
+
+    /// One-off setup with the bridge exchange striped over `leaders`
+    /// slots per node (clamped by [`LeaderSet::build`]; rank 0 still owns
+    /// the window allocation, slot leaders address it through the shared
+    /// handle).
+    pub fn with_leaders(ctx: &mut Ctx, hc: &HybridComm, counts: &[usize], leaders: usize) -> Self {
         let p = hc.comm().size();
         assert_eq!(counts.len(), p, "one count per rank required");
         let h = hc.hierarchy();
+        let ls = LeaderSet::build(ctx, hc.comm(), h, leaders);
 
         // Window layout: blocks in node-sorted parent-rank order.
-        let layout = VectorLayout::new(h.node_sorted.iter().map(|&r| counts[r]).collect());
-        let total = layout.total;
-
+        let mut offsets = vec![0usize; p];
+        let mut total = 0usize;
+        for &parent in h.node_sorted.iter() {
+            offsets[parent] = total;
+            total += counts[parent];
+        }
         let my_len = if hc.is_leader() { total } else { 0 };
         let win = SharedWindow::allocate(ctx, &h.shm, my_len);
 
-        let mut offsets = vec![0usize; p];
-        for (pos, &parent_rank) in h.node_sorted.iter().enumerate() {
-            offsets[parent_rank] = layout.displs[pos];
-        }
-        let bridge_counts = (!hc.single_node() && hc.is_leader()).then(|| {
-            Arc::new(
-                h.group_members
-                    .iter()
-                    .map(|members| members.iter().map(|&r| counts[r]).sum())
-                    .collect::<Vec<usize>>(),
-            )
+        let node_lens = h
+            .group_members
+            .iter()
+            .map(|members| members.iter().map(|&r| counts[r]).sum());
+        let plan = ls.slot.filter(|_| !hc.single_node()).map(|j| {
+            if ls.k == 1 {
+                BridgePlan::Blocks(Arc::new(node_lens.collect()))
+            } else {
+                BridgePlan::Stripe(Arc::new(stripe_layout(node_lens, j, ls.k)))
+            }
         });
-
-        Self {
-            hc: hc.clone(),
-            win,
-            layout: BlockLayout::Irregular {
-                counts: counts.to_vec(),
-                offsets,
-            },
-            bridge_counts,
-        }
+        let layout = BlockLayout::Irregular {
+            counts: counts.to_vec(),
+            offsets,
+        };
+        Self::finish(ctx, hc, ls, win, layout, plan)
     }
 
-    /// One-off setup for the uniform case: every rank contributes `count`
-    /// elements. Unlike [`HyAllgatherv::new`], this never materializes a
-    /// per-rank O(p) table: offsets come from the hierarchy's shared
-    /// node-sorted array, and the bridge counts are computed **once** (by
-    /// the last leader to arrive at a zero-virtual-cost setup exchange)
-    /// and `Arc`-shared among the leaders. This is what lets phantom
-    /// sweeps instantiate hundreds of thousands of handles.
-    pub fn new_uniform(ctx: &mut Ctx, hc: &HybridComm, count: usize) -> Self {
+    /// Setup for the uniform case ([`HyAllgather`]): every rank contributes
+    /// `count` elements. Unlike [`HyAllgatherv::with_leaders`], this never
+    /// materializes a per-rank O(p) table: offsets come from the
+    /// hierarchy's shared node-sorted array, and at `k = 1` the bridge
+    /// counts are computed **once** (by the last leader to arrive at a
+    /// zero-virtual-cost setup exchange) and `Arc`-shared among the
+    /// leaders. This is what lets phantom sweeps instantiate hundreds of
+    /// thousands of handles.
+    fn uniform(ctx: &mut Ctx, hc: &HybridComm, count: usize, leaders: usize) -> Self {
         let h = hc.hierarchy();
+        let ls = LeaderSet::build(ctx, hc.comm(), h, leaders);
         let total = hc.comm().size() * count;
         let my_len = if hc.is_leader() { total } else { 0 };
         let win = SharedWindow::allocate(ctx, &h.shm, my_len);
 
-        let bridge_counts = match &h.bridge {
-            Some(bridge) if !hc.single_node() => {
-                let group_members = Arc::clone(&h.group_members);
-                Some(ctx.setup_exchange(bridge, (), move |_| {
-                    group_members
-                        .iter()
-                        .map(|members| members.len() * count)
-                        .collect::<Vec<usize>>()
-                }))
+        let plan = match (&ls.bridge, ls.slot) {
+            _ if hc.single_node() => None,
+            (Some(bridge), Some(_)) if ls.k == 1 => {
+                let groups = Arc::clone(&h.group_members);
+                let blocks = ctx.setup_exchange(bridge, (), move |_| {
+                    groups.iter().map(|m| m.len() * count).collect()
+                });
+                Some(BridgePlan::Blocks(blocks))
+            }
+            (_, Some(j)) => {
+                let node_lens = h.group_members.iter().map(|m| m.len() * count);
+                Some(BridgePlan::Stripe(Arc::new(stripe_layout(
+                    node_lens, j, ls.k,
+                ))))
             }
             _ => None,
         };
+        let layout = BlockLayout::Uniform { count };
+        Self::finish(ctx, hc, ls, win, layout, plan)
+    }
 
+    fn finish(
+        ctx: &mut Ctx,
+        hc: &HybridComm,
+        ls: LeaderSet,
+        win: SharedWindow<T>,
+        layout: BlockLayout,
+        plan: Option<BridgePlan>,
+    ) -> Self {
+        if ls.k > 1 {
+            let (op, algo) = match layout {
+                BlockLayout::Uniform { .. } => ("allgather", "allgather.hy_kleader"),
+                BlockLayout::Irregular { .. } => ("allgatherv", "allgatherv.hy_kleader"),
+            };
+            ctx.trace_decision(op, algo, &format!("multi-leader handle, k={}", ls.k));
+        }
         Self {
             hc: hc.clone(),
+            ls,
             win,
-            layout: BlockLayout::Uniform { count },
-            bridge_counts,
+            layout,
+            plan,
         }
+    }
+
+    /// The effective leader count this handle runs with.
+    pub fn leaders(&self) -> usize {
+        self.ls.k
     }
 
     /// Element offset of parent rank `r`'s block inside the shared window
@@ -183,8 +261,7 @@ impl<T: ShmElem> HyAllgatherv<T> {
     /// and into the shared window), synchronize again. Single-node
     /// communicators need only the one barrier.
     pub fn execute(&self, ctx: &mut Ctx) {
-        let mut body = IHyAllgathervBody::new(ctx, self);
-        run_blocking(body.drive_op(ctx, Drive::Block));
+        HyOp::run(ctx, AgStage(self));
     }
 
     /// Start the collective nonblocking (`MPI_Iallgatherv` over the
@@ -193,126 +270,154 @@ impl<T: ShmElem> HyAllgatherv<T> {
     /// polls. `iexecute(ctx) + wait` is bit-identical to
     /// [`HyAllgatherv::execute`] modulo the `Req*` trace markers.
     pub fn iexecute<'a>(&'a self, ctx: &mut Ctx) -> IHyAllgatherv<'a, T> {
-        let body = IHyAllgathervBody::new(ctx, self);
-        IColl::start(ctx, body)
+        HyOp::start(ctx, AgStage(self))
     }
 }
 
-/// Phase of an in-flight hybrid allgather(v). Each phase's machine is
-/// constructed only when the phase begins, so its fees and signal
-/// operations land at exactly the blocking call's position.
-enum AgPhase<T: ShmElem> {
-    /// Single-node fast path: the one full synchronization.
-    Full(SyncSm),
-    Arrive(SyncSm),
-    Bridge {
-        sm: allgatherv::InPlaceSm<T>,
-        view: Buf<T>,
-    },
-    Release(SyncSm),
-    Done,
+/// In-place ring over a stripe bridge with explicit per-node
+/// displacements: step `s` forwards block `(me + p − s) mod p` to the
+/// right neighbor while receiving block `(me + p − s − 1) mod p` from the
+/// left — the allgatherv ring restricted to this stripe's segments of the
+/// shared window. Construction charges the same entry and per-member
+/// bookkeeping fees as the tuned `k = 1` exchange.
+#[derive(Debug)]
+pub struct KRingSm {
+    step: usize,
+    sent: bool,
 }
 
-/// The body of an in-flight hybrid allgather(v) (see
-/// [`HyAllgatherv::iexecute`]).
-pub struct IHyAllgathervBody<'a, T: ShmElem> {
-    ag: &'a HyAllgatherv<T>,
-    phase: AgPhase<T>,
+impl KRingSm {
+    fn new(ctx: &mut Ctx, bridge: &Communicator, v_overhead_per_rank_us: f64) -> Self {
+        let fee = ctx.cost().coll_entry_us;
+        ctx.charge_time(fee);
+        ctx.charge_time(v_overhead_per_rank_us * bridge.size() as f64);
+        Self {
+            step: 0,
+            sent: false,
+        }
+    }
+
+    fn drive<T: ShmElem>(
+        &mut self,
+        ctx: &mut Ctx,
+        comm: &Communicator,
+        (displs, counts): &(Vec<usize>, Vec<usize>),
+        recv: &mut Buf<T>,
+        how: Drive,
+    ) -> Result<bool, WaitError> {
+        let p = comm.size();
+        let me = comm.rank();
+        let right = (me + 1) % p;
+        let left = (me + p - 1) % p;
+        while self.step + 1 < p {
+            let send_block = (me + p - self.step) % p;
+            let recv_block = (me + p - self.step - 1) % p;
+            if !self.sent {
+                ctx.send_region(
+                    comm,
+                    right,
+                    RING,
+                    recv,
+                    displs[send_block],
+                    counts[send_block],
+                );
+                self.sent = true;
+            }
+            let Some(payload) = ctx.step_recv(comm, left, RING, how)? else {
+                return Ok(false);
+            };
+            recv.write_payload(displs[recv_block], &payload);
+            self.step += 1;
+            self.sent = false;
+        }
+        Ok(true)
+    }
 }
 
-impl<'a, T: ShmElem> IHyAllgathervBody<'a, T> {
-    fn new(ctx: &mut Ctx, ag: &'a HyAllgatherv<T>) -> Self {
-        let h = ag.hc.hierarchy();
-        let sync = ag.hc.sync();
-        let phase = if ag.hc.single_node() {
-            AgPhase::Full(SyncSm::full(ctx, sync, &h.shm))
+/// The bridge exchange of one slot leader. Two algorithms survive because
+/// each wins on its side: `k = 1` keeps the library's tuned Bruck/ring
+/// selection over whole node blocks (the paper's Figs. 7–9), a stripe
+/// needs explicit displacements into every node block.
+pub enum AgBridge<T: ShmElem> {
+    Tuned(allgatherv::InPlaceSm<T>),
+    Ring(KRingSm),
+}
+
+/// The allgather(v) bridge stage (see [`HyAllgatherv::iexecute`]).
+pub struct AgStage<'a, T: ShmElem>(&'a HyAllgatherv<T>);
+
+impl<T: ShmElem> AgStage<'_, T> {
+    fn bridge(&self) -> (&Communicator, &BridgePlan) {
+        let ag = self.0;
+        let bridge = ag.ls.bridge.as_ref().expect("slot leaders carry a bridge");
+        let plan = ag.plan.as_ref().expect("slot leaders carry a bridge plan");
+        (bridge, plan)
+    }
+}
+
+impl<T: ShmElem> Stage for AgStage<'_, T> {
+    const OP: &'static str = "ihyallgatherv";
+    type Bridge = (AgBridge<T>, Buf<T>);
+
+    fn hc(&self) -> &HybridComm {
+        &self.0.hc
+    }
+
+    fn leaders(&self) -> &LeaderSet {
+        &self.0.ls
+    }
+
+    fn open(&self) -> Open {
+        if self.0.hc.single_node() {
+            Open::Full
         } else {
-            AgPhase::Arrive(SyncSm::arrive(ctx, sync, &h.shm))
-        };
-        Self { ag, phase }
+            Open::Arrive
+        }
     }
 
-    /// Construct the bridge stage (leaders) or skip straight to release.
-    fn after_arrive(&self, ctx: &mut Ctx) -> AgPhase<T> {
-        let ag = self.ag;
-        let h = ag.hc.hierarchy();
-        if let Some(bridge) = &h.bridge {
-            let bridge_counts = ag
-                .bridge_counts
-                .as_ref()
-                .expect("leaders of a multi-node communicator carry bridge counts");
+    fn start(&mut self, ctx: &mut Ctx) -> Self::Bridge {
+        let hc = &self.0.hc;
+        let (bridge, plan) = self.bridge();
+        let sm = match plan {
             // Same fees either way; a policy additionally gets to pick the
             // bridge algorithm (and records why).
-            let sm = match ag.hc.policy() {
-                Some(policy) => {
-                    allgatherv::InPlaceSm::with_policy(ctx, bridge, bridge_counts, policy)
-                }
-                None => allgatherv::InPlaceSm::tuned(ctx, bridge, bridge_counts, ag.hc.tuning()),
-            };
-            AgPhase::Bridge {
-                sm,
-                view: Buf::Shared(ag.win.clone()),
-            }
-        } else {
-            AgPhase::Release(SyncSm::release(ctx, ag.hc.sync(), &h.shm))
-        }
-    }
-}
-
-impl<T: ShmElem> DriveOp for IHyAllgathervBody<'_, T> {
-    const OP: &'static str = "ihyallgatherv";
-
-    fn ft_check(&self, ctx: &Ctx) -> Result<(), WaitError> {
-        let h = self.ag.hc.hierarchy();
-        ctx.ft_check_comm(&h.shm, 0)?;
-        match &h.bridge {
-            Some(b) => ctx.ft_check_comm(b, 0),
-            None => Ok(()),
-        }
+            BridgePlan::Blocks(counts) => AgBridge::Tuned(match hc.policy() {
+                Some(policy) => allgatherv::InPlaceSm::with_policy(ctx, bridge, counts, policy),
+                None => allgatherv::InPlaceSm::tuned(ctx, bridge, counts, hc.tuning()),
+            }),
+            BridgePlan::Stripe(_) => AgBridge::Ring(KRingSm::new(
+                ctx,
+                bridge,
+                hc.tuning().v_overhead_per_rank_us,
+            )),
+        };
+        (sm, Buf::Shared(self.0.win.clone()))
     }
 
-    fn drive_op(&mut self, ctx: &mut Ctx, how: Drive) -> Result<bool, WaitError> {
-        let ag = self.ag;
-        let h = ag.hc.hierarchy();
-        loop {
-            match &mut self.phase {
-                AgPhase::Full(sm) => {
-                    if !sm.drive(ctx, &h.shm, how)? {
-                        return Ok(false);
-                    }
-                    self.phase = AgPhase::Done;
-                }
-                AgPhase::Arrive(sm) => {
-                    if !sm.drive(ctx, &h.shm, how)? {
-                        return Ok(false);
-                    }
-                    self.phase = self.after_arrive(ctx);
-                }
-                AgPhase::Bridge { sm, view } => {
-                    let bridge = h.bridge.as_ref().expect("bridge phase only on leaders");
-                    let counts = ag.bridge_counts.as_ref().expect("leaders carry counts");
-                    if !sm.drive(ctx, bridge, counts, view, how)? {
-                        return Ok(false);
-                    }
-                    self.phase = AgPhase::Release(SyncSm::release(ctx, ag.hc.sync(), &h.shm));
-                }
-                AgPhase::Release(sm) => {
-                    if !sm.drive(ctx, &h.shm, how)? {
-                        return Ok(false);
-                    }
-                    self.phase = AgPhase::Done;
-                }
-                AgPhase::Done => return Ok(true),
+    fn drive(
+        &mut self,
+        ctx: &mut Ctx,
+        (sm, view): &mut Self::Bridge,
+        how: Drive,
+    ) -> Result<bool, WaitError> {
+        match (sm, self.bridge()) {
+            (AgBridge::Tuned(sm), (bridge, BridgePlan::Blocks(counts))) => {
+                sm.drive(ctx, bridge, counts, view, how)
             }
+            (AgBridge::Ring(sm), (bridge, BridgePlan::Stripe(stripe))) => {
+                sm.drive(ctx, bridge, stripe, view, how)
+            }
+            _ => unreachable!("the bridge machine follows the handle's plan"),
         }
     }
 }
 
 /// An in-flight hybrid allgather(v).
-pub type IHyAllgatherv<'a, T> = IColl<IHyAllgathervBody<'a, T>>;
+pub type IHyAllgatherv<'a, T> = IColl<HyOp<AgStage<'a, T>>>;
 
 /// Regular hybrid allgather: every rank contributes `count` elements
-/// (paper Fig. 4 verbatim).
+/// (paper Fig. 4 verbatim). Dereferences to the [`HyAllgatherv`] it is
+/// the uniform layout of, for everything but construction.
 #[derive(Debug, Clone)]
 pub struct HyAllgather<T> {
     inner: HyAllgatherv<T>,
@@ -320,12 +425,17 @@ pub struct HyAllgather<T> {
 }
 
 impl<T: ShmElem> HyAllgather<T> {
-    /// One-off setup for `count` elements per rank. O(1) memory per rank:
-    /// delegates to [`HyAllgatherv::new_uniform`], never materializing a
-    /// per-rank counts table.
+    /// One-off setup for `count` elements per rank, one leader per node.
+    /// O(1) memory per rank: never materializes a per-rank counts table.
     pub fn new(ctx: &mut Ctx, hc: &HybridComm, count: usize) -> Self {
+        Self::with_leaders(ctx, hc, count, 1)
+    }
+
+    /// One-off setup with the bridge exchange striped over `leaders`
+    /// slots per node; O(nodes) memory on slot leaders, O(1) elsewhere.
+    pub fn with_leaders(ctx: &mut Ctx, hc: &HybridComm, count: usize, leaders: usize) -> Self {
         Self {
-            inner: HyAllgatherv::new_uniform(ctx, hc, count),
+            inner: HyAllgatherv::uniform(ctx, hc, count, leaders),
             count,
         }
     }
@@ -334,35 +444,29 @@ impl<T: ShmElem> HyAllgather<T> {
     pub fn count(&self) -> usize {
         self.count
     }
+}
 
-    /// Element offset of parent rank `r`'s block inside the window.
-    pub fn block_offset(&self, r: usize) -> usize {
-        self.inner.block_offset(r)
+impl<T> Deref for HyAllgather<T> {
+    type Target = HyAllgatherv<T>;
+
+    fn deref(&self) -> &HyAllgatherv<T> {
+        &self.inner
     }
+}
 
-    /// The shared window holding the result.
-    pub fn window(&self) -> &SharedWindow<T> {
-        self.inner.window()
+/// Constructor shim for the frozen `benchmark/` package, which predates
+/// [`HyAllgather::with_leaders`]; holds no logic of its own.
+pub struct HyKAllgather<T>(HyAllgather<T>);
+impl<T: ShmElem> HyKAllgather<T> {
+    /// [`HyAllgather::with_leaders`] under its former name.
+    pub fn new(ctx: &mut Ctx, hc: &HybridComm, count: usize, leaders: usize) -> Self {
+        Self(HyAllgather::with_leaders(ctx, hc, count, leaders))
     }
-
-    /// Initialize this rank's partition in place.
-    pub fn write_my_block(&self, ctx: &Ctx, data: &[T]) {
-        self.inner.write_my_block(ctx, data);
-    }
-
-    /// Read parent rank `r`'s block.
-    pub fn read_block(&self, r: usize) -> Vec<T> {
-        self.inner.read_block(r)
-    }
-
-    /// The collective operation.
-    pub fn execute(&self, ctx: &mut Ctx) {
-        self.inner.execute(ctx);
-    }
-
-    /// Start the collective nonblocking (see [`HyAllgatherv::iexecute`]).
-    pub fn iexecute<'a>(&'a self, ctx: &mut Ctx) -> IHyAllgatherv<'a, T> {
-        self.inner.iexecute(ctx)
+}
+impl<T> Deref for HyKAllgather<T> {
+    type Target = HyAllgather<T>;
+    fn deref(&self) -> &HyAllgather<T> {
+        &self.0
     }
 }
 
@@ -377,12 +481,12 @@ mod tests {
         (rank * 1000 + i) as f64 + 0.5
     }
 
-    fn check_allgather(cfg: SimConfig, count: usize) {
+    fn check_allgather(cfg: SimConfig, count: usize, leaders: usize) {
         let p = cfg.spec.total_cores();
         let r = Universe::run(cfg, move |ctx| {
             let world = ctx.world();
             let hc = HybridComm::new(ctx, &world, Tuning::cray_mpich());
-            let ag = HyAllgather::<f64>::new(ctx, &hc, count);
+            let ag = HyAllgather::<f64>::with_leaders(ctx, &hc, count, leaders);
             let mine: Vec<f64> = (0..count).map(|i| datum(ctx.rank(), i)).collect();
             ag.write_my_block(ctx, &mine);
             ag.execute(ctx);
@@ -396,43 +500,54 @@ mod tests {
             .flat_map(|rk| (0..count).map(move |i| datum(rk, i)))
             .collect();
         for (rank, got) in r.per_rank.iter().enumerate() {
-            assert_eq!(got, &expected, "rank {rank}");
+            assert_eq!(got, &expected, "rank {rank} leaders {leaders}");
         }
     }
 
     #[test]
     fn correct_on_regular_clusters() {
         for (nodes, ppn) in [(1, 1), (1, 6), (2, 3), (4, 2), (3, 4)] {
-            let cfg = SimConfig::new(ClusterSpec::regular(nodes, ppn), CostModel::uniform_test());
-            check_allgather(cfg, 4);
+            // 8 clamps to the node size, and to 1 on a single node.
+            for leaders in [1, 2, 3, 8] {
+                let spec = ClusterSpec::regular(nodes, ppn);
+                check_allgather(SimConfig::new(spec, CostModel::uniform_test()), 4, leaders);
+            }
         }
     }
 
     #[test]
-    fn correct_on_irregular_cluster() {
-        let cfg = SimConfig::new(
-            ClusterSpec::irregular(vec![3, 1, 4]),
-            CostModel::uniform_test(),
-        );
-        check_allgather(cfg, 3);
+    fn correct_on_irregular_clusters() {
+        // Smallest group 1: every leader count clamps to 1. Smallest
+        // group 2: k = 4 clamps to 2, on uneven node blocks.
+        for cores in [vec![3, 1, 4], vec![2, 3, 4]] {
+            let cfg = SimConfig::new(ClusterSpec::irregular(cores), CostModel::uniform_test());
+            check_allgather(cfg, 3, 4);
+        }
     }
 
     #[test]
     fn correct_under_round_robin_placement() {
         let cfg = SimConfig::new(ClusterSpec::regular(2, 3), CostModel::uniform_test())
             .with_placement(Placement::RoundRobin);
-        check_allgather(cfg, 2);
+        check_allgather(cfg, 2, 2);
     }
 
     #[test]
     fn irregular_counts_variant() {
+        for leaders in [1, 2] {
+            irregular_counts(leaders);
+        }
+    }
+
+    fn irregular_counts(leaders: usize) {
         let counts = vec![2usize, 0, 3, 1, 4, 2];
         let counts2 = counts.clone();
         let cfg = SimConfig::new(ClusterSpec::regular(2, 3), CostModel::uniform_test());
         let r = Universe::run(cfg, move |ctx| {
             let world = ctx.world();
             let hc = HybridComm::new(ctx, &world, Tuning::open_mpi());
-            let ag = HyAllgatherv::<f64>::new(ctx, &hc, &counts2);
+            let ag = HyAllgatherv::<f64>::with_leaders(ctx, &hc, &counts2, leaders);
+            assert_eq!(ag.leaders(), leaders);
             let mine: Vec<f64> = (0..counts2[ctx.rank()])
                 .map(|i| datum(ctx.rank(), i))
                 .collect();

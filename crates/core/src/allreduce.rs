@@ -8,32 +8,73 @@
 //! on-node contributions, so intra-node traffic cannot be eliminated —
 //! but the result replication can: children read the result straight from
 //! the window instead of each holding a private copy.
+//!
+//! How the on-node combine runs follows the leader count
+//! ([`HyAllreduce::with_leaders`]), because each side wins on its own
+//! ground (BENCH_multileader.json):
+//!
+//! * `k = 1` — a rooted binomial reduce to the leader, then the leaders'
+//!   tuned allreduce over the bridge straight into the window;
+//! * `k ≥ 2` — a *cooperative window fill* (PAPERS.md arXiv 1910.09650):
+//!   every on-node rank deposits its contribution in its own row of a
+//!   contributions window, then reduces a `1/ppn` slice of the columns
+//!   into the node's result window, so the combine work is spread over
+//!   all ranks instead of log₂(ppn) rounds at the leader; the bridge
+//!   allreduce is then striped over the `k` slots, each reducing its
+//!   [`collectives::seg_bounds`] segment of the node result. The fill is
+//!   fenced all-pairs — every rank reads every row, every slot reads
+//!   every slice — by `GO_ALL`/`FILL` signals through rank 0, or by one
+//!   extra barrier under [`SyncMethod::Barrier`].
 
 use collectives::op::ReduceOp;
 use collectives::{allreduce as coll_allreduce, reduce as coll_reduce};
-use collectives::{run_blocking, DriveOp, IColl};
-use msim::{Buf, Ctx, Drive, SharedWindow, ShmElem, WaitError};
+use collectives::{seg_bounds, IColl, LeaderSet};
+use msim::{Buf, Ctx, Drive, Payload, SharedWindow, ShmElem, WaitError};
 
+use crate::envelope::{post_signal, step_signal, HyOp, Open, Stage, FILL, GO_ALL};
 use crate::hybrid::HybridComm;
-use crate::sync::SyncSm;
+use crate::sync::{SyncMethod, SyncSm};
 
 /// A hybrid allreduce handle for vectors of a fixed length.
 #[derive(Debug, Clone)]
 pub struct HyAllreduce<T> {
     hc: HybridComm,
+    ls: LeaderSet,
+    /// `k ≥ 2` only: one `count`-element row per on-node rank (row `r` is
+    /// shm rank `r`'s deposit).
+    rows: Option<SharedWindow<T>>,
+    /// The node's reduced vector (rank 0 allocates).
     win: SharedWindow<T>,
     count: usize,
 }
 
 impl<T: ShmElem> HyAllreduce<T> {
-    /// One-off setup: the node leader allocates a `count`-element result
-    /// window.
+    /// One-off setup with a single leader per node: the node leader
+    /// allocates a `count`-element result window.
     pub fn new(ctx: &mut Ctx, hc: &HybridComm, count: usize) -> Self {
+        Self::with_leaders(ctx, hc, count, 1)
+    }
+
+    /// One-off setup with `leaders` slots per node (clamped by
+    /// [`LeaderSet::build`]); at `k ≥ 2` this adds the per-rank
+    /// contributions window (`ppn × count`).
+    pub fn with_leaders(ctx: &mut Ctx, hc: &HybridComm, count: usize, leaders: usize) -> Self {
         let h = hc.hierarchy();
+        let ls = LeaderSet::build(ctx, hc.comm(), h, leaders);
+        let rows = (ls.k > 1).then(|| SharedWindow::allocate(ctx, &h.shm, count));
         let my_len = if hc.is_leader() { count } else { 0 };
         let win = SharedWindow::allocate(ctx, &h.shm, my_len);
+        if ls.k > 1 {
+            ctx.trace_decision(
+                "allreduce",
+                "allreduce.hy_kleader",
+                &format!("multi-leader handle, k={}", ls.k),
+            );
+        }
         Self {
             hc: hc.clone(),
+            ls,
+            rows,
             win,
             count,
         }
@@ -42,6 +83,11 @@ impl<T: ShmElem> HyAllreduce<T> {
     /// Vector length.
     pub fn count(&self) -> usize {
         self.count
+    }
+
+    /// The effective leader count this handle runs with.
+    pub fn leaders(&self) -> usize {
+        self.ls.k
     }
 
     /// The node-shared window holding the reduced result.
@@ -56,18 +102,18 @@ impl<T: ShmElem> HyAllreduce<T> {
         out
     }
 
-    /// Perform the reduction over every rank's `contribution`:
-    /// intra-node reduce to the leader, leader allreduce over the bridge
-    /// straight into the shared window, one barrier to release readers.
+    /// Perform the reduction over every rank's `contribution`: on-node
+    /// combine, slot leaders' allreduce over the bridge straight into the
+    /// shared window, one barrier to release readers.
     pub fn execute<O: ReduceOp<T>>(&self, ctx: &mut Ctx, contribution: &Buf<T>, op: O) {
-        let mut body = IHyAllreduceBody::new(ctx, self, contribution, op);
-        run_blocking(body.drive_op(ctx, Drive::Block));
+        let stage = ArStage::new(ctx, self, contribution, op);
+        HyOp::run(ctx, stage);
     }
 
-    /// Start the reduction nonblocking. The intra-node reduce (a rooted
-    /// tree, inherently synchronous) still runs at start; the bridge
-    /// allreduce and the release advance on [`msim::Request`] polls —
-    /// that bridge exchange is where the overlap win lives.
+    /// Start the reduction nonblocking. At `k = 1` the intra-node reduce
+    /// (a rooted tree, inherently synchronous) still runs at start; the
+    /// bridge allreduce and the release advance on [`msim::Request`]
+    /// polls — that bridge exchange is where the overlap win lives.
     /// `iexecute(…) + wait` is bit-identical to [`HyAllreduce::execute`]
     /// modulo the `Req*` trace markers.
     pub fn iexecute<'a, O: ReduceOp<T>>(
@@ -76,111 +122,212 @@ impl<T: ShmElem> HyAllreduce<T> {
         contribution: &Buf<T>,
         op: O,
     ) -> IHyAllreduce<'a, T, O> {
-        let body = IHyAllreduceBody::new(ctx, self, contribution, op);
-        IColl::start(ctx, body)
+        let stage = ArStage::new(ctx, self, contribution, op);
+        HyOp::start(ctx, stage)
     }
 }
 
-/// Phase of an in-flight hybrid allreduce.
-enum ArPhase {
-    /// Leaders exchanging node accumulations across the bridge.
-    Bridge(coll_allreduce::TunedSm),
-    Release(SyncSm),
+/// Where the cooperative fill of an in-flight `k ≥ 2` allreduce stands.
+enum Fill {
+    /// The arrive completed; the fill has not begun.
+    Start,
+    /// Non-rank-0 waiting for the go-all fence (flags/p2p only).
+    GoAll,
+    /// Barrier sync: the all-pairs fence after the fill.
+    Fence(SyncSm),
+    /// Rank 0 collecting everyone's fill signal (flags/p2p only).
+    FanIn { next: usize },
+    /// Filled and fenced — or `k = 1`, where there is no fill.
     Done,
 }
 
-/// The body of an in-flight hybrid allreduce (see
-/// [`HyAllreduce::iexecute`]).
-pub struct IHyAllreduceBody<'a, T: ShmElem, O: ReduceOp<T>> {
+/// The allreduce bridge stage (see [`HyAllreduce::iexecute`]).
+pub struct ArStage<'a, T: ShmElem, O: ReduceOp<T>> {
     ar: &'a HyAllreduce<T>,
-    node_acc: Buf<T>,
     op: O,
-    phase: ArPhase,
+    /// The bridge allreduce's send side: the node accumulation (`k = 1`),
+    /// or this slot's private copy of its result-window segment (`k ≥ 2`;
+    /// empty until the bridge starts, and on non-slot ranks).
+    node_acc: Buf<T>,
+    fill: Fill,
 }
 
-impl<'a, T: ShmElem, O: ReduceOp<T>> IHyAllreduceBody<'a, T, O> {
+impl<'a, T: ShmElem, O: ReduceOp<T>> ArStage<'a, T, O> {
     fn new(ctx: &mut Ctx, ar: &'a HyAllreduce<T>, contribution: &Buf<T>, op: O) -> Self {
         assert_eq!(contribution.len(), ar.count, "contribution length mismatch");
-        let h = ar.hc.hierarchy();
-
-        // Phase 1: on-node reduction to the leader (message-based binomial
-        // tree; a reduction inherently needs to touch each contribution).
-        // Rooted trees are synchronous by nature, so this part runs
-        // blocking even under `iexecute`.
-        let mut node_acc = if h.shm.rank() == 0 {
-            ctx.buf_zeroed::<T>(ar.count)
-        } else {
-            ctx.buf_zeroed::<T>(0)
-        };
-        coll_reduce::binomial(ctx, &h.shm, contribution, &mut node_acc, 0, op);
-
-        // Phase 2: leaders allreduce across nodes, result into the window.
-        let phase = if let Some(bridge) = &h.bridge {
-            // Same fees either way; a policy additionally records why.
-            let sm = match ar.hc.policy() {
-                Some(policy) => {
-                    coll_allreduce::TunedSm::with_policy(ctx, bridge, &node_acc, policy)
-                }
-                None => coll_allreduce::TunedSm::tuned(ctx, bridge, &node_acc, ar.hc.tuning()),
-            };
-            ArPhase::Bridge(sm)
-        } else {
-            if h.shm.rank() == 0 {
-                // Single node: the node accumulation IS the result.
-                let mut view = Buf::Shared(ar.win.clone());
-                view.copy_from(0, &node_acc, 0, ar.count);
+        let shm = &ar.hc.hierarchy().shm;
+        let (node_acc, fill) = match &ar.rows {
+            // On-node reduction to the leader (message-based binomial
+            // tree). Rooted trees are synchronous by nature, so this part
+            // runs blocking even under `iexecute`.
+            None => {
+                let len = if shm.rank() == 0 { ar.count } else { 0 };
+                let mut node_acc = ctx.buf_zeroed::<T>(len);
+                coll_reduce::binomial(ctx, shm, contribution, &mut node_acc, 0, op);
+                (node_acc, Fill::Done)
             }
-            // Phase 3: release on-node readers.
-            ArPhase::Release(SyncSm::release(ctx, ar.hc.sync(), &h.shm))
+            // Deposit the contribution in this rank's row (a reduction
+            // has to materialize the node-local inputs somewhere; this
+            // copy is what replaces the rooted reduce's send).
+            Some(rows) => {
+                Buf::Shared(rows.clone()).copy_from(rows.my_base(), contribution, 0, ar.count);
+                ctx.charge_copy(ar.count * T::SIZE);
+                (ctx.buf_zeroed(0), Fill::Start)
+            }
         };
         Self {
             ar,
-            node_acc,
             op,
-            phase,
+            node_acc,
+            fill,
+        }
+    }
+
+    /// The cooperative fill: reduce this rank's `1/ppn` column slice of
+    /// every deposit row into the node result window.
+    fn do_fill(&self, ctx: &mut Ctx, rows: &SharedWindow<T>) {
+        let ar = self.ar;
+        let shm = &ar.hc.hierarchy().shm;
+        let ppn = shm.size();
+        let (off, len) = seg_bounds(ar.count, shm.rank(), ppn);
+        if len == 0 {
+            return;
+        }
+        let rows_buf = Buf::Shared(rows.clone());
+        let mut res = Buf::Shared(ar.win.clone());
+        res.copy_from(off, &rows_buf, off, len);
+        ctx.charge_copy(len * T::SIZE);
+        let op = self.op;
+        for row in 1..ppn {
+            let payload = rows_buf.payload(rows.base_of(row) + off, len);
+            res.combine_payload(off, &payload, |a, b| op.combine(a, b));
+            ctx.compute(len as f64 * O::FLOPS_PER_ELEM);
         }
     }
 }
 
-impl<T: ShmElem, O: ReduceOp<T>> DriveOp for IHyAllreduceBody<'_, T, O> {
+impl<T: ShmElem, O: ReduceOp<T>> Stage for ArStage<'_, T, O> {
     const OP: &'static str = "ihyallreduce";
+    type Bridge = (coll_allreduce::TunedSm, Buf<T>);
 
-    fn ft_check(&self, ctx: &Ctx) -> Result<(), WaitError> {
-        let h = self.ar.hc.hierarchy();
-        ctx.ft_check_comm(&h.shm, 0)?;
-        match &h.bridge {
-            Some(b) => ctx.ft_check_comm(b, 0),
-            None => Ok(()),
+    fn hc(&self) -> &HybridComm {
+        &self.ar.hc
+    }
+
+    fn leaders(&self) -> &LeaderSet {
+        &self.ar.ls
+    }
+
+    fn open(&self) -> Open {
+        match self.ar.rows {
+            // The deposits must be ordered before anyone fills.
+            Some(_) => Open::Arrive,
+            // The rooted reduce already left the node sum at the leader.
+            None => Open::Bridge,
         }
     }
 
-    fn drive_op(&mut self, ctx: &mut Ctx, how: Drive) -> Result<bool, WaitError> {
+    fn pre(&mut self, ctx: &mut Ctx, how: Drive) -> Result<bool, WaitError> {
         let ar = self.ar;
-        let h = ar.hc.hierarchy();
+        let Some(rows) = &ar.rows else {
+            return Ok(true);
+        };
+        let (sync, shm) = (ar.hc.sync(), &ar.hc.hierarchy().shm);
         loop {
-            match &mut self.phase {
-                ArPhase::Bridge(sm) => {
-                    let bridge = h.bridge.as_ref().expect("bridge phase only on leaders");
-                    let mut view = Buf::Shared(ar.win.clone());
-                    if !sm.drive(ctx, bridge, &self.node_acc, &mut view, self.op, how)? {
+            self.fill = match &mut self.fill {
+                Fill::Start => match sync {
+                    // The arrive barrier is already all-pairs: fill, then
+                    // fence with one more barrier before the slots read
+                    // full slices.
+                    SyncMethod::Barrier => {
+                        self.do_fill(ctx, rows);
+                        Fill::Fence(SyncSm::full(ctx, sync, shm))
+                    }
+                    // Everyone must see every row before slicing: arrive
+                    // gave rank 0 the writes, go-all hands them on.
+                    _ if shm.rank() == 0 => {
+                        match sync {
+                            SyncMethod::SharedFlags => ctx.post_flag_multicast(shm, GO_ALL),
+                            _ => {
+                                for child in 1..shm.size() {
+                                    ctx.send(shm, child, GO_ALL + 1, Payload::empty());
+                                }
+                            }
+                        }
+                        self.do_fill(ctx, rows);
+                        Fill::FanIn { next: 1 }
+                    }
+                    _ => Fill::GoAll,
+                },
+                Fill::GoAll => {
+                    if !step_signal(ctx, shm, 0, GO_ALL, sync, how)? {
                         return Ok(false);
                     }
-                    self.phase = ArPhase::Release(SyncSm::release(ctx, ar.hc.sync(), &h.shm));
+                    self.do_fill(ctx, rows);
+                    post_signal(ctx, shm, 0, FILL, sync);
+                    Fill::Done
                 }
-                ArPhase::Release(sm) => {
-                    if !sm.drive(ctx, &h.shm, how)? {
+                Fill::Fence(sm) => {
+                    if !sm.drive(ctx, shm, how)? {
                         return Ok(false);
                     }
-                    self.phase = ArPhase::Done;
+                    Fill::Done
                 }
-                ArPhase::Done => return Ok(true),
-            }
+                Fill::FanIn { next } => {
+                    while *next < shm.size() {
+                        if !step_signal(ctx, shm, *next, FILL, sync, how)? {
+                            return Ok(false);
+                        }
+                        *next += 1;
+                    }
+                    Fill::Done
+                }
+                Fill::Done => return Ok(true),
+            };
         }
+    }
+
+    fn start(&mut self, ctx: &mut Ctx) -> Self::Bridge {
+        let ar = self.ar;
+        let bridge = ar.ls.bridge.as_ref().expect("slot leaders carry a bridge");
+        let j = ar.ls.slot.expect("the bridge starts only on slot leaders");
+        let (off, len) = seg_bounds(ar.count, j, ar.ls.k);
+        if ar.rows.is_some() {
+            // This slot's private copy of its segment of the filled node
+            // result: the send side of its stripe's allreduce.
+            self.node_acc = ctx.buf_zeroed::<T>(len);
+            self.node_acc
+                .copy_from(0, &Buf::Shared(ar.win.clone()), off, len);
+            ctx.charge_copy(len * T::SIZE);
+        }
+        // Same fees either way; a policy additionally records why.
+        let sm = match ar.hc.policy() {
+            Some(policy) => {
+                coll_allreduce::TunedSm::with_policy(ctx, bridge, &self.node_acc, policy)
+            }
+            None => coll_allreduce::TunedSm::tuned(ctx, bridge, &self.node_acc, ar.hc.tuning()),
+        };
+        (sm, Buf::Shared(ar.win.region(off, len)))
+    }
+
+    fn drive(
+        &mut self,
+        ctx: &mut Ctx,
+        (sm, view): &mut Self::Bridge,
+        how: Drive,
+    ) -> Result<bool, WaitError> {
+        let bridge = self
+            .ar
+            .ls
+            .bridge
+            .as_ref()
+            .expect("slot leaders carry a bridge");
+        sm.drive(ctx, bridge, &self.node_acc, view, self.op, how)
     }
 }
 
 /// An in-flight hybrid allreduce.
-pub type IHyAllreduce<'a, T, O> = IColl<IHyAllreduceBody<'a, T, O>>;
+pub type IHyAllreduce<'a, T, O> = IColl<HyOp<ArStage<'a, T, O>>>;
 
 #[cfg(test)]
 mod tests {
@@ -191,11 +338,17 @@ mod tests {
     use simnet::{ClusterSpec, CostModel};
 
     fn check_sum(cfg: SimConfig, count: usize) {
+        for leaders in [1, 2, 4] {
+            check_sum_k(cfg.clone(), count, leaders);
+        }
+    }
+
+    fn check_sum_k(cfg: SimConfig, count: usize, leaders: usize) {
         let p = cfg.spec.total_cores();
         let r = Universe::run(cfg, move |ctx| {
             let world = ctx.world();
             let hc = HybridComm::new(ctx, &world, Tuning::cray_mpich());
-            let ar = HyAllreduce::<f64>::new(ctx, &hc, count);
+            let ar = HyAllreduce::<f64>::with_leaders(ctx, &hc, count, leaders);
             let mine = ctx.buf_from_fn(count, |i| ((ctx.rank() + 1) * (i + 1)) as f64);
             ar.execute(ctx, &mine, Sum);
             ar.read_result()
@@ -205,7 +358,7 @@ mod tests {
         let expected: Vec<f64> = (0..count).map(|i| rank_sum * (i + 1) as f64).collect();
         for (rank, got) in r.per_rank.iter().enumerate() {
             for (a, b) in got.iter().zip(&expected) {
-                assert!((a - b).abs() < 1e-9, "rank {rank}: {a} vs {b}");
+                assert!((a - b).abs() < 1e-9, "rank {rank} k {leaders}: {a} vs {b}");
             }
         }
     }

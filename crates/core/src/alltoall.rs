@@ -1,83 +1,30 @@
-//! Hybrid all-to-all — an extension in the spirit of the paper's
-//! conclusion ("more experiences … are expected to popularize the
-//! implementation of the hybrid MPI+MPI application codes") and of its
-//! reference [31] (Träff & Rougier, hierarchical all-to-all).
-//!
-//! Every rank writes its outgoing blocks straight into a node-shared
-//! *send window*; blocks destined to on-node peers are never transmitted
-//! at all (the peer reads them directly); blocks for remote nodes travel
-//! as **one aggregated message per node pair**, sent by the leaders, into
-//! a node-shared *receive window*. Compared to a pure-MPI all-to-all
-//! (p² messages), the hybrid needs only `nodes²` network messages and no
-//! intra-node traffic — at the price of the usual barrier pair. The send
-//! window is laid out destination-node-major, so every slab is one
-//! contiguous region and the leaders never pack.
+//! Regular hybrid all-to-all: the uniform-count layout of
+//! [`HyAlltoallv`], the way [`crate::HyAllgather`] is of
+//! [`crate::HyAllgatherv`]. Block offsets stay arithmetic — no p×p table
+//! is ever built — and the exchange is the irregular one's (see
+//! [`crate::alltoallv`] for the window layout and the schedule).
 
-use collectives::tags;
-use collectives::{run_blocking, DriveOp, IColl};
-use msim::{Ctx, Drive, Payload, SharedWindow, ShmElem, WaitError};
+use msim::{Ctx, ShmElem};
+use std::ops::Deref;
 
+use crate::alltoallv::{HyAlltoallv, IHyAlltoallv};
 use crate::hybrid::HybridComm;
-use crate::sync::SyncSm;
 
 /// A hybrid all-to-all handle for `count` elements per (source,
-/// destination) pair.
+/// destination) pair. Dereferences to its [`HyAlltoallv`] for everything
+/// but construction.
 #[derive(Debug, Clone)]
 pub struct HyAlltoall<T> {
-    hc: HybridComm,
-    /// Outgoing blocks of this node, grouped by destination node so each
-    /// leader-to-leader slab is one contiguous window region (no packing):
-    /// `[dest group g][s_local][d_in_g]`.
-    send_win: SharedWindow<T>,
-    /// Element offset of each destination group's slab in `send_win`.
-    send_group_offs: Vec<usize>,
-    /// Incoming blocks from remote groups, ordered by group:
-    /// `[group g][s_in_g][d_local]` (own group omitted).
-    recv_win: SharedWindow<T>,
+    inner: HyAlltoallv<T>,
     count: usize,
-    /// Element offset of each remote group's slab in `recv_win`
-    /// (entry for the own group unused).
-    recv_group_offs: Vec<usize>,
 }
 
 impl<T: ShmElem> HyAlltoall<T> {
     /// One-off setup over the hybrid communicator.
     pub fn new(ctx: &mut Ctx, hc: &HybridComm, count: usize) -> Self {
-        let h = hc.hierarchy();
-        let p = hc.comm().size();
-        let my_size = h.shm.size();
-
-        // Leaders allocate; everyone addresses through the handle.
-        let mut send_group_offs = vec![0usize; h.num_groups()];
-        let mut acc = 0usize;
-        #[allow(clippy::needless_range_loop)] // running prefix over group sizes
-        for g in 0..h.num_groups() {
-            send_group_offs[g] = acc;
-            acc += my_size * h.group_size(g) * count;
-        }
-        debug_assert_eq!(acc, my_size * p * count);
-        let send_len = if hc.is_leader() { acc } else { 0 };
-        let send_win = SharedWindow::allocate(ctx, &h.shm, send_len);
-
-        let mut recv_group_offs = vec![0usize; h.num_groups()];
-        let mut acc = 0usize;
-        #[allow(clippy::needless_range_loop)] // running prefix over group sizes
-        for g in 0..h.num_groups() {
-            recv_group_offs[g] = acc;
-            if g != h.node_index {
-                acc += h.group_size(g) * my_size * count;
-            }
-        }
-        let recv_len = if hc.is_leader() { acc } else { 0 };
-        let recv_win = SharedWindow::allocate(ctx, &h.shm, recv_len);
-
         Self {
-            hc: hc.clone(),
-            send_win,
-            send_group_offs,
-            recv_win,
+            inner: HyAlltoallv::uniform(ctx, hc, count),
             count,
-            recv_group_offs,
         }
     }
 
@@ -85,202 +32,18 @@ impl<T: ShmElem> HyAlltoall<T> {
     pub fn count(&self) -> usize {
         self.count
     }
-
-    /// Element offset of block (s_local, dest) inside the send window.
-    fn send_offset(&self, s_local: usize, dest: usize) -> usize {
-        let h = self.hc.hierarchy();
-        let g = h
-            .group_members
-            .iter()
-            .position(|m| m.contains(&dest))
-            .expect("destination must be a member");
-        let d_in_g = h.group_members[g]
-            .iter()
-            .position(|&r| r == dest)
-            .expect("dest in its group");
-        self.send_group_offs[g] + (s_local * h.group_size(g) + d_in_g) * self.count
-    }
-
-    /// Write this rank's outgoing block for destination parent rank
-    /// `dest` (an in-place write into the node-shared send window).
-    pub fn write_block(&self, ctx: &Ctx, dest: usize, data: &[T]) {
-        assert_eq!(data.len(), self.count, "block must hold `count` elements");
-        let s_local = self.hc.hierarchy().shm.rank();
-        self.send_win
-            .write_from(self.send_offset(s_local, dest), data);
-        let _ = ctx;
-    }
-
-    /// Read the block this rank received from source parent rank `src`.
-    /// On-node sources are read straight from the send window (they were
-    /// never transmitted); remote sources come from the receive window.
-    pub fn read_block(&self, src: usize) -> Vec<T> {
-        let h = self.hc.hierarchy();
-        let me = self.hc.comm().rank();
-        let my_group = h.node_index;
-        let src_group = h
-            .group_members
-            .iter()
-            .position(|m| m.contains(&src))
-            .expect("source must be a member");
-        let mut out = vec![T::default(); self.count];
-        if src_group == my_group {
-            let s_local = h.group_members[my_group]
-                .iter()
-                .position(|&r| r == src)
-                .expect("src in own group");
-            self.send_win
-                .read_into(self.send_offset(s_local, me), &mut out);
-        } else {
-            let s_in_g = h.group_members[src_group]
-                .iter()
-                .position(|&r| r == src)
-                .expect("src in its group");
-            let d_local = h.shm.rank();
-            let my_size = h.shm.size();
-            let off = self.recv_group_offs[src_group] + (s_in_g * my_size + d_local) * self.count;
-            self.recv_win.read_into(off, &mut out);
-        }
-        out
-    }
-
-    /// The collective: arrive barrier → leaders exchange one contiguous
-    /// slab per remote node (the group-major send-window layout makes
-    /// each slab a single region — no packing) → release barrier.
-    pub fn execute(&self, ctx: &mut Ctx) {
-        let mut body = IHyAlltoallBody::new(ctx, self);
-        run_blocking(body.drive_op(ctx, Drive::Block));
-    }
-
-    /// Start the collective nonblocking: the arrive signal is posted
-    /// immediately; the slab exchange and the release advance on
-    /// [`msim::Request`] polls. `iexecute(ctx) + wait` is bit-identical
-    /// to [`HyAlltoall::execute`] modulo the `Req*` trace markers.
-    pub fn iexecute<'a>(&'a self, ctx: &mut Ctx) -> IHyAlltoall<'a, T> {
-        let body = IHyAlltoallBody::new(ctx, self);
-        IColl::start(ctx, body)
-    }
 }
 
-/// Phase of an in-flight hybrid all-to-all.
-enum A2aPhase {
-    /// Single-node: everything is already in the node's send window.
-    Full(SyncSm),
-    Arrive(SyncSm),
-    /// Leader draining one slab per remote group, in group order. The
-    /// sends were all posted (eagerly) when this phase began.
-    Exchange {
-        next: usize,
-    },
-    Release(SyncSm),
-    Done,
-}
+impl<T> Deref for HyAlltoall<T> {
+    type Target = HyAlltoallv<T>;
 
-/// The body of an in-flight hybrid all-to-all (see
-/// [`HyAlltoall::iexecute`]).
-pub struct IHyAlltoallBody<'a, T: ShmElem> {
-    a2a: &'a HyAlltoall<T>,
-    phase: A2aPhase,
-}
-
-impl<'a, T: ShmElem> IHyAlltoallBody<'a, T> {
-    fn new(ctx: &mut Ctx, a2a: &'a HyAlltoall<T>) -> Self {
-        let h = a2a.hc.hierarchy();
-        let sync = a2a.hc.sync();
-        let phase = if a2a.hc.single_node() {
-            A2aPhase::Full(SyncSm::full(ctx, sync, &h.shm))
-        } else {
-            A2aPhase::Arrive(SyncSm::arrive(ctx, sync, &h.shm))
-        };
-        Self { a2a, phase }
-    }
-
-    /// Post the leader's slab sends (eager) and enter the drain stage, or
-    /// skip straight to release on non-leaders.
-    fn after_arrive(&self, ctx: &mut Ctx) -> A2aPhase {
-        let a2a = self.a2a;
-        let h = a2a.hc.hierarchy();
-        if let Some(bridge) = &h.bridge {
-            let my_size = h.shm.size();
-            let my_group = h.node_index;
-            // Post all sends first (eager), then drain receives.
-            for g in 0..h.num_groups() {
-                if g == my_group {
-                    continue;
-                }
-                let slab_elems = my_size * h.group_size(g) * a2a.count;
-                let payload: Payload = a2a.send_win.payload(a2a.send_group_offs[g], slab_elems);
-                ctx.send(bridge, g, tags::ALLTOALL + 8, payload);
-            }
-            A2aPhase::Exchange { next: 0 }
-        } else {
-            A2aPhase::Release(SyncSm::release(ctx, a2a.hc.sync(), &h.shm))
-        }
-    }
-}
-
-impl<T: ShmElem> DriveOp for IHyAlltoallBody<'_, T> {
-    const OP: &'static str = "ihyalltoall";
-
-    fn ft_check(&self, ctx: &Ctx) -> Result<(), WaitError> {
-        let h = self.a2a.hc.hierarchy();
-        ctx.ft_check_comm(&h.shm, 0)?;
-        match &h.bridge {
-            Some(b) => ctx.ft_check_comm(b, 0),
-            None => Ok(()),
-        }
-    }
-
-    fn drive_op(&mut self, ctx: &mut Ctx, how: Drive) -> Result<bool, WaitError> {
-        let a2a = self.a2a;
-        let h = a2a.hc.hierarchy();
-        loop {
-            match &mut self.phase {
-                A2aPhase::Full(sm) => {
-                    if !sm.drive(ctx, &h.shm, how)? {
-                        return Ok(false);
-                    }
-                    self.phase = A2aPhase::Done;
-                }
-                A2aPhase::Arrive(sm) => {
-                    if !sm.drive(ctx, &h.shm, how)? {
-                        return Ok(false);
-                    }
-                    self.phase = self.after_arrive(ctx);
-                }
-                A2aPhase::Exchange { next } => {
-                    let bridge = h.bridge.as_ref().expect("exchange phase only on leaders");
-                    let my_group = h.node_index;
-                    while *next < h.num_groups() {
-                        let g = *next;
-                        if g == my_group {
-                            *next += 1;
-                            continue;
-                        }
-                        match ctx.step_recv(bridge, g, tags::ALLTOALL + 8, how)? {
-                            Some(payload) => {
-                                a2a.recv_win.write_payload(a2a.recv_group_offs[g], &payload);
-                                *next += 1;
-                            }
-                            None => return Ok(false),
-                        }
-                    }
-                    self.phase = A2aPhase::Release(SyncSm::release(ctx, a2a.hc.sync(), &h.shm));
-                }
-                A2aPhase::Release(sm) => {
-                    if !sm.drive(ctx, &h.shm, how)? {
-                        return Ok(false);
-                    }
-                    self.phase = A2aPhase::Done;
-                }
-                A2aPhase::Done => return Ok(true),
-            }
-        }
+    fn deref(&self) -> &HyAlltoallv<T> {
+        &self.inner
     }
 }
 
 /// An in-flight hybrid all-to-all.
-pub type IHyAlltoall<'a, T> = IColl<IHyAlltoallBody<'a, T>>;
+pub type IHyAlltoall<'a, T> = IHyAlltoallv<'a, T>;
 
 #[cfg(test)]
 mod tests {

@@ -1,13 +1,22 @@
-//! Hybrid irregular all-to-all (`MPI_Alltoallv` over the paper's recipe).
+//! Hybrid all-to-all, regular and irregular (`MPI_Alltoall(v)` over the
+//! paper's recipe) — an extension in the spirit of the paper's conclusion
+//! ("more experiences … are expected to popularize the implementation of
+//! the hybrid MPI+MPI application codes") and of its reference [31]
+//! (Träff & Rougier, hierarchical all-to-all).
 //!
-//! The regular hybrid all-to-all ([`crate::HyAlltoall`]) extends naturally
-//! to per-pair counts: every rank writes its outgoing blocks into the
-//! node-shared send window, laid out destination-group-major so each
+//! Every rank writes its outgoing blocks straight into a node-shared
+//! *send window*; blocks destined to on-node peers are never transmitted
+//! at all (the peer reads them directly); blocks for remote nodes travel
+//! as **one aggregated message per node pair**, sent by the leaders, into
+//! a node-shared *receive window*. Compared to a pure-MPI all-to-all (p²
+//! messages), the hybrid needs only `nodes²` network messages and no
+//! intra-node traffic — at the price of the usual barrier pair.
+//!
+//! The send window is laid out destination-group-major so each
 //! leader-to-leader slab stays one contiguous region *even with irregular
 //! block sizes* — the slab is simply the concatenation of the
 //! `[s_local][d_in_g]` blocks in order, which is exactly the order the
-//! receiving node stores them in. On-node blocks are never transmitted;
-//! remote nodes exchange **one aggregated message per node pair**.
+//! receiving node stores them in, so the leaders never pack.
 //!
 //! A flat `alltoallv` on the bridge cannot express this exchange: the
 //! send window holds the own-group slab in the middle of the layout, so
@@ -16,39 +25,53 @@
 //! paper's reference [31]; the flat `collectives::alltoallv` algorithms
 //! (pairwise/linear, registry-selectable) remain the pure-MPI baseline.
 
-use collectives::tags;
-use collectives::{run_blocking, DriveOp, IColl};
-use msim::{Ctx, Drive, Payload, SharedWindow, ShmElem, WaitError};
+use collectives::util::displs_of;
+use collectives::{tags, IColl, LeaderSet};
+use msim::{Ctx, Drive, SharedWindow, ShmElem, WaitError};
 
+use crate::envelope::{HyOp, Open, Stage};
 use crate::hybrid::HybridComm;
-use crate::sync::SyncSm;
+
+/// How the (source, destination) blocks are sized and addressed.
+#[derive(Debug, Clone)]
+enum PairLayout {
+    /// Every block is `count` long ([`crate::HyAlltoall`]): offsets are
+    /// arithmetic over the group tables, no per-pair table exists.
+    Uniform { count: usize },
+    Irregular {
+        /// Full p×p count matrix, row-major by source parent rank.
+        counts: Vec<usize>,
+        /// Element offset of block (s_local, dest parent rank) in the
+        /// send window, indexed `s_local * p + dest`.
+        send_offs: Vec<usize>,
+        /// Element offset of the block **this rank** receives from each
+        /// source parent rank, inside the receive window (own-group
+        /// entries unused — those blocks are read straight from the send
+        /// window).
+        recv_offs: Vec<usize>,
+    },
+}
 
 /// A hybrid irregular all-to-all handle: block (s, d) carries
 /// `counts[s*p + d]` elements.
 #[derive(Debug, Clone)]
 pub struct HyAlltoallv<T> {
     hc: HybridComm,
-    /// Full p×p count matrix, row-major by source parent rank.
-    counts: Vec<usize>,
+    ls: LeaderSet,
+    layout: PairLayout,
     /// Outgoing blocks of this node, grouped by destination node:
-    /// `[dest group g][s_local][d_in_g]`, each block `counts[s][d]` long.
+    /// `[dest group g][s_local][d_in_g]`.
     send_win: SharedWindow<T>,
     /// Element offset of each destination group's slab in `send_win`.
     send_group_offs: Vec<usize>,
     /// Element length of each destination group's slab.
     send_group_lens: Vec<usize>,
-    /// Element offset of block (s_local, dest parent rank) in `send_win`,
-    /// indexed `s_local * p + dest`.
-    send_offs: Vec<usize>,
     /// Incoming blocks from remote groups, ordered by group:
     /// `[group g][s_in_g][d_local]` (own group omitted).
     recv_win: SharedWindow<T>,
-    /// Element offset of each remote group's slab in `recv_win`.
+    /// Element offset of each remote group's slab in `recv_win` (entry
+    /// for the own group unused).
     recv_group_offs: Vec<usize>,
-    /// Element offset of the block **this rank** receives from each
-    /// source parent rank, inside `recv_win` (own-group entries unused —
-    /// those blocks are read straight from the send window).
-    recv_offs: Vec<usize>,
 }
 
 impl<T: ShmElem> HyAlltoallv<T> {
@@ -61,65 +84,110 @@ impl<T: ShmElem> HyAlltoallv<T> {
         let p = hc.comm().size();
         assert_eq!(counts.len(), p * p, "counts must be a full p×p matrix");
         let me = hc.comm().rank();
-        let my_size = h.shm.size();
-        let my_group = h.node_index;
+        let mine = &h.group_members[h.node_index];
 
         // Send window: destination-group-major, blocks [s_local][d_in_g].
-        let mut send_group_offs = vec![0usize; h.num_groups()];
-        let mut send_group_lens = vec![0usize; h.num_groups()];
-        let mut send_offs = vec![0usize; my_size * p];
+        let mut send_lens = vec![0usize; h.num_groups()];
+        let mut send_offs = vec![0usize; mine.len() * p];
         let mut acc = 0usize;
-        for g in 0..h.num_groups() {
-            send_group_offs[g] = acc;
-            for s_local in 0..my_size {
-                let s = h.group_members[my_group][s_local];
+        for (g, len) in send_lens.iter_mut().enumerate() {
+            let start = acc;
+            for (s_local, &s) in mine.iter().enumerate() {
                 for &d in &h.group_members[g] {
                     send_offs[s_local * p + d] = acc;
                     acc += counts[s * p + d];
                 }
             }
-            send_group_lens[g] = acc - send_group_offs[g];
+            *len = acc - start;
         }
-        let send_len = if hc.is_leader() { acc } else { 0 };
-        let send_win = SharedWindow::allocate(ctx, &h.shm, send_len);
 
         // Receive window: remote groups in order, blocks [s_in_g][d_local].
-        let mut recv_group_offs = vec![0usize; h.num_groups()];
+        let mut recv_lens = vec![0usize; h.num_groups()];
         let mut recv_offs = vec![0usize; p];
         let mut acc = 0usize;
-        for (g, off) in recv_group_offs.iter_mut().enumerate() {
-            *off = acc;
-            if g == my_group {
+        for (g, len) in recv_lens.iter_mut().enumerate() {
+            if g == h.node_index {
                 continue;
             }
+            let start = acc;
             for &s in &h.group_members[g] {
-                for &d in &h.group_members[my_group] {
+                for &d in mine {
                     if d == me {
                         recv_offs[s] = acc;
                     }
                     acc += counts[s * p + d];
                 }
             }
+            *len = acc - start;
         }
-        let recv_len = if hc.is_leader() { acc } else { 0 };
-        let recv_win = SharedWindow::allocate(ctx, &h.shm, recv_len);
+        let layout = PairLayout::Irregular {
+            counts: counts.to_vec(),
+            send_offs,
+            recv_offs,
+        };
+        Self::with_slabs(ctx, hc, layout, send_lens, recv_lens)
+    }
 
+    /// Setup for the regular case ([`crate::HyAlltoall`]): every block is
+    /// `count` long, so only the O(nodes) slab tables are built.
+    pub(crate) fn uniform(ctx: &mut Ctx, hc: &HybridComm, count: usize) -> Self {
+        let h = hc.hierarchy();
+        let slab = |g: usize| h.shm.size() * h.group_size(g) * count;
+        let send_lens = (0..h.num_groups()).map(slab).collect();
+        let recv_lens = (0..h.num_groups())
+            .map(|g| if g == h.node_index { 0 } else { slab(g) })
+            .collect();
+        Self::with_slabs(ctx, hc, PairLayout::Uniform { count }, send_lens, recv_lens)
+    }
+
+    /// Leaders allocate both windows; everyone addresses them through the
+    /// handle.
+    fn with_slabs(
+        ctx: &mut Ctx,
+        hc: &HybridComm,
+        layout: PairLayout,
+        send_group_lens: Vec<usize>,
+        recv_lens: Vec<usize>,
+    ) -> Self {
+        let h = hc.hierarchy();
+        let window = |ctx: &mut Ctx, lens: &[usize]| {
+            let total = if hc.is_leader() { lens.iter().sum() } else { 0 };
+            SharedWindow::allocate(ctx, &h.shm, total)
+        };
+        let send_win = window(ctx, &send_group_lens);
+        let recv_win = window(ctx, &recv_lens);
         Self {
             hc: hc.clone(),
-            counts: counts.to_vec(),
+            ls: LeaderSet::build(ctx, hc.comm(), h, 1),
+            layout,
             send_win,
-            send_group_offs,
+            send_group_offs: displs_of(&send_group_lens),
             send_group_lens,
-            send_offs,
             recv_win,
-            recv_group_offs,
-            recv_offs,
+            recv_group_offs: displs_of(&recv_lens),
         }
     }
 
     /// Elements in the block from `src` to `dest`.
     pub fn count(&self, src: usize, dest: usize) -> usize {
-        self.counts[src * self.hc.comm().size() + dest]
+        match &self.layout {
+            PairLayout::Uniform { count } => *count,
+            PairLayout::Irregular { counts, .. } => counts[src * self.hc.comm().size() + dest],
+        }
+    }
+
+    /// Element offset of block (s_local, dest) inside the send window.
+    fn send_offset(&self, s_local: usize, dest: usize) -> usize {
+        match &self.layout {
+            PairLayout::Uniform { count } => {
+                let h = self.hc.hierarchy();
+                let (g, d_in_g) = h.locate(dest);
+                self.send_group_offs[g] + (s_local * h.group_size(g) + d_in_g) * count
+            }
+            PairLayout::Irregular { send_offs, .. } => {
+                send_offs[s_local * self.hc.comm().size() + dest]
+            }
+        }
     }
 
     /// Write this rank's outgoing block for destination parent rank
@@ -129,12 +197,11 @@ impl<T: ShmElem> HyAlltoallv<T> {
         assert_eq!(
             data.len(),
             self.count(me, dest),
-            "block must hold counts[me][dest] elements"
+            "block must hold count(me, dest) elements"
         );
         let s_local = self.hc.hierarchy().shm.rank();
-        let p = self.hc.comm().size();
         self.send_win
-            .write_from(self.send_offs[s_local * p + dest], data);
+            .write_from(self.send_offset(s_local, dest), data);
         let _ = ctx;
     }
 
@@ -145,21 +212,19 @@ impl<T: ShmElem> HyAlltoallv<T> {
         let h = self.hc.hierarchy();
         let me = self.hc.comm().rank();
         let mut out = vec![T::default(); self.count(src, me)];
-        let src_group = h
-            .group_members
-            .iter()
-            .position(|m| m.contains(&src))
-            .expect("source must be a member");
+        let (src_group, s_in_g) = h.locate(src);
         if src_group == h.node_index {
-            let s_local = h.group_members[src_group]
-                .iter()
-                .position(|&r| r == src)
-                .expect("src in own group");
-            let p = self.hc.comm().size();
             self.send_win
-                .read_into(self.send_offs[s_local * p + me], &mut out);
+                .read_into(self.send_offset(s_in_g, me), &mut out);
         } else {
-            self.recv_win.read_into(self.recv_offs[src], &mut out);
+            let off = match &self.layout {
+                PairLayout::Uniform { count } => {
+                    let block = s_in_g * h.shm.size() + h.shm.rank();
+                    self.recv_group_offs[src_group] + block * count
+                }
+                PairLayout::Irregular { recv_offs, .. } => recv_offs[src],
+            };
+            self.recv_win.read_into(off, &mut out);
         }
         out
     }
@@ -167,8 +232,7 @@ impl<T: ShmElem> HyAlltoallv<T> {
     /// The collective: arrive barrier → leaders exchange one contiguous
     /// slab per remote node → release barrier.
     pub fn execute(&self, ctx: &mut Ctx) {
-        let mut body = IHyAlltoallvBody::new(ctx, self);
-        run_blocking(body.drive_op(ctx, Drive::Block));
+        HyOp::run(ctx, A2aStage(self));
     }
 
     /// Start the collective nonblocking: the arrive signal is posted
@@ -176,130 +240,70 @@ impl<T: ShmElem> HyAlltoallv<T> {
     /// [`msim::Request`] polls. `iexecute(ctx) + wait` is bit-identical
     /// to [`HyAlltoallv::execute`] modulo the `Req*` trace markers.
     pub fn iexecute<'a>(&'a self, ctx: &mut Ctx) -> IHyAlltoallv<'a, T> {
-        let body = IHyAlltoallvBody::new(ctx, self);
-        IColl::start(ctx, body)
+        HyOp::start(ctx, A2aStage(self))
     }
 }
 
-/// Phase of an in-flight hybrid irregular all-to-all.
-enum A2avPhase {
-    /// Single-node: everything is already in the node's send window.
-    Full(SyncSm),
-    Arrive(SyncSm),
-    /// Leader draining one slab per remote group, in group order. The
-    /// sends were all posted (eagerly) when this phase began.
-    Exchange {
-        next: usize,
-    },
-    Release(SyncSm),
-    Done,
-}
+/// The all-to-all bridge stage (see [`HyAlltoallv::iexecute`]): the
+/// leader posts one slab per remote group (eagerly), then drains one slab
+/// per remote group in group order.
+pub struct A2aStage<'a, T: ShmElem>(&'a HyAlltoallv<T>);
 
-/// The body of an in-flight hybrid irregular all-to-all (see
-/// [`HyAlltoallv::iexecute`]).
-pub struct IHyAlltoallvBody<'a, T: ShmElem> {
-    a2av: &'a HyAlltoallv<T>,
-    phase: A2avPhase,
-}
+const SLAB: u32 = tags::ALLTOALLV + 8;
 
-impl<'a, T: ShmElem> IHyAlltoallvBody<'a, T> {
-    fn new(ctx: &mut Ctx, a2av: &'a HyAlltoallv<T>) -> Self {
-        let h = a2av.hc.hierarchy();
-        let sync = a2av.hc.sync();
-        let phase = if a2av.hc.single_node() {
-            A2avPhase::Full(SyncSm::full(ctx, sync, &h.shm))
-        } else {
-            A2avPhase::Arrive(SyncSm::arrive(ctx, sync, &h.shm))
-        };
-        Self { a2av, phase }
-    }
-
-    /// Post the leader's slab sends (eager) and enter the drain stage, or
-    /// skip straight to release on non-leaders.
-    fn after_arrive(&self, ctx: &mut Ctx) -> A2avPhase {
-        let a2av = self.a2av;
-        let h = a2av.hc.hierarchy();
-        if let Some(bridge) = &h.bridge {
-            let my_group = h.node_index;
-            for g in 0..h.num_groups() {
-                if g == my_group {
-                    continue;
-                }
-                let payload: Payload = a2av
-                    .send_win
-                    .payload(a2av.send_group_offs[g], a2av.send_group_lens[g]);
-                ctx.send(bridge, g, tags::ALLTOALLV + 8, payload);
-            }
-            A2avPhase::Exchange { next: 0 }
-        } else {
-            A2avPhase::Release(SyncSm::release(ctx, a2av.hc.sync(), &h.shm))
-        }
-    }
-}
-
-impl<T: ShmElem> DriveOp for IHyAlltoallvBody<'_, T> {
+impl<T: ShmElem> Stage for A2aStage<'_, T> {
     const OP: &'static str = "ihyalltoallv";
+    /// The next group to receive from.
+    type Bridge = usize;
 
-    fn ft_check(&self, ctx: &Ctx) -> Result<(), WaitError> {
-        let h = self.a2av.hc.hierarchy();
-        ctx.ft_check_comm(&h.shm, 0)?;
-        match &h.bridge {
-            Some(b) => ctx.ft_check_comm(b, 0),
-            None => Ok(()),
+    fn hc(&self) -> &HybridComm {
+        &self.0.hc
+    }
+
+    fn leaders(&self) -> &LeaderSet {
+        &self.0.ls
+    }
+
+    fn open(&self) -> Open {
+        if self.0.hc.single_node() {
+            // Everything is already in the node's send window.
+            Open::Full
+        } else {
+            Open::Arrive
         }
     }
 
-    fn drive_op(&mut self, ctx: &mut Ctx, how: Drive) -> Result<bool, WaitError> {
-        let a2av = self.a2av;
-        let h = a2av.hc.hierarchy();
-        loop {
-            match &mut self.phase {
-                A2avPhase::Full(sm) => {
-                    if !sm.drive(ctx, &h.shm, how)? {
-                        return Ok(false);
-                    }
-                    self.phase = A2avPhase::Done;
-                }
-                A2avPhase::Arrive(sm) => {
-                    if !sm.drive(ctx, &h.shm, how)? {
-                        return Ok(false);
-                    }
-                    self.phase = self.after_arrive(ctx);
-                }
-                A2avPhase::Exchange { next } => {
-                    let bridge = h.bridge.as_ref().expect("exchange phase only on leaders");
-                    let my_group = h.node_index;
-                    while *next < h.num_groups() {
-                        let g = *next;
-                        if g == my_group {
-                            *next += 1;
-                            continue;
-                        }
-                        match ctx.step_recv(bridge, g, tags::ALLTOALLV + 8, how)? {
-                            Some(payload) => {
-                                a2av.recv_win
-                                    .write_payload(a2av.recv_group_offs[g], &payload);
-                                *next += 1;
-                            }
-                            None => return Ok(false),
-                        }
-                    }
-                    self.phase = A2avPhase::Release(SyncSm::release(ctx, a2av.hc.sync(), &h.shm));
-                }
-                A2avPhase::Release(sm) => {
-                    if !sm.drive(ctx, &h.shm, how)? {
-                        return Ok(false);
-                    }
-                    self.phase = A2avPhase::Done;
-                }
-                A2avPhase::Done => return Ok(true),
-            }
+    fn start(&mut self, ctx: &mut Ctx) -> usize {
+        let a2a = self.0;
+        let bridge = a2a.ls.bridge.as_ref().expect("leaders carry the bridge");
+        for g in (0..bridge.size()).filter(|&g| g != bridge.rank()) {
+            let slab = a2a
+                .send_win
+                .payload(a2a.send_group_offs[g], a2a.send_group_lens[g]);
+            ctx.send(bridge, g, SLAB, slab);
         }
+        0
+    }
+
+    fn drive(&mut self, ctx: &mut Ctx, next: &mut usize, how: Drive) -> Result<bool, WaitError> {
+        let a2a = self.0;
+        let bridge = a2a.ls.bridge.as_ref().expect("leaders carry the bridge");
+        while *next < bridge.size() {
+            if *next != bridge.rank() {
+                let Some(slab) = ctx.step_recv(bridge, *next, SLAB, how)? else {
+                    return Ok(false);
+                };
+                a2a.recv_win
+                    .write_payload(a2a.recv_group_offs[*next], &slab);
+            }
+            *next += 1;
+        }
+        Ok(true)
     }
 }
 
-/// An in-flight hybrid irregular all-to-all.
-pub type IHyAlltoallv<'a, T> = IColl<IHyAlltoallvBody<'a, T>>;
+/// An in-flight hybrid all-to-all (regular or irregular).
+pub type IHyAlltoallv<'a, T> = IColl<HyOp<A2aStage<'a, T>>>;
 
 #[cfg(test)]
 mod tests {

@@ -5,31 +5,56 @@
 //! single barrier after the exchange guarantees that the data is ready for
 //! every on-node reader. In the pure-MPI version each rank owns a private
 //! copy of the message — here the node owns one.
+//!
+//! With `k ≥ 2` leader slots per node ([`HyBcast::with_leaders`]) the
+//! message is cut into `k` segments ([`collectives::seg_bounds`])
+//! broadcast *concurrently*, one per stripe bridge, every segment landing
+//! directly in the node's window — the segmented schedule of PAPERS.md
+//! arXiv 1603.06809 (bandwidth term `~β·m/k` per leader instead of
+//! `β·m`). `k = 1` is the paper's algorithm: one segment, the whole
+//! window.
 
 use collectives::bcast as coll_bcast;
-use collectives::{run_blocking, DriveOp, IColl};
-use msim::{Buf, Ctx, Drive, SharedWindow, ShmElem, WaitError};
+use collectives::{seg_bounds, IColl, LeaderSet};
+use msim::{Buf, Ctx, Drive, Payload, SharedWindow, ShmElem, WaitError};
 
+use crate::envelope::{HyOp, Open, Stage, READY};
 use crate::hybrid::HybridComm;
-use crate::sync::SyncSm;
 
 /// A hybrid broadcast handle for messages of a fixed length.
 #[derive(Debug, Clone)]
 pub struct HyBcast<T> {
     hc: HybridComm,
+    ls: LeaderSet,
     win: SharedWindow<T>,
     len: usize,
 }
 
 impl<T: ShmElem> HyBcast<T> {
-    /// One-off setup: the node leader allocates a `len`-element window,
-    /// children allocate zero and use the shared handle.
+    /// One-off setup with the paper's single leader per node: the node
+    /// leader allocates a `len`-element window, children allocate zero
+    /// and use the shared handle.
     pub fn new(ctx: &mut Ctx, hc: &HybridComm, len: usize) -> Self {
+        Self::with_leaders(ctx, hc, len, 1)
+    }
+
+    /// One-off setup with the message segmented over `leaders` slots per
+    /// node (clamped by [`LeaderSet::build`]).
+    pub fn with_leaders(ctx: &mut Ctx, hc: &HybridComm, len: usize, leaders: usize) -> Self {
         let h = hc.hierarchy();
+        let ls = LeaderSet::build(ctx, hc.comm(), h, leaders);
         let my_len = if hc.is_leader() { len } else { 0 };
         let win = SharedWindow::allocate(ctx, &h.shm, my_len);
+        if ls.k > 1 {
+            ctx.trace_decision(
+                "bcast",
+                "bcast.hy_kleader_segmented",
+                &format!("multi-leader handle, k={}", ls.k),
+            );
+        }
         Self {
             hc: hc.clone(),
+            ls,
             win,
             len,
         }
@@ -43,6 +68,11 @@ impl<T: ShmElem> HyBcast<T> {
     /// Whether the message is empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The effective leader count this handle runs with.
+    pub fn leaders(&self) -> usize {
+        self.ls.k
     }
 
     /// The node-shared window holding the message.
@@ -70,8 +100,8 @@ impl<T: ShmElem> HyBcast<T> {
     /// on-node readers. `root` is a parent-communicator rank and must have
     /// called [`HyBcast::write_message`] beforehand.
     pub fn execute(&self, ctx: &mut Ctx, root: usize) {
-        let mut body = IHyBcastBody::new(ctx, self, root);
-        run_blocking(body.drive_op(ctx, Drive::Block));
+        let stage = BcStage::new(ctx, self, root);
+        HyOp::run(ctx, stage);
     }
 
     /// Start the collective nonblocking: the root's window-ready signal
@@ -80,162 +110,120 @@ impl<T: ShmElem> HyBcast<T> {
     /// is bit-identical to [`HyBcast::execute`] modulo the `Req*` trace
     /// markers.
     pub fn iexecute<'a>(&'a self, ctx: &mut Ctx, root: usize) -> IHyBcast<'a, T> {
-        let body = IHyBcastBody::new(ctx, self, root);
-        IColl::start(ctx, body)
+        let stage = BcStage::new(ctx, self, root);
+        HyOp::start(ctx, stage)
     }
 }
 
-/// Phase of an in-flight hybrid broadcast. Machines are constructed when
-/// their phase begins so fees and signals land at the blocking positions.
-enum BcPhase {
-    /// Single-node: the message is already in the node's window; one
-    /// barrier makes it visible (paper lines 9–10 / 13).
-    Full(SyncSm),
-    /// Root's node leader waiting for the root's window-ready signal.
-    RootForward {
-        root_local: usize,
-    },
-    Bridge(coll_bcast::TunedSm),
-    Release(SyncSm),
-    Done,
-}
-
-/// The body of an in-flight hybrid broadcast (see [`HyBcast::iexecute`]).
-pub struct IHyBcastBody<'a, T: ShmElem> {
+/// The broadcast bridge stage (see [`HyBcast::iexecute`]).
+pub struct BcStage<'a, T: ShmElem> {
     bc: &'a HyBcast<T>,
     root_group: usize,
-    phase: BcPhase,
+    /// A root-node slot still waiting for the root's window-ready signal,
+    /// from this on-node rank.
+    ready_from: Option<usize>,
 }
 
-impl<'a, T: ShmElem> IHyBcastBody<'a, T> {
+impl<'a, T: ShmElem> BcStage<'a, T> {
     fn new(ctx: &mut Ctx, bc: &'a HyBcast<T>, root: usize) -> Self {
         let h = bc.hc.hierarchy();
-        let sync = bc.hc.sync();
-        let p = bc.hc.comm().size();
-        assert!(root < p, "bcast root {root} out of range");
+        assert!(root < bc.hc.comm().size(), "bcast root {root} out of range");
+        let (root_group, root_local) = h.locate(root);
 
-        if bc.hc.single_node() {
-            return Self {
-                bc,
-                root_group: 0,
-                phase: BcPhase::Full(SyncSm::full(ctx, sync, &h.shm)),
-            };
-        }
-
-        let root_group = h
-            .group_members
-            .iter()
-            .position(|m| m.contains(&root))
-            .expect("root must belong to a group");
-        let root_is_leader = h.group_members[root_group][0] == root;
-
-        // If the root is not its node's leader, the leader must wait for
-        // the root's window write before sending it across nodes. One
-        // zero-byte point-to-point pair — the paper's §6 "light-weight
-        // means" — is all the ordering required (a full barrier here
-        // would cost a node-wide round for a one-to-one dependency).
-        let mut phase = None;
-        if !root_is_leader && h.node_index == root_group {
-            let root_local = h.group_members[root_group]
-                .iter()
-                .position(|&r| r == root)
-                .expect("root is in its own group");
+        // Every slot of the root's node must inherit the root's message
+        // write before sending its segment across nodes. One zero-byte
+        // point-to-point pair per slot — the paper's §6 "light-weight
+        // means" — is all the ordering required, under every sync method
+        // (a full barrier here would cost a node-wide round for a
+        // one-to-few dependency).
+        let mut ready_from = None;
+        if h.node_index == root_group && !bc.hc.single_node() {
             if bc.hc.comm().rank() == root {
-                ctx.send(
-                    &h.shm,
-                    0,
-                    collectives::tags::FLAG + 8,
-                    msim::Payload::empty(),
-                );
-            } else if h.shm.rank() == 0 {
-                phase = Some(BcPhase::RootForward { root_local });
+                for slot in (0..bc.ls.k).filter(|&j| j != root_local) {
+                    ctx.send(&h.shm, slot, READY, Payload::empty());
+                }
+            } else if bc.ls.is_leader() {
+                ready_from = Some(root_local);
             }
         }
-        let mut body = Self {
+        Self {
             bc,
             root_group,
-            phase: BcPhase::Done, // placeholder
-        };
-        body.phase = phase.unwrap_or_else(|| body.after_forward(ctx));
-        body
-    }
-
-    /// Construct the bridge stage (leaders) or skip straight to release.
-    fn after_forward(&self, ctx: &mut Ctx) -> BcPhase {
-        let bc = self.bc;
-        let h = bc.hc.hierarchy();
-        if let Some(bridge) = &h.bridge {
-            let view = Buf::Shared(bc.win.clone());
-            // Same fees either way; a policy additionally gets to pick
-            // the bridge algorithm (and records why).
-            let sm = match bc.hc.policy() {
-                Some(policy) => coll_bcast::TunedSm::with_policy(ctx, bridge, &view, policy),
-                None => coll_bcast::TunedSm::tuned(ctx, bridge, &view, bc.hc.tuning()),
-            };
-            BcPhase::Bridge(sm)
-        } else {
-            BcPhase::Release(SyncSm::release(ctx, bc.hc.sync(), &h.shm))
+            ready_from,
         }
     }
 }
 
-impl<T: ShmElem> DriveOp for IHyBcastBody<'_, T> {
+impl<T: ShmElem> Stage for BcStage<'_, T> {
     const OP: &'static str = "ihybcast";
+    type Bridge = (coll_bcast::TunedSm, Buf<T>);
 
-    fn ft_check(&self, ctx: &Ctx) -> Result<(), WaitError> {
-        let h = self.bc.hc.hierarchy();
-        ctx.ft_check_comm(&h.shm, 0)?;
-        match &h.bridge {
-            Some(b) => ctx.ft_check_comm(b, 0),
-            None => Ok(()),
+    fn hc(&self) -> &HybridComm {
+        &self.bc.hc
+    }
+
+    fn leaders(&self) -> &LeaderSet {
+        &self.bc.ls
+    }
+
+    fn open(&self) -> Open {
+        if self.bc.hc.single_node() {
+            // The message is already in the node's window; one barrier
+            // makes it visible (paper lines 9–10 / 13).
+            Open::Full
+        } else if self.ready_from.is_some() {
+            Open::Pre
+        } else {
+            Open::Bridge
         }
     }
 
-    fn drive_op(&mut self, ctx: &mut Ctx, how: Drive) -> Result<bool, WaitError> {
-        let bc = self.bc;
-        let h = bc.hc.hierarchy();
-        loop {
-            match &mut self.phase {
-                BcPhase::Full(sm) => {
-                    if !sm.drive(ctx, &h.shm, how)? {
-                        return Ok(false);
-                    }
-                    self.phase = BcPhase::Done;
-                }
-                BcPhase::RootForward { root_local } => {
-                    let src = *root_local;
-                    if ctx
-                        .step_recv(&h.shm, src, collectives::tags::FLAG + 8, how)?
-                        .is_none()
-                    {
-                        return Ok(false);
-                    }
-                    self.phase = self.after_forward(ctx);
-                }
-                BcPhase::Bridge(sm) => {
-                    let bridge = h.bridge.as_ref().expect("bridge phase only on leaders");
-                    let mut view = Buf::Shared(bc.win.clone());
-                    if !sm.drive(ctx, bridge, &mut view, self.root_group, how)? {
-                        return Ok(false);
-                    }
-                    // One barrier so every on-node process sees the fresh
-                    // window (paper line 7 / 13).
-                    self.phase = BcPhase::Release(SyncSm::release(ctx, bc.hc.sync(), &h.shm));
-                }
-                BcPhase::Release(sm) => {
-                    if !sm.drive(ctx, &h.shm, how)? {
-                        return Ok(false);
-                    }
-                    self.phase = BcPhase::Done;
-                }
-                BcPhase::Done => return Ok(true),
+    fn pre(&mut self, ctx: &mut Ctx, how: Drive) -> Result<bool, WaitError> {
+        if let Some(src) = self.ready_from {
+            let shm = &self.bc.hc.hierarchy().shm;
+            if ctx.step_recv(shm, src, READY, how)?.is_none() {
+                return Ok(false);
             }
+            self.ready_from = None;
         }
+        Ok(true)
+    }
+
+    fn start(&mut self, ctx: &mut Ctx) -> Self::Bridge {
+        let bc = self.bc;
+        let bridge = bc.ls.bridge.as_ref().expect("slot leaders carry a bridge");
+        let j = bc.ls.slot.expect("the bridge starts only on slot leaders");
+        let (off, len) = seg_bounds(bc.len, j, bc.ls.k);
+        let view = Buf::Shared(bc.win.region(off, len));
+        // Same fees either way; a policy additionally gets to pick the
+        // bridge algorithm (and records why). Each stripe's selection
+        // sees its own segment size, so large messages get the
+        // scatter+allgather schedule per stripe.
+        let sm = match bc.hc.policy() {
+            Some(policy) => coll_bcast::TunedSm::with_policy(ctx, bridge, &view, policy),
+            None => coll_bcast::TunedSm::tuned(ctx, bridge, &view, bc.hc.tuning()),
+        };
+        (sm, view)
+    }
+
+    fn drive(
+        &mut self,
+        ctx: &mut Ctx,
+        (sm, view): &mut Self::Bridge,
+        how: Drive,
+    ) -> Result<bool, WaitError> {
+        let bridge = self
+            .bc
+            .ls
+            .bridge
+            .as_ref()
+            .expect("slot leaders carry a bridge");
+        sm.drive(ctx, bridge, view, self.root_group, how)
     }
 }
 
 /// An in-flight hybrid broadcast.
-pub type IHyBcast<'a, T> = IColl<IHyBcastBody<'a, T>>;
+pub type IHyBcast<'a, T> = IColl<HyOp<BcStage<'a, T>>>;
 
 #[cfg(test)]
 mod tests {
@@ -244,11 +232,19 @@ mod tests {
     use msim::{SimConfig, Universe};
     use simnet::{ClusterSpec, CostModel, Placement};
 
+    /// Every root case at 1, 2 and 4 requested leaders (clamped per
+    /// cluster): the root is a slot leader, a plain child, or off-node.
     fn check_bcast(cfg: SimConfig, len: usize, root: usize) {
+        for leaders in [1, 2, 4] {
+            check_bcast_k(cfg.clone(), len, root, leaders);
+        }
+    }
+
+    fn check_bcast_k(cfg: SimConfig, len: usize, root: usize, leaders: usize) {
         let r = Universe::run(cfg, move |ctx| {
             let world = ctx.world();
             let hc = HybridComm::new(ctx, &world, Tuning::cray_mpich());
-            let bc = HyBcast::<f64>::new(ctx, &hc, len);
+            let bc = HyBcast::<f64>::with_leaders(ctx, &hc, len, leaders);
             if ctx.rank() == root {
                 let msg: Vec<f64> = (0..len).map(|i| (root * 100 + i) as f64).collect();
                 bc.write_message(ctx, &msg);
@@ -259,14 +255,14 @@ mod tests {
         .unwrap();
         let expected: Vec<f64> = (0..len).map(|i| (root * 100 + i) as f64).collect();
         for (rank, got) in r.per_rank.iter().enumerate() {
-            assert_eq!(got, &expected, "rank {rank} root {root}");
+            assert_eq!(got, &expected, "rank {rank} root {root} k {leaders}");
         }
     }
 
     #[test]
     fn correct_all_roots_multi_node() {
-        for root in 0..6 {
-            let cfg = SimConfig::new(ClusterSpec::regular(2, 3), CostModel::uniform_test());
+        for root in 0..8 {
+            let cfg = SimConfig::new(ClusterSpec::regular(2, 4), CostModel::uniform_test());
             check_bcast(cfg, 5, root);
         }
     }

@@ -43,8 +43,8 @@ use collectives::{CollectiveOp, FaultPolicy, ReduceOp, SelectionPolicy, Tuning};
 use msim::{CommitOutcome, Communicator, Ctx, ShmElem, WaitError};
 
 use crate::hybrid::HybridComm;
-use crate::multileader::{HyKAllgatherv, HyKAllreduce, HyKBcast};
 use crate::sync::SyncMethod;
+use crate::{HyAllgatherv, HyAllreduce, HyBcast};
 
 /// How to rebuild the hybrid context after the communicator shrinks.
 #[derive(Clone)]
@@ -66,9 +66,8 @@ impl Rebuild {
 /// ([`FtComm::allgatherv`] and friends) drive the bridge with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Leaders {
-    /// Always use `k` leader slots per node (`1` = the classic
-    /// single-leader hierarchy, bit-identical to the pre-multi-leader
-    /// driver by construction).
+    /// Always use `k` leader slots per node (`1` = the paper's
+    /// single-leader hierarchy).
     Fixed(usize),
     /// Re-evaluate [`HybridComm::recommended_leaders`] for every attempt
     /// — in particular after a shrink or grow changes the communicator
@@ -164,8 +163,7 @@ impl FtComm {
     }
 
     /// Drive the built-in collectives with `k` leader slots per node
-    /// (multi-leader bridge striping; `k = 1` is the default and is
-    /// bit-identical to the single-leader driver).
+    /// (bridge striping; `k = 1`, one leader, is the default).
     pub fn with_leaders(mut self, k: usize) -> Self {
         self.leaders = Leaders::Fixed(k);
         self
@@ -502,8 +500,7 @@ impl FtComm {
     /// rank to its block length (so shrunk worlds keep per-rank counts
     /// stable); `mine` must have `count_of(my_rank)` elements. Returns
     /// the survivor blocks concatenated in communicator order. Bridge
-    /// striping follows the [`Leaders`] config (k = 1 is bit-identical
-    /// to the single-leader schedule).
+    /// striping follows the [`Leaders`] config.
     pub fn allgatherv<T: ShmElem>(
         &mut self,
         ctx: &mut Ctx,
@@ -515,7 +512,7 @@ impl FtComm {
             let counts: Vec<usize> = hc.comm().members().iter().map(|&g| count_of(g)).collect();
             let total: usize = counts.iter().sum::<usize>() * T::SIZE;
             let k = leaders.effective(ctx, hc, CollectiveOp::Allgatherv, total);
-            let ag = HyKAllgatherv::new(ctx, hc, &counts, k);
+            let ag = HyAllgatherv::with_leaders(ctx, hc, &counts, k);
             ag.write_my_block(ctx, mine);
             ag.execute(ctx);
             let mut out = Vec::with_capacity(counts.iter().sum());
@@ -552,7 +549,7 @@ impl FtComm {
             let eff_local = members.iter().position(|&g| g == root).unwrap_or(0);
             let eff_global = members[eff_local];
             let k = leaders.effective(ctx, hc, CollectiveOp::Bcast, len * T::SIZE);
-            let bc = HyKBcast::new(ctx, hc, len, k);
+            let bc = HyBcast::with_leaders(ctx, hc, len, k);
             if hc.comm().rank() == eff_local {
                 bc.write_message(ctx, &message_of(eff_global));
             }
@@ -572,7 +569,7 @@ impl FtComm {
         self.run(ctx, "ft.allreduce", |ctx, hc| {
             let contribution = ctx.buf_from_fn(mine.len(), |i| mine[i]);
             let k = leaders.effective(ctx, hc, CollectiveOp::Allreduce, mine.len() * T::SIZE);
-            let ar = HyKAllreduce::new(ctx, hc, mine.len(), k);
+            let ar = HyAllreduce::with_leaders(ctx, hc, mine.len(), k);
             ar.execute(ctx, &contribution, op);
             ar.read_result()
         })

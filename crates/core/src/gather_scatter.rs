@@ -37,11 +37,7 @@ impl<T: ShmElem> HyGather<T> {
         assert!(root < p, "gather root {root} out of range");
         let h = hc.hierarchy();
         let my_size = h.shm.size();
-        let root_group = h
-            .group_members
-            .iter()
-            .position(|m| m.contains(&root))
-            .expect("root must be a member");
+        let root_group = h.locate(root).0;
 
         let stage_len = if hc.is_leader() { my_size * count } else { 0 };
         let stage_win = SharedWindow::allocate(ctx, &h.shm, stage_len);
@@ -89,11 +85,7 @@ impl<T: ShmElem> HyGather<T> {
     pub fn execute(&self, ctx: &mut Ctx) {
         let h = self.hc.hierarchy().clone();
         let sync = self.hc.sync();
-        let root_group = h
-            .group_members
-            .iter()
-            .position(|m| m.contains(&self.root))
-            .expect("root group exists");
+        let root_group = h.locate(self.root).0;
 
         sync.arrive(ctx, &h.shm);
         if let Some(bridge) = &h.bridge {
@@ -156,11 +148,7 @@ impl<T: ShmElem> HyScatter<T> {
         let p = hc.comm().size();
         assert!(root < p, "scatter root {root} out of range");
         let h = hc.hierarchy();
-        let root_group = h
-            .group_members
-            .iter()
-            .position(|m| m.contains(&root))
-            .expect("root must be a member");
+        let root_group = h.locate(root).0;
         // The root's node holds the full payload; other nodes hold their
         // own slice.
         let len = if h.node_index == root_group {
@@ -191,11 +179,7 @@ impl<T: ShmElem> HyScatter<T> {
     pub fn read_my_block(&self) -> Vec<T> {
         let h = self.hc.hierarchy();
         let me = self.hc.comm().rank();
-        let root_group = h
-            .group_members
-            .iter()
-            .position(|m| m.contains(&self.root))
-            .expect("root group exists");
+        let root_group = h.locate(self.root).0;
         let off = if h.node_index == root_group {
             h.sorted_pos[me] * self.count
         } else {
@@ -213,11 +197,7 @@ impl<T: ShmElem> HyScatter<T> {
     pub fn execute(&self, ctx: &mut Ctx) {
         let h = self.hc.hierarchy().clone();
         let sync = self.hc.sync();
-        let root_group = h
-            .group_members
-            .iter()
-            .position(|m| m.contains(&self.root))
-            .expect("root group exists");
+        let root_group = h.locate(self.root).0;
 
         sync.arrive(ctx, &h.shm);
         if let Some(bridge) = &h.bridge {

@@ -91,12 +91,12 @@ impl HybridComm {
         }
     }
 
-    /// Estimated-best leader count for a multi-leader (`HyK*`) handle on
-    /// this communicator: prices the k-leader schedule of `op` at
-    /// `total_bytes` for k = 1, 2, 4, … up to `max_k` on the cost model
-    /// and returns the argmin. Feed the answer to [`crate::HyKAllgather`]
-    /// and friends to pick up the ppn- and size-dependent k > 1
-    /// crossovers without sweeping the simulator.
+    /// Estimated-best leader count for a handle on this communicator:
+    /// prices the k-leader schedule of `op` at `total_bytes` for k = 1,
+    /// 2, 4, … up to `max_k` on the cost model and returns the argmin.
+    /// Feed the answer to [`crate::HyAllgather::with_leaders`] and
+    /// friends to pick up the ppn- and size-dependent k > 1 crossovers
+    /// without sweeping the simulator.
     pub fn recommended_leaders(
         &self,
         ctx: &Ctx,

@@ -23,9 +23,20 @@
 //!
 //! * [`HyAllgather`] / [`HyAllgatherv`] — Fig. 4 of the paper,
 //! * [`HyBcast`] — Fig. 6,
-//! * [`HyAllreduce`] — an extension following the same recipe,
+//! * [`HyAllreduce`], [`HyAlltoall`] / [`HyAlltoallv`],
+//!   [`HyReduceScatter`], [`HyGather`] / [`HyScatter`] — extensions
+//!   following the same recipe,
 //! * [`pipeline::HyAllgatherPipelined`] — the large-message pipelined
 //!   variant the paper's conclusion points to (its reference [30]).
+//!
+//! There is one handle per collective. The sync → bridge → sync sandwich
+//! around every split-phase family is written once, in [`envelope`]; a
+//! family supplies its window layout and its bridge stage. The number of
+//! leaders per node is a constructor argument
+//! ([`HyAllgather::with_leaders`], [`HyAllgatherv::with_leaders`],
+//! [`HyBcast::with_leaders`], [`HyAllreduce::with_leaders`]; `new` is one
+//! leader, the paper's algorithm): `k` leader slots stripe the bridge
+//! traffic over `k` ranks per node (docs/multileader.md).
 //!
 //! ```
 //! use msim::{SimConfig, Universe};
@@ -52,16 +63,16 @@ pub mod allreduce;
 pub mod alltoall;
 pub mod alltoallv;
 pub mod bcast;
+pub mod envelope;
 pub mod ft;
 pub mod gather_scatter;
 pub mod hybrid;
 pub mod memory;
-pub mod multileader;
 pub mod pipeline;
 pub mod reduce_scatter;
 pub mod sync;
 
-pub use allgather::{HyAllgather, HyAllgatherv, IHyAllgatherv};
+pub use allgather::{HyAllgather, HyAllgatherv, HyKAllgather, IHyAllgatherv};
 pub use allreduce::{HyAllreduce, IHyAllreduce};
 pub use alltoall::{HyAlltoall, IHyAlltoall};
 pub use alltoallv::{HyAlltoallv, IHyAlltoallv};
@@ -69,8 +80,5 @@ pub use bcast::{HyBcast, IHyBcast};
 pub use ft::{FtComm, Leaders};
 pub use gather_scatter::{HyGather, HyScatter};
 pub use hybrid::HybridComm;
-pub use multileader::{
-    HyKAllgather, HyKAllgatherv, HyKAllreduce, HyKBcast, IHyKAllgatherv, IHyKAllreduce, IHyKBcast,
-};
 pub use reduce_scatter::{HyReduceScatter, IHyReduceScatter};
 pub use sync::{SyncMethod, SyncSm};

@@ -14,17 +14,18 @@
 
 use collectives::op::ReduceOp;
 use collectives::{reduce as coll_reduce, reduce_scatter as coll_rs};
-use collectives::{run_blocking, DriveOp, IColl};
+use collectives::{IColl, LeaderSet};
 use msim::{Buf, Ctx, Drive, SharedWindow, ShmElem, WaitError};
 
+use crate::envelope::{HyOp, Open, Stage};
 use crate::hybrid::HybridComm;
-use crate::sync::SyncSm;
 
 /// A hybrid reduce-scatter handle: rank `r` receives the reduction of
 /// its `counts[r]`-element segment.
 #[derive(Debug, Clone)]
 pub struct HyReduceScatter<T> {
     hc: HybridComm,
+    ls: LeaderSet,
     /// Result segment length per parent rank.
     counts: Vec<usize>,
     /// Global element offset of each parent rank's segment (node-sorted
@@ -72,6 +73,7 @@ impl<T: ShmElem> HyReduceScatter<T> {
 
         Self {
             hc: hc.clone(),
+            ls: LeaderSet::build(ctx, hc.comm(), h, 1),
             counts: counts.to_vec(),
             offsets,
             group_sums,
@@ -117,8 +119,8 @@ impl<T: ShmElem> HyReduceScatter<T> {
     /// elements): intra-node reduce to the leader, leaders reduce-scatter
     /// across the bridge straight into the windows, one release.
     pub fn execute<O: ReduceOp<T>>(&self, ctx: &mut Ctx, contribution: &Buf<T>, op: O) {
-        let mut body = IHyReduceScatterBody::new(ctx, self, contribution, op);
-        run_blocking(body.drive_op(ctx, Drive::Block));
+        let stage = RsStage::new(ctx, self, contribution, op);
+        HyOp::run(ctx, stage);
     }
 
     /// Start the reduce-scatter nonblocking. As with
@@ -132,116 +134,82 @@ impl<T: ShmElem> HyReduceScatter<T> {
         contribution: &Buf<T>,
         op: O,
     ) -> IHyReduceScatter<'a, T, O> {
-        let body = IHyReduceScatterBody::new(ctx, self, contribution, op);
-        IColl::start(ctx, body)
+        let stage = RsStage::new(ctx, self, contribution, op);
+        HyOp::start(ctx, stage)
     }
 }
 
-/// Phase of an in-flight hybrid reduce-scatter.
-enum RsPhase<T: ShmElem> {
-    /// Leaders reduce-scattering node accumulations across the bridge.
-    Bridge(coll_rs::TunedSm<T>),
-    Release(SyncSm),
-    Done,
-}
-
-/// The body of an in-flight hybrid reduce-scatter (see
-/// [`HyReduceScatter::iexecute`]).
-pub struct IHyReduceScatterBody<'a, T: ShmElem, O: ReduceOp<T>> {
+/// The reduce-scatter bridge stage (see [`HyReduceScatter::iexecute`]):
+/// leaders reduce-scatter the node accumulations across the bridge, one
+/// segment per node, straight into the windows.
+pub struct RsStage<'a, T: ShmElem, O: ReduceOp<T>> {
     rs: &'a HyReduceScatter<T>,
     node_acc: Buf<T>,
     op: O,
-    phase: RsPhase<T>,
 }
 
-impl<'a, T: ShmElem, O: ReduceOp<T>> IHyReduceScatterBody<'a, T, O> {
+impl<'a, T: ShmElem, O: ReduceOp<T>> RsStage<'a, T, O> {
     fn new(ctx: &mut Ctx, rs: &'a HyReduceScatter<T>, contribution: &Buf<T>, op: O) -> Self {
         assert_eq!(contribution.len(), rs.total, "contribution length mismatch");
-        let h = rs.hc.hierarchy();
-
-        // Phase 1: on-node reduction of the full vector to the leader
-        // (rooted tree, runs blocking even under `iexecute`).
-        let mut node_acc = if h.shm.rank() == 0 {
-            ctx.buf_zeroed::<T>(rs.total)
-        } else {
-            ctx.buf_zeroed::<T>(0)
-        };
-        coll_reduce::binomial(ctx, &h.shm, contribution, &mut node_acc, 0, op);
-
-        // Phase 2: leaders reduce-scatter across nodes, one segment per
-        // node, straight into the windows.
-        let phase = if let Some(bridge) = &h.bridge {
-            // Same fees either way; a policy additionally records why.
-            let sm = match rs.hc.policy() {
-                Some(policy) => coll_rs::TunedSm::with_policy(ctx, bridge, &rs.group_sums, policy),
-                None => coll_rs::TunedSm::tuned(ctx, bridge, &rs.group_sums, rs.hc.tuning()),
-            };
-            RsPhase::Bridge(sm)
-        } else {
-            if h.shm.rank() == 0 {
-                // Single node: the node slab is the whole vector.
-                let mut view = Buf::Shared(rs.win.clone());
-                view.copy_from(0, &node_acc, 0, rs.total);
-            }
-            // Phase 3: release on-node readers.
-            RsPhase::Release(SyncSm::release(ctx, rs.hc.sync(), &h.shm))
-        };
-        Self {
-            rs,
-            node_acc,
-            op,
-            phase,
-        }
+        let shm = &rs.hc.hierarchy().shm;
+        // On-node reduction of the full vector to the leader (rooted
+        // tree, runs blocking even under `iexecute`).
+        let len = if shm.rank() == 0 { rs.total } else { 0 };
+        let mut node_acc = ctx.buf_zeroed::<T>(len);
+        coll_reduce::binomial(ctx, shm, contribution, &mut node_acc, 0, op);
+        Self { rs, node_acc, op }
     }
 }
 
-impl<T: ShmElem, O: ReduceOp<T>> DriveOp for IHyReduceScatterBody<'_, T, O> {
+impl<T: ShmElem, O: ReduceOp<T>> Stage for RsStage<'_, T, O> {
     const OP: &'static str = "ihyreduce_scatter";
+    type Bridge = (coll_rs::TunedSm<T>, Buf<T>);
 
-    fn ft_check(&self, ctx: &Ctx) -> Result<(), WaitError> {
-        let h = self.rs.hc.hierarchy();
-        ctx.ft_check_comm(&h.shm, 0)?;
-        match &h.bridge {
-            Some(b) => ctx.ft_check_comm(b, 0),
-            None => Ok(()),
-        }
+    fn hc(&self) -> &HybridComm {
+        &self.rs.hc
     }
 
-    fn drive_op(&mut self, ctx: &mut Ctx, how: Drive) -> Result<bool, WaitError> {
+    fn leaders(&self) -> &LeaderSet {
+        &self.rs.ls
+    }
+
+    fn open(&self) -> Open {
+        Open::Bridge
+    }
+
+    fn start(&mut self, ctx: &mut Ctx) -> Self::Bridge {
         let rs = self.rs;
-        let h = rs.hc.hierarchy();
-        loop {
-            match &mut self.phase {
-                RsPhase::Bridge(sm) => {
-                    let bridge = h.bridge.as_ref().expect("bridge phase only on leaders");
-                    let mut view = Buf::Shared(rs.win.clone());
-                    if !sm.drive(
-                        ctx,
-                        bridge,
-                        &self.node_acc,
-                        &rs.group_sums,
-                        &mut view,
-                        self.op,
-                        how,
-                    )? {
-                        return Ok(false);
-                    }
-                    self.phase = RsPhase::Release(SyncSm::release(ctx, rs.hc.sync(), &h.shm));
-                }
-                RsPhase::Release(sm) => {
-                    if !sm.drive(ctx, &h.shm, how)? {
-                        return Ok(false);
-                    }
-                    self.phase = RsPhase::Done;
-                }
-                RsPhase::Done => return Ok(true),
-            }
-        }
+        let bridge = rs.ls.bridge.as_ref().expect("leaders carry the bridge");
+        // Same fees either way; a policy additionally records why.
+        let sm = match rs.hc.policy() {
+            Some(policy) => coll_rs::TunedSm::with_policy(ctx, bridge, &rs.group_sums, policy),
+            None => coll_rs::TunedSm::tuned(ctx, bridge, &rs.group_sums, rs.hc.tuning()),
+        };
+        (sm, Buf::Shared(rs.win.clone()))
+    }
+
+    fn drive(
+        &mut self,
+        ctx: &mut Ctx,
+        (sm, view): &mut Self::Bridge,
+        how: Drive,
+    ) -> Result<bool, WaitError> {
+        let rs = self.rs;
+        let bridge = rs.ls.bridge.as_ref().expect("leaders carry the bridge");
+        sm.drive(
+            ctx,
+            bridge,
+            &self.node_acc,
+            &rs.group_sums,
+            view,
+            self.op,
+            how,
+        )
     }
 }
 
 /// An in-flight hybrid reduce-scatter.
-pub type IHyReduceScatter<'a, T, O> = IColl<IHyReduceScatterBody<'a, T, O>>;
+pub type IHyReduceScatter<'a, T, O> = IColl<HyOp<RsStage<'a, T, O>>>;
 
 #[cfg(test)]
 mod tests {

@@ -9,8 +9,8 @@
 //! `fixtures/hybrid_digests.txt` holds one line per cell, and both the
 //! blocking `execute` and `iexecute + wait` must reproduce it. The table
 //! was generated from the implementation that had separate single-leader
-//! and multi-leader handles, so it is what keeps the unified one honest:
-//! the digests cover window allocation, leader-set construction and every
+//! and multi-leader handles (`HyK*`), so it is what keeps the unified one
+//! honest: the digests cover window allocation, leader-set construction and every
 //! modeled send, copy, fee and sync.
 //!
 //! A deliberate behaviour change regenerates the table: the failing run
@@ -20,7 +20,7 @@
 use collectives::testutil::{datum, run_cfg, vcounts};
 use collectives::{op::Sum, Tuning};
 use hmpi::{
-    HyAlltoall, HyAlltoallv, HyKAllgather, HyKAllgatherv, HyKAllreduce, HyKBcast, HyReduceScatter,
+    HyAllgather, HyAllgatherv, HyAllreduce, HyAlltoall, HyAlltoallv, HyBcast, HyReduceScatter,
     HybridComm, SyncMethod,
 };
 use msim::mcheck::{fnv1a, outcome_digest};
@@ -56,7 +56,7 @@ fn specs() -> [(&'static str, ClusterSpec); 3] {
 fn allgather(ctx: &mut Ctx, c: Cell) -> Vec<f64> {
     let world = ctx.world();
     let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), c.sync);
-    let ag = HyKAllgather::<f64>::new(ctx, &hc, COUNT, c.k);
+    let ag = HyAllgather::<f64>::with_leaders(ctx, &hc, COUNT, c.k);
     let mine: Vec<f64> = (0..COUNT).map(|i| datum(ctx.rank(), i)).collect();
     ag.write_my_block(ctx, &mine);
     if c.nonblocking {
@@ -71,7 +71,7 @@ fn allgatherv(ctx: &mut Ctx, c: Cell) -> Vec<f64> {
     let world = ctx.world();
     let counts = vcounts(world.size());
     let hc = HybridComm::with_sync(ctx, &world, Tuning::open_mpi(), c.sync);
-    let ag = HyKAllgatherv::<f64>::new(ctx, &hc, &counts, c.k);
+    let ag = HyAllgatherv::<f64>::with_leaders(ctx, &hc, &counts, c.k);
     let mine: Vec<f64> = (0..counts[ctx.rank()])
         .map(|i| datum(ctx.rank(), i))
         .collect();
@@ -87,7 +87,7 @@ fn allgatherv(ctx: &mut Ctx, c: Cell) -> Vec<f64> {
 fn bcast(ctx: &mut Ctx, c: Cell, root: usize) -> Vec<f64> {
     let world = ctx.world();
     let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), c.sync);
-    let bc = HyKBcast::<f64>::new(ctx, &hc, COUNT, c.k);
+    let bc = HyBcast::<f64>::with_leaders(ctx, &hc, COUNT, c.k);
     if ctx.rank() == root {
         let msg: Vec<f64> = (0..COUNT).map(|i| datum(root, i)).collect();
         bc.write_message(ctx, &msg);
@@ -119,7 +119,7 @@ fn bcast_rootlast(ctx: &mut Ctx, c: Cell) -> Vec<f64> {
 fn allreduce(ctx: &mut Ctx, c: Cell) -> Vec<f64> {
     let world = ctx.world();
     let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), c.sync);
-    let ar = HyKAllreduce::<f64>::new(ctx, &hc, COUNT, c.k);
+    let ar = HyAllreduce::<f64>::with_leaders(ctx, &hc, COUNT, c.k);
     let mine = ctx.buf_from_fn(COUNT, |i| datum(ctx.rank(), i));
     if c.nonblocking {
         ar.iexecute(ctx, &mine, Sum).wait(ctx);

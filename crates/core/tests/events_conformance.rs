@@ -4,7 +4,8 @@
 //! executors — `ExecMode::Events`, `ExecMode::Pooled`, and
 //! `ExecMode::ThreadPerRank` — for **all three** synchronization
 //! protocols (`Barrier`, `SharedFlags`, `P2p`), on a regular 4×6 cluster
-//! and an irregular [1, 3, 4] cluster, across the standard fuzz seeds.
+//! and an irregular [1, 3, 4] cluster, at `leaders` ∈ {1, 2, 4} for the
+//! families that take a leader count, across the standard fuzz seeds.
 //! Results, virtual clocks, and canonical traces must be byte-identical:
 //! the calendar's schedule, like the pool's, must be invisible to the
 //! model. Phantom windows read back defaults, so the per-rank results
@@ -32,12 +33,23 @@ const SYNCS: [SyncMethod; 3] = [
     SyncMethod::P2p,
 ];
 
-type Prog = fn(&mut Ctx, SyncMethod) -> Vec<f64>;
+/// Leader counts for the families that take one; the others run at
+/// `[1]`.
+const KS: [usize; 3] = [1, 2, 4];
+
+type Prog = fn(&mut Ctx, SyncMethod, usize) -> Vec<f64>;
+
+/// Every (sync method, leader count) cell of a family taking `ks`.
+fn sync_k(ks: &[usize]) -> impl Iterator<Item = (SyncMethod, usize)> + '_ {
+    SYNCS
+        .into_iter()
+        .flat_map(move |s| ks.iter().map(move |&k| (s, k)))
+}
 
 fn run_exec(
     spec: ClusterSpec,
     fault: FaultPlan,
-    sync: SyncMethod,
+    (sync, k): (SyncMethod, usize),
     exec: ExecMode,
     prog: Prog,
 ) -> SimResult<Vec<f64>> {
@@ -46,13 +58,13 @@ fn run_exec(
         .phantom()
         .traced()
         .with_exec(exec);
-    run_cfg(cfg, move |ctx| prog(ctx, sync))
+    run_cfg(cfg, move |ctx| prog(ctx, sync, k))
 }
 
-/// The wall itself: for every (sync, layout, seed) cell, the three
-/// executors must agree bit-for-bit on results, clocks, and traces.
-fn check_family_differential(name: &str, prog: Prog) {
-    for sync in SYNCS {
+/// The wall itself: for every (sync, leaders, layout, seed) cell, the
+/// three executors must agree bit-for-bit on results, clocks, and traces.
+fn check_family_differential(name: &str, prog: Prog, ks: &[usize]) {
+    for cell in sync_k(ks) {
         for spec in [
             ClusterSpec::regular(4, 6),
             ClusterSpec::irregular(vec![1, 3, 4]),
@@ -70,13 +82,13 @@ fn check_family_differential(name: &str, prog: Prog) {
                 let threads = run_exec(
                     spec.clone(),
                     plan.clone(),
-                    sync,
+                    cell,
                     ExecMode::ThreadPerRank,
                     prog,
                 );
-                let pooled = run_exec(spec.clone(), plan.clone(), sync, ExecMode::pooled(), prog);
-                let events = run_exec(spec.clone(), plan, sync, ExecMode::Events, prog);
-                let tag = format!("{name}/{sync:?}: seed {seed}, p={p}");
+                let pooled = run_exec(spec.clone(), plan.clone(), cell, ExecMode::pooled(), prog);
+                let events = run_exec(spec.clone(), plan, cell, ExecMode::Events, prog);
+                let tag = format!("{name}/{cell:?}: seed {seed}, p={p}");
                 assert_eq!(events.per_rank, threads.per_rank, "{tag}: events/threads");
                 assert_eq!(events.clocks, threads.clocks, "{tag}: clocks vs threads");
                 assert_eq!(
@@ -102,41 +114,41 @@ fn check_family_differential(name: &str, prog: Prog) {
 // are bounds-checked no-ops and reads return defaults, so each program
 // still drives the full collective schedule.
 
-fn hy_allgather_prog(ctx: &mut Ctx, sync: SyncMethod) -> Vec<f64> {
+fn hy_allgather_prog(ctx: &mut Ctx, sync: SyncMethod, k: usize) -> Vec<f64> {
     let world = ctx.world();
     let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), sync);
-    let ag = HyAllgather::<f64>::new(ctx, &hc, COUNT);
+    let ag = HyAllgather::<f64>::with_leaders(ctx, &hc, COUNT, k);
     ag.execute(ctx);
     (0..ctx.nranks()).flat_map(|r| ag.read_block(r)).collect()
 }
 
-fn hy_allgatherv_prog(ctx: &mut Ctx, sync: SyncMethod) -> Vec<f64> {
+fn hy_allgatherv_prog(ctx: &mut Ctx, sync: SyncMethod, k: usize) -> Vec<f64> {
     let world = ctx.world();
     let counts = vcounts(world.size());
     let hc = HybridComm::with_sync(ctx, &world, Tuning::open_mpi(), sync);
-    let ag = HyAllgatherv::<f64>::new(ctx, &hc, &counts);
+    let ag = HyAllgatherv::<f64>::with_leaders(ctx, &hc, &counts, k);
     ag.execute(ctx);
     (0..ctx.nranks()).flat_map(|r| ag.read_block(r)).collect()
 }
 
-fn hy_bcast_prog(ctx: &mut Ctx, sync: SyncMethod) -> Vec<f64> {
+fn hy_bcast_prog(ctx: &mut Ctx, sync: SyncMethod, k: usize) -> Vec<f64> {
     let world = ctx.world();
     let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), sync);
-    let bc = HyBcast::<f64>::new(ctx, &hc, COUNT);
+    let bc = HyBcast::<f64>::with_leaders(ctx, &hc, COUNT, k);
     bc.execute(ctx, ROOT);
     bc.read_message()
 }
 
-fn hy_allreduce_prog(ctx: &mut Ctx, sync: SyncMethod) -> Vec<f64> {
+fn hy_allreduce_prog(ctx: &mut Ctx, sync: SyncMethod, k: usize) -> Vec<f64> {
     let world = ctx.world();
     let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), sync);
-    let ar = HyAllreduce::<f64>::new(ctx, &hc, COUNT);
+    let ar = HyAllreduce::<f64>::with_leaders(ctx, &hc, COUNT, k);
     let contribution = ctx.buf_zeroed::<f64>(COUNT);
     ar.execute(ctx, &contribution, Sum);
     ar.read_result()
 }
 
-fn hy_alltoall_prog(ctx: &mut Ctx, sync: SyncMethod) -> Vec<f64> {
+fn hy_alltoall_prog(ctx: &mut Ctx, sync: SyncMethod, _k: usize) -> Vec<f64> {
     let world = ctx.world();
     let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), sync);
     let a2a = HyAlltoall::<f64>::new(ctx, &hc, COUNT);
@@ -146,7 +158,7 @@ fn hy_alltoall_prog(ctx: &mut Ctx, sync: SyncMethod) -> Vec<f64> {
         .collect()
 }
 
-fn hy_gather_prog(ctx: &mut Ctx, sync: SyncMethod) -> Vec<f64> {
+fn hy_gather_prog(ctx: &mut Ctx, sync: SyncMethod, _k: usize) -> Vec<f64> {
     let world = ctx.world();
     let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), sync);
     let g = HyGather::<f64>::new(ctx, &hc, COUNT, ROOT);
@@ -158,7 +170,7 @@ fn hy_gather_prog(ctx: &mut Ctx, sync: SyncMethod) -> Vec<f64> {
     }
 }
 
-fn hy_scatter_prog(ctx: &mut Ctx, sync: SyncMethod) -> Vec<f64> {
+fn hy_scatter_prog(ctx: &mut Ctx, sync: SyncMethod, _k: usize) -> Vec<f64> {
     let world = ctx.world();
     let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), sync);
     let s = HyScatter::<f64>::new(ctx, &hc, COUNT, ROOT);
@@ -170,22 +182,22 @@ fn hy_scatter_prog(ctx: &mut Ctx, sync: SyncMethod) -> Vec<f64> {
 // ------------------------------------------------------------------ suite
 
 macro_rules! family {
-    ($name:ident, $prog:path) => {
+    ($name:ident, $prog:path, $ks:expr) => {
         mod $name {
             use super::*;
 
             #[test]
             fn events_matches_pooled_and_threads() {
-                check_family_differential(stringify!($name), $prog);
+                check_family_differential(stringify!($name), $prog, &$ks);
             }
         }
     };
 }
 
-family!(hy_allgather, hy_allgather_prog);
-family!(hy_allgatherv, hy_allgatherv_prog);
-family!(hy_bcast, hy_bcast_prog);
-family!(hy_allreduce, hy_allreduce_prog);
-family!(hy_alltoall, hy_alltoall_prog);
-family!(hy_gather, hy_gather_prog);
-family!(hy_scatter, hy_scatter_prog);
+family!(hy_allgather, hy_allgather_prog, KS);
+family!(hy_allgatherv, hy_allgatherv_prog, KS);
+family!(hy_bcast, hy_bcast_prog, KS);
+family!(hy_allreduce, hy_allreduce_prog, KS);
+family!(hy_alltoall, hy_alltoall_prog, [1]);
+family!(hy_gather, hy_gather_prog, [1]);
+family!(hy_scatter, hy_scatter_prog, [1]);

@@ -6,7 +6,8 @@
 //! and the same canonical trace once the `ReqStart`/`ReqComplete`
 //! lifecycle markers (which only nonblocking entry points emit) are
 //! stripped. Checked for all three synchronization protocols on a
-//! regular 4×6 cluster and an irregular [1, 3, 4] cluster, under the
+//! regular 4×6 cluster and an irregular [1, 3, 4] cluster, at `leaders`
+//! ∈ {1, 2, 4} for the families that take a leader count, under the
 //! standard seeded fault plans, and — in phantom mode — under all three
 //! executors (thread-per-rank, pooled, event calendar), which must agree
 //! bit-for-bit with each other.
@@ -40,9 +41,21 @@ const SYNCS: [SyncMethod; 3] = [
     SyncMethod::P2p,
 ];
 
-/// A family program: runs the collective blocking (`nonblocking =
-/// false`) or as `iexecute + wait` (`true`) and returns what it read.
-type Prog = fn(&mut Ctx, SyncMethod, bool) -> Vec<f64>;
+/// Leader counts for the families that take one; the others run at
+/// `[1]`.
+const KS: [usize; 3] = [1, 2, 4];
+
+/// A family program: runs the collective with `k` leaders per node,
+/// blocking (`nonblocking = false`) or as `iexecute + wait` (`true`), and
+/// returns what it read.
+type Prog = fn(&mut Ctx, SyncMethod, usize, bool) -> Vec<f64>;
+
+/// Every (sync method, leader count) cell of a family taking `ks`.
+fn sync_k(ks: &[usize]) -> impl Iterator<Item = (SyncMethod, usize)> + '_ {
+    SYNCS
+        .into_iter()
+        .flat_map(move |s| ks.iter().map(move |&k| (s, k)))
+}
 
 fn strip_req_markers(events: Vec<Event>) -> Vec<Event> {
     events
@@ -52,8 +65,8 @@ fn strip_req_markers(events: Vec<Event>) -> Vec<Event> {
 }
 
 /// The i-vs-blocking wall for one family.
-fn check_ifamily(name: &str, prog: Prog) {
-    for sync in SYNCS {
+fn check_ifamily(name: &str, prog: Prog, ks: &[usize]) {
+    for (sync, k) in sync_k(ks) {
         for spec in [
             ClusterSpec::regular(4, 6),
             ClusterSpec::irregular(vec![1, 3, 4]),
@@ -71,11 +84,11 @@ fn check_ifamily(name: &str, prog: Prog) {
                     let cfg = SimConfig::new(spec.clone(), CostModel::uniform_test())
                         .with_fault(plan)
                         .traced();
-                    run_cfg(cfg, move |ctx| prog(ctx, sync, nonblocking))
+                    run_cfg(cfg, move |ctx| prog(ctx, sync, k, nonblocking))
                 };
                 let b = run(false, plan.clone());
                 let i = run(true, plan);
-                let tag = format!("{name}/{sync:?}: seed {seed}, p={p}");
+                let tag = format!("{name}/{sync:?}/k={k}: seed {seed}, p={p}");
                 assert_eq!(i.per_rank, b.per_rank, "{tag}: results differ");
                 assert_eq!(i.clocks, b.clocks, "{tag}: clocks differ");
 
@@ -107,8 +120,8 @@ fn check_ifamily(name: &str, prog: Prog) {
 
 /// The executor wall: in phantom mode, `iexecute + wait` must produce
 /// bit-identical clocks and traces under all three executors.
-fn check_ifamily_executors(name: &str, prog: Prog) {
-    for sync in SYNCS {
+fn check_ifamily_executors(name: &str, prog: Prog, ks: &[usize]) {
+    for (sync, k) in sync_k(ks) {
         for spec in [
             ClusterSpec::regular(4, 6),
             ClusterSpec::irregular(vec![1, 3, 4]),
@@ -119,12 +132,12 @@ fn check_ifamily_executors(name: &str, prog: Prog) {
                     .phantom()
                     .traced()
                     .with_exec(exec);
-                run_cfg(cfg, move |ctx| prog(ctx, sync, true))
+                run_cfg(cfg, move |ctx| prog(ctx, sync, k, true))
             };
             let threads = run(ExecMode::ThreadPerRank);
             let pooled = run(ExecMode::pooled());
             let events = run(ExecMode::Events);
-            let tag = format!("{name}/{sync:?}: p={p}");
+            let tag = format!("{name}/{sync:?}/k={k}: p={p}");
             assert_eq!(events.clocks, threads.clocks, "{tag}: clocks vs threads");
             assert_eq!(events.clocks, pooled.clocks, "{tag}: clocks vs pooled");
             assert_eq!(
@@ -143,10 +156,10 @@ fn check_ifamily_executors(name: &str, prog: Prog) {
 
 // ---------------------------------------------------------------- programs
 
-fn hy_allgather_prog(ctx: &mut Ctx, sync: SyncMethod, nonblocking: bool) -> Vec<f64> {
+fn hy_allgather_prog(ctx: &mut Ctx, sync: SyncMethod, k: usize, nonblocking: bool) -> Vec<f64> {
     let world = ctx.world();
     let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), sync);
-    let ag = HyAllgather::<f64>::new(ctx, &hc, COUNT);
+    let ag = HyAllgather::<f64>::with_leaders(ctx, &hc, COUNT, k);
     let mine: Vec<f64> = (0..COUNT).map(|i| datum(ctx.rank(), i)).collect();
     ag.write_my_block(ctx, &mine);
     if nonblocking {
@@ -157,11 +170,11 @@ fn hy_allgather_prog(ctx: &mut Ctx, sync: SyncMethod, nonblocking: bool) -> Vec<
     (0..ctx.nranks()).flat_map(|r| ag.read_block(r)).collect()
 }
 
-fn hy_allgatherv_prog(ctx: &mut Ctx, sync: SyncMethod, nonblocking: bool) -> Vec<f64> {
+fn hy_allgatherv_prog(ctx: &mut Ctx, sync: SyncMethod, k: usize, nonblocking: bool) -> Vec<f64> {
     let world = ctx.world();
     let counts = vcounts(world.size());
     let hc = HybridComm::with_sync(ctx, &world, Tuning::open_mpi(), sync);
-    let ag = HyAllgatherv::<f64>::new(ctx, &hc, &counts);
+    let ag = HyAllgatherv::<f64>::with_leaders(ctx, &hc, &counts, k);
     let mine: Vec<f64> = (0..counts[ctx.rank()])
         .map(|i| datum(ctx.rank(), i))
         .collect();
@@ -174,10 +187,10 @@ fn hy_allgatherv_prog(ctx: &mut Ctx, sync: SyncMethod, nonblocking: bool) -> Vec
     (0..ctx.nranks()).flat_map(|r| ag.read_block(r)).collect()
 }
 
-fn hy_bcast_prog(ctx: &mut Ctx, sync: SyncMethod, nonblocking: bool) -> Vec<f64> {
+fn hy_bcast_prog(ctx: &mut Ctx, sync: SyncMethod, k: usize, nonblocking: bool) -> Vec<f64> {
     let world = ctx.world();
     let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), sync);
-    let bc = HyBcast::<f64>::new(ctx, &hc, COUNT);
+    let bc = HyBcast::<f64>::with_leaders(ctx, &hc, COUNT, k);
     if ctx.rank() == ROOT {
         let msg: Vec<f64> = (0..COUNT).map(|i| datum(ROOT, i)).collect();
         bc.write_message(ctx, &msg);
@@ -190,10 +203,10 @@ fn hy_bcast_prog(ctx: &mut Ctx, sync: SyncMethod, nonblocking: bool) -> Vec<f64>
     bc.read_message()
 }
 
-fn hy_allreduce_prog(ctx: &mut Ctx, sync: SyncMethod, nonblocking: bool) -> Vec<f64> {
+fn hy_allreduce_prog(ctx: &mut Ctx, sync: SyncMethod, k: usize, nonblocking: bool) -> Vec<f64> {
     let world = ctx.world();
     let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), sync);
-    let ar = HyAllreduce::<f64>::new(ctx, &hc, COUNT);
+    let ar = HyAllreduce::<f64>::with_leaders(ctx, &hc, COUNT, k);
     let mine = ctx.buf_from_fn(COUNT, |i| datum(ctx.rank(), i));
     if nonblocking {
         ar.iexecute(ctx, &mine, Sum).wait(ctx);
@@ -203,7 +216,7 @@ fn hy_allreduce_prog(ctx: &mut Ctx, sync: SyncMethod, nonblocking: bool) -> Vec<
     ar.read_result()
 }
 
-fn hy_alltoall_prog(ctx: &mut Ctx, sync: SyncMethod, nonblocking: bool) -> Vec<f64> {
+fn hy_alltoall_prog(ctx: &mut Ctx, sync: SyncMethod, _k: usize, nonblocking: bool) -> Vec<f64> {
     let world = ctx.world();
     let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), sync);
     let a2a = HyAlltoall::<f64>::new(ctx, &hc, COUNT);
@@ -222,7 +235,7 @@ fn hy_alltoall_prog(ctx: &mut Ctx, sync: SyncMethod, nonblocking: bool) -> Vec<f
         .collect()
 }
 
-fn hy_alltoallv_prog(ctx: &mut Ctx, sync: SyncMethod, nonblocking: bool) -> Vec<f64> {
+fn hy_alltoallv_prog(ctx: &mut Ctx, sync: SyncMethod, _k: usize, nonblocking: bool) -> Vec<f64> {
     let world = ctx.world();
     let p = world.size();
     // Irregular block sizes: (s + 2d) % 4 elements from s to d.
@@ -244,7 +257,12 @@ fn hy_alltoallv_prog(ctx: &mut Ctx, sync: SyncMethod, nonblocking: bool) -> Vec<
     (0..p).flat_map(|src| a2av.read_block(src)).collect()
 }
 
-fn hy_reduce_scatter_prog(ctx: &mut Ctx, sync: SyncMethod, nonblocking: bool) -> Vec<f64> {
+fn hy_reduce_scatter_prog(
+    ctx: &mut Ctx,
+    sync: SyncMethod,
+    _k: usize,
+    nonblocking: bool,
+) -> Vec<f64> {
     let world = ctx.world();
     // Non-uniform, never-zero segment lengths.
     let counts: Vec<usize> = (0..world.size()).map(|r| (r % 3) + 1).collect();
@@ -263,30 +281,30 @@ fn hy_reduce_scatter_prog(ctx: &mut Ctx, sync: SyncMethod, nonblocking: bool) ->
 // ------------------------------------------------------------------ suite
 
 macro_rules! ifamily {
-    ($name:ident, $prog:path) => {
+    ($name:ident, $prog:path, $ks:expr) => {
         mod $name {
             use super::*;
 
             #[test]
             fn iexecute_wait_is_bit_identical_to_execute() {
-                check_ifamily(stringify!($name), $prog);
+                check_ifamily(stringify!($name), $prog, &$ks);
             }
 
             #[test]
             fn iexecute_wait_is_executor_invariant() {
-                check_ifamily_executors(stringify!($name), $prog);
+                check_ifamily_executors(stringify!($name), $prog, &$ks);
             }
         }
     };
 }
 
-ifamily!(hy_allgather, hy_allgather_prog);
-ifamily!(hy_allgatherv, hy_allgatherv_prog);
-ifamily!(hy_bcast, hy_bcast_prog);
-ifamily!(hy_allreduce, hy_allreduce_prog);
-ifamily!(hy_alltoall, hy_alltoall_prog);
-ifamily!(hy_alltoallv, hy_alltoallv_prog);
-ifamily!(hy_reduce_scatter, hy_reduce_scatter_prog);
+ifamily!(hy_allgather, hy_allgather_prog, KS);
+ifamily!(hy_allgatherv, hy_allgatherv_prog, KS);
+ifamily!(hy_bcast, hy_bcast_prog, KS);
+ifamily!(hy_allreduce, hy_allreduce_prog, KS);
+ifamily!(hy_alltoall, hy_alltoall_prog, [1]);
+ifamily!(hy_alltoallv, hy_alltoallv_prog, [1]);
+ifamily!(hy_reduce_scatter, hy_reduce_scatter_prog, [1]);
 
 // --------------------------------------------- batch-completion ordering
 

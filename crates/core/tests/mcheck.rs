@@ -23,8 +23,8 @@ use std::time::Duration;
 use collectives::testutil::run_cfg;
 use collectives::{op::Sum, Tuning};
 use hmpi::{
-    HyAllgather, HyAllgatherv, HyAllreduce, HyAlltoall, HyBcast, HyGather, HyKAllgather,
-    HyKAllreduce, HyScatter, HybridComm, SyncMethod,
+    HyAllgather, HyAllgatherv, HyAllreduce, HyAlltoall, HyBcast, HyGather, HyScatter, HybridComm,
+    SyncMethod,
 };
 use msim::{explore, Ctx, ExploreOpts, SimConfig};
 use simnet::{ClusterSpec, CostModel};
@@ -153,7 +153,7 @@ family!(hy_gather, hy_gather_prog);
 family!(hy_scatter, hy_scatter_prog);
 
 /// The k = 2 multi-leader envelope: both ranks of each node are leaders,
-/// exercising the striped GO/QUIESCE fill that PR 8 introduced.
+/// exercising the striped GO/QUIESCE envelope and the cooperative fill.
 #[test]
 fn multileader_k2_explores_clean_in_one_schedule() {
     for sync in SYNCS {
@@ -167,12 +167,12 @@ fn multileader_k2_explores_clean_in_one_schedule() {
                     let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), sync);
                     match family {
                         "kag" => {
-                            let ag = HyKAllgather::<f64>::new(ctx, &hc, COUNT, 2);
+                            let ag = HyAllgather::<f64>::with_leaders(ctx, &hc, COUNT, 2);
                             ag.execute(ctx);
                             (0..ctx.nranks()).flat_map(|r| ag.read_block(r)).collect()
                         }
                         _ => {
-                            let ar = HyKAllreduce::<f64>::new(ctx, &hc, COUNT, 2);
+                            let ar = HyAllreduce::<f64>::with_leaders(ctx, &hc, COUNT, 2);
                             let contribution = ctx.buf_zeroed::<f64>(COUNT);
                             ar.execute(ctx, &contribution, Sum);
                             ar.read_result()

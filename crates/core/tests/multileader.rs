@@ -1,24 +1,19 @@
-//! Conformance wall for the multi-leader (`HyK*`) hybrid collectives.
+//! What only a multi-leader run can show, beyond the leader-count axis
+//! of the general walls (`conformance.rs`, `iconformance.rs`,
+//! `events_conformance.rs` and `race_detect.rs` run every family that
+//! takes a leader count at k ∈ {1, 2, 4}; `digests.rs` pins the numbers):
 //!
-//! Three axes beyond the single-leader suite:
-//!
-//! * **k sweep** — every family runs at k ∈ {1, 2, 4} (4 clamps to the
-//!   smallest node group where needed) under all three synchronization
-//!   protocols, on a regular 4×6 cluster, an irregular [1, 3, 4] cluster
-//!   (min group 1: the clamp-to-single-leader path) and an irregular
-//!   [2, 3, 4] cluster (genuine multi-leader on uneven nodes), across
-//!   the standard fuzz seeds — results must match the analytic oracles
-//!   and be schedule-independent.
-//! * **executor differential** — the k ≥ 2 schedules run in phantom mode
-//!   under `Events`, `Pooled` and `ThreadPerRank`; results, virtual
-//!   clocks and canonical traces must be byte-identical.
-//! * **k = 1 delegation** — a `HyK*` handle at k = 1 must be
-//!   bit-identical (results, clocks, traces) to the corresponding
-//!   single-leader `Hy*` handle, under every executor.
-//!
-//! A race-detector-armed tier runs the cooperative-fill allreduce and
-//! the striped allgather back to back: any missing happens-before edge
-//! in the go/quiesce/fill envelope panics the detector.
+//! * **uneven nodes** — an irregular [2, 3, 4] cluster, where k = 4
+//!   clamps to 2 and the stripes cut node blocks of different sizes:
+//!   results must match the analytic oracles under every sync method and
+//!   fuzz seed, and the three executors must agree bit-for-bit on the
+//!   k ≥ 2 schedules;
+//! * **the bridge really is striped** — every slot of every node sends
+//!   inter-node, and no payload byte moves inside a node;
+//! * **repeated rounds under the race detector** — cooperative-fill
+//!   allreduces and striped allgathers back to back: any missing
+//!   happens-before edge in the go/quiesce/fill envelope panics the
+//!   detector.
 //!
 //! `MSIM_CONF_SEEDS=N` truncates the seed list (used by `ci.sh --quick`).
 
@@ -27,12 +22,9 @@ use collectives::testutil::{
     expected_allreduce_sum, expected_bcast, run_cfg, vcounts,
 };
 use collectives::{op::Sum, Tuning};
-use hmpi::{
-    HyAllgather, HyAllgatherv, HyAllreduce, HyBcast, HyKAllgather, HyKAllgatherv, HyKAllreduce,
-    HyKBcast, HybridComm, SyncMethod,
-};
+use hmpi::{HyAllgather, HyAllgatherv, HyAllreduce, HyBcast, HybridComm, SyncMethod};
 use msim::{Ctx, ExecMode, FaultPlan, SimConfig, SimResult};
-use simnet::{ClusterSpec, CostModel};
+use simnet::{ClusterSpec, CostModel, EventKind};
 
 const COUNT: usize = 5;
 const ROOT: usize = 1;
@@ -46,12 +38,8 @@ const SYNCS: [SyncMethod; 3] = [
 type Prog = fn(&mut Ctx, SyncMethod, usize) -> Vec<f64>;
 type Oracle = fn(usize, usize) -> Vec<f64>;
 
-fn specs() -> [ClusterSpec; 3] {
-    [
-        ClusterSpec::regular(4, 6),
-        ClusterSpec::irregular(vec![1, 3, 4]),
-        ClusterSpec::irregular(vec![2, 3, 4]),
-    ]
+fn uneven() -> ClusterSpec {
+    ClusterSpec::irregular(vec![2, 3, 4])
 }
 
 fn run_real(
@@ -65,35 +53,34 @@ fn run_real(
     run_cfg(cfg, move |ctx| prog(ctx, sync, k))
 }
 
-/// Oracle conformance across the (k, sync, layout, seed) grid.
+/// Oracle conformance across the (k, sync, seed) grid.
 fn check_family(name: &str, prog: Prog, oracle: Oracle) {
+    let spec = uneven();
+    let p = spec.total_cores();
     for k in KS {
         for sync in SYNCS {
-            for spec in specs() {
-                let p = spec.total_cores();
-                let base = run_real(spec.clone(), FaultPlan::none(), sync, k, prog);
+            let tag = format!("{name}/k={k}/{sync:?}");
+            let base = run_real(spec.clone(), FaultPlan::none(), sync, k, prog);
+            for rank in 0..p {
+                assert_close(
+                    &base.per_rank[rank],
+                    &oracle(rank, p),
+                    &format!("{tag}: baseline, rank {rank}"),
+                );
+            }
+            for &seed in conf_seeds() {
+                let fuzzed = run_real(spec.clone(), FaultPlan::from_seed(seed, p), sync, k, prog);
                 for rank in 0..p {
                     assert_close(
-                        &base.per_rank[rank],
+                        &fuzzed.per_rank[rank],
                         &oracle(rank, p),
-                        &format!("{name}/k={k}/{sync:?}: baseline, rank {rank}, p={p}"),
+                        &format!("{tag}: seed {seed}, rank {rank}"),
                     );
                 }
-                for &seed in conf_seeds() {
-                    let fuzzed =
-                        run_real(spec.clone(), FaultPlan::from_seed(seed, p), sync, k, prog);
-                    for rank in 0..p {
-                        assert_close(
-                            &fuzzed.per_rank[rank],
-                            &oracle(rank, p),
-                            &format!("{name}/k={k}/{sync:?}: seed {seed}, rank {rank}, p={p}"),
-                        );
-                    }
-                    assert_eq!(
-                        fuzzed.per_rank, base.per_rank,
-                        "{name}/k={k}/{sync:?}: seed {seed} changed results, p={p}"
-                    );
-                }
+                assert_eq!(
+                    fuzzed.per_rank, base.per_rank,
+                    "{tag}: seed {seed} changed results"
+                );
             }
         }
     }
@@ -115,81 +102,35 @@ fn run_exec(
     run_cfg(cfg, move |ctx| prog(ctx, sync, k))
 }
 
-/// The three executors must agree bit-for-bit on the k ≥ 2 schedules
-/// (k = 1 delegates to machinery the single-leader differential wall
-/// already covers).
+/// The three executors must agree bit-for-bit on the k ≥ 2 schedules.
 fn check_executors(name: &str, prog: Prog) {
+    let spec = uneven();
+    let p = spec.total_cores();
     for k in [2, 4] {
         for sync in SYNCS {
-            for spec in specs() {
-                let p = spec.total_cores();
-                let plans: Vec<(u64, FaultPlan)> = std::iter::once((0, FaultPlan::none()))
-                    .chain(
-                        conf_seeds()
-                            .iter()
-                            .map(|&s| (s, FaultPlan::from_seed(s, p))),
-                    )
-                    .collect();
-                for (seed, plan) in plans {
-                    let threads = run_exec(
-                        spec.clone(),
-                        plan.clone(),
-                        sync,
-                        k,
-                        ExecMode::ThreadPerRank,
-                        prog,
-                    );
-                    let pooled = run_exec(
-                        spec.clone(),
-                        plan.clone(),
-                        sync,
-                        k,
-                        ExecMode::pooled(),
-                        prog,
-                    );
-                    let events = run_exec(spec.clone(), plan, sync, k, ExecMode::Events, prog);
-                    let tag = format!("{name}/k={k}/{sync:?}: seed {seed}, p={p}");
-                    assert_eq!(events.per_rank, threads.per_rank, "{tag}: events/threads");
-                    assert_eq!(events.clocks, threads.clocks, "{tag}: clocks vs threads");
+            let plans = std::iter::once((0, FaultPlan::none())).chain(
+                conf_seeds()
+                    .iter()
+                    .map(|&s| (s, FaultPlan::from_seed(s, p))),
+            );
+            for (seed, plan) in plans {
+                let run =
+                    |exec: ExecMode| run_exec(spec.clone(), plan.clone(), sync, k, exec, prog);
+                let events = run(ExecMode::Events);
+                for (other, what) in [
+                    (run(ExecMode::ThreadPerRank), "threads"),
+                    (run(ExecMode::pooled()), "pooled"),
+                ] {
+                    let tag = format!("{name}/k={k}/{sync:?}: seed {seed}, events vs {what}");
+                    assert_eq!(events.per_rank, other.per_rank, "{tag}: results");
+                    assert_eq!(events.clocks, other.clocks, "{tag}: clocks");
                     assert_eq!(
                         events.tracer.events(),
-                        threads.tracer.events(),
-                        "{tag}: traces vs threads"
-                    );
-                    assert_eq!(events.per_rank, pooled.per_rank, "{tag}: events/pooled");
-                    assert_eq!(events.clocks, pooled.clocks, "{tag}: clocks vs pooled");
-                    assert_eq!(
-                        events.tracer.events(),
-                        pooled.tracer.events(),
-                        "{tag}: traces vs pooled"
+                        other.tracer.events(),
+                        "{tag}: traces"
                     );
                 }
             }
-        }
-    }
-}
-
-/// At k = 1 the `HyK*` handle and the single-leader `Hy*` handle must be
-/// the same machine: identical results, clocks and traces under every
-/// executor.
-fn check_k1_identity(name: &str, kprog: Prog, sprog: Prog) {
-    for exec in [
-        ExecMode::ThreadPerRank,
-        ExecMode::pooled(),
-        ExecMode::Events,
-    ] {
-        for sync in SYNCS {
-            let spec = ClusterSpec::regular(2, 3);
-            let multi = run_exec(spec.clone(), FaultPlan::none(), sync, 1, exec, kprog);
-            let single = run_exec(spec, FaultPlan::none(), sync, 1, exec, sprog);
-            let tag = format!("{name}/{sync:?}/{exec:?}");
-            assert_eq!(multi.per_rank, single.per_rank, "{tag}: results differ");
-            assert_eq!(multi.clocks, single.clocks, "{tag}: clocks differ");
-            assert_eq!(
-                multi.tracer.events(),
-                single.tracer.events(),
-                "{tag}: traces differ"
-            );
         }
     }
 }
@@ -199,17 +140,7 @@ fn check_k1_identity(name: &str, kprog: Prog, sprog: Prog) {
 fn kag_prog(ctx: &mut Ctx, sync: SyncMethod, k: usize) -> Vec<f64> {
     let world = ctx.world();
     let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), sync);
-    let ag = HyKAllgather::<f64>::new(ctx, &hc, COUNT, k);
-    let mine: Vec<f64> = (0..COUNT).map(|i| datum(ctx.rank(), i)).collect();
-    ag.write_my_block(ctx, &mine);
-    ag.execute(ctx);
-    (0..ctx.nranks()).flat_map(|r| ag.read_block(r)).collect()
-}
-
-fn ag_prog(ctx: &mut Ctx, sync: SyncMethod, _k: usize) -> Vec<f64> {
-    let world = ctx.world();
-    let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), sync);
-    let ag = HyAllgather::<f64>::new(ctx, &hc, COUNT);
+    let ag = HyAllgather::<f64>::with_leaders(ctx, &hc, COUNT, k);
     let mine: Vec<f64> = (0..COUNT).map(|i| datum(ctx.rank(), i)).collect();
     ag.write_my_block(ctx, &mine);
     ag.execute(ctx);
@@ -224,20 +155,7 @@ fn kagv_prog(ctx: &mut Ctx, sync: SyncMethod, k: usize) -> Vec<f64> {
     let world = ctx.world();
     let counts = vcounts(world.size());
     let hc = HybridComm::with_sync(ctx, &world, Tuning::open_mpi(), sync);
-    let ag = HyKAllgatherv::<f64>::new(ctx, &hc, &counts, k);
-    let mine: Vec<f64> = (0..counts[ctx.rank()])
-        .map(|i| datum(ctx.rank(), i))
-        .collect();
-    ag.write_my_block(ctx, &mine);
-    ag.execute(ctx);
-    (0..ctx.nranks()).flat_map(|r| ag.read_block(r)).collect()
-}
-
-fn agv_prog(ctx: &mut Ctx, sync: SyncMethod, _k: usize) -> Vec<f64> {
-    let world = ctx.world();
-    let counts = vcounts(world.size());
-    let hc = HybridComm::with_sync(ctx, &world, Tuning::open_mpi(), sync);
-    let ag = HyAllgatherv::<f64>::new(ctx, &hc, &counts);
+    let ag = HyAllgatherv::<f64>::with_leaders(ctx, &hc, &counts, k);
     let mine: Vec<f64> = (0..counts[ctx.rank()])
         .map(|i| datum(ctx.rank(), i))
         .collect();
@@ -253,19 +171,7 @@ fn agv_oracle(_rank: usize, p: usize) -> Vec<f64> {
 fn kbc_prog(ctx: &mut Ctx, sync: SyncMethod, k: usize) -> Vec<f64> {
     let world = ctx.world();
     let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), sync);
-    let bc = HyKBcast::<f64>::new(ctx, &hc, COUNT, k);
-    if ctx.rank() == ROOT {
-        let msg: Vec<f64> = (0..COUNT).map(|i| datum(ROOT, i)).collect();
-        bc.write_message(ctx, &msg);
-    }
-    bc.execute(ctx, ROOT);
-    bc.read_message()
-}
-
-fn bc_prog(ctx: &mut Ctx, sync: SyncMethod, _k: usize) -> Vec<f64> {
-    let world = ctx.world();
-    let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), sync);
-    let bc = HyBcast::<f64>::new(ctx, &hc, COUNT);
+    let bc = HyBcast::<f64>::with_leaders(ctx, &hc, COUNT, k);
     if ctx.rank() == ROOT {
         let msg: Vec<f64> = (0..COUNT).map(|i| datum(ROOT, i)).collect();
         bc.write_message(ctx, &msg);
@@ -281,16 +187,7 @@ fn bc_oracle(_rank: usize, _p: usize) -> Vec<f64> {
 fn kar_prog(ctx: &mut Ctx, sync: SyncMethod, k: usize) -> Vec<f64> {
     let world = ctx.world();
     let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), sync);
-    let ar = HyKAllreduce::<f64>::new(ctx, &hc, COUNT, k);
-    let contribution = ctx.buf_from_fn(COUNT, |i| datum(ctx.rank(), i));
-    ar.execute(ctx, &contribution, Sum);
-    ar.read_result()
-}
-
-fn ar_prog(ctx: &mut Ctx, sync: SyncMethod, _k: usize) -> Vec<f64> {
-    let world = ctx.world();
-    let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), sync);
-    let ar = HyAllreduce::<f64>::new(ctx, &hc, COUNT);
+    let ar = HyAllreduce::<f64>::with_leaders(ctx, &hc, COUNT, k);
     let contribution = ctx.buf_from_fn(COUNT, |i| datum(ctx.rank(), i));
     ar.execute(ctx, &contribution, Sum);
     ar.read_result()
@@ -303,32 +200,68 @@ fn ar_oracle(_rank: usize, p: usize) -> Vec<f64> {
 // ------------------------------------------------------------------ suite
 
 macro_rules! family {
-    ($name:ident, $kprog:path, $sprog:path, $oracle:path) => {
+    ($name:ident, $prog:path, $oracle:path) => {
         mod $name {
             use super::*;
 
             #[test]
-            fn conforms_across_leader_counts() {
-                check_family(stringify!($name), $kprog, $oracle);
+            fn conforms_on_uneven_nodes() {
+                check_family(stringify!($name), $prog, $oracle);
             }
 
             #[test]
-            fn executors_agree_on_multi_leader_schedules() {
-                check_executors(stringify!($name), $kprog);
-            }
-
-            #[test]
-            fn k1_is_bit_identical_to_single_leader() {
-                check_k1_identity(stringify!($name), $kprog, $sprog);
+            fn executors_agree_on_uneven_nodes() {
+                check_executors(stringify!($name), $prog);
             }
         }
     };
 }
 
-family!(hyk_allgather, kag_prog, ag_prog, ag_oracle);
-family!(hyk_allgatherv, kagv_prog, agv_prog, agv_oracle);
-family!(hyk_bcast, kbc_prog, bc_prog, bc_oracle);
-family!(hyk_allreduce, kar_prog, ar_prog, ar_oracle);
+family!(allgather, kag_prog, ag_oracle);
+family!(allgatherv, kagv_prog, agv_oracle);
+family!(bcast, kbc_prog, bc_oracle);
+family!(allreduce, kar_prog, ar_oracle);
+
+// ------------------------------------------------------ striped traffic
+
+/// With k = 2 both slot ranks of every node send inter-node, and the
+/// paper's zero-copy property survives: envelope signals are zero-byte,
+/// the stripes move payload only across nodes.
+#[test]
+fn bridge_traffic_is_striped_across_the_slots() {
+    for sync in SYNCS {
+        let cfg = SimConfig::new(ClusterSpec::regular(2, 4), CostModel::cray_aries()).traced();
+        let r = run_cfg(cfg, move |ctx| kag_prog(ctx, sync, 2));
+        let events = r.tracer.events();
+        let mut senders: Vec<usize> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Send { intra: false, .. } => Some(e.rank),
+                _ => None,
+            })
+            .collect();
+        senders.sort_unstable();
+        senders.dedup();
+        assert_eq!(
+            senders,
+            vec![0, 1, 4, 5],
+            "{sync:?}: both slots of both nodes"
+        );
+        let intra_payload: usize = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Send {
+                    bytes, intra: true, ..
+                } => Some(bytes),
+                _ => None,
+            })
+            .sum();
+        assert_eq!(
+            intra_payload, 0,
+            "{sync:?}: stripes must not move data intra-node"
+        );
+    }
+}
 
 // ------------------------------------------------------- race-armed tier
 
@@ -345,8 +278,8 @@ fn race_detector_accepts_multi_leader_envelope() {
             let r = run_cfg(cfg, move |ctx| {
                 let world = ctx.world();
                 let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), sync);
-                let ar = HyKAllreduce::<f64>::new(ctx, &hc, 33, k);
-                let ag = HyKAllgather::<f64>::new(ctx, &hc, 17, k);
+                let ar = HyAllreduce::<f64>::with_leaders(ctx, &hc, 33, k);
+                let ag = HyAllgather::<f64>::with_leaders(ctx, &hc, 17, k);
                 let mut out = Vec::new();
                 for round in 0..2 {
                     let mine = ctx.buf_from_fn(33, |i| datum(ctx.rank(), round * 100 + i));

@@ -1,5 +1,5 @@
 //! The hybrid collectives run clean under the happens-before race
-//! detector, for every synchronization protocol.
+//! detector, for every synchronization protocol and leader count.
 //!
 //! This is the detector-side complement of the conformance suite: where
 //! conformance checks *values* under adversarial schedules, this checks
@@ -14,6 +14,7 @@ use msim::{Ctx, SimConfig, Universe};
 use simnet::{ClusterSpec, CostModel, EventKind};
 
 const COUNT: usize = 5;
+const KS: [usize; 3] = [1, 2, 4];
 const SYNCS: [SyncMethod; 3] = [
     SyncMethod::Barrier,
     SyncMethod::SharedFlags,
@@ -24,29 +25,29 @@ fn cfg(spec: ClusterSpec) -> SimConfig {
     SimConfig::new(spec, CostModel::uniform_test()).with_race_detect(true)
 }
 
-fn allgather_prog(ctx: &mut Ctx, sync: SyncMethod) -> Vec<f64> {
+fn allgather_prog(ctx: &mut Ctx, sync: SyncMethod, k: usize) -> Vec<f64> {
     let world = ctx.world();
     let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), sync);
-    let ag = HyAllgather::<f64>::new(ctx, &hc, COUNT);
+    let ag = HyAllgather::<f64>::with_leaders(ctx, &hc, COUNT, k);
     let mine: Vec<f64> = (0..COUNT).map(|i| datum(ctx.rank(), i)).collect();
     ag.write_my_block(ctx, &mine);
     ag.execute(ctx);
     (0..ctx.nranks()).flat_map(|r| ag.read_block(r)).collect()
 }
 
-fn allreduce_prog(ctx: &mut Ctx, sync: SyncMethod) -> Vec<f64> {
+fn allreduce_prog(ctx: &mut Ctx, sync: SyncMethod, k: usize) -> Vec<f64> {
     let world = ctx.world();
     let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), sync);
-    let ar = HyAllreduce::<f64>::new(ctx, &hc, COUNT);
+    let ar = HyAllreduce::<f64>::with_leaders(ctx, &hc, COUNT, k);
     let contribution = ctx.buf_from_fn(COUNT, |i| datum(ctx.rank(), i));
     ar.execute(ctx, &contribution, Sum);
     ar.read_result()
 }
 
-fn bcast_prog(ctx: &mut Ctx, sync: SyncMethod) -> Vec<f64> {
+fn bcast_prog(ctx: &mut Ctx, sync: SyncMethod, k: usize) -> Vec<f64> {
     let world = ctx.world();
     let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), sync);
-    let bc = HyBcast::<f64>::new(ctx, &hc, COUNT);
+    let bc = HyBcast::<f64>::with_leaders(ctx, &hc, COUNT, k);
     if ctx.rank() == 0 {
         let msg: Vec<f64> = (0..COUNT).map(|i| datum(0, i)).collect();
         bc.write_message(ctx, &msg);
@@ -57,14 +58,14 @@ fn bcast_prog(ctx: &mut Ctx, sync: SyncMethod) -> Vec<f64> {
 
 #[test]
 fn hybrid_collectives_are_race_free_under_every_sync_method() {
-    for sync in SYNCS {
+    for (sync, k) in SYNCS.into_iter().flat_map(|s| KS.map(|k| (s, k))) {
         for spec in [
             ClusterSpec::regular(2, 3),
             ClusterSpec::irregular(vec![1, 3, 4]),
         ] {
             let p = spec.total_cores();
-            let r = Universe::run(cfg(spec.clone()), move |ctx| allgather_prog(ctx, sync))
-                .unwrap_or_else(|e| panic!("allgather/{sync:?}/p={p}: {e}"));
+            let r = Universe::run(cfg(spec.clone()), move |ctx| allgather_prog(ctx, sync, k))
+                .unwrap_or_else(|e| panic!("allgather/{sync:?}/k={k}/p={p}: {e}"));
             for rank in 0..p {
                 assert_close(
                     &r.per_rank[rank],
@@ -72,8 +73,8 @@ fn hybrid_collectives_are_race_free_under_every_sync_method() {
                     &format!("allgather/{sync:?} under detector, rank {rank}"),
                 );
             }
-            let r = Universe::run(cfg(spec.clone()), move |ctx| allreduce_prog(ctx, sync))
-                .unwrap_or_else(|e| panic!("allreduce/{sync:?}/p={p}: {e}"));
+            let r = Universe::run(cfg(spec.clone()), move |ctx| allreduce_prog(ctx, sync, k))
+                .unwrap_or_else(|e| panic!("allreduce/{sync:?}/k={k}/p={p}: {e}"));
             for rank in 0..p {
                 assert_close(
                     &r.per_rank[rank],
@@ -81,8 +82,8 @@ fn hybrid_collectives_are_race_free_under_every_sync_method() {
                     &format!("allreduce/{sync:?} under detector, rank {rank}"),
                 );
             }
-            Universe::run(cfg(spec), move |ctx| bcast_prog(ctx, sync))
-                .unwrap_or_else(|e| panic!("bcast/{sync:?}/p={p}: {e}"));
+            Universe::run(cfg(spec), move |ctx| bcast_prog(ctx, sync, k))
+                .unwrap_or_else(|e| panic!("bcast/{sync:?}/k={k}/p={p}: {e}"));
         }
     }
 }
@@ -90,7 +91,7 @@ fn hybrid_collectives_are_race_free_under_every_sync_method() {
 #[test]
 fn detector_sweep_is_summarized_in_the_trace() {
     let r = Universe::run(cfg(ClusterSpec::regular(2, 3)).traced(), move |ctx| {
-        allgather_prog(ctx, SyncMethod::SharedFlags)
+        allgather_prog(ctx, SyncMethod::SharedFlags, 2)
     })
     .unwrap();
     let check = r

@@ -558,7 +558,10 @@ pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 /// `Debug`) and final virtual clocks. Schedule-invariant for correct
 /// programs (the determinism contract); any difference is a divergence.
 pub fn outcome_digest<T: fmt::Debug>(res: &SimResult<T>) -> u64 {
-    let mut h = fnv1a(0xcbf2_9ce4_8422_2325, format!("{:?}", res.per_rank).as_bytes());
+    let mut h = fnv1a(
+        0xcbf2_9ce4_8422_2325,
+        format!("{:?}", res.per_rank).as_bytes(),
+    );
     for c in &res.clocks {
         h = fnv1a(h, &c.to_bits().to_le_bytes());
     }

@@ -115,16 +115,8 @@ fn run_hy_jacobi(ctx: &mut Ctx, spec: &StencilSpec, overlap: bool) -> StencilRep
         match nb {
             None => Source::Boundary,
             Some(rank) => {
-                let nb_group = h
-                    .group_members
-                    .iter()
-                    .position(|m| m.contains(&rank))
-                    .expect("neighbor is a member");
+                let (nb_group, shm_local) = h.locate(rank);
                 if nb_group == h.node_index {
-                    let shm_local = h.group_members[nb_group]
-                        .iter()
-                        .position(|&r| r == rank)
-                        .expect("neighbor on node");
                     Source::Window {
                         shm_local,
                         region: win.base_of(shm_local),

@@ -150,11 +150,7 @@ impl IPanelBcastBody {
         let h = hc.hierarchy();
         let phase = match &h.bridge {
             Some(bridge) if !hc.single_node() => {
-                let root_group = h
-                    .group_members
-                    .iter()
-                    .position(|m| m.contains(&k))
-                    .expect("slot owner must be a member");
+                let root_group = h.locate(k).0;
                 let region = panels
                     .window()
                     .region(panels.block_offset(k), panels.block_len(k));

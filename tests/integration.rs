@@ -251,3 +251,112 @@ fn end_to_end_determinism() {
     };
     assert_eq!(run(), run());
 }
+
+/// The hybrid envelope, end to end: every `Hy*` family with real payloads
+/// under the three sync methods, at one and two leaders per node where
+/// the family takes a leader count, against the closed-form oracles. A
+/// broken arrive/go/quiesce/release step shows up here as a wrong value
+/// (or a hang), so the root `cargo test` guards `hmpi`.
+#[test]
+fn every_hybrid_family_matches_its_oracle_at_one_and_two_leaders() {
+    use hybrid_mpi::collectives::{op::Sum, testutil as oracle};
+    use hybrid_mpi::hmpi::{HyAlltoall, HyGather, HyReduceScatter, HyScatter};
+    use oracle::datum;
+
+    const N: usize = 3;
+    const ROOT: usize = 5; // node 1, on-node rank 1: a slot leader only at k = 2
+    let span = |r: usize, at: usize, len: usize| -> Vec<f64> {
+        (at..at + len).map(|i| datum(r, i)).collect()
+    };
+    let block = move |r: usize, at: usize| span(r, at, N);
+
+    for sync in [
+        SyncMethod::Barrier,
+        SyncMethod::SharedFlags,
+        SyncMethod::P2p,
+    ] {
+        for k in [1, 2] {
+            let cfg = SimConfig::new(ClusterSpec::regular(2, 4), CostModel::uniform_test());
+            let out = Universe::run(cfg, move |ctx| {
+                let world = ctx.world();
+                let (me, p) = (ctx.rank(), world.size());
+                let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), sync);
+                let mut got = Vec::new();
+
+                let ag = HyAllgather::<f64>::with_leaders(ctx, &hc, N, k);
+                ag.write_my_block(ctx, &block(me, 0));
+                ag.execute(ctx);
+                got.push((0..p).flat_map(|r| ag.read_block(r)).collect::<Vec<f64>>());
+
+                let counts = oracle::vcounts(p);
+                let agv = HyAllgatherv::<f64>::with_leaders(ctx, &hc, &counts, k);
+                agv.write_my_block(ctx, &span(me, 0, counts[me]));
+                agv.execute(ctx);
+                got.push((0..p).flat_map(|r| agv.read_block(r)).collect());
+
+                let bc = HyBcast::<f64>::with_leaders(ctx, &hc, N, k);
+                if me == ROOT {
+                    bc.write_message(ctx, &block(ROOT, 0));
+                }
+                bc.execute(ctx, ROOT);
+                got.push(bc.read_message());
+
+                let ar = HyAllreduce::<f64>::with_leaders(ctx, &hc, N, k);
+                let mine = ctx.buf_from_fn(N, |i| datum(me, i));
+                ar.execute(ctx, &mine, Sum);
+                got.push(ar.read_result());
+
+                let a2a = HyAlltoall::<f64>::new(ctx, &hc, N);
+                for dest in 0..p {
+                    a2a.write_block(ctx, dest, &block(me, dest * N));
+                }
+                a2a.execute(ctx);
+                got.push((0..p).flat_map(|src| a2a.read_block(src)).collect());
+
+                let rs = HyReduceScatter::<f64>::new(ctx, &hc, &vec![N; p]);
+                let mine = ctx.buf_from_fn(rs.total(), |i| datum(me, i));
+                rs.execute(ctx, &mine, Sum);
+                got.push(rs.read_result());
+
+                let ga = HyGather::<f64>::new(ctx, &hc, N, ROOT);
+                ga.write_my_block(ctx, &block(me, 0));
+                ga.execute(ctx);
+                if me == ROOT {
+                    got.push((0..p).flat_map(|r| ga.read_block(r)).collect());
+                }
+
+                let sc = HyScatter::<f64>::new(ctx, &hc, N, ROOT);
+                if me == ROOT {
+                    for dest in 0..p {
+                        sc.write_block(ctx, dest, &block(ROOT, dest * N));
+                    }
+                }
+                ctx.oob_fence(&world);
+                sc.execute(ctx);
+                got.push(sc.read_my_block());
+                got
+            })
+            .unwrap();
+
+            let p = 8;
+            for (rank, got) in out.per_rank.iter().enumerate() {
+                let mut want = vec![
+                    oracle::expected_allgather(p, N),
+                    oracle::expected_allgatherv(&oracle::vcounts(p)),
+                    oracle::expected_bcast(ROOT, N),
+                    oracle::expected_allreduce_sum(p, N),
+                    oracle::expected_alltoall(rank, p, N),
+                    oracle::expected_reduce_scatter(rank, p, &vec![N; p]),
+                ];
+                if rank == ROOT {
+                    want.push(oracle::expected_gather(p, N));
+                }
+                want.push(oracle::expected_scatter(rank, ROOT, N));
+                assert_eq!(got.len(), want.len());
+                for (family, (g, w)) in got.iter().zip(&want).enumerate() {
+                    oracle::assert_close(g, w, &format!("{sync:?} k={k} rank {rank} #{family}"));
+                }
+            }
+        }
+    }
+}
