@@ -127,7 +127,10 @@
 #   cargo run --release -p bench --bin scale -- --ranks 96
 #   cargo run --release -p bench --bin scale -- --exec events --ranks 65536
 # round up generously, and update the budget in the same PR — never
-# bump it to paper over an unexplained regression. The full sweep
+# bump it to paper over an unexplained regression. The procedure runs
+# downward too: a PR that makes a gated run faster re-measures and
+# lowers the budget in the same PR, or the gate stops catching a slide
+# back to the old cost. The full sweep
 # (`scale` with no flags: pooled 48→4096 + events 8192→262144)
 # regenerates the whole BENCH_scale.json trajectory and is worth
 # re-running on executor changes (crates/bench/tests/artifact.rs pins
@@ -176,10 +179,13 @@ trap on_exit EXIT
 SCALE_BUDGET_S=1.0
 
 # Stored wall-clock budget (seconds) for the 65536-rank event-calendar
-# point (events + perf stages). Measured ~21 s on the reference host
-# (single driver thread); 30 s absorbs load noise, and the 25% slack
-# puts the hard limit at 37.5 s.
-EVENTS_BUDGET_S=30.0
+# point (events + perf stages). Measured 2.0 s alone and up to 4.2 s
+# right behind a test build (single driver thread; 11.8 s on the same
+# host before set-up went linear in ranks and the message path stopped
+# allocating — BENCH_scale.json, CHANGES.md PR 15); 8 s absorbs load
+# noise and a slower host, the 25% slack puts the hard limit at 10 s,
+# and a slide back to the quadratic set-up still trips it.
+EVENTS_BUDGET_S=8.0
 
 # Stored wall-clock budget (seconds) for the mcheck stage's exhaustive
 # DPOR sweep (`mcheck --family all`: 8 families x 3 sync methods, real

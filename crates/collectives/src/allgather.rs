@@ -319,7 +319,7 @@ pub fn case_for<T: ShmElem>(ctx: &Ctx, comm: &Communicator, send: &Buf<T>) -> Co
     CommCase::new(
         CollectiveOp::Allgather,
         comm.size(),
-        CommCase::count_nodes(ctx.map(), comm.members()),
+        comm.num_nodes(ctx.map()),
         send.byte_len() * comm.size(),
     )
 }

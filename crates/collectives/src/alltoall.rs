@@ -251,7 +251,7 @@ pub fn case_for<T: ShmElem>(ctx: &Ctx, comm: &Communicator, count: usize) -> Com
     CommCase::new(
         CollectiveOp::Alltoall,
         comm.size(),
-        CommCase::count_nodes(ctx.map(), comm.members()),
+        comm.num_nodes(ctx.map()),
         count * T::SIZE,
     )
 }

@@ -261,7 +261,7 @@ pub fn case_for<T: ShmElem>(ctx: &Ctx, comm: &Communicator, scounts: &[usize]) -
     CommCase::new(
         CollectiveOp::Alltoallv,
         comm.size(),
-        CommCase::count_nodes(ctx.map(), comm.members()),
+        comm.num_nodes(ctx.map()),
         scounts.iter().sum::<usize>() * T::SIZE,
     )
 }

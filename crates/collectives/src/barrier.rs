@@ -144,7 +144,7 @@ pub fn case_for(ctx: &Ctx, comm: &Communicator) -> CommCase {
     CommCase::new(
         CollectiveOp::Barrier,
         comm.size(),
-        CommCase::count_nodes(ctx.map(), comm.members()),
+        comm.num_nodes(ctx.map()),
         0,
     )
 }

@@ -395,7 +395,7 @@ pub fn case_for<T: ShmElem>(ctx: &Ctx, comm: &Communicator, buf: &Buf<T>) -> Com
     CommCase::new(
         CollectiveOp::Bcast,
         comm.size(),
-        CommCase::count_nodes(ctx.map(), comm.members()),
+        comm.num_nodes(ctx.map()),
         buf.byte_len(),
     )
 }

@@ -349,7 +349,7 @@ pub fn case_for<T: ShmElem>(ctx: &Ctx, comm: &Communicator, counts: &[usize]) ->
     CommCase::new(
         CollectiveOp::ReduceScatter,
         comm.size(),
-        CommCase::count_nodes(ctx.map(), comm.members()),
+        comm.num_nodes(ctx.map()),
         counts.iter().sum::<usize>() * T::SIZE,
     )
 }

@@ -156,15 +156,6 @@ impl CommCase {
     pub fn block_bytes(&self) -> usize {
         self.total_bytes / self.comm_size.max(1)
     }
-
-    /// The number of distinct nodes hosting `members` (global ranks),
-    /// looked up through the rank map.
-    pub fn count_nodes(map: &simnet::RankMap, members: &[usize]) -> usize {
-        let mut nodes: Vec<usize> = members.iter().map(|&g| map.node_of(g)).collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        nodes.len()
-    }
 }
 
 /// One registered collective algorithm: selection metadata for a named

@@ -43,7 +43,8 @@ use std::cell::UnsafeCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::ctx::Ctx;
@@ -73,8 +74,6 @@ struct CalState {
     /// statuses.
     heap: BinaryHeap<Reverse<(u64, usize, u64)>>,
     status: Vec<EvStatus>,
-    /// Last published virtual clock per rank, as order-preserving bits.
-    vtimes: Vec<u64>,
     /// Monotone heap-insertion counter (the final tiebreak).
     seq: u64,
     /// Ranks not yet `Done`.
@@ -82,18 +81,6 @@ struct CalState {
     /// Model-checker mode: scheduling order comes from the probe, not
     /// the virtual-time heap.
     controlled: bool,
-}
-
-impl CalState {
-    /// Make `rank` schedulable: into the heap under its current
-    /// published clock, or (controlled mode) just status-marked.
-    fn schedule(&mut self, rank: usize) {
-        self.status[rank] = EvStatus::Scheduled;
-        if !self.controlled {
-            self.heap.push(Reverse((self.vtimes[rank], rank, self.seq)));
-            self.seq += 1;
-        }
-    }
 }
 
 /// The shared calendar of one events-mode universe. Lives in
@@ -104,6 +91,12 @@ impl CalState {
 #[derive(Debug)]
 pub(crate) struct CalendarCore {
     state: Mutex<CalState>,
+    /// Last published virtual clock per rank, as order-preserving bits.
+    /// Outside the mutex: a rank publishes at every potentially-blocking
+    /// call, most of which find their packet and never park. `Relaxed`
+    /// suffices — ranks and driver share one thread, and the value only
+    /// orders resumes (see [`crate::Ctx::publish_vtime`]).
+    vtimes: Vec<AtomicU64>,
     /// Model-checker controller: when present, it makes every
     /// scheduling decision (the virtual-time heap is bypassed) so the
     /// calendar shares the pooled executor's decision-point model and
@@ -119,7 +112,6 @@ impl CalendarCore {
         let mut state = CalState {
             heap: BinaryHeap::with_capacity(nranks),
             status: vec![EvStatus::Scheduled; nranks],
-            vtimes: vec![0; nranks],
             seq: 0,
             live: nranks,
             controlled,
@@ -134,12 +126,13 @@ impl CalendarCore {
         }
         Self {
             state: Mutex::new(state),
+            vtimes: (0..nranks).map(|_| AtomicU64::new(0)).collect(),
             controller,
             infra: Mutex::new(Vec::new()),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, CalState> {
+    fn lock(&self) -> MutexGuard<'_, CalState> {
         // Mirrors PoolCore: a panic while holding the lock never leaves
         // the state torn (all mutations are single assignments).
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
@@ -152,7 +145,18 @@ impl CalendarCore {
         debug_assert!(t >= 0.0, "virtual time is non-negative");
         // `to_bits` is order-preserving on non-negative floats, giving
         // the heap a total integer ordering with no NaN edge cases.
-        self.lock().vtimes[rank] = t.to_bits();
+        self.vtimes[rank].store(t.to_bits(), Ordering::Relaxed);
+    }
+
+    /// Make `rank` schedulable: into the heap under its current
+    /// published clock, or (controlled mode) just status-marked.
+    fn schedule(&self, g: &mut CalState, rank: usize) {
+        g.status[rank] = EvStatus::Scheduled;
+        if !g.controlled {
+            let vtime_bits = self.vtimes[rank].load(Ordering::Relaxed);
+            g.heap.push(Reverse((vtime_bits, rank, g.seq)));
+            g.seq += 1;
+        }
     }
 
     /// Make `rank` schedulable if it is parked; remember the signal if
@@ -161,19 +165,24 @@ impl CalendarCore {
     pub(crate) fn wake(&self, rank: usize) {
         let mut g = self.lock();
         match g.status[rank] {
-            EvStatus::Parked { .. } => g.schedule(rank),
+            EvStatus::Parked { .. } => self.schedule(&mut g, rank),
             EvStatus::Running { ref mut token } => *token = true,
             EvStatus::Scheduled | EvStatus::Done => {}
         }
     }
 
-    /// Claim the next rank in calendar order, or `None` when every rank
-    /// is done. Sleeps while all live ranks are parked with future
-    /// deadlines (a timeout-only wait: nothing else can wake them —
-    /// the driver is the only thread that runs rank programs).
-    fn pop_next(&self) -> Option<usize> {
+    /// Commit the yield of the rank just resumed (`None` on the first
+    /// call), then claim the next rank in calendar order — one lock
+    /// acquisition per resume — or return `None` when every rank is done.
+    /// Sleeps while all live ranks are parked with future deadlines (a
+    /// timeout-only wait: nothing else can wake them — the driver is the
+    /// only thread that runs rank programs).
+    fn advance(&self, yielded: Option<(usize, Intent)>) -> Option<usize> {
+        let mut g = self.lock();
+        if let Some((rank, intent)) = yielded {
+            self.commit(&mut g, rank, intent);
+        }
         loop {
-            let mut g = self.lock();
             if g.live == 0 {
                 return None;
             }
@@ -202,7 +211,7 @@ impl CalendarCore {
             for r in 0..g.status.len() {
                 if let EvStatus::Parked { deadline } = g.status[r] {
                     if deadline <= now {
-                        g.schedule(r);
+                        self.schedule(&mut g, r);
                         expired = true;
                     } else {
                         nearest = Some(nearest.map_or(deadline, |n| n.min(deadline)));
@@ -220,12 +229,12 @@ impl CalendarCore {
                 .min(Duration::from_secs(1));
             drop(g);
             std::thread::sleep(wait);
+            g = self.lock();
         }
     }
 
     /// Commit a coroutine's yield now that its context is fully saved.
-    fn finalize(&self, rank: usize, intent: Intent) {
-        let mut g = self.lock();
+    fn commit(&self, g: &mut CalState, rank: usize, intent: Intent) {
         match intent {
             Intent::Done => {
                 g.status[rank] = EvStatus::Done;
@@ -234,7 +243,7 @@ impl CalendarCore {
             Intent::Park { deadline } => {
                 let token = matches!(g.status[rank], EvStatus::Running { token: true });
                 if token {
-                    g.schedule(rank);
+                    self.schedule(g, rank);
                 } else {
                     g.status[rank] = EvStatus::Parked { deadline };
                 }
@@ -446,9 +455,10 @@ where
 
     let mut current_rank = usize::MAX;
     let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        while let Some(rank) = core.pop_next() {
+        let mut yielded = None;
+        while let Some(rank) = core.advance(yielded) {
             current_rank = rank;
-            resume_event(core, &cells, &arena, rank);
+            yielded = Some((rank, resume_event(&cells, &arena, rank)));
         }
     }));
     if let Err(payload) = caught {
@@ -474,12 +484,9 @@ where
     (outcomes, infra)
 }
 
-fn resume_event<T, F>(
-    core: &CalendarCore,
-    cells: &[EvCell<'_, T, F>],
-    arena: &StackArena,
-    rank: usize,
-) where
+/// Resume `rank` until its next yield; returns what it yielded for.
+fn resume_event<T, F>(cells: &[EvCell<'_, T, F>], arena: &StackArena, rank: usize) -> Intent
+where
     T: Send,
     F: Fn(&mut Ctx) -> T + Send + Sync,
 {
@@ -515,7 +522,7 @@ fn resume_event<T, F>(
              (raise SimConfig::stack_size)",
             arena.stack_size
         );
-        core.finalize(rank, (*task).intent);
+        (*task).intent
     }
 }
 
@@ -601,10 +608,10 @@ mod tests {
             let far = Instant::now() + Duration::from_secs(3600);
             let mut first = Vec::new();
             for _ in 0..n {
-                let r = core.pop_next().unwrap();
+                let r = core.advance(None).unwrap();
                 first.push(r);
                 core.publish_vtime(r, mix(seed, r as u64, n as u64, 0xF00D) as f64);
-                core.finalize(r, Intent::Park { deadline: far });
+                core.commit(&mut core.lock(), r, Intent::Park { deadline: far });
             }
             // Wake in a seeded-random order; pops must come back in
             // calendar order regardless.
@@ -618,11 +625,11 @@ mod tests {
             }
             let mut seq = first;
             for _ in 0..n {
-                let r = core.pop_next().unwrap();
+                let r = core.advance(None).unwrap();
                 seq.push(r);
-                core.finalize(r, Intent::Done);
+                core.commit(&mut core.lock(), r, Intent::Done);
             }
-            assert!(core.pop_next().is_none());
+            assert!(core.advance(None).is_none());
             seq
         };
         for seed in [1u64, 2, 42] {
@@ -650,19 +657,20 @@ mod tests {
     #[test]
     fn wake_during_running_is_not_lost() {
         let core = CalendarCore::new(1, None);
-        let r = core.pop_next().unwrap();
+        let r = core.advance(None).unwrap();
         assert_eq!(r, 0);
         core.wake(0); // arrives "mid-run"
-        core.finalize(
+        core.commit(
+            &mut core.lock(),
             0,
             Intent::Park {
                 deadline: Instant::now() + Duration::from_secs(3600),
             },
         );
         // Must be immediately schedulable, not parked for an hour.
-        assert_eq!(core.pop_next(), Some(0));
-        core.finalize(0, Intent::Done);
-        assert_eq!(core.pop_next(), None);
+        assert_eq!(core.advance(None), Some(0));
+        core.commit(&mut core.lock(), 0, Intent::Done);
+        assert_eq!(core.advance(None), None);
     }
 
     /// An expired park deadline re-schedules the rank so timeout-based
@@ -670,19 +678,20 @@ mod tests {
     #[test]
     fn expired_parks_are_rescheduled() {
         let core = CalendarCore::new(1, None);
-        let r = core.pop_next().unwrap();
-        core.finalize(
+        let r = core.advance(None).unwrap();
+        core.commit(
+            &mut core.lock(),
             r,
             Intent::Park {
                 deadline: Instant::now() + Duration::from_millis(5),
             },
         );
         let t0 = Instant::now();
-        assert_eq!(core.pop_next(), Some(0));
+        assert_eq!(core.advance(None), Some(0));
         assert!(
             t0.elapsed() < Duration::from_secs(2),
             "expired park should be re-scheduled promptly"
         );
-        core.finalize(0, Intent::Done);
+        core.commit(&mut core.lock(), 0, Intent::Done);
     }
 }

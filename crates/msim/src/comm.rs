@@ -2,7 +2,7 @@
 //! `MPI_Comm_split_type(MPI_COMM_TYPE_SHARED)`.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::ctx::Ctx;
 use crate::oob::KIND_SPLIT;
@@ -18,6 +18,11 @@ pub(crate) struct CommInner {
     pub(crate) members: Vec<usize>,
     /// global rank -> communicator-local rank.
     pub(crate) local_of: HashMap<usize, usize>,
+    /// Distinct nodes hosting the members, filled by the first
+    /// [`Communicator::num_nodes`] call. Membership never changes —
+    /// `split`, `shrink` and `from_grow` build a fresh `CommInner` — so
+    /// the count cannot go stale.
+    num_nodes: OnceLock<usize>,
 }
 
 impl CommInner {
@@ -27,6 +32,7 @@ impl CommInner {
             id,
             members,
             local_of,
+            num_nodes: OnceLock::new(),
         }
     }
 }
@@ -73,6 +79,20 @@ impl Communicator {
     /// All members' global ranks in communicator order.
     pub fn members(&self) -> &[usize] {
         &self.inner.members
+    }
+
+    /// Number of distinct nodes hosting the members under `map`, which
+    /// must be the universe's own rank map ([`Ctx::map`]). Counted on the
+    /// first call and cached in the state all member handles share, so
+    /// algorithm selection can ask on every collective call for free.
+    pub fn num_nodes(&self, map: &simnet::RankMap) -> usize {
+        *self.inner.num_nodes.get_or_init(|| {
+            let mut seen = vec![false; map.num_nodes()];
+            let members = self.inner.members.iter();
+            members
+                .filter(|&&g| !std::mem::replace(&mut seen[map.node_of(g)], true))
+                .count()
+        })
     }
 
     /// `MPI_Comm_split`: partition members by `color`; order each group by

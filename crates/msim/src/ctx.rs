@@ -1,6 +1,6 @@
 //! The per-rank execution context.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -12,7 +12,7 @@ use crate::elem::ShmElem;
 use crate::error::SimError;
 use crate::fault::KILL_MARKER;
 use crate::ft::{AgreeOutcome, CommitOutcome, FtWatch, GrowOutcome, WaitError, FT_POLL_SLICE};
-use crate::mailbox::MatchKey;
+use crate::mailbox::{MatchKey, SlotMap};
 use crate::msg::{Packet, Payload};
 use crate::request::Drive;
 use crate::universe::{DataMode, Shared};
@@ -42,7 +42,7 @@ pub struct Ctx {
     /// of outstanding nonblocking receives, per matching key, FIFO. Every
     /// packet-obtaining path checks the stash before the mailbox, so a
     /// claimed packet can never be stranded.
-    stash: HashMap<MatchKey, VecDeque<Packet>>,
+    stash: SlotMap,
     /// Keys with an outstanding nonblocking receive, in registration
     /// order (the deterministic drain order at park sites).
     watched: Vec<MatchKey>,
@@ -68,7 +68,7 @@ impl Ctx {
             win_seq: 0,
             ft_epoch: 0,
             op_label: String::new(),
-            stash: HashMap::new(),
+            stash: SlotMap::default(),
             watched: Vec::new(),
             progress_claims: 0,
             req_seq: 0,
@@ -491,12 +491,7 @@ impl Ctx {
     /// Pop the oldest claimed packet for `key`, if the progress engine
     /// stashed one.
     fn take_stashed(&mut self, key: MatchKey) -> Option<Packet> {
-        let q = self.stash.get_mut(&key)?;
-        let p = q.pop_front();
-        if q.is_empty() {
-            self.stash.remove(&key);
-        }
-        p
+        self.stash.pop_front(key)
     }
 
     /// The progress engine: claim every immediately-available packet for
@@ -514,7 +509,7 @@ impl Ctx {
         for i in 0..self.watched.len() {
             let key = self.watched[i];
             while let Some(p) = mailbox.try_pop_now(key) {
-                self.stash.entry(key).or_default().push_back(p);
+                self.stash.push_back(key, p);
                 self.progress_claims += 1;
             }
         }
@@ -531,7 +526,7 @@ impl Ctx {
     /// dropped after its packet was consumed) — the chaos harness pins
     /// this after every campaign round.
     pub fn open_interests(&self) -> usize {
-        self.watched.len() + self.stash.values().map(VecDeque::len).sum::<usize>()
+        self.watched.len() + self.stash.len()
     }
 
     /// Nonblocking receive attempt: complete the message from `src` with

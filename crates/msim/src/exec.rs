@@ -589,6 +589,13 @@ thread_local! {
 /// / [`crate::calendar::CalendarCore::wake`]) or `deadline` expires.
 /// Must only be called from inside a coroutine-hosted rank program (the
 /// blocking wait-paths guarantee this by checking [`ExecCtl::parks_ranks`]).
+///
+/// Never inlined: a pooled coroutine may resume on a different worker
+/// thread than the one it parked on, and a caller that parks in a loop
+/// must look `CURRENT_TASK` up afresh each time — inlined, the compiler
+/// is free to compute the thread-local's address once before the loop,
+/// leaving later iterations with the previous worker's slot.
+#[inline(never)]
 pub(crate) fn park_current(deadline: Instant) {
     let task = CURRENT_TASK.with(|c| c.get());
     assert!(

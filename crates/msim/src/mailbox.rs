@@ -11,13 +11,129 @@
 use crate::exec::{self, ExecCtl};
 use crate::msg::Packet;
 use simnet::rng::{mix, Rng64};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Matching key: (communicator context id, source rank in that
 /// communicator, user tag).
 pub(crate) type MatchKey = (u32, usize, u32);
+
+/// Multiply-rotate hash of a [`MatchKey`]'s three small integers. The
+/// keys are minted by the simulator itself (context ids, ranks, tags),
+/// never taken from outside the program, so SipHash's protection against
+/// crafted collisions buys nothing here and costs two rounds per message.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply pushes entropy towards the high bits; the table
+        // indexes with the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+/// The packets queued under one key. Almost every key holds at most one
+/// packet at a time (a collective round's message, a flag), so that one
+/// lives in the map bucket itself; a queue is allocated only when a
+/// second packet arrives before the first was matched.
+#[derive(Debug)]
+enum Slot {
+    One(Packet),
+    /// Two or more at the time of the spill; never empty.
+    Many(VecDeque<Packet>),
+}
+
+/// Per-key FIFO packet queues: the matchable part of a [`Mailbox`] and
+/// the progress engine's stash in [`crate::Ctx`]. Nothing iterates it —
+/// every access names its key — so no observable order depends on the
+/// hasher.
+#[derive(Debug, Default)]
+pub(crate) struct SlotMap {
+    slots: HashMap<MatchKey, Slot, BuildHasherDefault<KeyHasher>>,
+    /// Packets held over all keys.
+    len: usize,
+}
+
+impl SlotMap {
+    /// Queue `packet` behind whatever `key` already holds.
+    pub(crate) fn push_back(&mut self, key: MatchKey, packet: Packet) {
+        self.len += 1;
+        match self.slots.entry(key) {
+            Entry::Vacant(v) => {
+                v.insert(Slot::One(packet));
+            }
+            Entry::Occupied(mut e) => {
+                let slot = e.get_mut();
+                let mut queue = match std::mem::replace(slot, Slot::Many(VecDeque::new())) {
+                    // A key that queues two usually queues more (a sender
+                    // streaming under one tag): start where a fresh
+                    // `VecDeque` would, not at two.
+                    Slot::One(first) => {
+                        let mut queue = VecDeque::with_capacity(4);
+                        queue.push_back(first);
+                        queue
+                    }
+                    Slot::Many(queue) => queue,
+                };
+                queue.push_back(packet);
+                *slot = Slot::Many(queue);
+            }
+        }
+    }
+
+    /// Take the oldest packet under `key`, dropping the entry (and a
+    /// spilled queue) with its last packet.
+    pub(crate) fn pop_front(&mut self, key: MatchKey) -> Option<Packet> {
+        // `remove`, not `entry`: a miss must not reserve table space, and
+        // the usual hit empties the slot anyway.
+        let packet = match self.slots.remove(&key)? {
+            Slot::One(packet) => packet,
+            Slot::Many(mut queue) => {
+                let packet = queue.pop_front()?;
+                if !queue.is_empty() {
+                    self.slots.insert(key, Slot::Many(queue));
+                }
+                packet
+            }
+        };
+        self.len -= 1;
+        Some(packet)
+    }
+
+    /// Packets held over all keys.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether `key`'s packets have spilled into a queue (`None`: no
+    /// packet under `key`).
+    #[cfg(test)]
+    fn spilled(&self, key: MatchKey) -> Option<bool> {
+        self.slots.get(&key).map(|s| matches!(s, Slot::Many(_)))
+    }
+}
 
 /// Seeded delivery-order fuzzing for one mailbox (see module docs).
 #[derive(Debug, Clone, Copy)]
@@ -30,7 +146,7 @@ pub(crate) struct StageFuzz {
 
 #[derive(Debug, Default)]
 struct State {
-    queues: HashMap<MatchKey, VecDeque<Packet>>,
+    queues: SlotMap,
     /// Packets withheld by the fuzzer, in arrival order.
     staged: Vec<(MatchKey, Packet)>,
     /// Total pushes / flushes so far — the fuzzer's event counters.
@@ -61,9 +177,8 @@ impl State {
         rng.shuffle(&mut keys);
         self.flushes += 1;
         for key in keys {
-            let queue = self.queues.entry(key).or_default();
             for packet in groups.remove(&key).unwrap() {
-                queue.push_back(packet);
+                self.queues.push_back(key, packet);
             }
         }
     }
@@ -119,9 +234,7 @@ impl Mailbox {
         let mut s = self.lock();
         s.pushes += 1;
         match self.fuzz {
-            None => {
-                s.queues.entry(key).or_default().push_back(packet);
-            }
+            None => s.queues.push_back(key, packet),
             Some(fuzz) => {
                 s.staged.push((key, packet));
                 let threshold = 1 + (mix(fuzz.seed, s.pushes, 0, 0x7B05) as usize) % fuzz.max_stage;
@@ -152,15 +265,7 @@ impl Mailbox {
             // a valid schedule into a timeout.
             s.flush(&fuzz);
         }
-        if let Some(queue) = s.queues.get_mut(&key) {
-            if let Some(packet) = queue.pop_front() {
-                if queue.is_empty() {
-                    s.queues.remove(&key);
-                }
-                return Some(packet);
-            }
-        }
-        None
+        s.queues.pop_front(key)
     }
 
     /// Pop a packet matching `key` only if one is immediately matchable —
@@ -178,47 +283,55 @@ impl Mailbox {
     /// pooled mode "block" means parking the calling coroutine, freeing
     /// its worker thread to run other ranks.
     pub(crate) fn pop(&self, key: MatchKey, timeout: Duration) -> Option<Packet> {
+        let mut s = self.lock();
+        if let Some(packet) = Self::try_pop(&mut s, self.fuzz, key) {
+            return Some(packet);
+        }
+        // Only a receiver that has to wait reads the wall clock.
+        if timeout.is_zero() {
+            return None;
+        }
         let deadline = Instant::now() + timeout;
         if self.exec.parks_ranks() {
-            return self.pop_pooled(key, deadline);
+            drop(s);
+            return self.pop_parked(key, deadline);
         }
-        let mut s = self.lock();
+        let mut remaining = timeout;
         loop {
+            s = self
+                .arrived
+                .wait_timeout(s, remaining)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            // Recheck the queue *before* the deadline: a push that raced
+            // the deadline must deliver, not time out.
             if let Some(packet) = Self::try_pop(&mut s, self.fuzz, key) {
                 return Some(packet);
             }
-            let remaining = deadline.saturating_duration_since(Instant::now());
+            remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
-                return None;
-            }
-            let (guard, wait) = self
-                .arrived
-                .wait_timeout(s, remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-            s = guard;
-            if wait.timed_out() && Instant::now() >= deadline {
                 return None;
             }
         }
     }
 
-    fn pop_pooled(&self, key: MatchKey, deadline: Instant) -> Option<Packet> {
+    /// The wait half of [`Mailbox::pop`] under a parking executor, entered
+    /// after a first match attempt missed.
+    fn pop_parked(&self, key: MatchKey, deadline: Instant) -> Option<Packet> {
         loop {
-            {
-                let mut s = self.lock();
-                // Recheck the queue *before* the deadline: a wake that
-                // raced the deadline must deliver, not time out.
-                if let Some(packet) = Self::try_pop(&mut s, self.fuzz, key) {
-                    return Some(packet);
-                }
-                if Instant::now() >= deadline {
-                    return None;
-                }
-            }
-            // A push that lands here (between unlock and park) still
-            // wakes us: the executor records the wake token against our
-            // Running state and re-readies the park immediately.
+            // A push that landed since the miss (between unlock and park)
+            // still wakes us: the executor records the wake token against
+            // our Running state and re-readies the park immediately.
             exec::park_current(deadline);
+            let mut s = self.lock();
+            // Recheck the queue *before* the deadline: a wake that raced
+            // the deadline must deliver, not time out.
+            if let Some(packet) = Self::try_pop(&mut s, self.fuzz, key) {
+                return Some(packet);
+            }
+            if Instant::now() >= deadline {
+                return None;
+            }
         }
     }
 
@@ -226,7 +339,7 @@ impl Mailbox {
     #[cfg(test)]
     pub(crate) fn queued(&self) -> usize {
         let s = self.lock();
-        s.queues.values().map(|v| v.len()).sum::<usize>() + s.staged.len()
+        s.queues.len() + s.staged.len()
     }
 }
 
@@ -234,6 +347,8 @@ impl Mailbox {
 mod tests {
     use super::*;
     use crate::msg::Payload;
+    use simnet::rng::check_cases;
+    use std::cell::Cell;
     use std::sync::Arc;
 
     fn pkt(src: usize, tag: u32) -> Packet {
@@ -354,6 +469,64 @@ mod tests {
             }
             let got = h.join().unwrap();
             assert_eq!(got, (0..50usize).collect::<Vec<_>>());
+        }
+    }
+
+    /// Random push/pop interleavings over a few keys against a per-key
+    /// `VecDeque` model: pops come back in per-key FIFO order, a pop on
+    /// an empty key (zero timeout) misses at once, `queued()` matches the
+    /// model after every step — fuzzed or not — and the slots really go
+    /// inline → spilled → inline again along the way.
+    #[test]
+    fn random_interleavings_match_a_per_key_fifo_model() {
+        for fuzzed in [false, true] {
+            let cycled = Cell::new(false);
+            check_cases(0x5107, 200, |rng| {
+                let fuzz = fuzzed.then(|| StageFuzz {
+                    seed: rng.next_u64(),
+                    max_stage: rng.usize_in(1, 5),
+                });
+                let mb = Mailbox::unpooled(fuzz);
+                let nkeys = rng.usize_in(1, 5);
+                let keys: Vec<MatchKey> = (0..nkeys).map(|k| (k as u32 % 2, k, 7)).collect();
+                let mut model = vec![VecDeque::new(); nkeys];
+                // Per key: the distinct slot shapes seen so far, as
+                // spilled-or-not (an emptied key does not reset it).
+                let mut shapes: Vec<Vec<bool>> = vec![Vec::new(); nkeys];
+                let mut stamp = 0.0;
+                for _ in 0..rng.usize_in(20, 120) {
+                    let k = rng.usize_in(0, nkeys);
+                    if model[k].len() < 5 && rng.chance(0.55) {
+                        stamp += 1.0;
+                        let mut p = pkt(keys[k].1, keys[k].2);
+                        p.arrival = stamp;
+                        mb.push(keys[k], p);
+                        model[k].push_back(stamp);
+                    } else {
+                        let got = mb.pop(keys[k], Duration::ZERO).map(|p| p.arrival);
+                        assert_eq!(got, model[k].pop_front(), "key {k} lost FIFO order");
+                    }
+                    assert_eq!(mb.queued(), model.iter().map(VecDeque::len).sum::<usize>());
+                    let s = mb.lock();
+                    for (key, seen) in keys.iter().zip(&mut shapes) {
+                        if let Some(spilled) = s.queues.spilled(*key) {
+                            if seen.last() != Some(&spilled) {
+                                seen.push(spilled);
+                            }
+                        }
+                    }
+                }
+                if shapes
+                    .iter()
+                    .any(|seen| seen.starts_with(&[false, true, false]))
+                {
+                    cycled.set(true);
+                }
+            });
+            assert!(
+                cycled.get(),
+                "fuzzed={fuzzed}: no key ever went inline -> spilled -> inline"
+            );
         }
     }
 }

@@ -26,6 +26,10 @@ pub(crate) const KIND_SETUP: u8 = 3;
 struct Entry {
     expected: usize,
     deposits: Vec<(usize, Box<dyn Any + Send>)>,
+    /// One bit per member, set at its deposit: the O(1) answer to "has
+    /// member `m` deposited?" (`deposits` is in arrival order, and a
+    /// world-sized rendezvous asks once per member).
+    deposited: Vec<u64>,
     result: Option<Arc<dyn Any + Send + Sync>>,
     taken: usize,
     /// Global ranks parked (pooled mode) waiting for the result; the
@@ -38,6 +42,14 @@ struct Entry {
 pub(crate) struct OobBoard {
     entries: Mutex<HashMap<BoardKey, Entry>>,
     done: Condvar,
+}
+
+impl Entry {
+    fn has_deposited(&self, member: usize) -> bool {
+        self.deposited
+            .get(member / 64)
+            .is_some_and(|word| word & (1 << (member % 64)) != 0)
+    }
 }
 
 impl OobBoard {
@@ -118,6 +130,7 @@ impl OobBoard {
         let entry = entries.entry(key).or_insert_with(|| Entry {
             expected,
             deposits: Vec::with_capacity(expected),
+            deposited: vec![0; expected.div_ceil(64)],
             result: None,
             taken: 0,
             waiting: Vec::new(),
@@ -127,9 +140,14 @@ impl OobBoard {
             "rendezvous members disagree on the group size (SPMD bug)"
         );
         assert!(
-            !entry.deposits.iter().any(|(m, _)| *m == member),
+            member < expected,
+            "member {member} is outside the rendezvous group of {expected} (SPMD bug)"
+        );
+        assert!(
+            !entry.has_deposited(member),
             "member {member} deposited twice under the same key (SPMD bug)"
         );
+        entry.deposited[member / 64] |= 1 << (member % 64);
         entry.deposits.push((member, Box::new(value)));
 
         if entry.deposits.len() == expected {
@@ -184,16 +202,14 @@ impl OobBoard {
                     // lock hold): a watched member that is dead/diverted
                     // and never deposited can no longer arrive, so the
                     // rendezvous is unfinishable — unwind with the typed
-                    // error. `deposits` is keyed by communicator-local
+                    // error. `deposited` is keyed by communicator-local
                     // rank, matching `w.members` order.
                     for (l, &g) in w.members.iter().enumerate() {
                         if l == member {
                             continue;
                         }
                         let dead = w.live.is_dead(g);
-                        if (dead || w.live.diverted_past(g, w.epoch))
-                            && !entry.deposits.iter().any(|(m, _)| *m == l)
-                        {
+                        if (dead || w.live.diverted_past(g, w.epoch)) && !entry.has_deposited(l) {
                             std::panic::panic_any(if dead {
                                 WaitError::RankFailed {
                                     rank: me_global,
@@ -354,6 +370,68 @@ mod tests {
             board.entries.lock().unwrap().is_empty(),
             "entries must be cleaned up"
         );
+    }
+
+    /// Deposit for `member` with nobody else coming: the call must panic
+    /// (in the depositor, which is what `catch_unwind` observes here);
+    /// returns the message. A timed-out deposit stays on the board.
+    fn lone_deposit_panic(board: &OobBoard, member: usize, expected: usize) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            board.rendezvous(
+                &ExecCtl::Threads,
+                member,
+                (3, 0, KIND_SETUP),
+                member,
+                expected,
+                (),
+                Duration::from_millis(1),
+                |_| (),
+            )
+        }))
+        .expect_err("a lone deposit cannot complete");
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => (*p.downcast::<&str>().expect("string panic payload")).to_string(),
+        }
+    }
+
+    #[test]
+    fn duplicate_deposit_panics_in_the_depositor_across_bitset_words() {
+        for member in [0, 63, 64, 65] {
+            let board = OobBoard::new();
+            let first = lone_deposit_panic(&board, member, 130);
+            assert!(first.contains("timed out"), "member {member}: {first}");
+            let again = lone_deposit_panic(&board, member, 130);
+            assert!(
+                again.contains(&format!(
+                    "member {member} deposited twice under the same key"
+                )),
+                "member {member}: {again}"
+            );
+            // The neighbouring bits stay clear: a different member is a
+            // first deposit, not a duplicate.
+            let other = lone_deposit_panic(&board, member + 1, 130);
+            assert!(
+                other.contains("timed out"),
+                "member {}: {other}",
+                member + 1
+            );
+        }
+    }
+
+    #[test]
+    fn member_outside_the_group_panics_instead_of_indexing_out_of_bounds() {
+        // 64 members fill exactly one bitset word; member 64 would index
+        // the word after it.
+        for (member, expected) in [(2, 2), (64, 64), (200, 3)] {
+            let msg = lone_deposit_panic(&OobBoard::new(), member, expected);
+            assert!(
+                msg.contains(&format!(
+                    "member {member} is outside the rendezvous group of {expected}"
+                )),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

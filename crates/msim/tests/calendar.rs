@@ -14,9 +14,12 @@ use msim::{
 };
 use simnet::{ClusterSpec, CostModel};
 
+/// A timeout that only has to outlast a loaded host (thread-per-rank
+/// legs share the cores with the other test binaries): the two tests
+/// that wait a timeout out set their own short one.
 fn cfg(spec: ClusterSpec) -> SimConfig {
     SimConfig::new(spec, CostModel::uniform_test())
-        .with_recv_timeout(Duration::from_millis(500))
+        .with_recv_timeout(Duration::from_secs(10))
         .phantom()
         .traced()
 }
@@ -161,6 +164,8 @@ fn events_injected_kill_surfaces_identically() {
         let plan = FaultPlan::none().with_kill(2, 3);
         Universe::run(
             cfg(ClusterSpec::regular(1, 4))
+                // The victim's ring neighbours only stop by timing out.
+                .with_recv_timeout(Duration::from_millis(500))
                 .with_fault(plan)
                 .with_exec(exec),
             |ctx| ring(ctx, 8),

@@ -1,7 +1,7 @@
 //! Communicator API invariants: rank translation, nested splits,
 //! determinism of the split machinery.
 
-use msim::{Payload, SimConfig, Universe};
+use msim::{Communicator, Ctx, Payload, SimConfig, Universe};
 use simnet::{ClusterSpec, CostModel};
 
 fn cfg(nodes: usize, ppn: usize) -> SimConfig {
@@ -122,4 +122,48 @@ fn undefined_color_excludes_rank_everywhere() {
     })
     .unwrap();
     assert!(r.per_rank.iter().all(|&ok| ok));
+}
+
+/// The reference `Communicator::num_nodes` replaced: collect every
+/// member's node, sort, dedup, count.
+fn nodes_by_sort_dedup(ctx: &Ctx, comm: &Communicator) -> usize {
+    let mut nodes: Vec<usize> = comm
+        .members()
+        .iter()
+        .map(|&g| ctx.map().node_of(g))
+        .collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    nodes.len()
+}
+
+#[test]
+fn num_nodes_matches_sort_dedup_on_world_shm_bridge_and_strided_comms() {
+    for spec in [
+        ClusterSpec::regular(4, 6),
+        ClusterSpec::irregular(vec![1, 3, 4]),
+    ] {
+        let nodes = spec.num_nodes();
+        let r = Universe::run(SimConfig::new(spec, CostModel::uniform_test()), |ctx| {
+            let world = ctx.world();
+            let shm = world.split_shared(ctx);
+            let bridge = world.split_bridge(ctx, &shm);
+            // Every third rank: members skip nodes unevenly.
+            let strided = world.split(ctx, Some((ctx.rank() % 3) as i64), 0).unwrap();
+            let mut counts = Vec::new();
+            for comm in [Some(&world), Some(&shm), bridge.as_ref(), Some(&strided)] {
+                let Some(comm) = comm else { continue };
+                let n = comm.num_nodes(ctx.map());
+                assert_eq!(n, nodes_by_sort_dedup(ctx, comm));
+                // The cached answer is the same answer.
+                assert_eq!(n, comm.num_nodes(ctx.map()));
+                counts.push(n);
+            }
+            counts
+        })
+        .unwrap();
+        // Rank 0 leads its node, so it holds all four communicators:
+        // world and bridge span every node, shm exactly one.
+        assert_eq!(r.per_rank[0][..3], [nodes, 1, nodes]);
+    }
 }

@@ -212,6 +212,40 @@ fn agree_and_shrink_exclude_the_dead() {
     assert_eq!(r.per_rank[2], Some((vec![0, 2], 1)));
 }
 
+/// A shrunk communicator counts its own nodes: the world's count was
+/// cached before the failure, and losing a whole node must not leak
+/// that stale figure into the survivors' communicator.
+#[test]
+fn shrink_recounts_nodes_after_a_node_dies() {
+    let plan = FaultPlan::none().with_node_kill(1, 0);
+    let r = Universe::run_ft(cfg(3, 2).with_fault(plan), |ctx| {
+        let world = ctx.world();
+        assert_eq!(world.num_nodes(ctx.map()), 3);
+        if ctx.node() == 1 {
+            ctx.compute(1.0); // the kill op
+            return (0, 0);
+        }
+        ctx.recv_deadline(&world, 2, 9).expect_err("rank 2 is dead");
+        ctx.ft_divert(1);
+        let outcome = ctx.ft_agree(&world, 0);
+        let shrunk = world.shrink(ctx, &outcome);
+        ctx.set_ft_epoch(1);
+        let mut nodes: Vec<usize> = shrunk
+            .members()
+            .iter()
+            .map(|&g| ctx.map().node_of(g))
+            .collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        (shrunk.num_nodes(ctx.map()), nodes.len())
+    })
+    .unwrap();
+    assert_eq!(r.failed, vec![2, 3]);
+    for rank in [0, 1, 4, 5] {
+        assert_eq!(r.per_rank[rank], Some((2, 2)), "rank {rank}");
+    }
+}
+
 /// A node kill is correlated: every rank resident on the node dies at
 /// its own op index, and survivors see each death as a typed failure.
 #[test]
