@@ -105,7 +105,10 @@
 #           stale-grow bug (survivors keep the pre-grow communicator)
 #           must be caught by the checker, proving the oracle is not
 #           vacuous. Budgeted by CHAOS_BUDGET_S; `--quick` runs 1 seed.
-#   smoke   pinned-seed fault-injection + autotune + tuning-table goldens
+#   smoke   pinned-seed fault-injection + autotune + tuning-table goldens,
+#           and results/fig12.txt + results/trace_report.txt `cmp`-equal
+#           to a fresh run of their binaries (both are deterministic:
+#           virtual time and schedule-independent counts only)
 #   perf    wall-clock gate: `scale --ranks 96 --ci` (pooled, temp
 #           artifact) and `scale --exec events --ranks 65536 --ci`
 #           (calendar, temp artifact) each fail if measured wall-clock
@@ -179,12 +182,21 @@ trap on_exit EXIT
 SCALE_BUDGET_S=1.0
 
 # Stored wall-clock budget (seconds) for the 65536-rank event-calendar
-# point (events + perf stages). Measured 2.0 s alone and up to 4.2 s
-# right behind a test build (single driver thread; 11.8 s on the same
-# host before set-up went linear in ranks and the message path stopped
-# allocating — BENCH_scale.json, CHANGES.md PR 15); 8 s absorbs load
-# noise and a slower host, the 25% slack puts the hard limit at 10 s,
-# and a slide back to the quadratic set-up still trips it.
+# point (events + perf stages), single driver thread. Measured
+# 1.7-1.9 s alone (3.1 s worst of 8 on a loud host; the parent commit
+# 2.0-2.2 s, worst 3.2 s, in the same alternating series — CHANGES.md
+# PR 21). Where the 1.8 s go, from timing the rank program cut off
+# after each step: launch + 65536 fresh stacks 0.3 s, hierarchy +
+# HybridComm 0.35 s, window allocation 0.05 s, the world barrier before
+# the timed region 0.7 s (16 rounds x 65536 messages, every one to a
+# rank whose stack and mailbox are cold — node affinity cannot help a
+# global barrier), the timed allgather 0.3 s (this is the part the
+# node-affine resume order shortened; at 4096 ranks, where the rest
+# fits in cache, it is most of the pass). The budget stays at 8 s: the
+# 0.2-0.3 s this point gained is inside the host's own spread (both
+# commits' worst cases sit at 3.1-3.2 s), 8 s absorbs load noise and a
+# slower host, the 25% slack puts the hard limit at 10 s, and a slide
+# back to quadratic set-up (11.8 s before PR 15) still trips it.
 EVENTS_BUDGET_S=8.0
 
 # Stored wall-clock budget (seconds) for the mcheck stage's exhaustive
@@ -412,6 +424,13 @@ stage_smoke() {
     cargo run --release -p bench --bin tune -- --verify-golden results/tuning/nec_infiniband.json
     # The freshly swept table must match the checked-in golden exactly.
     cmp /tmp/ci_tuning_table.json results/tuning/cray_aries.json
+
+    # Committed result files that went stale unnoticed once (fig12 on
+    # all six rows, trace_report 13 lines short): both binaries print
+    # only virtual times and schedule-independent counts, so a fresh run
+    # must reproduce the file byte for byte.
+    cargo run --release -p bench --bin fig12 | cmp - results/fig12.txt
+    cargo run --release -p bench --bin trace_report | cmp - results/trace_report.txt
 }
 
 stage_perf() {
@@ -468,7 +487,7 @@ describe_stage() {
     overlap) echo "split-phase: iexecute wall, app overlap wins, BENCH_overlap" ;;
     multileader) echo "leader count: digest fixture, uneven-node wall, BENCH_multileader byte-identical" ;;
     chaos) echo "chaos soak: seeded fault campaigns + invariant oracle + mutant probe" ;;
-    smoke) echo "pinned-seed fault injection + autotune + tuning-table goldens" ;;
+    smoke) echo "pinned-seed fault injection + autotune + tuning-table goldens + stale-results cmp" ;;
     perf) echo "wall-clock budgets (96-rank pooled, 65536-rank events), BENCH_scale" ;;
     *) echo "?" ;;
     esac

@@ -3,8 +3,13 @@
 //! executor, then 8192 → 262144 on the event-calendar executor — far
 //! past what any thread-backed execution can host. Emits
 //! `BENCH_scale.json` (canonical JSON, same serializer as the tuning
-//! tables) with wall-clock seconds, virtual latency, the executor, and
-//! the peak OS thread count per point — the repo's wall-clock
+//! tables) with wall-clock seconds, virtual latency, the executor, the
+//! peak OS thread count and the executor's own counters per point
+//! (`resumes` and `node_turns` — their quotient is the mean run of
+//! same-node resumes the node-affine ready queue achieved; `node_turns`
+//! is 0 where a pool wider than one worker pops a flat FIFO instead —
+//! and whether the stack arena was `arena_reused` from the previous
+//! point, with its `arena_mapped_bytes`) — the repo's wall-clock
 //! performance trajectory, gated by `ci.sh perf`.
 //!
 //! ```text
@@ -34,7 +39,7 @@ use bench::Machine;
 use collectives::barrier;
 use collectives::json::Json;
 use hmpi::{HyAllgather, HybridComm, SyncMethod};
-use msim::{ExecMode, SimConfig, Universe};
+use msim::{ExecMode, SimConfig, SimStats, Universe};
 use simnet::ClusterSpec;
 
 /// The pooled/threads ladder: the paper's 24-ppn scales (Figs 7–12 live
@@ -89,6 +94,7 @@ struct Point {
     latency_us: f64,
     wall_s: f64,
     peak_threads: usize,
+    stats: SimStats,
 }
 
 /// Simulate the hybrid allgather once at `nodes`×`ppn` and measure the
@@ -131,9 +137,10 @@ fn run_point(nodes: usize, ppn: usize, exec: ExecMode, machine: &Machine) -> Poi
         ranks,
         exec,
         iters,
-        latency_us: result.per_rank.into_iter().fold(0.0f64, f64::max),
         wall_s,
         peak_threads: result.peak_threads,
+        stats: result.stats,
+        latency_us: result.per_rank.into_iter().fold(0.0f64, f64::max),
     }
 }
 
@@ -149,13 +156,20 @@ fn to_json(points: &[Point], total_wall_s: f64) -> Json {
                 .iter()
                 .map(|p| {
                     let mut m = BTreeMap::new();
+                    m.insert(
+                        "arena_mapped_bytes".into(),
+                        Json::Num(p.stats.arena_mapped_bytes as f64),
+                    );
+                    m.insert("arena_reused".into(), Json::Bool(p.stats.arena_reused));
                     m.insert("exec".into(), Json::Str(exec_label(p.exec).into()));
                     m.insert("iters".into(), Json::Num(p.iters as f64));
                     m.insert("latency_us".into(), Json::Num(p.latency_us));
+                    m.insert("node_turns".into(), Json::Num(p.stats.node_turns as f64));
                     m.insert("nodes".into(), Json::Num(p.nodes as f64));
                     m.insert("peak_threads".into(), Json::Num(p.peak_threads as f64));
                     m.insert("ppn".into(), Json::Num(p.ppn as f64));
                     m.insert("ranks".into(), Json::Num(p.ranks as f64));
+                    m.insert("resumes".into(), Json::Num(p.stats.resumes as f64));
                     // Round to µs so the artifact stays human-diffable.
                     m.insert("wall_s".into(), Json::Num((p.wall_s * 1e6).round() / 1e6));
                     Json::Obj(m)
@@ -172,7 +186,7 @@ fn to_json(points: &[Point], total_wall_s: f64) -> Json {
 
 /// The CI artifact check: the emitted file must round-trip the canonical
 /// serializer byte-for-byte (parse → pretty → same bytes), and every
-/// point must carry an executor label.
+/// point must carry an executor label and the executor's counters.
 fn verify(path: &str) -> ExitCode {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -206,6 +220,12 @@ fn verify(path: &str) -> ExitCode {
         if !matches!(exec, Some("pooled" | "threads" | "events")) {
             eprintln!("scale: {path} point {i} has no recognized \"exec\" label");
             return ExitCode::FAILURE;
+        }
+        for counter in ["resumes", "node_turns", "arena_mapped_bytes"] {
+            if p.get(counter).and_then(|c| c.as_usize()).is_none() {
+                eprintln!("scale: {path} point {i} lacks the \"{counter}\" counter");
+                return ExitCode::FAILURE;
+            }
         }
     }
     println!(
@@ -298,8 +318,15 @@ fn main() -> ExitCode {
     let t0 = Instant::now();
     for (nodes, ppn, exec) in work {
         let p = run_point(nodes, ppn, exec, &machine);
+        let per_turn = match p.stats.node_turns {
+            0 => String::new(),
+            turns => format!(
+                ", {:.1} resumes per node turn",
+                p.stats.resumes as f64 / turns as f64
+            ),
+        };
         println!(
-            "scale: {} ranks ({}x{}, {}): {:.3} s wall, {:.1} us virtual, {} OS thread(s)",
+            "scale: {} ranks ({}x{}, {}): {:.3} s wall, {:.1} us virtual, {} OS thread(s){per_turn}",
             p.ranks,
             p.nodes,
             p.ppn,

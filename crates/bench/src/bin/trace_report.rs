@@ -91,7 +91,12 @@ fn main() {
     // Decision log: the same hybrid allgather under the autotune policy.
     // Each row is one distinct (op, algorithm) selection with the cost
     // estimate that justified it; the count says how many ranks recorded
-    // it (also visible in the trace as `decisions` events).
+    // it (also visible in the trace as `decisions` events). Only the rank
+    // that selects first computes the estimate — the others hit the
+    // policy's shared cache — and which rank that is depends on the
+    // executor's resume order, so the row shows the estimate whoever
+    // recorded it (the smallest, should one pair have several): the
+    // report must not change with the schedule.
     let policy = SelectionPolicy::autotune(m.tuning.clone());
     let handle = policy.clone();
     let cfg = SimConfig::new(spec.clone(), m.cost.clone())
@@ -112,7 +117,13 @@ fn main() {
             .iter_mut()
             .find(|(op, algo, _, _)| *op == d.op.key() && *algo == d.algo)
         {
-            Some(row) => row.3 += 1,
+            Some(row) => {
+                row.3 += 1;
+                let is_hit = |why: &str| why.contains("cache hit");
+                if (is_hit(&d.why), &d.why) < (is_hit(&row.2), &row.2) {
+                    row.2 = d.why;
+                }
+            }
             None => rows.push((d.op.key().to_string(), d.algo.to_string(), d.why, 1)),
         }
     }

@@ -97,6 +97,26 @@ fn events_points_ran_on_a_single_thread() {
     }
 }
 
+/// Every point shows the mechanism next to the wall clock it bought:
+/// the executor's resume and node-turn counts and the stack arena it
+/// ran on, each rank resumed at least once.
+#[test]
+fn every_point_carries_the_executor_counters() {
+    let (_, doc) = artifact();
+    for p in doc.get("points").and_then(|p| p.as_arr()).unwrap() {
+        let count = |key: &str| {
+            p.get(key)
+                .and_then(|v| v.as_usize())
+                .unwrap_or_else(|| panic!("point lacks the {key} counter: {p:?}"))
+        };
+        let ranks = count("ranks");
+        assert!(count("resumes") >= ranks, "{p:?}");
+        assert!(count("arena_mapped_bytes") >= ranks * (64 << 10), "{p:?}");
+        assert!(p.get("arena_reused").is_some(), "{p:?}");
+        count("node_turns");
+    }
+}
+
 fn overlap_artifact() -> (String, Json) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_overlap.json");
     let text = std::fs::read_to_string(path).expect("BENCH_overlap.json must be committed");

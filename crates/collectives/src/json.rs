@@ -5,10 +5,19 @@
 //! hand-rolls the small JSON subset it needs: objects, arrays, strings,
 //! unsigned integers, floats and booleans. Escapes beyond `\" \\ \/ \n
 //! \r \t \u` are not produced and not accepted; this is a data format
-//! for our own files, not a general-purpose parser.
+//! for our own files, not a general-purpose parser. The files are still
+//! outside input (certificates, tuning tables, artifacts passed to
+//! `--verify`), so malformed text is an `Err`, never a panic: the
+//! recursive-descent parser refuses nesting beyond [`MAX_DEPTH`] instead
+//! of recursing until the stack overflows.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. Our own
+/// files nest five or six levels; 128 leaves room and keeps the parser's
+/// (and the serializer's and `Drop`'s) recursion a few kilobytes of stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value. Object keys are kept sorted (`BTreeMap`) so that
 /// serialization is canonical: parse → write is byte-stable, which the
@@ -75,11 +84,12 @@ impl Json {
         self.as_obj().and_then(|m| m.get(key))
     }
 
-    /// Parse a JSON document.
+    /// Parse a JSON document. Errors name the byte offset; a document
+    /// nested deeper than [`MAX_DEPTH`] is an error like any other.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -103,12 +113,18 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse the value at `pos`, which sits inside `depth` open arrays and
+/// objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_str(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -193,7 +209,7 @@ fn utf8_width(first: u8) -> usize {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // [
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -202,7 +218,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -215,7 +231,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // {
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -234,7 +250,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected `:` at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(b, pos, depth)?;
         map.insert(key, val);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -368,6 +384,29 @@ mod tests {
         assert!(Json::parse("\"open").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("{'a': 1}").is_err());
+    }
+
+    /// Nesting is capped, with a positioned error, instead of recursing
+    /// until the stack overflows (which aborts the process).
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let nested = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        // Hostile: far past any stack, never closed.
+        let err = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(err, "nesting deeper than 128 levels at byte 128");
+        // Exactly at the cap parses (and serializes, and drops) ...
+        let at_cap = Json::parse(&nested("[", "]", MAX_DEPTH)).unwrap();
+        assert_eq!(Json::parse(&at_cap.pretty()).unwrap(), at_cap);
+        // ... one level past it does not, arrays and objects alike.
+        let err = Json::parse(&nested("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, "nesting deeper than 128 levels at byte 128");
+        let objects = r#"{"k":"#.repeat(MAX_DEPTH + 1) + "0" + &"}".repeat(MAX_DEPTH + 1);
+        let err = Json::parse(&objects).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than 128 levels at byte {}", 5 * MAX_DEPTH)
+        );
+        assert!(Json::parse(&objects[5..objects.len() - 1]).is_ok());
     }
 
     #[test]

@@ -437,7 +437,6 @@ impl Ctx {
         let packet = if self.shared.ft.is_some() {
             self.pop_armed(comm, src, tag)?
         } else {
-            self.publish_vtime();
             self.drain_progress();
             let key = (comm.id(), src, tag);
             let timeout = self.shared.fault.detect_timeout();
@@ -458,17 +457,6 @@ impl Ctx {
             }
         };
         Ok(self.finish_recv(comm, src, tag, packet, false))
-    }
-
-    /// Publish this rank's virtual clock to the executor (the event
-    /// calendar keys its ready heap on it; free in the other modes).
-    /// Called at every potentially-blocking entry point, before the
-    /// wait — a missed site only leaves the published value stale, which
-    /// affects resume *order*, never results (determinism contract).
-    pub(crate) fn publish_vtime(&self) {
-        self.shared
-            .exec
-            .publish_vtime(self.global_rank, self.clock.now());
     }
 
     /// Register an outstanding nonblocking interest in `key`: the
@@ -654,7 +642,6 @@ impl Ctx {
         src: usize,
         tag: u32,
     ) -> Result<Packet, WaitError> {
-        self.publish_vtime();
         self.drain_progress();
         if self.shared.ft.is_some() {
             return self.pop_armed(comm, src, tag);
@@ -685,7 +672,6 @@ impl Ctx {
         src: usize,
         tag: u32,
     ) -> Result<Packet, WaitError> {
-        self.publish_vtime();
         let key = (comm.id(), src, tag);
         let me = self.global_rank;
         let ft = Arc::clone(
@@ -815,7 +801,6 @@ impl Ctx {
     /// role is played by the collective's own synchronization semantics.)
     pub fn oob_fence(&mut self, comm: &Communicator) {
         let seq = self.next_oob_seq(comm.id());
-        self.publish_vtime();
         self.drain_progress();
         let shared = Arc::clone(&self.shared);
         let key = (comm.id(), seq, crate::oob::KIND_FENCE);
@@ -875,7 +860,6 @@ impl Ctx {
         R: Send + Sync + 'static,
     {
         let seq = self.next_oob_seq(comm.id());
-        self.publish_vtime();
         self.drain_progress();
         let shared = Arc::clone(&self.shared);
         let key = (comm.id(), seq, crate::oob::KIND_SETUP);
@@ -1053,7 +1037,6 @@ impl Ctx {
         let packet = if self.shared.ft.is_some() {
             self.pop_armed(comm, src, tag)?
         } else {
-            self.publish_vtime();
             self.drain_progress();
             let key = (comm.id(), src, tag);
             let timeout = self.shared.fault.detect_timeout();

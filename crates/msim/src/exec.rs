@@ -4,10 +4,11 @@
 //! simulated rank, which caps a run at a few thousand ranks before the
 //! host thrashes. This module multiplexes every rank program onto a
 //! bounded worker pool (default `min(ranks, available_parallelism)`):
-//! each rank runs as a *stackful coroutine* on a heap-allocated stack,
-//! and whenever it would block — a `recv`/`wait_flag` with no matching
-//! packet, or a setup-collective rendezvous that is not yet complete —
-//! it parks the coroutine and returns its worker to the pool instead of
+//! each rank runs as a *stackful coroutine* on its slot of one stack
+//! arena ([`StackArena`], shared with the event calendar and kept by the
+//! launching thread between universes), and whenever it would block — a
+//! `recv`/`wait_flag` with no matching packet, or a setup-collective
+//! rendezvous that is not yet complete — it parks the coroutine and returns its worker to the pool instead of
 //! blocking an OS thread. The matching `send`/`post_flag`/rendezvous
 //! completion wakes the parked rank, which re-enters the ready queue.
 //!
@@ -20,8 +21,12 @@
 //! differential tests in `tests/pooled.rs` and by the figure goldens in
 //! `crates/bench/tests/regression.rs`.
 //!
-//! Scheduling order: the ready queue pops FIFO under
-//! [`crate::SchedulePolicy::Fifo`]; under
+//! Scheduling order: under [`crate::SchedulePolicy::Fifo`] a one-worker
+//! pool pops the node-affine FIFO of [`crate::ready::ReadyQueue`] (the
+//! same queue the event calendar uses: one node's ready ranks are
+//! drained before the next node's turn, so consecutive resumes stay on
+//! warm memory) and a wider pool pops one flat FIFO (see [`ReadySet`]);
+//! under
 //! [`crate::SchedulePolicy::Adversarial`] the next rank is drawn from
 //! the ready set by a seeded hash, so schedule fuzzing perturbs the
 //! pooled execution order exactly as it perturbs thread wake-ups in
@@ -37,6 +42,7 @@
 //! deadlock reports) are caught by a `catch_unwind` at the base of every
 //! coroutine, so unwinding never crosses the assembly boundary.
 
+use std::alloc::Layout;
 use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
@@ -44,9 +50,11 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use simnet::rng::mix;
+use simnet::RankMap;
 
 use crate::ctx::Ctx;
-use crate::universe::Shared;
+use crate::ready::ReadyQueue;
+use crate::universe::{Shared, SimStats};
 
 /// How [`crate::Universe::run`] executes rank programs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,12 +71,14 @@ pub enum ExecMode {
         workers: Option<usize>,
     },
     /// Single-threaded event-calendar executor for phantom-payload
-    /// runs (`crates/msim/src/calendar.rs`): ranks are resumed in
-    /// virtual-time order off a binary-heap calendar keyed on
-    /// `(virtual_time, rank, seq)`, with all coroutine stacks carved
-    /// from one lazily-committed arena. Scales to hundreds of
-    /// thousands of ranks; phantom-only (real payloads and the race
-    /// detector are rejected with [`crate::SimError::UnsupportedExec`]).
+    /// runs (`crates/msim/src/calendar.rs`): one driver thread resumes
+    /// ready ranks in node-affine FIFO order (a node's ready ranks are
+    /// drained before the next node's turn — a host-side choice that
+    /// results, clocks and traces never observe), with all coroutine
+    /// stacks carved from one lazily-committed arena. Scales to
+    /// hundreds of thousands of ranks; phantom-only (real payloads and
+    /// the race detector are rejected with
+    /// [`crate::SimError::UnsupportedExec`]).
     Events,
 }
 
@@ -197,20 +207,20 @@ unsafe extern "C" {
     /// # Safety
     /// `*load` must be a stack pointer previously produced by this
     /// function or by [`prepare_stack`], on memory that is still alive.
-    pub(crate) fn msim_switch_stacks(save: *mut usize, load: *const usize);
+    fn msim_switch_stacks(save: *mut usize, load: *const usize);
     /// Label only; never called directly from Rust.
     fn msim_coro_thunk();
 }
 
 #[cfg(not(all(unix, any(target_arch = "x86_64", target_arch = "aarch64"))))]
-pub(crate) unsafe fn msim_switch_stacks(_save: *mut usize, _load: *const usize) {
+unsafe fn msim_switch_stacks(_save: *mut usize, _load: *const usize) {
     unreachable!("pooled execution is not supported on this target");
 }
 
 /// Canary written at the low end of every coroutine stack; checked on
 /// every return to the worker to detect stack overflows (coroutine
 /// stacks have no guard page).
-pub(crate) const STACK_CANARY: u64 = 0x5ca1_ab1e_dead_beef;
+const STACK_CANARY: u64 = 0x5ca1_ab1e_dead_beef;
 
 /// Lay out a fresh coroutine stack so that the first
 /// `msim_switch_stacks` into it lands in `msim_coro_thunk`, which calls
@@ -219,10 +229,10 @@ pub(crate) const STACK_CANARY: u64 = 0x5ca1_ab1e_dead_beef;
 /// # Safety
 /// `stack` must outlive every switch into the returned context.
 #[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
-pub(crate) unsafe fn prepare_stack(stack: &mut [u8], entry: usize, arg: usize) -> usize {
+unsafe fn prepare_stack(stack: &mut [u8], entry: usize, arg: usize) -> usize {
     let base = stack.as_mut_ptr() as usize;
     // SAFETY: `stack` is a live allocation of at least 16 KiB (clamped in
-    // `run_pool`), so the two canary words at its low end are in-bounds
+    // `CellTable::new`), so the two canary words at its low end are in-bounds
     // writes to memory this function exclusively borrows.
     unsafe {
         (base as *mut u64).write(STACK_CANARY);
@@ -270,7 +280,7 @@ pub(crate) unsafe fn prepare_stack(stack: &mut [u8], entry: usize, arg: usize) -
 }
 
 #[cfg(not(all(unix, any(target_arch = "x86_64", target_arch = "aarch64"))))]
-pub(crate) unsafe fn prepare_stack(_stack: &mut [u8], _entry: usize, _arg: usize) -> usize {
+unsafe fn prepare_stack(_stack: &mut [u8], _entry: usize, _arg: usize) -> usize {
     unreachable!("pooled execution is not supported on this target");
 }
 
@@ -318,16 +328,88 @@ pub(crate) enum PickPolicy {
     Controlled(Arc<crate::mcheck::Probe>),
 }
 
+/// The pool's ready set: what [`PickPolicy`] picks from.
+#[derive(Debug)]
+enum ReadySet {
+    /// [`PickPolicy::Fifo`] with a single worker: the node-affine FIFO
+    /// shared with the event calendar.
+    NodeAffine(ReadyQueue),
+    /// One flat queue. Plain FIFO for wider pools: several workers
+    /// draining one node contend for that node's mailboxes and flags, and
+    /// with two workers the node-affine order measured no faster and made
+    /// wall-clock failure detection stall-sensitive (docs/simulator.md,
+    /// *Resume order*). Drawn from by a seeded hash of the pick counter
+    /// under [`PickPolicy::Seeded`], and by the probe under
+    /// [`PickPolicy::Controlled`] (its decision indices are positions in
+    /// the queue, so its order is part of every certificate).
+    Flat {
+        ready: VecDeque<usize>,
+        pick: PickPolicy,
+        /// Picks so far (seeded policy input).
+        picks: u64,
+    },
+}
+
+impl ReadySet {
+    /// Every rank ready, in rank order, to be popped by `workers` threads.
+    fn full(map: &RankMap, pick: PickPolicy, workers: usize) -> Self {
+        match pick {
+            PickPolicy::Fifo if workers == 1 => ReadySet::NodeAffine(ReadyQueue::full(map)),
+            pick => ReadySet::Flat {
+                ready: (0..map.nranks()).collect(),
+                pick,
+                picks: 0,
+            },
+        }
+    }
+
+    fn push(&mut self, rank: usize) {
+        match self {
+            ReadySet::NodeAffine(queue) => queue.push(rank),
+            ReadySet::Flat { ready, .. } => ready.push_back(rank),
+        }
+    }
+
+    fn pop(&mut self) -> Option<usize> {
+        let (ready, pick, picks) = match self {
+            ReadySet::NodeAffine(queue) => return queue.pop(),
+            ReadySet::Flat { ready, pick, picks } => (ready, pick, picks),
+        };
+        match pick {
+            PickPolicy::Fifo => ready.pop_front(),
+            PickPolicy::Seeded(seed) => {
+                if ready.is_empty() {
+                    return None;
+                }
+                let n = ready.len() as u64;
+                let idx = (mix(*seed, *picks, n, 0x9D1C) % n) as usize;
+                *picks += 1;
+                ready.remove(idx)
+            }
+            PickPolicy::Controlled(probe) => {
+                if ready.is_empty() {
+                    return None;
+                }
+                let snapshot: Vec<usize> = ready.iter().copied().collect();
+                let rank = probe.pick(&snapshot);
+                let at = ready
+                    .iter()
+                    .position(|&r| r == rank)
+                    .expect("controlled pick chose a rank outside the ready set");
+                ready.remove(at)
+            }
+        }
+    }
+}
+
 #[derive(Debug)]
 struct CoreState {
     ranks: Vec<RankState>,
-    ready: VecDeque<usize>,
+    ready: ReadySet,
     /// Ranks not yet `Done`.
     live: usize,
-    /// Ready-queue decision policy.
-    pick: PickPolicy,
-    /// Pick counter feeding the seeded stream.
-    picks: u64,
+    /// See [`SimStats::resumes`].
+    resumes: u64,
     /// Workers currently sleeping on the scheduler condvar. Notifies are
     /// skipped when zero: futex condvars pay a syscall per notify even
     /// with no waiters, and with few workers the common case is none.
@@ -335,32 +417,9 @@ struct CoreState {
 }
 
 impl CoreState {
-    fn pop_ready(&mut self) -> Option<usize> {
-        match self.pick.clone() {
-            PickPolicy::Fifo => self.ready.pop_front(),
-            PickPolicy::Seeded(seed) => {
-                if self.ready.is_empty() {
-                    return None;
-                }
-                let n = self.ready.len() as u64;
-                let idx = (mix(seed, self.picks, n, 0x9D1C) % n) as usize;
-                self.picks += 1;
-                self.ready.remove(idx)
-            }
-            PickPolicy::Controlled(probe) => {
-                if self.ready.is_empty() {
-                    return None;
-                }
-                let snapshot: Vec<usize> = self.ready.iter().copied().collect();
-                let rank = probe.pick(&snapshot);
-                let at = self
-                    .ready
-                    .iter()
-                    .position(|&r| r == rank)
-                    .expect("controlled pick chose a rank outside the ready set");
-                self.ready.remove(at)
-            }
-        }
+    fn make_ready(&mut self, rank: usize) {
+        self.ranks[rank] = RankState::Ready;
+        self.ready.push(rank);
     }
 }
 
@@ -376,14 +435,15 @@ pub(crate) struct PoolCore {
 }
 
 impl PoolCore {
-    pub(crate) fn new(nranks: usize, pick: PickPolicy) -> Self {
+    /// A core whose ready set `workers` threads will pop.
+    pub(crate) fn new(map: &RankMap, pick: PickPolicy, workers: usize) -> Self {
+        let nranks = map.nranks();
         Self {
             state: Mutex::new(CoreState {
                 ranks: vec![RankState::Ready; nranks],
-                ready: (0..nranks).collect(),
+                ready: ReadySet::full(map, pick, workers),
                 live: nranks,
-                pick,
-                picks: 0,
+                resumes: 0,
                 idle_workers: 0,
             }),
             cv: Condvar::new(),
@@ -398,14 +458,26 @@ impl PoolCore {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// The run's executor counters (the arena fields are the caller's).
+    fn stats(&self) -> SimStats {
+        let g = self.lock();
+        SimStats {
+            resumes: g.resumes,
+            node_turns: match &g.ready {
+                ReadySet::NodeAffine(queue) => queue.node_turns(),
+                ReadySet::Flat { .. } => 0,
+            },
+            ..SimStats::default()
+        }
+    }
+
     /// Make `rank` runnable if it is parked; remember the signal if it
     /// is currently running (so a racing park re-readies immediately).
     pub(crate) fn wake(&self, rank: usize) {
         let mut g = self.lock();
         match g.ranks[rank] {
             RankState::Parked { .. } => {
-                g.ranks[rank] = RankState::Ready;
-                g.ready.push_back(rank);
+                g.make_ready(rank);
                 if g.idle_workers > 0 {
                     self.cv.notify_one();
                 }
@@ -427,8 +499,9 @@ impl PoolCore {
                 }
                 return None;
             }
-            if let Some(r) = g.pop_ready() {
+            if let Some(r) = g.ready.pop() {
                 g.ranks[r] = RankState::Running { token: false };
+                g.resumes += 1;
                 return Some(r);
             }
             // Nothing ready: wake expired parks (their owners recheck
@@ -440,8 +513,7 @@ impl PoolCore {
             for r in 0..g.ranks.len() {
                 if let RankState::Parked { deadline } = g.ranks[r] {
                     if deadline <= now {
-                        g.ranks[r] = RankState::Ready;
-                        g.ready.push_back(r);
+                        g.make_ready(r);
                         expired = true;
                     } else {
                         nearest = Some(nearest.map_or(deadline, |n| n.min(deadline)));
@@ -479,8 +551,7 @@ impl PoolCore {
             Intent::Park { deadline } => {
                 let token = matches!(g.ranks[rank], RankState::Running { token: true });
                 if token {
-                    g.ranks[rank] = RankState::Ready;
-                    g.ready.push_back(rank);
+                    g.make_ready(rank);
                 } else {
                     g.ranks[rank] = RankState::Parked { deadline };
                 }
@@ -516,8 +587,8 @@ pub(crate) enum ExecCtl {
     Threads,
     /// Pooled: park the calling coroutine; wakes come through the core.
     Pool(Arc<PoolCore>),
-    /// Event-calendar: like `Pool`, but single-threaded with the ready
-    /// set ordered by a `(virtual_time, rank, seq)` binary heap.
+    /// Event-calendar: like `Pool`, but single-threaded — the caller's
+    /// thread drives every rank off the same node-affine ready queue.
     Events(Arc<crate::calendar::CalendarCore>),
 }
 
@@ -548,17 +619,6 @@ impl ExecCtl {
             ExecCtl::Events(core) => core.wake(rank),
         }
     }
-
-    /// Publish `rank`'s current virtual clock to the executor. The
-    /// event calendar keys its ready heap on this; the other modes
-    /// ignore it. Called by the blocking entry points before any park,
-    /// so a stale value only ever means "the rank has not blocked since"
-    /// — ordering quality, never correctness, depends on it.
-    pub(crate) fn publish_vtime(&self, rank: usize, t: f64) {
-        if let ExecCtl::Events(core) = self {
-            core.publish_vtime(rank, t);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -571,18 +631,18 @@ impl ExecCtl {
 /// switches, and cross-worker handoffs synchronize through the core
 /// mutex.
 #[derive(Debug)]
-pub(crate) struct CoroTask {
+struct CoroTask {
     /// Saved coroutine stack pointer (0 = not started yet).
-    pub(crate) sp: usize,
+    sp: usize,
     /// Saved worker stack pointer, valid while the coroutine runs.
-    pub(crate) worker_sp: usize,
-    pub(crate) intent: Intent,
+    worker_sp: usize,
+    intent: Intent,
     /// Low end of the stack allocation, for the canary check.
-    pub(crate) stack_base: *mut u8,
+    stack_base: *mut u8,
 }
 
 thread_local! {
-    pub(crate) static CURRENT_TASK: Cell<*mut CoroTask> = const { Cell::new(std::ptr::null_mut()) };
+    static CURRENT_TASK: Cell<*mut CoroTask> = const { Cell::new(std::ptr::null_mut()) };
 }
 
 /// Park the calling coroutine until its executor wakes it ([`PoolCore::wake`]
@@ -612,7 +672,197 @@ pub(crate) fn park_current(deadline: Instant) {
 }
 
 // ---------------------------------------------------------------------------
-// The pooled run driver.
+// The stack arena.
+// ---------------------------------------------------------------------------
+
+/// One reservation holding every rank's coroutine stack. On Linux this
+/// is an anonymous `MAP_NORESERVE` mapping: 262 144 ranks × 64 KiB is
+/// 16 GiB of *address space*, but only the pages a rank program
+/// actually touches (typically 2–4) are ever committed. Elsewhere it
+/// falls back to one zeroed heap allocation, which on every mainstream
+/// allocator is also lazily committed at these sizes.
+///
+/// The mapping is plain bytes with no per-run structure: each run carves
+/// it afresh by its own stride (`rank * stack_size`), and a stack needs
+/// no initial contents beyond what [`prepare_stack`] writes, so a mapping
+/// another universe dirtied is as good as a fresh one — better, its
+/// pages are already faulted in.
+struct StackArena {
+    base: *mut u8,
+    len: usize,
+    mmapped: bool,
+}
+
+/// Largest mapping a thread keeps between universes. A kept mapping
+/// holds whatever pages earlier runs touched, so the cap bounds what an
+/// idle thread can pin: 1 GiB covers every pooled point of the `scale`
+/// ladder (4096 ranks × 256 KiB) and the benchmark's 4096 × 64 KiB
+/// calendar runs, while the 65 536- and 262 144-rank calendar points
+/// (4 and 16 GiB of address space) are unmapped when they finish.
+const ARENA_RETAIN_MAX: usize = 1 << 30;
+
+thread_local! {
+    /// The mapping this thread's last universe used, if it was worth
+    /// keeping. Taken (not borrowed) by the next launch and put back
+    /// when that run's [`ArenaLease`] drops, so a universe launched from
+    /// inside a rank program on this thread, or one that unwinds, never
+    /// shares a mapping with a run still using it.
+    static KEPT_ARENA: Cell<Option<StackArena>> = const { Cell::new(None) };
+}
+
+#[cfg(target_os = "linux")]
+mod sys {
+    //! Raw syscall bindings (the workspace links no external crates;
+    //! `std` already links libc, so declaring the symbols suffices).
+    use core::ffi::c_void;
+
+    unsafe extern "C" {
+        pub fn mmap(
+            addr: *mut c_void,
+            length: usize,
+            prot: i32,
+            flags: i32,
+            fd: i32,
+            offset: i64,
+        ) -> *mut c_void;
+        pub fn munmap(addr: *mut c_void, length: usize) -> i32;
+    }
+
+    pub const PROT_READ: i32 = 0x1;
+    pub const PROT_WRITE: i32 = 0x2;
+    pub const MAP_PRIVATE: i32 = 0x02;
+    pub const MAP_ANONYMOUS: i32 = 0x20;
+    pub const MAP_NORESERVE: i32 = 0x4000;
+    pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
+}
+
+impl StackArena {
+    fn layout(len: usize) -> Layout {
+        // 16-byte alignment satisfies both ABIs; `prepare_stack`
+        // re-aligns the top of each slot anyway.
+        Layout::from_size_align(len, 16).expect("arena size overflows a Layout")
+    }
+
+    fn map(len: usize) -> Self {
+        if len == 0 {
+            return Self {
+                base: std::ptr::null_mut(),
+                len: 0,
+                mmapped: false,
+            };
+        }
+        #[cfg(target_os = "linux")]
+        {
+            // SAFETY: an anonymous private mapping with a null hint has
+            // no preconditions; the result is checked against
+            // MAP_FAILED before use.
+            let p = unsafe {
+                sys::mmap(
+                    std::ptr::null_mut(),
+                    len,
+                    sys::PROT_READ | sys::PROT_WRITE,
+                    sys::MAP_PRIVATE | sys::MAP_ANONYMOUS | sys::MAP_NORESERVE,
+                    -1,
+                    0,
+                )
+            };
+            if p != sys::MAP_FAILED {
+                return Self {
+                    base: p.cast(),
+                    len,
+                    mmapped: true,
+                };
+            }
+        }
+        // SAFETY: `len` is non-zero and the layout is valid (checked by
+        // `Self::layout`).
+        let base = unsafe { std::alloc::alloc_zeroed(Self::layout(len)) };
+        if base.is_null() {
+            std::alloc::handle_alloc_error(Self::layout(len));
+        }
+        Self {
+            base,
+            len,
+            mmapped: false,
+        }
+    }
+}
+
+impl Drop for StackArena {
+    fn drop(&mut self) {
+        if self.len == 0 {
+            return;
+        }
+        if self.mmapped {
+            #[cfg(target_os = "linux")]
+            // SAFETY: `base`/`len` came from the successful mmap in
+            // `map`, and no stack in the arena is live: an arena is only
+            // dropped by the lease of a finished run or as a thread's
+            // kept (idle) mapping.
+            unsafe {
+                sys::munmap(self.base.cast(), self.len);
+            }
+        } else {
+            // SAFETY: allocated in `map` with the identical layout.
+            unsafe {
+                std::alloc::dealloc(self.base, Self::layout(self.len));
+            }
+        }
+    }
+}
+
+/// One run's exclusive hold on a stack arena: the launching thread's
+/// kept mapping when it is large enough, a fresh one otherwise. Dropping
+/// the lease hands the mapping back to the thread (or unmaps it, above
+/// [`ARENA_RETAIN_MAX`]).
+struct ArenaLease {
+    /// `Some` until drop.
+    arena: Option<StackArena>,
+    reused: bool,
+}
+
+impl ArenaLease {
+    /// An arena of at least `len` bytes for the calling thread's next run.
+    fn take(len: usize) -> Self {
+        let kept = KEPT_ARENA.try_with(Cell::take).ok().flatten();
+        match kept {
+            Some(arena) if arena.len >= len => Self {
+                arena: Some(arena),
+                reused: true,
+            },
+            too_small => {
+                // Unmap first, so the two never count against the
+                // address space together.
+                drop(too_small);
+                Self {
+                    arena: Some(StackArena::map(len)),
+                    reused: false,
+                }
+            }
+        }
+    }
+
+    fn arena(&self) -> &StackArena {
+        self.arena
+            .as_ref()
+            .expect("the lease holds its arena until drop")
+    }
+}
+
+impl Drop for ArenaLease {
+    fn drop(&mut self) {
+        let arena = self.arena.take();
+        if arena.as_ref().is_some_and(|a| a.len <= ARENA_RETAIN_MAX) {
+            // Replaces (and so unmaps) whatever a nested universe put
+            // back meanwhile. On a thread whose locals are already gone
+            // the arena is simply dropped.
+            let _ = KEPT_ARENA.try_with(|kept| kept.set(arena));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Rank cells: what both coroutine executors resume.
 // ---------------------------------------------------------------------------
 
 pub(crate) type RankOutcome<T> = std::thread::Result<(T, f64)>;
@@ -620,39 +870,164 @@ pub(crate) type RankOutcome<T> = std::thread::Result<(T, f64)>;
 /// Everything a coroutine needs to run its rank program. Lives in the
 /// per-rank cell (never on the coroutine stack), so dropping the cell
 /// after the run releases all captured state.
-pub(crate) struct LaunchPack<'f, T, F> {
-    pub(crate) rank: usize,
-    pub(crate) shared: Arc<Shared>,
-    pub(crate) f: &'f F,
-    pub(crate) out: *mut Option<RankOutcome<T>>,
-    pub(crate) task: *mut CoroTask,
+struct LaunchPack<'f, T, F> {
+    rank: usize,
+    shared: Arc<Shared>,
+    f: &'f F,
+    out: *mut Option<RankOutcome<T>>,
+    task: *mut CoroTask,
 }
 
-/// One rank's executor cell: coroutine stack + switch cell + outcome.
+/// One rank's executor cell: switch cell + launch pack + outcome. The
+/// stack is the rank's slot of the table's arena. `UnsafeCell` because
+/// the coroutine mutates these through raw pointers while the executor
+/// holds a shared borrow of the table; accesses strictly alternate with
+/// the context switches.
 struct RankCell<'f, T, F> {
     task: UnsafeCell<CoroTask>,
     pack: UnsafeCell<LaunchPack<'f, T, F>>,
-    stack: UnsafeCell<Vec<u8>>,
     out: UnsafeCell<Option<RankOutcome<T>>>,
 }
 
-/// Workers access disjoint cells (ownership is mediated by the core's
+/// The cells of one run plus the arena lease their stacks live in.
+/// Executors access disjoint cells (ownership is mediated by the core's
 /// rank states: exactly one worker holds a rank in `Running`).
-struct CellTable<'f, T, F>(Vec<RankCell<'f, T, F>>);
+pub(crate) struct CellTable<'f, T, F> {
+    cells: Vec<RankCell<'f, T, F>>,
+    stack_size: usize,
+    lease: ArenaLease,
+}
 // SAFETY: sharing the table only hands workers *potential* access to
 // every cell; actual access is serialized per cell by the core's rank
 // states (a cell is touched only by the single worker holding its rank
 // in `Running`, and transitions go through the core mutex, which
 // provides the necessary ordering). `T: Send` because outcomes move to
-// the collecting thread; `F: Sync` because all workers call `f`.
+// the collecting thread; `F: Sync` because all workers call `f`. The
+// lease's arena is never touched through the table after construction
+// except as the disjoint per-rank slots recorded in each cell's
+// `stack_base`, and it is taken and dropped on the launching thread.
 unsafe impl<T: Send, F: Sync> Sync for CellTable<'_, T, F> {}
 
-pub(crate) extern "C" fn coro_entry<T, F>(pack: *mut LaunchPack<'_, T, F>)
+impl<'f, T, F> CellTable<'f, T, F>
+where
+    T: Send,
+    F: Fn(&mut Ctx) -> T + Send + Sync,
+{
+    /// One unstarted cell per rank, stacks carved from the calling
+    /// thread's arena (pages commit on first touch).
+    pub(crate) fn new(shared: &Arc<Shared>, stack_size: usize, f: &'f F) -> Self {
+        let nranks = shared.map.nranks();
+        // Stacks must hold at least the entry frame + canary; clamp tiny
+        // configs rather than corrupting memory.
+        let stack_size = stack_size.max(16 * 1024);
+        let lease = ArenaLease::take(
+            nranks
+                .checked_mul(stack_size)
+                .expect("stack arena size overflows usize"),
+        );
+        let base = lease.arena().base;
+        let cells = (0..nranks)
+            .map(|rank| RankCell {
+                task: UnsafeCell::new(CoroTask {
+                    sp: 0,
+                    worker_sp: 0,
+                    intent: Intent::None,
+                    // In bounds: `rank * stack_size` is below the
+                    // arena's length, which `take` made at least
+                    // `nranks * stack_size`.
+                    stack_base: base.wrapping_add(rank * stack_size),
+                }),
+                pack: UnsafeCell::new(LaunchPack {
+                    rank,
+                    shared: Arc::clone(shared),
+                    f,
+                    out: std::ptr::null_mut(),
+                    task: std::ptr::null_mut(),
+                }),
+                out: UnsafeCell::new(None),
+            })
+            .collect();
+        Self {
+            cells,
+            stack_size,
+            lease,
+        }
+    }
+
+    /// `stats` with this run's arena facts filled in.
+    pub(crate) fn stats_into(&self, stats: SimStats) -> SimStats {
+        SimStats {
+            arena_reused: self.lease.reused,
+            arena_mapped_bytes: self.lease.arena().len as u64,
+            ..stats
+        }
+    }
+
+    /// Switch into `rank` until its next yield; returns what it yielded
+    /// for. Panics (on the executor's own stack) if the coroutine ran
+    /// over the low end of its stack slot.
+    ///
+    /// # Safety
+    /// The caller must hold `rank` exclusively — claimed from its core as
+    /// `Running` and not yet committed back — and must commit the
+    /// returned intent to the core only after this returns.
+    pub(crate) unsafe fn resume(&self, rank: usize) -> Intent {
+        let cell = &self.cells[rank];
+        let task = cell.task.get();
+        // SAFETY: per the contract no other thread touches this cell
+        // until the coroutine yields and the caller publishes the
+        // transition, and the cell is only touched between switches,
+        // never while the coroutine runs. The stack slice is the rank's
+        // own slot of the leased arena (in bounds, see `new`), disjoint
+        // from every other rank's, borrowed once, before the first
+        // switch into it; whatever an earlier universe left there is
+        // dead memory that `prepare_stack` overwrites where it matters.
+        unsafe {
+            if (*task).sp == 0 {
+                // First activation: set up the entry frame.
+                let pack = cell.pack.get();
+                (*pack).out = cell.out.get();
+                (*pack).task = task;
+                let stack = std::slice::from_raw_parts_mut((*task).stack_base, self.stack_size);
+                (*task).sp = prepare_stack(
+                    stack,
+                    coro_entry::<T, F> as *const () as usize,
+                    pack as usize,
+                );
+            }
+            (*task).intent = Intent::None;
+            let prev = CURRENT_TASK.with(|c| c.replace(task));
+            msim_switch_stacks(&mut (*task).worker_sp, &(*task).sp);
+            CURRENT_TASK.with(|c| c.set(prev));
+            let canary_ok = ((*task).stack_base as *const u64).read() == STACK_CANARY
+                && (((*task).stack_base as *const u64).add(1)).read() == STACK_CANARY;
+            assert!(
+                canary_ok,
+                "rank {rank} overflowed its {}-byte coroutine stack \
+                 (raise SimConfig::stack_size)",
+                self.stack_size
+            );
+            (*task).intent
+        }
+    }
+
+    /// Per-rank outcomes (`None` for ranks that never finished); ends
+    /// the arena lease.
+    pub(crate) fn into_outcomes(self) -> Vec<Option<RankOutcome<T>>> {
+        self.cells
+            .into_iter()
+            .map(|cell| cell.out.into_inner())
+            .collect()
+    }
+}
+
+extern "C" fn coro_entry<T, F>(pack: *mut LaunchPack<'_, T, F>)
 where
     F: Fn(&mut Ctx) -> T,
 {
     // SAFETY: the pack outlives the coroutine (it lives in the cell
-    // table, which `run_pool` keeps alive until all workers join).
+    // table, which the run driver keeps alive until every executor
+    // thread is done).
     let pack = unsafe { &mut *pack };
     // Catch *everything* before it can unwind into the assembly
     // trampoline: rank panics (asserts, injected kills, deadlock
@@ -675,46 +1050,39 @@ where
     }
 }
 
-/// Run `f` once per rank on `workers` pooled worker threads. Returns
-/// per-rank outcomes (`None` for ranks orphaned by an infrastructure
-/// failure) plus the recorded infrastructure failures.
-#[allow(clippy::type_complexity)]
+/// The message of a panic caught at an executor's own boundary.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string executor panic>".into()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The pooled run driver.
+// ---------------------------------------------------------------------------
+
+/// What a coroutine executor hands back: per-rank outcomes (`None` for
+/// ranks orphaned by an infrastructure failure), the recorded
+/// infrastructure failures, and the run's counters.
+pub(crate) type RunOut<T> = (Vec<Option<RankOutcome<T>>>, Vec<(usize, String)>, SimStats);
+
+/// Run `f` once per rank on `workers` pooled worker threads.
 pub(crate) fn run_pool<T, F>(
     shared: &Arc<Shared>,
     core: &Arc<PoolCore>,
     workers: usize,
     stack_size: usize,
     f: &F,
-) -> (Vec<Option<RankOutcome<T>>>, Vec<(usize, String)>)
+) -> RunOut<T>
 where
     T: Send,
     F: Fn(&mut Ctx) -> T + Send + Sync,
 {
-    let nranks = shared.map.nranks();
-    // Stacks must hold at least the entry frame + canary; clamp tiny
-    // configs rather than corrupting memory.
-    let stack_size = stack_size.max(16 * 1024);
-    let cells = CellTable(
-        (0..nranks)
-            .map(|rank| RankCell {
-                task: UnsafeCell::new(CoroTask {
-                    sp: 0,
-                    worker_sp: 0,
-                    intent: Intent::None,
-                    stack_base: std::ptr::null_mut(),
-                }),
-                pack: UnsafeCell::new(LaunchPack {
-                    rank,
-                    shared: Arc::clone(shared),
-                    f,
-                    out: std::ptr::null_mut(),
-                    task: std::ptr::null_mut(),
-                }),
-                stack: UnsafeCell::new(Vec::new()),
-                out: UnsafeCell::new(None),
-            })
-            .collect(),
-    );
+    let cells = CellTable::new(shared, stack_size, f);
 
     std::thread::scope(|scope| {
         for w in 0..workers {
@@ -722,25 +1090,21 @@ where
             let core = Arc::clone(core);
             std::thread::Builder::new()
                 .name(format!("msim-worker{w}"))
-                .spawn_scoped(scope, move || worker_loop::<T, F>(&core, cells, stack_size))
+                .spawn_scoped(scope, move || worker_loop(&core, cells))
                 .expect("failed to spawn pool worker");
         }
     });
 
-    let outcomes = cells
-        .0
-        .into_iter()
-        .map(|cell| cell.out.into_inner())
-        .collect();
+    let stats = cells.stats_into(core.stats());
     let infra = core
         .infra
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .clone();
-    (outcomes, infra)
+    (cells.into_outcomes(), infra, stats)
 }
 
-fn worker_loop<T, F>(core: &Arc<PoolCore>, cells: &CellTable<'_, T, F>, stack_size: usize)
+fn worker_loop<T, F>(core: &PoolCore, cells: &CellTable<'_, T, F>)
 where
     T: Send,
     F: Fn(&mut Ctx) -> T + Send + Sync,
@@ -749,67 +1113,15 @@ where
     let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
         while let Some(rank) = core.next_rank() {
             current_rank = rank;
-            resume_rank(core, cells, rank, stack_size);
+            // SAFETY: `next_rank` handed this worker exclusive ownership
+            // of `rank` (state `Running`); `finalize` publishes the
+            // transition only after the coroutine has yielded.
+            let intent = unsafe { cells.resume(rank) };
+            core.finalize(rank, intent);
         }
     }));
     if let Err(payload) = caught {
-        let message = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "<non-string worker panic>".into()
-        };
-        core.record_infra_failure(current_rank, message);
-    }
-}
-
-fn resume_rank<T, F>(core: &PoolCore, cells: &CellTable<'_, T, F>, rank: usize, stack_size: usize)
-where
-    T: Send,
-    F: Fn(&mut Ctx) -> T + Send + Sync,
-{
-    let cell = &cells.0[rank];
-    let task = cell.task.get();
-    // SAFETY: the core handed this worker exclusive ownership of `rank`
-    // (state `Running`); no other thread touches this cell until the
-    // coroutine yields and `finalize` publishes the transition.
-    unsafe {
-        if (*task).sp == 0 {
-            // First activation: allocate the stack lazily (zeroed pages
-            // commit on touch) and set up the entry frame.
-            let stack = &mut *cell.stack.get();
-            *stack = vec![0u8; stack_size];
-            let pack = cell.pack.get();
-            (*pack).out = cell.out.get();
-            (*pack).task = task;
-            (*task).stack_base = stack.as_mut_ptr();
-            (*task).sp = prepare_stack(
-                stack.as_mut_slice(),
-                coro_entry::<T, F> as *const () as usize,
-                pack as usize,
-            );
-        }
-        (*task).intent = Intent::None;
-        let prev = CURRENT_TASK.with(|c| c.replace(task));
-        msim_switch_stacks(&mut (*task).worker_sp, &(*task).sp);
-        CURRENT_TASK.with(|c| c.set(prev));
-        let canary_ok = ((*task).stack_base as *const u64).read() == STACK_CANARY
-            && (((*task).stack_base as *const u64).add(1)).read() == STACK_CANARY;
-        assert!(
-            canary_ok,
-            "rank {rank} overflowed its {}-byte coroutine stack \
-             (raise SimConfig::stack_size)",
-            (*cell.stack.get()).len()
-        );
-        let intent = (*task).intent;
-        if intent == Intent::Done {
-            // Free the stack eagerly: at 4096+ ranks the tail of a run
-            // would otherwise hold every stack until the scope joins.
-            (*cell.stack.get()).clear();
-            (*cell.stack.get()).shrink_to_fit();
-        }
-        core.finalize(rank, intent);
+        core.record_infra_failure(current_rank, panic_message(payload.as_ref()));
     }
 }
 
@@ -820,41 +1132,58 @@ mod tests {
     use crate::SimError;
     use simnet::{ClusterSpec, CostModel};
 
-    fn cfg() -> SimConfig {
+    fn cfg(exec: ExecMode) -> SimConfig {
         SimConfig::new(ClusterSpec::regular(1, 2), CostModel::uniform_test())
-            .with_exec(ExecMode::Pooled { workers: Some(1) })
+            .phantom()
+            .with_exec(exec)
     }
 
     /// The canary is a real guard, not decoration: a write that lands
     /// past the low end of a coroutine stack is caught as an
-    /// `ExecutorFailure` naming the overflow, never silent corruption.
+    /// `ExecutorFailure` naming the overflow, never silent corruption —
+    /// also on a slot an earlier universe used, whose canary words that
+    /// universe wrote too. And the executor panic that reports it leaves
+    /// an arena the next universe runs on.
     #[test]
     fn clobbered_stack_canary_is_reported_as_overflow() {
         if !POOL_SUPPORTED {
             return;
         }
-        let err = Universe::run(cfg(), |ctx| {
-            if ctx.rank() == 0 {
-                let task = CURRENT_TASK.with(|c| c.get());
-                assert!(!task.is_null(), "rank must be running as a coroutine");
-                // Simulate the last store of a stack overflow: clobber the
-                // canary word at the low end of this coroutine's own
-                // stack.
-                // SAFETY: `task` is this coroutine's live switch cell and
-                // `stack_base` points at its stack allocation, so the
-                // write stays inside an allocation we own — the *check*
-                // failing is the point, not UB.
-                unsafe {
-                    ((*task).stack_base as *mut u64).write(0);
-                }
-            }
-        })
-        .unwrap_err();
-        match err {
-            SimError::ExecutorFailure { message, .. } => {
-                assert!(message.contains("overflowed"), "{message}");
-            }
-            other => panic!("expected the canary to trip an executor failure, got {other}"),
+        for exec in [ExecMode::Events, ExecMode::Pooled { workers: Some(1) }] {
+            // A thread of its own: no arena kept by another test.
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let clean = || Universe::run(cfg(exec), |ctx| ctx.rank()).unwrap();
+                    assert!(!clean().stats.arena_reused, "{exec:?}");
+                    let err = Universe::run(cfg(exec), |ctx| {
+                        if ctx.rank() == 0 {
+                            let task = CURRENT_TASK.with(|c| c.get());
+                            assert!(!task.is_null(), "rank must be running as a coroutine");
+                            // Simulate the last store of a stack overflow:
+                            // clobber the canary word at the low end of
+                            // this coroutine's own stack.
+                            // SAFETY: `task` is this coroutine's live
+                            // switch cell and `stack_base` points at its
+                            // stack slot, so the write stays inside memory
+                            // this run owns — the *check* failing is the
+                            // point, not UB.
+                            unsafe {
+                                ((*task).stack_base as *mut u64).write(0);
+                            }
+                        }
+                    })
+                    .unwrap_err();
+                    match err {
+                        SimError::ExecutorFailure { message, .. } => {
+                            assert!(message.contains("overflowed"), "{exec:?}: {message}");
+                        }
+                        other => panic!("{exec:?}: expected an executor failure, got {other}"),
+                    }
+                    let after = clean();
+                    assert!(after.stats.arena_reused, "{exec:?}");
+                    assert_eq!(after.per_rank, vec![0, 1], "{exec:?}");
+                });
+            });
         }
     }
 
@@ -865,7 +1194,8 @@ mod tests {
         if !POOL_SUPPORTED {
             return;
         }
-        let r = Universe::run(cfg().with_stack_size(1), |ctx| ctx.rank()).unwrap();
+        let exec = ExecMode::Pooled { workers: Some(1) };
+        let r = Universe::run(cfg(exec).with_stack_size(1), |ctx| ctx.rank()).unwrap();
         assert_eq!(r.per_rank, vec![0, 1]);
     }
 }

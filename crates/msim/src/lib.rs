@@ -46,6 +46,7 @@ pub mod mcheck;
 pub mod msg;
 mod oob;
 pub mod race;
+mod ready;
 pub mod request;
 pub mod universe;
 pub mod window;
@@ -67,5 +68,5 @@ pub use mcheck::{
 pub use msg::Payload;
 pub use race::{AccessKind, RaceAccess, RaceReport, VectorClock};
 pub use request::{testany, waitall, Drive, Request};
-pub use universe::{DataMode, FtSimResult, SimConfig, SimResult, Universe};
+pub use universe::{DataMode, FtSimResult, SimConfig, SimResult, SimStats, Universe};
 pub use window::SharedWindow;

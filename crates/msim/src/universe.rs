@@ -225,6 +225,26 @@ impl Shared {
     }
 }
 
+/// Executor counters of one run, counted under the scheduler lock the
+/// executor already holds (no allocation, no extra synchronisation).
+/// All zero under [`crate::ExecMode::ThreadPerRank`], which has no ready
+/// queue. Reported (`scale` writes them per point), never gated.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SimStats {
+    /// Coroutine resumes (ready-queue pops).
+    pub resumes: u64,
+    /// Times the node-affine queue moved on to another node;
+    /// `resumes / node_turns` is the mean run of same-node resumes. Zero
+    /// where that queue is not the ready set: pools wider than one
+    /// worker, seeded and controlled picks.
+    pub node_turns: u64,
+    /// Whether the coroutine stacks were carved from the mapping the
+    /// launching thread kept from an earlier universe.
+    pub arena_reused: bool,
+    /// Bytes of address space in the stack mapping this run used.
+    pub arena_mapped_bytes: u64,
+}
+
 /// The outcome of a run: each rank's return value and final virtual clock,
 /// plus the event trace when enabled.
 #[derive(Debug)]
@@ -244,6 +264,10 @@ pub struct SimResult<T> {
     /// leaked into longer-lived state — the chaos harness pins this to
     /// zero after every campaign.
     pub open_windows: usize,
+    /// Executor counters: resumes, node turns and the stack arena's
+    /// provenance. Host-side observability — nothing modeled depends on
+    /// them.
+    pub stats: SimStats,
 }
 
 impl<T> SimResult<T> {
@@ -289,6 +313,7 @@ struct LaunchOut<T> {
     outcomes: Vec<Option<std::thread::Result<(T, f64)>>>,
     infra: Vec<(usize, String)>,
     peak_threads: usize,
+    stats: SimStats,
     shared: Arc<Shared>,
 }
 
@@ -348,6 +373,7 @@ impl Universe {
             outcomes,
             infra,
             peak_threads,
+            stats,
             shared,
         } = Self::launch(config, f);
         let nranks = outcomes.len();
@@ -383,6 +409,7 @@ impl Universe {
             tracer: shared.tracer.clone(),
             peak_threads,
             open_windows: shared.live_windows.load(Ordering::SeqCst),
+            stats,
         })
     }
 
@@ -405,6 +432,7 @@ impl Universe {
             outcomes,
             infra,
             peak_threads,
+            stats: _,
             shared,
         } = Self::launch(config, f);
         let nranks = outcomes.len();
@@ -575,6 +603,8 @@ impl Universe {
             ExecMode::Pooled { .. } if probe.is_some() => ExecMode::Pooled { workers: Some(1) },
             mode => mode,
         };
+        // OS threads that will run rank programs (and pop the ready set).
+        let workers = exec_mode.worker_count(nranks);
         let exec_ctl = match exec_mode {
             ExecMode::ThreadPerRank => ExecCtl::Threads,
             ExecMode::Pooled { .. } => {
@@ -588,15 +618,15 @@ impl Universe {
                     }
                     (None, _) => exec::PickPolicy::Fifo,
                 };
-                ExecCtl::Pool(Arc::new(PoolCore::new(nranks, pick)))
+                ExecCtl::Pool(Arc::new(PoolCore::new(&map, pick, workers)))
             }
-            // The calendar's (virtual_time, rank, seq) order is canonical;
-            // an adversarial pick seed has nothing to perturb here (and
-            // determinism keeps the schedule invisible to results either
-            // way — pinned by the differential suite). A model-checker
-            // controller, when present, replaces the calendar order.
+            // The calendar always resumes in node-affine FIFO order — a
+            // host-side choice for warm caches that results never observe
+            // (pinned by the differential suite) — so an adversarial pick
+            // seed has nothing to perturb here. A model-checker
+            // controller, when present, replaces that order.
             ExecMode::Events => ExecCtl::Events(Arc::new(crate::calendar::CalendarCore::new(
-                nranks,
+                &map,
                 probe.clone(),
             ))),
         };
@@ -639,23 +669,15 @@ impl Universe {
             live_windows: Arc::new(AtomicUsize::new(0)),
         });
 
-        type RankOutcome<T> = std::thread::Result<(T, f64)>;
-        type RunOut<T> = (Vec<Option<RankOutcome<T>>>, Vec<(usize, String)>, usize);
-        let (outcomes, infra, peak_threads): RunOut<T> = match &exec_ctl {
-            ExecCtl::Pool(core) => {
-                let workers = exec_mode.worker_count(nranks);
-                let (outcomes, infra) =
-                    exec::run_pool(&shared, core, workers, config.stack_size, &f);
-                (outcomes, infra, workers)
-            }
+        let (outcomes, infra, stats): exec::RunOut<T> = match &exec_ctl {
+            ExecCtl::Pool(core) => exec::run_pool(&shared, core, workers, config.stack_size, &f),
+            // Single-threaded: the calling thread is the driver.
             ExecCtl::Events(core) => {
-                // Single-threaded: the calling thread is the driver.
-                let (outcomes, infra) =
-                    crate::calendar::run_events(&shared, core, config.stack_size, &f);
-                (outcomes, infra, 1)
+                crate::calendar::run_events(&shared, core, config.stack_size, &f)
             }
             ExecCtl::Threads => {
-                let mut outcomes: Vec<Option<RankOutcome<T>>> = (0..nranks).map(|_| None).collect();
+                let mut outcomes: Vec<Option<exec::RankOutcome<T>>> =
+                    (0..nranks).map(|_| None).collect();
                 let mut infra: Vec<(usize, String)> = Vec::new();
                 std::thread::scope(|scope| {
                     let mut handles = Vec::with_capacity(nranks);
@@ -693,13 +715,14 @@ impl Universe {
                         }
                     }
                 });
-                (outcomes, infra, nranks)
+                (outcomes, infra, SimStats::default())
             }
         };
         LaunchOut {
             outcomes,
             infra,
-            peak_threads,
+            peak_threads: workers,
+            stats,
             shared,
         }
     }

@@ -360,3 +360,56 @@ fn every_hybrid_family_matches_its_oracle_at_one_and_two_leaders() {
         }
     }
 }
+
+/// The executors are interchangeable: the order in which ready ranks are
+/// resumed (node-affine FIFO on the event calendar and in a one-worker
+/// pool, flat FIFO in a wider pool, OS scheduling under thread-per-rank) is a host-side choice that modeled
+/// behaviour never observes. One cell of the differential wall in
+/// `crates/core/tests/events_conformance.rs`, kept here so the tier-1
+/// command guards the resume order: two-leader allgather and allreduce
+/// on the irregular `[1, 3, 4]` layout, results, clock bits and canonical
+/// trace equal across all four ways of running it.
+#[test]
+fn executors_agree_on_two_leader_collectives_on_an_irregular_layout() {
+    use hybrid_mpi::collectives::op::Sum;
+    use hybrid_mpi::msim::ExecMode;
+
+    let run = |exec: ExecMode| {
+        let cfg = SimConfig::new(
+            ClusterSpec::irregular(vec![1, 3, 4]),
+            CostModel::uniform_test(),
+        )
+        .phantom()
+        .traced()
+        .with_exec(exec);
+        let r = Universe::run(cfg, |ctx| {
+            let world = ctx.world();
+            let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), SyncMethod::Barrier);
+            let ag = HyAllgather::<f64>::with_leaders(ctx, &hc, 5, 2);
+            ag.execute(ctx);
+            let ar = HyAllreduce::<f64>::with_leaders(ctx, &hc, 5, 2);
+            let mine = ctx.buf_zeroed::<f64>(5);
+            ar.execute(ctx, &mine, Sum);
+            let mut got: Vec<f64> = (0..ctx.nranks()).flat_map(|r| ag.read_block(r)).collect();
+            got.extend(ar.read_result());
+            got.push(ctx.now());
+            got
+        })
+        .unwrap();
+        let clock_bits: Vec<u64> = r.clocks.iter().map(|c| c.to_bits()).collect();
+        (r.per_rank, clock_bits, r.tracer.events())
+    };
+
+    let events = run(ExecMode::Events);
+    assert!(
+        events.1.iter().all(|&bits| bits != 0),
+        "every rank took part"
+    );
+    for exec in [
+        ExecMode::Pooled { workers: Some(1) },
+        ExecMode::Pooled { workers: Some(2) },
+        ExecMode::ThreadPerRank,
+    ] {
+        assert_eq!(run(exec), events, "{exec:?} vs Events");
+    }
+}
