@@ -26,7 +26,10 @@
 #   race    happens-before race detector (MSIM_RACE=1, docs/race-detection.md):
 #           the msim mutant-regression suite plus both conformance suites
 #           with the detector armed — all collectives, all sync methods,
-#           the full seed set — and a thread-per-rank differential pass.
+#           the full seed set — and a thread-per-rank differential pass;
+#           then the applications (Hy_BPMF, Hy_SUMMA, overlapped
+#           Hy_SUMMA) must report clean and the Hy_BPMF mutant that
+#           skips the fence before `write_my_block` must be caught.
 #           Budget: vector-clock bookkeeping costs roughly 2x on
 #           window-heavy suites; the whole stage is ~30 s on the CI
 #           reference host, well under the test stage itself. `--quick`
@@ -249,6 +252,12 @@ stage_race() {
     MSIM_RACE=1 MSIM_EXEC=threads MSIM_CONF_SEEDS=1 \
         cargo test -q -p hmpi-core --test race_detect
     MSIM_EXEC=threads cargo test -q -p msim --test race
+    # The applications under the detector (it is armed by the tests'
+    # own SimConfig): Hy_BPMF, Hy_SUMMA and the overlapped Hy_SUMMA
+    # read their node-shared windows in place and must report clean,
+    # and Hy_BPMF without the fence before `write_my_block` must not.
+    cargo test -q -p bpmf -p summa --lib race_detector
+    MSIM_EXEC=threads cargo test -q -p bpmf -p summa --lib race_detector
 }
 
 # Arguments for the mcheck stage's binary sweep: the full 8-family x

@@ -2,9 +2,10 @@
 //!
 //! One binary per figure regenerates the corresponding plot data
 //! (`cargo run --release -p bench --bin fig7`, …, `--bin fig12`, plus the
-//! `ablation_*` binaries for the §6 design-choice studies). The Criterion
-//! benches under `benches/` measure the *real* (wall-clock) performance
-//! of the runtime and algorithms themselves.
+//! `ablation_*` binaries for the §6 design-choice studies). The *real*
+//! (wall-clock) performance of the runtime, the algorithms and the
+//! `linalg` kernels is measured by the repo benchmark (`benchmark/`,
+//! `BENCHMARK.json`) and gated by `scale --ci`.
 //!
 //! All figure runs use **phantom** data mode — virtual times are
 //! bit-identical to real-data runs (tested in the core crates) while

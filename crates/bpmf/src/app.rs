@@ -1,4 +1,24 @@
 //! Distributed BPMF drivers: Ori_ (pure MPI) and Hy_ (hybrid MPI+MPI).
+//!
+//! The two variants differ only in where the full latent matrices live
+//! and how a rank's fresh slice reaches everyone else
+//! (`LatentExchange`); the sampling code is shared and reads U and V
+//! **in place**. Hy_BPMF keeps one copy of each matrix per node, in the
+//! hybrid allgather's window, and every read of entity `e` — by the
+//! sampler once per rating, by the hyperparameter draw and by the RMSE —
+//! is a direct load from that window into a K-slot the reader reuses
+//! (`LatentExchange::read`); no rank materialises a vector per rating
+//! or a private full matrix, which would undo on the host exactly the
+//! replication the hybrid scheme removes. Ori_BPMF reads its private
+//! replicas through the same accessor, and receives the allgather
+//! straight into them.
+//!
+//! Each entity is drawn by [`LatentSampler`] with one Cholesky
+//! factorization, x = L⁻ᵀ(L⁻¹·rhs + z) (see [`crate::gibbs`]). The
+//! modeled compute charge is independent of that: `ctx.compute` is fed
+//! [`latent_flops`] / [`hyper_flops`] × `compute_scale`, which describe
+//! the reference code the paper timed, so virtual time is a property of
+//! the configuration and not of how fast the host happens to sample.
 
 use collectives::{allgatherv, barrier, Tuning};
 use hmpi::{FtComm, HyAllgatherv, HybridComm};
@@ -6,17 +26,9 @@ use msim::{Buf, Communicator, Ctx, DataMode};
 
 use crate::data::{owner, partition, Dataset};
 use crate::gibbs::{
-    hyper_flops, init_latent, latent_flops, rmse, sample_hyper, sample_latent, stream_rng,
+    hyper_flops, init_latent, latent_flops, rmse, sample_hyper, stream_rng, HyperParams,
+    LatentSampler,
 };
-
-/// Read entity `e`'s K-vector out of a hybrid-allgather window whose
-/// blocks are the per-rank slices of a [`partition`] over `n` entities.
-fn win_entity(h: &HyAllgatherv<f64>, n: usize, p: usize, k: usize, e: usize) -> Vec<f64> {
-    let (r, idx) = owner(n, p, e);
-    let mut out = vec![0.0; k];
-    h.window().read_into(h.block_offset(r) + idx * k, &mut out);
-    out
-}
 
 /// Parameters of a distributed BPMF run.
 #[derive(Debug, Clone)]
@@ -63,10 +75,11 @@ pub struct BpmfReport {
 /// How a variant stores and exchanges the full latent matrices.
 #[allow(clippy::large_enum_variant)] // one value per rank, lifetime of the run
 enum LatentExchange<'a> {
-    /// Private full replicas + library `MPI_Allgatherv`.
+    /// Private full replicas + library `MPI_Allgatherv`, received
+    /// straight into the replica.
     Private {
-        u: Vec<f64>,
-        v: Vec<f64>,
+        u: Buf<f64>,
+        v: Buf<f64>,
         tuning: &'a Tuning,
     },
     /// Node-shared windows + hybrid allgather.
@@ -77,15 +90,44 @@ enum LatentExchange<'a> {
     },
 }
 
+impl LatentExchange<'_> {
+    /// Load entity `e` of the users' (`users_side`) or the items' latent
+    /// matrix into `out` (K elements): a slice of the private replica,
+    /// or a direct load from the window, whose blocks are the per-rank
+    /// slices of a [`partition`] over that side's entities.
+    fn read(&self, data: &Dataset, users_side: bool, e: usize, out: &mut [f64]) {
+        let k = out.len();
+        match self {
+            LatentExchange::Private { u, v, .. } => {
+                let m = if users_side { u } else { v };
+                let m = m.as_slice().expect("real-mode replica");
+                out.copy_from_slice(&m[e * k..(e + 1) * k]);
+            }
+            LatentExchange::Windows { hc, u, v } => {
+                let (h, n) = if users_side {
+                    (u, data.users())
+                } else {
+                    (v, data.items())
+                };
+                let (r, idx) = owner(n, hc.comm().size(), e);
+                h.window().read_into(h.block_offset(r) + idx * k, out);
+            }
+        }
+    }
+}
+
 /// Generic driver over an explicit communicator (so fault-tolerant
 /// callers can re-run it on a shrunk world); `ori_bpmf`/`hy_bpmf` pick
-/// the exchange flavor over `MPI_COMM_WORLD`.
+/// the exchange flavor over `MPI_COMM_WORLD`. `fence` is
+/// [`HybridComm::fence`] everywhere but in the race-detector test that
+/// shows what its absence costs.
 fn run_bpmf(
     ctx: &mut Ctx,
     comm: &Communicator,
     data: &Dataset,
     cfg: &BpmfConfig,
     hybrid: bool,
+    fence: fn(&HybridComm, &mut Ctx),
 ) -> BpmfReport {
     let world = comm.clone();
     let p = world.size();
@@ -123,11 +165,11 @@ fn run_bpmf(
     } else {
         let (u, v) = if real {
             (
-                init_latent(k, nu, cfg.seed, 0),
-                init_latent(k, ni, cfg.seed, 1),
+                Buf::Real(init_latent(k, nu, cfg.seed, 0)),
+                Buf::Real(init_latent(k, ni, cfg.seed, 1)),
             )
         } else {
-            (Vec::new(), Vec::new())
+            (Buf::Phantom(nu * k), Buf::Phantom(ni * k))
         };
         LatentExchange::Private {
             u,
@@ -135,6 +177,11 @@ fn run_bpmf(
             tuning: &cfg.tuning,
         }
     };
+    // This rank's freshly sampled slice of one side: staged here because
+    // other ranks may still be reading the previous iterate out of the
+    // window, and sent from here by the pure-MPI allgather. One buffer
+    // for both sides and every iteration.
+    let mut fresh = Vec::with_capacity(u_counts[me].max(v_counts[me]));
 
     barrier::tuned(ctx, &world);
     let t0 = ctx.now();
@@ -142,116 +189,68 @@ fn run_bpmf(
     for it in 0..cfg.iters {
         // --- Hyperparameters: replicated draw over the full matrices ---
         // (identical stream on every rank; no communication needed).
-        let (hp_u, hp_v) = if real {
-            let read_all = |ex: &LatentExchange, users_side: bool| -> Vec<f64> {
-                match ex {
-                    LatentExchange::Private { u, v, .. } => {
-                        if users_side {
-                            u.clone()
-                        } else {
-                            v.clone()
-                        }
-                    }
-                    LatentExchange::Windows { u, v, .. } => {
-                        let (h, n) = if users_side { (u, nu) } else { (v, ni) };
-                        (0..n).flat_map(|e| win_entity(h, n, p, k, e)).collect()
-                    }
-                }
-            };
-            let full_u = read_all(&ex, true);
-            let full_v = read_all(&ex, false);
+        let hyper = real.then(|| {
             let mut hyper_rng = stream_rng(cfg.seed, it, 100, 0);
-            let hp_u = sample_hyper(&mut hyper_rng, k, &full_u, nu);
-            let hp_v = sample_hyper(&mut hyper_rng, k, &full_v, ni);
-            (Some(hp_u), Some(hp_v))
-        } else {
-            (None, None)
-        };
+            let hp_u = sample_hyper(&mut hyper_rng, k, nu, |e, out| ex.read(data, true, e, out));
+            let hp_v = sample_hyper(&mut hyper_rng, k, ni, |e, out| ex.read(data, false, e, out));
+            (hp_u, hp_v)
+        });
         ctx.compute((hyper_flops(k, nu) + hyper_flops(k, ni)) * cfg.compute_scale);
 
-        // --- Sample my users against the full V, then allgather U ---
-        sample_side(
-            ctx,
-            data,
-            cfg,
-            &mut ex,
-            it,
-            /*users=*/ true,
-            (u_lo, u_hi),
-            hp_u.as_ref(),
-            p,
-        );
-        exchange(ctx, &world, &mut ex, /*users=*/ true, &u_counts, me);
-
-        // --- Sample my items against the full U, then allgather V ---
-        sample_side(
-            ctx,
-            data,
-            cfg,
-            &mut ex,
-            it,
-            /*users=*/ false,
-            (i_lo, i_hi),
-            hp_v.as_ref(),
-            p,
-        );
-        exchange(ctx, &world, &mut ex, /*users=*/ false, &v_counts, me);
+        let sides = [
+            // Sample my users against the full V, then allgather U.
+            (true, (u_lo, u_hi), &u_counts),
+            // Sample my items against the full U, then allgather V.
+            (false, (i_lo, i_hi), &v_counts),
+        ];
+        for (users_side, range, counts) in sides {
+            let hp = hyper
+                .as_ref()
+                .map(|(hp_u, hp_v)| if users_side { hp_u } else { hp_v });
+            sample_side(ctx, data, cfg, &ex, it, users_side, range, hp, &mut fresh);
+            if real {
+                publish(ctx, &mut ex, users_side, range.0 * k, &fresh, fence);
+            }
+            exchange(ctx, &world, &mut ex, users_side, counts, &mut fresh);
+        }
     }
 
     let elapsed_us = ctx.now() - t0;
-    let final_rmse = if real {
-        let read_entity = |ex: &LatentExchange, users_side: bool, e: usize| -> Vec<f64> {
-            match ex {
-                LatentExchange::Private { u, v, .. } => {
-                    let m = if users_side { u } else { v };
-                    m[e * k..(e + 1) * k].to_vec()
-                }
-                LatentExchange::Windows { u, v, .. } => {
-                    let (h, n) = if users_side { (u, nu) } else { (v, ni) };
-                    win_entity(h, n, p, k, e)
-                }
-            }
-        };
-        Some(rmse(
+    let final_rmse = real.then(|| {
+        rmse(
             k,
-            &|e| read_entity(&ex, true, e),
-            &|e| read_entity(&ex, false, e),
+            |e, out| ex.read(data, true, e, out),
+            |e, out| ex.read(data, false, e, out),
             &data.test,
             data.mean,
-        ))
-    } else {
-        None
-    };
+        )
+    });
     BpmfReport {
         elapsed_us,
         rmse: final_rmse,
     }
 }
 
-/// Sample this rank's slice of one side (users or items).
+/// Sample this rank's slice `range` of one side (users or items) into
+/// `fresh`, reading the other side in place. Phantom mode (`hp` is
+/// `None`) only charges the modeled flops.
 #[allow(clippy::too_many_arguments)]
 fn sample_side(
     ctx: &mut Ctx,
     data: &Dataset,
     cfg: &BpmfConfig,
-    ex: &mut LatentExchange,
+    ex: &LatentExchange,
     it: usize,
     users_side: bool,
-    range: (usize, usize),
-    hp: Option<&crate::gibbs::HyperParams>,
-    p: usize,
+    (lo, hi): (usize, usize),
+    hp: Option<&HyperParams>,
+    fresh: &mut Vec<f64>,
 ) {
     let k = cfg.k;
-    let (lo, hi) = range;
     let ratings = if users_side {
         &data.train
     } else {
         &data.train_t
-    };
-    let n_other = if users_side {
-        data.items()
-    } else {
-        data.users()
     };
     let class = if users_side { 0 } else { 1 };
 
@@ -259,40 +258,39 @@ fn sample_side(
     let flops: f64 = (lo..hi).map(|e| latent_flops(k, ratings.row_nnz(e))).sum();
     ctx.compute(flops * cfg.compute_scale);
 
-    let Some(hp) = hp else { return }; // phantom mode: costs only
-                                       // Snapshot of the opposite side's read accessor.
-    let mut fresh = Vec::with_capacity((hi - lo) * k);
-    for e in lo..hi {
+    let Some(hp) = hp else { return };
+    let mut sampler = LatentSampler::new(hp);
+    fresh.clear();
+    fresh.resize((hi - lo) * k, 0.0);
+    for (e, out) in (lo..hi).zip(fresh.chunks_exact_mut(k)) {
         let mut rng = stream_rng(cfg.seed, it, class, e);
-        let sample = {
-            let other = |j: usize| -> Vec<f64> {
-                match &*ex {
-                    LatentExchange::Private { u, v, .. } => {
-                        let m = if users_side { v } else { u };
-                        m[j * k..(j + 1) * k].to_vec()
-                    }
-                    LatentExchange::Windows { u, v, .. } => {
-                        let h = if users_side { v } else { u };
-                        win_entity(h, n_other, p, k, j)
-                    }
-                }
-            };
-            sample_latent(&mut rng, k, hp, ratings.row(e), &other, data.mean)
-        };
-        fresh.extend_from_slice(&sample);
+        let other = |j: usize, slot: &mut [f64]| ex.read(data, !users_side, j, slot);
+        sampler.sample(&mut rng, ratings.row(e), other, data.mean, out);
     }
-    // Write the fresh slice back.
+}
+
+/// Write the fresh slice (elements `at..` of the side's flat matrix)
+/// back into this rank's own storage (real mode only).
+fn publish(
+    ctx: &mut Ctx,
+    ex: &mut LatentExchange,
+    users_side: bool,
+    at: usize,
+    fresh: &[f64],
+    fence: fn(&HybridComm, &mut Ctx),
+) {
     match ex {
         LatentExchange::Private { u, v, .. } => {
             let m = if users_side { u } else { v };
-            m[lo * k..hi * k].copy_from_slice(&fresh);
+            let m = m.as_mut_slice().expect("real-mode replica");
+            m[at..at + fresh.len()].copy_from_slice(fresh);
         }
         LatentExchange::Windows { u, v, hc } => {
             // Wall-clock fence before rewriting the shared window (other
             // ranks may still be reading the previous iterate).
-            hc.fence(ctx);
+            fence(hc, ctx);
             let h = if users_side { u } else { v };
-            h.write_my_block(ctx, &fresh);
+            h.write_my_block(ctx, fresh);
         }
     }
 }
@@ -304,23 +302,18 @@ fn exchange(
     ex: &mut LatentExchange,
     users_side: bool,
     counts: &[usize],
-    me: usize,
+    fresh: &mut Vec<f64>,
 ) {
     match ex {
         LatentExchange::Private { u, v, tuning } => {
-            let total: usize = counts.iter().sum();
-            let m = if users_side { u } else { v };
-            let send: Buf<f64> = match ctx.mode() {
-                DataMode::Real => {
-                    let displs = collectives::util::displs_of(counts);
-                    Buf::Real(m[displs[me]..displs[me] + counts[me]].to_vec())
-                }
-                DataMode::Phantom => Buf::Phantom(counts[me]),
+            let replica = if users_side { u } else { v };
+            let send = match ctx.mode() {
+                DataMode::Real => Buf::Real(std::mem::take(fresh)),
+                DataMode::Phantom => Buf::Phantom(counts[world.rank()]),
             };
-            let mut recv: Buf<f64> = ctx.buf_zeroed(total);
-            allgatherv::tuned(ctx, world, &send, counts, &mut recv, tuning);
-            if let Some(slice) = recv.as_slice() {
-                m.copy_from_slice(slice);
+            allgatherv::tuned(ctx, world, &send, counts, replica, tuning);
+            if let Buf::Real(sent) = send {
+                *fresh = sent;
             }
         }
         LatentExchange::Windows { u, v, .. } => {
@@ -335,7 +328,7 @@ fn exchange(
 /// library's `MPI_Allgatherv`.
 pub fn ori_bpmf(ctx: &mut Ctx, data: &Dataset, cfg: &BpmfConfig) -> BpmfReport {
     let world = ctx.world();
-    run_bpmf(ctx, &world, data, cfg, false)
+    run_bpmf(ctx, &world, data, cfg, false, HybridComm::fence)
 }
 
 /// **Hy_BPMF**: the hybrid MPI+MPI version — the latent matrices live in
@@ -345,7 +338,7 @@ pub fn ori_bpmf(ctx: &mut Ctx, data: &Dataset, cfg: &BpmfConfig) -> BpmfReport {
 /// communication operations in Hy_BPMF", §5.2.2).
 pub fn hy_bpmf(ctx: &mut Ctx, data: &Dataset, cfg: &BpmfConfig) -> BpmfReport {
     let world = ctx.world();
-    run_bpmf(ctx, &world, data, cfg, true)
+    run_bpmf(ctx, &world, data, cfg, true, HybridComm::fence)
 }
 
 /// Hy_BPMF over an explicit communicator (a shrunk world after
@@ -359,7 +352,7 @@ pub fn hy_bpmf_on(
     data: &Dataset,
     cfg: &BpmfConfig,
 ) -> BpmfReport {
-    run_bpmf(ctx, comm, data, cfg, true)
+    run_bpmf(ctx, comm, data, cfg, true, HybridComm::fence)
 }
 
 /// Fault-tolerant Hy_BPMF: the whole run is one protected round of
@@ -370,7 +363,7 @@ pub fn hy_bpmf_on(
 /// size would.
 pub fn ft_bpmf(ctx: &mut Ctx, ft: &mut FtComm, data: &Dataset, cfg: &BpmfConfig) -> BpmfReport {
     ft.run_raw(ctx, "bpmf", |ctx, comm| {
-        run_bpmf(ctx, comm, data, cfg, true)
+        run_bpmf(ctx, comm, data, cfg, true, HybridComm::fence)
     })
 }
 
@@ -378,11 +371,11 @@ pub fn ft_bpmf(ctx: &mut Ctx, ft: &mut FtComm, data: &Dataset, cfg: &BpmfConfig)
 mod tests {
     use super::*;
     use crate::data::{Dataset, SyntheticSpec};
-    use crate::gibbs::serial_gibbs;
+    use crate::gibbs::{flat, serial_gibbs};
     use collectives::FaultPolicy;
     use hmpi::SyncMethod;
     use msim::{FaultPlan, SimConfig, Universe};
-    use simnet::{ClusterSpec, CostModel};
+    use simnet::{ClusterSpec, CostModel, EventKind};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -405,14 +398,7 @@ mod tests {
             cfg.seed,
             data.mean,
         );
-        let k = cfg.k;
-        rmse(
-            k,
-            &|e| u[e * k..(e + 1) * k].to_vec(),
-            &|e| v[e * k..(e + 1) * k].to_vec(),
-            &data.test,
-            data.mean,
-        )
+        rmse(cfg.k, flat(&u), flat(&v), &data.test, data.mean)
     }
 
     #[test]
@@ -440,6 +426,48 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn race_detector_passes_hy_bpmf_and_catches_a_skipped_fence() {
+        // Every load the sampler, the hyper draw and the RMSE make from
+        // the node-shared windows is ordered against every write by the
+        // hybrid allgather's barrier pair and the fence before
+        // `write_my_block`; the detector must see all of those edges.
+        let data = Arc::new(Dataset::synthesize(&SyntheticSpec::tiny(11)));
+        let cfg = tiny_cfg();
+        let want = serial_rmse(&data, &cfg);
+        let sim = || {
+            SimConfig::new(ClusterSpec::regular(2, 4), CostModel::uniform_test())
+                .with_race_detect(true)
+        };
+
+        let (d, c) = (Arc::clone(&data), cfg.clone());
+        let clean = Universe::run(sim().traced(), move |ctx| {
+            hy_bpmf(ctx, &d, &c).rmse.unwrap()
+        })
+        .expect("Hy_BPMF is race-free");
+        assert!(clean.per_rank.iter().all(|&got| got == want));
+        let checked = clean
+            .tracer
+            .events()
+            .into_iter()
+            .find_map(|e| match e.kind {
+                EventKind::RaceCheck { accesses, races } => Some((accesses, races)),
+                _ => None,
+            });
+        let (accesses, races) = checked.expect("an armed traced run records its verdict");
+        assert!(accesses > 0, "the detector saw the window traffic");
+        assert_eq!(races, 0);
+
+        // The mutant: drop the fence, and a fast rank rewrites its block
+        // of U while a slow one is still reading U for its hyper draw.
+        let err = Universe::run(sim(), move |ctx| {
+            let world = ctx.world();
+            run_bpmf(ctx, &world, &data, &cfg, true, |_, _| {}).rmse
+        })
+        .expect_err("write_my_block without the fence races with the readers");
+        assert!(err.is_race(), "expected a race report, got: {err}");
     }
 
     #[test]

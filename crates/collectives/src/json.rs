@@ -1,9 +1,9 @@
 //! A minimal, dependency-free JSON reader/writer.
 //!
-//! The workspace is hermetic (no external crates beyond the vendored
-//! criterion), so the tuning-table serialization in [`crate::policy`]
-//! hand-rolls the small JSON subset it needs: objects, arrays, strings,
-//! unsigned integers, floats and booleans. Escapes beyond `\" \\ \/ \n
+//! The workspace is hermetic (no external crates), so the tuning-table
+//! serialization in [`crate::policy`] hand-rolls the small JSON subset
+//! it needs: objects, arrays, strings, unsigned integers, floats and
+//! booleans. Escapes beyond `\" \\ \/ \n
 //! \r \t \u` are not produced and not accepted; this is a data format
 //! for our own files, not a general-purpose parser. The files are still
 //! outside input (certificates, tuning tables, artifacts passed to

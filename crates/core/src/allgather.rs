@@ -252,8 +252,19 @@ impl<T: ShmElem> HyAllgatherv<T> {
     /// input read).
     pub fn read_block(&self, r: usize) -> Vec<T> {
         let mut out = vec![T::default(); self.block_len(r)];
-        self.win.read_into(self.block_offset(r), &mut out);
+        self.read_block_into(r, &mut out);
         out
+    }
+
+    /// [`HyAllgatherv::read_block`] into a buffer the caller keeps: a
+    /// loop that reads a block per step (a SUMMA panel, say) loads it
+    /// straight from the window into its one operand buffer.
+    ///
+    /// # Panics
+    /// Panics if `out` is not exactly one block of rank `r` long.
+    pub fn read_block_into(&self, r: usize, out: &mut [T]) {
+        assert_eq!(out.len(), self.block_len(r), "out must match counts[r]");
+        self.win.read_into(self.block_offset(r), out);
     }
 
     /// The collective operation (paper Fig. 4, lines 23–39): synchronize,

@@ -6,7 +6,8 @@
 //! need:
 //!
 //! * [`Mat`] — a column-major dense matrix with views and the usual ops,
-//! * [`gemm`] — blocked matrix multiplication (C ← α·A·B + β·C),
+//! * [`gemm`] — blocked, register-tiled matrix multiplication
+//!   (C ← α·A·B + β·C), also over borrowed operands ([`gemm_ref`]),
 //! * [`Cholesky`] — LLᵀ factorization with forward/backward solves,
 //! * [`sample`] — multivariate normal, Wishart (Bartlett) and Gamma
 //!   (Marsaglia–Tsang) samplers for the Normal–Wishart Gibbs updates,
@@ -23,7 +24,7 @@ pub mod sample;
 pub mod sparse;
 
 pub use cholesky::Cholesky;
-pub use gemm::{gemm, matmul};
-pub use mat::Mat;
+pub use gemm::{gemm, gemm_ref, matmul};
+pub use mat::{Mat, MatRef};
 pub use rng::{Rng, SmallRng};
 pub use sparse::Csr;

@@ -81,6 +81,15 @@ impl Mat {
         &mut self.data[c * self.rows..(c + 1) * self.rows]
     }
 
+    /// This matrix as a borrowed view.
+    pub fn view(&self) -> MatRef<'_> {
+        MatRef {
+            rows: self.rows,
+            cols: self.cols,
+            data: &self.data,
+        }
+    }
+
     /// The transpose.
     pub fn t(&self) -> Mat {
         Mat::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
@@ -149,6 +158,52 @@ impl Mat {
     /// Maximum absolute element.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0, |m, &v| m.max(v.abs()))
+    }
+}
+
+/// A borrowed column-major `rows x cols` matrix: what [`crate::gemm_ref`]
+/// reads its operands through, so data that already sits in someone
+/// else's buffer (a received panel, say) is multiplied where it is.
+#[derive(Debug, Clone, Copy)]
+pub struct MatRef<'a> {
+    rows: usize,
+    cols: usize,
+    data: &'a [f64],
+}
+
+impl<'a> MatRef<'a> {
+    /// View `data` as a column-major `rows x cols` matrix.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != rows * cols`.
+    pub fn new(rows: usize, cols: usize, data: &'a [f64]) -> Self {
+        assert_eq!(data.len(), rows * cols, "data length mismatch");
+        Self { rows, cols, data }
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Column `c` as a slice.
+    pub fn col(&self, c: usize) -> &'a [f64] {
+        &self.data[c * self.rows..(c + 1) * self.rows]
+    }
+
+    /// The element at (`r`, `c`).
+    #[inline]
+    pub fn at(&self, r: usize, c: usize) -> f64 {
+        debug_assert!(
+            r < self.rows && c < self.cols,
+            "index ({r},{c}) out of bounds"
+        );
+        self.data[c * self.rows + r]
     }
 }
 

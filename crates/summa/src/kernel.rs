@@ -2,8 +2,8 @@
 
 use collectives::{barrier, bcast, run_blocking, DriveOp, IColl, Tuning};
 use hmpi::{FtComm, HyAllgatherv, HybridComm, SyncSm};
-use linalg::gemm::{gemm, gemm_flops};
-use linalg::Mat;
+use linalg::gemm::{gemm, gemm_flops, gemm_ref};
+use linalg::{Mat, MatRef};
 use msim::{Buf, Communicator, Ctx, DataMode, Drive, Request, WaitError};
 
 use crate::grid::GridComms;
@@ -56,8 +56,38 @@ fn my_block(ctx: &Ctx, g: &GridComms, b: usize, elem: fn(usize, usize) -> f64) -
     ctx.buf_from_fn(b * b, move |idx| elem(row0 + idx % b, col0 + idx / b))
 }
 
-fn buf_to_mat(b: usize, buf: &Buf<f64>) -> Mat {
-    Mat::from_col_major(b, b, buf.as_slice().expect("real-mode buffer").to_vec())
+/// A received panel as a gemm operand, multiplied where it landed.
+fn operand(b: usize, panel: &Buf<f64>) -> MatRef<'_> {
+    MatRef::new(b, b, panel.as_slice().expect("real-mode buffer"))
+}
+
+/// The real-data half of a hybrid SUMMA rank: the C block it
+/// accumulates and the one A and one B operand every step loads its
+/// panels into — a window is shared storage, not a `&[f64]`, so the
+/// load is the one copy a step makes, and it allocates nothing.
+struct Product {
+    a: Mat,
+    b: Mat,
+    c: Mat,
+}
+
+impl Product {
+    /// Zero C and the operands in real mode, nothing in phantom mode.
+    fn new(ctx: &Ctx, b: usize) -> Option<Self> {
+        (ctx.mode() == DataMode::Real).then(|| Self {
+            a: Mat::zeros(b, b),
+            b: Mat::zeros(b, b),
+            c: Mat::zeros(b, b),
+        })
+    }
+
+    /// `C += A_k·B_k`, both panels direct loads from the node-shared
+    /// panel windows.
+    fn step(&mut self, a_panels: &HyAllgatherv<f64>, b_panels: &HyAllgatherv<f64>, k: usize) {
+        a_panels.read_block_into(k, self.a.data_mut());
+        b_panels.read_block_into(k, self.b.data_mut());
+        gemm(1.0, &self.a, &self.b, 1.0, &mut self.c);
+    }
 }
 
 /// **Ori_SUMMA** — the pure-MPI version: private panel buffers, library
@@ -74,36 +104,28 @@ pub fn ori_summa(ctx: &mut Ctx, spec: &SummaSpec) -> SummaReport {
     let b = spec.block;
     let a_block = my_block(ctx, &g, b, a_elem);
     let b_block = my_block(ctx, &g, b, b_elem);
-    let real = ctx.mode() == DataMode::Real;
-    let mut c = real.then(|| Mat::zeros(b, b));
+    let mut c = (ctx.mode() == DataMode::Real).then(|| Mat::zeros(b, b));
+    // The private panel buffers every broadcast lands in.
+    let mut a_panel = ctx.buf_zeroed(b * b);
+    let mut b_panel = ctx.buf_zeroed(b * b);
 
     barrier::tuned(ctx, &g.grid);
     let t0 = ctx.now();
     for k in 0..g.q {
         // A panel travels along the row; root is the column-k owner.
-        let mut a_panel = if g.my_col == k {
-            a_block.clone()
-        } else {
-            ctx.buf_zeroed(b * b)
-        };
+        if g.my_col == k {
+            a_panel.copy_from(0, &a_block, 0, b * b);
+        }
         bcast::tuned(ctx, &g.row, &mut a_panel, k, &spec.tuning);
         // B panel travels along the column; root is the row-k owner.
-        let mut b_panel = if g.my_row == k {
-            b_block.clone()
-        } else {
-            ctx.buf_zeroed(b * b)
-        };
+        if g.my_row == k {
+            b_panel.copy_from(0, &b_block, 0, b * b);
+        }
         bcast::tuned(ctx, &g.col, &mut b_panel, k, &spec.tuning);
 
         ctx.compute(gemm_flops(b, b, b));
         if let Some(c) = &mut c {
-            gemm(
-                1.0,
-                &buf_to_mat(b, &a_panel),
-                &buf_to_mat(b, &b_panel),
-                1.0,
-                c,
-            );
+            gemm_ref(1.0, operand(b, &a_panel), operand(b, &b_panel), 1.0, c);
         }
     }
     SummaReport {
@@ -219,6 +241,47 @@ fn ipanel_bcast(
     IColl::start(ctx, body)
 }
 
+/// The node-shared panel stores of a hybrid SUMMA rank.
+struct PanelWindows {
+    hc_row: HybridComm,
+    a_panels: HyAllgatherv<f64>,
+    hc_col: HybridComm,
+    b_panels: HyAllgatherv<f64>,
+}
+
+impl PanelWindows {
+    /// One-off setup, amortized over the q iterations (and in production
+    /// over many multiplications on the same grid): per row/column
+    /// communicator, a window with one b² slot per member holds the
+    /// input panels — the matrices themselves are node-shared, which is
+    /// the MPI+MPI programming model. This rank's blocks of A and B are
+    /// written into their slots and not kept: the windows are the only
+    /// copy from here on.
+    fn build(ctx: &mut Ctx, g: &GridComms, spec: &SummaSpec) -> Self {
+        let b = spec.block;
+        let counts = vec![b * b; g.q];
+        let hc_row = HybridComm::new(ctx, &g.row, spec.tuning.clone());
+        let a_panels = HyAllgatherv::<f64>::new(ctx, &hc_row, &counts);
+        let hc_col = HybridComm::new(ctx, &g.col, spec.tuning.clone());
+        let b_panels = HyAllgatherv::<f64>::new(ctx, &hc_col, &counts);
+        if let Some(s) = my_block(ctx, g, b, a_elem).as_slice() {
+            a_panels.write_my_block(ctx, s);
+        }
+        if let Some(s) = my_block(ctx, g, b, b_elem).as_slice() {
+            b_panels.write_my_block(ctx, s);
+        }
+        // Make the setup writes visible before leaders read them
+        // (wall-clock only; setup is untimed).
+        ctx.oob_fence(&g.grid);
+        Self {
+            hc_row,
+            a_panels,
+            hc_col,
+            b_panels,
+        }
+    }
+}
+
 /// **Hy_SUMMA** — the hybrid MPI+MPI version. The A and B panels live in
 /// node-shared windows over the row/column communicators (one copy per
 /// node, written once at setup), so a SUMMA broadcast reduces to a
@@ -241,30 +304,13 @@ pub fn hy_summa_on(ctx: &mut Ctx, comm: &Communicator, spec: &SummaSpec) -> Summ
         };
     };
     let b = spec.block;
-    let a_block = my_block(ctx, &g, b, a_elem);
-    let b_block = my_block(ctx, &g, b, b_elem);
-    let real = ctx.mode() == DataMode::Real;
-    let mut c = real.then(|| Mat::zeros(b, b));
-
-    // One-off setup, amortized over the q iterations (and in production
-    // over many multiplications on the same grid): per row/column
-    // communicator, a window with one b² slot per member holds the input
-    // panels — the matrices themselves are node-shared, which is the
-    // MPI+MPI programming model.
-    let counts = vec![b * b; g.q];
-    let hc_row = HybridComm::new(ctx, &g.row, spec.tuning.clone());
-    let a_panels = HyAllgatherv::<f64>::new(ctx, &hc_row, &counts);
-    let hc_col = HybridComm::new(ctx, &g.col, spec.tuning.clone());
-    let b_panels = HyAllgatherv::<f64>::new(ctx, &hc_col, &counts);
-    if let Some(s) = a_block.as_slice() {
-        a_panels.write_my_block(ctx, s);
-    }
-    if let Some(s) = b_block.as_slice() {
-        b_panels.write_my_block(ctx, s);
-    }
-    // Make the setup writes visible before leaders read them (wall-clock
-    // only; setup is untimed).
-    ctx.oob_fence(&g.grid);
+    let mut product = Product::new(ctx, b);
+    let PanelWindows {
+        hc_row,
+        a_panels,
+        hc_col,
+        b_panels,
+    } = PanelWindows::build(ctx, &g, spec);
 
     barrier::tuned(ctx, &g.grid);
     let t0 = ctx.now();
@@ -273,16 +319,14 @@ pub fn hy_summa_on(ctx: &mut Ctx, comm: &Communicator, spec: &SummaSpec) -> Summ
         panel_bcast(ctx, &hc_col, &b_panels, k);
 
         ctx.compute(gemm_flops(b, b, b));
-        if let Some(c) = &mut c {
-            let a_panel = Mat::from_col_major(b, b, a_panels.read_block(k));
-            let b_panel = Mat::from_col_major(b, b, b_panels.read_block(k));
-            gemm(1.0, &a_panel, &b_panel, 1.0, c);
+        if let Some(product) = &mut product {
+            product.step(&a_panels, &b_panels, k);
         }
     }
     SummaReport {
         active: true,
         elapsed_us: ctx.now() - t0,
-        c_block: c,
+        c_block: product.map(|p| p.c),
     }
 }
 
@@ -304,23 +348,13 @@ pub fn hy_summa_overlap(ctx: &mut Ctx, spec: &SummaSpec) -> SummaReport {
         };
     };
     let b = spec.block;
-    let a_block = my_block(ctx, &g, b, a_elem);
-    let b_block = my_block(ctx, &g, b, b_elem);
-    let real = ctx.mode() == DataMode::Real;
-    let mut c = real.then(|| Mat::zeros(b, b));
-
-    let counts = vec![b * b; g.q];
-    let hc_row = HybridComm::new(ctx, &g.row, spec.tuning.clone());
-    let a_panels = HyAllgatherv::<f64>::new(ctx, &hc_row, &counts);
-    let hc_col = HybridComm::new(ctx, &g.col, spec.tuning.clone());
-    let b_panels = HyAllgatherv::<f64>::new(ctx, &hc_col, &counts);
-    if let Some(s) = a_block.as_slice() {
-        a_panels.write_my_block(ctx, s);
-    }
-    if let Some(s) = b_block.as_slice() {
-        b_panels.write_my_block(ctx, s);
-    }
-    ctx.oob_fence(&g.grid);
+    let mut product = Product::new(ctx, b);
+    let PanelWindows {
+        hc_row,
+        a_panels,
+        hc_col,
+        b_panels,
+    } = PanelWindows::build(ctx, &g, spec);
 
     barrier::tuned(ctx, &g.grid);
     let t0 = ctx.now();
@@ -340,16 +374,14 @@ pub fn hy_summa_overlap(ctx: &mut Ctx, spec: &SummaSpec) -> SummaReport {
         }
 
         ctx.compute(gemm_flops(b, b, b));
-        if let Some(c) = &mut c {
-            let a_panel = Mat::from_col_major(b, b, a_panels.read_block(k));
-            let b_panel = Mat::from_col_major(b, b, b_panels.read_block(k));
-            gemm(1.0, &a_panel, &b_panel, 1.0, c);
+        if let Some(product) = &mut product {
+            product.step(&a_panels, &b_panels, k);
         }
     }
     SummaReport {
         active: true,
         elapsed_us: ctx.now() - t0,
-        c_block: c,
+        c_block: product.map(|p| p.c),
     }
 }
 
@@ -381,7 +413,7 @@ mod tests {
     use collectives::FaultPolicy;
     use hmpi::SyncMethod;
     use msim::{FaultPlan, SimConfig, Universe};
-    use simnet::{ClusterSpec, CostModel};
+    use simnet::{ClusterSpec, CostModel, EventKind};
     use std::time::Duration;
 
     type Kernel = fn(&mut Ctx, &SummaSpec) -> SummaReport;
@@ -524,6 +556,44 @@ mod tests {
         check_correct(1, 4, 2, 3, hy_summa_overlap);
         check_correct(2, 3, 2, 4, hy_summa_overlap);
         check_correct(2, 5, 3, 2, hy_summa_overlap);
+    }
+
+    #[test]
+    fn race_detector_passes_both_hybrid_kernels() {
+        // Panels are written once at setup and read from the node-shared
+        // windows every step (by the gemm operands, and by the leaders'
+        // bridge broadcasts — prefetched a step ahead in the overlapped
+        // kernel); the detector must find every one of those reads
+        // ordered after the write it depends on.
+        // On 2 x 4 the 2 x 2 grid shares node 0 with four idle ranks on
+        // node 1; on 2 x 2 its columns cross the bridge.
+        let kernels = [
+            ("hy_summa", hy_summa as Kernel),
+            ("hy_summa_overlap", hy_summa_overlap),
+        ];
+        for ((name, kernel), ppn) in kernels.into_iter().flat_map(|k| [(k, 4), (k, 2)]) {
+            let cfg = SimConfig::new(ClusterSpec::regular(2, ppn), CostModel::uniform_test())
+                .with_race_detect(true)
+                .traced();
+            let spec = SummaSpec {
+                q: 2,
+                block: 4,
+                tuning: Tuning::cray_mpich(),
+            };
+            let r = Universe::run(cfg, move |ctx| kernel(ctx, &spec))
+                .unwrap_or_else(|e| panic!("{name} on 2 x {ppn} under the detector: {e}"));
+            for (rank, rep) in r.per_rank.iter().take(4).enumerate() {
+                let got = rep.c_block.as_ref().expect("active rank computes C");
+                assert!(got.distance(&expected_c_block(2, 4, rank / 2, rank % 2)) < 1e-9);
+            }
+            let checked = r.tracer.events().into_iter().find_map(|e| match e.kind {
+                EventKind::RaceCheck { accesses, races } => Some((accesses, races)),
+                _ => None,
+            });
+            let (accesses, races) = checked.expect("an armed traced run records its verdict");
+            assert!(accesses > 0, "{name}: the detector saw the window traffic");
+            assert_eq!(races, 0, "{name} on 2 x {ppn}");
+        }
     }
 
     #[test]

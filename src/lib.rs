@@ -31,7 +31,11 @@
 //!     let ag = HyAllgather::<f64>::new(ctx, &hc, 4);
 //!     ag.write_my_block(ctx, &vec![ctx.rank() as f64; 4]);
 //!     ag.execute(ctx); // barrier · bridge Allgatherv · barrier
-//!     ag.read_block(7)[0] // read any rank's block straight from the window
+//!     // Read any rank's block straight from the window, into a buffer
+//!     // the caller keeps (`read_block` returns a fresh `Vec` instead).
+//!     let mut block = [0.0; 4];
+//!     ag.read_block_into(7, &mut block);
+//!     block[0]
 //! })
 //! .unwrap();
 //! assert!(out.per_rank.iter().all(|&v| v == 7.0));
