@@ -59,15 +59,15 @@
 #           a *disarmed* run provably stays bit-identical: with no
 #           FaultPlan the FT paths are never entered. `--quick` keeps
 #           the matrix on a 1-seed subset (MSIM_FT_SEEDS=1).
-#   events  event-calendar gate (docs/simulator.md): the msim calendar
+#   events  `ExecMode::Events` gate (docs/simulator.md): the msim
 #           differential suite (events ≡ pooled ≡ threads on results,
 #           clocks, and traces across fuzz seeds, layouts, kills, FT
 #           recovery) plus the hybrid-collective differential wall
 #           (every Hy* family x 3 sync methods x regular+irregular
-#           layouts x seeds, three executors bit-identical), then a
-#           65536-rank phantom smoke on a single driver thread, gated
-#           by EVENTS_BUDGET_S. `--quick` trims the wall to a 1-seed
-#           subset (MSIM_CONF_SEEDS=1).
+#           layouts x seeds, three modes bit-identical) and the fig
+#           7/8/9 goldens on events. Its wall-clock point (65536 ranks,
+#           EVENTS_BUDGET_S) runs once, in `perf`. `--quick` trims the
+#           wall to a 1-seed subset (MSIM_CONF_SEEDS=1).
 #   overlap split-phase gate (docs/nonblocking.md): the iexecute
 #           conformance suite (iexecute+wait bit-identical to execute
 #           for every family x 3 sync methods x regular+irregular
@@ -114,8 +114,9 @@
 #           virtual time and schedule-independent counts only)
 #   perf    wall-clock gate: `scale --ranks 96 --ci` (pooled, temp
 #           artifact) and `scale --exec events --ranks 65536 --ci`
-#           (calendar, temp artifact) each fail if measured wall-clock
-#           exceeds their stored budget by >25%; the committed
+#           (events, temp artifact; the only run of this point) each
+#           fail if measured wall-clock exceeds their stored budget by
+#           >25%; the committed
 #           BENCH_scale.json must round-trip the canonical JSON
 #           serializer byte-for-byte. Also asserts the detector-off
 #           artifact is unaffected by the race feature. CI invocations
@@ -126,7 +127,7 @@
 #
 # Perf budget bump procedure: the stored budgets below are wall-clock
 # (seconds) of `scale --ranks 96` (SCALE_BUDGET_S, pooled) and
-# `scale --exec events --ranks 65536` (EVENTS_BUDGET_S, calendar) on
+# `scale --exec events --ranks 65536` (EVENTS_BUDGET_S, events) on
 # the CI reference host, with headroom for load noise. If a gate fails
 # and the slowdown is *intended* (e.g. the simulator gained a feature
 # that costs real time), re-measure with
@@ -184,8 +185,8 @@ trap on_exit EXIT
 # accidental thread-per-rank fallback or a syscall storm in the pool).
 SCALE_BUDGET_S=1.0
 
-# Stored wall-clock budget (seconds) for the 65536-rank event-calendar
-# point (events + perf stages), single driver thread. Measured
+# Stored wall-clock budget (seconds) for the 65536-rank `--exec events`
+# point (perf stage), single thread. Measured
 # 1.7-1.9 s alone (3.1 s worst of 8 on a loud host; the parent commit
 # 2.0-2.2 s, worst 3.2 s, in the same alternating series — CHANGES.md
 # PR 21). Where the 1.8 s go, from timing the rank program cut off
@@ -328,22 +329,17 @@ stage_ft() {
 EVENTS_SEEDS=8
 
 stage_events() {
-    # Calendar differential suite: events ≡ pooled ≡ threads on results,
-    # virtual clocks, and canonical traces, plus the typed rejections
-    # (events + real payloads / events + armed race detector fail fast).
+    # Differential suite: events ≡ pooled ≡ threads on results, virtual
+    # clocks, and canonical traces, plus the typed rejections (events +
+    # real payloads / events + armed race detector fail fast).
     cargo test -q -p msim --test calendar
     # The hybrid-collective wall: every Hy* family, all 3 sync methods,
     # regular 4x6 + irregular [1,3,4] layouts, across the fuzz seeds —
     # three executors bit-identical.
     MSIM_CONF_SEEDS="$EVENTS_SEEDS" cargo test -q -p hmpi-core --test events_conformance
-    # Figure-golden leg: fig 7/8/9 virtual times unchanged on the
-    # calendar.
+    # Figure-golden leg: fig 7/8/9 virtual times unchanged under
+    # events. (The 65536-rank wall-clock point is the perf stage's.)
     cargo test -q -p bench --test regression events_executor_reproduces_goldens_bit_for_bit
-    # 65536-rank phantom smoke on one driver thread, budget-gated (see
-    # header for the bump procedure). Temp artifact: CI never touches
-    # the committed BENCH_scale.json.
-    cargo run --release -p bench --bin scale -- --exec events --ranks 65536 --ci \
-        --out /tmp/ci_scale_events.json --budget-s "$EVENTS_BUDGET_S"
 }
 
 # Seed subset for the overlap stage's iexecute conformance pass: the
@@ -456,8 +452,9 @@ stage_perf() {
     # so MSIM_RACE=1 must be a no-op for both timing and the artifact.
     MSIM_RACE=1 cargo run --release -p bench --bin scale -- \
         --ranks 96 --ci --out /tmp/ci_scale_perf_race.json --budget-s "$SCALE_BUDGET_S"
-    # The large-rank event-calendar point: 65536 ranks on one driver
-    # thread, its own budget (EVENTS_BUDGET_S — see header).
+    # The large-rank events point: 65536 phantom ranks on the launching
+    # thread, its own budget (EVENTS_BUDGET_S — see header). Temp
+    # artifact: CI never touches the committed BENCH_scale.json.
     cargo run --release -p bench --bin scale -- --exec events --ranks 65536 --ci \
         --out /tmp/ci_scale_perf_events.json --budget-s "$EVENTS_BUDGET_S"
     # Belt and braces: the round-trip golden check must also pass against
@@ -492,7 +489,7 @@ describe_stage() {
     race) echo "happens-before race detector: mutants + armed conformance suites" ;;
     mcheck) echo "DPOR model checker: mutant wall + exhaustive Hy* sweep (1 and 2 leaders)" ;;
     ft) echo "fault tolerance: kill matrix, runtime retry, app recovery, BENCH_ft" ;;
-    events) echo "event calendar: executor differential wall + 65536-rank smoke" ;;
+    events) echo "ExecMode::Events: three-mode differential wall + fig goldens on events" ;;
     overlap) echo "split-phase: iexecute wall, app overlap wins, BENCH_overlap" ;;
     multileader) echo "leader count: digest fixture, uneven-node wall, BENCH_multileader byte-identical" ;;
     chaos) echo "chaos soak: seeded fault campaigns + invariant oracle + mutant probe" ;;
@@ -513,7 +510,7 @@ elif [ "$1" = "--list" ]; then
 elif [ "$1" = "--quick" ]; then
     # The race, ft, events, overlap, and multileader stages ride along
     # on 1-seed subsets so the inner loop still exercises the detector,
-    # the kill matrix, the calendar differential wall, the split-phase
+    # the kill matrix, the events differential wall, the split-phase
     # gate, and the k-leader wall without the full seed sweeps.
     RACE_SEEDS=1
     FT_SEEDS=1

@@ -91,7 +91,7 @@ fn events_points_ran_on_a_single_thread() {
             assert_eq!(
                 p.get("peak_threads").and_then(|t| t.as_f64()),
                 Some(1.0),
-                "the calendar drives every rank from one thread"
+                "Events drives every rank from one thread"
             );
         }
     }

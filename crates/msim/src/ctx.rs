@@ -51,9 +51,23 @@ pub struct Ctx {
     progress_claims: u64,
     /// Next nonblocking-request sequence number (trace correlation).
     req_seq: u64,
-    /// When set, `try_recv`/`try_wait_flag` deterministically find
-    /// nothing (see [`Ctx::suppress_claims`]).
+    /// When set, polls ([`Drive::Poll`] steps, `try_recv`)
+    /// deterministically find nothing (see [`Ctx::suppress_claims`]).
     claims_suppressed: bool,
+}
+
+/// What travels on the one message path, in either direction: the two
+/// things a deposit and a wait are priced, traced and labelled by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Wire {
+    /// A message through the MPI stack: `o_send`/`o_recv` of software
+    /// overhead, in transit for the link's α + β·n plus topology and
+    /// perturbation extras.
+    Msg,
+    /// A store to (poll of) a flag in the node's shared cache:
+    /// `flag_post_us`/`flag_poll_us`, visible `flag_latency_us` later,
+    /// traced as zero on-node bytes.
+    Flag,
 }
 
 impl Ctx {
@@ -76,9 +90,9 @@ impl Ctx {
         }
     }
 
-    /// Run `f` with message claims suppressed: every `try_recv` /
-    /// `try_wait_flag` (and therefore every [`Drive::Poll`] step) finds
-    /// nothing, while sends, flag posts, and local work proceed normally.
+    /// Run `f` with message claims suppressed: every [`Drive::Poll`] step
+    /// (and `try_recv`, which is one) finds nothing, while sends, flag
+    /// posts, and local work proceed normally.
     ///
     /// This is the determinism guard of the nonblocking starts. Whether
     /// a poll can claim a message depends on how far the *sender* has
@@ -316,78 +330,139 @@ impl Ctx {
     /// Panics if `dst` is out of range or the payload's data mode
     /// contradicts the universe's.
     pub fn send(&mut self, comm: &Communicator, dst: usize, tag: u32, payload: Payload) {
+        self.deposit(comm, Some(dst), tag, Wire::Msg, payload);
+    }
+
+    /// The one way a packet leaves this rank: fault step, CPU charge and
+    /// arrival stamp, trace, race release, heartbeat, mailbox push, probe
+    /// — for a message, a shared flag, or (`dst: None`, flags only) one
+    /// flag store that every other member of `comm` observes. A
+    /// [`Wire::Msg`] has exactly one destination and hands it `payload`;
+    /// a flag carries none.
+    fn deposit(
+        &mut self,
+        comm: &Communicator,
+        dst: Option<usize>,
+        tag: u32,
+        wire: Wire,
+        mut payload: Payload,
+    ) {
         self.fault_step(true);
-        assert!(
-            dst < comm.size(),
-            "send destination {dst} out of range (comm size {})",
-            comm.size()
-        );
-        match (self.shared.mode, &payload) {
-            (DataMode::Real, Payload::Phantom(n)) if *n > 0 => {
-                panic!("phantom payload sent in a real-mode universe")
+        let me = self.global_rank;
+        let dsts = dst.map_or(0..comm.size(), |d| d..d + 1);
+        match wire {
+            Wire::Msg => {
+                assert!(
+                    dsts.end <= comm.size(),
+                    "send destination {} out of range (comm size {})",
+                    dsts.start,
+                    comm.size()
+                );
+                match (self.shared.mode, &payload) {
+                    (DataMode::Real, Payload::Phantom(n)) if *n > 0 => {
+                        panic!("phantom payload sent in a real-mode universe")
+                    }
+                    (DataMode::Phantom, Payload::Real(b)) if !b.is_empty() => {
+                        panic!("real payload sent in a phantom-mode universe")
+                    }
+                    _ => {}
+                }
             }
-            (DataMode::Phantom, Payload::Real(b)) if !b.is_empty() => {
-                panic!("real payload sent in a phantom-mode universe")
+            Wire::Flag => {
+                for d in dsts.clone() {
+                    assert_eq!(
+                        self.shared.map.node_of(comm.global_of(d)),
+                        self.node(),
+                        "shared flags only work between on-node ranks"
+                    );
+                }
             }
-            _ => {}
         }
-        let global_dst = comm.global_of(dst);
-        let link = self.shared.map.link(self.global_rank, global_dst);
         let bytes = payload.len();
-        self.clock.advance(self.shared.cost.o_send);
-        // Inter-node messages may pay a topology surcharge (dragonfly
-        // group crossing).
-        let topo_extra = if link == LinkClass::Network {
-            self.shared.cost.topology.group_extra(
-                self.shared.map.node_of(self.global_rank),
-                self.shared.map.node_of(global_dst),
-            )
-        } else {
-            0.0
+        let (overhead, what) = match wire {
+            Wire::Msg => (self.shared.cost.o_send, "send"),
+            Wire::Flag => (self.shared.cost.flag_post_us, "flag"),
         };
-        let (perturb_extra, delivered) = self.perturb_transit(global_dst);
-        let arrival =
-            self.clock.now() + self.shared.cost.transit(link, bytes) + topo_extra + perturb_extra;
-        self.shared.tracer.record(
-            self.global_rank,
-            self.clock.now(),
-            EventKind::Send {
-                to: global_dst,
-                bytes,
-                intra: link == LinkClass::SharedMem,
-            },
-        );
-        if !delivered {
-            // Lost in transit past all retransmissions: the sender moves
-            // on (eager semantics); detection is the receiver's job.
-            return;
-        }
-        let vc = self
-            .shared
-            .race
-            .as_ref()
-            .map(|r| r.on_send(self.global_rank, format!("send to g{global_dst} tag {tag}")));
-        let beat = self
-            .shared
-            .ft
-            .as_ref()
-            .map(|ft| ft.current_beat(self.global_rank));
-        self.shared.mailboxes[global_dst].push(
-            (comm.id(), comm.rank(), tag),
-            Packet {
-                src: comm.rank(),
-                tag,
-                payload,
-                arrival,
-                vc,
-                beat,
-            },
-        );
-        if let Some(p) = &self.shared.probe {
-            p.record(crate::mcheck::Op::Push {
-                key: (comm.id(), comm.rank(), tag),
-                dst: global_dst,
-            });
+        self.clock.advance(overhead);
+        // One cache-line store is one release event: a multicast takes a
+        // single clock snapshot (and tick), shared by every observer's
+        // packet — and takes it even when nobody observes.
+        let mut vc = match (&self.shared.race, dst) {
+            (Some(r), None) => Some(r.on_send(me, format!("flag multicast tag {tag}"))),
+            _ => None,
+        };
+        let beat = self.shared.ft.as_ref().map(|ft| ft.current_beat(me));
+        let key = (comm.id(), comm.rank(), tag);
+        for d in dsts {
+            if dst.is_none() && d == comm.rank() {
+                continue;
+            }
+            let global_dst = comm.global_of(d);
+            let (arrival, intra, delivered) = match wire {
+                Wire::Msg => {
+                    let link = self.shared.map.link(me, global_dst);
+                    // Inter-node messages may pay a topology surcharge
+                    // (dragonfly group crossing).
+                    let topo_extra = if link == LinkClass::Network {
+                        self.shared.cost.topology.group_extra(
+                            self.shared.map.node_of(me),
+                            self.shared.map.node_of(global_dst),
+                        )
+                    } else {
+                        0.0
+                    };
+                    let (perturb_extra, delivered) = self.perturb_transit(global_dst);
+                    let arrival = self.clock.now()
+                        + self.shared.cost.transit(link, bytes)
+                        + topo_extra
+                        + perturb_extra;
+                    (arrival, link == LinkClass::SharedMem, delivered)
+                }
+                // Flags model a write to the shared last-level cache:
+                // they bypass the messaging stack and the wire.
+                Wire::Flag => (
+                    self.clock.now() + self.shared.cost.flag_latency_us,
+                    true,
+                    true,
+                ),
+            };
+            self.shared.tracer.record(
+                me,
+                self.clock.now(),
+                EventKind::Send {
+                    to: global_dst,
+                    bytes,
+                    intra,
+                },
+            );
+            if !delivered {
+                // Lost in transit past all retransmissions: the sender moves
+                // on (eager semantics); detection is the receiver's job.
+                continue;
+            }
+            if let (Some(r), Some(_)) = (&self.shared.race, dst) {
+                vc = Some(r.on_send(me, format!("{what} to g{global_dst} tag {tag}")));
+            }
+            self.shared.mailboxes[global_dst].push(
+                key,
+                Packet {
+                    src: comm.rank(),
+                    tag,
+                    payload: std::mem::replace(&mut payload, Payload::Phantom(0)),
+                    arrival,
+                    vc: vc.clone(),
+                    beat,
+                },
+            );
+            // Every destination gets its own push op: a multicast's match
+            // key is shared across observers, so `dst` is what pairs each
+            // observer's pop with it.
+            if let Some(p) = &self.shared.probe {
+                p.record(crate::mcheck::Op::Push {
+                    key,
+                    dst: global_dst,
+                });
+            }
         }
     }
 
@@ -400,21 +475,10 @@ impl Ctx {
     /// converts into an error) if no matching message shows up within the
     /// configured timeout.
     pub fn recv(&mut self, comm: &Communicator, src: usize, tag: u32) -> Payload {
-        self.fault_step(true);
-        assert!(
-            src < comm.size(),
-            "recv source {src} out of range (comm size {})",
-            comm.size()
-        );
-        let packet = match self.pop_matching(comm, src, tag) {
-            Ok(p) => p,
-            // Unhandled failure in a plain (infallible) receive: unwind
-            // with the typed error so a fault-aware driver above can
-            // `catch_unwind` and recover, while an unaware program aborts
-            // with a named peer instead of a deadlock timeout.
-            Err(e) => std::panic::panic_any(e),
-        };
-        self.finish_recv(comm, src, tag, packet, false)
+        match self.wait(comm, src, tag, Wire::Msg, Drive::Block) {
+            Ok(Some(payload)) => payload,
+            _ => unreachable!("a blocking wait returns with its packet or unwinds"),
+        }
     }
 
     /// Deadline-aware receive: like [`Ctx::recv`] but returns a typed
@@ -428,35 +492,8 @@ impl Ctx {
         src: usize,
         tag: u32,
     ) -> Result<Payload, WaitError> {
-        self.fault_step(true);
-        assert!(
-            src < comm.size(),
-            "recv source {src} out of range (comm size {})",
-            comm.size()
-        );
-        let packet = if self.shared.ft.is_some() {
-            self.pop_armed(comm, src, tag)?
-        } else {
-            self.drain_progress();
-            let key = (comm.id(), src, tag);
-            let timeout = self.shared.fault.detect_timeout();
-            let stashed = self.take_stashed(key);
-            if stashed.is_some() {
-                self.unwatch(key);
-            }
-            match stashed.or_else(|| self.shared.mailboxes[self.global_rank].pop(key, timeout)) {
-                Some(p) => p,
-                None => {
-                    return Err(WaitError::Timeout {
-                        rank: self.global_rank,
-                        comm: comm.id(),
-                        src,
-                        tag,
-                    })
-                }
-            }
-        };
-        Ok(self.finish_recv(comm, src, tag, packet, false))
+        self.wait(comm, src, tag, Wire::Msg, Drive::Deadline)
+            .map(|p| p.expect("a deadline wait returns its packet or an error"))
     }
 
     /// Register an outstanding nonblocking interest in `key`: the
@@ -476,18 +513,12 @@ impl Ctx {
         }
     }
 
-    /// Pop the oldest claimed packet for `key`, if the progress engine
-    /// stashed one.
-    fn take_stashed(&mut self, key: MatchKey) -> Option<Packet> {
-        self.stash.pop_front(key)
-    }
-
     /// The progress engine: claim every immediately-available packet for
     /// the watched keys into the stash. Called at every park site (the
     /// places a rank is about to block), so outstanding nonblocking
     /// requests advance whenever the rank yields. Claiming is invisible
     /// to virtual time, tracing, races and fault accounting — all of that
-    /// happens at `finish_recv`, using the packet's own fields — so the
+    /// happens at `finish`, using the packet's own fields — so the
     /// engine can never perturb a deterministic schedule.
     pub(crate) fn drain_progress(&mut self) {
         if self.watched.is_empty() {
@@ -496,7 +527,7 @@ impl Ctx {
         let mailbox = &self.shared.mailboxes[self.global_rank];
         for i in 0..self.watched.len() {
             let key = self.watched[i];
-            while let Some(p) = mailbox.try_pop_now(key) {
+            while let Some(p) = mailbox.pop(key, Duration::ZERO) {
                 self.stash.push_back(key, p);
                 self.progress_claims += 1;
             }
@@ -525,69 +556,8 @@ impl Ctx {
     /// [`Ctx::recv`] of the same message, which is what makes
     /// `istart → poll… → wait` equivalent to the blocking call.
     pub fn try_recv(&mut self, comm: &Communicator, src: usize, tag: u32) -> Option<Payload> {
-        assert!(
-            src < comm.size(),
-            "recv source {src} out of range (comm size {})",
-            comm.size()
-        );
-        if self.claims_suppressed {
-            return None;
-        }
-        let key = (comm.id(), src, tag);
-        let packet = self
-            .take_stashed(key)
-            .or_else(|| self.shared.mailboxes[self.global_rank].try_pop_now(key));
-        match packet {
-            Some(p) => {
-                self.unwatch(key);
-                self.fault_step(true);
-                Some(self.finish_recv(comm, src, tag, p, true))
-            }
-            None => {
-                // A failed poll is schedule-observable (the matching
-                // push may or may not have happened yet), so the model
-                // checker treats it as dependent with that push.
-                if let Some(p) = &self.shared.probe {
-                    p.record(crate::mcheck::Op::PollMiss {
-                        key,
-                        dst: self.global_rank,
-                    });
-                }
-                self.watch(key);
-                None
-            }
-        }
-    }
-
-    /// Nonblocking flag-wait attempt: like [`Ctx::try_recv`] but with
-    /// flag-poll cost accounting (see [`Ctx::wait_flag`]). Returns `true`
-    /// when the flag was consumed.
-    pub fn try_wait_flag(&mut self, comm: &Communicator, src: usize, tag: u32) -> bool {
-        if self.claims_suppressed {
-            return false;
-        }
-        let key = (comm.id(), src, tag);
-        let packet = self
-            .take_stashed(key)
-            .or_else(|| self.shared.mailboxes[self.global_rank].try_pop_now(key));
-        match packet {
-            Some(p) => {
-                self.unwatch(key);
-                self.fault_step(true);
-                self.finish_flag(comm, src, tag, p, true);
-                true
-            }
-            None => {
-                if let Some(p) = &self.shared.probe {
-                    p.record(crate::mcheck::Op::PollMiss {
-                        key,
-                        dst: self.global_rank,
-                    });
-                }
-                self.watch(key);
-                false
-            }
-        }
+        self.wait(comm, src, tag, Wire::Msg, Drive::Poll)
+            .expect("a poll raises no wait error")
     }
 
     /// One receive step under a [`Drive`] mode — the primitive the
@@ -605,15 +575,12 @@ impl Ctx {
         tag: u32,
         how: Drive,
     ) -> Result<Option<Payload>, WaitError> {
-        match how {
-            Drive::Poll => Ok(self.try_recv(comm, src, tag)),
-            Drive::Block => Ok(Some(self.recv(comm, src, tag))),
-            Drive::Deadline => self.recv_deadline(comm, src, tag).map(Some),
-        }
+        self.wait(comm, src, tag, Wire::Msg, how)
     }
 
-    /// One flag-wait step under a [`Drive`] mode (see [`Ctx::step_recv`]);
-    /// `Ok(true)` when the flag was consumed.
+    /// One flag-wait step under a [`Drive`] mode (see [`Ctx::step_recv`]),
+    /// with flag-poll cost accounting (see [`Ctx::wait_flag`]); `Ok(true)`
+    /// when the flag was consumed.
     pub fn step_wait_flag(
         &mut self,
         comm: &Communicator,
@@ -621,156 +588,181 @@ impl Ctx {
         tag: u32,
         how: Drive,
     ) -> Result<bool, WaitError> {
-        match how {
-            Drive::Poll => Ok(self.try_wait_flag(comm, src, tag)),
-            Drive::Block => {
-                self.wait_flag(comm, src, tag);
-                Ok(true)
-            }
-            Drive::Deadline => {
-                self.wait_flag_deadline(comm, src, tag)?;
-                Ok(true)
-            }
-        }
+        Ok(self.wait(comm, src, tag, Wire::Flag, how)?.is_some())
     }
 
-    /// Match one packet, choosing the plain fast path (disarmed: block on
-    /// the mailbox until the deadlock timeout) or the armed polling loop.
-    fn pop_matching(
+    /// The one way a packet reaches this rank's program: match `(comm,
+    /// src, tag)` against the stash (packets the progress engine already
+    /// claimed), then the mailbox, as `how` says, and account for the
+    /// completion ([`Ctx::finish`]).
+    ///
+    /// * [`Drive::Poll`] looks once. A hit is a fault op *after* the
+    ///   match. A miss has no side effect but a progress-engine interest
+    ///   and the probe's `PollMiss` (the matching push may or may not
+    ///   have happened yet, so the model checker treats the poll as
+    ///   dependent with it); under [`Ctx::suppress_claims`] not even those.
+    /// * [`Drive::Block`] and [`Drive::Deadline`] are a fault op *before*
+    ///   the match. Disarmed, they block on the mailbox once, until the
+    ///   deadlock timeout (`Block`, which unwinds with
+    ///   [`SimError::DeadlockSuspected`]) or the detection timeout
+    ///   (`Deadline`: [`WaitError::Timeout`]). Armed, both poll the
+    ///   mailbox in short slices, watching the awaited peer in the
+    ///   liveness table: a peer seen dead or diverted past this rank's
+    ///   epoch gets **one final drain** (its last pushes happened-before
+    ///   the mark) before the typed error is raised; under transport
+    ///   loss the detection timeout raises [`WaitError::Timeout`]; the
+    ///   deadlock timeout still unwinds. `Deadline` returns a typed
+    ///   error; `Block`, which cannot, unwinds with it as the payload, so
+    ///   a fault-aware driver above can `catch_unwind` and recover while
+    ///   an unaware program aborts naming the peer, not a deadlock.
+    fn wait(
         &mut self,
         comm: &Communicator,
         src: usize,
         tag: u32,
-    ) -> Result<Packet, WaitError> {
-        self.drain_progress();
-        if self.shared.ft.is_some() {
-            return self.pop_armed(comm, src, tag);
+        wire: Wire,
+        how: Drive,
+    ) -> Result<Option<Payload>, WaitError> {
+        let polled = how == Drive::Poll;
+        if !polled {
+            self.fault_step(true);
+        }
+        if wire == Wire::Msg {
+            assert!(
+                src < comm.size(),
+                "recv source {src} out of range (comm size {})",
+                comm.size()
+            );
+        }
+        if polled && self.claims_suppressed {
+            return Ok(None);
         }
         let key = (comm.id(), src, tag);
-        if let Some(p) = self.take_stashed(key) {
-            self.unwatch(key);
-            return Ok(p);
-        }
-        match self.shared.mailboxes[self.global_rank].pop(key, self.shared.recv_timeout) {
-            Some(p) => Ok(p),
-            None => std::panic::panic_any(SimError::DeadlockSuspected {
-                rank: self.global_rank,
+        let me = self.global_rank;
+        // Only an armed wait reads the wall clock up front.
+        let armed = (!polled && self.shared.ft.is_some()).then(Instant::now);
+        let detect = self.shared.fault.detect_timeout();
+        let mut slice = match how {
+            Drive::Poll => Duration::ZERO,
+            _ if armed.is_some() => FT_POLL_SLICE,
+            Drive::Block => self.shared.recv_timeout,
+            Drive::Deadline => detect,
+        };
+        // A typed error ends an infallible wait by unwinding with it.
+        let raise = |e: WaitError| match how {
+            Drive::Block => std::panic::panic_any(e),
+            _ => Err(e),
+        };
+        let timeout = || WaitError::Timeout {
+            rank: me,
+            comm: comm.id(),
+            src,
+            tag,
+        };
+        let deadlock = || -> ! {
+            std::panic::panic_any(SimError::DeadlockSuspected {
+                rank: me,
                 comm: comm.id(),
                 src,
                 tag,
-            }),
+            })
+        };
+        // Set once the awaited peer is seen dead or diverted: the wait's
+        // outcome unless one final look (stash first — the engine may
+        // have claimed the victim's last push — then the mailbox) still
+        // finds the packet.
+        let mut verdict: Option<WaitError> = None;
+        let packet = loop {
+            if !polled {
+                self.drain_progress();
+            }
+            let found = self
+                .stash
+                .pop_front(key)
+                .or_else(|| self.shared.mailboxes[me].pop(key, slice));
+            if let Some(packet) = found {
+                break packet;
+            }
+            if let Some(e) = verdict.take() {
+                return raise(e);
+            }
+            let Some(start) = armed else {
+                return match how {
+                    Drive::Poll => {
+                        if let Some(p) = &self.shared.probe {
+                            p.record(crate::mcheck::Op::PollMiss { key, dst: me });
+                        }
+                        self.watch(key);
+                        Ok(None)
+                    }
+                    Drive::Block => deadlock(),
+                    Drive::Deadline => Err(timeout()),
+                };
+            };
+            if let Err(e) = self.check_peer(comm, comm.global_of(src), tag) {
+                verdict = Some(e);
+                slice = Duration::ZERO;
+            } else if self.shared.fault.perturb.has_drops() && start.elapsed() >= detect {
+                return raise(timeout());
+            } else if Instant::now() >= start + self.shared.recv_timeout {
+                deadlock();
+            }
+        };
+        self.unwatch(key);
+        if polled {
+            self.fault_step(true);
         }
+        Ok(Some(self.finish(comm, src, tag, wire, packet, polled)))
     }
 
-    /// Armed wait loop: poll the mailbox in short slices, watching the
-    /// awaited peer in the liveness table. A peer observed dead or
-    /// diverted past this rank's epoch gets **one final drain** (its last
-    /// pushes happened-before the mark) before the typed error is raised.
-    fn pop_armed(
+    /// Completion half of every wait: clock advance (`o_recv` through
+    /// the messaging stack, `flag_poll_us` for a flag), trace, race edge,
+    /// heartbeat fold. `polled` marks a nonblocking match: the model
+    /// checker must see those distinctly, because scheduling the poller
+    /// before the push turns the hit into a miss — a real schedule
+    /// divergence — whereas a blocking wait just waits.
+    ///
+    /// Never inlined: `wait`'s frame sits on the stack of every parked
+    /// rank, and with this body's locals folded into it enough ranks of a
+    /// 4096-rank universe touch one more stack page to show in peak RSS
+    /// (`scale_events`: 44.0 MiB against 42.7).
+    #[inline(never)]
+    fn finish(
         &mut self,
         comm: &Communicator,
         src: usize,
         tag: u32,
-    ) -> Result<Packet, WaitError> {
-        let key = (comm.id(), src, tag);
-        let me = self.global_rank;
-        let ft = Arc::clone(
-            self.shared
-                .ft
-                .as_ref()
-                .expect("pop_armed requires armed ft"),
-        );
-        let global_src = comm.global_of(src);
-        let drops = self.shared.fault.perturb.has_drops();
-        let detect = self.shared.fault.detect_timeout();
-        let start = Instant::now();
-        let hard_deadline = start + self.shared.recv_timeout;
-        loop {
-            self.drain_progress();
-            if let Some(p) = self.take_stashed(key) {
-                self.unwatch(key);
-                return Ok(p);
-            }
-            if let Some(p) = self.shared.mailboxes[me].pop(key, FT_POLL_SLICE) {
-                return Ok(p);
-            }
-            let dead = ft.is_dead(global_src);
-            if dead || ft.diverted_past(global_src, self.ft_epoch) {
-                // Final drain: stash first (the engine may have claimed
-                // the victim's last push), then the mailbox.
-                if let Some(p) = self.take_stashed(key) {
-                    self.unwatch(key);
-                    return Ok(p);
-                }
-                if let Some(p) = self.shared.mailboxes[me].pop(key, Duration::ZERO) {
-                    return Ok(p);
-                }
-                return Err(if dead {
-                    WaitError::RankFailed {
-                        rank: me,
-                        failed: global_src,
-                        comm: comm.id(),
-                        tag,
-                    }
-                } else {
-                    WaitError::PeerDiverted {
-                        rank: me,
-                        peer: global_src,
-                        comm: comm.id(),
-                        tag,
-                    }
-                });
-            }
-            if drops && start.elapsed() >= detect {
-                return Err(WaitError::Timeout {
-                    rank: me,
-                    comm: comm.id(),
-                    src,
-                    tag,
-                });
-            }
-            if Instant::now() >= hard_deadline {
-                std::panic::panic_any(SimError::DeadlockSuspected {
-                    rank: me,
-                    comm: comm.id(),
-                    src,
-                    tag,
-                });
-            }
-        }
-    }
-
-    /// Completion half of a receive: clock advance, trace, race edge,
-    /// heartbeat fold. `polled` marks a nonblocking match (`try_recv`):
-    /// the model checker must see those distinctly, because scheduling
-    /// the poller before the push turns the hit into a miss — a real
-    /// schedule divergence — whereas a blocking recv just waits.
-    fn finish_recv(
-        &mut self,
-        comm: &Communicator,
-        src: usize,
-        tag: u32,
+        wire: Wire,
         packet: Packet,
         polled: bool,
     ) -> Payload {
-        self.clock.advance(self.shared.cost.o_recv);
-        self.clock.advance_to(packet.arrival);
+        let me = self.global_rank;
         let global_src = comm.global_of(src);
-        let link = self.shared.map.link(self.global_rank, global_src);
+        let (overhead, bytes, intra, what) = match wire {
+            Wire::Msg => (
+                self.shared.cost.o_recv,
+                packet.payload.len(),
+                self.shared.map.link(me, global_src) == LinkClass::SharedMem,
+                "recv",
+            ),
+            Wire::Flag => (self.shared.cost.flag_poll_us, 0, true, "flag"),
+        };
+        self.clock.advance(overhead);
+        self.clock.advance_to(packet.arrival);
         self.shared.tracer.record(
-            self.global_rank,
+            me,
             self.clock.now(),
             EventKind::Recv {
                 from: global_src,
-                bytes: packet.payload.len(),
-                intra: link == LinkClass::SharedMem,
+                bytes,
+                intra,
             },
         );
         if let Some(r) = &self.shared.race {
             r.on_recv(
-                self.global_rank,
+                me,
                 packet.vc.as_ref(),
-                format!("recv from g{global_src} tag {tag}"),
+                format!("{what} from g{global_src} tag {tag}"),
             );
         }
         if let (Some(ft), Some(beat)) = (&self.shared.ft, packet.beat) {
@@ -778,11 +770,10 @@ impl Ctx {
         }
         if let Some(p) = &self.shared.probe {
             let key = (comm.id(), src, tag);
-            let dst = self.global_rank;
             p.record(if polled {
-                crate::mcheck::Op::PollHit { key, dst }
+                crate::mcheck::Op::PollHit { key, dst: me }
             } else {
-                crate::mcheck::Op::Pop { key, dst }
+                crate::mcheck::Op::Pop { key, dst: me }
             });
         }
         packet.payload
@@ -900,51 +891,7 @@ impl Ctx {
     /// # Panics
     /// Panics if `dst` lives on a different node.
     pub fn post_flag(&mut self, comm: &Communicator, dst: usize, tag: u32) {
-        self.fault_step(true);
-        let global_dst = comm.global_of(dst);
-        assert_eq!(
-            self.shared.map.node_of(global_dst),
-            self.node(),
-            "shared flags only work between on-node ranks"
-        );
-        self.clock.advance(self.shared.cost.flag_post_us);
-        let arrival = self.clock.now() + self.shared.cost.flag_latency_us;
-        self.shared.tracer.record(
-            self.global_rank,
-            self.clock.now(),
-            EventKind::Send {
-                to: global_dst,
-                bytes: 0,
-                intra: true,
-            },
-        );
-        let vc = self
-            .shared
-            .race
-            .as_ref()
-            .map(|r| r.on_send(self.global_rank, format!("flag to g{global_dst} tag {tag}")));
-        let beat = self
-            .shared
-            .ft
-            .as_ref()
-            .map(|ft| ft.current_beat(self.global_rank));
-        self.shared.mailboxes[global_dst].push(
-            (comm.id(), comm.rank(), tag),
-            Packet {
-                src: comm.rank(),
-                tag,
-                payload: Payload::Phantom(0),
-                arrival,
-                vc,
-                beat,
-            },
-        );
-        if let Some(p) = &self.shared.probe {
-            p.record(crate::mcheck::Op::Push {
-                key: (comm.id(), comm.rank(), tag),
-                dst: global_dst,
-            });
-        }
+        self.deposit(comm, Some(dst), tag, Wire::Flag, Payload::Phantom(0));
     }
 
     /// Post a single shared flag observed by **every** other member of
@@ -955,153 +902,13 @@ impl Ctx {
     /// # Panics
     /// Panics if any member lives on a different node.
     pub fn post_flag_multicast(&mut self, comm: &Communicator, tag: u32) {
-        self.fault_step(true);
-        for &g in comm.members() {
-            assert_eq!(
-                self.shared.map.node_of(g),
-                self.node(),
-                "shared flags only work between on-node ranks"
-            );
-        }
-        self.clock.advance(self.shared.cost.flag_post_us);
-        let arrival = self.clock.now() + self.shared.cost.flag_latency_us;
-        // One cache-line store is one release event: a single clock
-        // snapshot (and tick) is shared by every observer's packet.
-        let vc = self
-            .shared
-            .race
-            .as_ref()
-            .map(|r| r.on_send(self.global_rank, format!("flag multicast tag {tag}")));
-        let beat = self
-            .shared
-            .ft
-            .as_ref()
-            .map(|ft| ft.current_beat(self.global_rank));
-        for dst in 0..comm.size() {
-            if dst == comm.rank() {
-                continue;
-            }
-            let global_dst = comm.global_of(dst);
-            self.shared.tracer.record(
-                self.global_rank,
-                self.clock.now(),
-                EventKind::Send {
-                    to: global_dst,
-                    bytes: 0,
-                    intra: true,
-                },
-            );
-            self.shared.mailboxes[global_dst].push(
-                (comm.id(), comm.rank(), tag),
-                Packet {
-                    src: comm.rank(),
-                    tag,
-                    payload: Payload::Phantom(0),
-                    arrival,
-                    vc: vc.clone(),
-                    beat,
-                },
-            );
-            // Every destination gets its own push op: the match key is
-            // shared across observers, so `dst` is what pairs each
-            // observer's pop with this multicast.
-            if let Some(p) = &self.shared.probe {
-                p.record(crate::mcheck::Op::Push {
-                    key: (comm.id(), comm.rank(), tag),
-                    dst: global_dst,
-                });
-            }
-        }
+        self.deposit(comm, None, tag, Wire::Flag, Payload::Phantom(0));
     }
 
     /// Wait for a flag posted by communicator-local rank `src` (same-node).
     pub fn wait_flag(&mut self, comm: &Communicator, src: usize, tag: u32) {
-        self.fault_step(true);
-        let packet = match self.pop_matching(comm, src, tag) {
-            Ok(p) => p,
-            Err(e) => std::panic::panic_any(e),
-        };
-        self.finish_flag(comm, src, tag, packet, false);
-    }
-
-    /// Deadline-aware flag wait: like [`Ctx::wait_flag`] but returns a
-    /// typed [`WaitError`] instead of parking forever (see
-    /// [`Ctx::recv_deadline`]).
-    pub fn wait_flag_deadline(
-        &mut self,
-        comm: &Communicator,
-        src: usize,
-        tag: u32,
-    ) -> Result<(), WaitError> {
-        self.fault_step(true);
-        let packet = if self.shared.ft.is_some() {
-            self.pop_armed(comm, src, tag)?
-        } else {
-            self.drain_progress();
-            let key = (comm.id(), src, tag);
-            let timeout = self.shared.fault.detect_timeout();
-            let stashed = self.take_stashed(key);
-            if stashed.is_some() {
-                self.unwatch(key);
-            }
-            match stashed.or_else(|| self.shared.mailboxes[self.global_rank].pop(key, timeout)) {
-                Some(p) => p,
-                None => {
-                    return Err(WaitError::Timeout {
-                        rank: self.global_rank,
-                        comm: comm.id(),
-                        src,
-                        tag,
-                    })
-                }
-            }
-        };
-        self.finish_flag(comm, src, tag, packet, false);
-        Ok(())
-    }
-
-    /// Completion half of a flag wait: clock advance, trace, race edge,
-    /// heartbeat fold (see [`Ctx::finish_recv`] for the meaning of
-    /// `polled`).
-    fn finish_flag(
-        &mut self,
-        comm: &Communicator,
-        src: usize,
-        tag: u32,
-        packet: Packet,
-        polled: bool,
-    ) {
-        self.clock.advance(self.shared.cost.flag_poll_us);
-        self.clock.advance_to(packet.arrival);
-        let global_src = comm.global_of(src);
-        self.shared.tracer.record(
-            self.global_rank,
-            self.clock.now(),
-            EventKind::Recv {
-                from: global_src,
-                bytes: 0,
-                intra: true,
-            },
-        );
-        if let Some(r) = &self.shared.race {
-            r.on_recv(
-                self.global_rank,
-                packet.vc.as_ref(),
-                format!("flag from g{global_src} tag {tag}"),
-            );
-        }
-        if let (Some(ft), Some(beat)) = (&self.shared.ft, packet.beat) {
-            ft.observe_beat(global_src, beat);
-        }
-        if let Some(p) = &self.shared.probe {
-            let key = (comm.id(), src, tag);
-            let dst = self.global_rank;
-            p.record(if polled {
-                crate::mcheck::Op::PollHit { key, dst }
-            } else {
-                crate::mcheck::Op::Pop { key, dst }
-            });
-        }
+        let consumed = self.wait(comm, src, tag, Wire::Flag, Drive::Block);
+        debug_assert!(matches!(consumed, Ok(Some(_))), "a blocking wait unwinds");
     }
 
     /// Send region `[off, off+len)` of `buf` to `dst`.
@@ -1432,32 +1239,36 @@ impl Ctx {
     /// pending wait in the error. Deterministic: the lowest-ranked failed
     /// member is reported, death taking precedence over divert.
     pub fn ft_check_comm(&self, comm: &Communicator, tag: u32) -> Result<(), WaitError> {
-        let Some(watch) = self.ft_watch(comm) else {
+        if self.shared.ft.is_none() {
             return Ok(());
-        };
-        let me = self.global_rank;
-        for &m in comm.members() {
-            if m == me {
-                continue;
-            }
-            if watch.live.is_dead(m) {
-                return Err(WaitError::RankFailed {
-                    rank: me,
-                    failed: m,
-                    comm: comm.id(),
-                    tag,
-                });
-            }
-            if watch.live.diverted_past(m, watch.epoch) {
-                return Err(WaitError::PeerDiverted {
-                    rank: me,
-                    peer: m,
-                    comm: comm.id(),
-                    tag,
-                });
-            }
         }
-        Ok(())
+        let others = comm.members().iter().filter(|&&m| m != self.global_rank);
+        others
+            .copied()
+            .try_for_each(|m| self.check_peer(comm, m, tag))
+    }
+
+    /// The typed error every wait on global rank `peer` raises once the
+    /// failure detector has seen it dead or diverted past this rank's
+    /// epoch (death taking precedence); `Ok` while it is live or when
+    /// disarmed. `comm` and `tag` label the pending wait.
+    fn check_peer(&self, comm: &Communicator, peer: usize, tag: u32) -> Result<(), WaitError> {
+        let (rank, comm) = (self.global_rank, comm.id());
+        match &self.shared.ft {
+            Some(ft) if ft.is_dead(peer) => Err(WaitError::RankFailed {
+                rank,
+                failed: peer,
+                comm,
+                tag,
+            }),
+            Some(ft) if ft.diverted_past(peer, self.ft_epoch) => Err(WaitError::PeerDiverted {
+                rank,
+                peer,
+                comm,
+                tag,
+            }),
+            _ => Ok(()),
+        }
     }
 
     /// Highest heartbeat epoch observed from `rank` (failure-detector
@@ -1619,27 +1430,7 @@ impl crate::request::Request for RecvRequest {
         if self.got.is_some() {
             return Ok(());
         }
-        let Some(watch) = ctx.ft_watch(&self.comm) else {
-            return Ok(());
-        };
-        let peer = self.comm.global_of(self.src);
-        if watch.live.is_dead(peer) {
-            Err(WaitError::RankFailed {
-                rank: ctx.rank(),
-                failed: peer,
-                comm: self.comm.id(),
-                tag: self.tag,
-            })
-        } else if watch.live.diverted_past(peer, watch.epoch) {
-            Err(WaitError::PeerDiverted {
-                rank: ctx.rank(),
-                peer,
-                comm: self.comm.id(),
-                tag: self.tag,
-            })
-        } else {
-            Ok(())
-        }
+        ctx.check_peer(&self.comm, self.comm.global_of(self.src), self.tag)
     }
 
     fn into_output(mut self) -> Payload {

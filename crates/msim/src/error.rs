@@ -58,10 +58,9 @@ pub enum SimError {
     /// The configured [`crate::ExecMode`] does not support a requested
     /// feature, and running anyway would silently diverge from the
     /// baseline executors. Rejected up front, before any rank program
-    /// starts — e.g. the event-calendar executor is phantom-only, so
-    /// `ExecMode::Events` with real payloads (or with the race detector,
-    /// which needs real payloads) fails fast with this error instead of
-    /// mispicking a mode.
+    /// starts — e.g. `ExecMode::Events` is phantom-only, so asking it for
+    /// real payloads (or for the race detector, which needs real
+    /// payloads) fails fast with this error instead of mispicking a mode.
     UnsupportedExec {
         /// The rejected execution mode (`"events"`, ...).
         exec: String,

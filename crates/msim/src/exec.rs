@@ -1,16 +1,24 @@
-//! The pooled rank executor.
+//! The coroutine rank executor: one scheduler core at every width.
 //!
 //! [`crate::Universe::run`] historically spawned one OS thread per
 //! simulated rank, which caps a run at a few thousand ranks before the
 //! host thrashes. This module multiplexes every rank program onto a
 //! bounded worker pool (default `min(ranks, available_parallelism)`):
 //! each rank runs as a *stackful coroutine* on its slot of one stack
-//! arena ([`StackArena`], shared with the event calendar and kept by the
-//! launching thread between universes), and whenever it would block — a
-//! `recv`/`wait_flag` with no matching packet, or a setup-collective
-//! rendezvous that is not yet complete — it parks the coroutine and returns its worker to the pool instead of
-//! blocking an OS thread. The matching `send`/`post_flag`/rendezvous
-//! completion wakes the parked rank, which re-enters the ready queue.
+//! arena ([`StackArena`], kept by the launching thread between
+//! universes), and whenever it would block — a `recv`/`wait_flag` with
+//! no matching packet, or a setup-collective rendezvous that is not yet
+//! complete — it parks the coroutine and returns its worker to the pool
+//! instead of blocking an OS thread. The matching
+//! `send`/`post_flag`/rendezvous completion wakes the parked rank, which
+//! re-enters the ready queue.
+//!
+//! A pool of one worker spawns no thread at all: the launching thread
+//! runs the worker loop itself. [`ExecMode::Events`] is exactly that pool
+//! — width 1, FIFO picks — restricted by `Universe` to phantom payloads,
+//! which is what the 65 536- and 262 144-rank scale points run on: the
+//! arena reserves address space per rank but commits only the few pages
+//! each shallow rank program touches.
 //!
 //! Determinism: virtual time in this simulator is computed purely from
 //! modeled costs along each rank's own program order (see
@@ -22,11 +30,10 @@
 //! `crates/bench/tests/regression.rs`.
 //!
 //! Scheduling order: under [`crate::SchedulePolicy::Fifo`] a one-worker
-//! pool pops the node-affine FIFO of [`crate::ready::ReadyQueue`] (the
-//! same queue the event calendar uses: one node's ready ranks are
-//! drained before the next node's turn, so consecutive resumes stay on
-//! warm memory) and a wider pool pops one flat FIFO (see [`ReadySet`]);
-//! under
+//! pool pops the node-affine FIFO of [`crate::ready::ReadyQueue`] (one
+//! node's ready ranks are drained before the next node's turn, so
+//! consecutive resumes stay on warm memory) and a wider pool pops one
+//! flat FIFO (see [`ReadySet`]); under
 //! [`crate::SchedulePolicy::Adversarial`] the next rank is drawn from
 //! the ready set by a seeded hash, so schedule fuzzing perturbs the
 //! pooled execution order exactly as it perturbs thread wake-ups in
@@ -70,15 +77,15 @@ pub enum ExecMode {
         /// Worker thread count override.
         workers: Option<usize>,
     },
-    /// Single-threaded event-calendar executor for phantom-payload
-    /// runs (`crates/msim/src/calendar.rs`): one driver thread resumes
-    /// ready ranks in node-affine FIFO order (a node's ready ranks are
-    /// drained before the next node's turn — a host-side choice that
-    /// results, clocks and traces never observe), with all coroutine
-    /// stacks carved from one lazily-committed arena. Scales to
-    /// hundreds of thousands of ranks; phantom-only (real payloads and
-    /// the race detector are rejected with
-    /// [`crate::SimError::UnsupportedExec`]).
+    /// The one-worker pool, driven by the thread that launched the
+    /// universe (no thread is spawned), always popping the node-affine
+    /// FIFO (a node's ready ranks are drained before the next node's
+    /// turn — a host-side choice that results, clocks and traces never
+    /// observe; an adversarial schedule seed is inert here). It differs
+    /// from `Pooled { workers: Some(1) }` only in what `Universe` lets it
+    /// run: phantom payloads only (real payloads and the race detector
+    /// are rejected with [`crate::SimError::UnsupportedExec`]), which is
+    /// what the scale sweeps to hundreds of thousands of ranks use.
     Events,
 }
 
@@ -102,7 +109,6 @@ impl ExecMode {
                 let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
                 workers.unwrap_or(hw).clamp(1, nranks.max(1))
             }
-            // The calendar drives every rank from the caller's thread.
             ExecMode::Events => 1,
         }
     }
@@ -290,7 +296,7 @@ unsafe fn prepare_stack(_stack: &mut [u8], _entry: usize, _arg: usize) -> usize 
 
 /// What a coroutine asked for when it last switched back to its worker.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Intent {
+enum Intent {
     /// Nothing yet (freshly created / mid-run).
     None,
     /// Park until woken or until `deadline` (wall clock); the rank
@@ -331,17 +337,17 @@ pub(crate) enum PickPolicy {
 /// The pool's ready set: what [`PickPolicy`] picks from.
 #[derive(Debug)]
 enum ReadySet {
-    /// [`PickPolicy::Fifo`] with a single worker: the node-affine FIFO
-    /// shared with the event calendar.
+    /// [`PickPolicy::Fifo`] with a single worker: the node-affine FIFO.
     NodeAffine(ReadyQueue),
     /// One flat queue. Plain FIFO for wider pools: several workers
     /// draining one node contend for that node's mailboxes and flags, and
     /// with two workers the node-affine order measured no faster and made
     /// wall-clock failure detection stall-sensitive (docs/simulator.md,
     /// *Resume order*). Drawn from by a seeded hash of the pick counter
-    /// under [`PickPolicy::Seeded`], and by the probe under
-    /// [`PickPolicy::Controlled`] (its decision indices are positions in
-    /// the queue, so its order is part of every certificate).
+    /// under [`PickPolicy::Seeded`] (an index into the queue, so its
+    /// order is part of every fuzz seed's schedule), and by the probe
+    /// under [`PickPolicy::Controlled`], which sorts what it is shown and
+    /// decides by rank — there the queue's order means nothing.
     Flat {
         ready: VecDeque<usize>,
         pick: PickPolicy,
@@ -375,30 +381,26 @@ impl ReadySet {
             ReadySet::NodeAffine(queue) => return queue.pop(),
             ReadySet::Flat { ready, pick, picks } => (ready, pick, picks),
         };
-        match pick {
-            PickPolicy::Fifo => ready.pop_front(),
+        if ready.is_empty() {
+            return None;
+        }
+        let at = match pick {
+            PickPolicy::Fifo => 0,
             PickPolicy::Seeded(seed) => {
-                if ready.is_empty() {
-                    return None;
-                }
                 let n = ready.len() as u64;
-                let idx = (mix(*seed, *picks, n, 0x9D1C) % n) as usize;
+                let at = (mix(*seed, *picks, n, 0x9D1C) % n) as usize;
                 *picks += 1;
-                ready.remove(idx)
+                at
             }
             PickPolicy::Controlled(probe) => {
-                if ready.is_empty() {
-                    return None;
-                }
-                let snapshot: Vec<usize> = ready.iter().copied().collect();
-                let rank = probe.pick(&snapshot);
-                let at = ready
+                let rank = probe.pick(ready.iter().copied());
+                ready
                     .iter()
                     .position(|&r| r == rank)
-                    .expect("controlled pick chose a rank outside the ready set");
-                ready.remove(at)
+                    .expect("controlled pick chose a rank outside the ready set")
             }
-        }
+        };
+        ready.remove(at)
     }
 }
 
@@ -423,9 +425,11 @@ impl CoreState {
     }
 }
 
-/// The shared scheduler state of one pooled universe. Lives in
-/// [`crate::universe::Shared`] (via [`ExecCtl`]) so that mailbox pushes
-/// and rendezvous completions can wake parked ranks.
+/// The shared scheduler state of one coroutine-executed universe. Lives
+/// in [`crate::universe::Shared`] (via [`ExecCtl`]) so that mailbox pushes
+/// and rendezvous completions can wake parked ranks. With one worker the
+/// mutex is uncontended and the condvar never waited on by anyone else;
+/// they exist so every width runs the same code.
 #[derive(Debug)]
 pub(crate) struct PoolCore {
     state: Mutex<CoreState>,
@@ -487,11 +491,21 @@ impl PoolCore {
         }
     }
 
-    /// Claim the next rank to run, or `None` when every rank is done.
+    /// Commit the yield of the rank this worker just resumed (`None` on
+    /// its first call), then claim the next rank to run — one lock
+    /// acquisition per resume — or return `None` when every rank is done.
     /// Blocks (on the scheduler condvar, not on a rank!) while all live
     /// ranks are parked or running on other workers.
-    fn next_rank(&self) -> Option<usize> {
+    ///
+    /// # Panics
+    /// Panics when live ranks remain but none is ready, parked or
+    /// running: a wake was lost, and sleeping would hang the run. The
+    /// worker loop reports it as an infrastructure failure.
+    fn advance(&self, yielded: Option<(usize, Intent)>) -> Option<usize> {
         let mut g = self.lock();
+        if let Some((rank, intent)) = yielded {
+            self.commit(&mut g, rank, intent);
+        }
         loop {
             if g.live == 0 {
                 if g.idle_workers > 0 {
@@ -510,19 +524,27 @@ impl PoolCore {
             let now = Instant::now();
             let mut nearest: Option<Instant> = None;
             let mut expired = false;
+            let mut running = false;
             for r in 0..g.ranks.len() {
-                if let RankState::Parked { deadline } = g.ranks[r] {
-                    if deadline <= now {
+                match g.ranks[r] {
+                    RankState::Parked { deadline } if deadline <= now => {
                         g.make_ready(r);
                         expired = true;
-                    } else {
+                    }
+                    RankState::Parked { deadline } => {
                         nearest = Some(nearest.map_or(deadline, |n| n.min(deadline)));
                     }
+                    RankState::Running { .. } => running = true,
+                    RankState::Ready | RankState::Done => {}
                 }
             }
             if expired {
                 continue;
             }
+            assert!(
+                nearest.is_some() || running,
+                "scheduler stalled: live ranks but nothing ready, parked or running (lost wake)"
+            );
             let wait = nearest
                 .map(|d| d.saturating_duration_since(now))
                 .unwrap_or(Duration::from_millis(100))
@@ -538,8 +560,7 @@ impl PoolCore {
     }
 
     /// Commit a coroutine's yield now that its context is fully saved.
-    fn finalize(&self, rank: usize, intent: Intent) {
-        let mut g = self.lock();
+    fn commit(&self, g: &mut CoreState, rank: usize, intent: Intent) {
         match intent {
             Intent::Done => {
                 g.ranks[rank] = RankState::Done;
@@ -579,17 +600,14 @@ impl PoolCore {
 
 /// Handle through which the blocking wait-paths (mailbox, rendezvous)
 /// reach the executor. `Threads` preserves the historical
-/// condvar-per-structure blocking; `Pool` and `Events` park coroutines
-/// instead.
+/// condvar-per-structure blocking; `Pool` parks coroutines instead.
 #[derive(Clone)]
 pub(crate) enum ExecCtl {
     /// Thread-per-rank: block the OS thread on the structure's condvar.
     Threads,
-    /// Pooled: park the calling coroutine; wakes come through the core.
+    /// Coroutines at any pool width: park the caller; wakes come through
+    /// the core.
     Pool(Arc<PoolCore>),
-    /// Event-calendar: like `Pool`, but single-threaded — the caller's
-    /// thread drives every rank off the same node-affine ready queue.
-    Events(Arc<crate::calendar::CalendarCore>),
 }
 
 impl std::fmt::Debug for ExecCtl {
@@ -597,17 +615,15 @@ impl std::fmt::Debug for ExecCtl {
         match self {
             ExecCtl::Threads => f.write_str("ExecCtl::Threads"),
             ExecCtl::Pool(_) => f.write_str("ExecCtl::Pool"),
-            ExecCtl::Events(_) => f.write_str("ExecCtl::Events"),
         }
     }
 }
 
 impl ExecCtl {
     /// True when rank programs run as coroutines that park through the
-    /// executor (pooled or event-calendar) instead of blocking an OS
-    /// thread on a structure condvar.
+    /// executor instead of blocking an OS thread on a structure condvar.
     pub(crate) fn parks_ranks(&self) -> bool {
-        matches!(self, ExecCtl::Pool(_) | ExecCtl::Events(_))
+        matches!(self, ExecCtl::Pool(_))
     }
 
     /// Wake `rank` if it is parked (no-op in threads mode — there the
@@ -616,7 +632,6 @@ impl ExecCtl {
         match self {
             ExecCtl::Threads => {}
             ExecCtl::Pool(core) => core.wake(rank),
-            ExecCtl::Events(core) => core.wake(rank),
         }
     }
 }
@@ -645,8 +660,8 @@ thread_local! {
     static CURRENT_TASK: Cell<*mut CoroTask> = const { Cell::new(std::ptr::null_mut()) };
 }
 
-/// Park the calling coroutine until its executor wakes it ([`PoolCore::wake`]
-/// / [`crate::calendar::CalendarCore::wake`]) or `deadline` expires.
+/// Park the calling coroutine until its executor wakes it
+/// ([`PoolCore::wake`]) or `deadline` expires.
 /// Must only be called from inside a coroutine-hosted rank program (the
 /// blocking wait-paths guarantee this by checking [`ExecCtl::parks_ranks`]).
 ///
@@ -697,7 +712,7 @@ struct StackArena {
 /// holds whatever pages earlier runs touched, so the cap bounds what an
 /// idle thread can pin: 1 GiB covers every pooled point of the `scale`
 /// ladder (4096 ranks × 256 KiB) and the benchmark's 4096 × 64 KiB
-/// calendar runs, while the 65 536- and 262 144-rank calendar points
+/// `Events` runs, while the 65 536- and 262 144-rank `Events` points
 /// (4 and 16 GiB of address space) are unmapped when they finish.
 const ARENA_RETAIN_MAX: usize = 1 << 30;
 
@@ -862,7 +877,7 @@ impl Drop for ArenaLease {
 }
 
 // ---------------------------------------------------------------------------
-// Rank cells: what both coroutine executors resume.
+// Rank cells: what the workers resume.
 // ---------------------------------------------------------------------------
 
 pub(crate) type RankOutcome<T> = std::thread::Result<(T, f64)>;
@@ -892,7 +907,7 @@ struct RankCell<'f, T, F> {
 /// The cells of one run plus the arena lease their stacks live in.
 /// Executors access disjoint cells (ownership is mediated by the core's
 /// rank states: exactly one worker holds a rank in `Running`).
-pub(crate) struct CellTable<'f, T, F> {
+struct CellTable<'f, T, F> {
     cells: Vec<RankCell<'f, T, F>>,
     stack_size: usize,
     lease: ArenaLease,
@@ -915,7 +930,7 @@ where
 {
     /// One unstarted cell per rank, stacks carved from the calling
     /// thread's arena (pages commit on first touch).
-    pub(crate) fn new(shared: &Arc<Shared>, stack_size: usize, f: &'f F) -> Self {
+    fn new(shared: &Arc<Shared>, stack_size: usize, f: &'f F) -> Self {
         let nranks = shared.map.nranks();
         // Stacks must hold at least the entry frame + canary; clamp tiny
         // configs rather than corrupting memory.
@@ -955,7 +970,7 @@ where
     }
 
     /// `stats` with this run's arena facts filled in.
-    pub(crate) fn stats_into(&self, stats: SimStats) -> SimStats {
+    fn stats_into(&self, stats: SimStats) -> SimStats {
         SimStats {
             arena_reused: self.lease.reused,
             arena_mapped_bytes: self.lease.arena().len as u64,
@@ -971,7 +986,7 @@ where
     /// The caller must hold `rank` exclusively — claimed from its core as
     /// `Running` and not yet committed back — and must commit the
     /// returned intent to the core only after this returns.
-    pub(crate) unsafe fn resume(&self, rank: usize) -> Intent {
+    unsafe fn resume(&self, rank: usize) -> Intent {
         let cell = &self.cells[rank];
         let task = cell.task.get();
         // SAFETY: per the contract no other thread touches this cell
@@ -1013,7 +1028,7 @@ where
 
     /// Per-rank outcomes (`None` for ranks that never finished); ends
     /// the arena lease.
-    pub(crate) fn into_outcomes(self) -> Vec<Option<RankOutcome<T>>> {
+    fn into_outcomes(self) -> Vec<Option<RankOutcome<T>>> {
         self.cells
             .into_iter()
             .map(|cell| cell.out.into_inner())
@@ -1051,7 +1066,7 @@ where
 }
 
 /// The message of a panic caught at an executor's own boundary.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -1065,12 +1080,13 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 // The pooled run driver.
 // ---------------------------------------------------------------------------
 
-/// What a coroutine executor hands back: per-rank outcomes (`None` for
+/// What the coroutine executor hands back: per-rank outcomes (`None` for
 /// ranks orphaned by an infrastructure failure), the recorded
 /// infrastructure failures, and the run's counters.
 pub(crate) type RunOut<T> = (Vec<Option<RankOutcome<T>>>, Vec<(usize, String)>, SimStats);
 
-/// Run `f` once per rank on `workers` pooled worker threads.
+/// Run `f` once per rank on a pool of `workers`: the calling thread
+/// itself when that is one, scoped worker threads otherwise.
 pub(crate) fn run_pool<T, F>(
     shared: &Arc<Shared>,
     core: &Arc<PoolCore>,
@@ -1084,16 +1100,20 @@ where
 {
     let cells = CellTable::new(shared, stack_size, f);
 
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let cells = &cells;
-            let core = Arc::clone(core);
-            std::thread::Builder::new()
-                .name(format!("msim-worker{w}"))
-                .spawn_scoped(scope, move || worker_loop(&core, cells))
-                .expect("failed to spawn pool worker");
-        }
-    });
+    if workers == 1 {
+        worker_loop(core, &cells);
+    } else {
+        std::thread::scope(|scope| {
+            for w in 0..workers {
+                let cells = &cells;
+                let core = Arc::clone(core);
+                std::thread::Builder::new()
+                    .name(format!("msim-worker{w}"))
+                    .spawn_scoped(scope, move || worker_loop(&core, cells))
+                    .expect("failed to spawn pool worker");
+            }
+        });
+    }
 
     let stats = cells.stats_into(core.stats());
     let infra = core
@@ -1111,13 +1131,13 @@ where
 {
     let mut current_rank = usize::MAX;
     let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        while let Some(rank) = core.next_rank() {
+        let mut yielded = None;
+        while let Some(rank) = core.advance(yielded) {
             current_rank = rank;
-            // SAFETY: `next_rank` handed this worker exclusive ownership
-            // of `rank` (state `Running`); `finalize` publishes the
-            // transition only after the coroutine has yielded.
-            let intent = unsafe { cells.resume(rank) };
-            core.finalize(rank, intent);
+            // SAFETY: `advance` handed this worker exclusive ownership of
+            // `rank` (state `Running`), and the yield is committed by the
+            // next `advance`, after the coroutine has switched back.
+            yielded = Some((rank, unsafe { cells.resume(rank) }));
         }
     }));
     if let Err(payload) = caught {
@@ -1130,12 +1150,73 @@ mod tests {
     use super::*;
     use crate::universe::{SimConfig, Universe};
     use crate::SimError;
-    use simnet::{ClusterSpec, CostModel};
+    use simnet::{ClusterSpec, CostModel, Placement};
 
     fn cfg(exec: ExecMode) -> SimConfig {
         SimConfig::new(ClusterSpec::regular(1, 2), CostModel::uniform_test())
             .phantom()
             .with_exec(exec)
+    }
+
+    /// A one-rank core popped by `workers` threads (driven here by one).
+    fn one_rank(workers: usize) -> PoolCore {
+        let map = Placement::SmpBlock.build(&ClusterSpec::regular(1, 1));
+        PoolCore::new(&map, PickPolicy::Fifo, workers)
+    }
+
+    fn park(after: Duration) -> Intent {
+        Intent::Park {
+            deadline: Instant::now() + after,
+        }
+    }
+
+    /// A wake that lands while the rank is being resumed is tokenized:
+    /// the following park re-schedules immediately instead of sleeping
+    /// through its signal.
+    #[test]
+    fn wake_during_running_is_not_lost() {
+        for workers in [1, 2] {
+            let core = one_rank(workers);
+            assert_eq!(core.advance(None), Some(0));
+            core.wake(0); // arrives "mid-run"
+                          // Must be immediately schedulable, not parked for an hour.
+            let parked = Some((0, park(Duration::from_secs(3600))));
+            assert_eq!(core.advance(parked), Some(0), "width {workers}");
+            assert_eq!(core.advance(Some((0, Intent::Done))), None);
+        }
+    }
+
+    /// An expired park deadline re-schedules the rank so timeout-based
+    /// waits (and the deadlock detector built on them) still fire.
+    #[test]
+    fn expired_parks_are_rescheduled() {
+        for workers in [1, 2] {
+            let core = one_rank(workers);
+            let r = core.advance(None).unwrap();
+            let t0 = Instant::now();
+            let parked = Some((r, park(Duration::from_millis(5))));
+            assert_eq!(core.advance(parked), Some(0), "width {workers}");
+            assert!(
+                t0.elapsed() < Duration::from_secs(2),
+                "expired park should be re-scheduled promptly"
+            );
+            assert_eq!(core.advance(Some((0, Intent::Done))), None);
+        }
+    }
+
+    /// Live ranks with nothing ready, parked or running cannot make
+    /// progress; every width reports that instead of sleeping forever.
+    #[test]
+    fn a_lost_wake_is_reported_not_slept_through() {
+        for workers in [1, 2] {
+            let core = one_rank(workers);
+            assert_eq!(core.advance(None), Some(0));
+            // Lose the rank: neither running nor anywhere a wake finds it.
+            core.lock().ranks[0] = RankState::Ready;
+            let stalled = std::panic::catch_unwind(AssertUnwindSafe(|| core.advance(None)));
+            let message = panic_message(stalled.unwrap_err().as_ref());
+            assert!(message.contains("lost wake"), "width {workers}: {message}");
+        }
     }
 
     /// The canary is a real guard, not decoration: a write that lands

@@ -59,8 +59,8 @@ pub enum SchedulePolicy {
     },
     /// Deterministic replay of a model-checker counterexample: the
     /// certificate's decision trace drives every ready-queue pick of the
-    /// pooled (single-worker) and event-calendar executors, reproducing
-    /// the recorded schedule — and therefore the recorded violation —
+    /// single-worker pool (`Pooled`, clamped to one worker, or `Events`),
+    /// reproducing the recorded schedule — and therefore the recorded violation —
     /// byte-identically. Decisions past the trace (and decisions naming
     /// a rank that is not ready) fall back to the canonical default, the
     /// lowest ready rank. Thread-per-rank execution cannot be

@@ -32,7 +32,6 @@
 
 pub mod buffer;
 pub mod bytes;
-mod calendar;
 pub mod comm;
 pub mod ctx;
 pub mod datatype;

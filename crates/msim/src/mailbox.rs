@@ -268,20 +268,14 @@ impl Mailbox {
         s.queues.pop_front(key)
     }
 
-    /// Pop a packet matching `key` only if one is immediately matchable —
-    /// never blocks, never parks. This is the claim primitive of the
-    /// per-rank progress engine and of [`crate::Ctx::try_recv`]; staged
-    /// fuzz packets are flushed first, exactly as a blocking receiver
-    /// would, so polling can never turn a valid schedule into a timeout.
-    pub(crate) fn try_pop_now(&self, key: MatchKey) -> Option<Packet> {
-        let mut s = self.lock();
-        Self::try_pop(&mut s, self.fuzz, key)
-    }
-
     /// Block until a packet matching `key` is available, or `timeout`
     /// elapses (returns `None` — the caller reports a deadlock). In
     /// pooled mode "block" means parking the calling coroutine, freeing
-    /// its worker thread to run other ranks.
+    /// its worker thread to run other ranks. A zero `timeout` looks once
+    /// and never blocks or parks: the claim primitive of the per-rank
+    /// progress engine and of polls (staged fuzz packets are flushed
+    /// first, exactly as for a blocking receiver, so polling can never
+    /// turn a valid schedule into a timeout).
     pub(crate) fn pop(&self, key: MatchKey, timeout: Duration) -> Option<Packet> {
         let mut s = self.lock();
         if let Some(packet) = Self::try_pop(&mut s, self.fuzz, key) {

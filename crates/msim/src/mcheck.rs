@@ -3,11 +3,12 @@
 //!
 //! The fuzzing harness ([`crate::SchedulePolicy::Adversarial`]) samples
 //! schedules; this module *enumerates* them. Every nondeterministic pick
-//! of the pooled (single-worker) and event-calendar executors — which
-//! ready rank runs next — is routed through a [`Probe`] controller, so a
-//! schedule is exactly a sequence of decisions `d_0, d_1, …` ("at the
-//! i-th pick, resume rank `d_i`"). [`explore`] drives the program through
-//! a depth-first search over those decision sequences:
+//! of the single-worker pool (`Pooled` clamped to one worker, or
+//! `Events`) — which ready rank runs next — is routed through a
+//! [`Probe`] controller, so a schedule is exactly a sequence of decisions
+//! `d_0, d_1, …` ("at the i-th pick, resume rank `d_i`"). [`explore`]
+//! drives the program through a depth-first search over those decision
+//! sequences:
 //!
 //! * **Segments.** One decision resumes a rank until it parks or
 //!   finishes; everything it does in between (window accesses, mailbox
@@ -25,7 +26,7 @@
 //!   optional preemption bound caps the search for larger configs.
 //! * **Dependence.** Two segments are dependent iff their window
 //!   accesses overlap with at least one write, or one *polled*
-//!   nonblockingly (`try_recv`/`try_wait_flag`) — hit or miss — on a
+//!   nonblockingly (a `Drive::Poll` step, `try_recv`) — hit or miss — on a
 //!   key the other pushed: either way the poll's outcome flips when the
 //!   push moves across it. A successful poll additionally carries the
 //!   matching push → poll HB edge, which the race scan bypasses for
@@ -135,13 +136,13 @@ impl Probe {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Choose the next rank out of `ready` (unsorted executor snapshot):
-    /// the forced decision when still in the prefix and runnable, else
-    /// the lowest ready rank. Records the decision point either way, so
-    /// a replayed certificate stays meaningful even when shrinking
-    /// removed some of its decisions.
-    pub(crate) fn pick(&self, ready: &[usize]) -> usize {
-        let mut ready = ready.to_vec();
+    /// Choose the next rank out of `ready` (the executor's ready set, in
+    /// whatever order it holds it): the forced decision when still in
+    /// the prefix and runnable, else the lowest ready rank. Records the
+    /// decision point either way, so a replayed certificate stays
+    /// meaningful even when shrinking removed some of its decisions.
+    pub(crate) fn pick(&self, ready: impl IntoIterator<Item = usize>) -> usize {
+        let mut ready: Vec<usize> = ready.into_iter().collect();
         ready.sort_unstable();
         let mut g = self.lock();
         let i = g.steps.len();
@@ -1434,9 +1435,9 @@ mod tests {
     #[test]
     fn probe_forces_prefix_then_defaults() {
         let p = Probe::controlled(vec![2, 9]);
-        assert_eq!(p.pick(&[1, 2, 0]), 2, "forced and ready");
-        assert_eq!(p.pick(&[1, 0]), 0, "forced rank 9 not ready → default");
-        assert_eq!(p.pick(&[3, 1]), 1, "past the prefix → lowest rank");
+        assert_eq!(p.pick([1, 2, 0]), 2, "forced and ready");
+        assert_eq!(p.pick([1, 0]), 0, "forced rank 9 not ready → default");
+        assert_eq!(p.pick([3, 1]), 1, "past the prefix → lowest rank");
         let steps = p.take_steps();
         assert_eq!(
             steps.iter().map(|s| s.rank).collect::<Vec<_>>(),

@@ -1,6 +1,6 @@
-//! The node-affine ready queue of the coroutine executors: the ready set
-//! wherever a single thread resumes the ranks (the event calendar, and
-//! the pool when it has one worker).
+//! The node-affine ready queue of the coroutine executor: the ready set
+//! wherever a single thread resumes the ranks in FIFO order (`Events`,
+//! and `Pooled` when it has one worker).
 //!
 //! Most messages of a node-aware collective never leave the node (the
 //! hybrid collectives' two on-node barriers per call are the extreme
@@ -13,7 +13,7 @@
 //! one node shares, while they are still in cache.
 //!
 //! The order is a host-side choice only: virtual time never observes
-//! which ready rank ran first (see `calendar.rs`), so any order gives the
+//! which ready rank ran first (see `exec.rs`), so any order gives the
 //! same results, clocks and traces. What the order must provide is
 //! progress, and it does: every ready rank sits in its node's FIFO, and
 //! that node is either the current one or waits once in `turns`; a turn

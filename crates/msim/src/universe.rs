@@ -368,47 +368,15 @@ impl Universe {
         T: Send,
         F: Fn(&mut Ctx) -> T + Send + Sync,
     {
-        Self::validate(&config)?;
-        let LaunchOut {
-            outcomes,
-            infra,
-            peak_threads,
-            stats,
-            shared,
-        } = Self::launch(config, f);
-        let nranks = outcomes.len();
-        Self::triage_infra(&infra, &outcomes, &shared)?;
-        Self::race_sweep(&shared)?;
-        let mut per_rank = Vec::with_capacity(nranks);
-        let mut clocks = Vec::with_capacity(nranks);
-        let mut first_error: Option<SimError> = None;
-        for (rank, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                None => unreachable!("missing outcomes are handled above"),
-                Some(Ok((value, clock))) => {
-                    per_rank.push(value);
-                    clocks.push(clock);
-                }
-                Some(Err(payload)) => {
-                    let err = payload_to_error(rank, payload.as_ref());
-                    let replace = first_error
-                        .as_ref()
-                        .is_none_or(|cur| error_priority(&err) > error_priority(cur));
-                    if replace {
-                        first_error = Some(err);
-                    }
-                }
-            }
-        }
-        if let Some(err) = first_error {
-            return Err(err);
-        }
+        let (ft, stats) = Self::collect(config, f, false)?;
         Ok(SimResult {
-            per_rank,
-            clocks,
-            tracer: shared.tracer.clone(),
-            peak_threads,
-            open_windows: shared.live_windows.load(Ordering::SeqCst),
+            per_rank: (ft.per_rank.into_iter())
+                .map(|v| v.expect("no kill was tolerated, so every rank has a value"))
+                .collect(),
+            clocks: ft.clocks,
+            tracer: ft.tracer,
+            peak_threads: ft.peak_threads,
+            open_windows: ft.open_windows,
             stats,
         })
     }
@@ -427,12 +395,30 @@ impl Universe {
         T: Send,
         F: Fn(&mut Ctx) -> T + Send + Sync,
     {
+        Self::collect(config, f, true).map(|(ft, _)| ft)
+    }
+
+    /// The one collection pass behind [`Universe::run`] and
+    /// [`Universe::run_ft`]: validate, launch, then surface the run's
+    /// root-cause error ([`error_priority`]) or fold the per-rank
+    /// outcomes. With `tolerate_kills` a rank lost to an injected kill is
+    /// a `None` slot with a zero clock, listed in `failed`; without it
+    /// the kill is the run's error like any other rank panic.
+    fn collect<T, F>(
+        config: SimConfig,
+        f: F,
+        tolerate_kills: bool,
+    ) -> Result<(FtSimResult<T>, SimStats), SimError>
+    where
+        T: Send,
+        F: Fn(&mut Ctx) -> T + Send + Sync,
+    {
         Self::validate(&config)?;
         let LaunchOut {
             outcomes,
             infra,
             peak_threads,
-            stats: _,
+            stats,
             shared,
         } = Self::launch(config, f);
         let nranks = outcomes.len();
@@ -451,7 +437,7 @@ impl Universe {
                 }
                 Some(Err(payload)) => {
                     let err = payload_to_error(rank, payload.as_ref());
-                    if err.is_injected_kill() {
+                    if tolerate_kills && err.is_injected_kill() {
                         failed.push(rank);
                         per_rank.push(None);
                         clocks.push(0.0);
@@ -469,24 +455,26 @@ impl Universe {
         if let Some(err) = first_error {
             return Err(err);
         }
-        Ok(FtSimResult {
+        let ft = FtSimResult {
             per_rank,
             failed,
             clocks,
             tracer: shared.tracer.clone(),
             peak_threads,
             open_windows: shared.live_windows.load(Ordering::SeqCst),
-        })
+        };
+        Ok((ft, stats))
     }
 
-    /// Reject configurations the chosen executor cannot faithfully run,
-    /// *before* any rank program starts. The event calendar is
-    /// phantom-only: real payloads would let window reads observe the
-    /// resume schedule, and the race detector requires real payloads —
-    /// either combination must fail fast with a typed error rather than
-    /// silently diverge or mispick a mode. (Phantom runs that merely
-    /// *request* the detector are fine: it never arms without real data,
-    /// in any mode.)
+    /// Reject configurations the chosen mode does not admit, *before* any
+    /// rank program starts. `Events` is the mode scale sweeps name and is
+    /// phantom-only by this check alone (its executor is the one-worker
+    /// pool, which `Pooled { workers: Some(1) }` runs real payloads on):
+    /// asking it for real payloads, or for the race detector, which
+    /// requires them, must fail fast with a typed error rather than
+    /// silently run as another mode. (Phantom runs that merely *request*
+    /// the detector are fine: it never arms without real data, in any
+    /// mode.)
     fn validate(config: &SimConfig) -> Result<(), SimError> {
         if config.exec == ExecMode::Events && config.mode == DataMode::Real {
             let feature = if config.race_detect {
@@ -584,8 +572,8 @@ impl Universe {
         // The model-checker controller: installed directly by
         // `mcheck::explore`, or reconstructed from a replayed
         // certificate's decision trace. It takes over every ready-queue
-        // pick of the pooled and events executors; thread-per-rank mode
-        // has no pick to control, so there a Replay policy is inert.
+        // pick of the coroutine executor; thread-per-rank mode has no
+        // pick to control, so there a Replay policy is inert.
         let probe = config
             .mcheck_probe
             .clone()
@@ -607,28 +595,24 @@ impl Universe {
         let workers = exec_mode.worker_count(nranks);
         let exec_ctl = match exec_mode {
             ExecMode::ThreadPerRank => ExecCtl::Threads,
-            ExecMode::Pooled { .. } => {
-                // Under an adversarial schedule the ready queue is drawn
-                // in a seeded order, mirroring the wall-clock wake-up
-                // fuzzing of thread mode.
+            ExecMode::Pooled { .. } | ExecMode::Events => {
                 let pick = match (&probe, &config.fault.schedule) {
                     (Some(p), _) => exec::PickPolicy::Controlled(Arc::clone(p)),
-                    (None, SchedulePolicy::Adversarial { seed, .. }) => {
+                    // Under an adversarial schedule the pool's ready queue
+                    // is drawn in a seeded order, mirroring the wall-clock
+                    // wake-up fuzzing of thread mode. `Events` keeps its
+                    // node-affine FIFO — the order is a host-side choice
+                    // results never observe (pinned by the differential
+                    // suite), so the seed has nothing to perturb there.
+                    (None, SchedulePolicy::Adversarial { seed, .. })
+                        if exec_mode != ExecMode::Events =>
+                    {
                         exec::PickPolicy::Seeded(simnet::rng::mix(*seed, 0xE0E0, 0, 0x9001))
                     }
                     (None, _) => exec::PickPolicy::Fifo,
                 };
                 ExecCtl::Pool(Arc::new(PoolCore::new(&map, pick, workers)))
             }
-            // The calendar always resumes in node-affine FIFO order — a
-            // host-side choice for warm caches that results never observe
-            // (pinned by the differential suite) — so an adversarial pick
-            // seed has nothing to perturb here. A model-checker
-            // controller, when present, replaces that order.
-            ExecMode::Events => ExecCtl::Events(Arc::new(crate::calendar::CalendarCore::new(
-                &map,
-                probe.clone(),
-            ))),
         };
         let world = Arc::new(CommInner::new(0, (0..nranks).collect()));
         let shared = Arc::new(Shared {
@@ -671,10 +655,6 @@ impl Universe {
 
         let (outcomes, infra, stats): exec::RunOut<T> = match &exec_ctl {
             ExecCtl::Pool(core) => exec::run_pool(&shared, core, workers, config.stack_size, &f),
-            // Single-threaded: the calling thread is the driver.
-            ExecCtl::Events(core) => {
-                crate::calendar::run_events(&shared, core, config.stack_size, &f)
-            }
             ExecCtl::Threads => {
                 let mut outcomes: Vec<Option<exec::RankOutcome<T>>> =
                     (0..nranks).map(|_| None).collect();

@@ -8,7 +8,9 @@
 
 use std::time::Duration;
 
-use msim::{Ctx, ExecMode, FaultPlan, Payload, SharedWindow, SimConfig, SimError, Universe};
+use msim::{
+    Ctx, ExecMode, FaultPlan, Payload, SharedWindow, SimConfig, SimError, SimStats, Universe,
+};
 use simnet::{ClusterSpec, CostModel, Event};
 
 /// Every scenario starts on a thread of its own, i.e. without a kept
@@ -70,15 +72,19 @@ fn program(ctx: &mut Ctx) -> u64 {
 
 type Observed = (Vec<u64>, Vec<u64>, Vec<Event>);
 
-/// Results, clock bits and trace of `program`, plus whether the run's
-/// stacks came from a kept mapping.
-fn observe(spec: ClusterSpec, stack_size: usize, exec: ExecMode) -> (Observed, bool) {
+/// Results, clock bits and trace of `program`, plus the run's executor
+/// counters.
+fn observe_stats(spec: ClusterSpec, stack_size: usize, exec: ExecMode) -> (Observed, SimStats) {
     let r = Universe::run(cfg(spec, exec).with_stack_size(stack_size), program).unwrap();
     let clocks = r.clocks.iter().map(|c| c.to_bits()).collect();
-    (
-        (r.per_rank, clocks, r.tracer.events()),
-        r.stats.arena_reused,
-    )
+    ((r.per_rank, clocks, r.tracer.events()), r.stats)
+}
+
+/// [`observe_stats`], keeping only whether the run's stacks came from a
+/// kept mapping.
+fn observe(spec: ClusterSpec, stack_size: usize, exec: ExecMode) -> (Observed, bool) {
+    let (seen, stats) = observe_stats(spec, stack_size, exec);
+    (seen, stats.arena_reused)
 }
 
 #[test]
@@ -169,25 +175,32 @@ fn a_run_that_ended_badly_leaves_a_usable_arena() {
 
 #[test]
 fn a_nested_universe_gets_its_own_arena() {
-    // A rank program that launches a universe on the driver thread: the
-    // outer run has *taken* the thread's arena, so the inner one cannot
-    // be handed the mapping the outer coroutines are running on.
-    on_fresh_thread(|| {
-        let (want, _) = observe(ClusterSpec::regular(1, 2), 256 << 10, ExecMode::Events);
-        let outer = Universe::run(
-            cfg(ClusterSpec::regular(1, 2), ExecMode::Events).with_stack_size(256 << 10),
-            |_| observe(ClusterSpec::regular(1, 2), 64 << 10, ExecMode::Events),
-        )
-        .unwrap();
-        assert!(outer.stats.arena_reused, "the first run's arena was kept");
-        // The first inner run maps afresh; the second reuses what the
-        // first put back, never the outer run's mapping.
-        let reused: Vec<bool> = outer.per_rank.iter().map(|(_, r)| *r).collect();
-        assert_eq!(reused, [false, true]);
-        for (seen, _) in &outer.per_rank {
-            assert_eq!(seen, &want);
-        }
-    });
+    // A rank program that launches a universe on the driver thread — at
+    // width 1 that is the launching thread itself, running the outer
+    // rank's coroutine: the outer run has *taken* the thread's arena, so
+    // the inner one cannot be handed the mapping the outer coroutines are
+    // running on, and the inner worker loop runs to completion on the
+    // outer rank's stack.
+    let spec = || ClusterSpec::regular(1, 2);
+    for exec in [ExecMode::Events, ExecMode::Pooled { workers: Some(1) }] {
+        on_fresh_thread(|| {
+            let (want, _) = observe(spec(), 256 << 10, exec);
+            let outer = Universe::run(cfg(spec(), exec).with_stack_size(256 << 10), |_| {
+                observe_stats(spec(), 64 << 10, exec)
+            })
+            .unwrap();
+            assert!(outer.stats.arena_reused, "the first run's arena was kept");
+            assert!(outer.stats.resumes > 0, "{exec:?}");
+            // The first inner run maps afresh; the second reuses what the
+            // first put back, never the outer run's mapping.
+            let reused: Vec<bool> = outer.per_rank.iter().map(|(_, s)| s.arena_reused).collect();
+            assert_eq!(reused, [false, true], "{exec:?}");
+            for (seen, stats) in &outer.per_rank {
+                assert_eq!(seen, &want, "{exec:?}");
+                assert!(stats.resumes > 0, "{exec:?}");
+            }
+        });
+    }
 }
 
 #[test]

@@ -1,10 +1,11 @@
-//! Differential tests for the event-calendar executor: under pinned
-//! seeds, `ExecMode::Events` must produce results, virtual clocks, and
+//! Differential tests for `ExecMode::Events` (the one-worker pool on the
+//! launching thread, FIFO, phantom-only): under pinned seeds it must
+//! produce results, virtual clocks, and
 //! canonical traces byte-identical to BOTH `ExecMode::Pooled` and
 //! `ExecMode::ThreadPerRank`, across regular and irregular clusters,
 //! schedule fuzzing, injected kills, and every blocking wait-path
 //! (mailbox recv, shared flags, split/window/fence rendezvous, setup
-//! exchange). All programs are phantom — the calendar rejects real
+//! exchange). All programs are phantom — the mode rejects real
 //! payloads up front (tested here too, as a *typed* error).
 
 use std::time::Duration;
@@ -116,8 +117,8 @@ fn events_matches_across_all_fuzz_seeds() {
 
 #[test]
 fn events_same_config_reruns_are_identical() {
-    // The calendar is deterministic in itself, not merely against the
-    // other executors: two runs of the same config pop the same schedule
+    // The mode is deterministic in itself, not merely against the
+    // others: two runs of the same config pop the same schedule
     // and produce byte-identical artifacts.
     let run = || {
         Universe::run(
@@ -135,9 +136,9 @@ fn events_same_config_reruns_are_identical() {
 
 #[test]
 fn events_adversarial_schedule_seed_is_inert() {
-    // The pooled executor consults SchedulePolicy::adversarial for its
-    // ready-queue picks; the calendar's order is canonical, so the seed
-    // must change nothing.
+    // `Pooled` consults SchedulePolicy::adversarial for its ready-queue
+    // picks; `Events` always pops its FIFO, so the seed must change
+    // nothing.
     let baseline = Universe::run(
         cfg(ClusterSpec::regular(2, 3)).with_exec(ExecMode::Events),
         hybrid,
@@ -175,15 +176,15 @@ fn events_injected_kill_surfaces_identically() {
     let threads = mk(ExecMode::ThreadPerRank);
     let events = mk(ExecMode::Events);
     assert!(events.is_injected_kill(), "{events}");
-    assert_eq!(events, threads, "kill surfaced differently on the calendar");
+    assert_eq!(events, threads, "kill surfaced differently under Events");
     assert_eq!(events.rank(), 2);
 }
 
 #[test]
 fn events_deadlock_detection_still_fires() {
     // Every rank parks forever on a receive that never matches; the
-    // calendar's deadline scan must re-ready them so the timeout is
-    // reported rather than the driver sleeping forever.
+    // scheduler's deadline scan must re-ready them so the timeout is
+    // reported rather than the launching thread sleeping forever.
     let t0 = std::time::Instant::now();
     let err = Universe::run(
         cfg(ClusterSpec::regular(1, 2))
@@ -202,21 +203,8 @@ fn events_deadlock_detection_still_fires() {
     );
     assert!(
         t0.elapsed() < Duration::from_secs(10),
-        "calendar deadlock detection took {:?}",
+        "deadlock detection took {:?}",
         t0.elapsed()
-    );
-}
-
-#[test]
-fn events_peak_threads_is_one() {
-    let r = Universe::run(
-        cfg(ClusterSpec::regular(2, 4)).with_exec(ExecMode::Events),
-        |ctx| ring(ctx, 1),
-    )
-    .unwrap();
-    assert_eq!(
-        r.peak_threads, 1,
-        "the calendar drives every rank from the caller's thread"
     );
 }
 
@@ -270,7 +258,7 @@ fn events_phantom_run_accepts_race_detect_flag() {
 #[test]
 fn events_ft_recovery_matches_threads() {
     // Failure detection, agreement, shrink, and retry all run over the
-    // parked wait-paths; the calendar must drive them to the same
+    // parked wait-paths; one thread must drive them to the same
     // recovery outcome as real threads.
     let mk = |exec: ExecMode| {
         let plan = FaultPlan::none().with_kill(0, 2);

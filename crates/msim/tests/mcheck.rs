@@ -323,7 +323,7 @@ fn poll_chain_divergence_is_found_and_replays_on_pooled_and_events() {
         vec![poll_chain(ctx, false)]
     });
     // Empty payloads are phantom-legal, so the same certificate drives
-    // the calendar executor to the same divergent digest.
+    // `Events` to the same divergent digest.
     let phantom = cfg(1, 5).phantom().with_race_detect(false);
     assert_replays_identically(&phantom, &cert, ExecMode::Events, |ctx| {
         vec![poll_chain(ctx, false)]

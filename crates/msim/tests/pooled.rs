@@ -172,6 +172,41 @@ fn pooled_reports_peak_threads_as_pool_width() {
 }
 
 #[test]
+fn a_one_worker_pool_runs_on_the_launching_thread() {
+    // Every rank parks once, so each is resumed at least twice; the
+    // thread is sampled on both sides of the park.
+    let observe = |exec| {
+        Universe::run(
+            cfg(ClusterSpec::regular(2, 3)).phantom().with_exec(exec),
+            |ctx| {
+                let world = ctx.world();
+                let n = ctx.nranks();
+                let started_on = std::thread::current().id();
+                ctx.send(&world, (ctx.rank() + 1) % n, 0, Payload::Phantom(8));
+                ctx.recv(&world, (ctx.rank() + n - 1) % n, 0);
+                [started_on, std::thread::current().id()]
+            },
+        )
+        .unwrap()
+    };
+    let launcher = std::thread::current().id();
+    for exec in [ExecMode::Events, ExecMode::Pooled { workers: Some(1) }] {
+        let r = observe(exec);
+        assert_eq!(r.peak_threads, 1, "{exec:?}");
+        assert!(
+            r.per_rank.iter().flatten().all(|&t| t == launcher),
+            "{exec:?}: a one-worker pool spawns no thread"
+        );
+    }
+    let r = observe(ExecMode::Pooled { workers: Some(2) });
+    assert_eq!(r.peak_threads, 2);
+    assert!(
+        r.per_rank.iter().flatten().all(|&t| t != launcher),
+        "a wider pool's workers are threads of their own"
+    );
+}
+
+#[test]
 fn pooled_injected_kill_surfaces_identically() {
     let mk = |exec: ExecMode| {
         let plan = FaultPlan::none().with_kill(2, 3);
