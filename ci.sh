@@ -43,9 +43,9 @@
 #           schedule), the exhaustive sweep tests (every Hy* family x
 #           3 sync methods, plus allgather and allreduce built
 #           `with_leaders(.., 2)`, at 2x2 — DPOR proves one schedule
-#           each), then the `mcheck` binary's
-#           full sweep, gated by MCHECK_BUDGET_S. `--quick` trims the
-#           binary sweep to one family x one sync (`mcheck --quick`).
+#           each), then `bench mcheck`'s full sweep, gated by
+#           MCHECK_BUDGET_S. `--quick` trims that sweep to one family x
+#           one sync (`bench mcheck --quick`).
 #   ft      fault-tolerance gate (docs/fault-tolerance.md): the kill-
 #           matrix conformance suite (every collective family x every
 #           victim rank x 3 sync methods x regular+irregular layouts x
@@ -53,8 +53,10 @@
 #           runtime detector/drop/retry suite in both executor modes,
 #           the BPMF/SUMMA app-level recovery tests, a timeout-storm
 #           smoke (total blackout must surface as typed timeouts, not
-#           hangs), and the recovery-latency micro (`ft --ci` writes
-#           BENCH_ft.json, canonical-JSON round-trip enforced). Also
+#           hangs), and the recovery-latency micro (`bench ft` writes a
+#           temp artifact and checks it; the committed BENCH_ft.json must
+#           pass the same check — its wall_s fields are host time, so CI
+#           never rewrites it). Also
 #           re-asserts the figure goldens and the 96-rank perf gate so
 #           a *disarmed* run provably stays bit-identical: with no
 #           FaultPlan the FT paths are never entered. `--quick` keeps
@@ -75,9 +77,10 @@
 #           the waitall/testany ordering properties), the app-level
 #           overlap tests (SUMMA / CG / stencil overlapped variants
 #           bitwise-match their blocking forms and beat them on virtual
-#           time), and the overlap micro (`overlap --ci` writes a temp
-#           artifact, canonical round-trip + per-app win bar enforced;
-#           the committed BENCH_overlap.json must verify too).
+#           time), and the overlap micro: `bench overlap` regenerates
+#           the full artifact to /tmp (canonical round-trip + per-app win
+#           bar enforced) and it must be byte-identical to the committed
+#           BENCH_overlap.json (every field is virtual time).
 #   multileader
 #           k-leaders-per-node gate (docs/multileader.md). The leader
 #           count is a constructor argument of the one hybrid handle
@@ -88,7 +91,7 @@
 #           traces pinned line for line), what only k >= 2 can show
 #           (uneven [2,3,4] nodes x seeds x three executors, striped
 #           bridge traffic, race-detector-armed cooperative-fill
-#           rounds), then the multileader micro: `multileader --ci`
+#           rounds), then the multileader micro: `bench multileader`
 #           regenerates the full artifact to /tmp (canonical
 #           round-trip + "k > 1 strictly wins somewhere" + per-cell
 #           estimator agreement enforced) and it must be
@@ -108,22 +111,24 @@
 #           stale-grow bug (survivors keep the pre-grow communicator)
 #           must be caught by the checker, proving the oracle is not
 #           vacuous. Budgeted by CHAOS_BUDGET_S; `--quick` runs 1 seed.
-#   smoke   pinned-seed fault-injection + autotune + tuning-table goldens,
-#           and results/fig12.txt + results/trace_report.txt `cmp`-equal
-#           to a fresh run of their binaries (both are deterministic:
-#           virtual time and schedule-independent counts only)
-#   perf    wall-clock gate: `scale --ranks 96 --ci` (pooled, temp
-#           artifact) and `scale --exec events --ranks 65536 --ci`
-#           (events, temp artifact; the only run of this point) each
-#           fail if measured wall-clock exceeds their stored budget by
-#           >25%; the committed
-#           BENCH_scale.json must round-trip the canonical JSON
-#           serializer byte-for-byte. Also asserts the detector-off
-#           artifact is unaffected by the race feature. CI invocations
-#           write to /tmp — only an explicit full `scale` run
-#           regenerates the committed artifact (a lesson learned: a
-#           default-path `--ci` smoke once clobbered the committed
-#           sweep down to one 96-rank point).
+#   smoke   pinned-seed fault-injection, both autotune tables regenerated
+#           and `cmp`-equal to the committed results/tuning/*.json, and
+#           `bench results --check`: every results/*.txt re-rendered (all
+#           concurrently) and byte-identical to the committed file (each
+#           prints only virtual time and schedule-independent counts);
+#           every stale file is named
+#   perf    wall-clock gate: `bench scale --ranks 96` (pooled) and
+#           `bench scale --exec events --ranks 65536` (events; the only
+#           run of this point) each fail if measured wall-clock exceeds
+#           their stored budget by >25%; the committed BENCH_scale.json
+#           must pass the artifact check (canonical JSON, executor
+#           counters). Also asserts the detector-off artifact is
+#           unaffected by the race feature.
+#
+# Every CI invocation of an artifact command passes `--out /tmp/...`:
+# without it the command rewrites the committed file (a lesson learned:
+# a default-path smoke once clobbered the committed sweep down to one
+# 96-rank point). Every write is checked on the spot.
 #
 # Perf budget bump procedure: the stored budgets below are wall-clock
 # (seconds) of `scale --ranks 96` (SCALE_BUDGET_S, pooled) and
@@ -131,14 +136,14 @@
 # the CI reference host, with headroom for load noise. If a gate fails
 # and the slowdown is *intended* (e.g. the simulator gained a feature
 # that costs real time), re-measure with
-#   cargo run --release -p bench --bin scale -- --ranks 96
-#   cargo run --release -p bench --bin scale -- --exec events --ranks 65536
+#   cargo run --release -p bench -- scale --ranks 96 --out /tmp/scale.json
+#   cargo run --release -p bench -- scale --exec events --ranks 65536 --out /tmp/scale.json
 # round up generously, and update the budget in the same PR — never
 # bump it to paper over an unexplained regression. The procedure runs
 # downward too: a PR that makes a gated run faster re-measures and
 # lowers the budget in the same PR, or the gate stops catching a slide
 # back to the old cost. The full sweep
-# (`scale` with no flags: pooled 48→4096 + events 8192→262144)
+# (`bench scale` with no flags: pooled 48→4096 + events 8192→262144)
 # regenerates the whole BENCH_scale.json trajectory and is worth
 # re-running on executor changes (crates/bench/tests/artifact.rs pins
 # its shape).
@@ -210,11 +215,16 @@ EVENTS_BUDGET_S=8.0
 # blow-up (e.g. a lost happens-before edge turning one schedule into
 # thousands). Bump procedure: if the sweep legitimately grows (a new
 # family, a bigger default config), re-measure with
-#   cargo run --release -p bench --bin mcheck -- --family all
+#   cargo run --release -p bench -- mcheck --family all
 # round up generously, and update this in the same PR — never bump it
 # to paper over an unexplained schedule-count regression (the pinned
 # counts in crates/core/tests/mcheck.rs would catch that first).
 MCHECK_BUDGET_S=30
+
+# The one harness binary (crates/bench): `bench <command> [args]`.
+bench() {
+    cargo run --release -p bench -- "$@"
+}
 
 stage_fmt() {
     cargo fmt --check
@@ -261,7 +271,7 @@ stage_race() {
     MSIM_EXEC=threads cargo test -q -p bpmf -p summa --lib race_detector
 }
 
-# Arguments for the mcheck stage's binary sweep: the full 8-family x
+# Arguments for the mcheck stage's `bench mcheck` sweep: the full 8-family x
 # 3-sync grid in a normal run, one family x one sync in `--quick`.
 MCHECK_ARGS=(--family all)
 
@@ -278,10 +288,10 @@ stage_mcheck() {
     # `with_leaders(.., 2)`), real data + armed race detector at 2x2 —
     # zero violations, exactly one schedule each.
     cargo test -q -p hmpi-core --test mcheck
-    # The full DPOR sweep through the binary (exit is nonzero on any
+    # The full DPOR sweep through `bench mcheck` (exit is nonzero on any
     # violation), budget-gated — see the header for the bump procedure.
     local t0=$SECONDS
-    cargo run --release -p bench --bin mcheck -- "${MCHECK_ARGS[@]}"
+    bench mcheck "${MCHECK_ARGS[@]}"
     local dt=$((SECONDS - t0))
     if [ "$dt" -gt "$MCHECK_BUDGET_S" ]; then
         echo "ci: mcheck sweep took ${dt}s, budget ${MCHECK_BUDGET_S}s (bump procedure in header)" >&2
@@ -313,15 +323,16 @@ stage_ft() {
     cargo test -q -p bpmf ft_bpmf
     cargo test -q -p summa ft_summa
     cargo test -q -p msim --test pooled pooled_matches_threads_on_leader_failover
-    # Recovery-latency micro: emits BENCH_ft.json at the repo root and
-    # fails unless the artifact round-trips the canonical serializer.
-    cargo run --release -p bench --bin ft -- --ci
+    # Recovery-latency micro: a temp artifact, checked as it is written
+    # (canonical round-trip, both ladders present). Its wall_s fields are
+    # host time, so the committed BENCH_ft.json is checked, not compared.
+    bench ft --out /tmp/ci_ft.json
+    bench ft --verify BENCH_ft.json
     # Disarmed bit-identity: with no FaultPlan the FT machinery must be
     # invisible — the figure goldens and the 96-rank perf gate (both
     # fault-free runs) must hold exactly as before this layer existed.
     cargo test -q -p bench --test regression
-    cargo run --release -p bench --bin scale -- --ranks 96 --ci \
-        --out /tmp/ci_scale_ft.json --budget-s "$SCALE_BUDGET_S"
+    bench scale --ranks 96 --out /tmp/ci_scale_ft.json --budget-s "$SCALE_BUDGET_S"
 }
 
 # Seed subset for the events stage's differential wall: the full eight
@@ -359,13 +370,13 @@ stage_overlap() {
     cargo test -q -p summa overlap
     cargo test -q -p cg overlap
     cargo test -q -p stencil overlap
-    # Overlap micro: temp artifact, self-verified (canonical round-trip
-    # + every app must win somewhere). CI never touches the committed
-    # BENCH_overlap.json...
-    cargo run --release -p bench --bin overlap -- --ci --out /tmp/ci_overlap.json
-    # ...but the committed artifact must verify too (artifact.rs pins
-    # its shape; this guards hand-edits).
-    cargo run --release -p bench --bin overlap -- --verify BENCH_overlap.json
+    # Overlap micro: the full sweep into a temp artifact, checked as it
+    # is written (canonical round-trip + every app must win somewhere)...
+    bench overlap --out /tmp/ci_overlap.json
+    # ...and byte-identical to the committed BENCH_overlap.json: every
+    # field is virtual time, so any difference is a behaviour change (or
+    # a hand-edit, or a stale regeneration).
+    cmp /tmp/ci_overlap.json BENCH_overlap.json
 }
 
 # Seed subset for the multileader stage's conformance wall: the full
@@ -383,11 +394,11 @@ stage_multileader() {
     # executors bit-identical, striped bridge traffic, and repeated
     # cooperative-fill rounds with the race detector armed.
     MSIM_CONF_SEEDS="$ML_SEEDS" cargo test -q -p hmpi-core --test multileader
-    # Multileader micro: the full sweep into a temp artifact,
-    # self-verified (canonical round-trip, at least one (ppn, size) cell
+    # Multileader micro: the full sweep into a temp artifact, checked as
+    # it is written (canonical round-trip, at least one (ppn, size) cell
     # where k > 1 strictly beats k = 1, and per-cell agreement between
     # the registry estimator and the measured winner)...
-    cargo run --release -p bench --bin multileader -- --ci --out /tmp/ci_multileader.json
+    bench multileader --out /tmp/ci_multileader.json
     # ...and byte-identical to the committed BENCH_multileader.json:
     # every field is virtual time, so any difference is a behaviour
     # change (or a hand-edit, or a stale regeneration).
@@ -407,11 +418,10 @@ stage_chaos() {
     # Seeded fault campaigns against the elastic-recovery stack, every
     # one replayed and checked by the invariant oracle (agreement,
     # membership transitions, leak accounting, determinism).
-    cargo run --release -p bench --bin chaos -- \
-        --seeds "$CHAOS_SEEDS" --budget "$CHAOS_BUDGET_S"
+    bench chaos --seeds "$CHAOS_SEEDS" --budget "$CHAOS_BUDGET_S"
     # Sensitivity probe: the stale-grow mutant must be *caught* — a
     # clean pass here would mean the oracle checks nothing.
-    cargo run --release -p bench --bin chaos -- --mutant-check
+    bench chaos --mutant-check
 }
 
 stage_smoke() {
@@ -419,48 +429,43 @@ stage_smoke() {
     # oracle-exact data, injected kill surfaced (see docs/testing.md).
     cargo run --release --example fault_injection -- 42
 
-    # Autotune smoke run (docs/tuning.md): the offline sweep must produce
-    # a non-empty table for the Cray preset (tune exits non-zero
-    # otherwise)...
-    cargo run --release -p bench --bin tune -- --cluster cray_aries --out /tmp/ci_tuning_table.json
-    # ...and the checked-in tables must round-trip the canonical JSON
-    # schema byte-for-byte (the SelectionPolicy::Table golden check).
-    cargo run --release -p bench --bin tune -- --verify-golden results/tuning/cray_aries.json
-    cargo run --release -p bench --bin tune -- --verify-golden results/tuning/nec_infiniband.json
-    # The freshly swept table must match the checked-in golden exactly.
-    cmp /tmp/ci_tuning_table.json results/tuning/cray_aries.json
+    # Autotune goldens (docs/tuning.md): the offline sweep for each
+    # preset must produce a non-empty table that round-trips the
+    # canonical tuning-table schema (the SelectionPolicy::Table loader),
+    # checked as it is written, and matches the committed table exactly.
+    for preset in cray_aries nec_infiniband; do
+        bench tune --cluster "$preset" --out "/tmp/ci_tuning_$preset.json"
+        cmp "/tmp/ci_tuning_$preset.json" "results/tuning/$preset.json"
+    done
 
-    # Committed result files that went stale unnoticed once (fig12 on
-    # all six rows, trace_report 13 lines short): both binaries print
-    # only virtual times and schedule-independent counts, so a fresh run
-    # must reproduce the file byte for byte.
-    cargo run --release -p bench --bin fig12 | cmp - results/fig12.txt
-    cargo run --release -p bench --bin trace_report | cmp - results/trace_report.txt
+    # Every committed results/*.txt re-rendered and compared byte for
+    # byte (two once went stale unnoticed: fig12 on all six rows,
+    # trace_report 13 lines short). Each prints only virtual times and
+    # schedule-independent counts; every stale file is named.
+    bench results --check
 }
 
 stage_perf() {
     # Pinned-seed wall-clock smoke on the pooled executor (96 ranks =
     # 4 nodes x 24 ppn, the paper's smallest multi-node scale). Writes
-    # a temp artifact, self-checks that it round-trips the canonical
-    # JSON serializer, and enforces the budget (see header for the
-    # bump procedure).
-    cargo run --release -p bench --bin scale -- --ranks 96 --ci \
-        --out /tmp/ci_scale_perf.json --budget-s "$SCALE_BUDGET_S"
+    # a temp artifact, checks it as it is written, and enforces the
+    # budget (see header for the bump procedure).
+    bench scale --ranks 96 --out /tmp/ci_scale_perf.json --budget-s "$SCALE_BUDGET_S"
     # The same smoke with the race detector requested must stay inside
     # the same wall-clock budget: `scale` runs in phantom data mode,
     # where the detector is disarmed by design (docs/race-detection.md),
     # so MSIM_RACE=1 must be a no-op for both timing and the artifact.
-    MSIM_RACE=1 cargo run --release -p bench --bin scale -- \
-        --ranks 96 --ci --out /tmp/ci_scale_perf_race.json --budget-s "$SCALE_BUDGET_S"
+    MSIM_RACE=1 bench scale --ranks 96 --out /tmp/ci_scale_perf_race.json \
+        --budget-s "$SCALE_BUDGET_S"
     # The large-rank events point: 65536 phantom ranks on the launching
     # thread, its own budget (EVENTS_BUDGET_S — see header). Temp
     # artifact: CI never touches the committed BENCH_scale.json.
-    cargo run --release -p bench --bin scale -- --exec events --ranks 65536 --ci \
-        --out /tmp/ci_scale_perf_events.json --budget-s "$EVENTS_BUDGET_S"
-    # Belt and braces: the round-trip golden check must also pass against
-    # the *committed* artifact (this is what guards hand-edited or
-    # clobbered artifacts; crates/bench/tests/artifact.rs pins its shape).
-    cargo run --release -p bench --bin scale -- --verify BENCH_scale.json
+    bench scale --exec events --ranks 65536 --out /tmp/ci_scale_perf_events.json \
+        --budget-s "$EVENTS_BUDGET_S"
+    # Belt and braces: the committed artifact must pass the same check
+    # (this is what guards hand-edited or clobbered artifacts;
+    # crates/bench/tests/artifact.rs pins its shape).
+    bench scale --verify BENCH_scale.json
 }
 
 run_stage() {
@@ -488,12 +493,12 @@ describe_stage() {
     lint) echo "clippy wall, -D warnings" ;;
     race) echo "happens-before race detector: mutants + armed conformance suites" ;;
     mcheck) echo "DPOR model checker: mutant wall + exhaustive Hy* sweep (1 and 2 leaders)" ;;
-    ft) echo "fault tolerance: kill matrix, runtime retry, app recovery, BENCH_ft" ;;
+    ft) echo "fault tolerance: kill matrix, runtime retry, app recovery, BENCH_ft checked" ;;
     events) echo "ExecMode::Events: three-mode differential wall + fig goldens on events" ;;
-    overlap) echo "split-phase: iexecute wall, app overlap wins, BENCH_overlap" ;;
+    overlap) echo "split-phase: iexecute wall, app overlap wins, BENCH_overlap byte-identical" ;;
     multileader) echo "leader count: digest fixture, uneven-node wall, BENCH_multileader byte-identical" ;;
     chaos) echo "chaos soak: seeded fault campaigns + invariant oracle + mutant probe" ;;
-    smoke) echo "pinned-seed fault injection + autotune + tuning-table goldens + stale-results cmp" ;;
+    smoke) echo "pinned-seed fault injection + both tuning tables cmp + every results/*.txt cmp" ;;
     perf) echo "wall-clock budgets (96-rank pooled, 65536-rank events), BENCH_scale" ;;
     *) echo "?" ;;
     esac

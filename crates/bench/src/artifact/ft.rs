@@ -1,28 +1,24 @@
-//! Recovery-latency micro-benchmark: virtual-time cost of a ULFM-style
-//! leader failover (detect → agree → shrink → rebuild → re-run) inside
-//! the fault-tolerant hybrid allgather, across cluster sizes. Emits
-//! `BENCH_ft.json` (canonical JSON, same serializer as the tuning
-//! tables) with the failure-free baseline, the failover makespan, and
+//! Recovery-latency micro-benchmark, `BENCH_ft.json`: the virtual-time
+//! cost of a ULFM-style leader failover (detect → agree → shrink →
+//! rebuild → re-run) inside the fault-tolerant hybrid allgather, across
+//! cluster sizes — the failure-free baseline, the failover makespan and
 //! the recovery overhead per point — plus the elastic `grow_points`
-//! ladder comparing shrink-only recovery against shrink+grow (a spare
-//! is recruited back) and shrink+grow+rebalance (multi-leader layout
+//! ladder comparing shrink-only recovery against shrink+grow (a spare is
+//! recruited back) and shrink+grow+rebalance (multi-leader layout
 //! recomputed on the regrown world).
-//!
-//! ```text
-//! ft [--out PATH] [--ci]
-//! ft --verify PATH
-//! ```
 
 use std::collections::BTreeMap;
-use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use bench::Machine;
 use collectives::json::Json;
 use collectives::FaultPolicy;
 use hmpi::{FtComm, Leaders, SyncMethod};
 use msim::{Ctx, FaultPlan, SimConfig, Universe};
 use simnet::ClusterSpec;
+
+use super::{nonempty, round};
+use crate::cli::Args;
+use crate::Machine;
 
 /// (nodes, ppn): small-to-mid scales — a recovery is dominated by the
 /// re-setup of the hierarchy, so modest sizes already show the shape.
@@ -184,130 +180,49 @@ fn run_grow_point(nodes: usize, ppn: usize, machine: &Machine) -> GrowPoint {
 }
 
 fn to_json(points: &[Point], grow: &[GrowPoint], total_wall_s: f64) -> Json {
+    let us = |v: f64| Json::Num(round(v, 1e3));
+    let wall = |s: f64| Json::Num(round(s, 1e6));
     let mut root = BTreeMap::new();
     root.insert("bench".into(), Json::Str("ft".into()));
     root.insert("cluster".into(), Json::Str("hazel_hen".into()));
     root.insert("elems_per_rank".into(), Json::Num(ELEMS as f64));
-    root.insert(
-        "points".into(),
-        Json::Arr(
-            points
-                .iter()
-                .map(|p| {
-                    let round = |v: f64| (v * 1e3).round() / 1e3;
-                    let mut m = BTreeMap::new();
-                    m.insert("baseline_us".into(), Json::Num(round(p.baseline_us)));
-                    m.insert("failover_us".into(), Json::Num(round(p.failover_us)));
-                    m.insert("nodes".into(), Json::Num(p.nodes as f64));
-                    m.insert("ppn".into(), Json::Num(p.ppn as f64));
-                    m.insert("ranks".into(), Json::Num(p.ranks as f64));
-                    m.insert(
-                        "recovery_overhead_us".into(),
-                        Json::Num(round(p.failover_us - p.baseline_us)),
-                    );
-                    m.insert("wall_s".into(), Json::Num((p.wall_s * 1e6).round() / 1e6));
-                    Json::Obj(m)
-                })
-                .collect(),
-        ),
-    );
-    root.insert(
-        "grow_points".into(),
-        Json::Arr(
-            grow.iter()
-                .map(|p| {
-                    let round = |v: f64| (v * 1e3).round() / 1e3;
-                    let mut m = BTreeMap::new();
-                    m.insert(
-                        "grow_overhead_us".into(),
-                        Json::Num(round(p.grow_us - p.shrink_us)),
-                    );
-                    m.insert(
-                        "grow_rebalance_us".into(),
-                        Json::Num(round(p.grow_rebalance_us)),
-                    );
-                    m.insert("grow_us".into(), Json::Num(round(p.grow_us)));
-                    m.insert("nodes".into(), Json::Num(p.nodes as f64));
-                    m.insert("ppn".into(), Json::Num(p.ppn as f64));
-                    m.insert("ranks".into(), Json::Num(p.ranks as f64));
-                    m.insert(
-                        "rebalance_overhead_us".into(),
-                        Json::Num(round(p.grow_rebalance_us - p.grow_us)),
-                    );
-                    m.insert("shrink_us".into(), Json::Num(round(p.shrink_us)));
-                    m.insert("wall_s".into(), Json::Num((p.wall_s * 1e6).round() / 1e6));
-                    Json::Obj(m)
-                })
-                .collect(),
-        ),
-    );
-    root.insert(
-        "total_wall_s".into(),
-        Json::Num((total_wall_s * 1e6).round() / 1e6),
-    );
+    let points = points.iter().map(|p| {
+        let mut m = BTreeMap::new();
+        m.insert("baseline_us".into(), us(p.baseline_us));
+        m.insert("failover_us".into(), us(p.failover_us));
+        m.insert("nodes".into(), Json::Num(p.nodes as f64));
+        m.insert("ppn".into(), Json::Num(p.ppn as f64));
+        m.insert("ranks".into(), Json::Num(p.ranks as f64));
+        m.insert(
+            "recovery_overhead_us".into(),
+            us(p.failover_us - p.baseline_us),
+        );
+        m.insert("wall_s".into(), wall(p.wall_s));
+        Json::Obj(m)
+    });
+    root.insert("points".into(), Json::Arr(points.collect()));
+    let grow = grow.iter().map(|p| {
+        let mut m = BTreeMap::new();
+        m.insert("grow_overhead_us".into(), us(p.grow_us - p.shrink_us));
+        m.insert("grow_rebalance_us".into(), us(p.grow_rebalance_us));
+        m.insert("grow_us".into(), us(p.grow_us));
+        m.insert("nodes".into(), Json::Num(p.nodes as f64));
+        m.insert("ppn".into(), Json::Num(p.ppn as f64));
+        m.insert("ranks".into(), Json::Num(p.ranks as f64));
+        m.insert(
+            "rebalance_overhead_us".into(),
+            us(p.grow_rebalance_us - p.grow_us),
+        );
+        m.insert("shrink_us".into(), us(p.shrink_us));
+        m.insert("wall_s".into(), wall(p.wall_s));
+        Json::Obj(m)
+    });
+    root.insert("grow_points".into(), Json::Arr(grow.collect()));
+    root.insert("total_wall_s".into(), wall(total_wall_s));
     Json::Obj(root)
 }
 
-/// The CI artifact check: the emitted file must round-trip the canonical
-/// serializer byte-for-byte (parse → pretty → same bytes).
-fn verify(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("ft: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let parsed = match Json::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("ft: {path} does not parse: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if parsed.pretty() != text {
-        eprintln!("ft: {path} is not in canonical form (parse→serialize changed the bytes)");
-        return ExitCode::FAILURE;
-    }
-    let npoints = parsed
-        .get("points")
-        .and_then(|p| p.as_arr())
-        .map_or(0, |a| a.len());
-    if npoints == 0 {
-        eprintln!("ft: {path} has no points");
-        return ExitCode::FAILURE;
-    }
-    let ngrow = parsed
-        .get("grow_points")
-        .and_then(|p| p.as_arr())
-        .map_or(0, |a| a.len());
-    if ngrow == 0 {
-        eprintln!("ft: {path} has no grow_points");
-        return ExitCode::FAILURE;
-    }
-    println!("ft: {path} round-trips byte-for-byte ({npoints} points, {ngrow} grow points)");
-    ExitCode::SUCCESS
-}
-
-fn main() -> ExitCode {
-    let mut out = "BENCH_ft.json".to_string();
-    let mut ci = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => match args.next() {
-                Some(p) => out = p,
-                None => return usage("--out needs a path"),
-            },
-            "--ci" => ci = true,
-            "--verify" => match args.next() {
-                Some(p) => return verify(&p),
-                None => return usage("--verify needs a path"),
-            },
-            other => return usage(&format!("unknown argument {other:?}")),
-        }
-    }
-
+pub fn build(_: &Args) -> Result<String, String> {
     let machine = Machine::hazel_hen();
     let mut points = Vec::with_capacity(LADDER.len());
     let t0 = Instant::now();
@@ -337,25 +252,16 @@ fn main() -> ExitCode {
         grow.push(p);
     }
     let total_wall_s = t0.elapsed().as_secs_f64();
-
-    let doc = to_json(&points, &grow, total_wall_s);
-    if let Err(e) = std::fs::write(&out, doc.pretty()) {
-        eprintln!("ft: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
     println!(
-        "ft: {} point(s), {:.3} s total wall -> {out}",
-        points.len(),
-        total_wall_s
+        "ft: {} point(s), {total_wall_s:.3} s total wall",
+        points.len()
     );
-    if ci && verify(&out) != ExitCode::SUCCESS {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    Ok(to_json(&points, &grow, total_wall_s).pretty())
 }
 
-fn usage(err: &str) -> ExitCode {
-    eprintln!("ft: {err}");
-    eprintln!("usage: ft [--out PATH] [--ci] | ft --verify PATH");
-    ExitCode::FAILURE
+/// Both ladders must be present.
+pub fn check(doc: &Json) -> Result<String, String> {
+    let points = nonempty(doc, "points")?.len();
+    let grow = nonempty(doc, "grow_points")?.len();
+    Ok(format!("{points} points, {grow} grow points"))
 }

@@ -1,23 +1,23 @@
-//! Offline autotuner: sweep every collective operation over a ladder of
-//! communicator sizes and power-of-two byte sizes, rank the registered
-//! algorithms with the `simnet` closed-form cost model, and persist the
-//! winners as a per-cluster [`TuningTable`] under `results/tuning/`.
-//!
-//! ```text
-//! tune [--cluster cray_aries|nec_infiniband] [--out PATH]
-//! tune --verify-golden PATH
-//! ```
-//!
-//! `--verify-golden` re-serializes an existing table file and compares it
-//! byte-for-byte against what was read — the CI guard that
-//! `SelectionPolicy::Table` round-trips the canonical JSON schema.
+//! Offline autotuner, `results/tuning/<preset>.json`: sweep every
+//! collective operation over a ladder of communicator sizes and
+//! power-of-two byte sizes, rank the registered algorithms with the
+//! `simnet` closed-form cost model, and persist the winners as a
+//! per-cluster [`TuningTable`]. The check re-reads the file through the
+//! table schema, the one `SelectionPolicy::Table` loads.
 
-use std::process::ExitCode;
-
+use collectives::json::Json;
 use collectives::{
     flavor_key, CollectiveOp, CommCase, SelectionPolicy, TableEntry, Tuning, TuningTable,
 };
 use simnet::CostModel;
+
+use crate::cli::Flags;
+
+pub const FLAGS: Flags = &[
+    ("--cluster", "cray_aries|nec_infiniband"),
+    ("--out", "PATH"),
+    ("--verify", "PATH"),
+];
 
 /// Processes per node assumed when mapping a communicator size to a node
 /// count — the paper's 24-core nodes, same as `machines::cluster_for`.
@@ -29,14 +29,6 @@ const COMM_LADDER: &[usize] = &[2, 4, 6, 8, 12, 16, 24, 48, 96, 192, 384, 768, 1
 
 /// Largest power-of-two byte size swept (16 MiB).
 const MAX_BYTES_LOG2: u32 = 24;
-
-fn preset(name: &str) -> Option<(CostModel, Tuning)> {
-    match name {
-        "cray_aries" => Some((CostModel::cray_aries(), Tuning::cray_mpich())),
-        "nec_infiniband" => Some((CostModel::nec_infiniband(), Tuning::open_mpi())),
-        _ => None,
-    }
-}
 
 /// Build the tuning table for one cost-model preset: for every op, comm
 /// size, and size bucket, record the offline autotune winner, merging
@@ -126,91 +118,37 @@ fn build_table(cluster: &str, cost: &CostModel, tuning: &Tuning) -> TuningTable 
     table
 }
 
-fn verify_golden(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("tune: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+/// The table for one preset (the artifact's file stem), as its file
+/// text.
+pub fn build(cluster: &str) -> Result<String, String> {
+    let (cost, tuning) = match cluster {
+        "cray_aries" => (CostModel::cray_aries(), Tuning::cray_mpich()),
+        "nec_infiniband" => (CostModel::nec_infiniband(), Tuning::open_mpi()),
+        other => unreachable!("no tuning preset {other:?}"),
     };
-    let table = match TuningTable::parse(&text) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("tune: {path} does not parse: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let round_tripped = format!("{}\n", table.pretty());
-    if round_tripped != text {
-        eprintln!("tune: {path} is not in canonical form (parse→serialize changed the bytes)");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "tune: {path} round-trips byte-for-byte ({} entries, cluster '{}')",
-        table.entries.len(),
-        table.cluster
-    );
-    ExitCode::SUCCESS
-}
-
-fn main() -> ExitCode {
-    let mut cluster = "cray_aries".to_string();
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--cluster" => match args.next() {
-                Some(c) => cluster = c,
-                None => {
-                    eprintln!("tune: --cluster needs a preset name");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => out = args.next(),
-            "--verify-golden" => match args.next() {
-                Some(path) => return verify_golden(&path),
-                None => {
-                    eprintln!("tune: --verify-golden needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("tune: unknown argument {other:?}");
-                eprintln!(
-                    "usage: tune [--cluster PRESET] [--out PATH] | tune --verify-golden PATH"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let Some((cost, tuning)) = preset(&cluster) else {
-        eprintln!("tune: unknown cluster preset {cluster:?} (try cray_aries or nec_infiniband)");
-        return ExitCode::FAILURE;
-    };
-    let table = build_table(&cluster, &cost, &tuning);
+    let table = build_table(cluster, &cost, &tuning);
     if table.entries.is_empty() {
-        eprintln!("tune: sweep produced an empty table for {cluster}");
-        return ExitCode::FAILURE;
-    }
-    let path = out.unwrap_or_else(|| format!("results/tuning/{cluster}.json"));
-    if let Some(dir) = std::path::Path::new(&path).parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("tune: cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    let text = format!("{}\n", table.pretty());
-    if let Err(e) = std::fs::write(&path, &text) {
-        eprintln!("tune: cannot write {path}: {e}");
-        return ExitCode::FAILURE;
+        return Err(format!("sweep produced an empty table for {cluster}"));
     }
     println!(
-        "tune: {} entries for cluster '{}' (flavor {}) -> {path}",
+        "tune: {} entries for cluster '{}' (flavor {})",
         table.entries.len(),
         table.cluster,
         table.flavor.map(flavor_key).unwrap_or("none"),
     );
-    ExitCode::SUCCESS
+    Ok(format!("{}\n", table.pretty()))
+}
+
+/// The document must load as a [`TuningTable`] and serialize back to
+/// itself.
+pub fn check(doc: &Json) -> Result<String, String> {
+    let table = TuningTable::from_json(doc)?;
+    if table.to_json() != *doc {
+        return Err("does not round-trip the tuning-table schema".into());
+    }
+    Ok(format!(
+        "{} entries, cluster '{}'",
+        table.entries.len(),
+        table.cluster
+    ))
 }

@@ -32,21 +32,25 @@
 //! the grow path (survivors keep the pre-grow communicator) and demands
 //! the checker catches it — proof the oracle is not vacuous.
 //!
-//! ```text
-//! chaos [--seeds N] [--quick] [--budget S] [--mutant-check]
-//! ```
-//!
-//! The time budget (seconds of wall clock, `CHAOS_BUDGET_S` or
-//! `--budget`) stops the seed sweep early rather than overrunning CI.
+//! `--seeds N` (default 8) campaigns run, seeds `0..N`; the time budget
+//! (`--budget`, seconds of wall clock, default 60) stops the seed sweep
+//! early rather than overrunning CI.
 
 use std::collections::BTreeSet;
-use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use collectives::{FaultPolicy, Tuning};
 use hmpi::{FtComm, Leaders, SyncMethod};
 use msim::{FaultPlan, RetryPolicy, SimConfig, Universe};
 use simnet::{ClusterSpec, CostModel};
+
+use crate::cli::{Args, Flags};
+
+pub const FLAGS: Flags = &[
+    ("--seeds", "N"),
+    ("--budget", "SECS"),
+    ("--mutant-check", ""),
+];
 
 /// Irregular block length of global rank `g` (distinct per rank so the
 /// membership oracle can decode who contributed to a result).
@@ -330,7 +334,7 @@ fn run_campaign(seed: u64) -> Result<String, String> {
 
 /// Arm the deliberate stale-grow bug and demand the oracle rejects the
 /// campaign (via a failed invariant or an aborted run).
-fn mutant_check() -> ExitCode {
+fn mutant_check() -> Result<(), String> {
     std::env::set_var("HMPI_MUTANT", "stale-grow");
     let c = campaign(0); // kill-grow-kill: the grow path is exercised
     let verdict = launch(&c, Duration::from_secs(2)).and_then(|r| check(&c, &r));
@@ -338,39 +342,20 @@ fn mutant_check() -> ExitCode {
     match verdict {
         Err(e) => {
             println!("chaos: mutant caught: {e}");
-            ExitCode::SUCCESS
+            Ok(())
         }
-        Ok(s) => {
-            eprintln!("chaos: stale-grow mutant slipped past the invariant checker: {s}");
-            ExitCode::FAILURE
-        }
+        Ok(s) => Err(format!(
+            "stale-grow mutant slipped past the invariant checker: {s}"
+        )),
     }
 }
 
-fn main() -> ExitCode {
-    let mut seeds = 8u64;
-    let mut budget_s: f64 = std::env::var("CHAOS_BUDGET_S")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(60.0);
-    let mut mutant = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seeds" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => seeds = n,
-                None => return usage("--seeds needs a number"),
-            },
-            "--budget" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(s) => budget_s = s,
-                None => return usage("--budget needs seconds"),
-            },
-            "--quick" => seeds = 1,
-            "--mutant-check" => mutant = true,
-            other => return usage(&format!("unknown argument {other:?}")),
-        }
-    }
-    if mutant {
+/// `bench chaos`: the seed sweep, or with `--mutant-check` the
+/// sensitivity probe.
+pub fn run(args: &Args) -> Result<(), String> {
+    let seeds: u64 = args.num("--seeds")?.unwrap_or(8);
+    let budget_s: f64 = args.num("--budget")?.unwrap_or(60.0);
+    if args.has("--mutant-check") {
         return mutant_check();
     }
 
@@ -383,26 +368,13 @@ fn main() -> ExitCode {
             );
             break;
         }
-        match run_campaign(seed) {
-            Ok(s) => {
-                clean += 1;
-                println!("chaos: seed {seed} clean: {s}");
-            }
-            Err(e) => {
-                eprintln!("chaos: seed {seed} VIOLATION: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let summary = run_campaign(seed).map_err(|e| format!("seed {seed} VIOLATION: {e}"))?;
+        clean += 1;
+        println!("chaos: seed {seed} clean: {summary}");
     }
     println!(
         "chaos: {clean} campaign(s) clean in {:.2}s",
         t0.elapsed().as_secs_f64()
     );
-    ExitCode::SUCCESS
-}
-
-fn usage(err: &str) -> ExitCode {
-    eprintln!("chaos: {err}");
-    eprintln!("usage: chaos [--seeds N] [--quick] [--budget S] [--mutant-check]");
-    ExitCode::FAILURE
+    Ok(())
 }

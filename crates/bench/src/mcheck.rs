@@ -1,16 +1,17 @@
-//! `mcheck` — exhaustive schedule exploration of the shipped collectives.
+//! `bench mcheck` — exhaustive schedule exploration of the shipped
+//! collectives.
 //!
 //! Drives every requested `Hy*` family through `msim::explore` (DPOR
 //! with sleep sets) at a small configuration, with real data and the
 //! race detector armed, and reports per-cell statistics: schedules
 //! explored, branches pruned, decision points, max depth. Any violation
 //! prints its shrunk replayable certificate (canonical JSON) and the
-//! process exits nonzero.
+//! command fails.
 //!
 //! ```bash
-//! cargo run --release -p bench --bin mcheck -- --family all
-//! cargo run --release -p bench --bin mcheck -- --family allgather --sync flags
-//! cargo run --release -p bench --bin mcheck -- --family bcast --compare
+//! cargo run --release -p bench -- mcheck --family all
+//! cargo run --release -p bench -- mcheck --family allgather --sync flags
+//! cargo run --release -p bench -- mcheck --family bcast --compare
 //! ```
 //!
 //! | flag | default | meaning |
@@ -25,7 +26,6 @@
 //! | `--preempt B` | unbounded | preemption bound |
 //! | `--quick` | off | one family, one sync (CI smoke) |
 
-use std::process::ExitCode;
 use std::time::Duration;
 
 use collectives::{op::Sum, Tuning};
@@ -35,6 +35,21 @@ use hmpi::{
 };
 use msim::{explore, Ctx, ExploreOpts, ExploreReport, SimConfig};
 use simnet::{ClusterSpec, CostModel};
+
+use crate::cli::{Args, Flags};
+
+pub const FLAGS: Flags = &[
+    ("--family", "F"),
+    ("--sync", "barrier|flags|p2p"),
+    ("--nodes", "N"),
+    ("--ppn", "P"),
+    ("--k", "K"),
+    ("--naive", ""),
+    ("--compare", ""),
+    ("--max", "N"),
+    ("--preempt", "B"),
+    ("--quick", ""),
+];
 
 const COUNT: usize = 3;
 const ROOT: usize = 1;
@@ -48,24 +63,6 @@ const FAMILIES: [&str; 8] = [
     "scatter",
     "kleader",
 ];
-
-fn usage(msg: &str) -> ExitCode {
-    eprintln!("mcheck: {msg}");
-    eprintln!(
-        "usage: mcheck [--family F] [--sync S] [--nodes N] [--ppn P] [--k K] \
-         [--naive] [--compare] [--max N] [--preempt B] [--quick]"
-    );
-    ExitCode::from(2)
-}
-
-fn sync_of(name: &str) -> Option<SyncMethod> {
-    match name {
-        "barrier" => Some(SyncMethod::Barrier),
-        "flags" => Some(SyncMethod::SharedFlags),
-        "p2p" => Some(SyncMethod::P2p),
-        _ => None,
-    }
-}
 
 fn run_family(
     family: &str,
@@ -139,76 +136,32 @@ fn collective(ctx: &mut Ctx, family: &str, sync: SyncMethod, k: usize) -> Vec<f6
     }
 }
 
-#[allow(clippy::too_many_lines)]
-fn main() -> ExitCode {
-    let mut family = "all".to_string();
-    let mut sync_filter: Option<SyncMethod> = None;
-    let mut nodes = 2usize;
-    let mut ppn = 2usize;
-    let mut k = 2usize;
-    let mut naive = false;
-    let mut compare = false;
-    let mut max_schedules = 50_000u64;
-    let mut preempt: Option<u32> = None;
-    let mut quick = false;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--family" => match args.next() {
-                Some(f) if f == "all" || FAMILIES.contains(&f.as_str()) => family = f,
-                Some(f) => return usage(&format!("unknown family {f:?}")),
-                None => return usage("--family needs a name"),
-            },
-            "--sync" => match args.next().as_deref().and_then(sync_of) {
-                Some(s) => sync_filter = Some(s),
-                None => return usage("--sync needs barrier, flags, or p2p"),
-            },
-            "--nodes" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => nodes = n,
-                _ => return usage("--nodes needs a positive integer"),
-            },
-            "--ppn" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(p) if p > 0 => ppn = p,
-                _ => return usage("--ppn needs a positive integer"),
-            },
-            "--k" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(x) if x > 0 => k = x,
-                _ => return usage("--k needs a positive integer"),
-            },
-            "--naive" => naive = true,
-            "--compare" => compare = true,
-            "--max" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(m) if m > 0 => max_schedules = m,
-                _ => return usage("--max needs a positive integer"),
-            },
-            "--preempt" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(b) => preempt = Some(b),
-                None => return usage("--preempt needs a bound"),
-            },
-            "--quick" => quick = true,
-            other => return usage(&format!("unknown argument {other:?}")),
-        }
-    }
-
-    let families: Vec<&str> = if family == "all" {
-        FAMILIES.to_vec()
-    } else {
-        vec![FAMILIES
-            .iter()
-            .find(|f| **f == family)
-            .copied()
-            .expect("validated above")]
+/// `bench mcheck`: explore every requested (family, sync) cell.
+pub fn run(args: &Args) -> Result<(), String> {
+    let families: Vec<&str> = match args.value("--family") {
+        None | Some("all") => FAMILIES.to_vec(),
+        Some(f) => match FAMILIES.iter().find(|known| **known == f) {
+            Some(known) => vec![*known],
+            None => return Err(args.error(&format!("unknown family {f:?}"))),
+        },
     };
-    let syncs: Vec<SyncMethod> = match sync_filter {
+    let all_syncs = [
+        ("barrier", SyncMethod::Barrier),
+        ("flags", SyncMethod::SharedFlags),
+        ("p2p", SyncMethod::P2p),
+    ];
+    let syncs: Vec<SyncMethod> = match args.pick("--sync", &all_syncs)? {
         Some(s) => vec![s],
-        None => vec![
-            SyncMethod::Barrier,
-            SyncMethod::SharedFlags,
-            SyncMethod::P2p,
-        ],
+        None => all_syncs.map(|(_, s)| s).to_vec(),
     };
-    let (families, syncs) = if quick {
+    let nodes = args.positive("--nodes")?.unwrap_or(2);
+    let ppn = args.positive("--ppn")?.unwrap_or(2);
+    let k = args.positive("--k")?.unwrap_or(2);
+    let naive = args.has("--naive");
+    let compare = args.has("--compare");
+    let max_schedules = args.positive("--max")?.unwrap_or(50_000) as u64;
+    let preempt: Option<u32> = args.num("--preempt")?;
+    let (families, syncs) = if args.has("--quick") {
         (vec![families[0]], vec![syncs[0]])
     } else {
         (families, syncs)
@@ -272,9 +225,8 @@ fn main() -> ExitCode {
          branch(es) pruned, {violations} violation(s)",
         families.len() * syncs.len()
     );
-    if violations > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+    match violations {
+        0 => Ok(()),
+        n => Err(format!("{n} violation(s)")),
     }
 }

@@ -1,8 +1,7 @@
-//! Plain-text table output for the figure harnesses.
+//! Plain-text table output for the reports.
 
-/// Print a titled, aligned table. `rows` are already formatted cells.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n## {title}\n");
+/// Render a titled, aligned table. `rows` are already formatted cells.
+pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -11,24 +10,22 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
             }
         }
     }
-    let line: Vec<String> = headers
-        .iter()
-        .zip(&widths)
-        .map(|(h, w)| format!("{h:>w$}"))
-        .collect();
-    println!("{}", line.join("  "));
-    println!(
-        "{}",
-        "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1))
-    );
-    for row in rows {
-        let line: Vec<String> = row
+    let line = |cells: Vec<&str>| -> String {
+        let padded: Vec<String> = cells
             .iter()
             .zip(&widths)
             .map(|(c, w)| format!("{c:>w$}"))
             .collect();
-        println!("{}", line.join("  "));
+        padded.join("  ") + "\n"
+    };
+    let mut out = format!("\n## {title}\n\n");
+    out += &line(headers.to_vec());
+    out += &"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1));
+    out += "\n";
+    for row in rows {
+        out += &line(row.iter().map(String::as_str).collect());
     }
+    out
 }
 
 /// Format a microsecond value the way the paper's log plots read.
@@ -54,5 +51,14 @@ mod tests {
         assert_eq!(us(3.141_25), "3.14");
         assert_eq!(us(1234.5), "1234.5");
         assert_eq!(ratio(3.0, 2.0), "1.500");
+    }
+
+    #[test]
+    fn table_layout() {
+        let rows = [vec!["1".to_string(), "22.50".to_string()]];
+        assert_eq!(
+            render_table("T", &["elems", "t"], &rows),
+            "\n## T\n\nelems      t\n------------\n    1  22.50\n"
+        );
     }
 }

@@ -1,9 +1,9 @@
-//! Sanity checks on the committed `BENCH_scale.json` and
-//! `BENCH_overlap.json` artifacts.
+//! Sanity checks on the committed `BENCH_scale.json`,
+//! `BENCH_overlap.json` and `BENCH_ft.json` artifacts.
 //!
-//! PR 5's CI restructure quietly clobbered the committed sweep with a
-//! single 96-rank smoke point (every `scale --ci` invocation wrote to
-//! the default path). These tests pin the artifacts' *shape* so that
+//! A CI restructure once quietly clobbered the committed sweep with a
+//! single 96-rank smoke point (every CI `scale` invocation wrote to the
+//! default path). These tests pin the artifacts' *shape* so that
 //! regression can never land silently again: canonical round-trip, the
 //! full pooled ladder with monotonically increasing rank counts,
 //! event-calendar points up to 262144 ranks, and — for the overlap
@@ -12,13 +12,15 @@
 
 use std::collections::BTreeMap;
 
+use bench::artifact::load_canonical;
 use collectives::json::Json;
 
-fn artifact() -> (String, Json) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
-    let text = std::fs::read_to_string(path).expect("BENCH_scale.json must be committed");
-    let parsed = Json::parse(&text).expect("BENCH_scale.json must parse");
-    (text, parsed)
+/// A committed artifact, loaded through the canonical-form check that
+/// every test here therefore also makes (regenerate a stale one with
+/// `cargo run --release -p bench -- <command>`).
+fn load(name: &str) -> Json {
+    let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+    load_canonical(&path, "").unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Each point as (exec label, ranks), in artifact order.
@@ -43,19 +45,8 @@ fn points(doc: &Json) -> Vec<(String, usize)> {
 }
 
 #[test]
-fn artifact_round_trips_canonical_serializer() {
-    let (text, parsed) = artifact();
-    assert_eq!(
-        parsed.pretty(),
-        text,
-        "BENCH_scale.json must be in canonical form (regenerate with `cargo run --release -p \
-         bench --bin scale`)"
-    );
-}
-
-#[test]
 fn pooled_ladder_is_complete_and_monotonic() {
-    let (_, doc) = artifact();
+    let doc = load("BENCH_scale.json");
     let pooled: Vec<usize> = points(&doc)
         .into_iter()
         .filter(|(e, _)| e == "pooled")
@@ -70,7 +61,7 @@ fn pooled_ladder_is_complete_and_monotonic() {
 
 #[test]
 fn events_ladder_reaches_262144_ranks() {
-    let (_, doc) = artifact();
+    let doc = load("BENCH_scale.json");
     let events: Vec<usize> = points(&doc)
         .into_iter()
         .filter(|(e, _)| e == "events")
@@ -85,7 +76,7 @@ fn events_ladder_reaches_262144_ranks() {
 
 #[test]
 fn events_points_ran_on_a_single_thread() {
-    let (_, doc) = artifact();
+    let doc = load("BENCH_scale.json");
     for p in doc.get("points").and_then(|p| p.as_arr()).unwrap() {
         if p.get("exec").and_then(|e| e.as_str()) == Some("events") {
             assert_eq!(
@@ -102,7 +93,7 @@ fn events_points_ran_on_a_single_thread() {
 /// ran on, each rank resumed at least once.
 #[test]
 fn every_point_carries_the_executor_counters() {
-    let (_, doc) = artifact();
+    let doc = load("BENCH_scale.json");
     for p in doc.get("points").and_then(|p| p.as_arr()).unwrap() {
         let count = |key: &str| {
             p.get(key)
@@ -117,27 +108,9 @@ fn every_point_carries_the_executor_counters() {
     }
 }
 
-fn overlap_artifact() -> (String, Json) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_overlap.json");
-    let text = std::fs::read_to_string(path).expect("BENCH_overlap.json must be committed");
-    let parsed = Json::parse(&text).expect("BENCH_overlap.json must parse");
-    (text, parsed)
-}
-
-#[test]
-fn overlap_artifact_round_trips_canonical_serializer() {
-    let (text, parsed) = overlap_artifact();
-    assert_eq!(
-        parsed.pretty(),
-        text,
-        "BENCH_overlap.json must be in canonical form (regenerate with `cargo run --release -p \
-         bench --bin overlap`)"
-    );
-}
-
 #[test]
 fn every_app_overlaps_to_a_win_under_every_executor() {
-    let (_, doc) = overlap_artifact();
+    let doc = load("BENCH_overlap.json");
     // app -> exec -> saw a strict win
     let mut wins: BTreeMap<(String, String), bool> = BTreeMap::new();
     for p in doc.get("points").and_then(|p| p.as_arr()).unwrap() {
@@ -167,7 +140,7 @@ fn every_app_overlaps_to_a_win_under_every_executor() {
 /// prevent) breaks this immediately.
 #[test]
 fn overlap_times_are_executor_invariant() {
-    let (_, doc) = overlap_artifact();
+    let doc = load("BENCH_overlap.json");
     let mut by_point: BTreeMap<(String, u64), Vec<(f64, f64)>> = BTreeMap::new();
     for p in doc.get("points").and_then(|p| p.as_arr()).unwrap() {
         let app = p.get("app").and_then(|a| a.as_str()).unwrap().to_string();
@@ -188,31 +161,13 @@ fn overlap_times_are_executor_invariant() {
     }
 }
 
-fn ft_artifact() -> (String, Json) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ft.json");
-    let text = std::fs::read_to_string(path).expect("BENCH_ft.json must be committed");
-    let parsed = Json::parse(&text).expect("BENCH_ft.json must parse");
-    (text, parsed)
-}
-
-#[test]
-fn ft_artifact_round_trips_canonical_serializer() {
-    let (text, parsed) = ft_artifact();
-    assert_eq!(
-        parsed.pretty(),
-        text,
-        "BENCH_ft.json must be in canonical form (regenerate with `cargo run --release -p bench \
-         --bin ft`)"
-    );
-}
-
 /// The elastic ladder must cover the same scales as the failover ladder
 /// and carry all three recovery flavors per point: shrink-only,
 /// shrink+grow (a spare recruited back to full size) and
 /// shrink+grow+rebalance (k=2 leaders recomputed on the regrown world).
 #[test]
 fn grow_ladder_is_complete_with_all_three_recovery_flavors() {
-    let (_, doc) = ft_artifact();
+    let doc = load("BENCH_ft.json");
     let grow = doc
         .get("grow_points")
         .and_then(|p| p.as_arr())

@@ -495,7 +495,7 @@ impl SelectionPolicy {
     }
 
     /// Choose without a running simulation context — used by the offline
-    /// `tune` binary, which sweeps cases against a bare cost model.
+    /// `bench tune` autotuner, which sweeps cases against a bare cost model.
     pub fn choose_offline(&self, cost: &simnet::CostModel, case: &CommCase) -> &'static str {
         self.resolve_with(cost, case).0
     }
