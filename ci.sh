@@ -191,21 +191,23 @@ trap on_exit EXIT
 SCALE_BUDGET_S=1.0
 
 # Stored wall-clock budget (seconds) for the 65536-rank `--exec events`
-# point (perf stage), single thread. Measured
-# 1.7-1.9 s alone (3.1 s worst of 8 on a loud host; the parent commit
-# 2.0-2.2 s, worst 3.2 s, in the same alternating series — CHANGES.md
-# PR 21). Where the 1.8 s go, from timing the rank program cut off
-# after each step: launch + 65536 fresh stacks 0.3 s, hierarchy +
-# HybridComm 0.35 s, window allocation 0.05 s, the world barrier before
-# the timed region 0.7 s (16 rounds x 65536 messages, every one to a
-# rank whose stack and mailbox are cold — node affinity cannot help a
-# global barrier), the timed allgather 0.3 s (this is the part the
-# node-affine resume order shortened; at 4096 ranks, where the rest
-# fits in cache, it is most of the pass). The budget stays at 8 s: the
-# 0.2-0.3 s this point gained is inside the host's own spread (both
-# commits' worst cases sit at 3.1-3.2 s), 8 s absorbs load noise and a
-# slower host, the 25% slack puts the hard limit at 10 s, and a slide
-# back to quadratic set-up (11.8 s before PR 15) still trips it.
+# point (perf stage), single thread. Measured 1.25-1.36 s unpinned on a
+# 2-core Xeon, four runs alternating with the commit before the
+# key-matched mailbox wakes (1.29-1.38 s). Where the ~1.25 s go, from
+# timing the rank program cut off after each step (three alternating
+# runs each): launch + 65536 fresh stacks 0.22 s, hierarchy +
+# HybridComm 0.19-0.22 s, window allocation 0.06 s, the world barrier
+# before the timed region 0.38-0.42 s (16 rounds x 65536 messages,
+# every one to a rank whose stack and mailbox are cold — node affinity
+# cannot help a global barrier, and two locks fewer per message do not
+# show next to those misses: 0.38-0.39 s before), the timed allgather
+# 0.27-0.36 s (0.39-0.48 s before: the cyclic node sweep of the ready
+# queue keeps the leaders' bridge ring in node order; at 4096 ranks,
+# where the rest fits in cache, the allgather is most of the pass).
+# The budget stays at 8 s: what this point gained is inside the host's
+# own spread, 8 s absorbs load noise and a slower host, the 25% slack
+# puts the hard limit at 10 s, and a slide back to quadratic set-up
+# (11.8 s when rendezvous deposits were scanned) still trips it.
 EVENTS_BUDGET_S=8.0
 
 # Stored wall-clock budget (seconds) for the mcheck stage's exhaustive

@@ -412,6 +412,8 @@ struct CoreState {
     live: usize,
     /// See [`SimStats::resumes`].
     resumes: u64,
+    /// See [`SimStats::wakes`].
+    wakes: u64,
     /// Workers currently sleeping on the scheduler condvar. Notifies are
     /// skipped when zero: futex condvars pay a syscall per notify even
     /// with no waiters, and with few workers the common case is none.
@@ -448,6 +450,7 @@ impl PoolCore {
                 ready: ReadySet::full(map, pick, workers),
                 live: nranks,
                 resumes: 0,
+                wakes: 0,
                 idle_workers: 0,
             }),
             cv: Condvar::new(),
@@ -467,6 +470,7 @@ impl PoolCore {
         let g = self.lock();
         SimStats {
             resumes: g.resumes,
+            wakes: g.wakes,
             node_turns: match &g.ready {
                 ReadySet::NodeAffine(queue) => queue.node_turns(),
                 ReadySet::Flat { .. } => 0,
@@ -479,6 +483,7 @@ impl PoolCore {
     /// is currently running (so a racing park re-readies immediately).
     pub(crate) fn wake(&self, rank: usize) {
         let mut g = self.lock();
+        g.wakes += 1;
         match g.ranks[rank] {
             RankState::Parked { .. } => {
                 g.make_ready(rank);
@@ -626,8 +631,11 @@ impl ExecCtl {
         matches!(self, ExecCtl::Pool(_))
     }
 
-    /// Wake `rank` if it is parked (no-op in threads mode — there the
-    /// structure's own condvar does the waking).
+    /// Wake `rank` if it is parked, or tokenize the wake if it is
+    /// running (no-op in threads mode — there the structure's own condvar
+    /// does the waking). Callers wake only a rank waiting on what they
+    /// just published: a mailbox push only the owner blocked on the
+    /// pushed key, a rendezvous completion only its parked members.
     pub(crate) fn wake(&self, rank: usize) {
         match self {
             ExecCtl::Threads => {}

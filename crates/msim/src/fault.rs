@@ -8,10 +8,10 @@
 //!
 //! * [`SchedulePolicy::Adversarial`] — perturbs the **wall-clock**
 //!   execution of rank threads (seeded sleeps at message operations,
-//!   permuted mailbox staging). Virtual time is computed from the executed
-//!   schedule alone, so a correct program must produce *bit-identical*
-//!   results, clocks and traces under every schedule seed; any divergence
-//!   is a real synchronization bug.
+//!   seeded ready-queue picks under `Pooled`). Virtual time is computed
+//!   from the executed schedule alone, so a correct program must produce
+//!   *bit-identical* results, clocks and traces under every schedule
+//!   seed; any divergence is a real synchronization bug.
 //! * [`simnet::Perturbation`] (carried in [`FaultPlan::perturb`]) —
 //!   perturbs **virtual time**: per-message latency jitter, straggler
 //!   ranks, slow cores. Results must still match the oracle; virtual times
@@ -38,24 +38,22 @@ pub const KILL_MARKER: &str = "fault-injection kill";
 /// How rank threads are scheduled in wall-clock time.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum SchedulePolicy {
-    /// Natural OS scheduling; packets become matchable as soon as they are
-    /// pushed, in FIFO order.
+    /// Natural OS scheduling, FIFO ready queues.
     #[default]
     Fifo,
     /// Adversarial seeded scheduling: every message operation may sleep a
-    /// hashed amount of wall-clock time, and mailboxes withhold arriving
-    /// packets in a staging buffer that is flushed to the matchable queues
-    /// in a seeded permutation (preserving per-`(comm, src, tag)` FIFO
-    /// order, i.e. MPI's non-overtaking rule).
+    /// hashed amount of wall-clock time, and `Pooled` execution picks
+    /// its next ready rank by a seeded hash. Packets are matchable the
+    /// moment they are pushed: every receive names its `(comm, src, tag)`
+    /// key and nothing iterates a mailbox, so delaying or reordering
+    /// deliveries across keys could not change any result, clock, trace
+    /// or pick.
     Adversarial {
         /// Seed for all schedule decisions.
         seed: u64,
         /// Upper bound (exclusive) of the injected wall-clock sleep per
         /// message operation, in microseconds. 0 disables sleeping.
         max_sleep_us: u64,
-        /// Upper bound on how many packets a mailbox may withhold before
-        /// flushing. 1 effectively disables staging.
-        max_stage: usize,
     },
     /// Deterministic replay of a model-checker counterexample: the
     /// certificate's decision trace drives every ready-queue pick of the
@@ -66,7 +64,7 @@ pub enum SchedulePolicy {
     /// lowest ready rank. Thread-per-rank execution cannot be
     /// controlled, so there the decisions are inert and only
     /// schedule-independent violations reproduce. No wall-clock sleeps
-    /// or mailbox staging are injected. See `docs/model-checking.md`.
+    /// are injected. See `docs/model-checking.md`.
     Replay(crate::mcheck::ScheduleCertificate),
 }
 
@@ -76,7 +74,6 @@ impl SchedulePolicy {
         SchedulePolicy::Adversarial {
             seed,
             max_sleep_us: 40,
-            max_stage: 4,
         }
     }
 }
@@ -371,26 +368,13 @@ impl FaultPlan {
     pub(crate) fn sched_sleep(&self, rank: usize, op: u64) -> Option<Duration> {
         match self.schedule {
             SchedulePolicy::Fifo | SchedulePolicy::Replay(_) => None,
-            SchedulePolicy::Adversarial {
-                seed, max_sleep_us, ..
-            } => {
+            SchedulePolicy::Adversarial { seed, max_sleep_us } => {
                 if max_sleep_us == 0 {
                     return None;
                 }
                 let us = mix(seed, rank as u64, op, 0x51EE) % max_sleep_us;
                 (us > 0).then(|| Duration::from_micros(us))
             }
-        }
-    }
-
-    /// Mailbox staging parameters `(seed, max_stage)` for the owning
-    /// rank's mailbox, if the schedule is adversarial.
-    pub(crate) fn stage_fuzz(&self, owner: usize) -> Option<(u64, usize)> {
-        match self.schedule {
-            SchedulePolicy::Fifo | SchedulePolicy::Replay(_) => None,
-            SchedulePolicy::Adversarial {
-                seed, max_stage, ..
-            } => (max_stage > 1).then(|| (mix(seed, owner as u64, 0, 0x57A6), max_stage)),
         }
     }
 }
@@ -405,7 +389,6 @@ mod tests {
         assert!(p.is_none());
         assert_eq!(p.kill_op_of(0), None);
         assert_eq!(p.sched_sleep(0, 0), None);
-        assert_eq!(p.stage_fuzz(0), None);
     }
 
     #[test]
@@ -535,14 +518,5 @@ mod tests {
         // Not all sleeps are equal (the stream actually varies).
         let sleeps: Vec<_> = (0..64).map(|op| p.sched_sleep(1, op)).collect();
         assert!(sleeps.iter().any(|s| s != &sleeps[0]));
-    }
-
-    #[test]
-    fn stage_fuzz_differs_per_owner() {
-        let p = FaultPlan::none().with_schedule(SchedulePolicy::adversarial(7));
-        let a = p.stage_fuzz(0).unwrap();
-        let b = p.stage_fuzz(1).unwrap();
-        assert_ne!(a.0, b.0, "each mailbox gets its own staging stream");
-        assert_eq!(a.1, 4);
     }
 }

@@ -1,16 +1,18 @@
 //! Per-rank incoming message queues with `(comm, src, tag)` matching.
 //!
-//! Under an adversarial [`crate::SchedulePolicy`], each mailbox may attach
-//! a [`StageFuzz`]: arriving packets are withheld in a staging buffer and
-//! flushed to the matchable queues in a seeded permutation. Per-key FIFO
-//! order is always preserved (MPI's non-overtaking guarantee); only the
-//! interleaving *across* keys — which is unordered anyway — is fuzzed.
-//! Receivers force a flush before matching, so staging can delay a match
-//! in wall-clock time but can never cause a spurious deadlock.
+//! Packets are matchable the moment they are pushed, in per-key FIFO
+//! order (MPI's non-overtaking guarantee). Every access names its key and
+//! nothing iterates the queues, so the order *across* keys is never
+//! observed — which is why schedule fuzzing perturbs who runs when, not
+//! the mailboxes.
+//!
+//! A push wakes the owner only when the owner is blocked on the pushed
+//! key (`State::awaiting`). A receiver that is running, or waiting on
+//! some other key, finds the packet the next time it looks, so waking it
+//! would only cost the scheduler lock and a resume that re-parks.
 
 use crate::exec::{self, ExecCtl};
 use crate::msg::Packet;
-use simnet::rng::{mix, Rng64};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -106,17 +108,16 @@ impl SlotMap {
     /// Take the oldest packet under `key`, dropping the entry (and a
     /// spilled queue) with its last packet.
     pub(crate) fn pop_front(&mut self, key: MatchKey) -> Option<Packet> {
-        // `remove`, not `entry`: a miss must not reserve table space, and
-        // the usual hit empties the slot anyway.
-        let packet = match self.slots.remove(&key)? {
-            Slot::One(packet) => packet,
-            Slot::Many(mut queue) => {
-                let packet = queue.pop_front()?;
-                if !queue.is_empty() {
-                    self.slots.insert(key, Slot::Many(queue));
-                }
-                packet
-            }
+        // Not `entry`: a miss must not reserve table space. A spilled
+        // queue with more to come pops in place — in a ring pipeline
+        // every packet takes this path — and only the emptying pop
+        // removes the entry.
+        let packet = match self.slots.get_mut(&key)? {
+            Slot::Many(queue) if queue.len() > 1 => queue.pop_front()?,
+            _ => match self.slots.remove(&key)? {
+                Slot::One(packet) => packet,
+                Slot::Many(mut queue) => queue.pop_front()?,
+            },
         };
         self.len -= 1;
         Some(packet)
@@ -135,53 +136,13 @@ impl SlotMap {
     }
 }
 
-/// Seeded delivery-order fuzzing for one mailbox (see module docs).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct StageFuzz {
-    pub(crate) seed: u64,
-    /// Flush whenever at least this many packets are staged (re-drawn per
-    /// flush in `1..=max_stage`).
-    pub(crate) max_stage: usize,
-}
-
 #[derive(Debug, Default)]
 struct State {
     queues: SlotMap,
-    /// Packets withheld by the fuzzer, in arrival order.
-    staged: Vec<(MatchKey, Packet)>,
-    /// Total pushes / flushes so far — the fuzzer's event counters.
-    pushes: u64,
-    flushes: u64,
-}
-
-impl State {
-    /// Move every staged packet into the matchable queues, inserting
-    /// key-groups in a seeded permutation while keeping arrival order
-    /// within each key.
-    fn flush(&mut self, fuzz: &StageFuzz) {
-        if self.staged.is_empty() {
-            return;
-        }
-        let staged = std::mem::take(&mut self.staged);
-        // Group by key, preserving in-key arrival order.
-        let mut keys: Vec<MatchKey> = Vec::new();
-        let mut groups: HashMap<MatchKey, Vec<Packet>> = HashMap::new();
-        for (key, packet) in staged {
-            groups.entry(key).or_insert_with(|| {
-                keys.push(key);
-                Vec::new()
-            });
-            groups.get_mut(&key).unwrap().push(packet);
-        }
-        let mut rng = Rng64::new(mix(fuzz.seed, self.flushes, 0, 0xF1A5));
-        rng.shuffle(&mut keys);
-        self.flushes += 1;
-        for key in keys {
-            for packet in groups.remove(&key).unwrap() {
-                self.queues.push_back(key, packet);
-            }
-        }
-    }
+    /// The key the owner is blocked on: set when its match misses and it
+    /// is about to park (or wait on the condvar), taken by the push that
+    /// wakes it, cleared whenever the owner looks again.
+    awaiting: Option<MatchKey>,
 }
 
 /// One rank's incoming mailbox.
@@ -194,7 +155,6 @@ impl State {
 pub(crate) struct Mailbox {
     state: Mutex<State>,
     arrived: Condvar,
-    fuzz: Option<StageFuzz>,
     /// Global rank this mailbox belongs to — the rank the executor wakes
     /// when a packet arrives.
     owner: usize,
@@ -202,13 +162,11 @@ pub(crate) struct Mailbox {
 }
 
 impl Mailbox {
-    /// The mailbox of global rank `owner`, blocking through `exec`,
-    /// optionally fuzzing its delivery order per `fuzz`.
-    pub(crate) fn new(owner: usize, exec: ExecCtl, fuzz: Option<StageFuzz>) -> Self {
+    /// The mailbox of global rank `owner`, blocking through `exec`.
+    pub(crate) fn new(owner: usize, exec: ExecCtl) -> Self {
         Self {
             state: Mutex::new(State::default()),
             arrived: Condvar::new(),
-            fuzz,
             owner,
             exec,
         }
@@ -216,8 +174,8 @@ impl Mailbox {
 
     /// A thread-mode mailbox for unit tests (pop blocks on the condvar).
     #[cfg(test)]
-    pub(crate) fn unpooled(fuzz: Option<StageFuzz>) -> Self {
-        Self::new(0, ExecCtl::Threads, fuzz)
+    pub(crate) fn unpooled() -> Self {
+        Self::new(0, ExecCtl::Threads)
     }
 
     // A rank killed by fault injection may die while holding a mailbox
@@ -232,40 +190,25 @@ impl Mailbox {
     /// Deposit a packet (called from the sender's thread/coroutine).
     pub(crate) fn push(&self, key: MatchKey, packet: Packet) {
         let mut s = self.lock();
-        s.pushes += 1;
-        match self.fuzz {
-            None => s.queues.push_back(key, packet),
-            Some(fuzz) => {
-                s.staged.push((key, packet));
-                let threshold = 1 + (mix(fuzz.seed, s.pushes, 0, 0x7B05) as usize) % fuzz.max_stage;
-                if s.staged.len() >= threshold {
-                    s.flush(&fuzz);
-                }
-            }
+        s.queues.push_back(key, packet);
+        // Wake the owner only if it is blocked on this very key (at most
+        // once per miss: the wake takes `awaiting`). A receiver that is
+        // running, or waiting on another key, finds the packet when it
+        // next looks; rendezvous and FT waits have wakers and deadlines
+        // of their own. So a packet that is already there when its
+        // receiver looks costs this lock and the pop's, and nothing else.
+        if s.awaiting != Some(key) {
+            return;
         }
+        s.awaiting = None;
+        drop(s);
+        // After releasing the mailbox lock: the executor's wake takes
+        // the core lock.
         if self.exec.parks_ranks() {
-            drop(s);
-            // The owner may be parked in `pop`; hand the wake to the
-            // executor after releasing the mailbox lock. Nobody ever
-            // waits on `arrived` in pooled mode, so skip the notify —
-            // futex condvars pay a syscall per notify even with no
-            // waiters, and pushes are the hottest path in the simulator.
             self.exec.wake(self.owner);
         } else {
             self.arrived.notify_all();
         }
-    }
-
-    /// Pop a packet matching `key` if one is immediately matchable
-    /// (flushing staged packets first, as any blocking receiver would).
-    fn try_pop(s: &mut State, fuzz: Option<StageFuzz>, key: MatchKey) -> Option<Packet> {
-        if let Some(fuzz) = fuzz {
-            // The receiver is about to block: everything that has
-            // arrived must become matchable, else staging could turn
-            // a valid schedule into a timeout.
-            s.flush(&fuzz);
-        }
-        s.queues.pop_front(key)
     }
 
     /// Block until a packet matching `key` is available, or `timeout`
@@ -273,12 +216,10 @@ impl Mailbox {
     /// pooled mode "block" means parking the calling coroutine, freeing
     /// its worker thread to run other ranks. A zero `timeout` looks once
     /// and never blocks or parks: the claim primitive of the per-rank
-    /// progress engine and of polls (staged fuzz packets are flushed
-    /// first, exactly as for a blocking receiver, so polling can never
-    /// turn a valid schedule into a timeout).
+    /// progress engine and of polls.
     pub(crate) fn pop(&self, key: MatchKey, timeout: Duration) -> Option<Packet> {
         let mut s = self.lock();
-        if let Some(packet) = Self::try_pop(&mut s, self.fuzz, key) {
+        if let Some(packet) = s.queues.pop_front(key) {
             return Some(packet);
         }
         // Only a receiver that has to wait reads the wall clock.
@@ -286,41 +227,28 @@ impl Mailbox {
             return None;
         }
         let deadline = Instant::now() + timeout;
-        if self.exec.parks_ranks() {
-            drop(s);
-            return self.pop_parked(key, deadline);
-        }
-        let mut remaining = timeout;
         loop {
-            s = self
-                .arrived
-                .wait_timeout(s, remaining)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
+            // Missed: until the owner looks again, a push of `key` is
+            // the one that wakes it.
+            s.awaiting = Some(key);
+            s = if self.exec.parks_ranks() {
+                drop(s);
+                // A push that lands between unlock and park still wakes
+                // us: the executor records the wake token against our
+                // Running state and re-readies the park immediately.
+                exec::park_current(deadline);
+                self.lock()
+            } else {
+                let remaining = deadline.saturating_duration_since(Instant::now());
+                self.arrived
+                    .wait_timeout(s, remaining)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0
+            };
+            s.awaiting = None;
             // Recheck the queue *before* the deadline: a push that raced
             // the deadline must deliver, not time out.
-            if let Some(packet) = Self::try_pop(&mut s, self.fuzz, key) {
-                return Some(packet);
-            }
-            remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
-        }
-    }
-
-    /// The wait half of [`Mailbox::pop`] under a parking executor, entered
-    /// after a first match attempt missed.
-    fn pop_parked(&self, key: MatchKey, deadline: Instant) -> Option<Packet> {
-        loop {
-            // A push that landed since the miss (between unlock and park)
-            // still wakes us: the executor records the wake token against
-            // our Running state and re-readies the park immediately.
-            exec::park_current(deadline);
-            let mut s = self.lock();
-            // Recheck the queue *before* the deadline: a wake that raced
-            // the deadline must deliver, not time out.
-            if let Some(packet) = Self::try_pop(&mut s, self.fuzz, key) {
+            if let Some(packet) = s.queues.pop_front(key) {
                 return Some(packet);
             }
             if Instant::now() >= deadline {
@@ -329,11 +257,10 @@ impl Mailbox {
         }
     }
 
-    /// Number of queued packets, staged or matchable (diagnostics).
+    /// Number of queued packets (diagnostics).
     #[cfg(test)]
     pub(crate) fn queued(&self) -> usize {
-        let s = self.lock();
-        s.queues.len() + s.staged.len()
+        self.lock().queues.len()
     }
 }
 
@@ -358,7 +285,7 @@ mod tests {
 
     #[test]
     fn push_pop_matches_by_key() {
-        let mb = Mailbox::unpooled(None);
+        let mb = Mailbox::unpooled();
         mb.push((0, 1, 7), pkt(1, 7));
         mb.push((0, 2, 7), pkt(2, 7));
         let got = mb.pop((0, 2, 7), Duration::from_secs(1)).unwrap();
@@ -368,7 +295,7 @@ mod tests {
 
     #[test]
     fn fifo_within_a_key() {
-        let mb = Mailbox::unpooled(None);
+        let mb = Mailbox::unpooled();
         let mut a = pkt(0, 0);
         a.arrival = 1.0;
         let mut b = pkt(0, 0);
@@ -387,13 +314,13 @@ mod tests {
 
     #[test]
     fn timeout_returns_none() {
-        let mb = Mailbox::unpooled(None);
+        let mb = Mailbox::unpooled();
         assert!(mb.pop((0, 0, 0), Duration::from_millis(10)).is_none());
     }
 
     #[test]
     fn cross_thread_delivery() {
-        let mb = Arc::new(Mailbox::unpooled(None));
+        let mb = Arc::new(Mailbox::unpooled());
         let mb2 = Arc::clone(&mb);
         let h = std::thread::spawn(move || mb2.pop((1, 0, 3), Duration::from_secs(5)));
         std::thread::sleep(Duration::from_millis(20));
@@ -401,126 +328,56 @@ mod tests {
         assert!(h.join().unwrap().is_some());
     }
 
-    #[test]
-    fn fuzzed_mailbox_preserves_per_key_fifo() {
-        for seed in 0..32 {
-            let mb = Mailbox::unpooled(Some(StageFuzz { seed, max_stage: 4 }));
-            // Interleave two streams; each must stay FIFO within its key.
-            for i in 0..10 {
-                let mut a = pkt(0, 0);
-                a.arrival = i as f64;
-                mb.push((0, 0, 0), a);
-                let mut b = pkt(1, 0);
-                b.arrival = 100.0 + i as f64;
-                mb.push((0, 1, 0), b);
-            }
-            for i in 0..10 {
-                let a = mb.pop((0, 0, 0), Duration::from_secs(1)).unwrap();
-                assert_eq!(a.arrival, i as f64, "seed {seed}: key (0,0,0) reordered");
-                let b = mb.pop((0, 1, 0), Duration::from_secs(1)).unwrap();
-                assert_eq!(
-                    b.arrival,
-                    100.0 + i as f64,
-                    "seed {seed}: key (0,1,0) reordered"
-                );
-            }
-            assert_eq!(mb.queued(), 0);
-        }
-    }
-
-    #[test]
-    fn fuzzed_mailbox_actually_stages() {
-        // With max_stage = 8 and a single push, the packet usually stays
-        // staged until a pop forces the flush; verify the staging path and
-        // that pop still finds the packet.
-        let mut staged_at_least_once = false;
-        for seed in 0..16 {
-            let mb = Mailbox::unpooled(Some(StageFuzz { seed, max_stage: 8 }));
-            mb.push((0, 0, 0), pkt(0, 0));
-            let s = mb.lock();
-            staged_at_least_once |= !s.staged.is_empty();
-            drop(s);
-            assert!(mb.pop((0, 0, 0), Duration::from_secs(1)).is_some());
-        }
-        assert!(
-            staged_at_least_once,
-            "staging never engaged across 16 seeds"
-        );
-    }
-
-    #[test]
-    fn fuzzed_cross_thread_delivery_under_load() {
-        for seed in [3u64, 17, 99] {
-            let mb = Arc::new(Mailbox::unpooled(Some(StageFuzz { seed, max_stage: 4 })));
-            let mb2 = Arc::clone(&mb);
-            let h = std::thread::spawn(move || {
-                (0..50)
-                    .map(|i| mb2.pop((0, 0, i), Duration::from_secs(5)).unwrap().src)
-                    .collect::<Vec<_>>()
-            });
-            for i in 0..50u32 {
-                mb.push((0, 0, i), pkt(i as usize, i));
-            }
-            let got = h.join().unwrap();
-            assert_eq!(got, (0..50usize).collect::<Vec<_>>());
-        }
-    }
-
     /// Random push/pop interleavings over a few keys against a per-key
     /// `VecDeque` model: pops come back in per-key FIFO order, a pop on
     /// an empty key (zero timeout) misses at once, `queued()` matches the
-    /// model after every step — fuzzed or not — and the slots really go
-    /// inline → spilled → inline again along the way.
+    /// model after every step, and the slots really go inline → spilled →
+    /// inline again along the way, with spilled queues growing past their
+    /// initial capacity of four and draining in place, as a ring
+    /// pipeline's do.
     #[test]
     fn random_interleavings_match_a_per_key_fifo_model() {
-        for fuzzed in [false, true] {
-            let cycled = Cell::new(false);
-            check_cases(0x5107, 200, |rng| {
-                let fuzz = fuzzed.then(|| StageFuzz {
-                    seed: rng.next_u64(),
-                    max_stage: rng.usize_in(1, 5),
-                });
-                let mb = Mailbox::unpooled(fuzz);
-                let nkeys = rng.usize_in(1, 5);
-                let keys: Vec<MatchKey> = (0..nkeys).map(|k| (k as u32 % 2, k, 7)).collect();
-                let mut model = vec![VecDeque::new(); nkeys];
-                // Per key: the distinct slot shapes seen so far, as
-                // spilled-or-not (an emptied key does not reset it).
-                let mut shapes: Vec<Vec<bool>> = vec![Vec::new(); nkeys];
-                let mut stamp = 0.0;
-                for _ in 0..rng.usize_in(20, 120) {
-                    let k = rng.usize_in(0, nkeys);
-                    if model[k].len() < 5 && rng.chance(0.55) {
-                        stamp += 1.0;
-                        let mut p = pkt(keys[k].1, keys[k].2);
-                        p.arrival = stamp;
-                        mb.push(keys[k], p);
-                        model[k].push_back(stamp);
-                    } else {
-                        let got = mb.pop(keys[k], Duration::ZERO).map(|p| p.arrival);
-                        assert_eq!(got, model[k].pop_front(), "key {k} lost FIFO order");
-                    }
-                    assert_eq!(mb.queued(), model.iter().map(VecDeque::len).sum::<usize>());
-                    let s = mb.lock();
-                    for (key, seen) in keys.iter().zip(&mut shapes) {
-                        if let Some(spilled) = s.queues.spilled(*key) {
-                            if seen.last() != Some(&spilled) {
-                                seen.push(spilled);
-                            }
+        let (cycled, deepest) = (Cell::new(false), Cell::new(0));
+        check_cases(0x5107, 200, |rng| {
+            let mb = Mailbox::unpooled();
+            let nkeys = rng.usize_in(1, 5);
+            let keys: Vec<MatchKey> = (0..nkeys).map(|k| (k as u32 % 2, k, 7)).collect();
+            let mut model = vec![VecDeque::new(); nkeys];
+            // Per key: the distinct slot shapes seen so far, as
+            // spilled-or-not (an emptied key does not reset it).
+            let mut shapes: Vec<Vec<bool>> = vec![Vec::new(); nkeys];
+            let mut stamp = 0.0;
+            for _ in 0..rng.usize_in(20, 120) {
+                let k = rng.usize_in(0, nkeys);
+                if model[k].len() < 40 && rng.chance(0.55) {
+                    stamp += 1.0;
+                    let mut p = pkt(keys[k].1, keys[k].2);
+                    p.arrival = stamp;
+                    mb.push(keys[k], p);
+                    model[k].push_back(stamp);
+                    deepest.set(deepest.get().max(model[k].len()));
+                } else {
+                    let got = mb.pop(keys[k], Duration::ZERO).map(|p| p.arrival);
+                    assert_eq!(got, model[k].pop_front(), "key {k} lost FIFO order");
+                }
+                assert_eq!(mb.queued(), model.iter().map(VecDeque::len).sum::<usize>());
+                let s = mb.lock();
+                for (key, seen) in keys.iter().zip(&mut shapes) {
+                    if let Some(spilled) = s.queues.spilled(*key) {
+                        if seen.last() != Some(&spilled) {
+                            seen.push(spilled);
                         }
                     }
                 }
-                if shapes
-                    .iter()
-                    .any(|seen| seen.starts_with(&[false, true, false]))
-                {
-                    cycled.set(true);
-                }
-            });
-            assert!(
-                cycled.get(),
-                "fuzzed={fuzzed}: no key ever went inline -> spilled -> inline"
-            );
-        }
+            }
+            if shapes
+                .iter()
+                .any(|seen| seen.starts_with(&[false, true, false]))
+            {
+                cycled.set(true);
+            }
+        });
+        assert!(cycled.get(), "no key ever went inline -> spilled -> inline");
+        assert!(deepest.get() > 8, "no queue outgrew its initial capacity");
     }
 }

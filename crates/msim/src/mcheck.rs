@@ -896,7 +896,7 @@ fn run_controlled(base: &SimConfig, forced: Vec<usize>) -> (SimConfig, Arc<Probe
     let mut cfg = base.clone();
     // The probe makes every pick; single-worker pooled execution makes
     // segment attribution exact, and a clean Fifo plan keeps wall-clock
-    // sleeps and mailbox staging out of the controlled run.
+    // sleeps out of the controlled run.
     cfg.exec = ExecMode::Pooled { workers: Some(1) };
     cfg.fault.schedule = SchedulePolicy::Fifo;
     cfg.mcheck_probe = Some(Arc::clone(&probe));

@@ -12,21 +12,31 @@
 //! resumes then touch the handful of stacks, mailboxes and window flags
 //! one node shares, while they are still in cache.
 //!
+//! The next turn goes to the first node after the current one, in node
+//! order and wrapping around, that has a ready rank: a cyclic sweep. The
+//! traffic that does leave a node mostly runs in node order — the
+//! leaders' bridge ring of every hybrid collective, each leader waiting
+//! on its left neighbour — so when the sweep reaches a node, its left
+//! neighbour has just run and its messages are there. Serving nodes in
+//! the order they first had a ready rank instead follows whichever far
+//! node's barrier round happened to wake them, and the bridge ring then
+//! advances one step per resume (docs/simulator.md, *Resume order*).
+//!
 //! The order is a host-side choice only: virtual time never observes
 //! which ready rank ran first (see `exec.rs`), so any order gives the
 //! same results, clocks and traces. What the order must provide is
 //! progress, and it does: every ready rank sits in its node's FIFO, and
-//! that node is either the current one or waits once in `turns`; a turn
-//! ends as soon as the node has no ready rank, which finite rank programs
-//! reach after finitely many resumes (a rank re-enters the queue only
-//! when a *running* rank's send, flag post or rendezvous wakes it), and
-//! nodes take turns in the order they first had a ready rank.
+//! that node is either the current one or waiting; a turn ends as soon
+//! as the node has no ready rank, which finite rank programs reach after
+//! finitely many resumes (a rank re-enters the queue only when a
+//! *running* rank's send, flag post or rendezvous wakes it), and the
+//! sweep reaches every waiting node within one lap.
 
 use std::collections::VecDeque;
 
 use simnet::RankMap;
 
-/// Ready ranks, one FIFO per node, nodes served in first-ready order.
+/// Ready ranks, one FIFO per node, nodes served in a cyclic sweep.
 #[derive(Debug)]
 pub(crate) struct ReadyQueue {
     /// Node of each rank ([`RankMap::node_of`], narrowed).
@@ -35,11 +45,11 @@ pub(crate) struct ReadyQueue {
     /// once, so the capacity reserved up front (the node's rank count) is
     /// never exceeded and a push never allocates.
     per_node: Vec<VecDeque<usize>>,
-    /// Nodes with a ready rank that are waiting for their turn, each at
-    /// most once, in the order they first had one.
-    turns: VecDeque<u32>,
-    /// Whether a node sits in `turns`.
-    waiting: Vec<bool>,
+    /// One bit per node, set while the node has a ready rank and waits
+    /// for its turn (never the current node's). Finding the next turn
+    /// scans at most one word per 64 nodes: 64 words at 262 144 ranks of
+    /// 64 per node.
+    waiting: Vec<u64>,
     /// The node being drained.
     current: u32,
     len: usize,
@@ -60,8 +70,7 @@ impl ReadyQueue {
             per_node: (0..nodes)
                 .map(|n| VecDeque::with_capacity(map.ranks_on(n).len()))
                 .collect(),
-            turns: VecDeque::with_capacity(nodes),
-            waiting: vec![false; nodes],
+            waiting: vec![0; nodes.div_ceil(64)],
             current: 0,
             len: 0,
             node_turns: 0,
@@ -93,29 +102,51 @@ impl ReadyQueue {
                 // this node's turn starts now.
                 self.current = node;
                 self.node_turns += 1;
-            } else if !self.waiting[node as usize] {
-                self.waiting[node as usize] = true;
-                self.turns.push_back(node);
+            } else {
+                self.waiting[node as usize / 64] |= 1 << (node % 64);
             }
         }
         self.len += 1;
     }
 
     /// The next rank to resume: the oldest ready rank of the current
-    /// node, else of the node whose turn is next; `None` when no rank is
-    /// ready.
+    /// node, else of the next waiting node in the sweep; `None` when no
+    /// rank is ready.
     pub(crate) fn pop(&mut self) -> Option<usize> {
         loop {
             if let Some(rank) = self.per_node[self.current as usize].pop_front() {
                 self.len -= 1;
                 return Some(rank);
             }
+            if self.len == 0 {
+                return None;
+            }
             // The current node has no ready rank: its turn is over.
-            let next = self.turns.pop_front()?;
-            self.waiting[next as usize] = false;
-            self.current = next;
+            let next = self.next_waiting();
+            self.waiting[next / 64] &= !(1 << (next % 64));
+            self.current = next as u32;
             self.node_turns += 1;
         }
+    }
+
+    /// The first waiting node after the current one, wrapping around.
+    /// The caller guarantees that some node waits.
+    fn next_waiting(&self) -> usize {
+        let words = self.waiting.len();
+        let from = (self.current as usize + 1) % (words * 64);
+        let (w, bit) = (from / 64, from % 64);
+        // The rest of that word, then every word once, wrapping; the last
+        // one visited is that word again, whose low bits are the nodes
+        // before `from`.
+        let tail = self.waiting[w] & (!0 << bit);
+        if tail != 0 {
+            return w * 64 + tail.trailing_zeros() as usize;
+        }
+        (1..=words)
+            .map(|i| (w + i) % words)
+            .find(|&i| self.waiting[i] != 0)
+            .map(|i| i * 64 + self.waiting[i].trailing_zeros() as usize)
+            .expect("ranks are ready, so some node waits for its turn")
     }
 }
 
@@ -129,8 +160,6 @@ mod tests {
     struct Model {
         node_of: Vec<usize>,
         ready: Vec<VecDeque<usize>>,
-        /// Nodes waiting for their turn, oldest first.
-        turns: Vec<usize>,
         current: Option<usize>,
     }
 
@@ -139,7 +168,6 @@ mod tests {
             Self {
                 node_of: (0..map.nranks()).map(|r| map.node_of(r)).collect(),
                 ready: vec![VecDeque::new(); map.num_nodes()],
-                turns: Vec::new(),
                 current: None,
             }
         }
@@ -148,8 +176,6 @@ mod tests {
             let node = self.node_of[rank];
             if self.ready.iter().all(|q| q.is_empty()) {
                 self.current = Some(node);
-            } else if self.current != Some(node) && !self.turns.contains(&node) {
-                self.turns.push(node);
             }
             self.ready[node].push_back(rank);
         }
@@ -157,21 +183,28 @@ mod tests {
         fn pop(&mut self) -> Option<usize> {
             let current = self.current?;
             if self.ready[current].is_empty() {
-                if self.turns.is_empty() {
-                    return None;
-                }
-                self.current = Some(self.turns.remove(0));
+                // The next node after `current` with a ready rank,
+                // wrapping around.
+                let nodes = self.ready.len();
+                self.current = (1..=nodes)
+                    .map(|i| (current + i) % nodes)
+                    .find(|&n| !self.ready[n].is_empty());
             }
             self.ready[self.current?].pop_front()
         }
     }
 
-    /// A random cluster (regular or not, block or round-robin placed)
+    /// A random cluster (regular or not, block or round-robin placed;
+    /// sometimes over more than one 64-node word of the sweep's bitset)
     /// and a random interleaving of pushes (`Some(rank)`) and pops
     /// (`None`) over it in which a rank is queued at most once at a time
     /// and may be queued again after it popped — the executors' usage.
     fn random_script(rng: &mut Rng64) -> (RankMap, Vec<Option<usize>>) {
-        let nodes = rng.usize_in(1, 7);
+        let nodes = if rng.chance(0.3) {
+            rng.usize_in(60, 200)
+        } else {
+            rng.usize_in(1, 7)
+        };
         let spec = ClusterSpec::irregular(rng.vec_usize(nodes, 1, 6));
         let placement = if rng.chance(0.5) {
             Placement::SmpBlock
@@ -218,7 +251,7 @@ mod tests {
 
     /// Every pop agrees with the model: FIFO within a node, the current
     /// node drained before the next node's turn, and nodes taking turns
-    /// in first-ready order.
+    /// in a cyclic sweep of node order.
     #[test]
     fn pops_follow_the_node_affine_model() {
         check_cases(0x5EAD_1E55, 300, |rng| {

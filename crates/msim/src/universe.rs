@@ -13,7 +13,7 @@ use crate::error::SimError;
 use crate::exec::{self, ExecCtl, ExecMode, PoolCore};
 use crate::fault::{FaultPlan, SchedulePolicy};
 use crate::ft::{Liveness, WaitError};
-use crate::mailbox::{Mailbox, StageFuzz};
+use crate::mailbox::Mailbox;
 use crate::oob::OobBoard;
 use crate::race::RaceState;
 
@@ -233,6 +233,11 @@ impl Shared {
 pub struct SimStats {
     /// Coroutine resumes (ready-queue pops).
     pub resumes: u64,
+    /// Wakes that entered the executor: mailbox pushes of the key their
+    /// receiver was blocked on, plus rendezvous completions, one per
+    /// parked member. A push whose receiver is running or waiting on
+    /// another key never gets here.
+    pub wakes: u64,
     /// Times the node-affine queue moved on to another node;
     /// `resumes / node_turns` is the mean run of same-node resumes. Zero
     /// where that queue is not the ready set: pools wider than one
@@ -264,9 +269,9 @@ pub struct SimResult<T> {
     /// leaked into longer-lived state — the chaos harness pins this to
     /// zero after every campaign.
     pub open_windows: usize,
-    /// Executor counters: resumes, node turns and the stack arena's
-    /// provenance. Host-side observability — nothing modeled depends on
-    /// them.
+    /// Executor counters: resumes, wakes, node turns and the stack
+    /// arena's provenance. Host-side observability — nothing modeled
+    /// depends on them.
     pub stats: SimStats,
 }
 
@@ -619,16 +624,7 @@ impl Universe {
             cost: config.cost,
             map,
             mailboxes: (0..nranks)
-                .map(|r| {
-                    Mailbox::new(
-                        r,
-                        exec_ctl.clone(),
-                        config
-                            .fault
-                            .stage_fuzz(r)
-                            .map(|(seed, max_stage)| StageFuzz { seed, max_stage }),
-                    )
-                })
+                .map(|r| Mailbox::new(r, exec_ctl.clone()))
                 .collect(),
             tracer: if config.trace {
                 Tracer::enabled()

@@ -1,8 +1,9 @@
 //! The one message path of `Ctx`: every way of waiting for a message or
 //! a flag completes it identically (clock, trace, what the model checker
 //! is told), a missed poll is free, the typed errors of a deadline wait
-//! name the wait for both kinds, and the three ways of posting differ
-//! exactly where the cost model says they do.
+//! name the wait for both kinds, the three ways of posting differ
+//! exactly where the cost model says they do, and a push wakes only a
+//! receiver blocked on its key.
 
 use std::time::Duration;
 
@@ -273,4 +274,55 @@ fn the_three_deposits_keep_their_trace_shapes_and_charges() {
             (2, 0, true, at(3)),
         ]
     );
+}
+
+/// Rank 0 floods rank 1 with 100 packets under one tag and then posts
+/// one under the tag rank 1 is blocked on. On a one-thread pool rank 1
+/// parks first (rank 0 yields in a deadline wait nobody answers), so of
+/// the 101 pushes only the last meets a receiver blocked on its key:
+/// one wake enters the executor, where every push used to hand it one.
+/// The flood is received after the awaited packet, in order, and every
+/// executor agrees on results and clock bits.
+#[test]
+fn a_push_wakes_only_the_receiver_blocked_on_its_key() {
+    const FLOODED: u32 = 1;
+    const AWAITED: u32 = 2;
+    const IDLE: u32 = 3;
+    let run = |exec: ExecMode| {
+        let plan = FaultPlan::none().with_detect_timeout(Duration::from_millis(20));
+        let r = Universe::run(cfg().with_fault(plan).with_exec(exec), |ctx| {
+            let world = ctx.world();
+            if ctx.rank() == 0 {
+                let idle = ctx.recv_deadline(&world, 1, IDLE);
+                assert!(matches!(idle, Err(WaitError::Timeout { .. })));
+                for i in 1..=100 {
+                    ctx.send(&world, 1, FLOODED, Payload::Phantom(i));
+                }
+                ctx.send(&world, 1, AWAITED, Payload::Phantom(1000));
+                return vec![];
+            }
+            let mut got = vec![ctx.recv(&world, 0, AWAITED).len()];
+            got.extend((0..100).map(|_| ctx.recv(&world, 0, FLOODED).len()));
+            got
+        })
+        .unwrap();
+        let clock_bits: Vec<u64> = r.clocks.iter().map(|c| c.to_bits()).collect();
+        ((r.per_rank, clock_bits, r.tracer.events()), r.stats.wakes)
+    };
+    let (events, wakes) = run(ExecMode::Events);
+    let want: Vec<usize> = std::iter::once(1000).chain(1..=100).collect();
+    assert_eq!(
+        events.0[1], want,
+        "the awaited packet, then the flood in order"
+    );
+    assert_eq!(wakes, 1, "Events: only the awaited push wakes");
+    let (pooled, wakes) = run(ExecMode::Pooled { workers: Some(1) });
+    assert_eq!(pooled, events, "Pooled{{1}} vs Events");
+    assert_eq!(wakes, 1, "Pooled{{1}}: only the awaited push wakes");
+    for exec in [
+        ExecMode::Pooled { workers: Some(2) },
+        ExecMode::ThreadPerRank,
+    ] {
+        assert_eq!(run(exec).0, events, "{exec:?} vs Events");
+    }
 }

@@ -413,3 +413,74 @@ fn executors_agree_on_two_leader_collectives_on_an_irregular_layout() {
         assert_eq!(run(exec), events, "{exec:?} vs Events");
     }
 }
+
+/// The message path's wake rule — a push wakes its receiver only when
+/// that receiver is blocked on the pushed key — under all four ways of
+/// running a universe. Rank 1 blocks on one tag while rank 0 floods it
+/// with 100 packets under another and only then posts the awaited one;
+/// afterwards every node runs a four-rank flag ring whose keys queue up
+/// behind a lagging receiver. Results and clock bits must agree. A wake
+/// the rule lost would leave a receiver parked: at width 2 that surfaces
+/// as an executor failure or a deadlock (`unwrap` fails), not a hang.
+#[test]
+fn executors_agree_on_a_flood_then_awaited_key_and_a_flag_ring() {
+    use hybrid_mpi::msim::{ExecMode, FaultPlan, Payload};
+    use std::time::Duration;
+
+    const FLOODED: u32 = 1;
+    const AWAITED: u32 = 2;
+    const IDLE: u32 = 3;
+    const RING: u32 = 4;
+    let run = |exec: ExecMode| {
+        let plan = FaultPlan::none().with_detect_timeout(Duration::from_millis(20));
+        let cfg = SimConfig::new(ClusterSpec::regular(2, 4), CostModel::uniform_test())
+            .phantom()
+            .with_recv_timeout(Duration::from_secs(10))
+            .with_fault(plan)
+            .with_exec(exec);
+        let r = Universe::run(cfg, |ctx| {
+            let world = ctx.world();
+            let mut got = Vec::new();
+            match ctx.rank() {
+                0 => {
+                    // Yield in a wait nobody answers, so rank 1 blocks
+                    // on the awaited key before the flood starts.
+                    assert!(ctx.recv_deadline(&world, 1, IDLE).is_err());
+                    for i in 1..=100 {
+                        ctx.send(&world, 1, FLOODED, Payload::Phantom(i));
+                    }
+                    ctx.send(&world, 1, AWAITED, Payload::Phantom(1000));
+                }
+                1 => {
+                    got.push(ctx.recv(&world, 0, AWAITED).len());
+                    got.extend((0..100).map(|_| ctx.recv(&world, 0, FLOODED).len()));
+                }
+                _ => {}
+            }
+            let shm = world.split_shared(ctx);
+            let (n, r) = (shm.size(), shm.rank());
+            for round in 0..50 {
+                ctx.post_flag(&shm, (r + 1) % n, RING);
+                if round % 3 == 0 {
+                    ctx.compute(1.0e3);
+                }
+                ctx.wait_flag(&shm, (r + n - 1) % n, RING);
+            }
+            got
+        })
+        .unwrap();
+        let clock_bits: Vec<u64> = r.clocks.iter().map(|c| c.to_bits()).collect();
+        (r.per_rank, clock_bits)
+    };
+
+    let events = run(ExecMode::Events);
+    let flood: Vec<usize> = std::iter::once(1000).chain(1..=100).collect();
+    assert_eq!(events.0[1], flood);
+    for exec in [
+        ExecMode::Pooled { workers: Some(1) },
+        ExecMode::Pooled { workers: Some(2) },
+        ExecMode::ThreadPerRank,
+    ] {
+        assert_eq!(run(exec), events, "{exec:?} vs Events");
+    }
+}
