@@ -4,11 +4,11 @@
 #
 # Usage:
 #   ci.sh                 run every stage (fmt build test lint race mcheck ft
-#                         events overlap multileader chaos smoke perf)
+#                         overlap multileader chaos smoke perf)
 #   ci.sh STAGE [...]     run only the named stage(s), in the given order
 #   ci.sh --quick         inner-loop subset: fmt + build + test + 1-seed race
-#                         + 1-cell mcheck + 1-seed ft + 1-seed events +
-#                         overlap + 1-seed multileader + 1-seed chaos
+#                         + 1-cell mcheck + 1-seed ft + overlap + 1-seed
+#                         multileader + 1-seed chaos
 #   ci.sh --list          print the stages with one-line descriptions
 #
 # Every run prints a per-stage wall-clock summary at exit, and a failing
@@ -18,16 +18,16 @@
 # Stages:
 #   fmt     cargo fmt --check
 #   build   release build of the whole workspace
-#   test    cargo test --workspace (includes the pooled-executor
-#           differential suite and the figure-golden regression tests)
+#   test    cargo test --workspace (includes the digest fixture every
+#           pool width and adversarial seed must reproduce, the
+#           pool-width suites and the figure-golden regression tests)
 #   lint    clippy, -D warnings (the workspace lint wall in Cargo.toml:
 #           clippy::all + unsafe_op_in_unsafe_fn and the SAFETY-comment
 #           requirement on every unsafe block)
 #   race    happens-before race detector (MSIM_RACE=1, docs/race-detection.md):
 #           the msim mutant-regression suite plus both conformance suites
 #           with the detector armed — all collectives, all sync methods,
-#           the full seed set — and a thread-per-rank differential pass;
-#           then the applications (Hy_BPMF, Hy_SUMMA, overlapped
+#           the full seed set; then the applications (Hy_BPMF, Hy_SUMMA, overlapped
 #           Hy_SUMMA) must report clean and the Hy_BPMF mutant that
 #           skips the fence before `write_my_block` must be caught.
 #           Budget: vector-clock bookkeeping costs roughly 2x on
@@ -38,7 +38,7 @@
 #           (seeded envelope bugs — missing QUIESCE fence, reordered
 #           flag release, dropped GO_ALL, schedule-divergent poll —
 #           each must yield a shrunk certificate that replays
-#           byte-identically per the executor capability matrix, while
+#           byte-identically from any base pool width, while
 #           the corrected programs explore clean in exactly one
 #           schedule), the exhaustive sweep tests (every Hy* family x
 #           3 sync methods, plus allgather and allreduce built
@@ -50,8 +50,9 @@
 #           matrix conformance suite (every collective family x every
 #           victim rank x 3 sync methods x regular+irregular layouts x
 #           seeds, Shrink policy, exact shrunk-world oracles), the
-#           runtime detector/drop/retry suite in both executor modes,
-#           the BPMF/SUMMA app-level recovery tests, a timeout-storm
+#           runtime detector/drop/retry suite, the BPMF/SUMMA app-level
+#           recovery tests, one and two pool workers agreeing on a
+#           leader failover, a timeout-storm
 #           smoke (total blackout must surface as typed timeouts, not
 #           hangs), and the recovery-latency micro (`bench ft` writes a
 #           temp artifact and checks it; the committed BENCH_ft.json must
@@ -61,19 +62,10 @@
 #           a *disarmed* run provably stays bit-identical: with no
 #           FaultPlan the FT paths are never entered. `--quick` keeps
 #           the matrix on a 1-seed subset (MSIM_FT_SEEDS=1).
-#   events  `ExecMode::Events` gate (docs/simulator.md): the msim
-#           differential suite (events ≡ pooled ≡ threads on results,
-#           clocks, and traces across fuzz seeds, layouts, kills, FT
-#           recovery) plus the hybrid-collective differential wall
-#           (every Hy* family x 3 sync methods x regular+irregular
-#           layouts x seeds, three modes bit-identical) and the fig
-#           7/8/9 goldens on events. Its wall-clock point (65536 ranks,
-#           EVENTS_BUDGET_S) runs once, in `perf`. `--quick` trims the
-#           wall to a 1-seed subset (MSIM_CONF_SEEDS=1).
 #   overlap split-phase gate (docs/nonblocking.md): the iexecute
 #           conformance suite (iexecute+wait bit-identical to execute
 #           for every family x 3 sync methods x regular+irregular
-#           layouts x seeds, executor-invariant in phantom mode, plus
+#           layouts x seeds, pool-width-invariant in phantom mode, plus
 #           the waitall/testany ordering properties), the app-level
 #           overlap tests (SUMMA / CG / stencil overlapped variants
 #           bitwise-match their blocking forms and beat them on virtual
@@ -84,12 +76,13 @@
 #   multileader
 #           k-leaders-per-node gate (docs/multileader.md). The leader
 #           count is a constructor argument of the one hybrid handle
-#           per collective, so the general walls (test / race / events
-#           / overlap stages) already run k in {1,2,4}; this stage
+#           per collective, so the general walls (test / race /
+#           overlap stages) already run k in {1,2,4}; this stage
 #           adds the digest fixture (every family x 3 sync methods x
 #           k x 3 layouts, blocking and iexecute: results, clocks and
-#           traces pinned line for line), what only k >= 2 can show
-#           (uneven [2,3,4] nodes x seeds x three executors, striped
+#           traces pinned line for line, at pool widths 1 and 2 and
+#           under the adversarial seeds), what only k >= 2 can show
+#           (uneven [2,3,4] nodes x seeds x pool widths 1 and 2, striped
 #           bridge traffic, race-detector-armed cooperative-fill
 #           rounds), then the multileader micro: `bench multileader`
 #           regenerates the full artifact to /tmp (canonical
@@ -117,9 +110,10 @@
 #           concurrently) and byte-identical to the committed file (each
 #           prints only virtual time and schedule-independent counts);
 #           every stale file is named
-#   perf    wall-clock gate: `bench scale --ranks 96` (pooled) and
-#           `bench scale --exec events --ranks 65536` (events; the only
-#           run of this point) each fail if measured wall-clock exceeds
+#   perf    wall-clock gate: `bench scale --ranks 96` (pooled ladder)
+#           and `bench scale --exec events --ranks 65536` (events
+#           ladder: one worker, 64 KiB stacks) each fail if measured
+#           wall-clock exceeds
 #           their stored budget by >25%; the committed BENCH_scale.json
 #           must pass the artifact check (canonical JSON, executor
 #           counters). Also asserts the detector-off artifact is
@@ -132,7 +126,7 @@
 #
 # Perf budget bump procedure: the stored budgets below are wall-clock
 # (seconds) of `scale --ranks 96` (SCALE_BUDGET_S, pooled) and
-# `scale --exec events --ranks 65536` (EVENTS_BUDGET_S, events) on
+# `scale --exec events --ranks 65536` (EVENTS_BUDGET_S, events ladder) on
 # the CI reference host, with headroom for load noise. If a gate fails
 # and the slowdown is *intended* (e.g. the simulator gained a feature
 # that costs real time), re-measure with
@@ -187,7 +181,7 @@ trap on_exit EXIT
 # Stored wall-clock budget (seconds) for the perf stage's 96-rank smoke.
 # Measured ~0.01 s on the reference host; 1.0 s keeps the gate immune to
 # load noise while still catching order-of-magnitude regressions (e.g.
-# accidental thread-per-rank fallback or a syscall storm in the pool).
+# a syscall storm in the pool).
 SCALE_BUDGET_S=1.0
 
 # Stored wall-clock budget (seconds) for the 65536-rank `--exec events`
@@ -250,7 +244,7 @@ RACE_SEEDS=8
 
 stage_race() {
     # Detector sensitivity: the seeded mutants must fire, clean code must
-    # not (crates/msim/tests/race.rs pins both, in both executor modes).
+    # not (crates/msim/tests/race.rs pins both, at pool widths 1 and 2).
     cargo test -q -p msim --test race
     # Zero false positives across the full collective matrix: both
     # conformance suites (all collectives x seeds x regular/irregular
@@ -260,17 +254,11 @@ stage_race() {
         cargo test -q -p collectives --test conformance
     MSIM_RACE=1 MSIM_CONF_SEEDS="$RACE_SEEDS" \
         cargo test -q -p hmpi-core --test conformance --test iconformance --test race_detect
-    # Differential pass: the historical thread-per-rank executor must
-    # reach the same verdicts (1-seed subset keeps this cheap).
-    MSIM_RACE=1 MSIM_EXEC=threads MSIM_CONF_SEEDS=1 \
-        cargo test -q -p hmpi-core --test race_detect
-    MSIM_EXEC=threads cargo test -q -p msim --test race
     # The applications under the detector (it is armed by the tests'
     # own SimConfig): Hy_BPMF, Hy_SUMMA and the overlapped Hy_SUMMA
     # read their node-shared windows in place and must report clean,
     # and Hy_BPMF without the fence before `write_my_block` must not.
     cargo test -q -p bpmf -p summa --lib race_detector
-    MSIM_EXEC=threads cargo test -q -p bpmf -p summa --lib race_detector
 }
 
 # Arguments for the mcheck stage's `bench mcheck` sweep: the full 8-family x
@@ -279,8 +267,8 @@ MCHECK_ARGS=(--family all)
 
 stage_mcheck() {
     # Mutant wall: each seeded envelope bug must produce a shrunk
-    # replayable certificate (byte-identical across the executors that
-    # support its violation class), the corrected programs must explore
+    # replayable certificate (byte-identical from pool widths 1 and 2),
+    # the corrected programs must explore
     # clean in exactly one schedule, DPOR must beat naive enumeration
     # by >= 10x, and the committed certificate artifact must keep
     # replaying (crates/msim/tests/mcheck.rs pins all of it).
@@ -310,21 +298,20 @@ stage_ft() {
     # allgather / bcast / allreduce each complete with the exact
     # shrunk-world result for any single victim, across sync methods,
     # layouts (incl. irregular [1,3,4]) and seeds. Also pins recovery
-    # determinism (same-seed repeats and pooled-vs-threads agree byte
+    # determinism (same-seed repeats and pool widths 1 and 2 agree byte
     # for byte), the Abort and Retry policies, and the recovery trace.
     MSIM_FT_SEEDS="$FT_SEEDS" cargo test -q -p hmpi-core --test ft
-    # Runtime layer, both executor modes: dead-rank detection from a
-    # parked wait, the timeout-storm smoke (drop_prob=1.0 blackout must
-    # produce a typed Timeout promptly), seeded drop determinism with
-    # transport retry, heartbeat piggybacking, agree/shrink semantics.
+    # Runtime layer: dead-rank detection from a parked wait, the
+    # timeout-storm smoke (drop_prob=1.0 blackout must produce a typed
+    # Timeout promptly), seeded drop determinism with transport retry,
+    # heartbeat piggybacking, agree/shrink semantics.
     cargo test -q -p msim --test ft
-    MSIM_EXEC=threads cargo test -q -p msim --test ft
     # App-level recovery: BPMF reconverges to the serial RMSE and SUMMA
-    # recomputes on the shrunk grid after a mid-run kill; the pooled
-    # executor matches thread-per-rank on a leader-failover run.
+    # recomputes on the shrunk grid after a mid-run kill; one and two
+    # pool workers agree on a leader-failover run.
     cargo test -q -p bpmf ft_bpmf
     cargo test -q -p summa ft_summa
-    cargo test -q -p msim --test pooled pooled_matches_threads_on_leader_failover
+    cargo test -q -p msim --test pooled widths_agree_on_leader_failover
     # Recovery-latency micro: a temp artifact, checked as it is written
     # (canonical round-trip, both ladders present). Its wall_s fields are
     # host time, so the committed BENCH_ft.json is checked, not compared.
@@ -337,24 +324,6 @@ stage_ft() {
     bench scale --ranks 96 --out /tmp/ci_scale_ft.json --budget-s "$SCALE_BUDGET_S"
 }
 
-# Seed subset for the events stage's differential wall: the full eight
-# in a normal run, one in `--quick` (set by the --quick branch below).
-EVENTS_SEEDS=8
-
-stage_events() {
-    # Differential suite: events ≡ pooled ≡ threads on results, virtual
-    # clocks, and canonical traces, plus the typed rejections (events +
-    # real payloads / events + armed race detector fail fast).
-    cargo test -q -p msim --test calendar
-    # The hybrid-collective wall: every Hy* family, all 3 sync methods,
-    # regular 4x6 + irregular [1,3,4] layouts, across the fuzz seeds —
-    # three executors bit-identical.
-    MSIM_CONF_SEEDS="$EVENTS_SEEDS" cargo test -q -p hmpi-core --test events_conformance
-    # Figure-golden leg: fig 7/8/9 virtual times unchanged under
-    # events. (The 65536-rank wall-clock point is the perf stage's.)
-    cargo test -q -p bench --test regression events_executor_reproduces_goldens_bit_for_bit
-}
-
 # Seed subset for the overlap stage's iexecute conformance pass: the
 # full eight in a normal run, one in `--quick`.
 OVERLAP_SEEDS=8
@@ -362,8 +331,8 @@ OVERLAP_SEEDS=8
 stage_overlap() {
     # The split-phase wall: iexecute+wait ≡ execute bit-for-bit (results,
     # clocks, Req-marker-stripped traces) for every family x 3 sync
-    # methods x regular+irregular layouts x seeds, three executors
-    # bit-identical in phantom mode, and the deterministic waitall /
+    # methods x regular+irregular layouts x seeds, one and two pool
+    # workers bit-identical in phantom mode, and the deterministic waitall /
     # testany ordering semantics.
     MSIM_CONF_SEEDS="$OVERLAP_SEEDS" cargo test -q -p hmpi-core --test iconformance
     # App-level overlap: the overlapped SUMMA / CG / stencil kernels are
@@ -387,13 +356,15 @@ ML_SEEDS=8
 
 stage_multileader() {
     # The pinned numbers: allgather(v) / bcast / allreduce at k in
-    # {1, 2, 4}, alltoall(v) and reduce_scatter, all 3 sync methods, 3
-    # layouts, blocking and iexecute — results, clocks and traces must
-    # reproduce crates/core/tests/fixtures/hybrid_digests.txt.
-    cargo test -q -p hmpi-core --test digests
+    # {1, 2, 4}, alltoall(v), reduce_scatter, gather and scatter, all 3
+    # sync methods, 3 layouts, blocking and iexecute — results, clocks
+    # and traces must reproduce crates/core/tests/fixtures/hybrid_digests.txt
+    # on one pool worker, on two, and on two under every adversarial
+    # schedule seed.
+    MSIM_CONF_SEEDS="$ML_SEEDS" cargo test -q -p hmpi-core --test digests
     # What only k >= 2 can show (the k axis itself rides the general
-    # walls): uneven [2,3,4] nodes across the fuzz seeds with three
-    # executors bit-identical, striped bridge traffic, and repeated
+    # walls): uneven [2,3,4] nodes across the fuzz seeds with one and
+    # two pool workers bit-identical, striped bridge traffic, and repeated
     # cooperative-fill rounds with the race detector armed.
     MSIM_CONF_SEEDS="$ML_SEEDS" cargo test -q -p hmpi-core --test multileader
     # Multileader micro: the full sweep into a temp artifact, checked as
@@ -459,8 +430,8 @@ stage_perf() {
     # so MSIM_RACE=1 must be a no-op for both timing and the artifact.
     MSIM_RACE=1 bench scale --ranks 96 --out /tmp/ci_scale_perf_race.json \
         --budget-s "$SCALE_BUDGET_S"
-    # The large-rank events point: 65536 phantom ranks on the launching
-    # thread, its own budget (EVENTS_BUDGET_S — see header). Temp
+    # The large-rank events-ladder point: 65536 phantom ranks on the
+    # launching thread, its own budget (EVENTS_BUDGET_S — see header). Temp
     # artifact: CI never touches the committed BENCH_scale.json.
     bench scale --exec events --ranks 65536 --out /tmp/ci_scale_perf_events.json \
         --budget-s "$EVENTS_BUDGET_S"
@@ -483,7 +454,7 @@ run_stage() {
     echo "ci: === stage $name OK (${dt}s) ==="
 }
 
-ALL_STAGES=(fmt build test lint race mcheck ft events overlap multileader chaos smoke perf)
+ALL_STAGES=(fmt build test lint race mcheck ft overlap multileader chaos smoke perf)
 
 # One-line description per stage, for `--list` (the header comment has
 # the long form).
@@ -491,17 +462,16 @@ describe_stage() {
     case "$1" in
     fmt) echo "cargo fmt --check" ;;
     build) echo "release build of the whole workspace" ;;
-    test) echo "cargo test --workspace (differential suites + figure goldens)" ;;
+    test) echo "cargo test --workspace (digest fixture at every width + figure goldens)" ;;
     lint) echo "clippy wall, -D warnings" ;;
     race) echo "happens-before race detector: mutants + armed conformance suites" ;;
     mcheck) echo "DPOR model checker: mutant wall + exhaustive Hy* sweep (1 and 2 leaders)" ;;
     ft) echo "fault tolerance: kill matrix, runtime retry, app recovery, BENCH_ft checked" ;;
-    events) echo "ExecMode::Events: three-mode differential wall + fig goldens on events" ;;
     overlap) echo "split-phase: iexecute wall, app overlap wins, BENCH_overlap byte-identical" ;;
     multileader) echo "leader count: digest fixture, uneven-node wall, BENCH_multileader byte-identical" ;;
     chaos) echo "chaos soak: seeded fault campaigns + invariant oracle + mutant probe" ;;
     smoke) echo "pinned-seed fault injection + both tuning tables cmp + every results/*.txt cmp" ;;
-    perf) echo "wall-clock budgets (96-rank pooled, 65536-rank events), BENCH_scale" ;;
+    perf) echo "wall-clock budgets (96-rank pooled, 65536-rank events ladder), BENCH_scale" ;;
     *) echo "?" ;;
     esac
 }
@@ -515,23 +485,22 @@ elif [ "$1" = "--list" ]; then
     trap - EXIT
     exit 0
 elif [ "$1" = "--quick" ]; then
-    # The race, ft, events, overlap, and multileader stages ride along
-    # on 1-seed subsets so the inner loop still exercises the detector,
-    # the kill matrix, the events differential wall, the split-phase
-    # gate, and the k-leader wall without the full seed sweeps.
+    # The race, ft, overlap, and multileader stages ride along on 1-seed
+    # subsets so the inner loop still exercises the detector, the kill
+    # matrix, the split-phase gate, and the k-leader wall without the
+    # full seed sweeps.
     RACE_SEEDS=1
     FT_SEEDS=1
-    EVENTS_SEEDS=1
     OVERLAP_SEEDS=1
     ML_SEEDS=1
     CHAOS_SEEDS=1
     MCHECK_ARGS=(--quick)
-    stages=(fmt build test race mcheck ft events overlap multileader chaos)
+    stages=(fmt build test race mcheck ft overlap multileader chaos)
 else
     stages=("$@")
     for s in "${stages[@]}"; do
         case "$s" in
-        fmt | build | test | lint | race | mcheck | ft | events | overlap | multileader | chaos | smoke | perf) ;;
+        fmt | build | test | lint | race | mcheck | ft | overlap | multileader | chaos | smoke | perf) ;;
         *)
             echo "ci: unknown stage '$s' (stages: ${ALL_STAGES[*]}, or --quick / --list)" >&2
             exit 2

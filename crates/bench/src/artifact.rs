@@ -10,7 +10,6 @@ use std::fs;
 use std::path::Path;
 
 use collectives::json::Json;
-use msim::ExecMode;
 
 use crate::cli::{Args, Flags};
 
@@ -102,22 +101,6 @@ pub const ARTIFACTS: &[Artifact] = &[
 
 /// The flags every artifact command takes.
 const OUT_VERIFY: Flags = &[("--out", "PATH"), ("--verify", "PATH")];
-
-/// The executors a sweep can be restricted to, by `--exec` name.
-const EXECS: &[(&str, ExecMode)] = &[
-    ("pooled", ExecMode::Pooled { workers: None }),
-    ("threads", ExecMode::ThreadPerRank),
-    ("events", ExecMode::Events),
-];
-
-/// The artifact label of an executor.
-fn exec_label(exec: ExecMode) -> &'static str {
-    match exec {
-        ExecMode::ThreadPerRank => "threads",
-        ExecMode::Pooled { .. } => "pooled",
-        ExecMode::Events => "events",
-    }
-}
 
 /// Round to a multiple of `1 / per_unit`, so wall-clock and derived
 /// fields stay human-diffable.

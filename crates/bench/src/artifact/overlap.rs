@@ -1,32 +1,34 @@
 //! Comm/compute overlap sweep, `BENCH_overlap.json`: blocking vs
 //! overlapped hybrid kernels for SUMMA, CG and the Jacobi stencil, per
-//! size and per executor — the repo's record that the split-phase
-//! collectives buy the applications time, gated by `ci.sh overlap`.
+//! size — the repo's record that the split-phase collectives buy the
+//! applications time, gated by `ci.sh overlap`.
 //!
-//! `--app` / `--exec` restrict the sweep to one application / one
-//! executor; by default it walks every app's size ladder under all three
-//! executors. The check enforces the acceptance bar: every application
-//! has a point where the overlapped variant is strictly faster.
+//! `--app` restricts the sweep to one application; by default it walks
+//! every app's size ladder. Every row carries `"exec": "pooled"`, the
+//! executor every universe runs on. The check enforces the acceptance
+//! bar: every application has a point where the overlapped variant is
+//! strictly faster.
 
 use std::collections::BTreeMap;
 
 use collectives::json::Json;
 use msim::ExecMode;
 
-use super::{exec_label, nonempty, round, EXECS};
+use super::{nonempty, round};
 use crate::cli::{Args, Flags};
 use crate::{overlap_latency, Machine, OverlapApp};
 
 pub const FLAGS: Flags = &[
     ("--app", "summa|cg|stencil"),
-    ("--exec", "pooled|threads|events"),
     ("--out", "PATH"),
     ("--verify", "PATH"),
 ];
 
+/// The `exec` label of every row.
+const EXEC_LABEL: &str = "pooled";
+
 struct Point {
     app: OverlapApp,
-    exec: ExecMode,
     size: usize,
     blocking_us: f64,
     overlapped_us: f64,
@@ -41,7 +43,7 @@ fn to_json(points: &[Point]) -> Json {
         let mut m = BTreeMap::new();
         m.insert("app".into(), Json::Str(p.app.label().into()));
         m.insert("blocking_us".into(), Json::Num(p.blocking_us));
-        m.insert("exec".into(), Json::Str(exec_label(p.exec).into()));
+        m.insert("exec".into(), Json::Str(EXEC_LABEL.into()));
         m.insert("nodes".into(), Json::Num(nodes as f64));
         m.insert("overlapped_us".into(), Json::Num(p.overlapped_us));
         m.insert("ppn".into(), Json::Num(ppn as f64));
@@ -63,34 +65,27 @@ pub fn build(args: &Args) -> Result<String, String> {
         Some(app) => vec![app],
         None => OverlapApp::ALL.to_vec(),
     };
-    let execs: Vec<ExecMode> = match args.pick("--exec", EXECS)? {
-        Some(exec) => vec![exec],
-        None => EXECS.iter().map(|&(_, exec)| exec).collect(),
-    };
     let machine = Machine::hazel_hen();
     let mut points = Vec::new();
     for &app in &apps {
         let (_, _, sizes) = app.ladder();
         for &size in sizes {
-            for &exec in &execs {
-                let (blocking_us, overlapped_us) = overlap_latency(app, size, &machine, exec);
-                println!(
-                    "overlap: {} size {} ({}): blocking {:.1} us, overlapped {:.1} us ({:.3}x)",
-                    app.label(),
-                    size,
-                    exec_label(exec),
-                    blocking_us,
-                    overlapped_us,
-                    blocking_us / overlapped_us
-                );
-                points.push(Point {
-                    app,
-                    exec,
-                    size,
-                    blocking_us,
-                    overlapped_us,
-                });
-            }
+            let (blocking_us, overlapped_us) =
+                overlap_latency(app, size, &machine, ExecMode::default());
+            println!(
+                "overlap: {} size {}: blocking {:.1} us, overlapped {:.1} us ({:.3}x)",
+                app.label(),
+                size,
+                blocking_us,
+                overlapped_us,
+                blocking_us / overlapped_us
+            );
+            points.push(Point {
+                app,
+                size,
+                blocking_us,
+                overlapped_us,
+            });
         }
     }
     Ok(to_json(&points).pretty())
@@ -107,9 +102,8 @@ pub fn check(doc: &Json) -> Result<String, String> {
         let Some(win) = wins.get_mut(app) else {
             return Err(format!("point {i} has unknown app {app:?}"));
         };
-        let exec = p.get("exec").and_then(|e| e.as_str());
-        if !EXECS.iter().any(|(label, _)| exec == Some(*label)) {
-            return Err(format!("point {i} has no recognized \"exec\" label"));
+        if p.get("exec").and_then(|e| e.as_str()) != Some(EXEC_LABEL) {
+            return Err(format!("point {i} lacks \"exec\": \"{EXEC_LABEL}\""));
         }
         let blocking = p.get("blocking_us").and_then(|v| v.as_f64());
         let overlapped = p.get("overlapped_us").and_then(|v| v.as_f64());

@@ -1,8 +1,9 @@
 //! Executor scaling sweep, `BENCH_scale.json`: the wall-clock cost of
 //! simulating the paper's hybrid allgather as the rank count grows 48 →
-//! 4096 on the pooled executor, then 8192 → 262144 on the event-calendar
-//! executor — far past what any thread-backed execution can host. Each
-//! point records wall-clock seconds, virtual latency, the executor, the
+//! 4096 on the default-width pool (the `pooled` ladder), then 8192 →
+//! 262144 on a one-worker pool with small stacks (the `events` ladder,
+//! named after the executor mode it used to run on). Each point
+//! records wall-clock seconds, virtual latency, its ladder (`exec`), the
 //! peak OS thread count and the executor's own counters (`resumes` and
 //! `node_turns` — their quotient is the mean run of same-node resumes
 //! the node-affine ready queue achieved; `node_turns` is 0 where a pool
@@ -12,10 +13,10 @@
 //! gated by `ci.sh perf`.
 //!
 //! * `--ranks N` runs only the ladder point with exactly N ranks.
-//! * `--exec` restricts the sweep to one executor's ladder: `pooled` and
-//!   `threads` walk the 48 → 4096 ladder (threads refuses ranks > 2048),
-//!   `events` walks the 8192 → 262144 ladder. Without it, the sweep is
-//!   the pooled ladder followed by the events ladder, into one artifact.
+//! * `--exec` restricts the sweep to one ladder: `pooled` walks the
+//!   48 → 4096 ladder, `events` the 8192 → 262144 one. Without it, the
+//!   sweep is the pooled ladder followed by the events ladder, into one
+//!   artifact.
 //! * `--budget-s SECS` fails the run when its total wall-clock exceeds
 //!   the stored budget by more than 25% (see the `ci.sh` header for the
 //!   bump procedure).
@@ -29,22 +30,67 @@ use hmpi::{HyAllgather, HybridComm, SyncMethod};
 use msim::{ExecMode, SimConfig, SimStats, Universe};
 use simnet::ClusterSpec;
 
-use super::{exec_label, nonempty, round, EXECS};
+use super::{nonempty, round};
 use crate::cli::{Args, Flags};
 use crate::Machine;
 
 pub const FLAGS: Flags = &[
     ("--ranks", "N"),
     ("--max-ranks", "N"),
-    ("--exec", "pooled|threads|events"),
+    ("--exec", "pooled|events"),
     ("--budget-s", "SECS"),
     ("--out", "PATH"),
     ("--verify", "PATH"),
 ];
 
-/// The pooled/threads ladder: the paper's 24-ppn scales (Figs 7–12 live
-/// at 24 processes per node) up to 128 nodes, then a 4096-rank top end.
-const LADDER: &[(usize, usize)] = &[
+/// The two ladders, by their `--exec` name and artifact label.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ladder {
+    /// [`POOLED_LADDER`] on the default-width pool.
+    Pooled,
+    /// [`EVENTS_LADDER`] on one worker, the launching thread.
+    Events,
+}
+
+const LADDERS: &[(&str, Ladder)] = &[("pooled", Ladder::Pooled), ("events", Ladder::Events)];
+
+impl Ladder {
+    fn label(self) -> &'static str {
+        match self {
+            Ladder::Pooled => "pooled",
+            Ladder::Events => "events",
+        }
+    }
+
+    fn points(self) -> &'static [(usize, usize)] {
+        match self {
+            Ladder::Pooled => POOLED_LADDER,
+            Ladder::Events => EVENTS_LADDER,
+        }
+    }
+
+    fn exec(self) -> ExecMode {
+        match self {
+            Ladder::Pooled => ExecMode::pooled(),
+            Ladder::Events => ExecMode::Pooled { workers: Some(1) },
+        }
+    }
+
+    /// Coroutine stacks are the dominant memory cost at scale; the
+    /// allgather keeps its data in windows/heap, so small stacks suffice.
+    /// The arena commits stack pages lazily, so the large-rank ladder
+    /// shrinks them further to 64 KiB reserved per rank.
+    fn stack_size(self) -> usize {
+        match self {
+            Ladder::Pooled => 256 * 1024,
+            Ladder::Events => 64 * 1024,
+        }
+    }
+}
+
+/// The pooled ladder: the paper's 24-ppn scales (Figs 7–12 live at 24
+/// processes per node) up to 128 nodes, then a 4096-rank top end.
+const POOLED_LADDER: &[(usize, usize)] = &[
     (2, 24),   // 48
     (4, 24),   // 96
     (8, 24),   // 192
@@ -55,7 +101,7 @@ const LADDER: &[(usize, usize)] = &[
     (256, 16), // 4096
 ];
 
-/// The event-calendar ladder: phantom-payload runs at 64 ppn (a modern
+/// The events ladder: phantom-payload runs at 64 ppn (a modern
 /// dual-socket node) reaching 262144 ranks on a single driver thread.
 const EVENTS_LADDER: &[(usize, usize)] = &[
     (128, 64),  // 8192
@@ -81,7 +127,7 @@ struct Point {
     nodes: usize,
     ppn: usize,
     ranks: usize,
-    exec: ExecMode,
+    ladder: Ladder,
     iters: usize,
     latency_us: f64,
     wall_s: f64,
@@ -91,23 +137,15 @@ struct Point {
 
 /// Simulate the hybrid allgather once at `nodes`×`ppn` and measure the
 /// host-side wall-clock of the whole `Universe::run`.
-fn run_point(nodes: usize, ppn: usize, exec: ExecMode, machine: &Machine) -> Point {
+fn run_point(nodes: usize, ppn: usize, ladder: Ladder, machine: &Machine) -> Point {
     let spec = ClusterSpec::regular(nodes, ppn);
     let ranks = nodes * ppn;
     let iters = if ranks >= SINGLE_ITER_RANKS { 1 } else { 3 };
-    // Coroutine stacks are the dominant memory cost at scale; the
-    // allgather keeps its data in windows/heap, so small stacks suffice.
-    // The calendar's arena commits stack pages lazily, so its quarter
-    //-megabyte points shrink further to 64 KiB reserved per rank.
-    let stack_size = match exec {
-        ExecMode::Events => 64 * 1024,
-        _ => 256 * 1024,
-    };
     let cfg = SimConfig::new(spec, machine.cost.clone())
         .phantom()
-        .with_stack_size(stack_size)
+        .with_stack_size(ladder.stack_size())
         .with_recv_timeout(std::time::Duration::from_secs(300))
-        .with_exec(exec);
+        .with_exec(ladder.exec());
     let tuning = machine.tuning.clone();
     let t0 = Instant::now();
     let result = Universe::run(cfg, move |ctx| {
@@ -127,7 +165,7 @@ fn run_point(nodes: usize, ppn: usize, exec: ExecMode, machine: &Machine) -> Poi
         nodes,
         ppn,
         ranks,
-        exec,
+        ladder,
         iters,
         wall_s,
         peak_threads: result.peak_threads,
@@ -148,7 +186,7 @@ fn to_json(points: &[Point], total_wall_s: f64) -> Json {
             Json::Num(p.stats.arena_mapped_bytes as f64),
         );
         m.insert("arena_reused".into(), Json::Bool(p.stats.arena_reused));
-        m.insert("exec".into(), Json::Str(exec_label(p.exec).into()));
+        m.insert("exec".into(), Json::Str(p.ladder.label().into()));
         m.insert("iters".into(), Json::Num(p.iters as f64));
         m.insert("latency_us".into(), Json::Num(p.latency_us));
         m.insert("node_turns".into(), Json::Num(p.stats.node_turns as f64));
@@ -169,18 +207,16 @@ pub fn build(args: &Args) -> Result<String, String> {
     let only_ranks: Option<usize> = args.num("--ranks")?;
     let max_ranks = args.num("--max-ranks")?.unwrap_or(usize::MAX);
     let budget_s: Option<f64> = args.num("--budget-s")?;
-    // The work list: (nodes, ppn, exec). Default = pooled ladder followed
-    // by the events ladder; an explicit --exec restricts to its ladder.
-    let mut work: Vec<(usize, usize, ExecMode)> = match args.pick("--exec", EXECS)? {
-        Some(exec @ ExecMode::Events) => EVENTS_LADDER.iter().map(|&(n, p)| (n, p, exec)).collect(),
-        Some(exec) => LADDER.iter().map(|&(n, p)| (n, p, exec)).collect(),
-        None => {
-            let pooled = LADDER.iter().map(|&(n, p)| (n, p, ExecMode::pooled()));
-            pooled
-                .chain(EVENTS_LADDER.iter().map(|&(n, p)| (n, p, ExecMode::Events)))
-                .collect()
-        }
+    // The work list: (nodes, ppn, ladder). Default = pooled ladder
+    // followed by the events ladder; an explicit --exec restricts to one.
+    let ladders = match args.pick("--exec", LADDERS)? {
+        Some(ladder) => vec![ladder],
+        None => vec![Ladder::Pooled, Ladder::Events],
     };
+    let mut work: Vec<(usize, usize, Ladder)> = ladders
+        .into_iter()
+        .flat_map(|l| l.points().iter().map(move |&(n, p)| (n, p, l)))
+        .collect();
     work.retain(|&(n, p, _)| n * p <= max_ranks && only_ranks.is_none_or(|want| want == n * p));
     if work.is_empty() {
         return Err(args.error(
@@ -188,22 +224,12 @@ pub fn build(args: &Args) -> Result<String, String> {
              768, 1536, 3072, 4096; events ladder ranks: 8192, 16384, 65536, 262144)",
         ));
     }
-    if work
-        .iter()
-        .any(|&(n, p, e)| e == ExecMode::ThreadPerRank && n * p > 2048)
-    {
-        return Err(
-            "refusing a thread-per-rank sweep above 2048 ranks (one OS thread per rank would \
-             thrash the host); add --max-ranks 2048"
-                .into(),
-        );
-    }
 
     let machine = Machine::hazel_hen();
     let mut points = Vec::with_capacity(work.len());
     let t0 = Instant::now();
-    for (nodes, ppn, exec) in work {
-        let p = run_point(nodes, ppn, exec, &machine);
+    for (nodes, ppn, ladder) in work {
+        let p = run_point(nodes, ppn, ladder, &machine);
         let per_turn = match p.stats.node_turns {
             0 => String::new(),
             turns => format!(
@@ -216,7 +242,7 @@ pub fn build(args: &Args) -> Result<String, String> {
             p.ranks,
             p.nodes,
             p.ppn,
-            exec_label(p.exec),
+            p.ladder.label(),
             p.wall_s,
             p.latency_us,
             p.peak_threads
@@ -242,12 +268,12 @@ pub fn build(args: &Args) -> Result<String, String> {
     Ok(to_json(&points, total_wall_s).pretty())
 }
 
-/// Every point must carry an executor label and the executor's counters.
+/// Every point must carry a ladder label and the executor's counters.
 pub fn check(doc: &Json) -> Result<String, String> {
     let points = nonempty(doc, "points")?;
     for (i, p) in points.iter().enumerate() {
         let exec = p.get("exec").and_then(|e| e.as_str());
-        if !EXECS.iter().any(|(label, _)| exec == Some(*label)) {
+        if !LADDERS.iter().any(|(label, _)| exec == Some(*label)) {
             return Err(format!("point {i} has no recognized \"exec\" label"));
         }
         for counter in ["resumes", "node_turns", "arena_mapped_bytes"] {

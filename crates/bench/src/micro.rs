@@ -58,11 +58,10 @@ pub enum AllgatherVariant {
 
 /// Measure the allgather latency (µs per call, max over ranks) for
 /// `elems` doubles per rank on the given cluster/machine, in phantom
-/// mode, under the given executor. Virtual times are executor-invariant
-/// by construction — the regression goldens *prove* it by pinning the
-/// same numbers under [`ExecMode::Events`] — so most callers just pass
-/// `ExecMode::default()`; the scale sweep selects the calendar for its
-/// largest points.
+/// mode, on the given pool width. Virtual times are width-invariant by
+/// construction — the regression goldens *prove* it by pinning the same
+/// numbers on one worker and at the default width — so most callers
+/// just pass `ExecMode::default()`.
 pub fn allgather_latency(
     spec: ClusterSpec,
     machine: &Machine,

@@ -53,7 +53,7 @@ impl OverlapApp {
     }
 }
 
-/// Measure one (app, size) point under the given executor: the slowest
+/// Measure one (app, size) point on the given pool width: the slowest
 /// rank's virtual time (µs) of the blocking hybrid kernel and of its
 /// overlapped variant, on identical configurations.
 pub fn overlap_latency(
@@ -124,13 +124,11 @@ mod tests {
     }
 
     #[test]
-    fn virtual_times_are_executor_invariant() {
+    fn virtual_times_are_width_invariant() {
         let m = Machine::hazel_hen();
         let app = OverlapApp::Stencil;
-        let pooled = overlap_latency(app, 48, &m, ExecMode::pooled());
-        let threads = overlap_latency(app, 48, &m, ExecMode::ThreadPerRank);
-        let events = overlap_latency(app, 48, &m, ExecMode::Events);
-        assert_eq!(pooled, threads);
-        assert_eq!(pooled, events);
+        let one = overlap_latency(app, 48, &m, ExecMode::Pooled { workers: Some(1) });
+        let two = overlap_latency(app, 48, &m, ExecMode::Pooled { workers: Some(2) });
+        assert_eq!(one, two);
     }
 }

@@ -64,55 +64,32 @@ const GOLDENS: &[(&str, &str, usize, &str, &str)] = &[
     ("fig9", "vulcan", 12, "pure", "1.64784397333333436e3"),
 ];
 
+/// Measured at the default pool width and on one worker, the launching
+/// thread: virtual time is computed from modeled costs along each rank's
+/// program order, so the width must not move a single bit of any figure.
 #[test]
 fn legacy_policy_reproduces_pre_refactor_goldens_bit_for_bit() {
-    for &(fig, mach, param, variant, expected) in GOLDENS {
-        let m = machine(mach);
-        let (spec, elems) = match fig {
-            "fig7" => (ClusterSpec::single_node(24), param),
-            "fig8" => (ClusterSpec::regular(16, 1), param),
-            "fig9" => (ClusterSpec::regular(64, param), 512),
-            other => panic!("unknown figure {other}"),
-        };
-        let v = match variant {
-            "hy" => AllgatherVariant::Hybrid,
-            "pure" => AllgatherVariant::PureSmpAware,
-            other => panic!("unknown variant {other}"),
-        };
-        let t = allgather_latency(spec, &m, elems, v, Placement::SmpBlock, ExecMode::default());
-        let want: f64 = expected.parse().unwrap();
-        assert_eq!(
-            t, want,
-            "{fig} {mach} {param} {variant}: got {t:.17e}, golden {want:.17e}"
-        );
-    }
-}
-
-/// The same goldens, measured on the event-calendar executor: virtual
-/// time is computed from modeled costs along each rank's program order,
-/// so switching the executor must not move a single bit of any figure.
-/// This is the figure-level leg of the events differential wall.
-#[test]
-fn events_executor_reproduces_goldens_bit_for_bit() {
-    for &(fig, mach, param, variant, expected) in GOLDENS {
-        let m = machine(mach);
-        let (spec, elems) = match fig {
-            "fig7" => (ClusterSpec::single_node(24), param),
-            "fig8" => (ClusterSpec::regular(16, 1), param),
-            "fig9" => (ClusterSpec::regular(64, param), 512),
-            other => panic!("unknown figure {other}"),
-        };
-        let v = match variant {
-            "hy" => AllgatherVariant::Hybrid,
-            "pure" => AllgatherVariant::PureSmpAware,
-            other => panic!("unknown variant {other}"),
-        };
-        let t = allgather_latency(spec, &m, elems, v, Placement::SmpBlock, ExecMode::Events);
-        let want: f64 = expected.parse().unwrap();
-        assert_eq!(
-            t, want,
-            "{fig} {mach} {param} {variant} under events: got {t:.17e}, golden {want:.17e}"
-        );
+    for exec in [ExecMode::default(), ExecMode::Pooled { workers: Some(1) }] {
+        for &(fig, mach, param, variant, expected) in GOLDENS {
+            let m = machine(mach);
+            let (spec, elems) = match fig {
+                "fig7" => (ClusterSpec::single_node(24), param),
+                "fig8" => (ClusterSpec::regular(16, 1), param),
+                "fig9" => (ClusterSpec::regular(64, param), 512),
+                other => panic!("unknown figure {other}"),
+            };
+            let v = match variant {
+                "hy" => AllgatherVariant::Hybrid,
+                "pure" => AllgatherVariant::PureSmpAware,
+                other => panic!("unknown variant {other}"),
+            };
+            let t = allgather_latency(spec, &m, elems, v, Placement::SmpBlock, exec);
+            let want: f64 = expected.parse().unwrap();
+            assert_eq!(
+                t, want,
+                "{fig} {mach} {param} {variant} on {exec:?}: got {t:.17e}, golden {want:.17e}"
+            );
+        }
     }
 }
 

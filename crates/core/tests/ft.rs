@@ -13,6 +13,9 @@ use msim::{Ctx, ExecMode, FaultPlan, SimConfig, Universe};
 use simnet::{ClusterSpec, CostModel};
 use std::time::Duration;
 
+const ONE: ExecMode = ExecMode::Pooled { workers: Some(1) };
+const TWO: ExecMode = ExecMode::Pooled { workers: Some(2) };
+
 const SYNCS: [SyncMethod; 3] = [
     SyncMethod::Barrier,
     SyncMethod::SharedFlags,
@@ -254,10 +257,10 @@ fn recovery_events_record_the_agreed_outcome() {
     }
 }
 
-/// Pooled coroutines and thread-per-rank execution agree byte-for-byte
-/// on a leader-failover recovery: results, clocks, victim list, trace.
+/// Pools of one and two workers agree byte-for-byte on a
+/// leader-failover recovery: results, clocks, victim list, trace.
 #[test]
-fn executor_modes_agree_on_recovery() {
+fn pool_widths_agree_on_recovery() {
     let spec = ClusterSpec::regular(2, 3);
     let mk = |exec: ExecMode| {
         let plan = FaultPlan::none().with_kill(0, 1);
@@ -274,15 +277,15 @@ fn executor_modes_agree_on_recovery() {
         )
         .unwrap()
     };
-    let threads = mk(ExecMode::ThreadPerRank);
-    let pooled = mk(ExecMode::pooled());
-    assert_eq!(pooled.per_rank, threads.per_rank, "results diverged");
-    assert_eq!(pooled.failed, threads.failed, "victim lists diverged");
-    assert_eq!(pooled.clocks, threads.clocks, "virtual clocks diverged");
+    let one = mk(ONE);
+    let two = mk(TWO);
+    assert_eq!(two.per_rank, one.per_rank, "results diverged");
+    assert_eq!(two.failed, one.failed, "victim lists diverged");
+    assert_eq!(two.clocks, one.clocks, "virtual clocks diverged");
     assert_eq!(
-        format!("{:?}", pooled.tracer.events()),
-        format!("{:?}", threads.tracer.events()),
-        "recovery traces diverged across executors"
+        format!("{:?}", two.tracer.events()),
+        format!("{:?}", one.tracer.events()),
+        "recovery traces diverged across pool widths"
     );
 }
 
@@ -475,12 +478,11 @@ fn multileader_allreduce_survives_the_kill_matrix() {
     multileader_kill_matrix(Family::Allreduce);
 }
 
-/// A k >= 2 recovery is bit-identical across all three executors:
+/// A k >= 2 recovery is bit-identical at pool widths one and two:
 /// results, victim list, virtual clocks, and the canonical trace
-/// (including the Recovery events). Phantom mode — the calendar executor
-/// rejects real payloads by design.
+/// (including the Recovery events), in phantom mode.
 #[test]
-fn multileader_recovery_bit_identical_across_executors() {
+fn multileader_recovery_bit_identical_across_pool_widths() {
     let spec = ClusterSpec::regular(2, 4);
     for k in [2usize, 4] {
         let mk = |exec: ExecMode| {
@@ -503,21 +505,16 @@ fn multileader_recovery_bit_identical_across_executors() {
             )
             .unwrap()
         };
-        let pooled = mk(ExecMode::pooled());
-        for other in [ExecMode::ThreadPerRank, ExecMode::Events] {
-            let r = mk(other);
-            assert_eq!(
-                r.per_rank, pooled.per_rank,
-                "k={k} {other:?}: results diverged"
-            );
-            assert_eq!(r.failed, pooled.failed, "k={k} {other:?}: victims diverged");
-            assert_eq!(r.clocks, pooled.clocks, "k={k} {other:?}: clocks diverged");
-            assert_eq!(
-                format!("{:?}", r.tracer.events()),
-                format!("{:?}", pooled.tracer.events()),
-                "k={k} {other:?}: recovery traces diverged"
-            );
-        }
+        let pooled = mk(TWO);
+        let r = mk(ONE);
+        assert_eq!(r.per_rank, pooled.per_rank, "k={k}: results diverged");
+        assert_eq!(r.failed, pooled.failed, "k={k}: victims diverged");
+        assert_eq!(r.clocks, pooled.clocks, "k={k}: clocks diverged");
+        assert_eq!(
+            format!("{:?}", r.tracer.events()),
+            format!("{:?}", pooled.tracer.events()),
+            "k={k}: recovery traces diverged"
+        );
     }
 }
 
@@ -630,11 +627,11 @@ fn grow_recovery_is_deterministic_and_traced() {
     }
 }
 
-/// Grow recovery with k >= 2 rebalanced leaders is bit-identical across
-/// all three executors (phantom mode): the post-grow hierarchy, bridge,
-/// and k-leader `LeaderSet` rebuild deterministically.
+/// Grow recovery with k >= 2 rebalanced leaders is bit-identical at
+/// pool widths one and two (phantom mode): the post-grow hierarchy,
+/// bridge, and k-leader `LeaderSet` rebuild deterministically.
 #[test]
-fn grow_with_rebalanced_leaders_bit_identical_across_executors() {
+fn grow_with_rebalanced_leaders_bit_identical_across_pool_widths() {
     let spec = ClusterSpec::regular(2, 4);
     for leaders in [Leaders::Fixed(2), Leaders::Auto { max_k: 4 }] {
         let mk = |exec: ExecMode| {
@@ -665,24 +662,19 @@ fn grow_with_rebalanced_leaders_bit_identical_across_executors() {
             )
             .unwrap()
         };
-        let pooled = mk(ExecMode::pooled());
+        let pooled = mk(TWO);
         assert_eq!(pooled.failed, vec![2]);
-        for other in [ExecMode::ThreadPerRank, ExecMode::Events] {
-            let r = mk(other);
-            assert_eq!(
-                r.per_rank, pooled.per_rank,
-                "{leaders:?} {other:?}: grow results diverged"
-            );
-            assert_eq!(
-                r.clocks, pooled.clocks,
-                "{leaders:?} {other:?}: clocks diverged"
-            );
-            assert_eq!(
-                format!("{:?}", r.tracer.events()),
-                format!("{:?}", pooled.tracer.events()),
-                "{leaders:?} {other:?}: grow traces diverged"
-            );
-        }
+        let r = mk(ONE);
+        assert_eq!(
+            r.per_rank, pooled.per_rank,
+            "{leaders:?}: grow results diverged"
+        );
+        assert_eq!(r.clocks, pooled.clocks, "{leaders:?}: clocks diverged");
+        assert_eq!(
+            format!("{:?}", r.tracer.events()),
+            format!("{:?}", pooled.tracer.events()),
+            "{leaders:?}: grow traces diverged"
+        );
     }
 }
 

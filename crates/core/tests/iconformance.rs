@@ -8,9 +8,8 @@
 //! stripped. Checked for all three synchronization protocols on a
 //! regular 4×6 cluster and an irregular [1, 3, 4] cluster, at `leaders`
 //! ∈ {1, 2, 4} for the families that take a leader count, under the
-//! standard seeded fault plans, and — in phantom mode — under all three
-//! executors (thread-per-rank, pooled, event calendar), which must agree
-//! bit-for-bit with each other.
+//! standard seeded fault plans, and — in phantom mode — on pools of one
+//! and two workers, which must agree bit-for-bit with each other.
 //!
 //! The batch-completion property tests pin the deterministic ordering
 //! semantics of [`msim::waitall`] (posting order, never arrival order)
@@ -118,9 +117,9 @@ fn check_ifamily(name: &str, prog: Prog, ks: &[usize]) {
     }
 }
 
-/// The executor wall: in phantom mode, `iexecute + wait` must produce
-/// bit-identical clocks and traces under all three executors.
-fn check_ifamily_executors(name: &str, prog: Prog, ks: &[usize]) {
+/// The width wall: in phantom mode, `iexecute + wait` must produce
+/// bit-identical clocks and traces on one worker and on two.
+fn check_ifamily_widths(name: &str, prog: Prog, ks: &[usize]) {
     for (sync, k) in sync_k(ks) {
         for spec in [
             ClusterSpec::regular(4, 6),
@@ -134,22 +133,11 @@ fn check_ifamily_executors(name: &str, prog: Prog, ks: &[usize]) {
                     .with_exec(exec);
                 run_cfg(cfg, move |ctx| prog(ctx, sync, k, true))
             };
-            let threads = run(ExecMode::ThreadPerRank);
-            let pooled = run(ExecMode::pooled());
-            let events = run(ExecMode::Events);
+            let one = run(ExecMode::Pooled { workers: Some(1) });
+            let two = run(ExecMode::Pooled { workers: Some(2) });
             let tag = format!("{name}/{sync:?}/k={k}: p={p}");
-            assert_eq!(events.clocks, threads.clocks, "{tag}: clocks vs threads");
-            assert_eq!(events.clocks, pooled.clocks, "{tag}: clocks vs pooled");
-            assert_eq!(
-                events.tracer.events(),
-                threads.tracer.events(),
-                "{tag}: traces vs threads"
-            );
-            assert_eq!(
-                events.tracer.events(),
-                pooled.tracer.events(),
-                "{tag}: traces vs pooled"
-            );
+            assert_eq!(two.clocks, one.clocks, "{tag}: clocks");
+            assert_eq!(two.tracer.events(), one.tracer.events(), "{tag}: traces");
         }
     }
 }
@@ -291,8 +279,8 @@ macro_rules! ifamily {
             }
 
             #[test]
-            fn iexecute_wait_is_executor_invariant() {
-                check_ifamily_executors(stringify!($name), $prog, &$ks);
+            fn iexecute_wait_is_width_invariant() {
+                check_ifamily_widths(stringify!($name), $prog, &$ks);
             }
         }
     };

@@ -1,13 +1,13 @@
 //! What only a multi-leader run can show, beyond the leader-count axis
-//! of the general walls (`conformance.rs`, `iconformance.rs`,
-//! `events_conformance.rs` and `race_detect.rs` run every family that
-//! takes a leader count at k ∈ {1, 2, 4}; `digests.rs` pins the numbers):
+//! of the general walls (`conformance.rs`, `iconformance.rs` and
+//! `race_detect.rs` run every family that takes a leader count at
+//! k ∈ {1, 2, 4}; `digests.rs` pins the numbers):
 //!
 //! * **uneven nodes** — an irregular [2, 3, 4] cluster, where k = 4
 //!   clamps to 2 and the stripes cut node blocks of different sizes:
 //!   results must match the analytic oracles under every sync method and
-//!   fuzz seed, and the three executors must agree bit-for-bit on the
-//!   k ≥ 2 schedules;
+//!   fuzz seed, and pools of one and two workers must agree bit-for-bit
+//!   on the k ≥ 2 schedules;
 //! * **the bridge really is striped** — every slot of every node sends
 //!   inter-node, and no payload byte moves inside a node;
 //! * **repeated rounds under the race detector** — cooperative-fill
@@ -102,8 +102,9 @@ fn run_exec(
     run_cfg(cfg, move |ctx| prog(ctx, sync, k))
 }
 
-/// The three executors must agree bit-for-bit on the k ≥ 2 schedules.
-fn check_executors(name: &str, prog: Prog) {
+/// Pools of one and two workers must agree bit-for-bit on the k ≥ 2
+/// schedules.
+fn check_widths(name: &str, prog: Prog) {
     let spec = uneven();
     let p = spec.total_cores();
     for k in [2, 4] {
@@ -116,20 +117,12 @@ fn check_executors(name: &str, prog: Prog) {
             for (seed, plan) in plans {
                 let run =
                     |exec: ExecMode| run_exec(spec.clone(), plan.clone(), sync, k, exec, prog);
-                let events = run(ExecMode::Events);
-                for (other, what) in [
-                    (run(ExecMode::ThreadPerRank), "threads"),
-                    (run(ExecMode::pooled()), "pooled"),
-                ] {
-                    let tag = format!("{name}/k={k}/{sync:?}: seed {seed}, events vs {what}");
-                    assert_eq!(events.per_rank, other.per_rank, "{tag}: results");
-                    assert_eq!(events.clocks, other.clocks, "{tag}: clocks");
-                    assert_eq!(
-                        events.tracer.events(),
-                        other.tracer.events(),
-                        "{tag}: traces"
-                    );
-                }
+                let one = run(ExecMode::Pooled { workers: Some(1) });
+                let two = run(ExecMode::Pooled { workers: Some(2) });
+                let tag = format!("{name}/k={k}/{sync:?}: seed {seed}, one vs two workers");
+                assert_eq!(one.per_rank, two.per_rank, "{tag}: results");
+                assert_eq!(one.clocks, two.clocks, "{tag}: clocks");
+                assert_eq!(one.tracer.events(), two.tracer.events(), "{tag}: traces");
             }
         }
     }
@@ -210,8 +203,8 @@ macro_rules! family {
             }
 
             #[test]
-            fn executors_agree_on_uneven_nodes() {
-                check_executors(stringify!($name), $prog);
+            fn widths_agree_on_uneven_nodes() {
+                check_widths(stringify!($name), $prog);
             }
         }
     };

@@ -114,7 +114,7 @@ impl Communicator {
         if let Some(p) = &shared.probe {
             p.record(crate::mcheck::Op::OobDeposit { key: board_key });
         }
-        let groups = shared.board.rendezvous_watched(
+        let groups = shared.board.rendezvous(
             &shared.exec,
             my_global,
             board_key,

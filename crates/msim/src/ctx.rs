@@ -783,9 +783,9 @@ impl Ctx {
     /// (in wall-clock time) until everyone has arrived, but no virtual
     /// time is charged.
     ///
-    /// This exists because the simulator executes ranks as real threads:
-    /// virtual-time synchronization (barriers) orders the *model*, but a
-    /// thread that lags in wall-clock time could observe a shared window
+    /// This exists because the simulator interleaves ranks in wall-clock
+    /// time: virtual-time synchronization (barriers) orders the *model*,
+    /// but a rank that lags in wall-clock time could observe a shared window
     /// being rewritten by the next iteration. Placing an `oob_fence`
     /// before window-reuse writes makes real-data runs deterministic
     /// without perturbing the modeled timings. (On a real MPI system this
@@ -802,7 +802,7 @@ impl Ctx {
         if let Some(p) = &shared.probe {
             p.record(crate::mcheck::Op::OobDeposit { key });
         }
-        shared.board.rendezvous_watched(
+        shared.board.rendezvous(
             &shared.exec,
             self.rank(),
             key,
@@ -861,7 +861,7 @@ impl Ctx {
         if let Some(p) = &shared.probe {
             p.record(crate::mcheck::Op::OobDeposit { key });
         }
-        let result = shared.board.rendezvous_watched(
+        let result = shared.board.rendezvous(
             &shared.exec,
             self.rank(),
             key,
@@ -1093,7 +1093,6 @@ impl Ctx {
         );
         let shared = Arc::clone(&self.shared);
         ft.agree(
-            &shared.exec,
             self.global_rank,
             comm.id(),
             gen,
@@ -1145,7 +1144,6 @@ impl Ctx {
         );
         let shared = Arc::clone(&self.shared);
         ft.grow_join(
-            &shared.exec,
             self.global_rank,
             pool_id,
             grow_seq,
@@ -1182,7 +1180,6 @@ impl Ctx {
                 .expect("ft_grow_standby requires an armed fault plan"),
         );
         ft.grow_standby(
-            &self.shared.exec,
             self.global_rank,
             pool_id,
             grow_seq,
@@ -1200,7 +1197,6 @@ impl Ctx {
             return CommitOutcome::AllOk;
         };
         ft.commit(
-            &self.shared.exec,
             self.global_rank,
             comm.id(),
             op_seq,

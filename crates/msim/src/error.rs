@@ -18,10 +18,10 @@ pub enum SimError {
         /// Expected tag.
         tag: u32,
     },
-    /// A rank thread panicked; carries the global rank and the panic
+    /// A rank program panicked; carries the global rank and the panic
     /// message when it was a string.
     RankPanicked {
-        /// Global rank whose thread panicked.
+        /// Global rank whose program panicked.
         rank: usize,
         /// Panic payload rendered to a string when possible.
         message: String,
@@ -40,9 +40,9 @@ pub enum SimError {
         /// so the fault context is needed to reproduce such runs.
         fault_context: String,
     },
-    /// The execution infrastructure itself failed — a rank thread could
-    /// not be spawned or joined, or a pool worker died outside any rank
-    /// program. Unlike [`SimError::RankPanicked`] this is not the rank
+    /// The execution infrastructure itself failed — a pool worker died
+    /// outside any rank program (a lost wake, a coroutine stack
+    /// overflow). Unlike [`SimError::RankPanicked`] this is not the rank
     /// program's fault; the rank id is the closest attribution the
     /// runtime has (`usize::MAX` when no rank was active).
     ExecutorFailure {
@@ -55,14 +55,12 @@ pub enum SimError {
         /// alone.
         fault_context: String,
     },
-    /// The configured [`crate::ExecMode`] does not support a requested
-    /// feature, and running anyway would silently diverge from the
-    /// baseline executors. Rejected up front, before any rank program
-    /// starts — e.g. `ExecMode::Events` is phantom-only, so asking it for
-    /// real payloads (or for the race detector, which needs real
-    /// payloads) fails fast with this error instead of mispicking a mode.
+    /// The configured [`crate::ExecMode`] cannot run here: ranks execute
+    /// only as coroutines, and the target has no coroutine context
+    /// switch (one exists for unix x86-64 and aarch64). Rejected up
+    /// front, before any rank program starts.
     UnsupportedExec {
-        /// The rejected execution mode (`"events"`, ...).
+        /// The rejected execution mode (`"pooled"`).
         exec: String,
         /// The unsupported feature that was requested with it.
         feature: String,
@@ -154,11 +152,9 @@ impl fmt::Display for SimError {
                 }
                 Ok(())
             }
-            SimError::UnsupportedExec { exec, feature } => write!(
-                f,
-                "execution mode '{exec}' does not support {feature}; \
-                 use MSIM_EXEC=pooled|threads (or SimConfig::with_exec) for this run"
-            ),
+            SimError::UnsupportedExec { exec, feature } => {
+                write!(f, "execution mode '{exec}' does not support {feature}")
+            }
         }
     }
 }

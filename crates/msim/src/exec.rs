@@ -1,32 +1,30 @@
-//! The coroutine rank executor: one scheduler core at every width.
+//! The coroutine rank executor: the one way a universe runs, at any width.
 //!
-//! [`crate::Universe::run`] historically spawned one OS thread per
-//! simulated rank, which caps a run at a few thousand ranks before the
-//! host thrashes. This module multiplexes every rank program onto a
-//! bounded worker pool (default `min(ranks, available_parallelism)`):
-//! each rank runs as a *stackful coroutine* on its slot of one stack
-//! arena ([`StackArena`], kept by the launching thread between
-//! universes), and whenever it would block — a `recv`/`wait_flag` with
-//! no matching packet, or a setup-collective rendezvous that is not yet
-//! complete — it parks the coroutine and returns its worker to the pool
-//! instead of blocking an OS thread. The matching
+//! [`crate::Universe::run`] multiplexes every rank program onto a bounded
+//! worker pool (default `min(ranks, available_parallelism)`): each rank
+//! runs as a *stackful coroutine* on its slot of one stack arena
+//! ([`StackArena`], kept by the launching thread between universes), and
+//! whenever it would block — a `recv`/`wait_flag` with no matching
+//! packet, a setup-collective rendezvous that is not yet complete, or a
+//! fault-tolerance poll — it parks the coroutine and returns its worker
+//! to the pool instead of blocking an OS thread. The matching
 //! `send`/`post_flag`/rendezvous completion wakes the parked rank, which
 //! re-enters the ready queue.
 //!
 //! A pool of one worker spawns no thread at all: the launching thread
-//! runs the worker loop itself. [`ExecMode::Events`] is exactly that pool
-//! — width 1, FIFO picks — restricted by `Universe` to phantom payloads,
-//! which is what the 65 536- and 262 144-rank scale points run on: the
-//! arena reserves address space per rank but commits only the few pages
-//! each shallow rank program touches.
+//! runs the worker loop itself. That is what the 65 536- and 262 144-rank
+//! scale points run on: the arena reserves address space per rank but
+//! commits only the few pages each shallow rank program touches.
 //!
 //! Determinism: virtual time in this simulator is computed purely from
 //! modeled costs along each rank's own program order (see
-//! [`simnet::Clock`]); it never observes wall-clock scheduling. Pooling
-//! therefore changes *when* (in wall-clock time) a rank executes, but
-//! never *what* it computes: results, clocks, and canonical traces are
-//! byte-identical to thread-per-rank execution. This is enforced by the
-//! differential tests in `tests/pooled.rs` and by the figure goldens in
+//! [`simnet::Clock`]); it never observes wall-clock scheduling. The pool
+//! width and the pick order therefore change *when* (in wall-clock time)
+//! a rank executes, but never *what* it computes: results, clocks, and
+//! canonical traces are byte-identical at every width and under every
+//! pick seed. The contract is the committed digest fixture
+//! (`crates/core/tests/digests.rs`), which every width and adversarial
+//! seed must reproduce line for line, together with the figure goldens in
 //! `crates/bench/tests/regression.rs`.
 //!
 //! Scheduling order: under [`crate::SchedulePolicy::Fifo`] a one-worker
@@ -35,19 +33,19 @@
 //! consecutive resumes stay on warm memory) and a wider pool pops one
 //! flat FIFO (see [`ReadySet`]); under
 //! [`crate::SchedulePolicy::Adversarial`] the next rank is drawn from
-//! the ready set by a seeded hash, so schedule fuzzing perturbs the
-//! pooled execution order exactly as it perturbs thread wake-ups in
-//! thread-per-rank mode. Under [`crate::SchedulePolicy::Replay`] (and
-//! during `msim::mcheck` exploration) every pick is delegated to the
-//! model checker's probe — see [`PickPolicy::Controlled`] and
-//! `docs/model-checking.md`.
+//! the ready set by a seeded hash. Under
+//! [`crate::SchedulePolicy::Replay`] (and during `msim::mcheck`
+//! exploration) every pick is delegated to the model checker's probe —
+//! see [`PickPolicy::Controlled`] and `docs/model-checking.md`.
 //!
 //! The context switch itself is ~20 instructions of architecture
 //! specific assembly (x86_64 SysV and aarch64 AAPCS64): save the callee
 //! saved registers on the current stack, swap stack pointers, restore.
-//! Rank panics (including injected [`crate::fault::KillRule`] kills and
-//! deadlock reports) are caught by a `catch_unwind` at the base of every
-//! coroutine, so unwinding never crosses the assembly boundary.
+//! Other targets have no switch, and `Universe::run` rejects them with
+//! [`crate::SimError::UnsupportedExec`]. Rank panics (including injected
+//! [`crate::fault::KillRule`] kills and deadlock reports) are caught by a
+//! `catch_unwind` at the base of every coroutine, so unwinding never
+//! crosses the assembly boundary.
 
 use std::alloc::Layout;
 use std::cell::{Cell, UnsafeCell};
@@ -63,13 +61,10 @@ use crate::ctx::Ctx;
 use crate::ready::ReadyQueue;
 use crate::universe::{Shared, SimStats};
 
-/// How [`crate::Universe::run`] executes rank programs.
+/// How [`crate::Universe::run`] executes rank programs: always as
+/// coroutines on a worker pool; only the pool's width is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// One OS thread per rank (the historical model). Kept for
-    /// differential testing of the pooled executor; caps out at a few
-    /// thousand ranks.
-    ThreadPerRank,
     /// Multiplex ranks onto a bounded worker pool of stackful
     /// coroutines. `workers: None` means
     /// `min(ranks, available_parallelism)`.
@@ -77,16 +72,6 @@ pub enum ExecMode {
         /// Worker thread count override.
         workers: Option<usize>,
     },
-    /// The one-worker pool, driven by the thread that launched the
-    /// universe (no thread is spawned), always popping the node-affine
-    /// FIFO (a node's ready ranks are drained before the next node's
-    /// turn — a host-side choice that results, clocks and traces never
-    /// observe; an adversarial schedule seed is inert here). It differs
-    /// from `Pooled { workers: Some(1) }` only in what `Universe` lets it
-    /// run: phantom payloads only (real payloads and the race detector
-    /// are rejected with [`crate::SimError::UnsupportedExec`]), which is
-    /// what the scale sweeps to hundreds of thousands of ranks use.
-    Events,
 }
 
 impl Default for ExecMode {
@@ -96,6 +81,13 @@ impl Default for ExecMode {
 }
 
 impl ExecMode {
+    /// The one-worker pool, under the name the frozen benchmark harness
+    /// (`benchmark/src`) still uses for its large-rank runs. It is
+    /// exactly `Pooled { workers: Some(1) }`, the launching thread driving
+    /// every rank; new code names that directly.
+    #[allow(non_upper_case_globals)]
+    pub const Events: ExecMode = ExecMode::Pooled { workers: Some(1) };
+
     /// The pooled mode with the default worker count.
     pub fn pooled() -> Self {
         ExecMode::Pooled { workers: None }
@@ -103,14 +95,9 @@ impl ExecMode {
 
     /// Resolve the worker count for `nranks` ranks.
     pub(crate) fn worker_count(&self, nranks: usize) -> usize {
-        match self {
-            ExecMode::ThreadPerRank => nranks,
-            ExecMode::Pooled { workers } => {
-                let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-                workers.unwrap_or(hw).clamp(1, nranks.max(1))
-            }
-            ExecMode::Events => 1,
-        }
+        let ExecMode::Pooled { workers } = self;
+        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+        workers.unwrap_or(hw).clamp(1, nranks.max(1))
     }
 }
 
@@ -119,7 +106,8 @@ impl ExecMode {
 // ---------------------------------------------------------------------------
 
 /// Whether the current target has a coroutine context switch. On other
-/// targets the universe silently falls back to thread-per-rank.
+/// targets [`crate::Universe::run`] returns
+/// [`crate::SimError::UnsupportedExec`].
 pub(crate) const POOL_SUPPORTED: bool = cfg!(all(
     unix,
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -427,9 +415,9 @@ impl CoreState {
     }
 }
 
-/// The shared scheduler state of one coroutine-executed universe. Lives
-/// in [`crate::universe::Shared`] (via [`ExecCtl`]) so that mailbox pushes
-/// and rendezvous completions can wake parked ranks. With one worker the
+/// The shared scheduler state of one universe. Lives in
+/// [`crate::universe::Shared`] (and in every mailbox) so that mailbox
+/// pushes and rendezvous completions can wake parked ranks. With one worker the
 /// mutex is uncontended and the condvar never waited on by anyone else;
 /// they exist so every width runs the same code.
 #[derive(Debug)]
@@ -481,6 +469,9 @@ impl PoolCore {
 
     /// Make `rank` runnable if it is parked; remember the signal if it
     /// is currently running (so a racing park re-readies immediately).
+    /// Callers wake only a rank waiting on what they just published: a
+    /// mailbox push only the owner blocked on the pushed key, a
+    /// rendezvous completion only its parked members.
     pub(crate) fn wake(&self, rank: usize) {
         let mut g = self.lock();
         g.wakes += 1;
@@ -603,47 +594,6 @@ impl PoolCore {
     }
 }
 
-/// Handle through which the blocking wait-paths (mailbox, rendezvous)
-/// reach the executor. `Threads` preserves the historical
-/// condvar-per-structure blocking; `Pool` parks coroutines instead.
-#[derive(Clone)]
-pub(crate) enum ExecCtl {
-    /// Thread-per-rank: block the OS thread on the structure's condvar.
-    Threads,
-    /// Coroutines at any pool width: park the caller; wakes come through
-    /// the core.
-    Pool(Arc<PoolCore>),
-}
-
-impl std::fmt::Debug for ExecCtl {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecCtl::Threads => f.write_str("ExecCtl::Threads"),
-            ExecCtl::Pool(_) => f.write_str("ExecCtl::Pool"),
-        }
-    }
-}
-
-impl ExecCtl {
-    /// True when rank programs run as coroutines that park through the
-    /// executor instead of blocking an OS thread on a structure condvar.
-    pub(crate) fn parks_ranks(&self) -> bool {
-        matches!(self, ExecCtl::Pool(_))
-    }
-
-    /// Wake `rank` if it is parked, or tokenize the wake if it is
-    /// running (no-op in threads mode — there the structure's own condvar
-    /// does the waking). Callers wake only a rank waiting on what they
-    /// just published: a mailbox push only the owner blocked on the
-    /// pushed key, a rendezvous completion only its parked members.
-    pub(crate) fn wake(&self, rank: usize) {
-        match self {
-            ExecCtl::Threads => {}
-            ExecCtl::Pool(core) => core.wake(rank),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Per-worker current-coroutine pointer, used by the park path.
 // ---------------------------------------------------------------------------
@@ -670,8 +620,8 @@ thread_local! {
 
 /// Park the calling coroutine until its executor wakes it
 /// ([`PoolCore::wake`]) or `deadline` expires.
-/// Must only be called from inside a coroutine-hosted rank program (the
-/// blocking wait-paths guarantee this by checking [`ExecCtl::parks_ranks`]).
+/// Must only be called from inside a rank program, which always runs as
+/// a pool coroutine.
 ///
 /// Never inlined: a pooled coroutine may resume on a different worker
 /// thread than the one it parked on, and a caller that parks in a loop
@@ -720,8 +670,9 @@ struct StackArena {
 /// holds whatever pages earlier runs touched, so the cap bounds what an
 /// idle thread can pin: 1 GiB covers every pooled point of the `scale`
 /// ladder (4096 ranks × 256 KiB) and the benchmark's 4096 × 64 KiB
-/// `Events` runs, while the 65 536- and 262 144-rank `Events` points
-/// (4 and 16 GiB of address space) are unmapped when they finish.
+/// one-worker runs, while the 65 536- and 262 144-rank points of the
+/// `scale` events ladder (4 and 16 GiB of address space) are unmapped
+/// when they finish.
 const ARENA_RETAIN_MAX: usize = 1 << 30;
 
 thread_local! {
@@ -1054,7 +1005,7 @@ where
     let pack = unsafe { &mut *pack };
     // Catch *everything* before it can unwind into the assembly
     // trampoline: rank panics (asserts, injected kills, deadlock
-    // reports) become outcome payloads exactly as in thread mode.
+    // reports) become outcome payloads.
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
         let mut ctx = Ctx::new(pack.rank, pack.shared.clone());
         let out = (pack.f)(&mut ctx);
@@ -1097,7 +1048,6 @@ pub(crate) type RunOut<T> = (Vec<Option<RankOutcome<T>>>, Vec<(usize, String)>, 
 /// itself when that is one, scoped worker threads otherwise.
 pub(crate) fn run_pool<T, F>(
     shared: &Arc<Shared>,
-    core: &Arc<PoolCore>,
     workers: usize,
     stack_size: usize,
     f: &F,
@@ -1107,6 +1057,7 @@ where
     F: Fn(&mut Ctx) -> T + Send + Sync,
 {
     let cells = CellTable::new(shared, stack_size, f);
+    let core = &shared.exec;
 
     if workers == 1 {
         worker_loop(core, &cells);
@@ -1238,7 +1189,10 @@ mod tests {
         if !POOL_SUPPORTED {
             return;
         }
-        for exec in [ExecMode::Events, ExecMode::Pooled { workers: Some(1) }] {
+        for workers in [1, 2] {
+            let exec = ExecMode::Pooled {
+                workers: Some(workers),
+            };
             // A thread of its own: no arena kept by another test.
             std::thread::scope(|s| {
                 s.spawn(|| {

@@ -7,8 +7,8 @@
 //! module gives every test an adversary:
 //!
 //! * [`SchedulePolicy::Adversarial`] — perturbs the **wall-clock**
-//!   execution of rank threads (seeded sleeps at message operations,
-//!   seeded ready-queue picks under `Pooled`). Virtual time is computed
+//!   execution of ranks (seeded sleeps at message operations, seeded
+//!   ready-queue picks). Virtual time is computed
 //!   from the executed schedule alone, so a correct program must produce
 //!   *bit-identical* results, clocks and traces under every schedule
 //!   seed; any divergence is a real synchronization bug.
@@ -17,7 +17,7 @@
 //!   ranks, slow cores. Results must still match the oracle; virtual times
 //!   legitimately change, but deterministically per seed.
 //! * [`KillRule`] — kills a rank at a chosen operation index by panicking
-//!   its thread. [`crate::Universe::run`] must then surface
+//!   its coroutine. [`crate::Universe::run`] must then surface
 //!   [`crate::SimError::RankPanicked`] (for the victim) or
 //!   [`crate::SimError::DeadlockSuspected`] (for peers blocked on it)
 //!   instead of hanging.
@@ -35,15 +35,15 @@ use simnet::Perturbation;
 /// distinguish injected deaths from genuine bugs.
 pub const KILL_MARKER: &str = "fault-injection kill";
 
-/// How rank threads are scheduled in wall-clock time.
+/// How ranks are scheduled in wall-clock time.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum SchedulePolicy {
-    /// Natural OS scheduling, FIFO ready queues.
+    /// FIFO ready queues.
     #[default]
     Fifo,
     /// Adversarial seeded scheduling: every message operation may sleep a
-    /// hashed amount of wall-clock time, and `Pooled` execution picks
-    /// its next ready rank by a seeded hash. Packets are matchable the
+    /// hashed amount of wall-clock time, and the pool picks its next
+    /// ready rank by a seeded hash. Packets are matchable the
     /// moment they are pushed: every receive names its `(comm, src, tag)`
     /// key and nothing iterates a mailbox, so delaying or reordering
     /// deliveries across keys could not change any result, clock, trace
@@ -57,14 +57,11 @@ pub enum SchedulePolicy {
     },
     /// Deterministic replay of a model-checker counterexample: the
     /// certificate's decision trace drives every ready-queue pick of the
-    /// single-worker pool (`Pooled`, clamped to one worker, or `Events`),
-    /// reproducing the recorded schedule — and therefore the recorded violation —
-    /// byte-identically. Decisions past the trace (and decisions naming
-    /// a rank that is not ready) fall back to the canonical default, the
-    /// lowest ready rank. Thread-per-rank execution cannot be
-    /// controlled, so there the decisions are inert and only
-    /// schedule-independent violations reproduce. No wall-clock sleeps
-    /// are injected. See `docs/model-checking.md`.
+    /// pool (clamped to one worker), reproducing the recorded schedule —
+    /// and therefore the recorded violation — byte-identically. Decisions
+    /// past the trace (and decisions naming a rank that is not ready)
+    /// fall back to the canonical default, the lowest ready rank. No
+    /// wall-clock sleeps are injected. See `docs/model-checking.md`.
     Replay(crate::mcheck::ScheduleCertificate),
 }
 

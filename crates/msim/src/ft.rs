@@ -28,8 +28,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::exec::ExecCtl;
-
 /// Board kind for recovery-epoch consensus entries ([`Liveness::agree`]).
 const KIND_AGREE: u8 = 16;
 /// Board kind for per-operation commit roll-calls ([`Liveness::commit`]).
@@ -333,7 +331,6 @@ impl Liveness {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn agree(
         &self,
-        exec: &ExecCtl,
         me: usize,
         comm_id: u32,
         gen: u64,
@@ -377,7 +374,7 @@ impl Liveness {
                 "ft agree(comm={comm_id}, gen={gen}) timed out at rank {me}: \
                  some member neither registered nor died"
             );
-            ft_poll_sleep(exec);
+            ft_poll_sleep();
         }
     }
 
@@ -396,7 +393,6 @@ impl Liveness {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn commit(
         &self,
-        exec: &ExecCtl,
         me: usize,
         comm_id: u32,
         op_seq: u64,
@@ -430,7 +426,7 @@ impl Liveness {
                 "ft commit(comm={comm_id}, op={op_seq}) timed out at rank {me}: \
                  no member died yet the roll-call never completed"
             );
-            ft_poll_sleep(exec);
+            ft_poll_sleep();
         }
     }
 
@@ -450,7 +446,6 @@ impl Liveness {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn grow_join(
         &self,
-        exec: &ExecCtl,
         me: usize,
         pool_id: u32,
         grow_seq: u64,
@@ -511,7 +506,7 @@ impl Liveness {
                 "ft grow(pool={pool_id}, seq={grow_seq}) timed out at rank {me}: \
                  some survivor or spare neither registered nor died"
             );
-            ft_poll_sleep(exec);
+            ft_poll_sleep();
         }
     }
 
@@ -523,7 +518,6 @@ impl Liveness {
     /// re-parks on the next sequence.
     pub(crate) fn grow_standby(
         &self,
-        exec: &ExecCtl,
         me: usize,
         pool_id: u32,
         grow_seq: u64,
@@ -550,7 +544,7 @@ impl Liveness {
                 "ft grow standby(pool={pool_id}, seq={grow_seq}) timed out at \
                  spare rank {me}: no survivor ever published an outcome"
             );
-            ft_poll_sleep(exec);
+            ft_poll_sleep();
         }
     }
 }
@@ -578,19 +572,16 @@ impl FtWatch {
     }
 }
 
-/// Sleep one poll slice without blocking a pool worker: parked coroutines
-/// re-ready at the deadline; thread-per-rank just sleeps.
-pub(crate) fn ft_poll_sleep(exec: &ExecCtl) {
-    if exec.parks_ranks() {
-        crate::exec::park_current(Instant::now() + FT_POLL_SLICE);
-    } else {
-        std::thread::sleep(FT_POLL_SLICE);
-    }
+/// Sleep one poll slice without blocking a pool worker: the calling
+/// coroutine parks and re-readies at the deadline.
+fn ft_poll_sleep() {
+    crate::exec::park_current(Instant::now() + FT_POLL_SLICE);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::universe::tests::on_ranks;
 
     #[test]
     fn dead_and_divert_marks() {
@@ -633,139 +624,142 @@ mod tests {
         assert_eq!(watch(&[1, 2]).failed_member(1), None);
     }
 
+    /// Every survivor must check in before either completes; the first
+    /// completer publishes the outcome, the other adopts it (token
+    /// allocated exactly once, so both see the same value).
     #[test]
     fn agree_completes_when_survivors_register() {
-        let l = Liveness::new(3);
-        l.mark_dead(1);
-        let exec = ExecCtl::Threads;
-        let t = Duration::from_secs(5);
-        // Both survivors must check in before either completes; the first
-        // completer publishes the outcome, the other adopts it (token
-        // allocated exactly once, so both see the same value).
-        let (a, b) = std::thread::scope(|s| {
-            let l = &l;
-            let h = s.spawn(move || l.agree(&ExecCtl::Threads, 2, 7, 1, &[0, 1, 2], || 99, t));
-            let a = l.agree(&exec, 0, 7, 1, &[0, 1, 2], || 99, t);
-            (a, h.join().unwrap())
-        });
-        assert_eq!(a, b);
-        assert_eq!(a.dead, vec![1]);
-        assert_eq!(a.token, 99);
+        for workers in [1, 2] {
+            let l = Liveness::new(3);
+            l.mark_dead(1);
+            let t = Duration::from_secs(5);
+            let got = on_ranks(3, workers, |_, me| {
+                (me != 1).then(|| l.agree(me, 7, 1, &[0, 1, 2], || 99, t))
+            })
+            .unwrap();
+            let (a, b) = (got[0].clone().unwrap(), got[2].clone().unwrap());
+            assert_eq!(a, b, "width {workers}");
+            assert_eq!(a.dead, vec![1]);
+            assert_eq!(a.token, 99);
+        }
     }
 
     #[test]
     fn commit_all_ok_beats_late_death() {
-        let l = Liveness::new(2);
-        let exec = ExecCtl::Threads;
-        let t = Duration::from_secs(5);
-        // Both registered: AllOk even though rank 1 dies *after* checking in.
-        let first = std::thread::scope(|s| {
-            let l = &l;
-            let h = s.spawn(move || {
-                let o = l.commit(&ExecCtl::Threads, 1, 3, 0, 0, &[0, 1], t);
-                l.mark_dead(1);
-                o
-            });
-            let mine = l.commit(&exec, 0, 3, 0, 0, &[0, 1], t);
-            assert_eq!(h.join().unwrap(), CommitOutcome::AllOk);
-            mine
-        });
-        assert_eq!(first, CommitOutcome::AllOk);
-        // Next round: rank 1 is dead and never registers -> Diverted.
-        assert_eq!(
-            l.commit(&exec, 0, 3, 1, 0, &[0, 1], t),
-            CommitOutcome::Diverted
-        );
+        for workers in [1, 2] {
+            let l = Liveness::new(2);
+            let t = Duration::from_secs(5);
+            let got = on_ranks(2, workers, |_, me| {
+                let first = l.commit(me, 3, 0, 0, &[0, 1], t);
+                if me == 1 {
+                    // Registered, then dead: the round still commits.
+                    l.mark_dead(1);
+                    return (first, None);
+                }
+                // Next round: rank 1 is dead and never registers.
+                (first, Some(l.commit(me, 3, 1, 0, &[0, 1], t)))
+            })
+            .unwrap();
+            use CommitOutcome::{AllOk, Diverted};
+            assert_eq!(
+                got,
+                vec![(AllOk, Some(Diverted)), (AllOk, None)],
+                "width {workers}"
+            );
+        }
     }
 
     #[test]
     fn grow_recruits_lowest_live_spares_once_everyone_checks_in() {
-        let l = Liveness::new(6);
-        // World: survivors {0, 2} after a shrink; spares {3, 4, 5} with 4
-        // dead, so a grow wanting 2 recruits must pick {3, 5} and leave an
-        // empty pool.
-        l.mark_dead(1);
-        l.mark_dead(4);
-        let exec = ExecCtl::Threads;
+        for workers in [1, 2] {
+            let l = Liveness::new(6);
+            // World: survivors {0, 2} after a shrink; spares {3, 4, 5}
+            // with 4 dead, so a grow wanting 2 recruits must pick {3, 5}
+            // and leave an empty pool.
+            l.mark_dead(1);
+            l.mark_dead(4);
+            let t = Duration::from_secs(5);
+            let got = on_ranks(6, workers, |_, me| match me {
+                0 | 2 => {
+                    Some(l.grow_join(me, 9, 0, &[0, 2], &[3, 4, 5], 2, 1, 40, 6, false, || 77, t))
+                }
+                3 | 5 => Some(l.grow_standby(me, 9, 0, t)),
+                _ => None,
+            })
+            .unwrap();
+            let a = got[0].clone().unwrap();
+            for me in [2, 3, 5] {
+                assert_eq!(got[me].as_ref(), Some(&a), "width {workers}, rank {me}");
+            }
+            assert_eq!(a.recruits, vec![3, 5], "dead spare 4 skipped");
+            assert_eq!(a.members, vec![0, 2, 3, 5]);
+            assert!(a.pool_left.is_empty());
+            assert_eq!(a.token, 77);
+            assert_eq!((a.epoch, a.op_seq, a.cookie), (1, 40, 6));
+            assert_eq!(a.pending, 0);
+            assert!(!a.retire);
+        }
+    }
+
+    /// One grow round of survivor 0 over base `[0]` and pool `[spare]`,
+    /// the spare standing by, on a pool of `workers`: what each saw.
+    #[allow(clippy::too_many_arguments)]
+    fn grow_pair(
+        workers: usize,
+        spare: usize,
+        pool_id: u32,
+        grow_seq: u64,
+        want: usize,
+        retire: bool,
+        token: u32,
+    ) -> (GrowOutcome, GrowOutcome) {
+        let l = Liveness::new(spare + 1);
         let t = Duration::from_secs(5);
-        let base = [0usize, 2];
-        let pool = [3usize, 4, 5];
-        let (a, b, s3, s5) = std::thread::scope(|s| {
-            let l = &l;
-            let h2 = s.spawn(move || {
-                l.grow_join(
-                    &ExecCtl::Threads,
-                    2,
-                    9,
-                    0,
-                    &[0, 2],
-                    &[3, 4, 5],
-                    2,
-                    1,
-                    40,
-                    6,
-                    false,
-                    || 77,
-                    t,
-                )
-            });
-            let h3 = s.spawn(move || l.grow_standby(&ExecCtl::Threads, 3, 9, 0, t));
-            let h5 = s.spawn(move || l.grow_standby(&ExecCtl::Threads, 5, 9, 0, t));
-            let a = l.grow_join(&exec, 0, 9, 0, &base, &pool, 2, 1, 40, 6, false, || 77, t);
-            (
-                a,
-                h2.join().unwrap(),
-                h3.join().unwrap(),
-                h5.join().unwrap(),
-            )
-        });
-        assert_eq!(a, b);
-        assert_eq!(a, s3);
-        assert_eq!(a, s5);
-        assert_eq!(a.recruits, vec![3, 5], "dead spare 4 skipped");
-        assert_eq!(a.members, vec![0, 2, 3, 5]);
-        assert!(a.pool_left.is_empty());
-        assert_eq!(a.token, 77);
-        assert_eq!((a.epoch, a.op_seq, a.cookie), (1, 40, 6));
-        assert_eq!(a.pending, 0);
-        assert!(!a.retire);
+        let got = on_ranks(spare + 1, workers, |_, me| match me {
+            0 => Some(l.grow_join(
+                0,
+                pool_id,
+                grow_seq,
+                &[0],
+                &[spare],
+                want,
+                0,
+                0,
+                0,
+                retire,
+                || token,
+                t,
+            )),
+            _ if me == spare => Some(l.grow_standby(spare, pool_id, grow_seq, t)),
+            _ => None,
+        })
+        .unwrap();
+        (got[0].clone().unwrap(), got[spare].clone().unwrap())
     }
 
     #[test]
     fn grow_retire_round_recruits_nobody_and_keeps_pool() {
-        let l = Liveness::new(3);
-        let exec = ExecCtl::Threads;
-        let t = Duration::from_secs(5);
-        let (a, s2) = std::thread::scope(|s| {
-            let l = &l;
-            let h = s.spawn(move || l.grow_standby(&ExecCtl::Threads, 2, 9, 1, t));
-            let a = l.grow_join(&exec, 0, 9, 1, &[0], &[2], 1, 0, 0, 0, true, || 5, t);
-            (a, h.join().unwrap())
-        });
-        assert_eq!(a, s2);
-        assert!(a.retire, "spares observe the pool closing");
-        assert!(a.recruits.is_empty(), "retire never recruits");
-        assert_eq!(a.members, vec![0]);
-        assert_eq!(a.pool_left, vec![2], "pool survives retire unchanged");
+        for workers in [1, 2] {
+            let (a, s2) = grow_pair(workers, 2, 9, 1, 1, true, 5);
+            assert_eq!(a, s2, "width {workers}");
+            assert!(a.retire, "spares observe the pool closing");
+            assert!(a.recruits.is_empty(), "retire never recruits");
+            assert_eq!(a.members, vec![0]);
+            assert_eq!(a.pool_left, vec![2], "pool survives retire unchanged");
+        }
     }
 
     #[test]
     fn grow_want_clamps_to_live_pool() {
         // One spare, two recruits wanted: grow returns what it can.
-        let l = Liveness::new(2);
-        let exec = ExecCtl::Threads;
-        let t = Duration::from_secs(5);
-        let (a, s1) = std::thread::scope(|s| {
-            let l = &l;
-            let h = s.spawn(move || l.grow_standby(&ExecCtl::Threads, 1, 4, 0, t));
-            let a = l.grow_join(&exec, 0, 4, 0, &[0], &[1], 2, 0, 0, 0, false, || 8, t);
-            (a, h.join().unwrap())
-        });
-        assert_eq!(a, s1);
-        assert_eq!(a.recruits, vec![1]);
-        assert_eq!(a.members, vec![0, 1]);
-        assert!(a.pool_left.is_empty());
-        assert_eq!(a.pending, 1, "the unfilled slot stays on the books");
+        for workers in [1, 2] {
+            let (a, s1) = grow_pair(workers, 1, 4, 0, 2, false, 8);
+            assert_eq!(a, s1, "width {workers}");
+            assert_eq!(a.recruits, vec![1]);
+            assert_eq!(a.members, vec![0, 1]);
+            assert!(a.pool_left.is_empty());
+            assert_eq!(a.pending, 1, "the unfilled slot stays on the books");
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! `msim` plays the role of the MPI library in this reproduction. Each MPI
 //! rank is a stackful coroutine multiplexed onto a bounded worker pool
-//! (see [`ExecMode`]; one OS thread per rank remains available as
-//! [`ExecMode::ThreadPerRank`]); point-to-point messages flow through
+//! (see [`ExecMode`], which only chooses the pool's width); point-to-point
+//! messages flow through
 //! in-process mailboxes; every communication, copy and computation
 //! advances the rank's deterministic *virtual clock* according to the
 //! `simnet` cost model.

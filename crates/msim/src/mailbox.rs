@@ -11,12 +11,12 @@
 //! some other key, finds the packet the next time it looks, so waking it
 //! would only cost the scheduler lock and a resume that re-parks.
 
-use crate::exec::{self, ExecCtl};
+use crate::exec::{self, PoolCore};
 use crate::msg::Packet;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Matching key: (communicator context id, source rank in that
@@ -140,8 +140,8 @@ impl SlotMap {
 struct State {
     queues: SlotMap,
     /// The key the owner is blocked on: set when its match misses and it
-    /// is about to park (or wait on the condvar), taken by the push that
-    /// wakes it, cleared whenever the owner looks again.
+    /// is about to park, taken by the push that wakes it, cleared
+    /// whenever the owner looks again.
     awaiting: Option<MatchKey>,
 }
 
@@ -154,28 +154,21 @@ struct State {
 #[derive(Debug)]
 pub(crate) struct Mailbox {
     state: Mutex<State>,
-    arrived: Condvar,
     /// Global rank this mailbox belongs to — the rank the executor wakes
     /// when a packet arrives.
     owner: usize,
-    exec: ExecCtl,
+    exec: Arc<PoolCore>,
 }
 
 impl Mailbox {
-    /// The mailbox of global rank `owner`, blocking through `exec`.
-    pub(crate) fn new(owner: usize, exec: ExecCtl) -> Self {
+    /// The mailbox of global rank `owner`, parking and waking through
+    /// `exec`.
+    pub(crate) fn new(owner: usize, exec: Arc<PoolCore>) -> Self {
         Self {
             state: Mutex::new(State::default()),
-            arrived: Condvar::new(),
             owner,
             exec,
         }
-    }
-
-    /// A thread-mode mailbox for unit tests (pop blocks on the condvar).
-    #[cfg(test)]
-    pub(crate) fn unpooled() -> Self {
-        Self::new(0, ExecCtl::Threads)
     }
 
     // A rank killed by fault injection may die while holding a mailbox
@@ -204,17 +197,13 @@ impl Mailbox {
         drop(s);
         // After releasing the mailbox lock: the executor's wake takes
         // the core lock.
-        if self.exec.parks_ranks() {
-            self.exec.wake(self.owner);
-        } else {
-            self.arrived.notify_all();
-        }
+        self.exec.wake(self.owner);
     }
 
     /// Block until a packet matching `key` is available, or `timeout`
-    /// elapses (returns `None` — the caller reports a deadlock). In
-    /// pooled mode "block" means parking the calling coroutine, freeing
-    /// its worker thread to run other ranks. A zero `timeout` looks once
+    /// elapses (returns `None` — the caller reports a deadlock). "Block"
+    /// means parking the calling coroutine, freeing its worker thread to
+    /// run other ranks. A zero `timeout` looks once
     /// and never blocks or parks: the claim primitive of the per-rank
     /// progress engine and of polls.
     pub(crate) fn pop(&self, key: MatchKey, timeout: Duration) -> Option<Packet> {
@@ -231,20 +220,12 @@ impl Mailbox {
             // Missed: until the owner looks again, a push of `key` is
             // the one that wakes it.
             s.awaiting = Some(key);
-            s = if self.exec.parks_ranks() {
-                drop(s);
-                // A push that lands between unlock and park still wakes
-                // us: the executor records the wake token against our
-                // Running state and re-readies the park immediately.
-                exec::park_current(deadline);
-                self.lock()
-            } else {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                self.arrived
-                    .wait_timeout(s, remaining)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0
-            };
+            drop(s);
+            // A push that lands between unlock and park still wakes us:
+            // the executor records the wake token against our Running
+            // state and re-readies the park immediately.
+            exec::park_current(deadline);
+            s = self.lock();
             s.awaiting = None;
             // Recheck the queue *before* the deadline: a push that raced
             // the deadline must deliver, not time out.
@@ -267,10 +248,19 @@ impl Mailbox {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::PickPolicy;
     use crate::msg::Payload;
+    use crate::universe::tests::on_ranks;
     use simnet::rng::check_cases;
+    use simnet::{ClusterSpec, Placement};
     use std::cell::Cell;
-    use std::sync::Arc;
+
+    /// The mailbox of the only rank of a one-rank core: enough for tests
+    /// whose pops never wait (the push of an unawaited key wakes nobody).
+    fn unparked() -> Mailbox {
+        let map = Placement::SmpBlock.build(&ClusterSpec::regular(1, 1));
+        Mailbox::new(0, Arc::new(PoolCore::new(&map, PickPolicy::Fifo, 1)))
+    }
 
     fn pkt(src: usize, tag: u32) -> Packet {
         Packet {
@@ -285,7 +275,7 @@ mod tests {
 
     #[test]
     fn push_pop_matches_by_key() {
-        let mb = Mailbox::unpooled();
+        let mb = unparked();
         mb.push((0, 1, 7), pkt(1, 7));
         mb.push((0, 2, 7), pkt(2, 7));
         let got = mb.pop((0, 2, 7), Duration::from_secs(1)).unwrap();
@@ -295,7 +285,7 @@ mod tests {
 
     #[test]
     fn fifo_within_a_key() {
-        let mb = Mailbox::unpooled();
+        let mb = unparked();
         let mut a = pkt(0, 0);
         a.arrival = 1.0;
         let mut b = pkt(0, 0);
@@ -312,20 +302,36 @@ mod tests {
         );
     }
 
+    /// A pop that waits parks its rank until the deadline, then misses.
     #[test]
     fn timeout_returns_none() {
-        let mb = Mailbox::unpooled();
-        assert!(mb.pop((0, 0, 0), Duration::from_millis(10)).is_none());
+        for workers in [1, 2] {
+            let got = on_ranks(2, workers, |shared, rank| {
+                shared.mailboxes[rank]
+                    .pop((0, 0, 0), Duration::from_millis(10))
+                    .is_none()
+            });
+            assert_eq!(got.unwrap(), vec![true, true], "width {workers}");
+        }
     }
 
+    /// A receiver parked on its key is woken by the push of that key
+    /// from another rank, at every pool width.
     #[test]
-    fn cross_thread_delivery() {
-        let mb = Arc::new(Mailbox::unpooled());
-        let mb2 = Arc::clone(&mb);
-        let h = std::thread::spawn(move || mb2.pop((1, 0, 3), Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(20));
-        mb.push((1, 0, 3), pkt(0, 3));
-        assert!(h.join().unwrap().is_some());
+    fn cross_rank_delivery() {
+        for workers in [1, 2] {
+            let got = on_ranks(2, workers, |shared, rank| {
+                if rank == 0 {
+                    shared.mailboxes[0]
+                        .pop((1, 0, 3), Duration::from_secs(5))
+                        .map(|p| p.tag)
+                } else {
+                    shared.mailboxes[0].push((1, 0, 3), pkt(0, 3));
+                    None
+                }
+            });
+            assert_eq!(got.unwrap(), vec![Some(3), None], "width {workers}");
+        }
     }
 
     /// Random push/pop interleavings over a few keys against a per-key
@@ -339,7 +345,7 @@ mod tests {
     fn random_interleavings_match_a_per_key_fifo_model() {
         let (cycled, deepest) = (Cell::new(false), Cell::new(0));
         check_cases(0x5107, 200, |rng| {
-            let mb = Mailbox::unpooled();
+            let mb = unparked();
             let nkeys = rng.usize_in(1, 5);
             let keys: Vec<MatchKey> = (0..nkeys).map(|k| (k as u32 % 2, k, 7)).collect();
             let mut model = vec![VecDeque::new(); nkeys];

@@ -3,10 +3,10 @@
 //!
 //! The fuzzing harness ([`crate::SchedulePolicy::Adversarial`]) samples
 //! schedules; this module *enumerates* them. Every nondeterministic pick
-//! of the single-worker pool (`Pooled` clamped to one worker, or
-//! `Events`) — which ready rank runs next — is routed through a
-//! [`Probe`] controller, so a schedule is exactly a sequence of decisions
-//! `d_0, d_1, …` ("at the i-th pick, resume rank `d_i`"). [`explore`]
+//! of the pool (clamped to one worker) — which ready rank runs next — is
+//! routed through a [`Probe`] controller, so a schedule is exactly a
+//! sequence of decisions `d_0, d_1, …` ("at the i-th pick, resume rank
+//! `d_i`"). [`explore`]
 //! drives the program through a depth-first search over those decision
 //! sequences:
 //!
@@ -56,7 +56,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::ctx::Ctx;
 use crate::error::SimError;
-use crate::exec::ExecMode;
 use crate::fault::SchedulePolicy;
 use crate::mailbox::MatchKey;
 use crate::oob::BoardKey;
@@ -159,7 +158,7 @@ impl Probe {
     }
 
     /// Record `op` into the current segment (no-op before the first
-    /// pick, which only happens in uncontrolled thread-per-rank mode).
+    /// pick).
     pub(crate) fn record(&self, op: Op) {
         let mut g = self.lock();
         if let Some(s) = g.steps.last_mut() {
@@ -894,10 +893,9 @@ fn config_summary(base: &SimConfig) -> String {
 fn run_controlled(base: &SimConfig, forced: Vec<usize>) -> (SimConfig, Arc<Probe>) {
     let probe = Probe::controlled(forced);
     let mut cfg = base.clone();
-    // The probe makes every pick; single-worker pooled execution makes
-    // segment attribution exact, and a clean Fifo plan keeps wall-clock
-    // sleeps out of the controlled run.
-    cfg.exec = ExecMode::Pooled { workers: Some(1) };
+    // The probe makes every pick (and so clamps the pool to one worker,
+    // which makes segment attribution exact); a clean Fifo plan keeps
+    // wall-clock sleeps out of the controlled run.
     cfg.fault.schedule = SchedulePolicy::Fifo;
     cfg.mcheck_probe = Some(Arc::clone(&probe));
     (cfg, probe)
@@ -1178,20 +1176,16 @@ where
 /// Re-run `f` under the certificate's decision trace (via the public
 /// [`SchedulePolicy::Replay`] hook) and return the violation the run
 /// produces, if any. Byte-identity of the returned violation's JSON
-/// against `cert.violation.json` is the replay test's assertion. The
-/// base configuration's executor is honored: pooled (single-worker) and
-/// events executors follow the decisions exactly; thread-per-rank mode
-/// cannot be controlled, so there the decisions are inert and only
-/// schedule-independent violations (deadlocks, races) reproduce.
+/// against `cert.violation.json` is the replay test's assertion. A
+/// replayed run always executes on one worker (the controller clamps the
+/// pool), whatever width the base configuration names, so every
+/// decision is followed exactly.
 pub fn replay<T, F>(base: &SimConfig, cert: &ScheduleCertificate, f: F) -> Option<Violation>
 where
     T: Send + fmt::Debug,
     F: Fn(&mut Ctx) -> T + Send + Sync,
 {
     let mut cfg = base.clone();
-    if let ExecMode::Pooled { .. } = cfg.exec {
-        cfg.exec = ExecMode::Pooled { workers: Some(1) };
-    }
     cfg.fault.schedule = SchedulePolicy::Replay(cert.clone());
     let reference = reference_of(&cert.violation);
     let out = Universe::run(cfg, f);

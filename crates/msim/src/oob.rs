@@ -3,16 +3,16 @@
 //! `MPI_Comm_split`, `MPI_Comm_split_type` and `MPI_Win_allocate_shared`
 //! are one-off setup operations whose cost the paper explicitly excludes
 //! from measurements ("the extra one-off activities are not evaluated").
-//! They still need real coordination between rank threads, which this
+//! They still need real coordination between ranks, which this
 //! module provides: every member deposits a value under a shared key; the
 //! last member to arrive runs a finisher over all deposits; everyone
 //! receives the shared result. No virtual time is charged.
 
-use crate::exec::{self, ExecCtl};
+use crate::exec::{self, PoolCore};
 use crate::ft::{FtWatch, WaitError};
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// (communicator context id, per-handle op sequence, op kind)
@@ -32,8 +32,8 @@ struct Entry {
     deposited: Vec<u64>,
     result: Option<Arc<dyn Any + Send + Sync>>,
     taken: usize,
-    /// Global ranks parked (pooled mode) waiting for the result; the
-    /// last depositor drains this and wakes each through the executor.
+    /// Global ranks parked waiting for the result; the last depositor
+    /// drains this and wakes each through the executor.
     waiting: Vec<usize>,
 }
 
@@ -41,7 +41,6 @@ struct Entry {
 #[derive(Default)]
 pub(crate) struct OobBoard {
     entries: Mutex<HashMap<BoardKey, Entry>>,
-    done: Condvar,
 }
 
 impl Entry {
@@ -57,44 +56,11 @@ impl OobBoard {
         Self::default()
     }
 
-    /// Deposit `value` for `member` under `key`; block until all `expected`
-    /// members have deposited; return the shared result computed by
-    /// `finish` (run once, by the last depositor, over deposits sorted by
-    /// member id). In pooled mode "block" parks the calling coroutine
-    /// (`me_global` is the waker's handle to it) instead of holding an OS
-    /// thread on the condvar.
-    ///
-    /// # Panics
-    /// Panics on timeout (a setup-collective deadlock: not all members of
-    /// the communicator made the same call) or on type confusion.
-    #[cfg(test)]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn rendezvous<V, R>(
-        &self,
-        exec: &ExecCtl,
-        me_global: usize,
-        key: BoardKey,
-        member: usize,
-        expected: usize,
-        value: V,
-        timeout: Duration,
-        finish: impl FnOnce(Vec<(usize, V)>) -> R,
-    ) -> Arc<R>
-    where
-        V: Send + 'static,
-        R: Send + Sync + 'static,
-    {
-        self.rendezvous_watched(
-            exec, me_global, key, member, expected, value, timeout, None, finish,
-        )
-    }
-
     /// Deposit `value` for `member` under `key`; block until all
     /// `expected` members have deposited; return the shared result
     /// computed by `finish` (run once, by the last depositor, over
-    /// deposits sorted by member id). In pooled mode "block" parks the
-    /// calling coroutine (`me_global` is the waker's handle to it)
-    /// instead of holding an OS thread on the condvar.
+    /// deposits sorted by member id). "Block" parks the calling coroutine
+    /// (`me_global` is the waker's handle to it).
     ///
     /// With a fault-tolerance `watch`: when some watched member is dead
     /// (or diverted into recovery) *without having deposited*, the
@@ -107,9 +73,9 @@ impl OobBoard {
     /// Panics on timeout (a setup-collective deadlock: not all members of
     /// the communicator made the same call) or on type confusion.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn rendezvous_watched<V, R>(
+    pub(crate) fn rendezvous<V, R>(
         &self,
-        exec: &ExecCtl,
+        exec: &PoolCore,
         me_global: usize,
         key: BoardKey,
         member: usize,
@@ -167,11 +133,6 @@ impl OobBoard {
             let result: Arc<R> = Arc::new(finish(typed));
             entry.result = Some(result.clone());
             let waiting = std::mem::take(&mut entry.waiting);
-            if !exec.parks_ranks() {
-                // Pooled members park through the executor instead of
-                // waiting on this condvar; skip the no-waiter syscall.
-                self.done.notify_all();
-            }
             Self::take(&mut entries, key);
             drop(entries);
             // Wake parked members after releasing the board lock: the
@@ -181,9 +142,7 @@ impl OobBoard {
             }
             return result;
         }
-        if exec.parks_ranks() {
-            entry.waiting.push(me_global);
-        }
+        entry.waiting.push(me_global);
 
         // Wait for the result.
         let deadline = Instant::now() + timeout;
@@ -246,29 +205,13 @@ impl OobBoard {
             } else {
                 deadline
             };
-            if exec.parks_ranks() {
-                drop(entries);
-                // A completion landing between unlock and park still
-                // wakes us (the executor tokenizes wakes against Running
-                // ranks); the executor also re-readies expired parks so
-                // the timeout assertion above fires eventually.
-                exec::park_current(slice_deadline);
-                entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-            } else {
-                let (guard, wait) = self
-                    .done
-                    .wait_timeout(
-                        entries,
-                        slice_deadline.saturating_duration_since(Instant::now()),
-                    )
-                    .unwrap_or_else(PoisonError::into_inner);
-                entries = guard;
-                assert!(
-                    watch.is_some() || !wait.timed_out(),
-                    "setup-collective rendezvous timed out \
-                     (did every member of the communicator make the same call?)"
-                );
-            }
+            drop(entries);
+            // A completion landing between unlock and park still wakes us
+            // (the executor tokenizes wakes against Running ranks); the
+            // executor also re-readies expired parks so the timeout
+            // assertion above fires eventually.
+            exec::park_current(slice_deadline);
+            entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -286,105 +229,109 @@ impl OobBoard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::universe::tests::on_ranks;
+    use crate::SimError;
 
     #[test]
     fn all_members_get_the_same_result() {
-        let board = Arc::new(OobBoard::new());
-        let n = 8;
-        let handles: Vec<_> = (0..n)
-            .map(|m| {
-                let b = Arc::clone(&board);
-                std::thread::spawn(move || {
-                    b.rendezvous(
-                        &ExecCtl::Threads,
-                        m,
-                        (0, 0, KIND_SPLIT),
-                        m,
-                        n,
-                        m * 10,
-                        Duration::from_secs(5),
-                        |vals| vals.iter().map(|(_, v)| *v).sum::<usize>(),
-                    )
-                })
-            })
-            .collect();
-        for h in handles {
-            let r = h.join().unwrap();
-            assert_eq!(*r, (0..8).map(|m| m * 10).sum::<usize>());
+        for workers in [1, 2] {
+            let board = OobBoard::new();
+            let n = 8;
+            let got = on_ranks(n, workers, |shared, m| {
+                *board.rendezvous(
+                    &shared.exec,
+                    m,
+                    (0, 0, KIND_SPLIT),
+                    m,
+                    n,
+                    m * 10,
+                    Duration::from_secs(5),
+                    None,
+                    |vals| vals.iter().map(|(_, v)| *v).sum::<usize>(),
+                )
+            });
+            let want = (0..8).map(|m| m * 10).sum::<usize>();
+            assert_eq!(got.unwrap(), vec![want; n], "width {workers}");
         }
     }
 
     #[test]
     fn deposits_are_sorted_by_member() {
-        let board = Arc::new(OobBoard::new());
-        let n = 4;
-        let handles: Vec<_> = (0..n)
-            .rev() // arrive out of order
-            .map(|m| {
-                let b = Arc::clone(&board);
-                std::thread::spawn(move || {
-                    b.rendezvous(
-                        &ExecCtl::Threads,
-                        m,
+        for workers in [1, 2] {
+            let board = OobBoard::new();
+            let n = 4;
+            let got = on_ranks(n, workers, |shared, rank| {
+                // Ranks run in rank order at width 1: member ids reversed
+                // make the deposits arrive out of order.
+                let m = n - 1 - rank;
+                board
+                    .rendezvous(
+                        &shared.exec,
+                        rank,
                         (1, 0, KIND_SPLIT),
                         m,
                         n,
                         m,
                         Duration::from_secs(5),
+                        None,
                         |vals| vals.iter().map(|(m, _)| *m).collect::<Vec<_>>(),
                     )
-                })
-            })
-            .collect();
-        for h in handles {
-            assert_eq!(*h.join().unwrap(), vec![0, 1, 2, 3]);
+                    .to_vec()
+            });
+            for members in got.unwrap() {
+                assert_eq!(members, vec![0, 1, 2, 3], "width {workers}");
+            }
         }
     }
 
     #[test]
     fn board_is_reusable_across_keys() {
-        let board = Arc::new(OobBoard::new());
-        for seq in 0..3u32 {
-            let handles: Vec<_> = (0..2)
-                .map(|m| {
-                    let b = Arc::clone(&board);
-                    std::thread::spawn(move || {
-                        *b.rendezvous(
-                            &ExecCtl::Threads,
+        for workers in [1, 2] {
+            let board = OobBoard::new();
+            let got = on_ranks(2, workers, |shared, m| {
+                (0..3u32)
+                    .map(|seq| {
+                        *board.rendezvous(
+                            &shared.exec,
                             m,
                             (0, seq, KIND_WIN_ALLOC),
                             m,
                             2,
                             m,
                             Duration::from_secs(5),
+                            None,
                             |v| v.len(),
                         )
                     })
-                })
-                .collect();
-            for h in handles {
-                assert_eq!(h.join().unwrap(), 2);
-            }
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(got.unwrap(), vec![vec![2; 3]; 2], "width {workers}");
+            assert!(
+                board.entries.lock().unwrap().is_empty(),
+                "entries must be cleaned up"
+            );
         }
-        assert!(
-            board.entries.lock().unwrap().is_empty(),
-            "entries must be cleaned up"
-        );
     }
 
     /// Deposit for `member` with nobody else coming: the call must panic
     /// (in the depositor, which is what `catch_unwind` observes here);
     /// returns the message. A timed-out deposit stays on the board.
-    fn lone_deposit_panic(board: &OobBoard, member: usize, expected: usize) -> String {
+    fn lone_deposit_panic(
+        board: &OobBoard,
+        shared: &crate::universe::Shared,
+        member: usize,
+        expected: usize,
+    ) -> String {
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             board.rendezvous(
-                &ExecCtl::Threads,
-                member,
+                &shared.exec,
+                0,
                 (3, 0, KIND_SETUP),
                 member,
                 expected,
                 (),
                 Duration::from_millis(1),
+                None,
                 |_| (),
             )
         }))
@@ -395,58 +342,80 @@ mod tests {
         }
     }
 
+    /// Run `f` as the only rank of a universe.
+    fn alone(f: impl Fn(&crate::universe::Shared) + Send + Sync) {
+        on_ranks(1, 1, |shared, _| f(shared)).unwrap();
+    }
+
     #[test]
     fn duplicate_deposit_panics_in_the_depositor_across_bitset_words() {
-        for member in [0, 63, 64, 65] {
-            let board = OobBoard::new();
-            let first = lone_deposit_panic(&board, member, 130);
-            assert!(first.contains("timed out"), "member {member}: {first}");
-            let again = lone_deposit_panic(&board, member, 130);
-            assert!(
-                again.contains(&format!(
-                    "member {member} deposited twice under the same key"
-                )),
-                "member {member}: {again}"
-            );
-            // The neighbouring bits stay clear: a different member is a
-            // first deposit, not a duplicate.
-            let other = lone_deposit_panic(&board, member + 1, 130);
-            assert!(
-                other.contains("timed out"),
-                "member {}: {other}",
-                member + 1
-            );
-        }
+        alone(|shared| {
+            for member in [0, 63, 64, 65] {
+                let board = OobBoard::new();
+                let first = lone_deposit_panic(&board, shared, member, 130);
+                assert!(first.contains("timed out"), "member {member}: {first}");
+                let again = lone_deposit_panic(&board, shared, member, 130);
+                assert!(
+                    again.contains(&format!(
+                        "member {member} deposited twice under the same key"
+                    )),
+                    "member {member}: {again}"
+                );
+                // The neighbouring bits stay clear: a different member is a
+                // first deposit, not a duplicate.
+                let other = lone_deposit_panic(&board, shared, member + 1, 130);
+                assert!(
+                    other.contains("timed out"),
+                    "member {}: {other}",
+                    member + 1
+                );
+            }
+        });
     }
 
     #[test]
     fn member_outside_the_group_panics_instead_of_indexing_out_of_bounds() {
-        // 64 members fill exactly one bitset word; member 64 would index
-        // the word after it.
-        for (member, expected) in [(2, 2), (64, 64), (200, 3)] {
-            let msg = lone_deposit_panic(&OobBoard::new(), member, expected);
-            assert!(
-                msg.contains(&format!(
-                    "member {member} is outside the rendezvous group of {expected}"
-                )),
-                "{msg}"
-            );
-        }
+        alone(|shared| {
+            // 64 members fill exactly one bitset word; member 64 would
+            // index the word after it.
+            for (member, expected) in [(2, 2), (64, 64), (200, 3)] {
+                let msg = lone_deposit_panic(&OobBoard::new(), shared, member, expected);
+                assert!(
+                    msg.contains(&format!(
+                        "member {member} is outside the rendezvous group of {expected}"
+                    )),
+                    "{msg}"
+                );
+            }
+        });
     }
 
     #[test]
-    #[should_panic(expected = "timed out")]
     fn missing_member_times_out() {
-        let board = OobBoard::new();
-        board.rendezvous(
-            &ExecCtl::Threads,
-            0,
-            (9, 9, KIND_SPLIT),
-            0,
-            2,
-            (),
-            Duration::from_millis(20),
-            |_| (),
-        );
+        for workers in [1, 2] {
+            let board = OobBoard::new();
+            let err = on_ranks(2, workers, |shared, rank| {
+                if rank == 0 {
+                    board.rendezvous(
+                        &shared.exec,
+                        0,
+                        (9, 9, KIND_SPLIT),
+                        0,
+                        2,
+                        (),
+                        Duration::from_millis(20),
+                        None,
+                        |_| (),
+                    );
+                }
+            })
+            .unwrap_err();
+            match err {
+                SimError::RankPanicked { rank: 0, message } => {
+                    assert!(message.contains("timed out"), "width {workers}: {message}");
+                }
+                other => panic!("width {workers}: expected a timeout, got {other}"),
+            }
+        }
     }
 }

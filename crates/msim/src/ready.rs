@@ -1,6 +1,6 @@
 //! The node-affine ready queue of the coroutine executor: the ready set
-//! wherever a single thread resumes the ranks in FIFO order (`Events`,
-//! and `Pooled` when it has one worker).
+//! wherever a single thread resumes the ranks in FIFO order (a pool of
+//! one worker under FIFO picks).
 //!
 //! Most messages of a node-aware collective never leave the node (the
 //! hybrid collectives' two on-node barriers per call are the extreme

@@ -1,6 +1,5 @@
 //! Launching SPMD programs over the virtual cluster.
 
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
@@ -10,7 +9,7 @@ use simnet::{ClusterSpec, CostModel, Placement, RankMap, Tracer};
 use crate::comm::CommInner;
 use crate::ctx::Ctx;
 use crate::error::SimError;
-use crate::exec::{self, ExecCtl, ExecMode, PoolCore};
+use crate::exec::{self, ExecMode, PoolCore};
 use crate::fault::{FaultPlan, SchedulePolicy};
 use crate::ft::{Liveness, WaitError};
 use crate::mailbox::Mailbox;
@@ -46,14 +45,13 @@ pub struct SimConfig {
     /// How long a blocked receive waits before the run is declared
     /// deadlocked.
     pub recv_timeout: Duration,
-    /// Stack size per rank thread (thread-per-rank mode) or per rank
-    /// coroutine (pooled mode). Rank programs keep large data on the
-    /// heap, so the default is modest to allow thousands of ranks.
+    /// Stack size per rank coroutine. Rank programs keep large data on
+    /// the heap, so the default is modest to allow thousands of ranks.
     pub stack_size: usize,
     /// Injected faults and schedule perturbations (none by default).
     pub fault: FaultPlan,
-    /// How rank programs execute: pooled coroutines (default) or one OS
-    /// thread per rank. See `docs/simulator.md`.
+    /// The width of the coroutine pool rank programs run on (default:
+    /// `min(ranks, available_parallelism)`). See `docs/simulator.md`.
     pub exec: ExecMode,
     /// Run the happens-before race detector over every shared-window
     /// access (real-data universes only; see `docs/race-detection.md`).
@@ -69,12 +67,7 @@ pub struct SimConfig {
 impl SimConfig {
     /// A configuration with sensible defaults (SMP placement, real data,
     /// no tracing, 30 s deadlock timeout, 1 MiB stacks, pooled
-    /// execution).
-    ///
-    /// The execution mode can be overridden for a whole process via the
-    /// `MSIM_EXEC` environment variable (`pooled`, `threads` or `events`)
-    /// and the pool width via `MSIM_WORKERS` — an escape hatch for
-    /// differential debugging; both are read once per config here.
+    /// execution at the default width).
     pub fn new(spec: ClusterSpec, cost: CostModel) -> Self {
         Self {
             spec,
@@ -85,7 +78,7 @@ impl SimConfig {
             recv_timeout: Duration::from_secs(30),
             stack_size: 1 << 20,
             fault: FaultPlan::none(),
-            exec: Self::exec_from_env(),
+            exec: ExecMode::default(),
             race_detect: Self::race_from_env(),
             mcheck_probe: None,
         }
@@ -93,19 +86,6 @@ impl SimConfig {
 
     fn race_from_env() -> bool {
         matches!(std::env::var("MSIM_RACE").as_deref(), Ok("1"))
-    }
-
-    fn exec_from_env() -> ExecMode {
-        let workers = std::env::var("MSIM_WORKERS")
-            .ok()
-            .and_then(|w| w.parse::<usize>().ok())
-            .filter(|&w| w > 0);
-        match std::env::var("MSIM_EXEC").as_deref() {
-            Ok("threads") => ExecMode::ThreadPerRank,
-            Ok("events") => ExecMode::Events,
-            Ok("pooled") => ExecMode::Pooled { workers },
-            _ => ExecMode::Pooled { workers },
-        }
     }
 
     /// Use the given placement.
@@ -138,7 +118,7 @@ impl SimConfig {
         self
     }
 
-    /// Use the given execution mode (overrides the `MSIM_EXEC` default).
+    /// Use the given execution mode (pool width).
     pub fn with_exec(mut self, exec: ExecMode) -> Self {
         self.exec = exec;
         self
@@ -166,7 +146,7 @@ impl SimConfig {
     }
 }
 
-/// Universe-wide state shared by all rank threads.
+/// Universe-wide state shared by all ranks.
 pub(crate) struct Shared {
     pub(crate) cost: CostModel,
     pub(crate) map: RankMap,
@@ -178,7 +158,9 @@ pub(crate) struct Shared {
     pub(crate) recv_timeout: Duration,
     pub(crate) world: Arc<CommInner>,
     pub(crate) fault: FaultPlan,
-    pub(crate) exec: ExecCtl,
+    /// The scheduler core every blocking wait parks through and every
+    /// completion wakes through.
+    pub(crate) exec: Arc<PoolCore>,
     /// Armed race detector (`None` when detection is off or the data
     /// mode is phantom — phantom windows have no storage to race on).
     pub(crate) race: Option<Arc<RaceState>>,
@@ -227,8 +209,7 @@ impl Shared {
 
 /// Executor counters of one run, counted under the scheduler lock the
 /// executor already holds (no allocation, no extra synchronisation).
-/// All zero under [`crate::ExecMode::ThreadPerRank`], which has no ready
-/// queue. Reported (`scale` writes them per point), never gated.
+/// Reported (`scale` writes them per point), never gated.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Coroutine resumes (ready-queue pops).
@@ -260,9 +241,8 @@ pub struct SimResult<T> {
     pub clocks: Vec<f64>,
     /// The event trace (empty unless tracing was enabled).
     pub tracer: Tracer,
-    /// OS threads the executor used for rank programs: the pool width in
-    /// pooled mode, the rank count in thread-per-rank mode. The `scale`
-    /// benchmark reports this as `peak_threads`.
+    /// OS threads the executor used for rank programs: the pool width.
+    /// The `scale` benchmark reports this as `peak_threads`.
     pub peak_threads: usize,
     /// Shared-window allocations still alive after every rank program
     /// returned (and its locals dropped). Nonzero means a window handle
@@ -418,7 +398,7 @@ impl Universe {
         T: Send,
         F: Fn(&mut Ctx) -> T + Send + Sync,
     {
-        Self::validate(&config)?;
+        Self::validate()?;
         let LaunchOut {
             outcomes,
             infra,
@@ -471,25 +451,15 @@ impl Universe {
         Ok((ft, stats))
     }
 
-    /// Reject configurations the chosen mode does not admit, *before* any
-    /// rank program starts. `Events` is the mode scale sweeps name and is
-    /// phantom-only by this check alone (its executor is the one-worker
-    /// pool, which `Pooled { workers: Some(1) }` runs real payloads on):
-    /// asking it for real payloads, or for the race detector, which
-    /// requires them, must fail fast with a typed error rather than
-    /// silently run as another mode. (Phantom runs that merely *request*
-    /// the detector are fine: it never arms without real data, in any
-    /// mode.)
-    fn validate(config: &SimConfig) -> Result<(), SimError> {
-        if config.exec == ExecMode::Events && config.mode == DataMode::Real {
-            let feature = if config.race_detect {
-                "the happens-before race detector (requires real payloads)"
-            } else {
-                "real payloads (the event calendar is phantom-only)"
-            };
+    /// Reject a run the target cannot execute, *before* any rank program
+    /// starts: ranks run only as coroutines, and a target without a
+    /// context switch has none.
+    fn validate() -> Result<(), SimError> {
+        if !exec::POOL_SUPPORTED {
             return Err(SimError::UnsupportedExec {
-                exec: "events".into(),
-                feature: feature.into(),
+                exec: "pooled".into(),
+                feature: "this target (coroutine switches exist for unix x86-64 and aarch64 only)"
+                    .into(),
             });
         }
         Ok(())
@@ -566,19 +536,10 @@ impl Universe {
     {
         let map = config.placement.build(&config.spec);
         let nranks = map.nranks();
-        // Fall back to thread-per-rank on targets without a coroutine
-        // context switch (non-unix / exotic architectures).
-        let exec_mode = match config.exec {
-            ExecMode::Pooled { .. } | ExecMode::Events if !exec::POOL_SUPPORTED => {
-                ExecMode::ThreadPerRank
-            }
-            mode => mode,
-        };
         // The model-checker controller: installed directly by
         // `mcheck::explore`, or reconstructed from a replayed
         // certificate's decision trace. It takes over every ready-queue
-        // pick of the coroutine executor; thread-per-rank mode has no
-        // pick to control, so there a Replay policy is inert.
+        // pick.
         let probe = config
             .mcheck_probe
             .clone()
@@ -588,43 +549,32 @@ impl Universe {
                 }
                 SchedulePolicy::Fifo | SchedulePolicy::Adversarial { .. } => None,
             });
+        // OS threads that will run rank programs (and pop the ready set).
         // A controller's decision indices are only meaningful when picks
         // happen one at a time: with several pool workers racing through
         // the pick hook, replay would be silently nondeterministic. Clamp
-        // controlled pooled runs to the documented single-worker model.
-        let exec_mode = match exec_mode {
-            ExecMode::Pooled { .. } if probe.is_some() => ExecMode::Pooled { workers: Some(1) },
-            mode => mode,
+        // controlled runs to the documented single-worker model.
+        let workers = if probe.is_some() {
+            1
+        } else {
+            config.exec.worker_count(nranks)
         };
-        // OS threads that will run rank programs (and pop the ready set).
-        let workers = exec_mode.worker_count(nranks);
-        let exec_ctl = match exec_mode {
-            ExecMode::ThreadPerRank => ExecCtl::Threads,
-            ExecMode::Pooled { .. } | ExecMode::Events => {
-                let pick = match (&probe, &config.fault.schedule) {
-                    (Some(p), _) => exec::PickPolicy::Controlled(Arc::clone(p)),
-                    // Under an adversarial schedule the pool's ready queue
-                    // is drawn in a seeded order, mirroring the wall-clock
-                    // wake-up fuzzing of thread mode. `Events` keeps its
-                    // node-affine FIFO — the order is a host-side choice
-                    // results never observe (pinned by the differential
-                    // suite), so the seed has nothing to perturb there.
-                    (None, SchedulePolicy::Adversarial { seed, .. })
-                        if exec_mode != ExecMode::Events =>
-                    {
-                        exec::PickPolicy::Seeded(simnet::rng::mix(*seed, 0xE0E0, 0, 0x9001))
-                    }
-                    (None, _) => exec::PickPolicy::Fifo,
-                };
-                ExecCtl::Pool(Arc::new(PoolCore::new(&map, pick, workers)))
+        let pick = match (&probe, &config.fault.schedule) {
+            (Some(p), _) => exec::PickPolicy::Controlled(Arc::clone(p)),
+            // Under an adversarial schedule the ready queue is drawn in a
+            // seeded order.
+            (None, SchedulePolicy::Adversarial { seed, .. }) => {
+                exec::PickPolicy::Seeded(simnet::rng::mix(*seed, 0xE0E0, 0, 0x9001))
             }
+            (None, _) => exec::PickPolicy::Fifo,
         };
+        let core = Arc::new(PoolCore::new(&map, pick, workers));
         let world = Arc::new(CommInner::new(0, (0..nranks).collect()));
         let shared = Arc::new(Shared {
             cost: config.cost,
             map,
             mailboxes: (0..nranks)
-                .map(|r| Mailbox::new(r, exec_ctl.clone()))
+                .map(|r| Mailbox::new(r, Arc::clone(&core)))
                 .collect(),
             tracer: if config.trace {
                 Tracer::enabled()
@@ -642,58 +592,14 @@ impl Universe {
                 .then(|| Arc::new(Liveness::new(nranks))),
             op_labels: (0..nranks).map(|_| Mutex::new(String::new())).collect(),
             fault: config.fault,
-            exec: exec_ctl.clone(),
+            exec: core,
             race: (config.race_detect && config.mode == DataMode::Real)
                 .then(|| Arc::new(RaceState::new(nranks))),
             probe,
             live_windows: Arc::new(AtomicUsize::new(0)),
         });
 
-        let (outcomes, infra, stats): exec::RunOut<T> = match &exec_ctl {
-            ExecCtl::Pool(core) => exec::run_pool(&shared, core, workers, config.stack_size, &f),
-            ExecCtl::Threads => {
-                let mut outcomes: Vec<Option<exec::RankOutcome<T>>> =
-                    (0..nranks).map(|_| None).collect();
-                let mut infra: Vec<(usize, String)> = Vec::new();
-                std::thread::scope(|scope| {
-                    let mut handles = Vec::with_capacity(nranks);
-                    for rank in 0..nranks {
-                        let shared = Arc::clone(&shared);
-                        let f = &f;
-                        let handle = std::thread::Builder::new()
-                            .name(format!("rank{rank}"))
-                            .stack_size(config.stack_size)
-                            .spawn_scoped(scope, move || {
-                                let mut ctx = Ctx::new(rank, shared);
-                                std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                    let out = f(&mut ctx);
-                                    (out, ctx.now())
-                                }))
-                            });
-                        match handle {
-                            Ok(h) => handles.push(Some(h)),
-                            Err(e) => {
-                                infra.push((rank, format!("failed to spawn rank thread: {e}")));
-                                handles.push(None);
-                            }
-                        }
-                    }
-                    for (rank, handle) in handles.into_iter().enumerate() {
-                        if let Some(h) = handle {
-                            match h.join() {
-                                Ok(outcome) => outcomes[rank] = Some(outcome),
-                                // The closure catches all rank panics, so a
-                                // join failure is the thread infrastructure
-                                // itself (e.g. a TLS destructor) dying.
-                                Err(payload) => infra
-                                    .push((rank, format!("rank thread join failed: {payload:?}"))),
-                            }
-                        }
-                    }
-                });
-                (outcomes, infra, SimStats::default())
-            }
-        };
+        let (outcomes, infra, stats) = exec::run_pool(&shared, workers, config.stack_size, &f);
         LaunchOut {
             outcomes,
             infra,
@@ -705,9 +611,26 @@ impl Universe {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::msg::Payload;
+
+    /// Run `f(shared, rank)` as every rank of a one-node universe of
+    /// `nranks` phantom ranks on a pool of `workers`: how unit tests
+    /// drive a protocol (a mailbox, a rendezvous, a consensus board) from
+    /// several parties, each parking and waking as a rank does.
+    pub(crate) fn on_ranks<T: Send>(
+        nranks: usize,
+        workers: usize,
+        f: impl Fn(&Shared, usize) -> T + Send + Sync,
+    ) -> Result<Vec<T>, SimError> {
+        let cfg = SimConfig::new(ClusterSpec::regular(1, nranks), CostModel::uniform_test())
+            .phantom()
+            .with_exec(ExecMode::Pooled {
+                workers: Some(workers),
+            });
+        Universe::run(cfg, |ctx| f(ctx.shared(), ctx.rank())).map(|r| r.per_rank)
+    }
 
     fn small() -> SimConfig {
         SimConfig::new(ClusterSpec::regular(2, 2), CostModel::uniform_test())

@@ -123,7 +123,7 @@ impl<T: ShmElem> SharedWindow<T> {
             r.fence_deposit(ctx.rank(), key, comm.size());
         }
         let watch = ctx.ft_watch(comm);
-        let inner = shared.board.rendezvous_watched(
+        let inner = shared.board.rendezvous(
             &shared.exec,
             ctx.rank(),
             key,

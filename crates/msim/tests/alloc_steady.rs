@@ -83,8 +83,8 @@ fn rounds(ctx: &mut Ctx, tag0: u32, reps: u32) {
 }
 
 /// Allocations made by all ranks together between the end of the warm-up
-/// round and the end of the measured one. Both executors under test run
-/// every rank on one thread, so "the first rank out of the fence" and
+/// round and the end of the measured one. The pool under test runs every
+/// rank on one thread, so "the first rank out of the fence" and
 /// "the last rank to finish" are well-defined points: everything the
 /// fence allocates happens at deposit time, before the first, and a rank
 /// that returns only frees.
@@ -113,11 +113,9 @@ fn steady_allocs(exec: ExecMode) -> u64 {
 
 #[test]
 fn warm_message_path_does_not_allocate() {
-    for exec in [ExecMode::Events, ExecMode::Pooled { workers: Some(1) }] {
-        let allocs = steady_allocs(exec);
-        assert!(
-            allocs < 16,
-            "{exec:?}: {allocs} allocations for 8 x (1000 messages + 1000 flag pairs + 100 barriers)"
-        );
-    }
+    let allocs = steady_allocs(ExecMode::Pooled { workers: Some(1) });
+    assert!(
+        allocs < 16,
+        "{allocs} allocations for 8 x (1000 messages + 1000 flag pairs + 100 barriers)"
+    );
 }

@@ -2,7 +2,7 @@
 //! universes. Reuse must be invisible: a universe that runs on a mapping
 //! an earlier one dirtied — with another rank count and stack size, or
 //! after a run that ended badly — gives results, clocks and traces
-//! identical to a run on a fresh mapping, under both coroutine executors.
+//! identical to a run on a fresh mapping, at pool widths one and two.
 //! (The canary check on a reused slot needs crate internals and lives in
 //! `src/exec.rs`.)
 
@@ -19,11 +19,8 @@ fn on_fresh_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
     std::thread::scope(|s| s.spawn(f).join().expect("scenario thread panicked"))
 }
 
-const EXECS: [ExecMode; 3] = [
-    ExecMode::Events,
-    ExecMode::Pooled { workers: Some(1) },
-    ExecMode::Pooled { workers: Some(2) },
-];
+const ONE: ExecMode = ExecMode::Pooled { workers: Some(1) };
+const EXECS: [ExecMode; 2] = [ONE, ExecMode::Pooled { workers: Some(2) }];
 
 fn cfg(spec: ClusterSpec, exec: ExecMode) -> SimConfig {
     SimConfig::new(spec, CostModel::uniform_test())
@@ -182,25 +179,24 @@ fn a_nested_universe_gets_its_own_arena() {
     // running on, and the inner worker loop runs to completion on the
     // outer rank's stack.
     let spec = || ClusterSpec::regular(1, 2);
-    for exec in [ExecMode::Events, ExecMode::Pooled { workers: Some(1) }] {
-        on_fresh_thread(|| {
-            let (want, _) = observe(spec(), 256 << 10, exec);
-            let outer = Universe::run(cfg(spec(), exec).with_stack_size(256 << 10), |_| {
-                observe_stats(spec(), 64 << 10, exec)
-            })
-            .unwrap();
-            assert!(outer.stats.arena_reused, "the first run's arena was kept");
-            assert!(outer.stats.resumes > 0, "{exec:?}");
-            // The first inner run maps afresh; the second reuses what the
-            // first put back, never the outer run's mapping.
-            let reused: Vec<bool> = outer.per_rank.iter().map(|(_, s)| s.arena_reused).collect();
-            assert_eq!(reused, [false, true], "{exec:?}");
-            for (seen, stats) in &outer.per_rank {
-                assert_eq!(seen, &want, "{exec:?}");
-                assert!(stats.resumes > 0, "{exec:?}");
-            }
-        });
-    }
+    let exec = ONE;
+    on_fresh_thread(|| {
+        let (want, _) = observe(spec(), 256 << 10, exec);
+        let outer = Universe::run(cfg(spec(), exec).with_stack_size(256 << 10), |_| {
+            observe_stats(spec(), 64 << 10, exec)
+        })
+        .unwrap();
+        assert!(outer.stats.arena_reused, "the first run's arena was kept");
+        assert!(outer.stats.resumes > 0, "{exec:?}");
+        // The first inner run maps afresh; the second reuses what the
+        // first put back, never the outer run's mapping.
+        let reused: Vec<bool> = outer.per_rank.iter().map(|(_, s)| s.arena_reused).collect();
+        assert_eq!(reused, [false, true], "{exec:?}");
+        for (seen, stats) in &outer.per_rank {
+            assert_eq!(seen, &want, "{exec:?}");
+            assert!(stats.resumes > 0, "{exec:?}");
+        }
+    });
 }
 
 #[test]
@@ -209,14 +205,14 @@ fn an_arena_above_the_cap_is_not_kept() {
         // 2 ranks x 600 MiB of address space (untouched pages cost
         // nothing): above the 1 GiB a thread keeps.
         let big = Universe::run(
-            cfg(ClusterSpec::regular(1, 2), ExecMode::Events).with_stack_size(600 << 20),
+            cfg(ClusterSpec::regular(1, 2), ONE).with_stack_size(600 << 20),
             program,
         )
         .unwrap();
         assert_eq!(big.stats.arena_mapped_bytes, 1200 << 20);
-        let (_, reused) = observe(ClusterSpec::regular(1, 2), 64 << 10, ExecMode::Events);
+        let (_, reused) = observe(ClusterSpec::regular(1, 2), 64 << 10, ONE);
         assert!(!reused, "a 1.2 GiB mapping must be unmapped, not kept");
-        let (_, reused) = observe(ClusterSpec::regular(1, 2), 64 << 10, ExecMode::Events);
+        let (_, reused) = observe(ClusterSpec::regular(1, 2), 64 << 10, ONE);
         assert!(reused, "the small mapping after it is kept");
     });
 }

@@ -9,17 +9,11 @@
 //! every program must explore *clean*, and — because correct programs
 //! are schedule-deterministic — in exactly one schedule.
 //!
-//! Executor capability matrix exercised here:
-//!
-//! * deadlock certificates replay on threads, pooled, and events
-//!   (deadlocks are schedule-independent and need no real data);
-//! * race certificates replay on threads and pooled (the race detector
-//!   requires `DataMode::Real`, which the events executor rejects with
-//!   a typed [`SimError::UnsupportedExec`]);
-//! * divergence certificates replay on pooled and events (phantom) —
-//!   the thread-per-rank executor cannot be steered, so a `Replay`
-//!   policy is inert there and only schedule-independent violations
-//!   reproduce.
+//! A replay always runs on one worker (the controller clamps the pool),
+//! so every certificate replays whatever width its base configuration
+//! names; the race and deadlock certificates are replayed from bases of
+//! one and two workers. Deadlock and divergence certificates need no
+//! real data and also replay on phantom payloads.
 
 use std::time::Duration;
 
@@ -28,6 +22,9 @@ use msim::{
     SchedulePolicy, SharedWindow, SimConfig, Universe, ViolationKind,
 };
 use simnet::{ClusterSpec, CostModel};
+
+const ONE: ExecMode = ExecMode::Pooled { workers: Some(1) };
+const TWO: ExecMode = ExecMode::Pooled { workers: Some(2) };
 
 const GO: u32 = 40;
 const QUIESCE: u32 = 41;
@@ -194,21 +191,10 @@ fn missing_quiesce_fence_yields_replayable_race_certificate() {
     let cert = report.certificate.expect("missing fence must be caught");
     assert_eq!(cert.violation.kind, ViolationKind::Race);
 
-    // Byte-identical replay on both real-data executors.
-    for exec in [
-        ExecMode::ThreadPerRank,
-        ExecMode::Pooled { workers: Some(1) },
-    ] {
+    // Byte-identical replay from either base width.
+    for exec in [ONE, TWO] {
         assert_replays_identically(&base, &cert, exec, |ctx| two_round(ctx, false));
     }
-
-    // The events executor cannot run real-data programs: replay reports
-    // the typed rejection instead of silently passing.
-    let events = base.clone().with_exec(ExecMode::Events);
-    let got = replay(&events, &cert, |ctx| two_round(ctx, false))
-        .expect("events replay must report the executor rejection");
-    assert_eq!(got.kind, ViolationKind::Executor);
-    assert!(got.json.contains("\"exec\":\"events\""), "got {}", got.json);
 }
 
 #[test]
@@ -234,10 +220,7 @@ fn reordered_flag_release_yields_replayable_race_certificate() {
         .certificate
         .expect("reordered release must be caught");
     assert_eq!(cert.violation.kind, ViolationKind::Race);
-    for exec in [
-        ExecMode::ThreadPerRank,
-        ExecMode::Pooled { workers: Some(1) },
-    ] {
+    for exec in [ONE, TWO] {
         assert_replays_identically(&base, &cert, exec, |ctx| flag_release(ctx, true));
     }
 
@@ -280,18 +263,13 @@ fn dropped_go_all_yields_deadlock_certificate_on_all_executors() {
         cert.decisions
     );
 
-    for exec in [
-        ExecMode::ThreadPerRank,
-        ExecMode::Pooled { workers: Some(1) },
-    ] {
+    for exec in [ONE, TWO] {
         assert_replays_identically(&base, &cert, exec, |ctx| vec![go_all(ctx, true)]);
     }
     // Deadlocks need no real data, so the certificate also replays on
-    // the events executor in phantom mode.
+    // phantom payloads.
     let phantom = cfg(1, 3).phantom().with_race_detect(false);
-    assert_replays_identically(&phantom, &cert, ExecMode::Events, |ctx| {
-        vec![go_all(ctx, true)]
-    });
+    assert_replays_identically(&phantom, &cert, ONE, |ctx| vec![go_all(ctx, true)]);
 }
 
 #[test]
@@ -304,7 +282,7 @@ fn corrected_go_all_explores_clean_in_one_schedule() {
 }
 
 #[test]
-fn poll_chain_divergence_is_found_and_replays_on_pooled_and_events() {
+fn poll_chain_divergence_is_found_and_replays_on_real_and_phantom_payloads() {
     let base = cfg(1, 5).with_race_detect(false);
     let report = explore(&base, "poll_chain", &ExploreOpts::default(), |ctx| {
         vec![poll_chain(ctx, false)]
@@ -323,11 +301,9 @@ fn poll_chain_divergence_is_found_and_replays_on_pooled_and_events() {
         vec![poll_chain(ctx, false)]
     });
     // Empty payloads are phantom-legal, so the same certificate drives
-    // `Events` to the same divergent digest.
+    // a phantom run to the same divergent digest.
     let phantom = cfg(1, 5).phantom().with_race_detect(false);
-    assert_replays_identically(&phantom, &cert, ExecMode::Events, |ctx| {
-        vec![poll_chain(ctx, false)]
-    });
+    assert_replays_identically(&phantom, &cert, ONE, |ctx| vec![poll_chain(ctx, false)]);
 }
 
 #[test]
@@ -380,7 +356,7 @@ fn early_send_poll_hit_reversal_is_found_and_replays() {
         vec![early_send_poll(ctx, false)]
     });
     let phantom = cfg(1, 2).phantom().with_race_detect(false);
-    assert_replays_identically(&phantom, &cert, ExecMode::Events, |ctx| {
+    assert_replays_identically(&phantom, &cert, ONE, |ctx| {
         vec![early_send_poll(ctx, false)]
     });
 }

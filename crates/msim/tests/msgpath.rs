@@ -51,7 +51,10 @@ fn step(ctx: &mut Ctx, kind: Kind, src: usize, how: Drive) -> Result<bool, WaitE
 
 #[test]
 fn every_drive_completes_the_same_message_identically() {
-    for exec in [ExecMode::Events, ExecMode::ThreadPerRank] {
+    for exec in [
+        ExecMode::Pooled { workers: Some(1) },
+        ExecMode::Pooled { workers: Some(2) },
+    ] {
         for kind in KINDS {
             // Rank 1's clock bits and trace lines, per drive.
             let seen: Vec<(u64, Vec<Event>)> = DRIVES
@@ -281,8 +284,8 @@ fn the_three_deposits_keep_their_trace_shapes_and_charges() {
 /// parks first (rank 0 yields in a deadline wait nobody answers), so of
 /// the 101 pushes only the last meets a receiver blocked on its key:
 /// one wake enters the executor, where every push used to hand it one.
-/// The flood is received after the awaited packet, in order, and every
-/// executor agrees on results and clock bits.
+/// The flood is received after the awaited packet, in order, and a pool
+/// of two workers agrees on results and clock bits.
 #[test]
 fn a_push_wakes_only_the_receiver_blocked_on_its_key() {
     const FLOODED: u32 = 1;
@@ -309,20 +312,43 @@ fn a_push_wakes_only_the_receiver_blocked_on_its_key() {
         let clock_bits: Vec<u64> = r.clocks.iter().map(|c| c.to_bits()).collect();
         ((r.per_rank, clock_bits, r.tracer.events()), r.stats.wakes)
     };
-    let (events, wakes) = run(ExecMode::Events);
+    let (one, wakes) = run(ExecMode::Pooled { workers: Some(1) });
     let want: Vec<usize> = std::iter::once(1000).chain(1..=100).collect();
     assert_eq!(
-        events.0[1], want,
+        one.0[1], want,
         "the awaited packet, then the flood in order"
     );
-    assert_eq!(wakes, 1, "Events: only the awaited push wakes");
-    let (pooled, wakes) = run(ExecMode::Pooled { workers: Some(1) });
-    assert_eq!(pooled, events, "Pooled{{1}} vs Events");
     assert_eq!(wakes, 1, "Pooled{{1}}: only the awaited push wakes");
-    for exec in [
-        ExecMode::Pooled { workers: Some(2) },
-        ExecMode::ThreadPerRank,
-    ] {
-        assert_eq!(run(exec).0, events, "{exec:?} vs Events");
-    }
+    let (two, _) = run(ExecMode::Pooled { workers: Some(2) });
+    assert_eq!(two, one, "Pooled{{2}} vs Pooled{{1}}");
+}
+
+/// A rendezvous completion wakes every member parked on it, once each,
+/// and nothing else does: on one worker the first five ranks of a
+/// six-rank `oob_fence` park in turn, the sixth completes it, and the
+/// run ends long before the five would have woken by their deadlines.
+/// Two workers park fewer (their ranks overlap), never more.
+#[test]
+fn a_rendezvous_completion_wakes_each_parked_member() {
+    let run = |workers| {
+        let t0 = std::time::Instant::now();
+        let cfg = SimConfig::new(ClusterSpec::regular(1, 6), CostModel::uniform_test())
+            .with_recv_timeout(Duration::from_secs(5))
+            .phantom()
+            .with_exec(ExecMode::Pooled {
+                workers: Some(workers),
+            });
+        let r = Universe::run(cfg, |ctx| {
+            let world = ctx.world();
+            ctx.oob_fence(&world);
+        })
+        .unwrap();
+        assert!(
+            t0.elapsed() < Duration::from_secs(2),
+            "width {workers}: parked members waited for their deadlines"
+        );
+        r.stats.wakes
+    };
+    assert_eq!(run(1), 5, "one wake per parked member");
+    assert!(run(2) <= 5);
 }

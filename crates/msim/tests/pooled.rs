@@ -1,9 +1,9 @@
-//! Differential tests for the pooled rank executor: under pinned seeds,
-//! `ExecMode::Pooled` must produce results, virtual clocks, and canonical
-//! traces byte-identical to `ExecMode::ThreadPerRank`, across regular and
-//! irregular clusters, schedule fuzzing, injected kills, and every
-//! blocking wait-path (mailbox recv, shared flags, split/window/fence
-//! rendezvous).
+//! Width tests for the rank executor: under pinned seeds, a pool of one
+//! worker (the launching thread) and a pool of two must produce results,
+//! virtual clocks, and canonical traces byte-identical to each other,
+//! across regular and irregular clusters, schedule fuzzing, injected
+//! kills, fault-tolerant recovery, and every blocking wait-path (mailbox
+//! recv, shared flags, split/window/fence rendezvous).
 
 use std::time::Duration;
 
@@ -64,47 +64,50 @@ fn hybrid(ctx: &mut Ctx) -> u64 {
     sum.wrapping_add(ring(ctx, 2))
 }
 
-/// Run `f` under both executors with otherwise identical config and
+const ONE: ExecMode = ExecMode::Pooled { workers: Some(1) };
+const TWO: ExecMode = ExecMode::Pooled { workers: Some(2) };
+
+/// Run `f` on one worker and on two with otherwise identical config and
 /// assert byte-identical results, clocks, and traces.
-fn assert_differential<T>(mk: impl Fn() -> SimConfig, f: impl Fn(&mut Ctx) -> T + Send + Sync)
+fn assert_widths_agree<T>(mk: impl Fn() -> SimConfig, f: impl Fn(&mut Ctx) -> T + Send + Sync)
 where
     T: Send + PartialEq + std::fmt::Debug,
 {
-    let threads = Universe::run(mk().with_exec(ExecMode::ThreadPerRank), &f).unwrap();
-    let pooled = Universe::run(mk().with_exec(ExecMode::pooled()), &f).unwrap();
-    assert_eq!(pooled.per_rank, threads.per_rank, "results diverged");
-    assert_eq!(pooled.clocks, threads.clocks, "virtual clocks diverged");
+    let one = Universe::run(mk().with_exec(ONE), &f).unwrap();
+    let two = Universe::run(mk().with_exec(TWO), &f).unwrap();
+    assert_eq!(two.per_rank, one.per_rank, "results diverged");
+    assert_eq!(two.clocks, one.clocks, "virtual clocks diverged");
     assert_eq!(
-        pooled.tracer.events(),
-        threads.tracer.events(),
+        two.tracer.events(),
+        one.tracer.events(),
         "canonical traces diverged"
     );
 }
 
 #[test]
-fn pooled_matches_threads_on_regular_cluster() {
-    assert_differential(|| cfg(ClusterSpec::regular(2, 4)), |ctx| ring(ctx, 4));
+fn widths_agree_on_regular_cluster() {
+    assert_widths_agree(|| cfg(ClusterSpec::regular(2, 4)), |ctx| ring(ctx, 4));
 }
 
 #[test]
-fn pooled_matches_threads_on_irregular_cluster() {
-    assert_differential(|| cfg(ClusterSpec::irregular(vec![1, 3, 4])), hybrid);
+fn widths_agree_on_irregular_cluster() {
+    assert_widths_agree(|| cfg(ClusterSpec::irregular(vec![1, 3, 4])), hybrid);
 }
 
 #[test]
-fn pooled_matches_threads_across_all_fuzz_seeds() {
+fn widths_agree_across_all_fuzz_seeds() {
     // The conformance seeds: adversarial scheduling + seeded perturbation.
     // Clocks differ *across* seeds (the perturbation is seeded) but for
-    // each seed the two executors must agree exactly.
+    // each seed the two widths must agree exactly.
     for seed in 0..8u64 {
-        assert_differential(|| cfg(ClusterSpec::regular(2, 3)).fuzzed(seed), hybrid);
+        assert_widths_agree(|| cfg(ClusterSpec::regular(2, 3)).fuzzed(seed), hybrid);
     }
 }
 
 #[test]
 fn pooled_adversarial_ready_queue_is_invisible_to_virtual_time() {
     // Adversarial SchedulePolicy drives the pool's ready-queue picking;
-    // like thread wake-up fuzzing it must never leak into the model.
+    // it must never leak into the model.
     let baseline = Universe::run(
         cfg(ClusterSpec::regular(2, 3)).with_exec(ExecMode::pooled()),
         hybrid,
@@ -156,12 +159,6 @@ fn pooled_reports_peak_threads_as_pool_width() {
     )
     .unwrap();
     assert_eq!(r.peak_threads, 2);
-    let r = Universe::run(
-        cfg(ClusterSpec::regular(1, 6)).with_exec(ExecMode::ThreadPerRank),
-        |ctx| ring(ctx, 1),
-    )
-    .unwrap();
-    assert_eq!(r.peak_threads, 6);
     // workers: None clamps to min(ranks, available_parallelism) <= ranks.
     let r = Universe::run(
         cfg(ClusterSpec::regular(1, 2)).with_exec(ExecMode::pooled()),
@@ -190,15 +187,13 @@ fn a_one_worker_pool_runs_on_the_launching_thread() {
         .unwrap()
     };
     let launcher = std::thread::current().id();
-    for exec in [ExecMode::Events, ExecMode::Pooled { workers: Some(1) }] {
-        let r = observe(exec);
-        assert_eq!(r.peak_threads, 1, "{exec:?}");
-        assert!(
-            r.per_rank.iter().flatten().all(|&t| t == launcher),
-            "{exec:?}: a one-worker pool spawns no thread"
-        );
-    }
-    let r = observe(ExecMode::Pooled { workers: Some(2) });
+    let r = observe(ONE);
+    assert_eq!(r.peak_threads, 1);
+    assert!(
+        r.per_rank.iter().flatten().all(|&t| t == launcher),
+        "a one-worker pool spawns no thread"
+    );
+    let r = observe(TWO);
     assert_eq!(r.peak_threads, 2);
     assert!(
         r.per_rank.iter().flatten().all(|&t| t != launcher),
@@ -207,7 +202,7 @@ fn a_one_worker_pool_runs_on_the_launching_thread() {
 }
 
 #[test]
-fn pooled_injected_kill_surfaces_identically() {
+fn injected_kill_surfaces_identically_at_every_width() {
     let mk = |exec: ExecMode| {
         let plan = FaultPlan::none().with_kill(2, 3);
         Universe::run(
@@ -218,11 +213,11 @@ fn pooled_injected_kill_surfaces_identically() {
         )
         .unwrap_err()
     };
-    let threads = mk(ExecMode::ThreadPerRank);
-    let pooled = mk(ExecMode::pooled());
-    assert!(pooled.is_injected_kill(), "{pooled}");
-    assert_eq!(pooled, threads, "kill surfaced differently under pooling");
-    assert_eq!(pooled.rank(), 2);
+    let one = mk(ONE);
+    let two = mk(TWO);
+    assert!(one.is_injected_kill(), "{one}");
+    assert_eq!(two, one, "kill surfaced differently at two workers");
+    assert_eq!(one.rank(), 2);
 }
 
 #[test]
@@ -257,19 +252,8 @@ fn pooled_deadlock_detection_still_fires() {
 fn pooled_many_more_ranks_than_workers() {
     // 48 ranks on 2 workers: heavy multiplexing with every rank parking
     // in a 4-round ring. Completion alone proves park/wake liveness;
-    // checksums prove correctness.
-    let r = Universe::run(
-        cfg(ClusterSpec::regular(2, 24)).with_exec(ExecMode::Pooled { workers: Some(2) }),
-        |ctx| ring(ctx, 4),
-    )
-    .unwrap();
-    let t = Universe::run(
-        cfg(ClusterSpec::regular(2, 24)).with_exec(ExecMode::ThreadPerRank),
-        |ctx| ring(ctx, 4),
-    )
-    .unwrap();
-    assert_eq!(r.per_rank, t.per_rank);
-    assert_eq!(r.clocks, t.clocks);
+    // agreement with the launching thread alone proves correctness.
+    assert_widths_agree(|| cfg(ClusterSpec::regular(2, 24)), |ctx| ring(ctx, 4));
 }
 
 /// A minimal shrink-recovery driver at the msim level (the full driver
@@ -312,10 +296,10 @@ fn recovering_ring(ctx: &mut Ctx) -> Vec<usize> {
 }
 
 #[test]
-fn pooled_matches_threads_on_leader_failover() {
+fn widths_agree_on_leader_failover() {
     // Rank 0 dies mid-ring; the survivors detect, agree, shrink, and
     // re-run. Results, clocks, victim list, and the trace (including
-    // the Recovery events) must be identical under both executors.
+    // the Recovery events) must be identical at both widths.
     let mk = |exec: ExecMode| {
         let plan = FaultPlan::none().with_kill(0, 2);
         Universe::run_ft(
@@ -326,14 +310,14 @@ fn pooled_matches_threads_on_leader_failover() {
         )
         .unwrap()
     };
-    let threads = mk(ExecMode::ThreadPerRank);
-    let pooled = mk(ExecMode::pooled());
-    assert_eq!(pooled.per_rank, threads.per_rank, "results diverged");
-    assert_eq!(pooled.failed, threads.failed, "victim lists diverged");
-    assert_eq!(pooled.clocks, threads.clocks, "virtual clocks diverged");
+    let one = mk(ONE);
+    let pooled = mk(TWO);
+    assert_eq!(pooled.per_rank, one.per_rank, "results diverged");
+    assert_eq!(pooled.failed, one.failed, "victim lists diverged");
+    assert_eq!(pooled.clocks, one.clocks, "virtual clocks diverged");
     assert_eq!(
         pooled.tracer.events(),
-        threads.tracer.events(),
+        one.tracer.events(),
         "recovery traces diverged"
     );
     assert_eq!(pooled.failed, vec![0]);
@@ -345,19 +329,4 @@ fn pooled_matches_threads_on_leader_failover() {
             assert_eq!(got.as_deref(), Some(&survivors[..]), "rank {rank}");
         }
     }
-}
-
-#[test]
-fn env_override_is_read_by_simconfig() {
-    // MSIM_EXEC/MSIM_WORKERS are read at SimConfig::new time; exercise
-    // the parser via with_exec equivalence rather than mutating the
-    // process environment (tests run concurrently).
-    let c = SimConfig::new(ClusterSpec::regular(1, 2), CostModel::uniform_test());
-    match c.exec {
-        ExecMode::Pooled { .. } | ExecMode::ThreadPerRank | ExecMode::Events => {}
-    }
-    let c = c.with_exec(ExecMode::ThreadPerRank);
-    assert_eq!(c.exec, ExecMode::ThreadPerRank);
-    let c = c.with_exec(ExecMode::Events);
-    assert_eq!(c.exec, ExecMode::Events);
 }

@@ -169,7 +169,9 @@ fn reports_are_identical_across_repeated_runs() {
 }
 
 #[test]
-fn reports_agree_across_executor_modes() {
+fn reports_agree_across_pool_widths() {
+    const ONE: ExecMode = ExecMode::Pooled { workers: Some(1) };
+    const TWO: ExecMode = ExecMode::Pooled { workers: Some(2) };
     let with_mode = |mode: ExecMode| {
         let err = Universe::run(cfg(2, 3).with_exec(mode), |ctx| {
             hybrid_allgather(ctx, false)
@@ -177,19 +179,13 @@ fn reports_agree_across_executor_modes() {
         .unwrap_err();
         format!("{:?}", race_reports(&err))
     };
-    assert_eq!(
-        with_mode(ExecMode::ThreadPerRank),
-        with_mode(ExecMode::pooled())
-    );
-    // Both mutants, both modes.
+    assert_eq!(with_mode(ONE), with_mode(TWO));
+    // Both mutants, both widths.
     let flag_mode = |mode: ExecMode| {
         let err = Universe::run(cfg(1, 4).with_exec(mode), |ctx| flag_pair(ctx, true)).unwrap_err();
         format!("{:?}", race_reports(&err))
     };
-    assert_eq!(
-        flag_mode(ExecMode::ThreadPerRank),
-        flag_mode(ExecMode::pooled())
-    );
+    assert_eq!(flag_mode(ONE), flag_mode(TWO));
 }
 
 #[test]

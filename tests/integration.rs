@@ -361,26 +361,35 @@ fn every_hybrid_family_matches_its_oracle_at_one_and_two_leaders() {
     }
 }
 
-/// The executors are interchangeable: the order in which ready ranks are
-/// resumed (node-affine FIFO on the event calendar and in a one-worker
-/// pool, flat FIFO in a wider pool, OS scheduling under thread-per-rank) is a host-side choice that modeled
-/// behaviour never observes. One cell of the differential wall in
-/// `crates/core/tests/events_conformance.rs`, kept here so the tier-1
-/// command guards the resume order: two-leader allgather and allreduce
-/// on the irregular `[1, 3, 4]` layout, results, clock bits and canonical
-/// trace equal across all four ways of running it.
+/// The orders the two tests below run a universe in, against the
+/// one-worker baseline: two workers popping one flat FIFO, then two
+/// workers drawing every pick by adversarial schedule seeds 0-3.
+fn wider_schedules() -> impl Iterator<Item = hybrid_mpi::msim::SchedulePolicy> {
+    use hybrid_mpi::msim::SchedulePolicy;
+    std::iter::once(SchedulePolicy::Fifo).chain((0..4).map(SchedulePolicy::adversarial))
+}
+
+/// The pool width and pick order are interchangeable: the order in which
+/// ready ranks are resumed (node-affine FIFO in a one-worker pool, flat
+/// FIFO in a wider pool, seeded picks under an adversarial schedule) is a
+/// host-side choice that modeled behaviour never observes. Two cells of
+/// the digest fixture's contract (`crates/core/tests/digests.rs`), kept
+/// here so the tier-1 command guards the resume order: two-leader
+/// allgather and allreduce on the irregular `[1, 3, 4]` layout, results,
+/// clock bits and canonical trace equal however they are run.
 #[test]
 fn executors_agree_on_two_leader_collectives_on_an_irregular_layout() {
     use hybrid_mpi::collectives::op::Sum;
-    use hybrid_mpi::msim::ExecMode;
+    use hybrid_mpi::msim::{ExecMode, FaultPlan, SchedulePolicy};
 
-    let run = |exec: ExecMode| {
+    let run = |exec: ExecMode, schedule: SchedulePolicy| {
         let cfg = SimConfig::new(
             ClusterSpec::irregular(vec![1, 3, 4]),
             CostModel::uniform_test(),
         )
         .phantom()
         .traced()
+        .with_fault(FaultPlan::none().with_schedule(schedule))
         .with_exec(exec);
         let r = Universe::run(cfg, |ctx| {
             let world = ctx.world();
@@ -400,39 +409,35 @@ fn executors_agree_on_two_leader_collectives_on_an_irregular_layout() {
         (r.per_rank, clock_bits, r.tracer.events())
     };
 
-    let events = run(ExecMode::Events);
-    assert!(
-        events.1.iter().all(|&bits| bits != 0),
-        "every rank took part"
-    );
-    for exec in [
-        ExecMode::Pooled { workers: Some(1) },
-        ExecMode::Pooled { workers: Some(2) },
-        ExecMode::ThreadPerRank,
-    ] {
-        assert_eq!(run(exec), events, "{exec:?} vs Events");
+    let one = run(ExecMode::Pooled { workers: Some(1) }, SchedulePolicy::Fifo);
+    assert!(one.1.iter().all(|&bits| bits != 0), "every rank took part");
+    for schedule in wider_schedules() {
+        let two = run(ExecMode::Pooled { workers: Some(2) }, schedule.clone());
+        assert_eq!(two, one, "two workers, {schedule:?} vs one worker");
     }
 }
 
 /// The message path's wake rule — a push wakes its receiver only when
-/// that receiver is blocked on the pushed key — under all four ways of
-/// running a universe. Rank 1 blocks on one tag while rank 0 floods it
-/// with 100 packets under another and only then posts the awaited one;
+/// that receiver is blocked on the pushed key — at both pool widths and
+/// under adversarial picks. Rank 1 blocks on one tag while rank 0 floods
+/// it with 100 packets under another and only then posts the awaited one;
 /// afterwards every node runs a four-rank flag ring whose keys queue up
 /// behind a lagging receiver. Results and clock bits must agree. A wake
 /// the rule lost would leave a receiver parked: at width 2 that surfaces
 /// as an executor failure or a deadlock (`unwrap` fails), not a hang.
 #[test]
 fn executors_agree_on_a_flood_then_awaited_key_and_a_flag_ring() {
-    use hybrid_mpi::msim::{ExecMode, FaultPlan, Payload};
+    use hybrid_mpi::msim::{ExecMode, FaultPlan, Payload, SchedulePolicy};
     use std::time::Duration;
 
     const FLOODED: u32 = 1;
     const AWAITED: u32 = 2;
     const IDLE: u32 = 3;
     const RING: u32 = 4;
-    let run = |exec: ExecMode| {
-        let plan = FaultPlan::none().with_detect_timeout(Duration::from_millis(20));
+    let run = |exec: ExecMode, schedule: SchedulePolicy| {
+        let plan = FaultPlan::none()
+            .with_detect_timeout(Duration::from_millis(20))
+            .with_schedule(schedule);
         let cfg = SimConfig::new(ClusterSpec::regular(2, 4), CostModel::uniform_test())
             .phantom()
             .with_recv_timeout(Duration::from_secs(10))
@@ -443,8 +448,9 @@ fn executors_agree_on_a_flood_then_awaited_key_and_a_flag_ring() {
             let mut got = Vec::new();
             match ctx.rank() {
                 0 => {
-                    // Yield in a wait nobody answers, so rank 1 blocks
-                    // on the awaited key before the flood starts.
+                    // Yield in a wait nobody answers, so (on one worker)
+                    // rank 1 blocks on the awaited key before the flood
+                    // starts.
                     assert!(ctx.recv_deadline(&world, 1, IDLE).is_err());
                     for i in 1..=100 {
                         ctx.send(&world, 1, FLOODED, Payload::Phantom(i));
@@ -473,14 +479,11 @@ fn executors_agree_on_a_flood_then_awaited_key_and_a_flag_ring() {
         (r.per_rank, clock_bits)
     };
 
-    let events = run(ExecMode::Events);
+    let one = run(ExecMode::Pooled { workers: Some(1) }, SchedulePolicy::Fifo);
     let flood: Vec<usize> = std::iter::once(1000).chain(1..=100).collect();
-    assert_eq!(events.0[1], flood);
-    for exec in [
-        ExecMode::Pooled { workers: Some(1) },
-        ExecMode::Pooled { workers: Some(2) },
-        ExecMode::ThreadPerRank,
-    ] {
-        assert_eq!(run(exec), events, "{exec:?} vs Events");
+    assert_eq!(one.0[1], flood);
+    for schedule in wider_schedules() {
+        let two = run(ExecMode::Pooled { workers: Some(2) }, schedule.clone());
+        assert_eq!(two, one, "two workers, {schedule:?} vs one worker");
     }
 }
