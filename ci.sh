@@ -114,7 +114,9 @@
 #           and `bench scale --exec events --ranks 65536` (events
 #           ladder: one worker, 64 KiB stacks) each fail if measured
 #           wall-clock exceeds
-#           their stored budget by >25%; the committed BENCH_scale.json
+#           their stored budget by >25%; memory gate: the 65536-rank
+#           point also fails if its peak RSS exceeds its stored budget
+#           (no slack); the committed BENCH_scale.json
 #           must pass the artifact check (canonical JSON, executor
 #           counters). Also asserts the detector-off artifact is
 #           unaffected by the race feature.
@@ -136,7 +138,19 @@
 # bump it to paper over an unexplained regression. The procedure runs
 # downward too: a PR that makes a gated run faster re-measures and
 # lowers the budget in the same PR, or the gate stops catching a slide
-# back to the old cost. The full sweep
+# back to the old cost.
+#
+# Memory budget bump procedure: EVENTS_RSS_BUDGET_MIB is the peak
+# resident memory (MiB, `peak_rss_mib` of the point) allowed to
+# `scale --exec events --ranks 65536`. Memory does not vary with host
+# load the way wall-clock does (two runs agree to within 1 MiB), so the
+# gate has no slack: the budget is the limit. If the gate fails and the
+# growth is *intended*, re-measure with
+#   cargo run --release -p bench -- scale --exec events --ranks 65536 --out /tmp/scale.json
+# and set the budget between the new reading and the next cost you want
+# the gate to catch, in the same PR — never bump it to paper over
+# unexplained growth. A PR that shrinks the point lowers the budget the
+# same way, so a slide back to the old footprint trips the gate. The full sweep
 # (`bench scale` with no flags: pooled 48→4096 + events 8192→262144)
 # regenerates the whole BENCH_scale.json trajectory and is worth
 # re-running on executor changes (crates/bench/tests/artifact.rs pins
@@ -189,7 +203,12 @@ SCALE_BUDGET_S=1.0
 # 2-core Xeon, four runs alternating with the commit before the
 # key-matched mailbox wakes (1.29-1.38 s). Where the ~1.25 s go, from
 # timing the rank program cut off after each step (three alternating
-# runs each): launch + 65536 fresh stacks 0.22 s, hierarchy +
+# runs each): launch + 65536 fresh stacks 0.22 s (re-measured once
+# each stack stopped faulting in a page of its own for its canary:
+# 0.18-0.26 s against 0.30-0.46 s for the two-page layout, twelve
+# alternating runs of a rank program that returns at once, unpinned, on
+# a 2-core host slower than the one above — 65536 fewer page faults
+# per launch), hierarchy +
 # HybridComm 0.19-0.22 s, window allocation 0.06 s, the world barrier
 # before the timed region 0.38-0.42 s (16 rounds x 65536 messages,
 # every one to a rank whose stack and mailbox are cold — node affinity
@@ -203,6 +222,15 @@ SCALE_BUDGET_S=1.0
 # puts the hard limit at 10 s, and a slide back to quadratic set-up
 # (11.8 s when rendezvous deposits were scanned) still trips it.
 EVENTS_BUDGET_S=8.0
+
+# Stored peak-RSS budget (MiB) for the same 65536-rank events point
+# (perf stage; bump procedure in the header). Measured 392.3-392.4 MiB
+# (three `taskset -c 0` sweeps) with each rank's stack canary in its
+# neighbour's top stack page; the layout that gave every canary a page
+# of its own read 665.0-665.1 MiB (two sweeps, back to back). 512 sits
+# between the two, so a slide back to two pages per rank (+256 MiB at
+# this point) trips the gate.
+EVENTS_RSS_BUDGET_MIB=512
 
 # Stored wall-clock budget (seconds) for the mcheck stage's exhaustive
 # DPOR sweep (`mcheck --family all`: 8 families x 3 sync methods, real
@@ -431,10 +459,11 @@ stage_perf() {
     MSIM_RACE=1 bench scale --ranks 96 --out /tmp/ci_scale_perf_race.json \
         --budget-s "$SCALE_BUDGET_S"
     # The large-rank events-ladder point: 65536 phantom ranks on the
-    # launching thread, its own budget (EVENTS_BUDGET_S — see header). Temp
+    # launching thread, its own wall-clock and memory budgets
+    # (EVENTS_BUDGET_S, EVENTS_RSS_BUDGET_MIB — see header). Temp
     # artifact: CI never touches the committed BENCH_scale.json.
     bench scale --exec events --ranks 65536 --out /tmp/ci_scale_perf_events.json \
-        --budget-s "$EVENTS_BUDGET_S"
+        --budget-s "$EVENTS_BUDGET_S" --rss-budget-mib "$EVENTS_RSS_BUDGET_MIB"
     # Belt and braces: the committed artifact must pass the same check
     # (this is what guards hand-edited or clobbered artifacts;
     # crates/bench/tests/artifact.rs pins its shape).
@@ -471,7 +500,7 @@ describe_stage() {
     multileader) echo "leader count: digest fixture, uneven-node wall, BENCH_multileader byte-identical" ;;
     chaos) echo "chaos soak: seeded fault campaigns + invariant oracle + mutant probe" ;;
     smoke) echo "pinned-seed fault injection + both tuning tables cmp + every results/*.txt cmp" ;;
-    perf) echo "wall-clock budgets (96-rank pooled, 65536-rank events ladder), BENCH_scale" ;;
+    perf) echo "wall-clock budgets (96-rank pooled, 65536-rank events ladder), 65536-rank RSS budget, BENCH_scale" ;;
     *) echo "?" ;;
     esac
 }

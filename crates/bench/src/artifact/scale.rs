@@ -3,7 +3,8 @@
 //! 4096 on the default-width pool (the `pooled` ladder), then 8192 →
 //! 262144 on a one-worker pool with small stacks (the `events` ladder,
 //! named after the executor mode it used to run on). Each point
-//! records wall-clock seconds, virtual latency, its ladder (`exec`), the
+//! records wall-clock seconds, the process's peak resident memory while
+//! it ran (`peak_rss_mib`), virtual latency, its ladder (`exec`), the
 //! peak OS thread count and the executor's own counters (`resumes` and
 //! `node_turns` — their quotient is the mean run of same-node resumes
 //! the node-affine ready queue achieved; `node_turns` is 0 where a pool
@@ -20,6 +21,9 @@
 //! * `--budget-s SECS` fails the run when its total wall-clock exceeds
 //!   the stored budget by more than 25% (see the `ci.sh` header for the
 //!   bump procedure).
+//! * `--rss-budget-mib MIB` fails the run when any point's peak resident
+//!   memory exceeds the stored budget. Memory is not load noise, so there
+//!   is no slack: the budget is the limit.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -39,6 +43,7 @@ pub const FLAGS: Flags = &[
     ("--max-ranks", "N"),
     ("--exec", "pooled|events"),
     ("--budget-s", "SECS"),
+    ("--rss-budget-mib", "MIB"),
     ("--out", "PATH"),
     ("--verify", "PATH"),
 ];
@@ -131,13 +136,36 @@ struct Point {
     iters: usize,
     latency_us: f64,
     wall_s: f64,
+    peak_rss_mib: f64,
     peak_threads: usize,
     stats: SimStats,
 }
 
+/// Restart the process's resident-memory high-water mark at its current
+/// resident set (Linux: `5` written to `/proc/self/clear_refs`), so the
+/// next [`peak_rss_mib`] reading covers only what runs in between.
+fn reset_peak_rss() -> Result<(), String> {
+    std::fs::write("/proc/self/clear_refs", "5")
+        .map_err(|e| format!("cannot reset the peak RSS (/proc/self/clear_refs): {e}"))
+}
+
+/// The process's resident-memory high-water mark (`VmHWM`), in MiB.
+fn peak_rss_mib() -> Result<f64, String> {
+    let status = std::fs::read_to_string("/proc/self/status")
+        .map_err(|e| format!("cannot read /proc/self/status: {e}"))?;
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().strip_suffix("kB"))
+        .and_then(|kb| kb.trim().parse::<f64>().ok())
+        .map(|kb| kb / 1024.0)
+        .ok_or_else(|| "no VmHWM line in /proc/self/status".into())
+}
+
 /// Simulate the hybrid allgather once at `nodes`×`ppn` and measure the
-/// host-side wall-clock of the whole `Universe::run`.
-fn run_point(nodes: usize, ppn: usize, ladder: Ladder, machine: &Machine) -> Point {
+/// host-side wall-clock and peak resident memory of the whole
+/// `Universe::run`.
+fn run_point(nodes: usize, ppn: usize, ladder: Ladder, machine: &Machine) -> Result<Point, String> {
     let spec = ClusterSpec::regular(nodes, ppn);
     let ranks = nodes * ppn;
     let iters = if ranks >= SINGLE_ITER_RANKS { 1 } else { 3 };
@@ -147,6 +175,7 @@ fn run_point(nodes: usize, ppn: usize, ladder: Ladder, machine: &Machine) -> Poi
         .with_recv_timeout(std::time::Duration::from_secs(300))
         .with_exec(ladder.exec());
     let tuning = machine.tuning.clone();
+    reset_peak_rss()?;
     let t0 = Instant::now();
     let result = Universe::run(cfg, move |ctx| {
         let world = ctx.world();
@@ -161,17 +190,18 @@ fn run_point(nodes: usize, ppn: usize, ladder: Ladder, machine: &Machine) -> Poi
     })
     .expect("scale sweep universe must not fail");
     let wall_s = t0.elapsed().as_secs_f64();
-    Point {
+    Ok(Point {
         nodes,
         ppn,
         ranks,
         ladder,
         iters,
         wall_s,
+        peak_rss_mib: peak_rss_mib()?,
         peak_threads: result.peak_threads,
         stats: result.stats,
         latency_us: result.per_rank.into_iter().fold(0.0f64, f64::max),
-    }
+    })
 }
 
 fn to_json(points: &[Point], total_wall_s: f64) -> Json {
@@ -191,6 +221,7 @@ fn to_json(points: &[Point], total_wall_s: f64) -> Json {
         m.insert("latency_us".into(), Json::Num(p.latency_us));
         m.insert("node_turns".into(), Json::Num(p.stats.node_turns as f64));
         m.insert("nodes".into(), Json::Num(p.nodes as f64));
+        m.insert("peak_rss_mib".into(), Json::Num(round(p.peak_rss_mib, 1e2)));
         m.insert("peak_threads".into(), Json::Num(p.peak_threads as f64));
         m.insert("ppn".into(), Json::Num(p.ppn as f64));
         m.insert("ranks".into(), Json::Num(p.ranks as f64));
@@ -207,6 +238,7 @@ pub fn build(args: &Args) -> Result<String, String> {
     let only_ranks: Option<usize> = args.num("--ranks")?;
     let max_ranks = args.num("--max-ranks")?.unwrap_or(usize::MAX);
     let budget_s: Option<f64> = args.num("--budget-s")?;
+    let rss_budget_mib: Option<f64> = args.num("--rss-budget-mib")?;
     // The work list: (nodes, ppn, ladder). Default = pooled ladder
     // followed by the events ladder; an explicit --exec restricts to one.
     let ladders = match args.pick("--exec", LADDERS)? {
@@ -229,7 +261,7 @@ pub fn build(args: &Args) -> Result<String, String> {
     let mut points = Vec::with_capacity(work.len());
     let t0 = Instant::now();
     for (nodes, ppn, ladder) in work {
-        let p = run_point(nodes, ppn, ladder, &machine);
+        let p = run_point(nodes, ppn, ladder, &machine)?;
         let per_turn = match p.stats.node_turns {
             0 => String::new(),
             turns => format!(
@@ -238,12 +270,14 @@ pub fn build(args: &Args) -> Result<String, String> {
             ),
         };
         println!(
-            "scale: {} ranks ({}x{}, {}): {:.3} s wall, {:.1} us virtual, {} OS thread(s){per_turn}",
+            "scale: {} ranks ({}x{}, {}): {:.3} s wall, {:.1} MiB peak RSS, {:.1} us virtual, \
+             {} OS thread(s){per_turn}",
             p.ranks,
             p.nodes,
             p.ppn,
             p.ladder.label(),
             p.wall_s,
+            p.peak_rss_mib,
             p.latency_us,
             p.peak_threads
         );
@@ -265,10 +299,22 @@ pub fn build(args: &Args) -> Result<String, String> {
         }
         println!("scale: perf gate OK ({total_wall_s:.3} s <= {limit:.3} s limit)");
     }
+    if let Some(budget) = rss_budget_mib {
+        let peak = points.iter().map(|p| p.peak_rss_mib).fold(0.0, f64::max);
+        if peak > budget {
+            return Err(format!(
+                "MEMORY GATE FAILED: {peak:.1} MiB peak RSS exceeds the stored budget of \
+                 {budget:.1} MiB. If this growth is expected, bump the budget in ci.sh (see its \
+                 header for the procedure)."
+            ));
+        }
+        println!("scale: memory gate OK ({peak:.1} MiB <= {budget:.1} MiB budget)");
+    }
     Ok(to_json(&points, total_wall_s).pretty())
 }
 
-/// Every point must carry a ladder label and the executor's counters.
+/// Every point must carry a ladder label, the executor's counters and
+/// its peak resident memory.
 pub fn check(doc: &Json) -> Result<String, String> {
     let points = nonempty(doc, "points")?;
     for (i, p) in points.iter().enumerate() {
@@ -280,6 +326,13 @@ pub fn check(doc: &Json) -> Result<String, String> {
             if p.get(counter).and_then(|c| c.as_usize()).is_none() {
                 return Err(format!("point {i} lacks the \"{counter}\" counter"));
             }
+        }
+        if !p
+            .get("peak_rss_mib")
+            .and_then(|v| v.as_f64())
+            .is_some_and(|mib| mib > 0.0)
+        {
+            return Err(format!("point {i} lacks a positive \"peak_rss_mib\""));
         }
     }
     Ok(format!("{} points", points.len()))

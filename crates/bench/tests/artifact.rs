@@ -90,7 +90,8 @@ fn events_points_ran_on_a_single_thread() {
 
 /// Every point shows the mechanism next to the wall clock it bought:
 /// the executor's resume and node-turn counts and the stack arena it
-/// ran on, each rank resumed at least once.
+/// ran on, each rank resumed at least once, and the peak resident
+/// memory the point cost.
 #[test]
 fn every_point_carries_the_executor_counters() {
     let doc = load("BENCH_scale.json");
@@ -105,6 +106,11 @@ fn every_point_carries_the_executor_counters() {
         assert!(count("arena_mapped_bytes") >= ranks * (64 << 10), "{p:?}");
         assert!(p.get("arena_reused").is_some(), "{p:?}");
         count("node_turns");
+        let rss = p.get("peak_rss_mib").and_then(|v| v.as_f64());
+        assert!(
+            rss.is_some_and(|mib| mib > 0.0),
+            "point lacks peak_rss_mib: {p:?}"
+        );
     }
 }
 

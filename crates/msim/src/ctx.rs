@@ -392,7 +392,7 @@ impl Ctx {
             _ => None,
         };
         let beat = self.shared.ft.as_ref().map(|ft| ft.current_beat(me));
-        let key = (comm.id(), comm.rank(), tag);
+        let key = (comm.id(), comm.rank() as u32, tag);
         for d in dsts {
             if dst.is_none() && d == comm.rank() {
                 continue;
@@ -446,8 +446,6 @@ impl Ctx {
             self.shared.mailboxes[global_dst].push(
                 key,
                 Packet {
-                    src: comm.rank(),
-                    tag,
                     payload: std::mem::replace(&mut payload, Payload::Phantom(0)),
                     arrival,
                     vc: vc.clone(),
@@ -637,7 +635,7 @@ impl Ctx {
         if polled && self.claims_suppressed {
             return Ok(None);
         }
-        let key = (comm.id(), src, tag);
+        let key = (comm.id(), src as u32, tag);
         let me = self.global_rank;
         // Only an armed wait reads the wall clock up front.
         let armed = (!polled && self.shared.ft.is_some()).then(Instant::now);
@@ -723,9 +721,10 @@ impl Ctx {
     /// divergence — whereas a blocking wait just waits.
     ///
     /// Never inlined: `wait`'s frame sits on the stack of every parked
-    /// rank, and with this body's locals folded into it enough ranks of a
-    /// 4096-rank universe touch one more stack page to show in peak RSS
-    /// (`scale_events`: 44.0 MiB against 42.7).
+    /// rank, and with this body's locals folded into it a few ranks of a
+    /// 4096-rank universe reach one more stack page (`scale_events` peak
+    /// RSS: medians 25.50–25.54 MiB against 25.52–25.58 inlined, lower
+    /// in 8 of 10 alternating pairs).
     #[inline(never)]
     fn finish(
         &mut self,
@@ -769,7 +768,7 @@ impl Ctx {
             ft.observe_beat(global_src, beat);
         }
         if let Some(p) = &self.shared.probe {
-            let key = (comm.id(), src, tag);
+            let key = (comm.id(), src as u32, tag);
             p.record(if polled {
                 crate::mcheck::Op::PollHit { key, dst: me }
             } else {

@@ -211,23 +211,64 @@ unsafe fn msim_switch_stacks(_save: *mut usize, _load: *const usize) {
     unreachable!("pooled execution is not supported on this target");
 }
 
-/// Canary written at the low end of every coroutine stack; checked on
-/// every return to the worker to detect stack overflows (coroutine
-/// stacks have no guard page).
+/// Canary written in the 16 bytes at the low end of every coroutine
+/// stack; checked on every return to the worker to detect stack
+/// overflows (coroutine stacks have no guard page). Those bytes open the
+/// cache line just above the previous rank's stack top (see
+/// [`stack_slot`]), in the page that rank's frames already commit, so
+/// the check costs no page of its own. Where the page sits does not
+/// matter to detection: a rank that runs over the low end of its stack
+/// overwrites its canary on the way into its neighbour's frames.
 const STACK_CANARY: u64 = 0x5ca1_ab1e_dead_beef;
+
+/// Width of the line that holds a canary: one cache line, so the
+/// canary never shares a line with the neighbouring rank's frames.
+const CANARY_LINE: usize = 64;
+
+/// Where one rank's coroutine stack lies in an arena carved by a
+/// stride: byte offsets from the arena base of its canary (the low end)
+/// and of its top (frames grow down from `top` towards the canary).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StackSlot {
+    canary: usize,
+    top: usize,
+}
+
+/// The stack slot of `rank` in an arena carved by `stride` bytes per
+/// rank. Every rank's top sits one [`CANARY_LINE`] below its stride
+/// boundary, `(rank + 1) * stride - 64`, and rank `r > 0` keeps its
+/// canary in that last line of rank `r - 1`: `r * stride - 64`. A rank
+/// whose frames fit in the 4032 bytes under its top therefore commits
+/// one page: no page holds a canary alone. Rank 0 keeps its canary at
+/// the arena base. Slots tile the arena without overlap: each one ends
+/// where the next one's canary begins, and the last ends 64 bytes short
+/// of `nranks * stride`.
+fn stack_slot(rank: usize, stride: usize) -> StackSlot {
+    // The line below stride boundary `r`, rounded down to a whole line
+    // for strides that are not multiples of one.
+    let edge = |r: usize| ((r * stride) & !(CANARY_LINE - 1)) - CANARY_LINE;
+    StackSlot {
+        canary: if rank == 0 { 0 } else { edge(rank) },
+        top: edge(rank + 1),
+    }
+}
 
 /// Lay out a fresh coroutine stack so that the first
 /// `msim_switch_stacks` into it lands in `msim_coro_thunk`, which calls
-/// `entry(arg)`. Returns the initial saved stack pointer.
+/// `entry(arg)`. Returns the initial saved stack pointer. The canary
+/// goes in the first 16 bytes of `stack`, which [`stack_slot`] places in
+/// the top page of the previous rank's stack; frames start at the end
+/// of `stack`, aligned down to 16.
 ///
 /// # Safety
 /// `stack` must outlive every switch into the returned context.
 #[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
 unsafe fn prepare_stack(stack: &mut [u8], entry: usize, arg: usize) -> usize {
     let base = stack.as_mut_ptr() as usize;
-    // SAFETY: `stack` is a live allocation of at least 16 KiB (clamped in
-    // `CellTable::new`), so the two canary words at its low end are in-bounds
-    // writes to memory this function exclusively borrows.
+    // SAFETY: `stack` is a live slot within 128 bytes of the stride, which
+    // `CellTable::new` clamps to at least 16 KiB, so the two canary words at
+    // its low end are in-bounds writes to memory this function exclusively
+    // borrows.
     unsafe {
         (base as *mut u64).write(STACK_CANARY);
         ((base + 8) as *mut u64).write(STACK_CANARY);
@@ -610,7 +651,7 @@ struct CoroTask {
     /// Saved worker stack pointer, valid while the coroutine runs.
     worker_sp: usize,
     intent: Intent,
-    /// Low end of the stack allocation, for the canary check.
+    /// Low end of the rank's stack slot, where its canary lives.
     stack_base: *mut u8,
 }
 
@@ -651,12 +692,13 @@ pub(crate) fn park_current(deadline: Instant) {
 /// One reservation holding every rank's coroutine stack. On Linux this
 /// is an anonymous `MAP_NORESERVE` mapping: 262 144 ranks × 64 KiB is
 /// 16 GiB of *address space*, but only the pages a rank program
-/// actually touches (typically 2–4) are ever committed. Elsewhere it
-/// falls back to one zeroed heap allocation, which on every mainstream
-/// allocator is also lazily committed at these sizes.
+/// actually touches (one for a shallow program: its canary lives in a
+/// neighbour's page) are ever committed. Elsewhere it falls back to one
+/// zeroed heap allocation, which on every mainstream allocator is also
+/// lazily committed at these sizes.
 ///
 /// The mapping is plain bytes with no per-run structure: each run carves
-/// it afresh by its own stride (`rank * stack_size`), and a stack needs
+/// it afresh by its own stride ([`stack_slot`]), and a stack needs
 /// no initial contents beyond what [`prepare_stack`] writes, so a mapping
 /// another universe dirtied is as good as a fresh one — better, its
 /// pages are already faulted in.
@@ -712,9 +754,9 @@ mod sys {
 
 impl StackArena {
     fn layout(len: usize) -> Layout {
-        // 16-byte alignment satisfies both ABIs; `prepare_stack`
-        // re-aligns the top of each slot anyway.
-        Layout::from_size_align(len, 16).expect("arena size overflows a Layout")
+        // Page-aligned like the mapping, so the offsets `stack_slot`
+        // places in one page land in one page here too.
+        Layout::from_size_align(len, 4096).expect("arena size overflows a Layout")
     }
 
     fn map(len: usize) -> Self {
@@ -906,10 +948,10 @@ where
                     sp: 0,
                     worker_sp: 0,
                     intent: Intent::None,
-                    // In bounds: `rank * stack_size` is below the
-                    // arena's length, which `take` made at least
-                    // `nranks * stack_size`.
-                    stack_base: base.wrapping_add(rank * stack_size),
+                    // In bounds: every slot lies below
+                    // `nranks * stack_size`, and `take` made the arena
+                    // at least that long.
+                    stack_base: base.wrapping_add(stack_slot(rank, stack_size).canary),
                 }),
                 pack: UnsafeCell::new(LaunchPack {
                     rank,
@@ -962,7 +1004,9 @@ where
                 let pack = cell.pack.get();
                 (*pack).out = cell.out.get();
                 (*pack).task = task;
-                let stack = std::slice::from_raw_parts_mut((*task).stack_base, self.stack_size);
+                let slot = stack_slot(rank, self.stack_size);
+                let stack =
+                    std::slice::from_raw_parts_mut((*task).stack_base, slot.top - slot.canary);
                 (*task).sp = prepare_stack(
                     stack,
                     coro_entry::<T, F> as *const () as usize,
@@ -1109,6 +1153,7 @@ mod tests {
     use super::*;
     use crate::universe::{SimConfig, Universe};
     use crate::SimError;
+    use simnet::rng::check_cases;
     use simnet::{ClusterSpec, CostModel, Placement};
 
     fn cfg(exec: ExecMode) -> SimConfig {
@@ -1180,10 +1225,11 @@ mod tests {
 
     /// The canary is a real guard, not decoration: a write that lands
     /// past the low end of a coroutine stack is caught as an
-    /// `ExecutorFailure` naming the overflow, never silent corruption —
-    /// also on a slot an earlier universe used, whose canary words that
-    /// universe wrote too. And the executor panic that reports it leaves
-    /// an arena the next universe runs on.
+    /// `ExecutorFailure` naming the overflowing rank, never silent
+    /// corruption — also on a slot an earlier universe used, whose canary
+    /// words that universe wrote too, and for rank 1, whose canary sits
+    /// in the top page of rank 0's stack. And the executor panic that
+    /// reports it leaves an arena the next universe runs on.
     #[test]
     fn clobbered_stack_canary_is_reported_as_overflow() {
         if !POOL_SUPPORTED {
@@ -1198,35 +1244,142 @@ mod tests {
                 s.spawn(|| {
                     let clean = || Universe::run(cfg(exec), |ctx| ctx.rank()).unwrap();
                     assert!(!clean().stats.arena_reused, "{exec:?}");
-                    let err = Universe::run(cfg(exec), |ctx| {
-                        if ctx.rank() == 0 {
-                            let task = CURRENT_TASK.with(|c| c.get());
-                            assert!(!task.is_null(), "rank must be running as a coroutine");
-                            // Simulate the last store of a stack overflow:
-                            // clobber the canary word at the low end of
-                            // this coroutine's own stack.
-                            // SAFETY: `task` is this coroutine's live
-                            // switch cell and `stack_base` points at its
-                            // stack slot, so the write stays inside memory
-                            // this run owns — the *check* failing is the
-                            // point, not UB.
-                            unsafe {
-                                ((*task).stack_base as *mut u64).write(0);
+                    for victim in [0, 1] {
+                        let err = Universe::run(cfg(exec), |ctx| {
+                            if ctx.rank() == victim {
+                                let task = CURRENT_TASK.with(|c| c.get());
+                                assert!(!task.is_null(), "rank must be running as a coroutine");
+                                // Simulate the last store of a stack
+                                // overflow: clobber the canary word at
+                                // the low end of this coroutine's own
+                                // stack.
+                                // SAFETY: `task` is this coroutine's live
+                                // switch cell and `stack_base` points at
+                                // its canary, inside the slot this run
+                                // owns — the *check* failing is the
+                                // point, not UB.
+                                unsafe {
+                                    ((*task).stack_base as *mut u64).write(0);
+                                }
                             }
+                        })
+                        .unwrap_err();
+                        match err {
+                            SimError::ExecutorFailure { rank, message, .. } => {
+                                assert_eq!(rank, victim, "{exec:?}: {message}");
+                                let named = format!("rank {victim} overflowed");
+                                assert!(message.contains(&named), "{exec:?}: {message}");
+                            }
+                            other => panic!("{exec:?}: expected an executor failure, got {other}"),
                         }
-                    })
-                    .unwrap_err();
-                    match err {
-                        SimError::ExecutorFailure { message, .. } => {
-                            assert!(message.contains("overflowed"), "{exec:?}: {message}");
-                        }
-                        other => panic!("{exec:?}: expected an executor failure, got {other}"),
+                        let after = clean();
+                        assert!(after.stats.arena_reused, "{exec:?}");
+                        assert_eq!(after.per_rank, vec![0, 1], "{exec:?}");
                     }
-                    let after = clean();
-                    assert!(after.stats.arena_reused, "{exec:?}");
-                    assert_eq!(after.per_rank, vec![0, 1], "{exec:?}");
                 });
             });
+        }
+    }
+
+    /// The slot layout, over random rank counts and strides (page
+    /// multiples, the 16 KiB floor, and strides that are not page or
+    /// even line multiples): slots are disjoint and inside
+    /// `nranks * stride`, tops are 16-byte aligned, and every canary but
+    /// rank 0's starts at the previous rank's top, in one page, but in a
+    /// line of its own, apart from that rank's frames. For page-multiple
+    /// strides the canary shares the page of the previous rank's topmost
+    /// frame bytes: no page holds a canary alone.
+    #[test]
+    fn stack_slots_tile_the_arena_and_canaries_share_the_neighbours_top_page() {
+        const PAGE: usize = 4096;
+        check_cases(0x57ac, 300, |rng| {
+            let stride = match rng.usize_in(0, 4) {
+                0 => 16 * 1024,
+                1 => PAGE * rng.usize_in(4, 65),
+                2 => 16 * rng.usize_in(1024, 16_384),
+                _ => rng.usize_in(16 * 1024, 300_000),
+            };
+            let nranks = rng.usize_in(1, 40);
+            let slots: Vec<StackSlot> = (0..nranks).map(|r| stack_slot(r, stride)).collect();
+            assert_eq!(slots[0].canary, 0, "stride {stride}");
+            for (r, slot) in slots.iter().enumerate() {
+                assert_eq!(slot.top % 16, 0, "rank {r}, stride {stride}");
+                assert_eq!(slot.canary % 16, 0, "rank {r}, stride {stride}");
+                assert!(slot.top - slot.canary >= stride - 2 * CANARY_LINE);
+                assert!(slot.top <= nranks * stride, "rank {r}, stride {stride}");
+                if r == 0 {
+                    continue;
+                }
+                // Tiled: rank r's canary starts where rank r - 1's
+                // frames end, so it is at or above that top, in its page.
+                let below = slots[r - 1];
+                assert_eq!(below.top, slot.canary, "rank {r}, stride {stride}");
+                assert_eq!(
+                    slot.canary / PAGE,
+                    (slot.canary + 15) / PAGE,
+                    "rank {r}'s canary straddles a page, stride {stride}"
+                );
+                assert_ne!(
+                    (below.top - 1) / CANARY_LINE,
+                    slot.canary / CANARY_LINE,
+                    "rank {r}'s canary shares a line with rank {}'s frames",
+                    r - 1
+                );
+                if stride % PAGE == 0 {
+                    assert_eq!(
+                        (below.top - 1) / PAGE,
+                        slot.canary / PAGE,
+                        "stride {stride}"
+                    );
+                }
+            }
+        });
+    }
+
+    /// A shallow rank commits one stack page, its canary included: 256
+    /// ranks × 64 KiB leave at most 257 pages resident in the kept arena
+    /// (with a canary page of its own, each rank would commit two).
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_shallow_rank_commits_one_stack_page() {
+        use core::ffi::c_void;
+        unsafe extern "C" {
+            fn mincore(addr: *mut c_void, length: usize, vec: *mut u8) -> i32;
+            fn sysconf(name: i32) -> i64;
+        }
+        const SC_PAGESIZE: i32 = 30;
+        if !POOL_SUPPORTED {
+            return;
+        }
+        for workers in [1, 2] {
+            // A fresh thread: it starts with no kept arena, so the one
+            // it keeps afterwards holds this run's pages only.
+            let resident = std::thread::spawn(move || {
+                let cfg = SimConfig::new(ClusterSpec::regular(16, 16), CostModel::uniform_test())
+                    .phantom()
+                    .with_stack_size(64 << 10)
+                    .with_exec(ExecMode::Pooled {
+                        workers: Some(workers),
+                    });
+                let run = Universe::run(cfg, |ctx| ctx.rank()).unwrap();
+                assert_eq!(run.per_rank, (0..256).collect::<Vec<_>>());
+                let arena = KEPT_ARENA.take().expect("a 16 MiB arena is kept");
+                assert!(arena.mmapped && arena.len == 256 << 16);
+                // SAFETY: `sysconf` has no preconditions.
+                let page = usize::try_from(unsafe { sysconf(SC_PAGESIZE) }).unwrap();
+                let mut vec = vec![0u8; arena.len.div_ceil(page)];
+                // SAFETY: `base`/`len` span a live mapping and `vec` has
+                // one byte per page of it.
+                let rc = unsafe { mincore(arena.base.cast(), arena.len, vec.as_mut_ptr()) };
+                assert_eq!(rc, 0, "mincore failed");
+                vec.iter().filter(|&&b| b & 1 != 0).count()
+            })
+            .join()
+            .unwrap();
+            assert!(
+                resident <= 257,
+                "width {workers}: {resident} arena pages resident for 256 shallow ranks"
+            );
         }
     }
 

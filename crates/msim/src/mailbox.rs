@@ -20,8 +20,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Matching key: (communicator context id, source rank in that
-/// communicator, user tag).
-pub(crate) type MatchKey = (u32, usize, u32);
+/// communicator, user tag). Ranks fit in `u32`: the universe checks its
+/// rank count once, when it is built.
+pub(crate) type MatchKey = (u32, u32, u32);
 
 /// Multiply-rotate hash of a [`MatchKey`]'s three small integers. The
 /// keys are minted by the simulator itself (context ids, ranks, tags),
@@ -262,36 +263,38 @@ mod tests {
         Mailbox::new(0, Arc::new(PoolCore::new(&map, PickPolicy::Fifo, 1)))
     }
 
-    fn pkt(src: usize, tag: u32) -> Packet {
+    fn pkt(arrival: f64) -> Packet {
         Packet {
-            src,
-            tag,
             payload: Payload::empty(),
-            arrival: 0.0,
+            arrival,
             vc: None,
             beat: None,
         }
     }
 
+    /// A queued packet and its key together are what a table bucket
+    /// holds; after a world barrier a rank's mailbox holds 16–32 of them,
+    /// most of a rank's heap at scale.
+    #[test]
+    fn a_keyed_slot_fits_in_80_bytes() {
+        assert!(std::mem::size_of::<(MatchKey, Slot)>() <= 80);
+    }
+
     #[test]
     fn push_pop_matches_by_key() {
         let mb = unparked();
-        mb.push((0, 1, 7), pkt(1, 7));
-        mb.push((0, 2, 7), pkt(2, 7));
+        mb.push((0, 1, 7), pkt(1.0));
+        mb.push((0, 2, 7), pkt(2.0));
         let got = mb.pop((0, 2, 7), Duration::from_secs(1)).unwrap();
-        assert_eq!(got.src, 2);
+        assert_eq!(got.arrival, 2.0);
         assert_eq!(mb.queued(), 1);
     }
 
     #[test]
     fn fifo_within_a_key() {
         let mb = unparked();
-        let mut a = pkt(0, 0);
-        a.arrival = 1.0;
-        let mut b = pkt(0, 0);
-        b.arrival = 2.0;
-        mb.push((0, 0, 0), a);
-        mb.push((0, 0, 0), b);
+        mb.push((0, 0, 0), pkt(1.0));
+        mb.push((0, 0, 0), pkt(2.0));
         assert_eq!(
             mb.pop((0, 0, 0), Duration::from_secs(1)).unwrap().arrival,
             1.0
@@ -324,13 +327,13 @@ mod tests {
                 if rank == 0 {
                     shared.mailboxes[0]
                         .pop((1, 0, 3), Duration::from_secs(5))
-                        .map(|p| p.tag)
+                        .map(|p| p.arrival)
                 } else {
-                    shared.mailboxes[0].push((1, 0, 3), pkt(0, 3));
+                    shared.mailboxes[0].push((1, 0, 3), pkt(3.0));
                     None
                 }
             });
-            assert_eq!(got.unwrap(), vec![Some(3), None], "width {workers}");
+            assert_eq!(got.unwrap(), vec![Some(3.0), None], "width {workers}");
         }
     }
 
@@ -347,7 +350,7 @@ mod tests {
         check_cases(0x5107, 200, |rng| {
             let mb = unparked();
             let nkeys = rng.usize_in(1, 5);
-            let keys: Vec<MatchKey> = (0..nkeys).map(|k| (k as u32 % 2, k, 7)).collect();
+            let keys: Vec<MatchKey> = (0..nkeys as u32).map(|k| (k % 2, k, 7)).collect();
             let mut model = vec![VecDeque::new(); nkeys];
             // Per key: the distinct slot shapes seen so far, as
             // spilled-or-not (an emptied key does not reset it).
@@ -357,9 +360,7 @@ mod tests {
                 let k = rng.usize_in(0, nkeys);
                 if model[k].len() < 40 && rng.chance(0.55) {
                     stamp += 1.0;
-                    let mut p = pkt(keys[k].1, keys[k].2);
-                    p.arrival = stamp;
-                    mb.push(keys[k], p);
+                    mb.push(keys[k], pkt(stamp));
                     model[k].push_back(stamp);
                     deepest.set(deepest.get().max(model[k].len()));
                 } else {

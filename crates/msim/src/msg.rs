@@ -69,13 +69,11 @@ impl Payload {
     }
 }
 
-/// A message in flight or queued at the receiver.
+/// A message in flight or queued at the receiver. Its sender (rank
+/// within the communicator it was sent on) and tag are not stored here:
+/// they are part of the match key the packet is filed under.
 #[derive(Debug, Clone)]
 pub struct Packet {
-    /// Sender's rank *within the communicator* the message was sent on.
-    pub src: usize,
-    /// User tag.
-    pub tag: u32,
     /// Contents.
     pub payload: Payload,
     /// Virtual arrival time at the receiver (µs).

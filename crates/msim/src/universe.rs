@@ -536,6 +536,12 @@ impl Universe {
     {
         let map = config.placement.build(&config.spec);
         let nranks = map.nranks();
+        // Match keys carry communicator ranks as `u32`; checked here once
+        // instead of at every message.
+        assert!(
+            u32::try_from(nranks).is_ok(),
+            "{nranks} ranks exceed the u32 rank range of match keys"
+        );
         // The model-checker controller: installed directly by
         // `mcheck::explore`, or reconstructed from a replayed
         // certificate's decision trace. It takes over every ready-queue
