@@ -201,22 +201,23 @@ SCALE_BUDGET_S=1.0
 # Stored wall-clock budget (seconds) for the 65536-rank `--exec events`
 # point (perf stage), single thread. Measured 1.25-1.36 s unpinned on a
 # 2-core Xeon, four runs alternating with the commit before the
-# key-matched mailbox wakes (1.29-1.38 s). Where the ~1.25 s go, from
-# timing the rank program cut off after each step (three alternating
-# runs each): launch + 65536 fresh stacks 0.22 s (re-measured once
-# each stack stopped faulting in a page of its own for its canary:
-# 0.18-0.26 s against 0.30-0.46 s for the two-page layout, twelve
-# alternating runs of a rank program that returns at once, unpinned, on
-# a 2-core host slower than the one above — 65536 fewer page faults
-# per launch), hierarchy +
-# HybridComm 0.19-0.22 s, window allocation 0.06 s, the world barrier
-# before the timed region 0.38-0.42 s (16 rounds x 65536 messages,
-# every one to a rank whose stack and mailbox are cold — node affinity
-# cannot help a global barrier, and two locks fewer per message do not
-# show next to those misses: 0.38-0.39 s before), the timed allgather
-# 0.27-0.36 s (0.39-0.48 s before: the cyclic node sweep of the ready
-# queue keeps the leaders' bridge ring in node order; at 4096 ranks,
-# where the rest fits in cache, the allgather is most of the pass).
+# key-matched mailbox wakes (1.29-1.38 s). Where the time goes, from
+# timing the rank program cut off after each step, re-measured with the
+# packet handoff, stall-started wait timeouts and test-and-set mailbox
+# lock: eight runs per step, `taskset -c 0`, alternating with the
+# commit before them on a noisy 2-core host, minimum (median) per step:
+# launch + 65536 fresh stacks 0.15 (0.16) s, unchanged (0.15 (0.16)
+# before; one stack page per rank since the canary moved into its
+# neighbour's top page, 0.30-0.46 s when it had a page of its own),
+# hierarchy + HybridComm 0.20 (0.24) s (0.25 (0.29) before), window
+# allocation 0.05 (0.10) s (0.09 (0.11)), the world barrier before the
+# timed region 0.46 (0.63) s (0.48 (0.57) — 16 rounds x 65536 messages,
+# every one to a rank whose stack and mailbox are cold: node affinity
+# cannot help a global barrier, and cheaper locks and parks do not show
+# next to those misses), the timed allgather 0.31 (0.31) s (0.41
+# (0.60) before; the cyclic node sweep of the ready queue keeps the
+# leaders' bridge ring in node order; at 4096 ranks, where the rest
+# fits in cache, the allgather is most of the pass).
 # The budget stays at 8 s: what this point gained is inside the host's
 # own spread, 8 s absorbs load noise and a slower host, the 25% slack
 # puts the hard limit at 10 s, and a slide back to quadratic set-up
@@ -229,7 +230,10 @@ EVENTS_BUDGET_S=8.0
 # neighbour's top stack page; the layout that gave every canary a page
 # of its own read 665.0-665.1 MiB (two sweeps, back to back). 512 sits
 # between the two, so a slide back to two pages per rank (+256 MiB at
-# this point) trips the gate.
+# this point) trips the gate. The packet handoff slot makes a mailbox
+# 48 bytes larger (128 B; +3 MiB at this point by arithmetic): the
+# `taskset -c 0` sweep with it read 392.4 MiB, the commit before it
+# 392.45 MiB.
 EVENTS_RSS_BUDGET_MIB=512
 
 # Stored wall-clock budget (seconds) for the mcheck stage's exhaustive

@@ -5,10 +5,13 @@
 //! named after the executor mode it used to run on). Each point
 //! records wall-clock seconds, the process's peak resident memory while
 //! it ran (`peak_rss_mib`), virtual latency, its ladder (`exec`), the
-//! peak OS thread count and the executor's own counters (`resumes` and
-//! `node_turns` — their quotient is the mean run of same-node resumes
-//! the node-affine ready queue achieved; `node_turns` is 0 where a pool
-//! wider than one worker pops a flat FIFO instead — and whether the
+//! peak OS thread count and the executor's own counters (`resumes`,
+//! `wakes` — the wakes that reached the executor, one per push that met
+//! its receiver blocked on its key and one per member parked on a
+//! rendezvous — and `node_turns`; `resumes / node_turns` is the mean run
+//! of same-node resumes the node-affine ready queue achieved;
+//! `node_turns` is 0 where a pool wider than one worker pops a flat FIFO
+//! instead — and whether the
 //! stack arena was `arena_reused` from the previous point, with its
 //! `arena_mapped_bytes`): the repo's wall-clock performance trajectory,
 //! gated by `ci.sh perf`.
@@ -226,6 +229,7 @@ fn to_json(points: &[Point], total_wall_s: f64) -> Json {
         m.insert("ppn".into(), Json::Num(p.ppn as f64));
         m.insert("ranks".into(), Json::Num(p.ranks as f64));
         m.insert("resumes".into(), Json::Num(p.stats.resumes as f64));
+        m.insert("wakes".into(), Json::Num(p.stats.wakes as f64));
         m.insert("wall_s".into(), Json::Num(round(p.wall_s, 1e6)));
         Json::Obj(m)
     });
@@ -322,7 +326,7 @@ pub fn check(doc: &Json) -> Result<String, String> {
         if !LADDERS.iter().any(|(label, _)| exec == Some(*label)) {
             return Err(format!("point {i} has no recognized \"exec\" label"));
         }
-        for counter in ["resumes", "node_turns", "arena_mapped_bytes"] {
+        for counter in ["resumes", "wakes", "node_turns", "arena_mapped_bytes"] {
             if p.get(counter).and_then(|c| c.as_usize()).is_none() {
                 return Err(format!("point {i} lacks the \"{counter}\" counter"));
             }

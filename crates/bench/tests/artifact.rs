@@ -89,9 +89,10 @@ fn events_points_ran_on_a_single_thread() {
 }
 
 /// Every point shows the mechanism next to the wall clock it bought:
-/// the executor's resume and node-turn counts and the stack arena it
-/// ran on, each rank resumed at least once, and the peak resident
-/// memory the point cost.
+/// the executor's resume, wake and node-turn counts and the stack arena
+/// it ran on, each rank resumed at least once, a wake behind every
+/// resume after a rank's first (no wait of these runs times out), and
+/// the peak resident memory the point cost.
 #[test]
 fn every_point_carries_the_executor_counters() {
     let doc = load("BENCH_scale.json");
@@ -103,6 +104,7 @@ fn every_point_carries_the_executor_counters() {
         };
         let ranks = count("ranks");
         assert!(count("resumes") >= ranks, "{p:?}");
+        assert!(count("wakes") >= count("resumes") - ranks, "{p:?}");
         assert!(count("arena_mapped_bytes") >= ranks * (64 << 10), "{p:?}");
         assert!(p.get("arena_reused").is_some(), "{p:?}");
         count("node_turns");

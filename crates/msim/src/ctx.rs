@@ -1,6 +1,5 @@
 //! The per-rank execution context.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -10,8 +9,10 @@ use crate::buffer::Buf;
 use crate::comm::Communicator;
 use crate::elem::ShmElem;
 use crate::error::SimError;
+use crate::exec::Wait;
 use crate::fault::KILL_MARKER;
 use crate::ft::{AgreeOutcome, CommitOutcome, FtWatch, GrowOutcome, WaitError, FT_POLL_SLICE};
+use crate::hash::KeyMap;
 use crate::mailbox::{MatchKey, SlotMap};
 use crate::msg::{Packet, Payload};
 use crate::request::Drive;
@@ -23,12 +24,12 @@ pub struct Ctx {
     global_rank: usize,
     clock: Clock,
     shared: Arc<Shared>,
-    oob_seqs: HashMap<u32, u32>,
+    oob_seqs: KeyMap<u32, u32>,
     /// Operations executed so far (fault-injection event counter).
     op_count: u64,
     /// Messages sent so far per destination global rank (perturbation
     /// sequence numbers; only maintained when a perturbation is active).
-    send_seqs: HashMap<usize, u64>,
+    send_seqs: KeyMap<usize, u64>,
     /// Shared windows allocated so far by this rank (feeds the
     /// deterministic window identity used by the race detector).
     win_seq: u64,
@@ -76,9 +77,9 @@ impl Ctx {
             global_rank,
             clock: Clock::new(),
             shared,
-            oob_seqs: HashMap::new(),
+            oob_seqs: KeyMap::default(),
             op_count: 0,
-            send_seqs: HashMap::new(),
+            send_seqs: KeyMap::default(),
             win_seq: 0,
             ft_epoch: 0,
             op_label: String::new(),
@@ -525,7 +526,7 @@ impl Ctx {
         let mailbox = &self.shared.mailboxes[self.global_rank];
         for i in 0..self.watched.len() {
             let key = self.watched[i];
-            while let Some(p) = mailbox.pop(key, Duration::ZERO) {
+            while let Some(p) = mailbox.pop(key, Wait::For(Duration::ZERO)) {
                 self.stash.push_back(key, p);
                 self.progress_claims += 1;
             }
@@ -637,14 +638,17 @@ impl Ctx {
         }
         let key = (comm.id(), src as u32, tag);
         let me = self.global_rank;
-        // Only an armed wait reads the wall clock up front.
+        // Only an armed wait reads the wall clock: up front, and once per
+        // slice, which it parks until. A disarmed one parks for its whole
+        // timeout, which the executor counts from the first stall of the
+        // pool; a poll looks once.
         let armed = (!polled && self.shared.ft.is_some()).then(Instant::now);
         let detect = self.shared.fault.detect_timeout();
-        let mut slice = match how {
-            Drive::Poll => Duration::ZERO,
-            _ if armed.is_some() => FT_POLL_SLICE,
-            Drive::Block => self.shared.recv_timeout,
-            Drive::Deadline => detect,
+        let mut wait = match (how, armed) {
+            (Drive::Poll, _) => Wait::For(Duration::ZERO),
+            (_, Some(start)) => Wait::Until(start + FT_POLL_SLICE),
+            (Drive::Block, None) => Wait::For(self.shared.recv_timeout),
+            (Drive::Deadline, None) => Wait::For(detect),
         };
         // A typed error ends an infallible wait by unwinding with it.
         let raise = |e: WaitError| match how {
@@ -677,7 +681,7 @@ impl Ctx {
             let found = self
                 .stash
                 .pop_front(key)
-                .or_else(|| self.shared.mailboxes[me].pop(key, slice));
+                .or_else(|| self.shared.mailboxes[me].pop(key, wait));
             if let Some(packet) = found {
                 break packet;
             }
@@ -699,12 +703,17 @@ impl Ctx {
             };
             if let Err(e) = self.check_peer(comm, comm.global_of(src), tag) {
                 verdict = Some(e);
-                slice = Duration::ZERO;
-            } else if self.shared.fault.perturb.has_drops() && start.elapsed() >= detect {
+                wait = Wait::For(Duration::ZERO);
+                continue;
+            }
+            let now = Instant::now();
+            if self.shared.fault.perturb.has_drops() && now >= start + detect {
                 return raise(timeout());
-            } else if Instant::now() >= start + self.shared.recv_timeout {
+            }
+            if now >= start + self.shared.recv_timeout {
                 deadlock();
             }
+            wait = Wait::Until(now + FT_POLL_SLICE);
         };
         self.unwatch(key);
         if polled {

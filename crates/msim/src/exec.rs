@@ -93,11 +93,14 @@ impl ExecMode {
         ExecMode::Pooled { workers: None }
     }
 
-    /// Resolve the worker count for `nranks` ranks.
+    /// Resolve the worker count for `nranks` ranks. Only the default
+    /// width asks the OS: `available_parallelism` reads cgroup files on
+    /// every call, once per universe launch.
     pub(crate) fn worker_count(&self, nranks: usize) -> usize {
-        let ExecMode::Pooled { workers } = self;
-        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-        workers.unwrap_or(hw).clamp(1, nranks.max(1))
+        let ExecMode::Pooled { workers } = *self;
+        let width =
+            workers.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        width.clamp(1, nranks.max(1))
     }
 }
 
@@ -323,15 +326,40 @@ unsafe fn prepare_stack(_stack: &mut [u8], _entry: usize, _arg: usize) -> usize 
 // Pool core: rank states, ready queue, parking protocol.
 // ---------------------------------------------------------------------------
 
+/// How long a park lasts when nobody wakes it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Wait {
+    /// This long after the pool first stalls while the rank is parked.
+    /// The scheduler starts the clock when it finds nothing ready, so the
+    /// park cycle of a run that is making progress reads no clock at all,
+    /// and a wait expires only when a stall outlasts it: what a deadlock
+    /// timeout means. The disarmed mailbox wait and set-up rendezvous
+    /// park this way.
+    For(Duration),
+    /// Until this wall-clock instant: the slices of fault-tolerance
+    /// polls and armed waits, whose failure detection is wall-clock
+    /// timed whether or not other ranks run meanwhile.
+    Until(Instant),
+}
+
+/// Why a parked coroutine is running again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Woke {
+    /// A [`PoolCore::wake`]: what it waits for may have arrived. Also
+    /// what a coroutine that never parked (a fresh one) reads.
+    Signal,
+    /// Its [`Wait`] ran out with no wake.
+    Expired,
+}
+
 /// What a coroutine asked for when it last switched back to its worker.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Intent {
     /// Nothing yet (freshly created / mid-run).
     None,
-    /// Park until woken or until `deadline` (wall clock); the rank
-    /// rechecks its own wait condition on resume, so spurious wake-ups
-    /// are harmless.
-    Park { deadline: Instant },
+    /// Park until woken or until `wait` runs out; the rank rechecks its
+    /// own wait condition on resume, so spurious wake-ups are harmless.
+    Park { wait: Wait },
     /// The rank program returned (or panicked; the outcome slot has it).
     Done,
 }
@@ -340,11 +368,15 @@ enum Intent {
 enum RankState {
     /// In the ready queue.
     Ready,
+    /// In the ready queue because its park ran out.
+    Expired,
     /// On a worker. `token` records a wake that arrived mid-run so a
     /// racing park is re-readied instead of sleeping through its signal.
     Running { token: bool },
-    /// Parked until woken or `deadline`.
-    Parked { deadline: Instant },
+    /// Parked until woken or until `wait` runs out. A [`Wait::For`]
+    /// becomes the [`Wait::Until`] it ends at when the pool first
+    /// stalls.
+    Parked { wait: Wait },
     /// Finished (outcome recorded).
     Done,
 }
@@ -524,7 +556,7 @@ impl PoolCore {
                 }
             }
             RankState::Running { ref mut token } => *token = true,
-            RankState::Ready | RankState::Done => {}
+            RankState::Ready | RankState::Expired | RankState::Done => {}
         }
     }
 
@@ -532,13 +564,16 @@ impl PoolCore {
     /// its first call), then claim the next rank to run — one lock
     /// acquisition per resume — or return `None` when every rank is done.
     /// Blocks (on the scheduler condvar, not on a rank!) while all live
-    /// ranks are parked or running on other workers.
+    /// ranks are parked or running on other workers. The claimed rank
+    /// comes with why it is ready, which its pending park returns.
+    ///
+    /// The wall clock is read only here, and only when nothing is ready.
     ///
     /// # Panics
     /// Panics when live ranks remain but none is ready, parked or
     /// running: a wake was lost, and sleeping would hang the run. The
     /// worker loop reports it as an infrastructure failure.
-    fn advance(&self, yielded: Option<(usize, Intent)>) -> Option<usize> {
+    fn advance(&self, yielded: Option<(usize, Intent)>) -> Option<(usize, Woke)> {
         let mut g = self.lock();
         if let Some((rank, intent)) = yielded {
             self.commit(&mut g, rank, intent);
@@ -551,35 +586,61 @@ impl PoolCore {
                 return None;
             }
             if let Some(r) = g.ready.pop() {
+                let woke = match g.ranks[r] {
+                    RankState::Expired => Woke::Expired,
+                    _ => Woke::Signal,
+                };
                 g.ranks[r] = RankState::Running { token: false };
                 g.resumes += 1;
-                return Some(r);
+                return Some((r, woke));
             }
-            // Nothing ready: wake expired parks (their owners recheck
-            // their wait condition and report the timeout themselves),
-            // else sleep until the nearest deadline or a notification.
+            // Nothing ready: the pool stalls. Start the clock of every
+            // `For` park, wake expired parks (their owners recheck their
+            // wait condition and report the timeout themselves), else
+            // sleep until the nearest deadline or a notification.
             let now = Instant::now();
             let mut nearest: Option<Instant> = None;
-            let mut expired = false;
-            let mut running = false;
+            let (mut expired, mut parked, mut running) = (false, false, false);
             for r in 0..g.ranks.len() {
-                match g.ranks[r] {
-                    RankState::Parked { deadline } if deadline <= now => {
-                        g.make_ready(r);
-                        expired = true;
+                let deadline = match g.ranks[r] {
+                    RankState::Parked {
+                        wait: Wait::For(timeout),
+                    } => match now.checked_add(timeout) {
+                        Some(deadline) => {
+                            g.ranks[r] = RankState::Parked {
+                                wait: Wait::Until(deadline),
+                            };
+                            deadline
+                        }
+                        // Beyond the clock's range: never expires.
+                        None => {
+                            parked = true;
+                            continue;
+                        }
+                    },
+                    RankState::Parked {
+                        wait: Wait::Until(deadline),
+                    } => deadline,
+                    RankState::Running { .. } => {
+                        running = true;
+                        continue;
                     }
-                    RankState::Parked { deadline } => {
-                        nearest = Some(nearest.map_or(deadline, |n| n.min(deadline)));
-                    }
-                    RankState::Running { .. } => running = true,
-                    RankState::Ready | RankState::Done => {}
+                    RankState::Ready | RankState::Expired | RankState::Done => continue,
+                };
+                if deadline <= now {
+                    g.ranks[r] = RankState::Expired;
+                    g.ready.push(r);
+                    expired = true;
+                } else {
+                    parked = true;
+                    nearest = Some(nearest.map_or(deadline, |n| n.min(deadline)));
                 }
             }
             if expired {
                 continue;
             }
             assert!(
-                nearest.is_some() || running,
+                parked || running,
                 "scheduler stalled: live ranks but nothing ready, parked or running (lost wake)"
             );
             let wait = nearest
@@ -606,12 +667,12 @@ impl PoolCore {
                     self.cv.notify_all();
                 }
             }
-            Intent::Park { deadline } => {
+            Intent::Park { wait } => {
                 let token = matches!(g.ranks[rank], RankState::Running { token: true });
                 if token {
                     g.make_ready(rank);
                 } else {
-                    g.ranks[rank] = RankState::Parked { deadline };
+                    g.ranks[rank] = RankState::Parked { wait };
                 }
                 // Either way sleeping workers may need to re-derive
                 // their deadline horizon.
@@ -651,6 +712,9 @@ struct CoroTask {
     /// Saved worker stack pointer, valid while the coroutine runs.
     worker_sp: usize,
     intent: Intent,
+    /// Why the worker resumed the coroutine: what its pending park
+    /// returns.
+    woke: Woke,
     /// Low end of the rank's stack slot, where its canary lives.
     stack_base: *mut u8,
 }
@@ -660,7 +724,9 @@ thread_local! {
 }
 
 /// Park the calling coroutine until its executor wakes it
-/// ([`PoolCore::wake`]) or `deadline` expires.
+/// ([`PoolCore::wake`]) or `wait` runs out, and say which it was. A
+/// [`Woke::Signal`] may be spurious (a wake tokenized against an earlier
+/// wait): the caller rechecks its condition either way.
 /// Must only be called from inside a rank program, which always runs as
 /// a pool coroutine.
 ///
@@ -670,7 +736,7 @@ thread_local! {
 /// is free to compute the thread-local's address once before the loop,
 /// leaving later iterations with the previous worker's slot.
 #[inline(never)]
-pub(crate) fn park_current(deadline: Instant) {
+pub(crate) fn park_current(wait: Wait) -> Woke {
     let task = CURRENT_TASK.with(|c| c.get());
     assert!(
         !task.is_null(),
@@ -678,10 +744,12 @@ pub(crate) fn park_current(deadline: Instant) {
     );
     // SAFETY: `task` is the live switch cell installed by the worker
     // that resumed us; writing the intent and switching back is the
-    // protocol it expects.
+    // protocol it expects. The cell is this rank's own, so it is still
+    // ours to read when a worker (perhaps another one) resumes us.
     unsafe {
-        (*task).intent = Intent::Park { deadline };
+        (*task).intent = Intent::Park { wait };
         msim_switch_stacks(&mut (*task).sp, &(*task).worker_sp);
+        (*task).woke
     }
 }
 
@@ -948,6 +1016,7 @@ where
                     sp: 0,
                     worker_sp: 0,
                     intent: Intent::None,
+                    woke: Woke::Signal,
                     // In bounds: every slot lies below
                     // `nranks * stack_size`, and `take` made the arena
                     // at least that long.
@@ -979,15 +1048,16 @@ where
         }
     }
 
-    /// Switch into `rank` until its next yield; returns what it yielded
-    /// for. Panics (on the executor's own stack) if the coroutine ran
-    /// over the low end of its stack slot.
+    /// Switch into `rank`, telling a pending park it `woke`, until its
+    /// next yield; returns what it yielded for. Panics (on the executor's
+    /// own stack) if the coroutine ran over the low end of its stack
+    /// slot.
     ///
     /// # Safety
     /// The caller must hold `rank` exclusively — claimed from its core as
     /// `Running` and not yet committed back — and must commit the
     /// returned intent to the core only after this returns.
-    unsafe fn resume(&self, rank: usize) -> Intent {
+    unsafe fn resume(&self, rank: usize, woke: Woke) -> Intent {
         let cell = &self.cells[rank];
         let task = cell.task.get();
         // SAFETY: per the contract no other thread touches this cell
@@ -1014,6 +1084,7 @@ where
                 );
             }
             (*task).intent = Intent::None;
+            (*task).woke = woke;
             let prev = CURRENT_TASK.with(|c| c.replace(task));
             msim_switch_stacks(&mut (*task).worker_sp, &(*task).sp);
             CURRENT_TASK.with(|c| c.set(prev));
@@ -1135,12 +1206,12 @@ where
     let mut current_rank = usize::MAX;
     let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
         let mut yielded = None;
-        while let Some(rank) = core.advance(yielded) {
+        while let Some((rank, woke)) = core.advance(yielded) {
             current_rank = rank;
             // SAFETY: `advance` handed this worker exclusive ownership of
             // `rank` (state `Running`), and the yield is committed by the
             // next `advance`, after the coroutine has switched back.
-            yielded = Some((rank, unsafe { cells.resume(rank) }));
+            yielded = Some((rank, unsafe { cells.resume(rank, woke) }));
         }
     }));
     if let Err(payload) = caught {
@@ -1168,42 +1239,86 @@ mod tests {
         PoolCore::new(&map, PickPolicy::Fifo, workers)
     }
 
-    fn park(after: Duration) -> Intent {
-        Intent::Park {
-            deadline: Instant::now() + after,
-        }
+    fn park(wait: Wait) -> Intent {
+        Intent::Park { wait }
+    }
+
+    fn park_until(after: Duration) -> Intent {
+        park(Wait::Until(Instant::now() + after))
     }
 
     /// A wake that lands while the rank is being resumed is tokenized:
     /// the following park re-schedules immediately instead of sleeping
-    /// through its signal.
+    /// through its signal, and reads as a signal.
     #[test]
     fn wake_during_running_is_not_lost() {
         for workers in [1, 2] {
-            let core = one_rank(workers);
-            assert_eq!(core.advance(None), Some(0));
-            core.wake(0); // arrives "mid-run"
-                          // Must be immediately schedulable, not parked for an hour.
-            let parked = Some((0, park(Duration::from_secs(3600))));
-            assert_eq!(core.advance(parked), Some(0), "width {workers}");
-            assert_eq!(core.advance(Some((0, Intent::Done))), None);
+            for wait in [
+                Wait::For(Duration::from_secs(3600)),
+                Wait::Until(Instant::now() + Duration::from_secs(3600)),
+            ] {
+                let core = one_rank(workers);
+                assert_eq!(core.advance(None), Some((0, Woke::Signal)));
+                // A wake arrives mid-run; the park after it must be
+                // immediately schedulable, not parked for an hour.
+                core.wake(0);
+                let parked = Some((0, park(wait)));
+                assert_eq!(
+                    core.advance(parked),
+                    Some((0, Woke::Signal)),
+                    "width {workers}, {wait:?}"
+                );
+                assert_eq!(core.advance(Some((0, Intent::Done))), None);
+            }
         }
     }
 
     /// An expired park deadline re-schedules the rank so timeout-based
-    /// waits (and the deadlock detector built on them) still fire.
+    /// waits (and the deadlock detector built on them) still fire, and
+    /// the rank learns it expired.
     #[test]
     fn expired_parks_are_rescheduled() {
         for workers in [1, 2] {
             let core = one_rank(workers);
-            let r = core.advance(None).unwrap();
+            let (r, _) = core.advance(None).unwrap();
             let t0 = Instant::now();
-            let parked = Some((r, park(Duration::from_millis(5))));
-            assert_eq!(core.advance(parked), Some(0), "width {workers}");
+            let parked = Some((r, park_until(Duration::from_millis(5))));
+            assert_eq!(
+                core.advance(parked),
+                Some((0, Woke::Expired)),
+                "width {workers}"
+            );
             assert!(
                 t0.elapsed() < Duration::from_secs(2),
                 "expired park should be re-scheduled promptly"
             );
+            assert_eq!(core.advance(Some((0, Intent::Done))), None);
+        }
+    }
+
+    /// A `For` park's clock starts when the pool stalls, not when the
+    /// rank parks: rank 0 parks for 20 ms while rank 1 runs for 60 ms,
+    /// and still waits out its 20 ms after rank 1 is done and nothing is
+    /// ready. An `Until` park made at the same moment is already due
+    /// when the pool stalls.
+    #[test]
+    fn a_for_park_expires_only_after_a_stall_plus_its_timeout() {
+        const TIMEOUT: Duration = Duration::from_millis(20);
+        const BUSY: Duration = Duration::from_millis(60);
+        let map = Placement::SmpBlock.build(&ClusterSpec::regular(1, 2));
+        for wait in [Wait::For(TIMEOUT), Wait::Until(Instant::now() + TIMEOUT)] {
+            let core = PoolCore::new(&map, PickPolicy::Fifo, 1);
+            assert_eq!(core.advance(None), Some((0, Woke::Signal)));
+            // Rank 0 parks; rank 1 is ready, so no stall and no clock.
+            assert_eq!(core.advance(Some((0, park(wait)))), Some((1, Woke::Signal)));
+            std::thread::sleep(BUSY); // rank 1 runs
+            let stall = Instant::now();
+            let expired = core.advance(Some((1, Intent::Done)));
+            let waited = stall.elapsed();
+            assert_eq!(expired, Some((0, Woke::Expired)), "{wait:?}");
+            if let Wait::For(_) = wait {
+                assert!(waited >= TIMEOUT, "expired {waited:?} into the stall");
+            }
             assert_eq!(core.advance(Some((0, Intent::Done))), None);
         }
     }
@@ -1214,7 +1329,7 @@ mod tests {
     fn a_lost_wake_is_reported_not_slept_through() {
         for workers in [1, 2] {
             let core = one_rank(workers);
-            assert_eq!(core.advance(None), Some(0));
+            assert_eq!(core.advance(None), Some((0, Woke::Signal)));
             // Lose the rank: neither running nor anywhere a wake finds it.
             core.lock().ranks[0] = RankState::Ready;
             let stalled = std::panic::catch_unwind(AssertUnwindSafe(|| core.advance(None)));

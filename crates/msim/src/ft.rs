@@ -575,7 +575,7 @@ impl FtWatch {
 /// Sleep one poll slice without blocking a pool worker: the calling
 /// coroutine parks and re-readies at the deadline.
 fn ft_poll_sleep() {
-    crate::exec::park_current(Instant::now() + FT_POLL_SLICE);
+    crate::exec::park_current(crate::exec::Wait::Until(Instant::now() + FT_POLL_SLICE));
 }
 
 #[cfg(test)]

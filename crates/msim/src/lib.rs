@@ -40,6 +40,7 @@ pub mod error;
 mod exec;
 pub mod fault;
 pub mod ft;
+mod hash;
 mod mailbox;
 pub mod mcheck;
 pub mod msg;

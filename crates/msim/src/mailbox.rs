@@ -7,55 +7,27 @@
 //! the mailboxes.
 //!
 //! A push wakes the owner only when the owner is blocked on the pushed
-//! key (`State::awaiting`). A receiver that is running, or waiting on
-//! some other key, finds the packet the next time it looks, so waking it
-//! would only cost the scheduler lock and a resume that re-parks.
+//! key (`Waiter::Blocked`), and then hands it the packet directly
+//! (`Waiter::Handed`): the packet never enters the table. A receiver
+//! that is running, or waiting on some other key, finds the packet the
+//! next time it looks, so waking it would only cost the scheduler lock
+//! and a resume that re-parks.
 
-use crate::exec::{self, PoolCore};
+use crate::exec::{self, PoolCore, Wait, Woke};
+use crate::hash::KeyMap;
 use crate::msg::Packet;
+use std::cell::UnsafeCell;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Matching key: (communicator context id, source rank in that
 /// communicator, user tag). Ranks fit in `u32`: the universe checks its
 /// rank count once, when it is built.
 pub(crate) type MatchKey = (u32, u32, u32);
-
-/// Multiply-rotate hash of a [`MatchKey`]'s three small integers. The
-/// keys are minted by the simulator itself (context ids, ranks, tags),
-/// never taken from outside the program, so SipHash's protection against
-/// crafted collisions buys nothing here and costs two rounds per message.
-#[derive(Debug, Default, Clone, Copy)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(u64::from(v));
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn finish(&self) -> u64 {
-        // The multiply pushes entropy towards the high bits; the table
-        // indexes with the low ones.
-        self.0.rotate_left(26)
-    }
-}
 
 /// The packets queued under one key. Almost every key holds at most one
 /// packet at a time (a collective round's message, a flag), so that one
@@ -74,7 +46,7 @@ enum Slot {
 /// hasher.
 #[derive(Debug, Default)]
 pub(crate) struct SlotMap {
-    slots: HashMap<MatchKey, Slot, BuildHasherDefault<KeyHasher>>,
+    slots: KeyMap<MatchKey, Slot>,
     /// Packets held over all keys.
     len: usize,
 }
@@ -137,13 +109,126 @@ impl SlotMap {
     }
 }
 
+/// A test-and-set lock: one `compare_exchange` to take it, one
+/// `Release` store to give it back (the unlock of `std`'s futex mutex is
+/// an `xchg`, a full barrier, because it must learn whether to wake a
+/// sleeper). A mailbox is held for a table operation and nothing else —
+/// never across a park or a wake — so a contender spins briefly and then
+/// yields its thread rather than sleeping.
+///
+/// There is no poisoning: the guard releases on drop, unwinding
+/// included, and every critical section completes its mutation before
+/// any point that can panic, so a rank that dies holding it (an injected
+/// kill, an allocation failure) leaves the state whole and the lock
+/// free for the peers that keep draining — which is what lets
+/// `Universe::run` report the failure instead of hanging.
+struct SpinLock<T> {
+    held: AtomicBool,
+    value: UnsafeCell<T>,
+}
+
+// SAFETY: `value` is only reached through a `SpinGuard`, and `held`
+// admits one guard at a time (acquired with `Acquire`, released with
+// `Release`, so each holder sees its predecessor's writes). `T: Send`
+// because the value is handed from thread to thread.
+unsafe impl<T: Send> Sync for SpinLock<T> {}
+
+/// Tries before a contender yields its thread.
+const SPINS: u32 = 64;
+
+impl<T> SpinLock<T> {
+    fn new(value: T) -> Self {
+        Self {
+            held: AtomicBool::new(false),
+            value: UnsafeCell::new(value),
+        }
+    }
+
+    fn lock(&self) -> SpinGuard<'_, T> {
+        if self
+            .held
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            self.contend();
+        }
+        SpinGuard { lock: self }
+    }
+
+    #[cold]
+    fn contend(&self) {
+        loop {
+            for _ in 0..SPINS {
+                std::hint::spin_loop();
+                if !self.held.load(Ordering::Relaxed)
+                    && self
+                        .held
+                        .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
+                        .is_ok()
+                {
+                    return;
+                }
+            }
+            std::thread::yield_now();
+        }
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for SpinLock<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SpinLock")
+            .field("held", &self.held.load(Ordering::Relaxed))
+            .finish_non_exhaustive()
+    }
+}
+
+struct SpinGuard<'a, T> {
+    lock: &'a SpinLock<T>,
+}
+
+impl<T> Deref for SpinGuard<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        // SAFETY: this guard is the one holder of the lock.
+        unsafe { &*self.lock.value.get() }
+    }
+}
+
+impl<T> DerefMut for SpinGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        // SAFETY: this guard is the one holder of the lock.
+        unsafe { &mut *self.lock.value.get() }
+    }
+}
+
+impl<T> Drop for SpinGuard<'_, T> {
+    fn drop(&mut self) {
+        self.lock.held.store(false, Ordering::Release);
+    }
+}
+
+/// What the owner of a mailbox is doing about it.
+#[derive(Debug, Default)]
+enum Waiter {
+    /// Running, ready, or parked on something other than this mailbox.
+    #[default]
+    Idle,
+    /// Parked on a miss for this key: the next push of it goes here, not
+    /// into the table. Nothing is queued under the key meanwhile (the
+    /// miss found it empty, and every push of it since was handed over),
+    /// so handing the packet over keeps per-key FIFO order.
+    Blocked(MatchKey),
+    /// The packet the push of the awaited key handed over, for the owner
+    /// to take when it resumes, before it looks in the table: a later
+    /// push of the same key queues behind it there.
+    Handed(Packet),
+}
+
 #[derive(Debug, Default)]
 struct State {
     queues: SlotMap,
-    /// The key the owner is blocked on: set when its match misses and it
-    /// is about to park, taken by the push that wakes it, cleared
-    /// whenever the owner looks again.
-    awaiting: Option<MatchKey>,
+    waiter: Waiter,
 }
 
 /// One rank's incoming mailbox.
@@ -154,7 +239,7 @@ struct State {
 /// deterministic.
 #[derive(Debug)]
 pub(crate) struct Mailbox {
-    state: Mutex<State>,
+    state: SpinLock<State>,
     /// Global rank this mailbox belongs to — the rank the executor wakes
     /// when a packet arrives.
     owner: usize,
@@ -166,74 +251,69 @@ impl Mailbox {
     /// `exec`.
     pub(crate) fn new(owner: usize, exec: Arc<PoolCore>) -> Self {
         Self {
-            state: Mutex::new(State::default()),
+            state: SpinLock::new(State::default()),
             owner,
             exec,
         }
     }
 
-    // A rank killed by fault injection may die while holding a mailbox
-    // lock; the state is never left torn (all mutations complete before
-    // any panic point), so peers may safely clear the poison and keep
-    // draining — which is what lets Universe::run report the failure
-    // instead of deadlocking on a poisoned mutex.
-    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> SpinGuard<'_, State> {
+        self.state.lock()
     }
 
     /// Deposit a packet (called from the sender's thread/coroutine).
     pub(crate) fn push(&self, key: MatchKey, packet: Packet) {
         let mut s = self.lock();
-        s.queues.push_back(key, packet);
-        // Wake the owner only if it is blocked on this very key (at most
-        // once per miss: the wake takes `awaiting`). A receiver that is
-        // running, or waiting on another key, finds the packet when it
-        // next looks; rendezvous and FT waits have wakers and deadlines
-        // of their own. So a packet that is already there when its
-        // receiver looks costs this lock and the pop's, and nothing else.
-        if s.awaiting != Some(key) {
+        // Wake the owner only if it is blocked on this very key, and hand
+        // it the packet (at most once per miss: the handoff ends
+        // `Blocked`). A receiver that is running, or waiting on another
+        // key, finds the packet when it next looks; rendezvous and FT
+        // waits have wakers and deadlines of their own. So a packet that
+        // is already there when its receiver looks costs this lock and
+        // the pop's, and nothing else.
+        if !matches!(s.waiter, Waiter::Blocked(k) if k == key) {
+            s.queues.push_back(key, packet);
             return;
         }
-        s.awaiting = None;
+        s.waiter = Waiter::Handed(packet);
         drop(s);
         // After releasing the mailbox lock: the executor's wake takes
         // the core lock.
         self.exec.wake(self.owner);
     }
 
-    /// Block until a packet matching `key` is available, or `timeout`
-    /// elapses (returns `None` — the caller reports a deadlock). "Block"
+    /// Block until a packet matching `key` is available, or `wait` runs
+    /// out (returns `None` — the caller reports a deadlock). "Block"
     /// means parking the calling coroutine, freeing its worker thread to
-    /// run other ranks. A zero `timeout` looks once
-    /// and never blocks or parks: the claim primitive of the per-rank
-    /// progress engine and of polls.
-    pub(crate) fn pop(&self, key: MatchKey, timeout: Duration) -> Option<Packet> {
+    /// run other ranks; whether the wait ran out is the executor's
+    /// answer, so a [`Wait::For`] reads no clock here. A zero
+    /// [`Wait::For`] looks once and never blocks or parks: the claim
+    /// primitive of the per-rank progress engine and of polls.
+    pub(crate) fn pop(&self, key: MatchKey, wait: Wait) -> Option<Packet> {
         let mut s = self.lock();
         if let Some(packet) = s.queues.pop_front(key) {
             return Some(packet);
         }
-        // Only a receiver that has to wait reads the wall clock.
-        if timeout.is_zero() {
+        if wait == Wait::For(Duration::ZERO) {
             return None;
         }
-        let deadline = Instant::now() + timeout;
         loop {
             // Missed: until the owner looks again, a push of `key` is
-            // the one that wakes it.
-            s.awaiting = Some(key);
+            // the one that wakes it, and hands it the packet.
+            s.waiter = Waiter::Blocked(key);
             drop(s);
             // A push that lands between unlock and park still wakes us:
             // the executor records the wake token against our Running
             // state and re-readies the park immediately.
-            exec::park_current(deadline);
+            let woke = exec::park_current(wait);
             s = self.lock();
-            s.awaiting = None;
-            // Recheck the queue *before* the deadline: a push that raced
-            // the deadline must deliver, not time out.
-            if let Some(packet) = s.queues.pop_front(key) {
+            // The handed packet first, even past the deadline: a push
+            // that raced the expiry must deliver, not time out. Nothing
+            // of `key` can be in the table (see `Waiter::Blocked`).
+            if let Waiter::Handed(packet) = std::mem::take(&mut s.waiter) {
                 return Some(packet);
             }
-            if Instant::now() >= deadline {
+            if woke == Woke::Expired {
                 return None;
             }
         }
@@ -252,9 +332,14 @@ mod tests {
     use crate::exec::PickPolicy;
     use crate::msg::Payload;
     use crate::universe::tests::on_ranks;
+    use crate::universe::{Shared, SimConfig, SimResult, Universe};
+    use crate::ExecMode;
     use simnet::rng::check_cases;
-    use simnet::{ClusterSpec, Placement};
+    use simnet::{ClusterSpec, CostModel, Placement};
     use std::cell::Cell;
+
+    const LOOK: Wait = Wait::For(Duration::ZERO);
+    const PATIENT: Wait = Wait::For(Duration::from_secs(5));
 
     /// The mailbox of the only rank of a one-rank core: enough for tests
     /// whose pops never wait (the push of an unawaited key wakes nobody).
@@ -285,7 +370,7 @@ mod tests {
         let mb = unparked();
         mb.push((0, 1, 7), pkt(1.0));
         mb.push((0, 2, 7), pkt(2.0));
-        let got = mb.pop((0, 2, 7), Duration::from_secs(1)).unwrap();
+        let got = mb.pop((0, 2, 7), PATIENT).unwrap();
         assert_eq!(got.arrival, 2.0);
         assert_eq!(mb.queued(), 1);
     }
@@ -295,14 +380,110 @@ mod tests {
         let mb = unparked();
         mb.push((0, 0, 0), pkt(1.0));
         mb.push((0, 0, 0), pkt(2.0));
-        assert_eq!(
-            mb.pop((0, 0, 0), Duration::from_secs(1)).unwrap().arrival,
-            1.0
-        );
-        assert_eq!(
-            mb.pop((0, 0, 0), Duration::from_secs(1)).unwrap().arrival,
-            2.0
-        );
+        assert_eq!(mb.pop((0, 0, 0), PATIENT).unwrap().arrival, 1.0);
+        assert_eq!(mb.pop((0, 0, 0), PATIENT).unwrap().arrival, 2.0);
+    }
+
+    /// Two ranks of one node on a pool of `workers`, the whole result
+    /// kept: its counters are what the handoff tests read.
+    fn run_two<T: Send>(
+        workers: usize,
+        f: impl Fn(&Shared, usize) -> T + Send + Sync,
+    ) -> SimResult<T> {
+        let cfg = SimConfig::new(ClusterSpec::regular(1, 2), CostModel::uniform_test())
+            .phantom()
+            .with_exec(ExecMode::Pooled {
+                workers: Some(workers),
+            });
+        Universe::run(cfg, |ctx| f(ctx.shared(), ctx.rank())).unwrap()
+    }
+
+    /// Spin (yielding the thread) until the owner of `mb` is parked on a
+    /// miss. At width 1 it already is when the pusher runs: the pool
+    /// runs rank 0 first.
+    fn await_blocked(mb: &Mailbox) {
+        while !matches!(mb.lock().waiter, Waiter::Blocked(_)) {
+            std::thread::yield_now();
+        }
+    }
+
+    /// A mailbox entry costs a rank 128 bytes at most, the handoff slot
+    /// included.
+    #[test]
+    fn a_mailbox_fits_in_128_bytes() {
+        assert!(std::mem::size_of::<Mailbox>() <= 128);
+    }
+
+    /// The push that meets its receiver blocked on its key hands the
+    /// packet over: it never enters the table, and it costs the one wake
+    /// it always did, at every pool width.
+    #[test]
+    fn a_receiver_blocked_on_its_key_is_handed_the_packet() {
+        const KEY: MatchKey = (1, 0, 3);
+        for workers in [1, 2] {
+            let r = run_two(workers, |shared, rank| {
+                let mb = &shared.mailboxes[0];
+                if rank == 0 {
+                    return mb.pop(KEY, PATIENT).map(|p| p.arrival);
+                }
+                await_blocked(mb);
+                mb.push(KEY, pkt(3.0));
+                assert_eq!(mb.queued(), 0, "width {workers}: the packet was tabled");
+                if workers == 1 {
+                    assert!(matches!(mb.lock().waiter, Waiter::Handed(_)));
+                }
+                None
+            });
+            assert_eq!(r.per_rank, [Some(3.0), None], "width {workers}");
+            assert_eq!(r.stats.wakes, 1, "width {workers}");
+        }
+    }
+
+    /// A second push of the awaited key, landing before the woken
+    /// receiver runs, queues in the table behind the handed packet: the
+    /// receiver takes the two in push order.
+    #[test]
+    fn a_push_behind_a_handed_packet_keeps_fifo_order() {
+        const KEY: MatchKey = (1, 0, 3);
+        for workers in [1, 2] {
+            let r = run_two(workers, |shared, rank| {
+                let mb = &shared.mailboxes[0];
+                if rank == 0 {
+                    return [KEY, KEY]
+                        .map(|k| mb.pop(k, PATIENT).map(|p| p.arrival))
+                        .to_vec();
+                }
+                await_blocked(mb);
+                mb.push(KEY, pkt(1.0));
+                mb.push(KEY, pkt(2.0));
+                if workers == 1 {
+                    let s = mb.lock();
+                    assert!(matches!(s.waiter, Waiter::Handed(_)));
+                    assert_eq!(s.queues.len(), 1);
+                }
+                vec![]
+            });
+            assert_eq!(r.per_rank[0], [Some(1.0), Some(2.0)], "width {workers}");
+        }
+    }
+
+    /// The lock has no poison to clear: a panic while its guard is held
+    /// releases it on the way out, and the mailbox keeps its packets and
+    /// its order.
+    #[test]
+    fn a_panic_under_the_lock_leaves_the_mailbox_usable() {
+        let mb = unparked();
+        mb.push((0, 0, 0), pkt(1.0));
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = mb.lock();
+            panic!("a rank dies holding its mailbox");
+        }));
+        assert!(died.is_err());
+        mb.push((0, 0, 0), pkt(2.0));
+        let got: Vec<_> = (0..3)
+            .map(|_| mb.pop((0, 0, 0), LOOK).map(|p| p.arrival))
+            .collect();
+        assert_eq!(got, [Some(1.0), Some(2.0), None]);
     }
 
     /// A pop that waits parks its rank until the deadline, then misses.
@@ -311,7 +492,7 @@ mod tests {
         for workers in [1, 2] {
             let got = on_ranks(2, workers, |shared, rank| {
                 shared.mailboxes[rank]
-                    .pop((0, 0, 0), Duration::from_millis(10))
+                    .pop((0, 0, 0), Wait::For(Duration::from_millis(10)))
                     .is_none()
             });
             assert_eq!(got.unwrap(), vec![true, true], "width {workers}");
@@ -326,7 +507,7 @@ mod tests {
             let got = on_ranks(2, workers, |shared, rank| {
                 if rank == 0 {
                     shared.mailboxes[0]
-                        .pop((1, 0, 3), Duration::from_secs(5))
+                        .pop((1, 0, 3), PATIENT)
                         .map(|p| p.arrival)
                 } else {
                     shared.mailboxes[0].push((1, 0, 3), pkt(3.0));
@@ -364,7 +545,7 @@ mod tests {
                     model[k].push_back(stamp);
                     deepest.set(deepest.get().max(model[k].len()));
                 } else {
-                    let got = mb.pop(keys[k], Duration::ZERO).map(|p| p.arrival);
+                    let got = mb.pop(keys[k], LOOK).map(|p| p.arrival);
                     assert_eq!(got, model[k].pop_front(), "key {k} lost FIFO order");
                 }
                 assert_eq!(mb.queued(), model.iter().map(VecDeque::len).sum::<usize>());

@@ -8,10 +8,10 @@
 //! last member to arrive runs a finisher over all deposits; everyone
 //! receives the shared result. No virtual time is charged.
 
-use crate::exec::{self, PoolCore};
+use crate::exec::{self, PoolCore, Wait, Woke};
 use crate::ft::{FtWatch, WaitError};
+use crate::hash::KeyMap;
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -40,7 +40,7 @@ struct Entry {
 /// The global rendezvous board shared by all ranks of a universe.
 #[derive(Default)]
 pub(crate) struct OobBoard {
-    entries: Mutex<HashMap<BoardKey, Entry>>,
+    entries: Mutex<KeyMap<BoardKey, Entry>>,
 }
 
 impl Entry {
@@ -144,8 +144,12 @@ impl OobBoard {
         }
         entry.waiting.push(me_global);
 
-        // Wait for the result.
-        let deadline = Instant::now() + timeout;
+        // Wait for the result. Unwatched, the park itself times out,
+        // counted from the first stall of the pool, and no clock is
+        // read here; watched, the wait polls in wall-clock slices
+        // against a deadline of its own.
+        let deadline = watch.map(|_| Instant::now() + timeout);
+        let mut woke = Woke::Signal;
         loop {
             if let Some(entry) = entries.get(&key) {
                 if let Some(result) = &entry.result {
@@ -193,29 +197,34 @@ impl OobBoard {
                 // once all `expected` takers are counted.
                 unreachable!("rendezvous entry removed before all members took the result");
             }
+            let timed_out = match deadline {
+                Some(deadline) => Instant::now() >= deadline,
+                None => woke == Woke::Expired,
+            };
             assert!(
-                Instant::now() < deadline,
+                !timed_out,
                 "setup-collective rendezvous timed out \
                  (did every member of the communicator make the same call?)"
             );
             // With a watch, wake in short slices so failures are noticed
             // promptly even though no completion will ever signal us.
-            let slice_deadline = if watch.is_some() {
-                deadline.min(Instant::now() + crate::ft::FT_POLL_SLICE)
-            } else {
-                deadline
+            let wait = match deadline {
+                Some(deadline) => {
+                    Wait::Until(deadline.min(Instant::now() + crate::ft::FT_POLL_SLICE))
+                }
+                None => Wait::For(timeout),
             };
             drop(entries);
             // A completion landing between unlock and park still wakes us
             // (the executor tokenizes wakes against Running ranks); the
             // executor also re-readies expired parks so the timeout
             // assertion above fires eventually.
-            exec::park_current(slice_deadline);
+            woke = exec::park_current(wait);
             entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    fn take(entries: &mut HashMap<BoardKey, Entry>, key: BoardKey) {
+    fn take(entries: &mut KeyMap<BoardKey, Entry>, key: BoardKey) {
         let entry = entries
             .get_mut(&key)
             .expect("entry must exist while taking");

@@ -43,6 +43,9 @@ pub struct SimConfig {
     /// Record schedule events (off by default; used by structural tests).
     pub trace: bool,
     /// How long a blocked receive waits before the run is declared
+    /// deadlocked. Without fault tolerance armed the clock starts when
+    /// the pool stalls (no rank is ready to run), not when the receive
+    /// parks: a receiver waiting on a rank that is busy is not
     /// deadlocked.
     pub recv_timeout: Duration,
     /// Stack size per rank coroutine. Rank programs keep large data on

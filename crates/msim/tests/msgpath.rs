@@ -352,3 +352,68 @@ fn a_rendezvous_completion_wakes_each_parked_member() {
     assert_eq!(run(1), 5, "one wake per parked member");
     assert!(run(2) <= 5);
 }
+
+/// Rank 0 blocks on one tag; rank 1, running after it on a one-thread
+/// pool, sends three packets under that tag. The first meets rank 0
+/// blocked and is handed to it with the run's one wake; the other two
+/// queue behind it. Rank 0 receives the three in send order, and a
+/// pool of two workers, where rank 1 may send before rank 0 blocks,
+/// agrees on results and clock bits and never wakes more.
+#[test]
+fn pushes_behind_a_handed_packet_arrive_in_send_order() {
+    let run = |workers: usize| {
+        let cfg = cfg().with_exec(ExecMode::Pooled {
+            workers: Some(workers),
+        });
+        let r = Universe::run(cfg, |ctx| {
+            let world = ctx.world();
+            if ctx.rank() == 1 {
+                for len in 1..=3 {
+                    ctx.send(&world, 0, TAG, Payload::Phantom(len));
+                }
+                return vec![];
+            }
+            (0..3).map(|_| ctx.recv(&world, 1, TAG).len()).collect()
+        })
+        .unwrap();
+        let clock_bits: Vec<u64> = r.clocks.iter().map(|c| c.to_bits()).collect();
+        ((r.per_rank, clock_bits, r.tracer.events()), r.stats.wakes)
+    };
+    let (one, wakes) = run(1);
+    assert_eq!(one.0[0], [1, 2, 3]);
+    assert_eq!(wakes, 1, "Pooled{{1}}: the first push is handed over");
+    let (two, wakes) = run(2);
+    assert_eq!(two, one, "Pooled{{2}} vs Pooled{{1}}");
+    assert!(wakes <= 1);
+}
+
+/// A disarmed wait's timeout is counted from the moment nothing is left
+/// to run, not from the moment it parked: on a one-thread pool rank 0
+/// waits (100 ms timeout) for a message that never comes while rank 1
+/// holds the worker for 300 ms, and the deadlock is reported only a full
+/// timeout after rank 1 is done. Waiting on a rank that is busy is not a
+/// deadlock.
+#[test]
+fn a_disarmed_wait_times_out_a_full_timeout_after_the_pool_stalls() {
+    const TIMEOUT: Duration = Duration::from_millis(100);
+    const BUSY: Duration = Duration::from_millis(300);
+    let cfg = cfg()
+        .with_recv_timeout(TIMEOUT)
+        .with_exec(ExecMode::Pooled { workers: Some(1) });
+    let t0 = std::time::Instant::now();
+    let err = Universe::run(cfg, |ctx| {
+        let world = ctx.world();
+        if ctx.rank() == 0 {
+            ctx.recv(&world, 1, TAG);
+        } else {
+            std::thread::sleep(BUSY);
+        }
+    })
+    .unwrap_err();
+    let took = t0.elapsed();
+    assert!(
+        matches!(err, msim::SimError::DeadlockSuspected { rank: 0, .. }),
+        "{err}"
+    );
+    assert!(took >= BUSY + TIMEOUT, "reported after {took:?}");
+}
