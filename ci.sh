@@ -54,7 +54,9 @@
 #           recovery tests, one and two pool workers agreeing on a
 #           leader failover, a timeout-storm
 #           smoke (total blackout must surface as typed timeouts, not
-#           hangs), and the recovery-latency micro (`bench ft` writes a
+#           hangs: a detection budget is stall time, spent only when no
+#           rank can run, and never slept), and the recovery-latency
+#           micro (`bench ft` writes a
 #           temp artifact and checks it; the committed BENCH_ft.json must
 #           pass the same check — its wall_s fields are host time, so CI
 #           never rewrites it). Also
@@ -99,7 +101,8 @@
 #           oracle after every campaign — per-round result agreement,
 #           membership decodes to actives minus reported-dead plus
 #           pool recruits, zero leaked windows / nonblocking interests,
-#           and byte-identical per-seed replay. Also runs the
+#           and byte-identical per-seed replay under a seeded
+#           adversarial schedule. Also runs the
 #           `--mutant-check` sensitivity probe: a deliberately armed
 #           stale-grow bug (survivors keep the pre-grow communicator)
 #           must be caught by the checker, proving the oracle is not
@@ -333,10 +336,13 @@ stage_ft() {
     # determinism (same-seed repeats and pool widths 1 and 2 agree byte
     # for byte), the Abort and Retry policies, and the recovery trace.
     MSIM_FT_SEEDS="$FT_SEEDS" cargo test -q -p hmpi-core --test ft
-    # Runtime layer: dead-rank detection from a parked wait, the
-    # timeout-storm smoke (drop_prob=1.0 blackout must produce a typed
-    # Timeout promptly), seeded drop determinism with transport retry,
-    # heartbeat piggybacking, agree/shrink semantics.
+    # Runtime layer: a death wakes the parked waiter (RankFailed within
+    # three resumes), the timeout-storm smoke (a drop_prob=1.0 blackout
+    # must produce a typed Timeout promptly — the same error, clocks and
+    # trace at pool widths 1 and 2 whether the detection budget is 1 us
+    # or 10 s, since it is stall time and never slept), seeded drop
+    # determinism with transport retry, heartbeat piggybacking,
+    # agree/shrink semantics.
     cargo test -q -p msim --test ft
     # App-level recovery: BPMF reconverges to the serial RMSE and SUMMA
     # recomputes on the shrunk grid after a mid-run kill; one and two
@@ -411,18 +417,21 @@ stage_multileader() {
 }
 
 # Seed count and wall-clock budget (seconds) for the chaos stage's
-# campaign sweep. The 8-seed sweep measures well under a second on the
-# reference host; the budget only exists to stop a runaway campaign
-# (e.g. a recovery livelock burning its retry ladder) from stalling CI —
-# the harness finishes the campaign in flight and stops early when the
-# budget is exhausted.
-CHAOS_SEEDS=8
+# campaign sweep. 24 seeds run each of the 12 flavour x leader-policy
+# pairs twice (flavour = seed % 4, leaders = seed % 3), every campaign
+# replayed under an adversarial schedule; the sweep measures about
+# 0.25 s on a 2-core host. The budget only exists to stop a runaway
+# campaign (e.g. a recovery livelock burning its retry ladder) from
+# stalling CI — the harness finishes the campaign in flight and stops
+# early when the budget is exhausted.
+CHAOS_SEEDS=24
 CHAOS_BUDGET_S="${CHAOS_BUDGET_S:-60}"
 
 stage_chaos() {
     # Seeded fault campaigns against the elastic-recovery stack, every
-    # one replayed and checked by the invariant oracle (agreement,
-    # membership transitions, leak accounting, determinism).
+    # one checked by the invariant oracle (agreement, membership
+    # transitions, leak accounting) and replayed byte-identically under
+    # a seeded adversarial schedule (determinism).
     bench chaos --seeds "$CHAOS_SEEDS" --budget "$CHAOS_BUDGET_S"
     # Sensitivity probe: the stale-grow mutant must be *caught* — a
     # clean pass here would mean the oracle checks nothing.

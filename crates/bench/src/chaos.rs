@@ -26,7 +26,9 @@
 //! 3. **No leaks** — zero live shared windows after teardown and zero
 //!    outstanding nonblocking interests per rank;
 //! 4. **Determinism** — the same seed replays to byte-identical results,
-//!    clocks, and traces.
+//!    clocks, and traces under a different schedule: the replay adds a
+//!    seeded adversarial schedule (shuffled ready-queue picks and
+//!    wall-clock sleeps around message ops) to the campaign's plan.
 //!
 //! `--mutant-check` arms the deliberate `HMPI_MUTANT=stale-grow` bug in
 //! the grow path (survivors keep the pre-grow communicator) and demands
@@ -41,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use collectives::{FaultPolicy, Tuning};
 use hmpi::{FtComm, Leaders, SyncMethod};
-use msim::{FaultPlan, RetryPolicy, SimConfig, Universe};
+use msim::{FaultPlan, RetryPolicy, SchedulePolicy, SimConfig, Universe};
 use simnet::{ClusterSpec, CostModel};
 
 use crate::cli::{Args, Flags};
@@ -148,10 +150,14 @@ fn campaign(seed: u64) -> Campaign {
 /// state (must be zero).
 type RankOut = (Vec<Option<Vec<f64>>>, usize);
 
-fn launch(c: &Campaign, recv_timeout: Duration) -> Result<msim::FtSimResult<RankOut>, String> {
+fn launch(
+    c: &Campaign,
+    plan: &FaultPlan,
+    recv_timeout: Duration,
+) -> Result<msim::FtSimResult<RankOut>, String> {
     let cfg = SimConfig::new(c.spec.clone(), CostModel::uniform_test())
         .traced()
-        .with_fault(c.plan.clone())
+        .with_fault(plan.clone())
         .with_recv_timeout(recv_timeout);
     let spares = c.spares.clone();
     let (leaders, rounds) = (c.leaders, c.rounds);
@@ -320,9 +326,10 @@ fn fingerprint(r: &msim::FtSimResult<RankOut>) -> String {
 
 fn run_campaign(seed: u64) -> Result<String, String> {
     let c = campaign(seed);
-    let first = launch(&c, Duration::from_secs(5))?;
+    let first = launch(&c, &c.plan, Duration::from_secs(5))?;
     let summary = check(&c, &first)?;
-    let replay = launch(&c, Duration::from_secs(5))?;
+    let shuffled = (c.plan.clone()).with_schedule(SchedulePolicy::adversarial(seed));
+    let replay = launch(&c, &shuffled, Duration::from_secs(5))?;
     if fingerprint(&first) != fingerprint(&replay) {
         return Err(format!(
             "seed {seed} ({}) did not replay byte-identically",
@@ -337,7 +344,7 @@ fn run_campaign(seed: u64) -> Result<String, String> {
 fn mutant_check() -> Result<(), String> {
     std::env::set_var("HMPI_MUTANT", "stale-grow");
     let c = campaign(0); // kill-grow-kill: the grow path is exercised
-    let verdict = launch(&c, Duration::from_secs(2)).and_then(|r| check(&c, &r));
+    let verdict = launch(&c, &c.plan, Duration::from_secs(2)).and_then(|r| check(&c, &r));
     std::env::remove_var("HMPI_MUTANT");
     match verdict {
         Err(e) => {

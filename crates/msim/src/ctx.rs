@@ -1,7 +1,7 @@
 //! The per-rank execution context.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use simnet::{Clock, CostModel, EventKind, LinkClass, RankMap};
 
@@ -9,9 +9,9 @@ use crate::buffer::Buf;
 use crate::comm::Communicator;
 use crate::elem::ShmElem;
 use crate::error::SimError;
-use crate::exec::Wait;
+use crate::exec::Woke;
 use crate::fault::KILL_MARKER;
-use crate::ft::{AgreeOutcome, CommitOutcome, FtWatch, GrowOutcome, WaitError, FT_POLL_SLICE};
+use crate::ft::{AgreeOutcome, CommitOutcome, FtWatch, GrowOutcome, WaitError};
 use crate::hash::KeyMap;
 use crate::mailbox::{MatchKey, SlotMap};
 use crate::msg::{Packet, Payload};
@@ -526,7 +526,7 @@ impl Ctx {
         let mailbox = &self.shared.mailboxes[self.global_rank];
         for i in 0..self.watched.len() {
             let key = self.watched[i];
-            while let Some(p) = mailbox.pop(key, Wait::For(Duration::ZERO)) {
+            while let Ok(p) = mailbox.pop(key, Duration::ZERO) {
                 self.stash.push_back(key, p);
                 self.progress_claims += 1;
             }
@@ -601,19 +601,22 @@ impl Ctx {
     ///   have happened yet, so the model checker treats the poll as
     ///   dependent with it); under [`Ctx::suppress_claims`] not even those.
     /// * [`Drive::Block`] and [`Drive::Deadline`] are a fault op *before*
-    ///   the match. Disarmed, they block on the mailbox once, until the
-    ///   deadlock timeout (`Block`, which unwinds with
-    ///   [`SimError::DeadlockSuspected`]) or the detection timeout
-    ///   (`Deadline`: [`WaitError::Timeout`]). Armed, both poll the
-    ///   mailbox in short slices, watching the awaited peer in the
-    ///   liveness table: a peer seen dead or diverted past this rank's
-    ///   epoch gets **one final drain** (its last pushes happened-before
-    ///   the mark) before the typed error is raised; under transport
-    ///   loss the detection timeout raises [`WaitError::Timeout`]; the
-    ///   deadlock timeout still unwinds. `Deadline` returns a typed
-    ///   error; `Block`, which cannot, unwinds with it as the payload, so
-    ///   a fault-aware driver above can `catch_unwind` and recover while
-    ///   an unaware program aborts naming the peer, not a deadlock.
+    ///   the match. They park on the mailbox until the packet is pushed
+    ///   or the pool has stalled for the wait's budget: the deadlock
+    ///   timeout, or the detection timeout for `Deadline` and wherever
+    ///   transport loss could starve the wait. Disarmed, an expired
+    ///   `Block` unwinds with [`SimError::DeadlockSuspected`] and an
+    ///   expired `Deadline` returns [`WaitError::Timeout`]. Armed, both
+    ///   check the awaited peer in the liveness table before they park,
+    ///   and a death or divert wakes them to check again: a peer seen
+    ///   dead or diverted past this rank's epoch gets **one final look**
+    ///   (its last pushes happened-before the mark) before the typed
+    ///   error is raised. An armed expiry is [`WaitError::Timeout`] under
+    ///   transport loss and a deadlock otherwise. `Deadline` returns a
+    ///   typed error; `Block`, which cannot, unwinds with it as the
+    ///   payload, so a fault-aware driver above can `catch_unwind` and
+    ///   recover while an unaware program aborts naming the peer, not a
+    ///   deadlock.
     fn wait(
         &mut self,
         comm: &Communicator,
@@ -638,36 +641,25 @@ impl Ctx {
         }
         let key = (comm.id(), src as u32, tag);
         let me = self.global_rank;
-        // Only an armed wait reads the wall clock: up front, and once per
-        // slice, which it parks until. A disarmed one parks for its whole
-        // timeout, which the executor counts from the first stall of the
-        // pool; a poll looks once.
-        let armed = (!polled && self.shared.ft.is_some()).then(Instant::now);
-        let detect = self.shared.fault.detect_timeout();
-        let mut wait = match (how, armed) {
-            (Drive::Poll, _) => Wait::For(Duration::ZERO),
-            (_, Some(start)) => Wait::Until(start + FT_POLL_SLICE),
-            (Drive::Block, None) => Wait::For(self.shared.recv_timeout),
-            (Drive::Deadline, None) => Wait::For(detect),
+        let armed = !polled && self.shared.ft.is_some();
+        // Whether an expiry is a detection timeout rather than a
+        // deadlock: loss can starve an armed wait (drops arm fault
+        // tolerance), and a disarmed deadline wait has nothing else to
+        // detect.
+        let detects = if armed {
+            self.shared.fault.perturb.has_drops()
+        } else {
+            how == Drive::Deadline
+        };
+        let budget = match how {
+            Drive::Poll => Duration::ZERO,
+            _ if detects => self.shared.fault.detect_timeout(),
+            _ => self.shared.recv_timeout,
         };
         // A typed error ends an infallible wait by unwinding with it.
         let raise = |e: WaitError| match how {
             Drive::Block => std::panic::panic_any(e),
             _ => Err(e),
-        };
-        let timeout = || WaitError::Timeout {
-            rank: me,
-            comm: comm.id(),
-            src,
-            tag,
-        };
-        let deadlock = || -> ! {
-            std::panic::panic_any(SimError::DeadlockSuspected {
-                rank: me,
-                comm: comm.id(),
-                src,
-                tag,
-            })
         };
         // Set once the awaited peer is seen dead or diverted: the wait's
         // outcome unless one final look (stash first — the engine may
@@ -678,42 +670,51 @@ impl Ctx {
             if !polled {
                 self.drain_progress();
             }
-            let found = self
-                .stash
-                .pop_front(key)
-                .or_else(|| self.shared.mailboxes[me].pop(key, wait));
-            if let Some(packet) = found {
-                break packet;
+            if armed && verdict.is_none() {
+                verdict = self.check_peer(comm, comm.global_of(src), tag).err();
             }
-            if let Some(e) = verdict.take() {
+            let budget = if verdict.is_some() {
+                Duration::ZERO
+            } else {
+                budget
+            };
+            let found = match self.stash.pop_front(key) {
+                Some(packet) => Ok(packet),
+                None => self.shared.mailboxes[me].pop(key, budget),
+            };
+            let woke = match found {
+                Ok(packet) => break packet,
+                Err(woke) => woke,
+            };
+            if let Some(e) = verdict {
                 return raise(e);
             }
-            let Some(start) = armed else {
-                return match how {
-                    Drive::Poll => {
-                        if let Some(p) = &self.shared.probe {
-                            p.record(crate::mcheck::Op::PollMiss { key, dst: me });
-                        }
-                        self.watch(key);
-                        Ok(None)
-                    }
-                    Drive::Block => deadlock(),
-                    Drive::Deadline => Err(timeout()),
-                };
-            };
-            if let Err(e) = self.check_peer(comm, comm.global_of(src), tag) {
-                verdict = Some(e);
-                wait = Wait::For(Duration::ZERO);
+            // Woken without the packet (a death, a divert, a stale wake
+            // token): look again. Expired: the pool stalled the budget.
+            if woke == Woke::Signal {
                 continue;
             }
-            let now = Instant::now();
-            if self.shared.fault.perturb.has_drops() && now >= start + detect {
-                return raise(timeout());
-            }
-            if now >= start + self.shared.recv_timeout {
-                deadlock();
-            }
-            wait = Wait::Until(now + FT_POLL_SLICE);
+            return match how {
+                Drive::Poll => {
+                    if let Some(p) = &self.shared.probe {
+                        p.record(crate::mcheck::Op::PollMiss { key, dst: me });
+                    }
+                    self.watch(key);
+                    Ok(None)
+                }
+                _ if detects => raise(WaitError::Timeout {
+                    rank: me,
+                    comm: comm.id(),
+                    src,
+                    tag,
+                }),
+                _ => std::panic::panic_any(SimError::DeadlockSuspected {
+                    rank: me,
+                    comm: comm.id(),
+                    src,
+                    tag,
+                }),
+            };
         };
         self.unwatch(key);
         if polled {
@@ -1088,7 +1089,7 @@ impl Ctx {
     /// `Comm_agree` over `comm`: block until every member is registered
     /// or dead, returning the consensus dead set and a fresh communicator
     /// token (identical on every survivor). `gen` is the recovery epoch
-    /// being agreed on; wall-clock only, zero virtual cost.
+    /// being agreed on; zero virtual cost.
     ///
     /// # Panics
     /// Panics when fault tolerance is disarmed.
@@ -1123,8 +1124,7 @@ impl Ctx {
     /// communicator token. `op_seq` and `cookie` are echoed into the
     /// outcome so recruits can adopt the survivors' protected-op sequence
     /// and resume the elastic driver at the right round; `retire = true`
-    /// closes the pool instead of recruiting. Wall-clock only, zero
-    /// virtual cost.
+    /// closes the pool instead of recruiting. Zero virtual cost.
     ///
     /// # Panics
     /// Panics when fault tolerance is disarmed.
@@ -1175,7 +1175,7 @@ impl Ctx {
     /// until some survivor publishes the outcome. The spare then checks
     /// [`GrowOutcome::recruits`] for its own rank and
     /// [`GrowOutcome::retire`] to decide whether to join, keep waiting on
-    /// the next sequence, or exit. Wall-clock only, zero virtual cost.
+    /// the next sequence, or exit. Zero virtual cost.
     ///
     /// # Panics
     /// Panics when fault tolerance is disarmed.
@@ -1199,7 +1199,7 @@ impl Ctx {
     /// [`crate::ft::CommitOutcome`]): returns `AllOk` when every member
     /// completed protected operation `op_seq`, `Diverted` when some
     /// member died or entered recovery mid-operation. Trivially `AllOk`
-    /// when disarmed. Wall-clock only, zero virtual cost.
+    /// when disarmed. Zero virtual cost.
     pub fn ft_commit(&mut self, comm: &Communicator, op_seq: u64) -> CommitOutcome {
         let Some(ft) = self.shared.ft.as_ref().map(Arc::clone) else {
             return CommitOutcome::AllOk;

@@ -6,10 +6,11 @@
 //! ([`StackArena`], kept by the launching thread between universes), and
 //! whenever it would block — a `recv`/`wait_flag` with no matching
 //! packet, a setup-collective rendezvous that is not yet complete, or a
-//! fault-tolerance poll — it parks the coroutine and returns its worker
-//! to the pool instead of blocking an OS thread. The matching
-//! `send`/`post_flag`/rendezvous completion wakes the parked rank, which
-//! re-enters the ready queue.
+//! fault-tolerance roll-call — it parks the coroutine and returns its
+//! worker to the pool instead of blocking an OS thread. The matching
+//! `send`/`post_flag`/rendezvous completion (or a death) wakes the parked
+//! rank, which re-enters the ready queue; a park that nothing can wake
+//! any more expires when the pool goes quiescent ([`PoolCore::advance`]).
 //!
 //! A pool of one worker spawns no thread at all: the launching thread
 //! runs the worker loop itself. That is what the 65 536- and 262 144-rank
@@ -52,7 +53,7 @@ use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use simnet::rng::mix;
 use simnet::RankMap;
@@ -326,29 +327,14 @@ unsafe fn prepare_stack(_stack: &mut [u8], _entry: usize, _arg: usize) -> usize 
 // Pool core: rank states, ready queue, parking protocol.
 // ---------------------------------------------------------------------------
 
-/// How long a park lasts when nobody wakes it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Wait {
-    /// This long after the pool first stalls while the rank is parked.
-    /// The scheduler starts the clock when it finds nothing ready, so the
-    /// park cycle of a run that is making progress reads no clock at all,
-    /// and a wait expires only when a stall outlasts it: what a deadlock
-    /// timeout means. The disarmed mailbox wait and set-up rendezvous
-    /// park this way.
-    For(Duration),
-    /// Until this wall-clock instant: the slices of fault-tolerance
-    /// polls and armed waits, whose failure detection is wall-clock
-    /// timed whether or not other ranks run meanwhile.
-    Until(Instant),
-}
-
 /// Why a parked coroutine is running again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Woke {
-    /// A [`PoolCore::wake`]: what it waits for may have arrived. Also
-    /// what a coroutine that never parked (a fresh one) reads.
+    /// A [`PoolCore::wake`] or [`PoolCore::wake_all`]: what it waits for
+    /// may have arrived. Also what a coroutine that never parked (a fresh
+    /// one) reads.
     Signal,
-    /// Its [`Wait`] ran out with no wake.
+    /// Its budget ran out on the stall clock with no wake.
     Expired,
 }
 
@@ -357,9 +343,10 @@ pub(crate) enum Woke {
 enum Intent {
     /// Nothing yet (freshly created / mid-run).
     None,
-    /// Park until woken or until `wait` runs out; the rank rechecks its
-    /// own wait condition on resume, so spurious wake-ups are harmless.
-    Park { wait: Wait },
+    /// Park until woken or until the pool has stalled `budget` more; the
+    /// rank rechecks its own wait condition on resume, so spurious
+    /// wake-ups are harmless.
+    Park { budget: Duration },
     /// The rank program returned (or panicked; the outcome slot has it).
     Done,
 }
@@ -373,10 +360,9 @@ enum RankState {
     /// On a worker. `token` records a wake that arrived mid-run so a
     /// racing park is re-readied instead of sleeping through its signal.
     Running { token: bool },
-    /// Parked until woken or until `wait` runs out. A [`Wait::For`]
-    /// becomes the [`Wait::Until`] it ends at when the pool first
-    /// stalls.
-    Parked { wait: Wait },
+    /// Parked until woken, or until a quiescent pool expires it at
+    /// `deadline` on the stall clock ([`CoreState::stall`]).
+    Parked { deadline: Duration },
     /// Finished (outcome recorded).
     Done,
 }
@@ -402,13 +388,13 @@ enum ReadySet {
     NodeAffine(ReadyQueue),
     /// One flat queue. Plain FIFO for wider pools: several workers
     /// draining one node contend for that node's mailboxes and flags, and
-    /// with two workers the node-affine order measured no faster and made
-    /// wall-clock failure detection stall-sensitive (docs/simulator.md,
-    /// *Resume order*). Drawn from by a seeded hash of the pick counter
-    /// under [`PickPolicy::Seeded`] (an index into the queue, so its
-    /// order is part of every fuzz seed's schedule), and by the probe
-    /// under [`PickPolicy::Controlled`], which sorts what it is shown and
-    /// decides by rank — there the queue's order means nothing.
+    /// with two workers the node-affine order measured no faster
+    /// (docs/simulator.md, *Resume order*). Drawn from by a seeded hash
+    /// of the pick counter under [`PickPolicy::Seeded`] (an index into
+    /// the queue, so its order is part of every fuzz seed's schedule),
+    /// and by the probe under [`PickPolicy::Controlled`], which sorts
+    /// what it is shown and decides by rank — there the queue's order
+    /// means nothing.
     Flat {
         ready: VecDeque<usize>,
         pick: PickPolicy,
@@ -479,12 +465,32 @@ struct CoreState {
     /// skipped when zero: futex condvars pay a syscall per notify even
     /// with no waiters, and with few workers the common case is none.
     idle_workers: usize,
+    /// The stall clock: how long the pool has been quiescent, counted in
+    /// park budgets rather than read from any clock. It moves only when
+    /// a quiescent pool expires a park, to that park's deadline.
+    stall: Duration,
 }
 
 impl CoreState {
     fn make_ready(&mut self, rank: usize) {
         self.ranks[rank] = RankState::Ready;
         self.ready.push(rank);
+    }
+
+    /// Make `rank` runnable if it is parked (true); remember the signal
+    /// if it is running, so a racing park re-readies at once.
+    fn signal(&mut self, rank: usize) -> bool {
+        match self.ranks[rank] {
+            RankState::Parked { .. } => {
+                self.make_ready(rank);
+                true
+            }
+            RankState::Running { ref mut token } => {
+                *token = true;
+                false
+            }
+            RankState::Ready | RankState::Expired | RankState::Done => false,
+        }
     }
 }
 
@@ -513,6 +519,7 @@ impl PoolCore {
                 resumes: 0,
                 wakes: 0,
                 idle_workers: 0,
+                stall: Duration::ZERO,
             }),
             cv: Condvar::new(),
             infra: Mutex::new(Vec::new()),
@@ -544,30 +551,46 @@ impl PoolCore {
     /// is currently running (so a racing park re-readies immediately).
     /// Callers wake only a rank waiting on what they just published: a
     /// mailbox push only the owner blocked on the pushed key, a
-    /// rendezvous completion only its parked members.
+    /// rendezvous or board completion only its parked members.
     pub(crate) fn wake(&self, rank: usize) {
         let mut g = self.lock();
         g.wakes += 1;
-        match g.ranks[rank] {
-            RankState::Parked { .. } => {
-                g.make_ready(rank);
-                if g.idle_workers > 0 {
-                    self.cv.notify_one();
-                }
+        if g.signal(rank) && g.idle_workers > 0 {
+            self.cv.notify_one();
+        }
+    }
+
+    /// Wake every parked rank and leave a token with every running one:
+    /// what a death or a divert does, because any armed wait may be
+    /// watching the rank that failed. Both are rare, so the spurious
+    /// wakes are cheap; each woken rank rechecks its own condition.
+    pub(crate) fn wake_all(&self) {
+        let mut g = self.lock();
+        let mut readied = false;
+        for rank in 0..g.ranks.len() {
+            if g.signal(rank) {
+                g.wakes += 1;
+                readied = true;
             }
-            RankState::Running { ref mut token } => *token = true,
-            RankState::Ready | RankState::Expired | RankState::Done => {}
+        }
+        if readied && g.idle_workers > 0 {
+            self.cv.notify_all();
         }
     }
 
     /// Commit the yield of the rank this worker just resumed (`None` on
     /// its first call), then claim the next rank to run — one lock
     /// acquisition per resume — or return `None` when every rank is done.
-    /// Blocks (on the scheduler condvar, not on a rank!) while all live
-    /// ranks are parked or running on other workers. The claimed rank
-    /// comes with why it is ready, which its pending park returns.
+    /// Blocks (on the scheduler condvar, not on a rank!) while nothing is
+    /// ready and some rank runs on another worker. The claimed rank comes
+    /// with why it is ready, which its pending park returns.
     ///
-    /// The wall clock is read only here, and only when nothing is ready.
+    /// When nothing is ready and nothing runs, the pool is *quiescent*:
+    /// no message, flag, registration or death can arrive any more. It
+    /// then expires exactly one park, the earliest deadline on the stall
+    /// clock (ties to the lowest rank), and moves the stall clock to that
+    /// deadline. Nothing sleeps and no clock is read: nothing can change
+    /// while the pool is quiescent.
     ///
     /// # Panics
     /// Panics when live ranks remain but none is ready, parked or
@@ -594,66 +617,38 @@ impl PoolCore {
                 g.resumes += 1;
                 return Some((r, woke));
             }
-            // Nothing ready: the pool stalls. Start the clock of every
-            // `For` park, wake expired parks (their owners recheck their
-            // wait condition and report the timeout themselves), else
-            // sleep until the nearest deadline or a notification.
-            let now = Instant::now();
-            let mut nearest: Option<Instant> = None;
-            let (mut expired, mut parked, mut running) = (false, false, false);
-            for r in 0..g.ranks.len() {
-                let deadline = match g.ranks[r] {
-                    RankState::Parked {
-                        wait: Wait::For(timeout),
-                    } => match now.checked_add(timeout) {
-                        Some(deadline) => {
-                            g.ranks[r] = RankState::Parked {
-                                wait: Wait::Until(deadline),
-                            };
-                            deadline
-                        }
-                        // Beyond the clock's range: never expires.
-                        None => {
-                            parked = true;
-                            continue;
-                        }
-                    },
-                    RankState::Parked {
-                        wait: Wait::Until(deadline),
-                    } => deadline,
+            let mut running = false;
+            let mut earliest: Option<(Duration, usize)> = None;
+            for (r, state) in g.ranks.iter().enumerate() {
+                match *state {
                     RankState::Running { .. } => {
                         running = true;
-                        continue;
+                        break;
                     }
-                    RankState::Ready | RankState::Expired | RankState::Done => continue,
-                };
-                if deadline <= now {
-                    g.ranks[r] = RankState::Expired;
-                    g.ready.push(r);
-                    expired = true;
-                } else {
-                    parked = true;
-                    nearest = Some(nearest.map_or(deadline, |n| n.min(deadline)));
+                    RankState::Parked { deadline } => {
+                        if earliest.is_none_or(|(d, _)| deadline < d) {
+                            earliest = Some((deadline, r));
+                        }
+                    }
+                    RankState::Ready | RankState::Expired | RankState::Done => {}
                 }
             }
-            if expired {
+            if running {
+                // Whatever that rank does next — wake, park, finish —
+                // notifies an idle worker or is followed up by its own.
+                g.idle_workers += 1;
+                g = self.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
+                g.idle_workers -= 1;
                 continue;
             }
-            assert!(
-                parked || running,
-                "scheduler stalled: live ranks but nothing ready, parked or running (lost wake)"
-            );
-            let wait = nearest
-                .map(|d| d.saturating_duration_since(now))
-                .unwrap_or(Duration::from_millis(100))
-                .min(Duration::from_secs(1));
-            g.idle_workers += 1;
-            let (guard, _) = self
-                .cv
-                .wait_timeout(g, wait)
-                .unwrap_or_else(PoisonError::into_inner);
-            g = guard;
-            g.idle_workers -= 1;
+            let Some((deadline, r)) = earliest else {
+                panic!(
+                    "scheduler stalled: live ranks but nothing ready, parked or running (lost wake)"
+                );
+            };
+            g.stall = deadline;
+            g.ranks[r] = RankState::Expired;
+            g.ready.push(r);
         }
     }
 
@@ -667,17 +662,15 @@ impl PoolCore {
                     self.cv.notify_all();
                 }
             }
-            Intent::Park { wait } => {
-                let token = matches!(g.ranks[rank], RankState::Running { token: true });
-                if token {
+            Intent::Park { budget } => {
+                // Either way this worker picks next (the re-readied rank,
+                // or the expiry of a quiescent pool), so no idle worker
+                // needs to look.
+                if matches!(g.ranks[rank], RankState::Running { token: true }) {
                     g.make_ready(rank);
                 } else {
-                    g.ranks[rank] = RankState::Parked { wait };
-                }
-                // Either way sleeping workers may need to re-derive
-                // their deadline horizon.
-                if g.idle_workers > 0 {
-                    self.cv.notify_one();
+                    let deadline = g.stall.saturating_add(budget);
+                    g.ranks[rank] = RankState::Parked { deadline };
                 }
             }
             Intent::None => unreachable!("coroutine yielded without an intent"),
@@ -724,9 +717,12 @@ thread_local! {
 }
 
 /// Park the calling coroutine until its executor wakes it
-/// ([`PoolCore::wake`]) or `wait` runs out, and say which it was. A
-/// [`Woke::Signal`] may be spurious (a wake tokenized against an earlier
-/// wait): the caller rechecks its condition either way.
+/// ([`PoolCore::wake`], [`PoolCore::wake_all`]) or the pool has been
+/// quiescent for `budget` more on the stall clock, and say which it was.
+/// The budget is never slept: a park expires only when no rank can run,
+/// and then in deadline order. A [`Woke::Signal`] may be spurious (a
+/// wake tokenized against an earlier wait, a death elsewhere): the
+/// caller rechecks its condition either way.
 /// Must only be called from inside a rank program, which always runs as
 /// a pool coroutine.
 ///
@@ -736,7 +732,7 @@ thread_local! {
 /// is free to compute the thread-local's address once before the loop,
 /// leaving later iterations with the previous worker's slot.
 #[inline(never)]
-pub(crate) fn park_current(wait: Wait) -> Woke {
+pub(crate) fn park_current(budget: Duration) -> Woke {
     let task = CURRENT_TASK.with(|c| c.get());
     assert!(
         !task.is_null(),
@@ -747,7 +743,7 @@ pub(crate) fn park_current(wait: Wait) -> Woke {
     // protocol it expects. The cell is this rank's own, so it is still
     // ours to read when a worker (perhaps another one) resumes us.
     unsafe {
-        (*task).intent = Intent::Park { wait };
+        (*task).intent = Intent::Park { budget };
         msim_switch_stacks(&mut (*task).sp, &(*task).worker_sp);
         (*task).woke
     }
@@ -1239,12 +1235,8 @@ mod tests {
         PoolCore::new(&map, PickPolicy::Fifo, workers)
     }
 
-    fn park(wait: Wait) -> Intent {
-        Intent::Park { wait }
-    }
-
-    fn park_until(after: Duration) -> Intent {
-        park(Wait::Until(Instant::now() + after))
+    fn park(budget: Duration) -> Intent {
+        Intent::Park { budget }
     }
 
     /// A wake that lands while the rank is being resumed is tokenized:
@@ -1253,36 +1245,31 @@ mod tests {
     #[test]
     fn wake_during_running_is_not_lost() {
         for workers in [1, 2] {
-            for wait in [
-                Wait::For(Duration::from_secs(3600)),
-                Wait::Until(Instant::now() + Duration::from_secs(3600)),
-            ] {
-                let core = one_rank(workers);
-                assert_eq!(core.advance(None), Some((0, Woke::Signal)));
-                // A wake arrives mid-run; the park after it must be
-                // immediately schedulable, not parked for an hour.
-                core.wake(0);
-                let parked = Some((0, park(wait)));
-                assert_eq!(
-                    core.advance(parked),
-                    Some((0, Woke::Signal)),
-                    "width {workers}, {wait:?}"
-                );
-                assert_eq!(core.advance(Some((0, Intent::Done))), None);
-            }
+            let core = one_rank(workers);
+            assert_eq!(core.advance(None), Some((0, Woke::Signal)));
+            // A wake arrives mid-run; the park after it must be
+            // immediately schedulable, not parked for an hour.
+            core.wake(0);
+            let parked = Some((0, park(Duration::from_secs(3600))));
+            assert_eq!(
+                core.advance(parked),
+                Some((0, Woke::Signal)),
+                "width {workers}"
+            );
+            assert_eq!(core.advance(Some((0, Intent::Done))), None);
         }
     }
 
-    /// An expired park deadline re-schedules the rank so timeout-based
-    /// waits (and the deadlock detector built on them) still fire, and
-    /// the rank learns it expired.
+    /// A park with nothing else to run expires at once, whatever its
+    /// budget, so timeout-based waits (and the deadlock detector built on
+    /// them) still fire, and the rank learns it expired.
     #[test]
     fn expired_parks_are_rescheduled() {
         for workers in [1, 2] {
             let core = one_rank(workers);
             let (r, _) = core.advance(None).unwrap();
-            let t0 = Instant::now();
-            let parked = Some((r, park_until(Duration::from_millis(5))));
+            let t0 = std::time::Instant::now();
+            let parked = Some((r, park(Duration::from_secs(3600))));
             assert_eq!(
                 core.advance(parked),
                 Some((0, Woke::Expired)),
@@ -1296,30 +1283,101 @@ mod tests {
         }
     }
 
-    /// A `For` park's clock starts when the pool stalls, not when the
-    /// rank parks: rank 0 parks for 20 ms while rank 1 runs for 60 ms,
-    /// and still waits out its 20 ms after rank 1 is done and nothing is
-    /// ready. An `Until` park made at the same moment is already due
-    /// when the pool stalls.
+    /// A core of `nranks` ranks on one node, popped by `workers` threads.
+    fn ranks(nranks: usize, workers: usize) -> PoolCore {
+        let map = Placement::SmpBlock.build(&ClusterSpec::regular(1, nranks));
+        PoolCore::new(&map, PickPolicy::Fifo, workers)
+    }
+
+    /// A 1 ms park does not expire while another rank is ready, nor while
+    /// one runs for 60 ms on the other worker of a two-worker pool: the
+    /// idle worker blocks until that rank is done, and only then does the
+    /// quiescent pool expire the park.
     #[test]
-    fn a_for_park_expires_only_after_a_stall_plus_its_timeout() {
-        const TIMEOUT: Duration = Duration::from_millis(20);
+    fn a_park_never_expires_while_another_rank_is_ready_or_running() {
+        const BUDGET: Duration = Duration::from_millis(1);
         const BUSY: Duration = Duration::from_millis(60);
-        let map = Placement::SmpBlock.build(&ClusterSpec::regular(1, 2));
-        for wait in [Wait::For(TIMEOUT), Wait::Until(Instant::now() + TIMEOUT)] {
-            let core = PoolCore::new(&map, PickPolicy::Fifo, 1);
-            assert_eq!(core.advance(None), Some((0, Woke::Signal)));
-            // Rank 0 parks; rank 1 is ready, so no stall and no clock.
-            assert_eq!(core.advance(Some((0, park(wait)))), Some((1, Woke::Signal)));
-            std::thread::sleep(BUSY); // rank 1 runs
-            let stall = Instant::now();
+        let core = ranks(2, 2);
+        assert_eq!(core.advance(None), Some((0, Woke::Signal)));
+        // Rank 1 is ready: rank 0's park cannot expire.
+        assert_eq!(
+            core.advance(Some((0, park(BUDGET)))),
+            Some((1, Woke::Signal))
+        );
+        std::thread::scope(|s| {
+            // The other worker finds nothing ready while rank 1 runs.
+            let idle = s.spawn(|| core.advance(None));
+            std::thread::sleep(BUSY);
+            assert!(!idle.is_finished(), "a park expired while rank 1 ran");
             let expired = core.advance(Some((1, Intent::Done)));
-            let waited = stall.elapsed();
-            assert_eq!(expired, Some((0, Woke::Expired)), "{wait:?}");
-            if let Wait::For(_) = wait {
-                assert!(waited >= TIMEOUT, "expired {waited:?} into the stall");
-            }
+            assert_eq!(expired, Some((0, Woke::Expired)));
             assert_eq!(core.advance(Some((0, Intent::Done))), None);
+            assert_eq!(idle.join().unwrap(), None);
+        });
+    }
+
+    /// Each quiescence expires one park: the earliest deadline on the
+    /// stall clock, ties to the lowest rank. The others stay parked while
+    /// the expired rank runs.
+    #[test]
+    fn quiescence_expires_the_earliest_deadline_one_park_at_a_time() {
+        let ms = Duration::from_millis;
+        for workers in [1, 2] {
+            let core = ranks(4, workers);
+            assert_eq!(core.advance(None), Some((0, Woke::Signal)));
+            let budgets = [ms(30), ms(10), ms(10), ms(20)];
+            let mut expired = Vec::new();
+            let mut next = core.advance(Some((0, park(budgets[0]))));
+            for (rank, &budget) in budgets.iter().enumerate().skip(1) {
+                assert_eq!(next, Some((rank, Woke::Signal)), "width {workers}");
+                next = core.advance(Some((rank, park(budget))));
+            }
+            while let Some((rank, woke)) = next {
+                assert_eq!(woke, Woke::Expired, "width {workers}");
+                let parked = core
+                    .lock()
+                    .ranks
+                    .iter()
+                    .filter(|s| matches!(s, RankState::Parked { .. }))
+                    .count();
+                assert_eq!(parked, 3 - expired.len(), "width {workers}: one expiry");
+                expired.push(rank);
+                next = core.advance(Some((rank, Intent::Done)));
+            }
+            assert_eq!(expired, [1, 2, 3, 0], "width {workers}");
+            assert_eq!(core.lock().stall, ms(30), "width {workers}");
+        }
+    }
+
+    /// A budget counts stall from the stall clock at park time, so
+    /// earlier expiries are charged to it: once a 50 ms park has expired,
+    /// a 5 s park made before it is due before a fresh 5 s park, even
+    /// when the fresh one belongs to the lower rank. And none of it is
+    /// slept.
+    #[test]
+    fn a_budget_is_charged_by_earlier_expiries() {
+        const LONG: Duration = Duration::from_secs(5);
+        for workers in [1, 2] {
+            let t0 = std::time::Instant::now();
+            let core = ranks(2, workers);
+            assert_eq!(core.advance(None), Some((0, Woke::Signal)));
+            let short = park(Duration::from_millis(50));
+            assert_eq!(core.advance(Some((0, short))), Some((1, Woke::Signal)));
+            assert_eq!(
+                core.advance(Some((1, park(LONG)))),
+                Some((0, Woke::Expired))
+            );
+            // Rank 0 parks afresh: due at 5.05 s, after rank 1's 5 s.
+            assert_eq!(
+                core.advance(Some((0, park(LONG)))),
+                Some((1, Woke::Expired))
+            );
+            assert_eq!(
+                core.advance(Some((1, Intent::Done))),
+                Some((0, Woke::Expired))
+            );
+            assert_eq!(core.advance(Some((0, Intent::Done))), None);
+            assert!(t0.elapsed() < Duration::from_secs(1), "width {workers}");
         }
     }
 

@@ -206,14 +206,17 @@ pub struct FaultPlan {
     /// Sender-side retransmission policy (consulted only when
     /// `perturb.drop_prob > 0`).
     pub retry: RetryPolicy,
-    /// Wall-clock budget a *fault-tolerant* wait path spends before
-    /// declaring [`crate::ft::WaitError::Timeout`]. Shorter than the
-    /// deadlock timeout so FT runs detect total message loss well before
-    /// the deadlock detector fires. `None` uses the default (5 s).
+    /// The stall a wait that message loss could starve (and a disarmed
+    /// deadline wait) tolerates before declaring
+    /// [`crate::ft::WaitError::Timeout`]. Counted on the executor's stall
+    /// clock and never slept, like [`crate::SimConfig::recv_timeout`];
+    /// shorter than the deadlock timeout, so a lost message is reported
+    /// before a stalled setup rendezvous gives up. `None` uses the
+    /// default (5 s).
     pub detect_timeout: Option<Duration>,
 }
 
-/// Default wall-clock budget for fault-tolerant waits.
+/// Default detection budget, in stall time.
 pub(crate) const DEFAULT_DETECT_TIMEOUT: Duration = Duration::from_secs(5);
 
 impl FaultPlan {
@@ -319,14 +322,16 @@ impl FaultPlan {
         self
     }
 
-    /// Builder: wall-clock budget for fault-tolerant waits before
-    /// declaring a timeout.
+    /// Builder: the stall a wait tolerates before declaring a timeout
+    /// (see [`FaultPlan::detect_timeout`]). A stall is never slept, so
+    /// the budget changes which parked wait expires first, not how long
+    /// a run takes.
     pub fn with_detect_timeout(mut self, d: Duration) -> Self {
         self.detect_timeout = Some(d);
         self
     }
 
-    /// Effective wall-clock budget for fault-tolerant waits.
+    /// Effective detection budget.
     pub(crate) fn detect_timeout(&self) -> Duration {
         self.detect_timeout.unwrap_or(DEFAULT_DETECT_TIMEOUT)
     }

@@ -9,24 +9,30 @@
 //!   unwinds (all its prior sends happened-before the mark via the
 //!   mailbox mutex, so an observer that sees the mark and then drains its
 //!   mailbox once more cannot lose a message).
-//! * Armed wait paths (mailbox pop, flag wait, oob rendezvous) poll the
-//!   table and raise a typed [`WaitError`] instead of parking forever.
+//! * Armed wait paths (mailbox pop, flag wait, oob rendezvous) check the
+//!   table before they park and raise a typed [`WaitError`] instead of
+//!   parking forever. A death or divert wakes every parked rank to
+//!   recheck, so a failure reaches its waiters as a schedule event.
 //! * Survivors run a *commit* roll-call after every protected operation
 //!   ([`Liveness::commit`]); a failed round diverts every survivor into
 //!   the same recovery epoch, where [`Liveness::agree`] reaches consensus
 //!   on the dead set and mints a fresh communicator token
 //!   (`Comm_agree` + `Comm_shrink`).
 //!
-//! Everything here is wall-clock machinery with **zero virtual cost**:
+//! Nothing here reads a clock, and all of it has **zero virtual cost**:
 //! recovery control traffic is out-of-band, like the setup collectives
-//! (splits, window allocation) the paper excludes from measurements. See
+//! (splits, window allocation) the paper excludes from measurements. A
+//! wait that nothing wakes gives up when the pool has been quiescent for
+//! its budget on the executor's stall clock ([`crate::exec`]). See
 //! `docs/fault-tolerance.md`.
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Duration;
+
+use crate::exec::{self, PoolCore, Woke};
 
 /// Board kind for recovery-epoch consensus entries ([`Liveness::agree`]).
 const KIND_AGREE: u8 = 16;
@@ -35,10 +41,6 @@ const KIND_COMMIT: u8 = 17;
 /// Board kind for grow roll-calls ([`Liveness::grow_join`]): survivors and
 /// pooled spare ranks rendezvous to recruit replacements after a shrink.
 const KIND_GROW: u8 = 18;
-
-/// Poll slice for fault-tolerant wait loops: short enough that failure
-/// detection latency is negligible, long enough not to spin.
-pub(crate) const FT_POLL_SLICE: Duration = Duration::from_micros(200);
 
 /// Typed error raised by deadline-aware wait paths when fault tolerance
 /// is armed. Doubles as the `panic_any` payload of the plain (infallible)
@@ -193,15 +195,6 @@ pub struct GrowOutcome {
     pub retire: bool,
 }
 
-/// One grow-board entry (registrations plus the published outcome).
-#[derive(Debug, Default)]
-struct GrowEntry {
-    /// Global ranks (survivors and spares) that have checked in.
-    registered: BTreeSet<usize>,
-    /// Published grow outcome (first completing survivor wins).
-    outcome: Option<GrowOutcome>,
-}
-
 /// Result of a per-operation commit roll-call ([`Liveness::commit`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitOutcome {
@@ -212,14 +205,33 @@ pub enum CommitOutcome {
     Diverted,
 }
 
-/// One consensus-board entry (shared by agree and commit keys).
-#[derive(Debug, Default)]
-struct BoardEntry {
+/// Key of a roll-call board: `(comm or pool id, sequence, kind)`.
+type BoardKey = (u32, u64, u8);
+
+/// One roll-call board entry: registrations, the ranks parked on it, and
+/// the outcome once published (agree and grow; commit never sets it).
+#[derive(Debug)]
+struct Entry<O> {
     /// Global ranks that have checked in.
     registered: BTreeSet<usize>,
-    /// Published agree outcome (first completer wins; commit never sets it).
-    agreed: Option<AgreeOutcome>,
+    /// Global ranks parked until the board settles.
+    waiting: Vec<usize>,
+    /// Published outcome (first completer wins).
+    outcome: Option<O>,
 }
+
+impl<O> Default for Entry<O> {
+    fn default() -> Self {
+        Self {
+            registered: BTreeSet::new(),
+            waiting: Vec::new(),
+            outcome: None,
+        }
+    }
+}
+
+/// Roll-call boards whose entries publish an `O`.
+type Boards<O> = Mutex<HashMap<BoardKey, Entry<O>>>;
 
 /// The per-universe liveness table: who is dead, who has abandoned which
 /// epoch, last heartbeat seen per rank, and the consensus boards. One
@@ -241,45 +253,38 @@ pub(crate) struct Liveness {
     seen: Vec<AtomicU64>,
     /// Consensus boards keyed by `(comm id, sequence, kind)`. Entries are
     /// never removed: recovery is rare and bounded, and keeping them
-    /// makes late re-checks (a slow rank polling a completed round)
+    /// makes late re-checks (a slow rank reading a completed round)
     /// trivially correct.
-    boards: Mutex<HashMap<(u32, u64, u8), BoardEntry>>,
+    boards: Boards<AgreeOutcome>,
     /// Grow roll-call boards keyed by `(pool id, grow sequence,
     /// KIND_GROW)`; separate from `boards` because the published outcome
     /// is a [`GrowOutcome`]. Entries are never removed (same rationale).
-    grow_boards: Mutex<HashMap<(u32, u64, u8), GrowEntry>>,
+    grow_boards: Boards<GrowOutcome>,
+    /// The scheduler that parks the boards' waiters, and that a death or
+    /// divert wakes.
+    exec: Arc<PoolCore>,
 }
 
 impl Liveness {
-    pub(crate) fn new(nranks: usize) -> Self {
+    pub(crate) fn new(nranks: usize, exec: Arc<PoolCore>) -> Self {
         Self {
             dead: (0..nranks).map(|_| AtomicBool::new(false)).collect(),
             diverted: (0..nranks).map(|_| AtomicU64::new(0)).collect(),
             beats: (0..nranks).map(|_| AtomicU64::new(0)).collect(),
             seen: (0..nranks).map(|_| AtomicU64::new(0)).collect(),
-            boards: Mutex::new(HashMap::new()),
-            grow_boards: Mutex::new(HashMap::new()),
+            boards: Mutex::default(),
+            grow_boards: Mutex::default(),
+            exec,
         }
     }
 
-    /// Ranks are killed by panics, so the boards mutex may be poisoned;
-    /// the map is never left torn (all mutations are single statements).
-    fn lock_boards(&self) -> MutexGuard<'_, HashMap<(u32, u64, u8), BoardEntry>> {
-        self.boards.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Grow-board analogue of [`Liveness::lock_boards`].
-    fn lock_grow(&self) -> MutexGuard<'_, HashMap<(u32, u64, u8), GrowEntry>> {
-        self.grow_boards
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Mark `rank` dead. Called by the victim itself before its kill
-    /// panic unwinds; `SeqCst` so any observer that sees the mark also
-    /// sees every board registration the victim made before dying.
+    /// Mark `rank` dead and wake every parked rank to recheck. Called by
+    /// the victim itself before its kill panic unwinds; `SeqCst` so any
+    /// observer that sees the mark also sees every board registration
+    /// the victim made before dying.
     pub(crate) fn mark_dead(&self, rank: usize) {
         self.dead[rank].store(true, Ordering::SeqCst);
+        self.exec.wake_all();
     }
 
     pub(crate) fn is_dead(&self, rank: usize) -> bool {
@@ -287,9 +292,12 @@ impl Liveness {
     }
 
     /// Record that `rank` is abandoning its current epoch and entering
-    /// recovery epoch `epoch`. Monotonic max.
+    /// recovery epoch `epoch`. Monotonic max; a raised marker wakes every
+    /// parked rank to recheck, as a death does.
     pub(crate) fn divert(&self, rank: usize, epoch: u64) {
-        self.diverted[rank].fetch_max(epoch, Ordering::SeqCst);
+        if self.diverted[rank].fetch_max(epoch, Ordering::SeqCst) < epoch {
+            self.exec.wake_all();
+        }
     }
 
     /// Whether `rank` has announced a recovery epoch newer than `epoch`.
@@ -317,6 +325,55 @@ impl Liveness {
         self.seen[src].load(Ordering::Relaxed)
     }
 
+    /// Register `me` on the board entry at `key` and wait there until
+    /// `settle`, run under the board lock at once and after every wake,
+    /// answers. The first answer wakes the ranks parked on the board, so
+    /// a board wakes its members once, when it completes or publishes; a
+    /// death or divert wakes them through [`Liveness::mark_dead`] and
+    /// [`Liveness::divert`]. With `nudge`, the first registration also
+    /// wakes them: it may complete a roll-call that only they can judge.
+    ///
+    /// # Panics
+    /// Panics with `stuck()` when the pool stalls `timeout` unanswered.
+    #[allow(clippy::too_many_arguments)]
+    fn roll_call<O, T>(
+        &self,
+        boards: &Boards<O>,
+        key: BoardKey,
+        me: usize,
+        timeout: Duration,
+        nudge: bool,
+        mut settle: impl FnMut(&mut Entry<O>) -> Option<T>,
+        stuck: impl Fn() -> String,
+    ) -> T {
+        loop {
+            // Ranks are killed by panics, so the mutex may be poisoned;
+            // the map is never left torn (all mutations are single
+            // statements).
+            let mut map = boards.lock().unwrap_or_else(PoisonError::into_inner);
+            let e = map.entry(key).or_default();
+            e.waiting.retain(|&r| r != me);
+            let fresh = e.registered.insert(me);
+            let out = settle(e);
+            let wake = if out.is_some() || (fresh && nudge) {
+                std::mem::take(&mut e.waiting)
+            } else {
+                Vec::new()
+            };
+            if out.is_none() {
+                e.waiting.push(me);
+            }
+            drop(map);
+            for rank in wake {
+                self.exec.wake(rank);
+            }
+            if let Some(out) = out {
+                return out;
+            }
+            assert!(exec::park_current(timeout) == Woke::Signal, "{}", stuck());
+        }
+    }
+
     /// `Comm_agree`: block until every member of the communicator is
     /// either registered on this epoch's board or dead, then return the
     /// outcome the first completer published — the sorted dead set and a
@@ -328,7 +385,6 @@ impl Liveness {
     /// agreed dead set snapshots whichever deaths are visible when the
     /// last survivor checks in; a second death racing the roll-call edge
     /// may land in the next epoch instead.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn agree(
         &self,
         me: usize,
@@ -339,43 +395,31 @@ impl Liveness {
         timeout: Duration,
     ) -> AgreeOutcome {
         let key = (comm_id, gen, KIND_AGREE);
-        self.lock_boards()
-            .entry(key)
-            .or_default()
-            .registered
-            .insert(me);
-        let deadline = Instant::now() + timeout;
-        loop {
-            {
-                let mut boards = self.lock_boards();
-                let e = boards.entry(key).or_default();
-                if let Some(out) = &e.agreed {
-                    return out.clone();
-                }
-                let complete = members
+        let settle = |e: &mut Entry<AgreeOutcome>| {
+            let complete = || {
+                members
                     .iter()
-                    .all(|&m| e.registered.contains(&m) || self.is_dead(m));
-                if complete {
-                    let dead: Vec<usize> = members
-                        .iter()
-                        .copied()
-                        .filter(|&m| self.is_dead(m))
-                        .collect();
-                    let out = AgreeOutcome {
-                        dead,
-                        token: alloc_token(),
-                    };
-                    e.agreed = Some(out.clone());
-                    return out;
-                }
+                    .all(|&m| e.registered.contains(&m) || self.is_dead(m))
+            };
+            if e.outcome.is_none() && complete() {
+                let dead = members
+                    .iter()
+                    .copied()
+                    .filter(|&m| self.is_dead(m))
+                    .collect();
+                e.outcome = Some(AgreeOutcome {
+                    dead,
+                    token: alloc_token(),
+                });
             }
-            assert!(
-                Instant::now() < deadline,
+            e.outcome.clone()
+        };
+        self.roll_call(&self.boards, key, me, timeout, false, settle, || {
+            format!(
                 "ft agree(comm={comm_id}, gen={gen}) timed out at rank {me}: \
                  some member neither registered nor died"
-            );
-            ft_poll_sleep();
-        }
+            )
+        })
     }
 
     /// Per-operation commit roll-call: after finishing a protected
@@ -390,7 +434,6 @@ impl Liveness {
     /// is ordered after its own registrations (see [`Liveness::mark_dead`]),
     /// so whether a given round commits is a pure function of *where* the
     /// victim's kill op lies in its program — not of wall-clock timing.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn commit(
         &self,
         me: usize,
@@ -401,33 +444,21 @@ impl Liveness {
         timeout: Duration,
     ) -> CommitOutcome {
         let key = (comm_id, op_seq, KIND_COMMIT);
-        self.lock_boards()
-            .entry(key)
-            .or_default()
-            .registered
-            .insert(me);
-        let deadline = Instant::now() + timeout;
-        loop {
-            {
-                let mut boards = self.lock_boards();
-                let e = boards.entry(key).or_default();
-                if members.iter().all(|&m| e.registered.contains(&m)) {
-                    return CommitOutcome::AllOk;
-                }
-                let failed = members
-                    .iter()
-                    .any(|&m| m != me && (self.is_dead(m) || self.diverted_past(m, epoch)));
-                if failed {
-                    return CommitOutcome::Diverted;
-                }
+        let settle = |e: &mut Entry<AgreeOutcome>| {
+            if members.iter().all(|&m| e.registered.contains(&m)) {
+                return Some(CommitOutcome::AllOk);
             }
-            assert!(
-                Instant::now() < deadline,
+            let failed = members
+                .iter()
+                .any(|&m| m != me && (self.is_dead(m) || self.diverted_past(m, epoch)));
+            failed.then_some(CommitOutcome::Diverted)
+        };
+        self.roll_call(&self.boards, key, me, timeout, false, settle, || {
+            format!(
                 "ft commit(comm={comm_id}, op={op_seq}) timed out at rank {me}: \
                  no member died yet the roll-call never completed"
-            );
-            ft_poll_sleep();
-        }
+            )
+        })
     }
 
     /// Survivor side of the grow roll-call (ULFM spawn-and-merge): block
@@ -460,54 +491,40 @@ impl Liveness {
         timeout: Duration,
     ) -> GrowOutcome {
         let key = (pool_id, grow_seq, KIND_GROW);
-        self.lock_grow()
-            .entry(key)
-            .or_default()
-            .registered
-            .insert(me);
-        let deadline = Instant::now() + timeout;
-        loop {
-            {
-                let mut boards = self.lock_grow();
-                let e = boards.entry(key).or_default();
-                if let Some(out) = &e.outcome {
-                    return out.clone();
-                }
-                let complete = base
-                    .iter()
+        let settle = |e: &mut Entry<GrowOutcome>| {
+            let complete = || {
+                base.iter()
                     .chain(pool.iter())
-                    .all(|&m| e.registered.contains(&m) || self.is_dead(m));
-                if complete {
-                    let live: Vec<usize> =
-                        pool.iter().copied().filter(|&s| !self.is_dead(s)).collect();
-                    let take = if retire { 0 } else { want.min(live.len()) };
-                    let recruits: Vec<usize> = live[..take].to_vec();
-                    let pool_left: Vec<usize> = live[take..].to_vec();
-                    let mut members: Vec<usize> =
-                        base.iter().copied().filter(|&m| !self.is_dead(m)).collect();
-                    members.extend(recruits.iter().copied());
-                    let out = GrowOutcome {
-                        members,
-                        recruits,
-                        pool_left,
-                        token: alloc_token(),
-                        epoch,
-                        op_seq,
-                        cookie,
-                        pending: if retire { 0 } else { want - take },
-                        retire,
-                    };
-                    e.outcome = Some(out.clone());
-                    return out;
-                }
+                    .all(|&m| e.registered.contains(&m) || self.is_dead(m))
+            };
+            if e.outcome.is_none() && complete() {
+                let live: Vec<usize> = pool.iter().copied().filter(|&s| !self.is_dead(s)).collect();
+                let take = if retire { 0 } else { want.min(live.len()) };
+                let recruits: Vec<usize> = live[..take].to_vec();
+                let pool_left: Vec<usize> = live[take..].to_vec();
+                let mut members: Vec<usize> =
+                    base.iter().copied().filter(|&m| !self.is_dead(m)).collect();
+                members.extend(recruits.iter().copied());
+                e.outcome = Some(GrowOutcome {
+                    members,
+                    recruits,
+                    pool_left,
+                    token: alloc_token(),
+                    epoch,
+                    op_seq,
+                    cookie,
+                    pending: if retire { 0 } else { want - take },
+                    retire,
+                });
             }
-            assert!(
-                Instant::now() < deadline,
+            e.outcome.clone()
+        };
+        self.roll_call(&self.grow_boards, key, me, timeout, false, settle, || {
+            format!(
                 "ft grow(pool={pool_id}, seq={grow_seq}) timed out at rank {me}: \
                  some survivor or spare neither registered nor died"
-            );
-            ft_poll_sleep();
-        }
+            )
+        })
     }
 
     /// Spare side of the grow roll-call: register on the board for
@@ -515,7 +532,9 @@ impl Liveness {
     /// caller inspects [`GrowOutcome::recruits`] for its own rank (it was
     /// recruited — build the regrown communicator and join the run) and
     /// [`GrowOutcome::retire`] (the pool closed — exit); otherwise it
-    /// re-parks on the next sequence.
+    /// re-parks on the next sequence. Its registration wakes the
+    /// survivors parked on the board: only they know whether it completed
+    /// the roll-call.
     pub(crate) fn grow_standby(
         &self,
         me: usize,
@@ -524,28 +543,13 @@ impl Liveness {
         timeout: Duration,
     ) -> GrowOutcome {
         let key = (pool_id, grow_seq, KIND_GROW);
-        self.lock_grow()
-            .entry(key)
-            .or_default()
-            .registered
-            .insert(me);
-        let deadline = Instant::now() + timeout;
-        loop {
-            {
-                let boards = self.lock_grow();
-                if let Some(e) = boards.get(&key) {
-                    if let Some(out) = &e.outcome {
-                        return out.clone();
-                    }
-                }
-            }
-            assert!(
-                Instant::now() < deadline,
+        let settle = |e: &mut Entry<GrowOutcome>| e.outcome.clone();
+        self.roll_call(&self.grow_boards, key, me, timeout, true, settle, || {
+            format!(
                 "ft grow standby(pool={pool_id}, seq={grow_seq}) timed out at \
                  spare rank {me}: no survivor ever published an outcome"
-            );
-            ft_poll_sleep();
-        }
+            )
+        })
     }
 }
 
@@ -572,20 +576,46 @@ impl FtWatch {
     }
 }
 
-/// Sleep one poll slice without blocking a pool worker: the calling
-/// coroutine parks and re-readies at the deadline.
-fn ft_poll_sleep() {
-    crate::exec::park_current(crate::exec::Wait::Until(Instant::now() + FT_POLL_SLICE));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::PickPolicy;
     use crate::universe::tests::on_ranks;
+    use simnet::{ClusterSpec, Placement};
+    use std::sync::OnceLock;
+
+    /// A table of `nranks` on a scheduler no rank runs on: its wakes
+    /// find every rank ready and do nothing.
+    fn table(nranks: usize) -> Liveness {
+        let map = Placement::SmpBlock.build(&ClusterSpec::regular(1, nranks));
+        Liveness::new(nranks, Arc::new(PoolCore::new(&map, PickPolicy::Fifo, 1)))
+    }
+
+    /// Run `f(table, rank)` on every rank of an `nranks` universe on a
+    /// pool of `workers`, over one liveness table that parks and wakes
+    /// through that universe's scheduler, with `dead` marked dead before
+    /// any rank reads it.
+    fn on_table<T: Send>(
+        nranks: usize,
+        workers: usize,
+        dead: &[usize],
+        f: impl Fn(&Liveness, usize) -> T + Send + Sync,
+    ) -> Vec<T> {
+        let shared_table = OnceLock::new();
+        on_ranks(nranks, workers, |shared, me| {
+            let l = shared_table.get_or_init(|| {
+                let l = Liveness::new(nranks, Arc::clone(&shared.exec));
+                dead.iter().for_each(|&d| l.mark_dead(d));
+                l
+            });
+            f(l, me)
+        })
+        .unwrap()
+    }
 
     #[test]
     fn dead_and_divert_marks() {
-        let l = Liveness::new(4);
+        let l = table(4);
         assert!(!l.is_dead(2));
         l.mark_dead(2);
         assert!(l.is_dead(2));
@@ -600,7 +630,7 @@ mod tests {
 
     #[test]
     fn heartbeats_fold_monotonically() {
-        let l = Liveness::new(2);
+        let l = table(2);
         assert_eq!(l.bump_beat(0), 1);
         assert_eq!(l.bump_beat(0), 2);
         l.observe_beat(0, 2);
@@ -611,11 +641,11 @@ mod tests {
 
     #[test]
     fn failed_member_skips_self_and_prefers_lowest() {
-        let l = std::sync::Arc::new(Liveness::new(4));
+        let l = Arc::new(table(4));
         l.mark_dead(0);
         l.mark_dead(3);
         let watch = |members: &[usize]| FtWatch {
-            live: std::sync::Arc::clone(&l),
+            live: Arc::clone(&l),
             members: members.to_vec(),
             epoch: 0,
         };
@@ -630,13 +660,10 @@ mod tests {
     #[test]
     fn agree_completes_when_survivors_register() {
         for workers in [1, 2] {
-            let l = Liveness::new(3);
-            l.mark_dead(1);
             let t = Duration::from_secs(5);
-            let got = on_ranks(3, workers, |_, me| {
+            let got = on_table(3, workers, &[1], |l, me| {
                 (me != 1).then(|| l.agree(me, 7, 1, &[0, 1, 2], || 99, t))
-            })
-            .unwrap();
+            });
             let (a, b) = (got[0].clone().unwrap(), got[2].clone().unwrap());
             assert_eq!(a, b, "width {workers}");
             assert_eq!(a.dead, vec![1]);
@@ -647,9 +674,8 @@ mod tests {
     #[test]
     fn commit_all_ok_beats_late_death() {
         for workers in [1, 2] {
-            let l = Liveness::new(2);
             let t = Duration::from_secs(5);
-            let got = on_ranks(2, workers, |_, me| {
+            let got = on_table(2, workers, &[], |l, me| {
                 let first = l.commit(me, 3, 0, 0, &[0, 1], t);
                 if me == 1 {
                     // Registered, then dead: the round still commits.
@@ -658,8 +684,7 @@ mod tests {
                 }
                 // Next round: rank 1 is dead and never registers.
                 (first, Some(l.commit(me, 3, 1, 0, &[0, 1], t)))
-            })
-            .unwrap();
+            });
             use CommitOutcome::{AllOk, Diverted};
             assert_eq!(
                 got,
@@ -672,21 +697,17 @@ mod tests {
     #[test]
     fn grow_recruits_lowest_live_spares_once_everyone_checks_in() {
         for workers in [1, 2] {
-            let l = Liveness::new(6);
             // World: survivors {0, 2} after a shrink; spares {3, 4, 5}
             // with 4 dead, so a grow wanting 2 recruits must pick {3, 5}
             // and leave an empty pool.
-            l.mark_dead(1);
-            l.mark_dead(4);
             let t = Duration::from_secs(5);
-            let got = on_ranks(6, workers, |_, me| match me {
+            let got = on_table(6, workers, &[1, 4], |l, me| match me {
                 0 | 2 => {
                     Some(l.grow_join(me, 9, 0, &[0, 2], &[3, 4, 5], 2, 1, 40, 6, false, || 77, t))
                 }
                 3 | 5 => Some(l.grow_standby(me, 9, 0, t)),
                 _ => None,
-            })
-            .unwrap();
+            });
             let a = got[0].clone().unwrap();
             for me in [2, 3, 5] {
                 assert_eq!(got[me].as_ref(), Some(&a), "width {workers}, rank {me}");
@@ -713,9 +734,8 @@ mod tests {
         retire: bool,
         token: u32,
     ) -> (GrowOutcome, GrowOutcome) {
-        let l = Liveness::new(spare + 1);
         let t = Duration::from_secs(5);
-        let got = on_ranks(spare + 1, workers, |_, me| match me {
+        let got = on_table(spare + 1, workers, &[], |l, me| match me {
             0 => Some(l.grow_join(
                 0,
                 pool_id,
@@ -732,8 +752,7 @@ mod tests {
             )),
             _ if me == spare => Some(l.grow_standby(spare, pool_id, grow_seq, t)),
             _ => None,
-        })
-        .unwrap();
+        });
         (got[0].clone().unwrap(), got[spare].clone().unwrap())
     }
 

@@ -13,7 +13,7 @@
 //! next time it looks, so waking it would only cost the scheduler lock
 //! and a resume that re-parks.
 
-use crate::exec::{self, PoolCore, Wait, Woke};
+use crate::exec::{self, PoolCore, Woke};
 use crate::hash::KeyMap;
 use crate::msg::Packet;
 use std::cell::UnsafeCell;
@@ -268,9 +268,9 @@ impl Mailbox {
         // it the packet (at most once per miss: the handoff ends
         // `Blocked`). A receiver that is running, or waiting on another
         // key, finds the packet when it next looks; rendezvous and FT
-        // waits have wakers and deadlines of their own. So a packet that
-        // is already there when its receiver looks costs this lock and
-        // the pop's, and nothing else.
+        // waits have wakers of their own. So a packet that is already
+        // there when its receiver looks costs this lock and the pop's,
+        // and nothing else.
         if !matches!(s.waiter, Waiter::Blocked(k) if k == key) {
             s.queues.push_back(key, packet);
             return;
@@ -282,40 +282,37 @@ impl Mailbox {
         self.exec.wake(self.owner);
     }
 
-    /// Block until a packet matching `key` is available, or `wait` runs
-    /// out (returns `None` — the caller reports a deadlock). "Block"
-    /// means parking the calling coroutine, freeing its worker thread to
-    /// run other ranks; whether the wait ran out is the executor's
-    /// answer, so a [`Wait::For`] reads no clock here. A zero
-    /// [`Wait::For`] looks once and never blocks or parks: the claim
-    /// primitive of the per-rank progress engine and of polls.
-    pub(crate) fn pop(&self, key: MatchKey, wait: Wait) -> Option<Packet> {
+    /// Take the oldest packet matching `key`, parking until one is
+    /// pushed if there is none. "Park" frees the calling coroutine's
+    /// worker to run other ranks. The park ends with the packet, or
+    /// without it when the owner is woken for some other reason (a death,
+    /// a stale wake token: `Err(Woke::Signal)`, for the caller to recheck
+    /// what it waits for and call again) or when the pool stalls for
+    /// `budget` (`Err(Woke::Expired)`). A zero budget looks once and never
+    /// parks: the claim primitive of the per-rank progress engine and of
+    /// polls.
+    pub(crate) fn pop(&self, key: MatchKey, budget: Duration) -> Result<Packet, Woke> {
         let mut s = self.lock();
         if let Some(packet) = s.queues.pop_front(key) {
-            return Some(packet);
+            return Ok(packet);
         }
-        if wait == Wait::For(Duration::ZERO) {
-            return None;
+        if budget.is_zero() {
+            return Err(Woke::Expired);
         }
-        loop {
-            // Missed: until the owner looks again, a push of `key` is
-            // the one that wakes it, and hands it the packet.
-            s.waiter = Waiter::Blocked(key);
-            drop(s);
-            // A push that lands between unlock and park still wakes us:
-            // the executor records the wake token against our Running
-            // state and re-readies the park immediately.
-            let woke = exec::park_current(wait);
-            s = self.lock();
-            // The handed packet first, even past the deadline: a push
-            // that raced the expiry must deliver, not time out. Nothing
-            // of `key` can be in the table (see `Waiter::Blocked`).
-            if let Waiter::Handed(packet) = std::mem::take(&mut s.waiter) {
-                return Some(packet);
-            }
-            if woke == Woke::Expired {
-                return None;
-            }
+        // Missed: until the owner looks again, a push of `key` is the one
+        // that wakes it, and hands it the packet.
+        s.waiter = Waiter::Blocked(key);
+        drop(s);
+        // A push that lands between unlock and park still wakes us: the
+        // executor records the wake token against our Running state and
+        // re-readies the park immediately.
+        let woke = exec::park_current(budget);
+        // The handed packet first, even past the budget: a push that
+        // raced the expiry must deliver, not time out. Nothing of `key`
+        // can be in the table (see `Waiter::Blocked`).
+        match std::mem::take(&mut self.lock().waiter) {
+            Waiter::Handed(packet) => Ok(packet),
+            _ => Err(woke),
         }
     }
 
@@ -338,8 +335,8 @@ mod tests {
     use simnet::{ClusterSpec, CostModel, Placement};
     use std::cell::Cell;
 
-    const LOOK: Wait = Wait::For(Duration::ZERO);
-    const PATIENT: Wait = Wait::For(Duration::from_secs(5));
+    const LOOK: Duration = Duration::ZERO;
+    const PATIENT: Duration = Duration::from_secs(5);
 
     /// The mailbox of the only rank of a one-rank core: enough for tests
     /// whose pops never wait (the push of an unawaited key wakes nobody).
@@ -424,7 +421,7 @@ mod tests {
             let r = run_two(workers, |shared, rank| {
                 let mb = &shared.mailboxes[0];
                 if rank == 0 {
-                    return mb.pop(KEY, PATIENT).map(|p| p.arrival);
+                    return mb.pop(KEY, PATIENT).ok().map(|p| p.arrival);
                 }
                 await_blocked(mb);
                 mb.push(KEY, pkt(3.0));
@@ -450,7 +447,7 @@ mod tests {
                 let mb = &shared.mailboxes[0];
                 if rank == 0 {
                     return [KEY, KEY]
-                        .map(|k| mb.pop(k, PATIENT).map(|p| p.arrival))
+                        .map(|k| mb.pop(k, PATIENT).ok().map(|p| p.arrival))
                         .to_vec();
                 }
                 await_blocked(mb);
@@ -481,21 +478,21 @@ mod tests {
         assert!(died.is_err());
         mb.push((0, 0, 0), pkt(2.0));
         let got: Vec<_> = (0..3)
-            .map(|_| mb.pop((0, 0, 0), LOOK).map(|p| p.arrival))
+            .map(|_| mb.pop((0, 0, 0), LOOK).ok().map(|p| p.arrival))
             .collect();
         assert_eq!(got, [Some(1.0), Some(2.0), None]);
     }
 
-    /// A pop that waits parks its rank until the deadline, then misses.
+    /// A pop that waits parks its rank until the pool stalls for its
+    /// budget, then misses.
     #[test]
-    fn timeout_returns_none() {
+    fn timeout_returns_expired() {
         for workers in [1, 2] {
             let got = on_ranks(2, workers, |shared, rank| {
-                shared.mailboxes[rank]
-                    .pop((0, 0, 0), Wait::For(Duration::from_millis(10)))
-                    .is_none()
+                shared.mailboxes[rank].pop((0, 0, 0), Duration::from_millis(10))
             });
-            assert_eq!(got.unwrap(), vec![true, true], "width {workers}");
+            let expired: Vec<_> = got.unwrap().into_iter().map(|r| r.err()).collect();
+            assert_eq!(expired, [Some(Woke::Expired); 2], "width {workers}");
         }
     }
 
@@ -508,6 +505,7 @@ mod tests {
                 if rank == 0 {
                     shared.mailboxes[0]
                         .pop((1, 0, 3), PATIENT)
+                        .ok()
                         .map(|p| p.arrival)
                 } else {
                     shared.mailboxes[0].push((1, 0, 3), pkt(3.0));
@@ -545,7 +543,7 @@ mod tests {
                     model[k].push_back(stamp);
                     deepest.set(deepest.get().max(model[k].len()));
                 } else {
-                    let got = mb.pop(keys[k], LOOK).map(|p| p.arrival);
+                    let got = mb.pop(keys[k], LOOK).ok().map(|p| p.arrival);
                     assert_eq!(got, model[k].pop_front(), "key {k} lost FIFO order");
                 }
                 assert_eq!(mb.queued(), model.iter().map(VecDeque::len).sum::<usize>());

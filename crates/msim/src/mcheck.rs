@@ -1090,9 +1090,8 @@ where
 // Shrinking and replay.
 // ---------------------------------------------------------------------------
 
-/// Wall-clock budget for the shrinker, in replay runs. Each run of a
-/// deadlock certificate costs a full `recv_timeout`, so the budget keeps
-/// shrinking bounded rather than minimal.
+/// Budget for the shrinker, in replay runs: it keeps shrinking bounded
+/// rather than minimal.
 const SHRINK_BUDGET: u32 = 96;
 
 /// Delta-debug `decisions` down to a short prefix that still reproduces

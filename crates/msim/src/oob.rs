@@ -8,12 +8,12 @@
 //! last member to arrive runs a finisher over all deposits; everyone
 //! receives the shared result. No virtual time is charged.
 
-use crate::exec::{self, PoolCore, Wait, Woke};
+use crate::exec::{self, PoolCore, Woke};
 use crate::ft::{FtWatch, WaitError};
 use crate::hash::KeyMap;
 use std::any::Any;
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// (communicator context id, per-handle op sequence, op kind)
 pub(crate) type BoardKey = (u32, u32, u8);
@@ -67,11 +67,13 @@ impl OobBoard {
     /// rendezvous can never complete, so the waiter unwinds with a typed
     /// [`WaitError`] instead of timing out. A failed member that already
     /// deposited keeps the rendezvous alive — the remaining live members
-    /// can still complete it.
+    /// can still complete it. The death or divert wakes the waiter
+    /// ([`crate::exec::PoolCore::wake_all`]), which then rechecks.
     ///
     /// # Panics
-    /// Panics on timeout (a setup-collective deadlock: not all members of
-    /// the communicator made the same call) or on type confusion.
+    /// Panics when the pool stalls `timeout` with the rendezvous still
+    /// incomplete (a setup-collective deadlock: not all members of the
+    /// communicator made the same call) or on type confusion.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn rendezvous<V, R>(
         &self,
@@ -144,11 +146,9 @@ impl OobBoard {
         }
         entry.waiting.push(me_global);
 
-        // Wait for the result. Unwatched, the park itself times out,
-        // counted from the first stall of the pool, and no clock is
-        // read here; watched, the wait polls in wall-clock slices
-        // against a deadline of its own.
-        let deadline = watch.map(|_| Instant::now() + timeout);
+        // Wait for the result: until the last depositor wakes us, a
+        // death or divert wakes us to recheck the watch, or the pool
+        // stalls for `timeout`.
         let mut woke = Woke::Signal;
         loop {
             if let Some(entry) = entries.get(&key) {
@@ -197,29 +197,15 @@ impl OobBoard {
                 // once all `expected` takers are counted.
                 unreachable!("rendezvous entry removed before all members took the result");
             }
-            let timed_out = match deadline {
-                Some(deadline) => Instant::now() >= deadline,
-                None => woke == Woke::Expired,
-            };
             assert!(
-                !timed_out,
+                woke == Woke::Signal,
                 "setup-collective rendezvous timed out \
                  (did every member of the communicator make the same call?)"
             );
-            // With a watch, wake in short slices so failures are noticed
-            // promptly even though no completion will ever signal us.
-            let wait = match deadline {
-                Some(deadline) => {
-                    Wait::Until(deadline.min(Instant::now() + crate::ft::FT_POLL_SLICE))
-                }
-                None => Wait::For(timeout),
-            };
             drop(entries);
             // A completion landing between unlock and park still wakes us
-            // (the executor tokenizes wakes against Running ranks); the
-            // executor also re-readies expired parks so the timeout
-            // assertion above fires eventually.
-            woke = exec::park_current(wait);
+            // (the executor tokenizes wakes against Running ranks).
+            woke = exec::park_current(timeout);
             entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
         }
     }

@@ -42,11 +42,13 @@ pub struct SimConfig {
     pub mode: DataMode,
     /// Record schedule events (off by default; used by structural tests).
     pub trace: bool,
-    /// How long a blocked receive waits before the run is declared
-    /// deadlocked. Without fault tolerance armed the clock starts when
-    /// the pool stalls (no rank is ready to run), not when the receive
-    /// parks: a receiver waiting on a rank that is busy is not
-    /// deadlocked.
+    /// The stall a blocked receive, setup rendezvous or recovery
+    /// roll-call tolerates before the run is declared deadlocked. It is
+    /// counted on the executor's stall clock, which moves only while no
+    /// rank is ready or running, and it is never slept: a receiver
+    /// waiting on a rank that is busy is not deadlocked, however long the
+    /// rank is busy, and a true deadlock is reported as soon as the pool
+    /// has nothing else to expire first (docs/simulator.md, *Parking*).
     pub recv_timeout: Duration,
     /// Stack size per rank coroutine. Rank programs keep large data on
     /// the heap, so the default is modest to allow thousands of ranks.
@@ -109,7 +111,7 @@ impl SimConfig {
         self
     }
 
-    /// Override the deadlock timeout.
+    /// Override the deadlock timeout (see [`SimConfig::recv_timeout`]).
     pub fn with_recv_timeout(mut self, timeout: Duration) -> Self {
         self.recv_timeout = timeout;
         self
@@ -218,9 +220,10 @@ pub struct SimStats {
     /// Coroutine resumes (ready-queue pops).
     pub resumes: u64,
     /// Wakes that entered the executor: mailbox pushes of the key their
-    /// receiver was blocked on, plus rendezvous completions, one per
-    /// parked member. A push whose receiver is running or waiting on
-    /// another key never gets here.
+    /// receiver was blocked on, plus rendezvous and roll-call
+    /// completions, one per parked member, plus one per parked rank a
+    /// death or divert readied. A push whose receiver is running or
+    /// waiting on another key never gets here.
     pub wakes: u64,
     /// Times the node-affine queue moved on to another node;
     /// `resumes / node_turns` is the mean run of same-node resumes. Zero
@@ -284,6 +287,8 @@ pub struct FtSimResult<T> {
     /// Shared-window allocations still alive after every rank finished
     /// (see [`SimResult::open_windows`]).
     pub open_windows: usize,
+    /// Executor counters (see [`SimResult::stats`]).
+    pub stats: SimStats,
 }
 
 impl<T> FtSimResult<T> {
@@ -356,7 +361,7 @@ impl Universe {
         T: Send,
         F: Fn(&mut Ctx) -> T + Send + Sync,
     {
-        let (ft, stats) = Self::collect(config, f, false)?;
+        let ft = Self::collect(config, f, false)?;
         Ok(SimResult {
             per_rank: (ft.per_rank.into_iter())
                 .map(|v| v.expect("no kill was tolerated, so every rank has a value"))
@@ -365,7 +370,7 @@ impl Universe {
             tracer: ft.tracer,
             peak_threads: ft.peak_threads,
             open_windows: ft.open_windows,
-            stats,
+            stats: ft.stats,
         })
     }
 
@@ -383,7 +388,7 @@ impl Universe {
         T: Send,
         F: Fn(&mut Ctx) -> T + Send + Sync,
     {
-        Self::collect(config, f, true).map(|(ft, _)| ft)
+        Self::collect(config, f, true)
     }
 
     /// The one collection pass behind [`Universe::run`] and
@@ -396,7 +401,7 @@ impl Universe {
         config: SimConfig,
         f: F,
         tolerate_kills: bool,
-    ) -> Result<(FtSimResult<T>, SimStats), SimError>
+    ) -> Result<FtSimResult<T>, SimError>
     where
         T: Send,
         F: Fn(&mut Ctx) -> T + Send + Sync,
@@ -443,15 +448,15 @@ impl Universe {
         if let Some(err) = first_error {
             return Err(err);
         }
-        let ft = FtSimResult {
+        Ok(FtSimResult {
             per_rank,
             failed,
             clocks,
             tracer: shared.tracer.clone(),
             peak_threads,
             open_windows: shared.live_windows.load(Ordering::SeqCst),
-        };
-        Ok((ft, stats))
+            stats,
+        })
     }
 
     /// Reject a run the target cannot execute, *before* any rank program
@@ -598,7 +603,7 @@ impl Universe {
             ft: config
                 .fault
                 .ft_armed()
-                .then(|| Arc::new(Liveness::new(nranks))),
+                .then(|| Arc::new(Liveness::new(nranks, Arc::clone(&core)))),
             op_labels: (0..nranks).map(|_| Mutex::new(String::new())).collect(),
             fault: config.fault,
             exec: core,

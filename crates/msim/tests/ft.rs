@@ -4,10 +4,11 @@
 //! injected kill's error report names the victim's in-flight operation.
 
 use std::panic::AssertUnwindSafe;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use msim::{
-    testany, waitall, Ctx, FaultPlan, Payload, Request, SimConfig, SimError, Universe, WaitError,
+    testany, waitall, Ctx, ExecMode, FaultPlan, Payload, Request, SimConfig, SimError, Universe,
+    WaitError,
 };
 use simnet::{ClusterSpec, CostModel, Perturbation};
 
@@ -48,7 +49,7 @@ fn total_message_loss_times_out_with_a_typed_error() {
     let plan = FaultPlan::none()
         .with_drop(1.0) // every transit attempt is dropped
         .with_detect_timeout(Duration::from_millis(100));
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let r = Universe::run_ft(cfg(1, 2).with_fault(plan), |ctx| {
         let world = ctx.world();
         if ctx.rank() == 0 {
@@ -68,6 +69,83 @@ fn total_message_loss_times_out_with_a_typed_error() {
         "loss detection must be prompt, took {:?}",
         t0.elapsed()
     );
+}
+
+/// Death is a wake: on a pool of two workers the victim spends 20 ms of
+/// wall time before its kill op while its peer waits on it with an armed
+/// receive. The death readies the waiter once, so the run resumes a rank
+/// three times at most: each rank's first resume and the waiter's after
+/// the death. Nothing else may resume the waiter while the victim runs.
+#[test]
+fn a_death_wakes_its_waiter_once() {
+    let plan = FaultPlan::none().with_kill(1, 0);
+    let cfg = cfg(1, 2)
+        .with_fault(plan)
+        .with_exec(ExecMode::Pooled { workers: Some(2) });
+    let r = Universe::run_ft(cfg, |ctx| {
+        let world = ctx.world();
+        if ctx.rank() == 1 {
+            std::thread::sleep(Duration::from_millis(20));
+            ctx.compute(1.0); // the kill op
+            return String::new();
+        }
+        match ctx.recv_deadline(&world, 1, 7) {
+            Err(WaitError::RankFailed { failed, .. }) => format!("failed:{failed}"),
+            other => format!("unexpected:{other:?}"),
+        }
+    })
+    .unwrap();
+    assert_eq!(r.failed, [1]);
+    assert_eq!(r.per_rank[0].as_deref(), Some("failed:1"));
+    assert!(r.stats.resumes <= 3, "{} resumes", r.stats.resumes);
+}
+
+/// Silence is a stall: under a total blackout the receive times out with
+/// the same typed error, clocks and trace at pool widths 1 and 2, whether
+/// the detection budget is 1 µs or 10 s — a budget of stall, spent only
+/// when no rank can run, and never slept.
+#[test]
+fn a_blackout_times_out_on_stall_not_on_wall_time() {
+    let run = |workers: usize, detect: Duration| {
+        let plan = FaultPlan::none().with_drop(1.0).with_detect_timeout(detect);
+        let cfg = cfg(1, 2)
+            .traced()
+            .with_fault(plan)
+            .with_exec(ExecMode::Pooled {
+                workers: Some(workers),
+            });
+        let t0 = Instant::now();
+        let r = Universe::run_ft(cfg, |ctx| {
+            let world = ctx.world();
+            if ctx.rank() == 0 {
+                ctx.send(&world, 1, 3, Payload::empty());
+                return None;
+            }
+            Some(ctx.recv_deadline(&world, 0, 3).map(|p| p.len()))
+        })
+        .unwrap();
+        let clock_bits: Vec<u64> = r.clocks.iter().map(|c| c.to_bits()).collect();
+        ((r.per_rank, clock_bits, r.tracer.events()), t0.elapsed())
+    };
+    let (want, _) = run(1, Duration::from_micros(1));
+    assert!(
+        matches!(
+            want.0[1],
+            Some(Some(Err(WaitError::Timeout { src: 0, tag: 3, .. })))
+        ),
+        "{:?}",
+        want.0
+    );
+    for workers in [1, 2] {
+        for detect in [Duration::from_micros(1), Duration::from_secs(10)] {
+            let (got, took) = run(workers, detect);
+            assert_eq!(got, want, "width {workers}, budget {detect:?}");
+            assert!(
+                took < Duration::from_secs(1),
+                "width {workers}, budget {detect:?}: took {took:?}"
+            );
+        }
+    }
 }
 
 /// Message loss is a pure function of (seed, link, sequence, attempt):

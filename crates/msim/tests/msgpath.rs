@@ -387,33 +387,61 @@ fn pushes_behind_a_handed_packet_arrive_in_send_order() {
     assert!(wakes <= 1);
 }
 
-/// A disarmed wait's timeout is counted from the moment nothing is left
-/// to run, not from the moment it parked: on a one-thread pool rank 0
-/// waits (100 ms timeout) for a message that never comes while rank 1
-/// holds the worker for 300 ms, and the deadlock is reported only a full
-/// timeout after rank 1 is done. Waiting on a rank that is busy is not a
-/// deadlock.
+/// A wait's budget is stall, not wall time: rank 0 waits with a 1 ms
+/// deadlock timeout while rank 1 holds its worker for 60 ms and then
+/// sends, and the receive completes at both pool widths. Waiting on a
+/// rank that is busy is not a deadlock.
 #[test]
-fn a_disarmed_wait_times_out_a_full_timeout_after_the_pool_stalls() {
-    const TIMEOUT: Duration = Duration::from_millis(100);
-    const BUSY: Duration = Duration::from_millis(300);
-    let cfg = cfg()
-        .with_recv_timeout(TIMEOUT)
-        .with_exec(ExecMode::Pooled { workers: Some(1) });
-    let t0 = std::time::Instant::now();
-    let err = Universe::run(cfg, |ctx| {
-        let world = ctx.world();
-        if ctx.rank() == 0 {
-            ctx.recv(&world, 1, TAG);
-        } else {
+fn a_wait_never_expires_while_another_rank_runs() {
+    const BUSY: Duration = Duration::from_millis(60);
+    for workers in [1, 2] {
+        let cfg = cfg()
+            .with_recv_timeout(Duration::from_millis(1))
+            .with_exec(ExecMode::Pooled {
+                workers: Some(workers),
+            });
+        let r = Universe::run(cfg, |ctx| {
+            let world = ctx.world();
+            if ctx.rank() == 0 {
+                return ctx.recv(&world, 1, TAG).len();
+            }
             std::thread::sleep(BUSY);
-        }
-    })
-    .unwrap_err();
-    let took = t0.elapsed();
-    assert!(
-        matches!(err, msim::SimError::DeadlockSuspected { rank: 0, .. }),
-        "{err}"
-    );
-    assert!(took >= BUSY + TIMEOUT, "reported after {took:?}");
+            ctx.send(&world, 0, TAG, Payload::Phantom(7));
+            0
+        })
+        .unwrap();
+        assert_eq!(r.per_rank, [7, 0], "width {workers}");
+    }
+}
+
+/// When no rank can run, the wait with the least budget left expires
+/// first, and only it: rank 0's 1 ms detection timeout runs out while
+/// rank 1's 10 s deadlock timeout does not, so rank 0 learns of its
+/// timeout, sends, and rank 1's receive completes. Nothing is slept:
+/// the run takes far less than the 10 s budget at both widths.
+#[test]
+fn quiescence_expires_the_shortest_budget_first() {
+    for workers in [1, 2] {
+        let t0 = std::time::Instant::now();
+        let plan = FaultPlan::none().with_detect_timeout(Duration::from_millis(1));
+        let cfg = cfg()
+            .with_fault(plan)
+            .with_recv_timeout(Duration::from_secs(10))
+            .with_exec(ExecMode::Pooled {
+                workers: Some(workers),
+            });
+        let r = Universe::run(cfg, |ctx| {
+            let world = ctx.world();
+            if ctx.rank() == 0 {
+                let idle = ctx.recv_deadline(&world, 1, TAG);
+                assert!(matches!(idle, Err(WaitError::Timeout { rank: 0, .. })));
+                ctx.send(&world, 1, TAG, Payload::Phantom(3));
+                return 0;
+            }
+            ctx.recv(&world, 0, TAG).len()
+        })
+        .unwrap();
+        assert_eq!(r.per_rank, [0, 3], "width {workers}");
+        assert!(t0.elapsed() < Duration::from_secs(1), "width {workers}");
+    }
 }
