@@ -10,58 +10,210 @@
 //! window; leaders forward each node its slice; every rank reads its own
 //! block from its node window — one copy per node instead of one per
 //! rank at the root plus one per rank at the destinations.
+//!
+//! Both run inside the [`HyOp`] envelope through one rooted [`Stage`]:
+//! on the root's node the leader exchanges one slab with every other
+//! node, in group order; elsewhere the leader exchanges its own node's
+//! slab with the root's node. Which side sends is the only difference
+//! between the two families ([`Flow`]).
 
-use collectives::tags;
-use collectives::util::displs_of;
-use msim::{Ctx, SharedWindow, ShmElem};
+use std::marker::PhantomData;
 
+use collectives::{tags, IColl, LeaderSet};
+use msim::{Ctx, Drive, SharedWindow, ShmElem, WaitError};
+
+use crate::envelope::{HyOp, Open, Stage};
 use crate::hybrid::HybridComm;
+
+/// Which way a rooted family moves its slabs over the bridge.
+pub trait Flow {
+    /// Family name, for messages.
+    const NAME: &'static str;
+    /// Trace label of the nonblocking form.
+    const OP: &'static str;
+    /// Bridge tag of the slab messages.
+    const TAG: u32;
+    /// Whether slabs travel to the root's node (gather) rather than away
+    /// from it (scatter).
+    const TO_ROOT: bool;
+}
+
+/// Gather's [`Flow`]: every node's slab travels to the root's node.
+#[derive(Debug)]
+pub enum ToRoot {}
+
+/// Scatter's [`Flow`]: the root's node sends every node its slab.
+#[derive(Debug)]
+pub enum FromRoot {}
+
+impl Flow for ToRoot {
+    const NAME: &'static str = "gather";
+    const OP: &'static str = "ihygather";
+    const TAG: u32 = tags::GATHER + 8;
+    const TO_ROOT: bool = true;
+}
+
+impl Flow for FromRoot {
+    const NAME: &'static str = "scatter";
+    const OP: &'static str = "ihyscatter";
+    const TAG: u32 = tags::SCATTER + 8;
+    const TO_ROOT: bool = false;
+}
+
+/// The core both rooted families share: the single-leader set, the node
+/// window and the root's node group.
+#[derive(Debug, Clone)]
+struct Rooted<T> {
+    hc: HybridComm,
+    ls: LeaderSet,
+    /// The root's node: the full payload (gather: the result), node-sorted.
+    /// Elsewhere: scatter's own slice; empty for gather.
+    win: SharedWindow<T>,
+    /// Gather's per-node staging window, `[s_local] * count`.
+    staging: Option<SharedWindow<T>>,
+    count: usize,
+    root_group: usize,
+}
+
+impl<T: ShmElem> Rooted<T> {
+    fn new<F: Flow>(ctx: &mut Ctx, hc: &HybridComm, count: usize, root: usize) -> Self {
+        let p = hc.comm().size();
+        assert!(root < p, "{} root {root} out of range", F::NAME);
+        let h = hc.hierarchy();
+        let root_group = h.locate(root).0;
+        let leader_len = |len: usize| if hc.is_leader() { len } else { 0 };
+        let staging = F::TO_ROOT
+            .then(|| SharedWindow::allocate(ctx, &h.shm, leader_len(h.shm.size() * count)));
+        let len = if h.node_index == root_group {
+            p * count
+        } else if F::TO_ROOT {
+            0
+        } else {
+            h.shm.size() * count
+        };
+        let win = SharedWindow::allocate(ctx, &h.shm, leader_len(len));
+        Self {
+            hc: hc.clone(),
+            ls: LeaderSet::build(ctx, hc.comm(), h, 1),
+            win,
+            staging,
+            count,
+            root_group,
+        }
+    }
+
+    fn at_root_node(&self) -> bool {
+        self.hc.hierarchy().node_index == self.root_group
+    }
+
+    /// Element offset of parent rank `r`'s block inside the root node's
+    /// window (node-sorted order).
+    fn block_offset(&self, r: usize) -> usize {
+        self.hc.hierarchy().sorted_pos[r] * self.count
+    }
+
+    fn read(&self, off: usize) -> Vec<T> {
+        let mut out = vec![T::default(); self.count];
+        self.win.read_into(off, &mut out);
+        out
+    }
+}
+
+/// The rooted bridge stage of [`HyGather`] and [`HyScatter`].
+pub struct RootedStage<'a, T, F> {
+    core: &'a Rooted<T>,
+    flow: PhantomData<F>,
+}
+
+impl<'a, T, F> RootedStage<'a, T, F> {
+    fn new(core: &'a Rooted<T>) -> Self {
+        Self {
+            core,
+            flow: PhantomData,
+        }
+    }
+}
+
+impl<T: ShmElem, F: Flow> Stage for RootedStage<'_, T, F> {
+    const OP: &'static str = F::OP;
+    /// The next node group to exchange a slab with.
+    type Bridge = usize;
+
+    fn hc(&self) -> &HybridComm {
+        &self.core.hc
+    }
+
+    fn leaders(&self) -> &LeaderSet {
+        &self.core.ls
+    }
+
+    fn open(&self) -> Open {
+        Open::Arrive
+    }
+
+    fn start(&mut self, ctx: &mut Ctx) -> usize {
+        let c = self.core;
+        if let Some(staging) = c.staging.as_ref().filter(|_| c.at_root_node()) {
+            // Copy the local slab into place (window-to-window move on
+            // the same node — charged, it is a real memcpy).
+            let h = c.hc.hierarchy();
+            let own_elems = h.shm.size() * c.count;
+            let mut tmp = vec![T::default(); own_elems];
+            staging.read_into(0, &mut tmp);
+            c.win
+                .write_from(h.group_block_offset(h.node_index) * c.count, &tmp);
+            ctx.charge_copy(own_elems * T::SIZE);
+        }
+        0
+    }
+
+    fn drive(&mut self, ctx: &mut Ctx, next: &mut usize, how: Drive) -> Result<bool, WaitError> {
+        let c = self.core;
+        let h = c.hc.hierarchy();
+        let at_root = c.at_root_node();
+        while *next < h.num_groups() {
+            let g = *next;
+            if g != h.node_index && (at_root || g == c.root_group) {
+                let bridge = c.ls.bridge.as_ref().expect("leaders carry the bridge");
+                // The root's node addresses group g's slab at its
+                // node-sorted offset; every other node owns one slab.
+                let (win, off, len) = match (&c.staging, at_root) {
+                    (_, true) => (&c.win, h.group_block_offset(g), h.group_size(g)),
+                    (Some(staging), false) => (staging, 0, h.shm.size()),
+                    (None, false) => (&c.win, 0, h.shm.size()),
+                };
+                if F::TO_ROOT != at_root {
+                    ctx.send(bridge, g, F::TAG, win.payload(off * c.count, len * c.count));
+                } else {
+                    let Some(slab) = ctx.step_recv(bridge, g, F::TAG, how)? else {
+                        return Ok(false);
+                    };
+                    win.write_payload(off * c.count, &slab);
+                }
+            }
+            *next += 1;
+        }
+        Ok(true)
+    }
+}
 
 /// Hybrid gather handle for `count` elements per rank.
 #[derive(Debug, Clone)]
-pub struct HyGather<T> {
-    hc: HybridComm,
-    /// This node's contributions: `[s_local] * count`.
-    stage_win: SharedWindow<T>,
-    /// The full result, allocated on the root's node only (empty
-    /// elsewhere).
-    result_win: SharedWindow<T>,
-    count: usize,
-    root: usize,
-}
+pub struct HyGather<T>(Rooted<T>);
 
 impl<T: ShmElem> HyGather<T> {
     /// One-off setup for gathering to parent rank `root`.
     pub fn new(ctx: &mut Ctx, hc: &HybridComm, count: usize, root: usize) -> Self {
-        let p = hc.comm().size();
-        assert!(root < p, "gather root {root} out of range");
-        let h = hc.hierarchy();
-        let my_size = h.shm.size();
-        let root_group = h.locate(root).0;
-
-        let stage_len = if hc.is_leader() { my_size * count } else { 0 };
-        let stage_win = SharedWindow::allocate(ctx, &h.shm, stage_len);
-        let result_len = if hc.is_leader() && h.node_index == root_group {
-            p * count
-        } else {
-            0
-        };
-        let result_win = SharedWindow::allocate(ctx, &h.shm, result_len);
-        Self {
-            hc: hc.clone(),
-            stage_win,
-            result_win,
-            count,
-            root,
-        }
+        Self(Rooted::new::<ToRoot>(ctx, hc, count, root))
     }
 
     /// Write this rank's contribution (an in-place write into the node
     /// staging window).
     pub fn write_my_block(&self, ctx: &Ctx, data: &[T]) {
-        assert_eq!(data.len(), self.count, "block must hold `count` elements");
-        let s_local = self.hc.hierarchy().shm.rank();
-        self.stage_win.write_from(s_local * self.count, data);
+        let c = &self.0;
+        assert_eq!(data.len(), c.count, "block must hold `count` elements");
+        let staging = c.staging.as_ref().expect("gather stages its blocks");
+        staging.write_from(c.hc.hierarchy().shm.rank() * c.count, data);
         let _ = ctx;
     }
 
@@ -69,162 +221,82 @@ impl<T: ShmElem> HyGather<T> {
     /// (meaningful on the root's node; see
     /// [`HyGather::block_offset`] for addressing). Use on the root.
     pub fn read_block(&self, src: usize) -> Vec<T> {
-        let mut out = vec![T::default(); self.count];
-        self.result_win.read_into(self.block_offset(src), &mut out);
-        out
+        self.0.read(self.block_offset(src))
     }
 
     /// Element offset of parent rank `src`'s block inside the result
     /// window (node-sorted order, as in the hybrid allgather).
     pub fn block_offset(&self, src: usize) -> usize {
-        self.hc.hierarchy().sorted_pos[src] * self.count
+        self.0.block_offset(src)
     }
 
-    /// The collective: arrive → leaders gatherv node aggregates to the
+    /// The collective: arrive → leaders send their node's slab to the
     /// root's leader (window to window) → release.
     pub fn execute(&self, ctx: &mut Ctx) {
-        let h = self.hc.hierarchy().clone();
-        let sync = self.hc.sync();
-        let root_group = h.locate(self.root).0;
+        HyOp::run(ctx, RootedStage::<T, ToRoot>::new(&self.0));
+    }
 
-        sync.arrive(ctx, &h.shm);
-        if let Some(bridge) = &h.bridge {
-            // Linear gatherv over the bridge: each leader ships its
-            // node's staged slab; the root's leader writes slabs at the
-            // node-sorted offsets.
-            let my_group = h.node_index;
-            if my_group == root_group {
-                // Copy the local slab into place (window-to-window move
-                // on the same node — charged, it is a real memcpy).
-                let own_elems = h.group_size(my_group) * self.count;
-                let mut tmp = vec![T::default(); own_elems];
-                self.stage_win.read_into(0, &mut tmp);
-                let own_off = h.group_block_offset(my_group) * self.count;
-                self.result_win.write_from(own_off, &tmp);
-                ctx.charge_copy(own_elems * T::SIZE);
-                for g in 0..h.num_groups() {
-                    if g == root_group {
-                        continue;
-                    }
-                    let payload = ctx.recv(bridge, g, tags::GATHER + 8);
-                    let off = h.group_block_offset(g) * self.count;
-                    self.result_win.write_payload(off, &payload);
-                }
-            } else {
-                let slab = self
-                    .stage_win
-                    .payload(0, h.group_size(my_group) * self.count);
-                ctx.send(bridge, root_group, tags::GATHER + 8, slab);
-            }
-        } else {
-            // Single node: the staging window IS on the root's node;
-            // the leader moves it into the result window.
-            if h.shm.rank() == 0 {
-                let elems = h.shm.size() * self.count;
-                let mut tmp = vec![T::default(); elems];
-                self.stage_win.read_into(0, &mut tmp);
-                self.result_win.write_from(0, &tmp);
-                ctx.charge_copy(elems * T::SIZE);
-            }
-        }
-        sync.release(ctx, &h.shm);
+    /// Start the collective nonblocking: the arrive signal is posted
+    /// immediately; the slab exchange and the release advance on
+    /// [`msim::Request`] polls. `iexecute(ctx) + wait` is bit-identical
+    /// to [`HyGather::execute`] modulo the `Req*` trace markers.
+    pub fn iexecute<'a>(&'a self, ctx: &mut Ctx) -> IHyGather<'a, T> {
+        HyOp::start(ctx, RootedStage::new(&self.0))
     }
 }
+
+/// An in-flight hybrid gather.
+pub type IHyGather<'a, T> = IColl<HyOp<RootedStage<'a, T, ToRoot>>>;
 
 /// Hybrid scatter handle for `count` elements per rank.
 #[derive(Debug, Clone)]
-pub struct HyScatter<T> {
-    hc: HybridComm,
-    /// Full payload on the root's node (node-sorted order); per-node
-    /// slice elsewhere.
-    win: SharedWindow<T>,
-    count: usize,
-    root: usize,
-}
+pub struct HyScatter<T>(Rooted<T>);
 
 impl<T: ShmElem> HyScatter<T> {
     /// One-off setup for scattering from parent rank `root`.
     pub fn new(ctx: &mut Ctx, hc: &HybridComm, count: usize, root: usize) -> Self {
-        let p = hc.comm().size();
-        assert!(root < p, "scatter root {root} out of range");
-        let h = hc.hierarchy();
-        let root_group = h.locate(root).0;
-        // The root's node holds the full payload; other nodes hold their
-        // own slice.
-        let len = if h.node_index == root_group {
-            p * count
-        } else {
-            h.shm.size() * count
-        };
-        let my_len = if hc.is_leader() { len } else { 0 };
-        let win = SharedWindow::allocate(ctx, &h.shm, my_len);
-        Self {
-            hc: hc.clone(),
-            win,
-            count,
-            root,
-        }
+        Self(Rooted::new::<FromRoot>(ctx, hc, count, root))
     }
 
     /// The root writes the block destined for parent rank `dest` into
     /// its node's window (in-place; node-sorted order).
     pub fn write_block(&self, ctx: &Ctx, dest: usize, data: &[T]) {
-        assert_eq!(data.len(), self.count, "block must hold `count` elements");
-        let h = self.hc.hierarchy();
-        self.win.write_from(h.sorted_pos[dest] * self.count, data);
+        let c = &self.0;
+        assert_eq!(data.len(), c.count, "block must hold `count` elements");
+        c.win.write_from(c.block_offset(dest), data);
         let _ = ctx;
     }
 
     /// Read this rank's received block from its node window.
     pub fn read_my_block(&self) -> Vec<T> {
-        let h = self.hc.hierarchy();
-        let me = self.hc.comm().rank();
-        let root_group = h.locate(self.root).0;
-        let off = if h.node_index == root_group {
-            h.sorted_pos[me] * self.count
+        let c = &self.0;
+        let off = if c.at_root_node() {
+            c.block_offset(c.hc.comm().rank())
         } else {
             // Non-root nodes received only their own slice, in local
             // rank order.
-            h.shm.rank() * self.count
+            c.hc.hierarchy().shm.rank() * c.count
         };
-        let mut out = vec![T::default(); self.count];
-        self.win.read_into(off, &mut out);
-        out
+        c.read(off)
     }
 
-    /// The collective: root's-node arrive (the root must have written) →
-    /// root's leader sends each node its slice → release.
+    /// The collective: arrive → the root's leader sends each node its
+    /// slice → release.
     pub fn execute(&self, ctx: &mut Ctx) {
-        let h = self.hc.hierarchy().clone();
-        let sync = self.hc.sync();
-        let root_group = h.locate(self.root).0;
+        HyOp::run(ctx, RootedStage::<T, FromRoot>::new(&self.0));
+    }
 
-        sync.arrive(ctx, &h.shm);
-        if let Some(bridge) = &h.bridge {
-            let my_group = h.node_index;
-            if my_group == root_group {
-                let displs: Vec<usize> = {
-                    let counts: Vec<usize> = (0..h.num_groups())
-                        .map(|g| h.group_size(g) * self.count)
-                        .collect();
-                    displs_of(&counts)
-                };
-                #[allow(clippy::needless_range_loop)] // slab offsets come from a displacement table
-                for g in 0..h.num_groups() {
-                    if g == root_group {
-                        continue;
-                    }
-                    let slab = self.win.payload(displs[g], h.group_size(g) * self.count);
-                    ctx.send(bridge, g, tags::SCATTER + 8, slab);
-                }
-            } else {
-                let payload = ctx.recv(bridge, root_group, tags::SCATTER + 8);
-                self.win.write_payload(0, &payload);
-            }
-        }
-        sync.release(ctx, &h.shm);
+    /// Start the collective nonblocking: the arrive signal is posted
+    /// immediately; the slab exchange and the release advance on
+    /// [`msim::Request`] polls. `iexecute(ctx) + wait` is bit-identical
+    /// to [`HyScatter::execute`] modulo the `Req*` trace markers.
+    pub fn iexecute<'a>(&'a self, ctx: &mut Ctx) -> IHyScatter<'a, T> {
+        HyOp::start(ctx, RootedStage::new(&self.0))
     }
 }
+
+/// An in-flight hybrid scatter.
+pub type IHyScatter<'a, T> = IColl<HyOp<RootedStage<'a, T, FromRoot>>>;
 
 #[cfg(test)]
 mod tests {

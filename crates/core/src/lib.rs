@@ -78,7 +78,7 @@ pub use alltoall::{HyAlltoall, IHyAlltoall};
 pub use alltoallv::{HyAlltoallv, IHyAlltoallv};
 pub use bcast::{HyBcast, IHyBcast};
 pub use ft::{FtComm, Leaders};
-pub use gather_scatter::{HyGather, HyScatter};
+pub use gather_scatter::{HyGather, HyScatter, IHyGather, IHyScatter};
 pub use hybrid::HybridComm;
 pub use reduce_scatter::{HyReduceScatter, IHyReduceScatter};
 pub use sync::{SyncMethod, SyncSm};

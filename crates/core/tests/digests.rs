@@ -8,8 +8,7 @@
 //! (where the family takes one) × `regular(4,6)`, `irregular([1,3,4])`
 //! (k clamps to 1) and `irregular([2,3,4])` (k clamps to 2);
 //! `fixtures/hybrid_digests.txt` holds one line per cell, and both the
-//! blocking `execute` and `iexecute + wait` must reproduce it (gather and
-//! scatter have no split-phase form and pin the blocking run only). The
+//! blocking `execute` and `iexecute + wait` must reproduce it. The
 //! table was generated from the implementation that had separate
 //! single-leader and multi-leader handles (`HyK*`), so it is what keeps
 //! the unified one honest: the digests cover window allocation,
@@ -191,15 +190,18 @@ fn reduce_scatter(ctx: &mut Ctx, c: Cell) -> Vec<f64> {
     rs.read_result()
 }
 
-/// Root 1, as in the conformance suites. Blocking only: gather has no
-/// split-phase form.
+/// Root 1, as in the conformance suites.
 fn gather(ctx: &mut Ctx, c: Cell) -> Vec<f64> {
     let world = ctx.world();
     let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), c.sync);
     let g = HyGather::<f64>::new(ctx, &hc, COUNT, 1);
     let mine: Vec<f64> = (0..COUNT).map(|i| datum(ctx.rank(), i)).collect();
     g.write_my_block(ctx, &mine);
-    g.execute(ctx);
+    if c.nonblocking {
+        g.iexecute(ctx).wait(ctx);
+    } else {
+        g.execute(ctx);
+    }
     if ctx.rank() == 1 {
         (0..world.size()).flat_map(|r| g.read_block(r)).collect()
     } else {
@@ -207,7 +209,7 @@ fn gather(ctx: &mut Ctx, c: Cell) -> Vec<f64> {
     }
 }
 
-/// Root 1. Blocking only: scatter has no split-phase form.
+/// Root 1.
 fn scatter(ctx: &mut Ctx, c: Cell) -> Vec<f64> {
     let world = ctx.world();
     let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), c.sync);
@@ -219,23 +221,28 @@ fn scatter(ctx: &mut Ctx, c: Cell) -> Vec<f64> {
         }
     }
     ctx.oob_fence(&world);
-    s.execute(ctx);
+    if c.nonblocking {
+        s.iexecute(ctx).wait(ctx);
+    } else {
+        s.execute(ctx);
+    }
     s.read_my_block()
 }
 
-/// `(name, program, takes a leader count, has a split-phase form)`.
-const FAMILIES: [(&str, Prog, bool, bool); 11] = [
-    ("allgather", allgather, true, true),
-    ("allgatherv", allgatherv, true, true),
-    ("bcast.root0", bcast_root0, true, true),
-    ("bcast.root1", bcast_root1, true, true),
-    ("bcast.rootlast", bcast_rootlast, true, true),
-    ("allreduce", allreduce, true, true),
-    ("alltoall", alltoall, false, true),
-    ("alltoallv", alltoallv, false, true),
-    ("reduce_scatter", reduce_scatter, false, true),
-    ("gather", gather, false, false),
-    ("scatter", scatter, false, false),
+/// `(name, program, takes a leader count)`. Every family has a
+/// split-phase form.
+const FAMILIES: [(&str, Prog, bool); 11] = [
+    ("allgather", allgather, true),
+    ("allgatherv", allgatherv, true),
+    ("bcast.root0", bcast_root0, true),
+    ("bcast.root1", bcast_root1, true),
+    ("bcast.rootlast", bcast_rootlast, true),
+    ("allreduce", allreduce, true),
+    ("alltoall", alltoall, false),
+    ("alltoallv", alltoallv, false),
+    ("reduce_scatter", reduce_scatter, false),
+    ("gather", gather, false),
+    ("scatter", scatter, false),
 ];
 
 /// How one leg of the wall runs every cell: the pool width and the
@@ -268,7 +275,7 @@ fn digest(spec: ClusterSpec, prog: Prog, cell: Cell, leg: Leg) -> u64 {
 
 fn recompute(leg: Leg) -> String {
     let mut out = String::new();
-    for (name, prog, takes_k, splits) in FAMILIES {
+    for (name, prog, takes_k) in FAMILIES {
         for sync in SYNCS {
             for &k in if takes_k { &KS[..] } else { &KS[..1] } {
                 for (spec_name, spec) in specs() {
@@ -282,13 +289,11 @@ fn recompute(leg: Leg) -> String {
                     };
                     let blocking = run(false);
                     let line = format!("{name} {sync:?} k={k} {spec_name} {blocking:016x}");
-                    if splits {
-                        assert_eq!(
-                            run(true),
-                            blocking,
-                            "{line}: iexecute + wait must hash like execute"
-                        );
-                    }
+                    assert_eq!(
+                        run(true),
+                        blocking,
+                        "{line}: iexecute + wait must hash like execute"
+                    );
                     out.push_str(&line);
                     out.push('\n');
                 }

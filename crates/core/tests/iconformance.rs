@@ -26,8 +26,8 @@
 use collectives::testutil::{conf_seeds, datum, run_cfg, vcounts};
 use collectives::{op::Sum, Tuning};
 use hmpi::{
-    HyAllgather, HyAllgatherv, HyAllreduce, HyAlltoall, HyAlltoallv, HyBcast, HyReduceScatter,
-    HybridComm, SyncMethod,
+    HyAllgather, HyAllgatherv, HyAllreduce, HyAlltoall, HyAlltoallv, HyBcast, HyGather,
+    HyReduceScatter, HyScatter, HybridComm, SyncMethod,
 };
 use msim::{testany, waitall, Bytes, Ctx, ExecMode, FaultPlan, Payload, Request, SimConfig};
 use simnet::{ClusterSpec, CostModel, Event, EventKind};
@@ -266,6 +266,42 @@ fn hy_reduce_scatter_prog(
     rs.read_result()
 }
 
+fn hy_gather_prog(ctx: &mut Ctx, sync: SyncMethod, _k: usize, nonblocking: bool) -> Vec<f64> {
+    let world = ctx.world();
+    let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), sync);
+    let g = HyGather::<f64>::new(ctx, &hc, COUNT, ROOT);
+    let mine: Vec<f64> = (0..COUNT).map(|i| datum(ctx.rank(), i)).collect();
+    g.write_my_block(ctx, &mine);
+    if nonblocking {
+        g.iexecute(ctx).wait(ctx);
+    } else {
+        g.execute(ctx);
+    }
+    if ctx.rank() == ROOT {
+        (0..world.size()).flat_map(|r| g.read_block(r)).collect()
+    } else {
+        Vec::new()
+    }
+}
+
+fn hy_scatter_prog(ctx: &mut Ctx, sync: SyncMethod, _k: usize, nonblocking: bool) -> Vec<f64> {
+    let world = ctx.world();
+    let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), sync);
+    let s = HyScatter::<f64>::new(ctx, &hc, COUNT, ROOT);
+    if ctx.rank() == ROOT {
+        for dest in 0..world.size() {
+            let data: Vec<f64> = (0..COUNT).map(|i| datum(ROOT, dest * COUNT + i)).collect();
+            s.write_block(ctx, dest, &data);
+        }
+    }
+    if nonblocking {
+        s.iexecute(ctx).wait(ctx);
+    } else {
+        s.execute(ctx);
+    }
+    s.read_my_block()
+}
+
 // ------------------------------------------------------------------ suite
 
 macro_rules! ifamily {
@@ -293,6 +329,8 @@ ifamily!(hy_allreduce, hy_allreduce_prog, KS);
 ifamily!(hy_alltoall, hy_alltoall_prog, [1]);
 ifamily!(hy_alltoallv, hy_alltoallv_prog, [1]);
 ifamily!(hy_reduce_scatter, hy_reduce_scatter_prog, [1]);
+ifamily!(hy_gather, hy_gather_prog, [1]);
+ifamily!(hy_scatter, hy_scatter_prog, [1]);
 
 // --------------------------------------------- batch-completion ordering
 
