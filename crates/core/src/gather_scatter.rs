@@ -1,8 +1,13 @@
 //! Hybrid gather and scatter — further "more experiences" extensions.
 //!
-//! **HyGather**: on-node ranks write their blocks into a node staging
-//! window; leaders send node aggregates to the root's leader; the root
-//! reads the result straight out of its node's result window. Only the
+//! Both families keep one window per node, laid out alike: the root's
+//! node holds all `p` blocks in node-sorted order, every other node
+//! holds only its own `shm.size()` blocks in on-node rank order.
+//!
+//! **HyGather**: every rank writes its block straight into its node's
+//! window — on the root's node, at its final place in the result — and
+//! the leaders send their node's slab to the root's leader, which lands
+//! it in place. There is no intra-node aggregation copy, and only the
 //! root's node ever holds the full result (the pure-MPI gather stages
 //! through private buffers on every path).
 //!
@@ -15,7 +20,9 @@
 //! on the root's node the leader exchanges one slab with every other
 //! node, in group order; elsewhere the leader exchanges its own node's
 //! slab with the root's node. Which side sends is the only difference
-//! between the two families ([`Flow`]).
+//! between the two families ([`Flow`]). A single-node communicator has
+//! nothing to exchange: one full on-node synchronization is the whole
+//! operation.
 
 use std::marker::PhantomData;
 
@@ -66,11 +73,9 @@ impl Flow for FromRoot {
 struct Rooted<T> {
     hc: HybridComm,
     ls: LeaderSet,
-    /// The root's node: the full payload (gather: the result), node-sorted.
-    /// Elsewhere: scatter's own slice; empty for gather.
+    /// All `p` blocks in node-sorted order on the root's node; this
+    /// node's own blocks in on-node rank order elsewhere.
     win: SharedWindow<T>,
-    /// Gather's per-node staging window, `[s_local] * count`.
-    staging: Option<SharedWindow<T>>,
     count: usize,
     root_group: usize,
 }
@@ -81,22 +86,16 @@ impl<T: ShmElem> Rooted<T> {
         assert!(root < p, "{} root {root} out of range", F::NAME);
         let h = hc.hierarchy();
         let root_group = h.locate(root).0;
-        let leader_len = |len: usize| if hc.is_leader() { len } else { 0 };
-        let staging = F::TO_ROOT
-            .then(|| SharedWindow::allocate(ctx, &h.shm, leader_len(h.shm.size() * count)));
-        let len = if h.node_index == root_group {
-            p * count
-        } else if F::TO_ROOT {
-            0
+        let blocks = if h.node_index == root_group {
+            p
         } else {
-            h.shm.size() * count
+            h.shm.size()
         };
-        let win = SharedWindow::allocate(ctx, &h.shm, leader_len(len));
+        let len = if hc.is_leader() { blocks * count } else { 0 };
         Self {
             hc: hc.clone(),
             ls: LeaderSet::build(ctx, hc.comm(), h, 1),
-            win,
-            staging,
+            win: SharedWindow::allocate(ctx, &h.shm, len),
             count,
             root_group,
         }
@@ -110,6 +109,15 @@ impl<T: ShmElem> Rooted<T> {
     /// window (node-sorted order).
     fn block_offset(&self, r: usize) -> usize {
         self.hc.hierarchy().sorted_pos[r] * self.count
+    }
+
+    /// Element offset of this rank's own block in its node's window.
+    fn my_offset(&self) -> usize {
+        if self.at_root_node() {
+            self.block_offset(self.hc.comm().rank())
+        } else {
+            self.hc.hierarchy().shm.rank() * self.count
+        }
     }
 
     fn read(&self, off: usize) -> Vec<T> {
@@ -148,22 +156,15 @@ impl<T: ShmElem, F: Flow> Stage for RootedStage<'_, T, F> {
     }
 
     fn open(&self) -> Open {
-        Open::Arrive
+        if self.core.hc.single_node() {
+            // Every block already sits in its final place in the window.
+            Open::Full
+        } else {
+            Open::Arrive
+        }
     }
 
-    fn start(&mut self, ctx: &mut Ctx) -> usize {
-        let c = self.core;
-        if let Some(staging) = c.staging.as_ref().filter(|_| c.at_root_node()) {
-            // Copy the local slab into place (window-to-window move on
-            // the same node — charged, it is a real memcpy).
-            let h = c.hc.hierarchy();
-            let own_elems = h.shm.size() * c.count;
-            let mut tmp = vec![T::default(); own_elems];
-            staging.read_into(0, &mut tmp);
-            c.win
-                .write_from(h.group_block_offset(h.node_index) * c.count, &tmp);
-            ctx.charge_copy(own_elems * T::SIZE);
-        }
+    fn start(&mut self, _ctx: &mut Ctx) -> usize {
         0
     }
 
@@ -177,18 +178,19 @@ impl<T: ShmElem, F: Flow> Stage for RootedStage<'_, T, F> {
                 let bridge = c.ls.bridge.as_ref().expect("leaders carry the bridge");
                 // The root's node addresses group g's slab at its
                 // node-sorted offset; every other node owns one slab.
-                let (win, off, len) = match (&c.staging, at_root) {
-                    (_, true) => (&c.win, h.group_block_offset(g), h.group_size(g)),
-                    (Some(staging), false) => (staging, 0, h.shm.size()),
-                    (None, false) => (&c.win, 0, h.shm.size()),
+                let (off, len) = if at_root {
+                    (h.group_block_offset(g), h.group_size(g))
+                } else {
+                    (0, h.shm.size())
                 };
                 if F::TO_ROOT != at_root {
-                    ctx.send(bridge, g, F::TAG, win.payload(off * c.count, len * c.count));
+                    let slab = c.win.payload(off * c.count, len * c.count);
+                    ctx.send(bridge, g, F::TAG, slab);
                 } else {
                     let Some(slab) = ctx.step_recv(bridge, g, F::TAG, how)? else {
                         return Ok(false);
                     };
-                    win.write_payload(off * c.count, &slab);
+                    c.win.write_payload(off * c.count, &slab);
                 }
             }
             *next += 1;
@@ -207,13 +209,12 @@ impl<T: ShmElem> HyGather<T> {
         Self(Rooted::new::<ToRoot>(ctx, hc, count, root))
     }
 
-    /// Write this rank's contribution (an in-place write into the node
-    /// staging window).
+    /// Write this rank's contribution (an in-place write into its node's
+    /// window; on the root's node, straight into the result).
     pub fn write_my_block(&self, ctx: &Ctx, data: &[T]) {
         let c = &self.0;
         assert_eq!(data.len(), c.count, "block must hold `count` elements");
-        let staging = c.staging.as_ref().expect("gather stages its blocks");
-        staging.write_from(c.hc.hierarchy().shm.rank() * c.count, data);
+        c.win.write_from(c.my_offset(), data);
         let _ = ctx;
     }
 
@@ -269,15 +270,7 @@ impl<T: ShmElem> HyScatter<T> {
 
     /// Read this rank's received block from its node window.
     pub fn read_my_block(&self) -> Vec<T> {
-        let c = &self.0;
-        let off = if c.at_root_node() {
-            c.block_offset(c.hc.comm().rank())
-        } else {
-            // Non-root nodes received only their own slice, in local
-            // rank order.
-            c.hc.hierarchy().shm.rank() * c.count
-        };
-        c.read(off)
+        self.0.read(self.0.my_offset())
     }
 
     /// The collective: arrive → the root's leader sends each node its
@@ -403,8 +396,8 @@ mod tests {
             let _g = HyGather::<f64>::new(ctx, &hc, 10, 0);
         })
         .unwrap();
-        // Staging: 3 nodes x 4 x 10 doubles; result: root node only,
-        // 12 x 10 doubles.
-        assert_eq!(r.tracer.total_window_bytes(), (3 * 4 * 10 + 12 * 10) * 8);
+        // One window per node: the root's node holds the 12 x 10 doubles
+        // of the result, the other two nodes 4 x 10 doubles each.
+        assert_eq!(r.tracer.total_window_bytes(), (2 * 4 * 10 + 12 * 10) * 8);
     }
 }
