@@ -162,19 +162,6 @@ impl HybridComm {
     pub fn fence(&self, ctx: &mut Ctx) {
         ctx.oob_fence(&self.comm);
     }
-
-    /// Hierarchical barrier over the parent communicator: on-node arrive
-    /// (via this context's [`SyncMethod`]), dissemination among the
-    /// leaders over the bridge, on-node release. With shared-cache flags
-    /// this beats the flat message-dissemination barrier on multi-core
-    /// nodes — the hybrid treatment applied to `MPI_Barrier` itself.
-    pub fn barrier(&self, ctx: &mut Ctx) {
-        self.sync.arrive(ctx, &self.h.shm);
-        if let Some(bridge) = &self.h.bridge {
-            collectives::barrier::dissemination(ctx, bridge);
-        }
-        self.sync.release(ctx, &self.h.shm);
-    }
 }
 
 #[cfg(test)]
@@ -194,58 +181,6 @@ mod tests {
         .unwrap();
         assert_eq!(r.per_rank[0], (3, false, true, SyncMethod::Barrier));
         assert_eq!(r.per_rank[1], (3, false, false, SyncMethod::Barrier));
-    }
-
-    #[test]
-    fn hierarchical_barrier_orders_all_ranks() {
-        // The slowest rank's arrival must gate everyone's exit, across
-        // nodes.
-        let cfg = SimConfig::new(ClusterSpec::regular(3, 4), CostModel::uniform_test());
-        let r = Universe::run(cfg, |ctx| {
-            if ctx.rank() == 7 {
-                ctx.compute(1000.0);
-            }
-            let world = ctx.world();
-            let hc =
-                HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), SyncMethod::SharedFlags);
-            hc.barrier(ctx);
-            ctx.now()
-        })
-        .unwrap();
-        for (rank, &t) in r.per_rank.iter().enumerate() {
-            assert!(t >= 1000.0, "rank {rank} left the barrier at {t}");
-        }
-    }
-
-    #[test]
-    fn hierarchical_barrier_beats_flat_on_multicore_nodes() {
-        let cfg = || {
-            msim::SimConfig::new(
-                simnet::ClusterSpec::regular(8, 24),
-                simnet::CostModel::cray_aries(),
-            )
-            .phantom()
-        };
-        let flat = Universe::run(cfg(), |ctx| {
-            let world = ctx.world();
-            collectives::barrier::dissemination(ctx, &world);
-            ctx.now()
-        })
-        .unwrap()
-        .makespan();
-        let hier = Universe::run(cfg(), |ctx| {
-            let world = ctx.world();
-            let hc =
-                HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), SyncMethod::SharedFlags);
-            hc.barrier(ctx);
-            ctx.now()
-        })
-        .unwrap()
-        .makespan();
-        assert!(
-            hier < flat,
-            "hierarchical barrier ({hier}) vs flat ({flat})"
-        );
     }
 
     #[test]
