@@ -114,6 +114,8 @@ fn collective(ctx: &mut Ctx, family: &str, sync: SyncMethod, k: usize) -> Vec<f6
         }
         "gather" => {
             let g = HyGather::<f64>::new(ctx, &hc, COUNT, ROOT);
+            let data: Vec<f64> = (0..COUNT).map(|i| (ctx.rank() * 10 + i) as f64).collect();
+            g.write_my_block(ctx, &data);
             g.execute(ctx);
             if ctx.rank() == ROOT {
                 (0..world.size()).flat_map(|r| g.read_block(r)).collect()
@@ -124,6 +126,12 @@ fn collective(ctx: &mut Ctx, family: &str, sync: SyncMethod, k: usize) -> Vec<f6
         "scatter" => {
             let s = HyScatter::<f64>::new(ctx, &hc, COUNT, ROOT);
             ctx.oob_fence(&world);
+            if ctx.rank() == ROOT {
+                for dest in 0..world.size() {
+                    let data: Vec<f64> = (0..COUNT).map(|i| (dest * 10 + i) as f64).collect();
+                    s.write_block(ctx, dest, &data);
+                }
+            }
             s.execute(ctx);
             s.read_my_block()
         }
