@@ -294,7 +294,9 @@ impl ScheduleCertificate {
         let config = get("config")?.as_string()?;
         let decisions = get("decisions")?.as_usize_array()?;
         let program = get("program")?.as_string()?;
-        let version = get("version")?.as_u64()? as u32;
+        let version = get("version")?.as_u64()?;
+        let version =
+            u32::try_from(version).map_err(|_| format!("version {version} is out of range"))?;
         let vjson = get("violation")?.as_string()?;
         let kind = violation_kind_of(&vjson)
             .ok_or_else(|| format!("unrecognized violation kind in {vjson:?}"))?;
@@ -441,28 +443,36 @@ impl<'a> JsonParser<'a> {
     }
 
     fn value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                if self.peek() == Some(b']') {
+        if self.peek() != Some(b'[') {
+            return self.scalar();
+        }
+        self.pos += 1;
+        let mut items = Vec::new();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(JsonValue::Array(items));
+        }
+        loop {
+            items.push(self.scalar()?);
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
                     self.pos += 1;
                     return Ok(JsonValue::Array(items));
                 }
-                loop {
-                    items.push(self.value()?);
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(JsonValue::Array(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-                    }
-                }
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
             }
+        }
+    }
+
+    /// A string or a number. Arrays hold scalars only, so a nested `[`
+    /// is an error here rather than a recursion: no input depth can
+    /// exhaust the stack.
+    fn scalar(&mut self) -> Result<JsonValue, String> {
+        match self.peek() {
+            Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b'0'..=b'9') => Ok(JsonValue::Number(self.number()?)),
+            Some(b'[') => Err(format!("nested array at byte {}", self.pos)),
             _ => Err(format!("unsupported JSON value at byte {}", self.pos)),
         }
     }
@@ -1241,6 +1251,16 @@ mod tests {
         assert!(ScheduleCertificate::from_json("{}").is_err());
         assert!(ScheduleCertificate::from_json("{\"version\":1}").is_err());
         assert!(ScheduleCertificate::from_json("not json").is_err());
+        // Arrays hold scalars only: a deep `[` nest is refused, not
+        // recursed into.
+        let deep = format!("{{\"decisions\":{}", "[".repeat(100_000));
+        let err = ScheduleCertificate::from_json(&deep).unwrap_err();
+        assert_eq!(err, "nested array at byte 14");
+        // A version past u32::MAX is an error, not a truncation to 1.
+        let mut json = sample_cert().to_json();
+        json = json.replace("\"version\":1", "\"version\":4294967297");
+        let err = ScheduleCertificate::from_json(&json).unwrap_err();
+        assert!(err.contains("4294967297"), "{err}");
     }
 
     #[test]
