@@ -1,30 +1,15 @@
 //! Hybrid gather and scatter — further "more experiences" extensions.
 //!
-//! Both families keep one window per node, laid out alike: the root's
-//! node holds all `p` blocks in node-sorted order, every other node
-//! holds only its own `shm.size()` blocks in on-node rank order.
-//!
-//! **HyGather**: every rank writes its block straight into its node's
-//! window — on the root's node, at its final place in the result — and
-//! the leaders send their node's slab to the root's leader, which lands
-//! it in place. There is no intra-node aggregation copy, and only the
-//! root's node ever holds the full result (the pure-MPI gather stages
-//! through private buffers on every path).
-//!
-//! **HyScatter**: the root writes the full payload into its node's
-//! window; leaders forward each node its slice; every rank reads its own
-//! block from its node window — one copy per node instead of one per
-//! rank at the root plus one per rank at the destinations.
-//!
-//! Both run inside the [`HyOp`] envelope through one rooted [`Stage`]:
-//! on the root's node the leader exchanges one slab with every other
-//! node, in group order; elsewhere the leader exchanges its own node's
-//! slab with the root's node. Which side sends is the only difference
-//! between the two families ([`Flow`]). A single-node communicator has
-//! nothing to exchange: one full on-node synchronization is the whole
-//! operation.
-
-use std::marker::PhantomData;
+//! Both keep one window per node: the root's node holds all `p` blocks in
+//! node-sorted order, every other node its own blocks in on-node rank
+//! order. **HyGather**: every rank writes its block straight into its
+//! node's window (on the root's node, at its place in the result), and
+//! the leaders send their node's slab to the root's leader — no
+//! intra-node aggregation copy. **HyScatter**: the root writes the full
+//! payload into its node's window, and the root's leader sends each node
+//! its slab — one copy per node instead of one per rank. Both run inside
+//! [`HyOp`] through one rooted [`Stage`]; which side of each bridge
+//! exchange sends is the only difference between them.
 
 use collectives::{tags, IColl, LeaderSet};
 use msim::{Ctx, Drive, SharedWindow, ShmElem, WaitError};
@@ -32,65 +17,26 @@ use msim::{Ctx, Drive, SharedWindow, ShmElem, WaitError};
 use crate::envelope::{HyOp, Open, Stage};
 use crate::hybrid::HybridComm;
 
-/// Which way a rooted family moves its slabs over the bridge.
-pub trait Flow {
-    /// Family name, for messages.
-    const NAME: &'static str;
-    /// Trace label of the nonblocking form.
-    const OP: &'static str;
-    /// Bridge tag of the slab messages.
-    const TAG: u32;
-    /// Whether slabs travel to the root's node (gather) rather than away
-    /// from it (scatter).
-    const TO_ROOT: bool;
-}
-
-/// Gather's [`Flow`]: every node's slab travels to the root's node.
-#[derive(Debug)]
-pub enum ToRoot {}
-
-/// Scatter's [`Flow`]: the root's node sends every node its slab.
-#[derive(Debug)]
-pub enum FromRoot {}
-
-impl Flow for ToRoot {
-    const NAME: &'static str = "gather";
-    const OP: &'static str = "ihygather";
-    const TAG: u32 = tags::GATHER + 8;
-    const TO_ROOT: bool = true;
-}
-
-impl Flow for FromRoot {
-    const NAME: &'static str = "scatter";
-    const OP: &'static str = "ihyscatter";
-    const TAG: u32 = tags::SCATTER + 8;
-    const TO_ROOT: bool = false;
-}
-
-/// The core both rooted families share: the single-leader set, the node
-/// window and the root's node group.
+/// What gather and scatter share: a single-leader set, the node window
+/// and the root's node group.
 #[derive(Debug, Clone)]
 struct Rooted<T> {
     hc: HybridComm,
     ls: LeaderSet,
-    /// All `p` blocks in node-sorted order on the root's node; this
-    /// node's own blocks in on-node rank order elsewhere.
     win: SharedWindow<T>,
     count: usize,
     root_group: usize,
+    at_root: bool,
 }
 
 impl<T: ShmElem> Rooted<T> {
-    fn new<F: Flow>(ctx: &mut Ctx, hc: &HybridComm, count: usize, root: usize) -> Self {
+    fn new(ctx: &mut Ctx, hc: &HybridComm, count: usize, root: usize, what: &str) -> Self {
         let p = hc.comm().size();
-        assert!(root < p, "{} root {root} out of range", F::NAME);
+        assert!(root < p, "{what} root {root} out of range");
         let h = hc.hierarchy();
         let root_group = h.locate(root).0;
-        let blocks = if h.node_index == root_group {
-            p
-        } else {
-            h.shm.size()
-        };
+        let at_root = h.node_index == root_group;
+        let blocks = if at_root { p } else { h.shm.size() };
         let len = if hc.is_leader() { blocks * count } else { 0 };
         Self {
             hc: hc.clone(),
@@ -98,26 +44,27 @@ impl<T: ShmElem> Rooted<T> {
             win: SharedWindow::allocate(ctx, &h.shm, len),
             count,
             root_group,
+            at_root,
         }
     }
 
-    fn at_root_node(&self) -> bool {
-        self.hc.hierarchy().node_index == self.root_group
-    }
-
-    /// Element offset of parent rank `r`'s block inside the root node's
-    /// window (node-sorted order).
+    /// Element offset of parent rank `r`'s block in the root node's window.
     fn block_offset(&self, r: usize) -> usize {
         self.hc.hierarchy().sorted_pos[r] * self.count
     }
 
     /// Element offset of this rank's own block in its node's window.
     fn my_offset(&self) -> usize {
-        if self.at_root_node() {
+        if self.at_root {
             self.block_offset(self.hc.comm().rank())
         } else {
             self.hc.hierarchy().shm.rank() * self.count
         }
+    }
+
+    fn write(&self, off: usize, data: &[T]) {
+        assert_eq!(data.len(), self.count, "block must hold `count` elements");
+        self.win.write_from(off, data);
     }
 
     fn read(&self, off: usize) -> Vec<T> {
@@ -127,36 +74,25 @@ impl<T: ShmElem> Rooted<T> {
     }
 }
 
-/// The rooted bridge stage of [`HyGather`] and [`HyScatter`].
-pub struct RootedStage<'a, T, F> {
-    core: &'a Rooted<T>,
-    flow: PhantomData<F>,
-}
+/// The rooted bridge stage: gather's when `TO_ROOT` (slabs travel to the
+/// root's node), scatter's otherwise.
+pub struct RootedStage<'a, T, const TO_ROOT: bool>(&'a Rooted<T>);
 
-impl<'a, T, F> RootedStage<'a, T, F> {
-    fn new(core: &'a Rooted<T>) -> Self {
-        Self {
-            core,
-            flow: PhantomData,
-        }
-    }
-}
-
-impl<T: ShmElem, F: Flow> Stage for RootedStage<'_, T, F> {
-    const OP: &'static str = F::OP;
+impl<T: ShmElem, const TO_ROOT: bool> Stage for RootedStage<'_, T, TO_ROOT> {
+    const OP: &'static str = if TO_ROOT { "ihygather" } else { "ihyscatter" };
     /// The next node group to exchange a slab with.
     type Bridge = usize;
 
     fn hc(&self) -> &HybridComm {
-        &self.core.hc
+        &self.0.hc
     }
 
     fn leaders(&self) -> &LeaderSet {
-        &self.core.ls
+        &self.0.ls
     }
 
     fn open(&self) -> Open {
-        if self.core.hc.single_node() {
+        if self.0.hc.single_node() {
             // Every block already sits in its final place in the window.
             Open::Full
         } else {
@@ -168,26 +104,28 @@ impl<T: ShmElem, F: Flow> Stage for RootedStage<'_, T, F> {
         0
     }
 
+    /// On the root's node: one slab per other group, in group order, at
+    /// its node-sorted offset. Elsewhere: the node's own slab, with the
+    /// root's node.
     fn drive(&mut self, ctx: &mut Ctx, next: &mut usize, how: Drive) -> Result<bool, WaitError> {
-        let c = self.core;
+        let c = self.0;
         let h = c.hc.hierarchy();
-        let at_root = c.at_root_node();
+        let at_root = c.at_root;
+        let tag = if TO_ROOT { tags::GATHER } else { tags::SCATTER } + 8;
         while *next < h.num_groups() {
             let g = *next;
             if g != h.node_index && (at_root || g == c.root_group) {
                 let bridge = c.ls.bridge.as_ref().expect("leaders carry the bridge");
-                // The root's node addresses group g's slab at its
-                // node-sorted offset; every other node owns one slab.
                 let (off, len) = if at_root {
                     (h.group_block_offset(g), h.group_size(g))
                 } else {
                     (0, h.shm.size())
                 };
-                if F::TO_ROOT != at_root {
+                if TO_ROOT != at_root {
                     let slab = c.win.payload(off * c.count, len * c.count);
-                    ctx.send(bridge, g, F::TAG, slab);
+                    ctx.send(bridge, g, tag, slab);
                 } else {
-                    let Some(slab) = ctx.step_recv(bridge, g, F::TAG, how)? else {
+                    let Some(slab) = ctx.step_recv(bridge, g, tag, how)? else {
                         return Ok(false);
                     };
                     c.win.write_payload(off * c.count, &slab);
@@ -206,15 +144,13 @@ pub struct HyGather<T>(Rooted<T>);
 impl<T: ShmElem> HyGather<T> {
     /// One-off setup for gathering to parent rank `root`.
     pub fn new(ctx: &mut Ctx, hc: &HybridComm, count: usize, root: usize) -> Self {
-        Self(Rooted::new::<ToRoot>(ctx, hc, count, root))
+        Self(Rooted::new(ctx, hc, count, root, "gather"))
     }
 
     /// Write this rank's contribution (an in-place write into its node's
     /// window; on the root's node, straight into the result).
     pub fn write_my_block(&self, ctx: &Ctx, data: &[T]) {
-        let c = &self.0;
-        assert_eq!(data.len(), c.count, "block must hold `count` elements");
-        c.win.write_from(c.my_offset(), data);
+        self.0.write(self.0.my_offset(), data);
         let _ = ctx;
     }
 
@@ -234,7 +170,7 @@ impl<T: ShmElem> HyGather<T> {
     /// The collective: arrive → leaders send their node's slab to the
     /// root's leader (window to window) → release.
     pub fn execute(&self, ctx: &mut Ctx) {
-        HyOp::run(ctx, RootedStage::<T, ToRoot>::new(&self.0));
+        HyOp::run(ctx, RootedStage::<T, true>(&self.0));
     }
 
     /// Start the collective nonblocking: the arrive signal is posted
@@ -242,12 +178,12 @@ impl<T: ShmElem> HyGather<T> {
     /// [`msim::Request`] polls. `iexecute(ctx) + wait` is bit-identical
     /// to [`HyGather::execute`] modulo the `Req*` trace markers.
     pub fn iexecute<'a>(&'a self, ctx: &mut Ctx) -> IHyGather<'a, T> {
-        HyOp::start(ctx, RootedStage::new(&self.0))
+        HyOp::start(ctx, RootedStage(&self.0))
     }
 }
 
 /// An in-flight hybrid gather.
-pub type IHyGather<'a, T> = IColl<HyOp<RootedStage<'a, T, ToRoot>>>;
+pub type IHyGather<'a, T> = IColl<HyOp<RootedStage<'a, T, true>>>;
 
 /// Hybrid scatter handle for `count` elements per rank.
 #[derive(Debug, Clone)]
@@ -256,15 +192,13 @@ pub struct HyScatter<T>(Rooted<T>);
 impl<T: ShmElem> HyScatter<T> {
     /// One-off setup for scattering from parent rank `root`.
     pub fn new(ctx: &mut Ctx, hc: &HybridComm, count: usize, root: usize) -> Self {
-        Self(Rooted::new::<FromRoot>(ctx, hc, count, root))
+        Self(Rooted::new(ctx, hc, count, root, "scatter"))
     }
 
     /// The root writes the block destined for parent rank `dest` into
     /// its node's window (in-place; node-sorted order).
     pub fn write_block(&self, ctx: &Ctx, dest: usize, data: &[T]) {
-        let c = &self.0;
-        assert_eq!(data.len(), c.count, "block must hold `count` elements");
-        c.win.write_from(c.block_offset(dest), data);
+        self.0.write(self.0.block_offset(dest), data);
         let _ = ctx;
     }
 
@@ -274,22 +208,19 @@ impl<T: ShmElem> HyScatter<T> {
     }
 
     /// The collective: arrive → the root's leader sends each node its
-    /// slice → release.
+    /// slab → release.
     pub fn execute(&self, ctx: &mut Ctx) {
-        HyOp::run(ctx, RootedStage::<T, FromRoot>::new(&self.0));
+        HyOp::run(ctx, RootedStage::<T, false>(&self.0));
     }
 
-    /// Start the collective nonblocking: the arrive signal is posted
-    /// immediately; the slab exchange and the release advance on
-    /// [`msim::Request`] polls. `iexecute(ctx) + wait` is bit-identical
-    /// to [`HyScatter::execute`] modulo the `Req*` trace markers.
+    /// Start the collective nonblocking, as [`HyGather::iexecute`].
     pub fn iexecute<'a>(&'a self, ctx: &mut Ctx) -> IHyScatter<'a, T> {
-        HyOp::start(ctx, RootedStage::new(&self.0))
+        HyOp::start(ctx, RootedStage(&self.0))
     }
 }
 
 /// An in-flight hybrid scatter.
-pub type IHyScatter<'a, T> = IColl<HyOp<RootedStage<'a, T, FromRoot>>>;
+pub type IHyScatter<'a, T> = IColl<HyOp<RootedStage<'a, T, false>>>;
 
 #[cfg(test)]
 mod tests {

@@ -30,8 +30,9 @@
 //!   variant the paper's conclusion points to (its reference [30]).
 //!
 //! There is one handle per collective. The sync → bridge → sync sandwich
-//! around every split-phase family is written once, in [`envelope`]; a
-//! family supplies its window layout and its bridge stage. The number of
+//! around every family but the pipeline is written once, in [`envelope`];
+//! a family (gather and scatter included) supplies its window layout and
+//! bridge stage, and gets `execute` and `iexecute` from it. The number of
 //! leaders per node is a constructor argument
 //! ([`HyAllgather::with_leaders`], [`HyAllgatherv::with_leaders`],
 //! [`HyBcast::with_leaders`], [`HyAllreduce::with_leaders`]; `new` is one
