@@ -23,7 +23,10 @@
 #           pool-width suites and the figure-golden regression tests)
 #   lint    clippy, -D warnings (the workspace lint wall in Cargo.toml:
 #           clippy::all + unsafe_op_in_unsafe_fn and the SAFETY-comment
-#           requirement on every unsafe block)
+#           requirement on every unsafe block), then rustdoc with
+#           RUSTDOCFLAGS="-D warnings" (`cargo doc --workspace --no-deps`:
+#           every intra-doc link resolves, none from public docs to a
+#           private item)
 #   race    happens-before race detector (MSIM_RACE=1, docs/race-detection.md):
 #           the msim mutant-regression suite plus both conformance suites
 #           with the detector armed — all collectives, all sync methods,
@@ -271,6 +274,10 @@ stage_test() {
 
 stage_lint() {
     cargo clippy --workspace --all-targets -- -D warnings
+    # Rustdoc wall: unresolved or ambiguous intra-doc links (e.g. one
+    # left pointing at a deleted function) and links from public docs to
+    # private items fail the stage. About 5 s warm.
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 }
 
 # Seed subset for the race stage's conformance passes: the full eight in
@@ -505,7 +512,7 @@ describe_stage() {
     fmt) echo "cargo fmt --check" ;;
     build) echo "release build of the whole workspace" ;;
     test) echo "cargo test --workspace (digest fixture at every width + figure goldens)" ;;
-    lint) echo "clippy wall, -D warnings" ;;
+    lint) echo "clippy wall + rustdoc wall, -D warnings" ;;
     race) echo "happens-before race detector: mutants + armed conformance suites" ;;
     mcheck) echo "DPOR model checker: mutant wall + exhaustive Hy* sweep (1 and 2 leaders)" ;;
     ft) echo "fault tolerance: kill matrix, runtime retry, app recovery, BENCH_ft checked" ;;

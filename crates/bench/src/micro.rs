@@ -25,7 +25,7 @@ pub enum AllgatherVariant {
     /// (§6 ablation).
     HybridSync(SyncMethod),
     /// The hybrid allgather with the pipelined bridge exchange (large
-    /// messages; the paper's reference [30]).
+    /// messages; the paper's reference \[30\]).
     HybridPipelined {
         /// Ring segment size in elements.
         segment_elems: usize,
@@ -39,7 +39,7 @@ pub enum AllgatherVariant {
     PureSmpAware,
     /// The flat library algorithm (no node awareness), for reference.
     PureFlat,
-    /// The multi-leader SMP-aware variant (paper reference [14]).
+    /// The multi-leader SMP-aware variant (paper reference \[14\]).
     MultiLeader {
         /// Leaders per node.
         leaders: usize,
@@ -117,13 +117,7 @@ pub fn allgather_latency(
                     barrier::tuned(ctx, &world);
                     let t0 = ctx.now();
                     for _ in 0..iters {
-                        allgather::with_policy(
-                            ctx,
-                            &world,
-                            &send,
-                            &mut recv,
-                            hc.policy().expect("built with a policy"),
-                        );
+                        allgather::tuned(ctx, &world, &send, &mut recv, hc.select());
                     }
                     (ctx.now() - t0) / iters as f64
                 }

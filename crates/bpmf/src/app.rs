@@ -311,7 +311,7 @@ fn exchange(
                 DataMode::Real => Buf::Real(std::mem::take(fresh)),
                 DataMode::Phantom => Buf::Phantom(counts[world.rank()]),
             };
-            allgatherv::tuned(ctx, world, &send, counts, replica, tuning);
+            allgatherv::tuned(ctx, world, &send, counts, replica, *tuning);
             if let Buf::Real(sent) = send {
                 *fresh = sent;
             }

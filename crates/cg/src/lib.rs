@@ -2,7 +2,7 @@
 //!
 //! A 1D Poisson solver (`A = tridiag(−1, 2, −1)`) by conjugate gradient:
 //! the classic allreduce-heavy pattern — the paper motivates its work
-//! with the NAS-type kernels (its reference [21]) where `MPI_Allreduce`
+//! with the NAS-type kernels (its reference \[21\]) where `MPI_Allreduce`
 //! dominates communication. Three scalar allreduces per iteration (two
 //! dot products plus the residual), one halo pair per matvec.
 //!

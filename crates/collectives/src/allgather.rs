@@ -1,6 +1,6 @@
 //! Regular allgather algorithms (`MPI_Allgather`).
 //!
-//! The three classic schedules from MPICH (paper reference [28]):
+//! The three classic schedules from MPICH (paper reference \[28\]):
 //!
 //! * [`recursive_doubling`] — log₂ p rounds, power-of-two communicators,
 //!   best for short/medium totals;
@@ -8,21 +8,23 @@
 //!   used for short totals on non-power-of-two communicators;
 //! * [`ring`] — p−1 rounds of neighbor exchange, bandwidth-optimal, used
 //!   for long totals;
-//! * [`tuned`] — the MPICH-style runtime selection among the above.
+//! * [`tuned`] — runtime selection among the above, by the MPICH-style
+//!   thresholds of a [`crate::Tuning`] or by a [`SelectionPolicy`]: its
+//!   [`Select`] argument takes either.
 //!
 //! Every schedule is a split-phase state machine (see [`crate::split`]);
 //! the blocking functions are thin `Drive::Block` drivers over the
-//! machines, and [`istart`]/[`ituned`]/[`iwith_policy`] expose the same
-//! machines as nonblocking [`msim::Request`]s (`MPI_Iallgather`).
+//! machines, and [`istart`]/[`ituned`] expose the same machines as
+//! nonblocking [`msim::Request`]s (`MPI_Iallgather`), selected the same
+//! way.
 //!
 //! Every rank contributes `count` elements; the result (p·count elements,
 //! blocks in rank order) lands in `recv` on every rank.
 
 use msim::{Buf, Communicator, Ctx, Drive, ShmElem, WaitError};
 
-use crate::policy::{legacy_choice, SelectionPolicy};
+use crate::policy::{Fee, Select, SelectionPolicy};
 use crate::registry::{AlgorithmRegistry, AlgorithmSpec, CollectiveOp, CommCase};
-use crate::selection::Tuning;
 use crate::split::{run_blocking, DriveOp, IColl};
 use crate::tags;
 
@@ -341,37 +343,39 @@ pub fn dispatch<T: ShmElem>(
     run_blocking(AgSm::for_algo(algo).drive(ctx, comm, send, recv, Drive::Block));
 }
 
-/// MPICH-style selection: recursive doubling for power-of-two + short
-/// totals, Bruck for short non-power-of-two totals, ring otherwise.
-/// Charges the per-call collective entry fee.
-pub fn tuned<T: ShmElem>(
+/// Run the algorithm `select` picks: under the legacy thresholds,
+/// recursive doubling for power-of-two + short totals, Bruck for short
+/// non-power-of-two totals, ring otherwise. Charges the per-call
+/// collective entry fee.
+pub fn tuned<'s, T: ShmElem>(
     ctx: &mut Ctx,
     comm: &Communicator,
     send: &Buf<T>,
     recv: &mut Buf<T>,
-    tuning: &Tuning,
-) {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
-    tuned_uncharged(ctx, comm, send, recv, tuning);
-}
-
-/// The selection logic without the entry fee — for use as an internal
-/// stage of a larger collective (e.g. the SMP-aware hierarchy), which
-/// charges one fee for the whole call.
-pub fn tuned_uncharged<T: ShmElem>(
-    ctx: &mut Ctx,
-    comm: &Communicator,
-    send: &Buf<T>,
-    recv: &mut Buf<T>,
-    tuning: &Tuning,
+    select: impl Into<Select<'s>>,
 ) {
     let case = case_for(ctx, comm, send);
-    dispatch(ctx, comm, send, recv, legacy_choice(tuning, &case));
+    let algo = select.into().enter(ctx, Fee::Call, &case);
+    dispatch(ctx, comm, send, recv, algo);
 }
 
-/// Policy-driven entry point: let `policy` pick the algorithm (recording
-/// the decision), then run it. Charges the per-call entry fee.
+/// [`tuned`] without the entry fee — for use as an internal stage of a
+/// larger collective (e.g. the SMP-aware hierarchy), which charges one
+/// fee for the whole call.
+pub fn tuned_uncharged<'s, T: ShmElem>(
+    ctx: &mut Ctx,
+    comm: &Communicator,
+    send: &Buf<T>,
+    recv: &mut Buf<T>,
+    select: impl Into<Select<'s>>,
+) {
+    let case = case_for(ctx, comm, send);
+    let algo = select.into().enter(ctx, Fee::Stage, &case);
+    dispatch(ctx, comm, send, recv, algo);
+}
+
+/// Shim for the frozen `benchmark/` package, which calls [`tuned`] under
+/// a policy by this name; holds no logic of its own.
 pub fn with_policy<T: ShmElem>(
     ctx: &mut Ctx,
     comm: &Communicator,
@@ -379,22 +383,7 @@ pub fn with_policy<T: ShmElem>(
     recv: &mut Buf<T>,
     policy: &SelectionPolicy,
 ) {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
-    with_policy_uncharged(ctx, comm, send, recv, policy);
-}
-
-/// Policy-driven selection without the entry fee.
-pub fn with_policy_uncharged<T: ShmElem>(
-    ctx: &mut Ctx,
-    comm: &Communicator,
-    send: &Buf<T>,
-    recv: &mut Buf<T>,
-    policy: &SelectionPolicy,
-) {
-    let case = case_for(ctx, comm, send);
-    let algo = policy.choose(ctx, &case);
-    dispatch(ctx, comm, send, recv, algo);
+    tuned(ctx, comm, send, recv, policy);
 }
 
 /// The body of an in-flight nonblocking allgather (see [`istart`]).
@@ -442,36 +431,18 @@ pub fn istart<'a, T: ShmElem>(
     )
 }
 
-/// Nonblocking form of [`tuned`]: same entry fee and MPICH-style
-/// selection, returning a request instead of blocking.
-pub fn ituned<'a, T: ShmElem>(
+/// Nonblocking form of [`tuned`]: same entry fee and selection,
+/// returning a request instead of blocking.
+pub fn ituned<'a, 's, T: ShmElem>(
     ctx: &mut Ctx,
     comm: &Communicator,
     send: &'a Buf<T>,
     recv: &'a mut Buf<T>,
-    tuning: &Tuning,
+    select: impl Into<Select<'s>>,
 ) -> IAllgather<'a, T> {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
     let case = case_for(ctx, comm, send);
-    let algo = legacy_choice(tuning, &case);
+    let algo = select.into().enter(ctx, Fee::Call, &case);
     istart(ctx, comm, send, recv, algo)
-}
-
-/// Nonblocking form of [`with_policy`]: the policy picks (and records)
-/// the algorithm, then the request is started.
-pub fn iwith_policy<'a, T: ShmElem>(
-    ctx: &mut Ctx,
-    comm: &Communicator,
-    send: &'a Buf<T>,
-    recv: &'a mut Buf<T>,
-    policy: &SelectionPolicy,
-) -> IAllgather<'a, T> {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
-    let case = case_for(ctx, comm, send);
-    let algo = policy.choose(ctx, &case).to_string();
-    istart(ctx, comm, send, recv, &algo)
 }
 
 /// Register this module's algorithms (name, applicability, cost estimate).

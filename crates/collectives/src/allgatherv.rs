@@ -5,7 +5,7 @@
 //! variant with weaker schedules than the regular one — it never gets the
 //! recursive-doubling fast path, pays per-call bookkeeping for the
 //! counts/displacements vectors, and its step costs are governed by the
-//! *maximum* block size (Träff, the paper's reference [29]). That deficit
+//! *maximum* block size (Träff, the paper's reference \[29\]). That deficit
 //! is exactly what the paper's Fig. 8 measures when the hybrid approach
 //! degenerates to one process per node, so this module reproduces it
 //! faithfully: Bruck for short totals, ring for long, plus the
@@ -14,15 +14,16 @@
 //!
 //! Both schedules are split-phase state machines (see [`crate::split`]);
 //! the blocking entry points are thin `Drive::Block` drivers,
-//! [`istart`]/[`ituned`]/[`iwith_policy`] expose the machines as
-//! nonblocking requests, and [`InPlaceSm`] is the drivable in-place form
-//! the hybrid bridge exchange builds on.
+//! [`istart`]/[`ituned`] expose the machines as nonblocking requests, and
+//! [`InPlaceSm`] is the drivable in-place form the hybrid bridge exchange
+//! builds on. [`tuned`], [`ituned`] and [`InPlaceSm::new`] each take one
+//! [`Select`]: a `&Tuning` for the legacy thresholds or a
+//! `&SelectionPolicy` that logs its decision.
 
 use msim::{Buf, Communicator, Ctx, Drive, ShmElem, WaitError};
 
-use crate::policy::{legacy_choice, SelectionPolicy};
+use crate::policy::{Fee, Select};
 use crate::registry::{AlgorithmRegistry, AlgorithmSpec, CollectiveOp, CommCase};
-use crate::selection::Tuning;
 use crate::split::{run_blocking, DriveOp, IColl};
 use crate::tags;
 use crate::util::{displs_of, VectorLayout};
@@ -242,17 +243,6 @@ pub fn bruck<T: ShmElem>(
     run_blocking(BruckvSm::new().drive(ctx, comm, Some(send), counts, recv, Drive::Block));
 }
 
-/// Bruck allgatherv with `MPI_IN_PLACE` semantics (own block already at
-/// its displacement in `recv`).
-pub fn bruck_in_place<T: ShmElem>(
-    ctx: &mut Ctx,
-    comm: &Communicator,
-    counts: &[usize],
-    recv: &mut Buf<T>,
-) {
-    run_blocking(BruckvSm::new().drive(ctx, comm, None, counts, recv, Drive::Block));
-}
-
 /// One allgatherv schedule as a split-phase machine, selected by name.
 /// `Local` with a send buffer copies it to the front of `recv`; in place
 /// it is a no-op (the block already sits at its displacement).
@@ -329,136 +319,67 @@ pub fn dispatch<T: ShmElem>(
     run_blocking(AgvSm::for_algo(algo).drive(ctx, comm, Some(send), counts, recv, Drive::Block));
 }
 
-/// Run the named registered algorithm with `MPI_IN_PLACE` semantics (own
-/// block already at its displacement in `recv`).
-///
-/// # Panics
-/// Panics on an unknown name.
-pub fn dispatch_in_place<T: ShmElem>(
-    ctx: &mut Ctx,
-    comm: &Communicator,
-    counts: &[usize],
-    recv: &mut Buf<T>,
-    algo: &str,
-) {
-    run_blocking(AgvSm::for_algo(algo).drive(ctx, comm, None, counts, recv, Drive::Block));
-}
-
-/// Runtime selection for the irregular variant: Bruck for short totals,
-/// ring for long, plus the per-member bookkeeping overhead real `v`
+/// Runtime selection for the irregular variant: under the legacy
+/// thresholds, Bruck for short totals and ring for long. Charges the
+/// per-call entry fee, then the per-member bookkeeping overhead real `v`
 /// implementations pay for processing the count/displacement vectors.
-pub fn tuned<T: ShmElem>(
+pub fn tuned<'s, T: ShmElem>(
     ctx: &mut Ctx,
     comm: &Communicator,
     send: &Buf<T>,
     counts: &[usize],
     recv: &mut Buf<T>,
-    tuning: &Tuning,
+    select: impl Into<Select<'s>>,
 ) {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
-    tuned_uncharged(ctx, comm, send, counts, recv, tuning);
-}
-
-/// The selection logic without the entry fee (internal-stage use).
-pub fn tuned_uncharged<T: ShmElem>(
-    ctx: &mut Ctx,
-    comm: &Communicator,
-    send: &Buf<T>,
-    counts: &[usize],
-    recv: &mut Buf<T>,
-    tuning: &Tuning,
-) {
-    ctx.charge_time(tuning.v_overhead_per_rank_us * comm.size() as f64);
     let case = case_for::<T>(ctx, comm, counts);
-    dispatch(ctx, comm, send, counts, recv, legacy_choice(tuning, &case));
-}
-
-/// Policy-driven selection. Charges the entry fee and the `v`-variant
-/// bookkeeping overhead, in that order (same as [`tuned`]).
-pub fn with_policy<T: ShmElem>(
-    ctx: &mut Ctx,
-    comm: &Communicator,
-    send: &Buf<T>,
-    counts: &[usize],
-    recv: &mut Buf<T>,
-    policy: &SelectionPolicy,
-) {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
-    ctx.charge_time(policy.tuning().v_overhead_per_rank_us * comm.size() as f64);
-    let case = case_for::<T>(ctx, comm, counts);
-    let algo = policy.choose(ctx, &case);
+    let algo = select.into().enter(ctx, Fee::Call, &case);
     dispatch(ctx, comm, send, counts, recv, algo);
 }
 
-/// In-place runtime selection (the paper's hybrid bridge exchange path).
-/// Charges the per-call collective entry fee.
-pub fn tuned_in_place<T: ShmElem>(
+/// [`tuned`] without the entry fee (internal-stage use); the bookkeeping
+/// overhead is still charged.
+pub fn tuned_uncharged<'s, T: ShmElem>(
     ctx: &mut Ctx,
     comm: &Communicator,
+    send: &Buf<T>,
     counts: &[usize],
     recv: &mut Buf<T>,
-    tuning: &Tuning,
+    select: impl Into<Select<'s>>,
 ) {
-    let mut sm = InPlaceSm::tuned(ctx, comm, counts, tuning);
-    run_blocking(sm.drive(ctx, comm, counts, recv, Drive::Block));
+    let case = case_for::<T>(ctx, comm, counts);
+    let algo = select.into().enter(ctx, Fee::Stage, &case);
+    dispatch(ctx, comm, send, counts, recv, algo);
 }
 
-/// Policy-driven in-place selection, fee-identical to [`tuned_in_place`].
-pub fn with_policy_in_place<T: ShmElem>(
-    ctx: &mut Ctx,
-    comm: &Communicator,
-    counts: &[usize],
-    recv: &mut Buf<T>,
-    policy: &SelectionPolicy,
-) {
-    let mut sm = InPlaceSm::with_policy(ctx, comm, counts, policy);
-    run_blocking(sm.drive(ctx, comm, counts, recv, Drive::Block));
-}
-
-/// A drivable in-place allgatherv with the full entry-fee and selection
-/// behavior of [`tuned_in_place`]/[`with_policy_in_place`] — the building
-/// block the hybrid (`hmpi`) bridge exchange polls inside its own
-/// split-phase machine. Construction charges the fees and records the
-/// decision; [`InPlaceSm::drive`] then advances the chosen schedule.
+/// A drivable in-place allgatherv (`MPI_IN_PLACE`: each rank's own block
+/// already sits at its displacement in `recv`) with the fees and
+/// selection of [`tuned`] — the building block the hybrid (`hmpi`) bridge
+/// exchange polls inside its own split-phase machine. Construction
+/// charges the fees and picks; [`InPlaceSm::drive`] then advances the
+/// chosen schedule.
 #[derive(Debug)]
 pub struct InPlaceSm<T: ShmElem> {
     sm: Option<AgvSm<T>>,
 }
 
 impl<T: ShmElem> InPlaceSm<T> {
-    /// Legacy-threshold selection (mirror of [`tuned_in_place`]).
-    pub fn tuned(ctx: &mut Ctx, comm: &Communicator, counts: &[usize], tuning: &Tuning) -> Self {
-        let fee = ctx.cost().coll_entry_us;
-        ctx.charge_time(fee);
-        ctx.charge_time(tuning.v_overhead_per_rank_us * comm.size() as f64);
-        if comm.size() == 1 {
-            return Self { sm: None };
-        }
-        let case = case_for::<T>(ctx, comm, counts);
-        Self {
-            sm: Some(AgvSm::for_algo(legacy_choice(tuning, &case))),
-        }
-    }
-
-    /// Policy-driven selection (mirror of [`with_policy_in_place`]).
-    pub fn with_policy(
+    /// Charge the fees of [`tuned`] and pick, except on a one-member
+    /// communicator: there the block is already in place, so nothing is
+    /// picked and no decision is recorded.
+    pub fn new<'s>(
         ctx: &mut Ctx,
         comm: &Communicator,
         counts: &[usize],
-        policy: &SelectionPolicy,
+        select: impl Into<Select<'s>>,
     ) -> Self {
-        let fee = ctx.cost().coll_entry_us;
-        ctx.charge_time(fee);
-        ctx.charge_time(policy.tuning().v_overhead_per_rank_us * comm.size() as f64);
+        let select = select.into();
+        let case = case_for::<T>(ctx, comm, counts);
+        select.charge(ctx, Fee::Call, &case);
         if comm.size() == 1 {
             return Self { sm: None };
         }
-        let case = case_for::<T>(ctx, comm, counts);
-        let algo = policy.choose(ctx, &case);
         Self {
-            sm: Some(AgvSm::for_algo(algo)),
+            sm: Some(AgvSm::for_algo(select.pick(ctx, &case))),
         }
     }
 
@@ -532,37 +453,17 @@ pub fn istart<'a, T: ShmElem>(
 }
 
 /// Nonblocking form of [`tuned`]: same fees and selection.
-pub fn ituned<'a, T: ShmElem>(
+pub fn ituned<'a, 's, T: ShmElem>(
     ctx: &mut Ctx,
     comm: &Communicator,
     send: &'a Buf<T>,
     counts: &[usize],
     recv: &'a mut Buf<T>,
-    tuning: &Tuning,
+    select: impl Into<Select<'s>>,
 ) -> IAllgatherv<'a, T> {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
-    ctx.charge_time(tuning.v_overhead_per_rank_us * comm.size() as f64);
     let case = case_for::<T>(ctx, comm, counts);
-    let algo = legacy_choice(tuning, &case);
+    let algo = select.into().enter(ctx, Fee::Call, &case);
     istart(ctx, comm, send, counts, recv, algo)
-}
-
-/// Nonblocking form of [`with_policy`]: same fees, decision recorded.
-pub fn iwith_policy<'a, T: ShmElem>(
-    ctx: &mut Ctx,
-    comm: &Communicator,
-    send: &'a Buf<T>,
-    counts: &[usize],
-    recv: &'a mut Buf<T>,
-    policy: &SelectionPolicy,
-) -> IAllgatherv<'a, T> {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
-    ctx.charge_time(policy.tuning().v_overhead_per_rank_us * comm.size() as f64);
-    let case = case_for::<T>(ctx, comm, counts);
-    let algo = policy.choose(ctx, &case).to_string();
-    istart(ctx, comm, send, counts, recv, &algo)
 }
 
 /// Register this module's algorithms.

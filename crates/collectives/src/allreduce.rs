@@ -11,9 +11,8 @@
 use msim::{Buf, Communicator, Ctx, Drive, ShmElem, WaitError};
 
 use crate::op::ReduceOp;
-use crate::policy::{legacy_choice, SelectionPolicy};
+use crate::policy::{Fee, Select};
 use crate::registry::{ceil_log2, AlgorithmRegistry, AlgorithmSpec, CollectiveOp, CommCase};
-use crate::selection::Tuning;
 use crate::split::{run_blocking, DriveOp, IColl};
 use crate::tags;
 use crate::util::{displs_of, segment_counts};
@@ -313,32 +312,15 @@ pub struct TunedSm {
 
 impl TunedSm {
     /// Fee-and-selection identical to [`tuned`].
-    pub fn tuned<T: ShmElem>(
+    pub fn new<'s, T: ShmElem>(
         ctx: &mut Ctx,
         comm: &Communicator,
         send: &Buf<T>,
-        tuning: &Tuning,
+        select: impl Into<Select<'s>>,
     ) -> Self {
-        let fee = ctx.cost().coll_entry_us;
-        ctx.charge_time(fee);
         let case = case_for(ctx, comm, send);
         Self {
-            sm: AllredSm::for_algo(legacy_choice(tuning, &case)),
-        }
-    }
-
-    /// Fee-and-selection identical to [`with_policy`].
-    pub fn with_policy<T: ShmElem>(
-        ctx: &mut Ctx,
-        comm: &Communicator,
-        send: &Buf<T>,
-        policy: &SelectionPolicy,
-    ) -> Self {
-        let fee = ctx.cost().coll_entry_us;
-        ctx.charge_time(fee);
-        let case = case_for(ctx, comm, send);
-        Self {
-            sm: AllredSm::for_algo(policy.choose(ctx, &case)),
+            sm: AllredSm::for_algo(select.into().enter(ctx, Fee::Call, &case)),
         }
     }
 
@@ -356,20 +338,20 @@ impl TunedSm {
     }
 }
 
-/// MPICH-style selection: recursive doubling for short vectors,
-/// Rabenseifner for long ones. Charges the per-call collective entry fee.
-pub fn tuned<T: ShmElem, O: ReduceOp<T>>(
+/// Runtime selection: under the legacy thresholds (MPICH-style),
+/// recursive doubling for short vectors, Rabenseifner for long ones.
+/// Charges the per-call collective entry fee.
+pub fn tuned<'s, T: ShmElem, O: ReduceOp<T>>(
     ctx: &mut Ctx,
     comm: &Communicator,
     send: &Buf<T>,
     recv: &mut Buf<T>,
     op: O,
-    tuning: &Tuning,
+    select: impl Into<Select<'s>>,
 ) {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
     let case = case_for(ctx, comm, send);
-    dispatch(ctx, comm, send, recv, op, legacy_choice(tuning, &case));
+    let algo = select.into().enter(ctx, Fee::Call, &case);
+    dispatch(ctx, comm, send, recv, op, algo);
 }
 
 /// The [`CommCase`] one allreduce call presents to a selection policy
@@ -446,51 +428,17 @@ pub fn istart<'a, T: ShmElem, O: ReduceOp<T>>(
 }
 
 /// Nonblocking form of [`tuned`].
-pub fn ituned<'a, T: ShmElem, O: ReduceOp<T>>(
+pub fn ituned<'a, 's, T: ShmElem, O: ReduceOp<T>>(
     ctx: &mut Ctx,
     comm: &Communicator,
     send: &'a Buf<T>,
     recv: &'a mut Buf<T>,
     op: O,
-    tuning: &Tuning,
+    select: impl Into<Select<'s>>,
 ) -> IAllreduce<'a, T, O> {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
     let case = case_for(ctx, comm, send);
-    let algo = legacy_choice(tuning, &case);
+    let algo = select.into().enter(ctx, Fee::Call, &case);
     istart(ctx, comm, send, recv, op, algo)
-}
-
-/// Nonblocking form of [`with_policy`].
-pub fn iwith_policy<'a, T: ShmElem, O: ReduceOp<T>>(
-    ctx: &mut Ctx,
-    comm: &Communicator,
-    send: &'a Buf<T>,
-    recv: &'a mut Buf<T>,
-    op: O,
-    policy: &SelectionPolicy,
-) -> IAllreduce<'a, T, O> {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
-    let case = case_for(ctx, comm, send);
-    let algo = policy.choose(ctx, &case).to_string();
-    istart(ctx, comm, send, recv, op, &algo)
-}
-
-/// Policy-driven entry point. Charges the per-call entry fee.
-pub fn with_policy<T: ShmElem, O: ReduceOp<T>>(
-    ctx: &mut Ctx,
-    comm: &Communicator,
-    send: &Buf<T>,
-    recv: &mut Buf<T>,
-    op: O,
-    policy: &SelectionPolicy,
-) {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
-    let case = case_for(ctx, comm, send);
-    let algo = policy.choose(ctx, &case);
-    dispatch(ctx, comm, send, recv, op, algo);
 }
 
 /// Register this module's algorithms. Reduction compute is priced at one

@@ -4,14 +4,15 @@
 //! partner order on power-of-two sizes, shifted otherwise); [`bruck`] is
 //! the log-round short-message algorithm. Both are split-phase state
 //! machines (see [`crate::split`]); the blocking functions are thin
-//! `Drive::Block` drivers and [`istart`]/[`ituned`]/[`iwith_policy`]
-//! expose the machines as nonblocking requests (`MPI_Ialltoall`).
+//! `Drive::Block` drivers and [`istart`]/[`ituned`] expose the machines
+//! as nonblocking requests (`MPI_Ialltoall`). [`tuned`] and [`ituned`]
+//! take one [`Select`]: a `&Tuning` for the legacy thresholds or a
+//! `&SelectionPolicy` that logs its decision.
 
 use msim::{Buf, Communicator, Ctx, Drive, ShmElem, WaitError};
 
-use crate::policy::{legacy_choice, SelectionPolicy};
+use crate::policy::{Fee, Select};
 use crate::registry::{ceil_log2, AlgorithmRegistry, AlgorithmSpec, CollectiveOp, CommCase};
-use crate::selection::Tuning;
 use crate::split::{run_blocking, DriveOp, IColl};
 use crate::tags;
 
@@ -227,22 +228,22 @@ impl<T: ShmElem> A2aSm<T> {
     }
 }
 
-/// MPICH-style selection: Bruck for short messages (few large rounds at
-/// the cost of pack/unpack), pairwise exchange otherwise. Charges the
-/// per-call collective entry fee. (MPICH's Bruck cutoff — 256 bytes per
-/// block — is size-structural, so `tuning` carries no alltoall knob.)
-pub fn tuned<T: ShmElem>(
+/// Runtime selection: under the legacy thresholds (MPICH-style), Bruck
+/// for short messages (few large rounds at the cost of pack/unpack),
+/// pairwise exchange otherwise. Charges the per-call collective entry
+/// fee. (MPICH's Bruck cutoff — 256 bytes per block — is
+/// size-structural, so a `Tuning` carries no alltoall knob.)
+pub fn tuned<'s, T: ShmElem>(
     ctx: &mut Ctx,
     comm: &Communicator,
     send: &Buf<T>,
     recv: &mut Buf<T>,
     count: usize,
-    tuning: &Tuning,
+    select: impl Into<Select<'s>>,
 ) {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
     let case = case_for::<T>(ctx, comm, count);
-    dispatch(ctx, comm, send, recv, count, legacy_choice(tuning, &case));
+    let algo = select.into().enter(ctx, Fee::Call, &case);
+    dispatch(ctx, comm, send, recv, count, algo);
 }
 
 /// The [`CommCase`] one alltoall call presents to a selection policy
@@ -269,22 +270,6 @@ pub fn dispatch<T: ShmElem>(
     algo: &str,
 ) {
     run_blocking(A2aSm::for_algo(algo).drive(ctx, comm, send, recv, count, Drive::Block));
-}
-
-/// Policy-driven entry point. Charges the per-call entry fee.
-pub fn with_policy<T: ShmElem>(
-    ctx: &mut Ctx,
-    comm: &Communicator,
-    send: &Buf<T>,
-    recv: &mut Buf<T>,
-    count: usize,
-    policy: &SelectionPolicy,
-) {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
-    let case = case_for::<T>(ctx, comm, count);
-    let algo = policy.choose(ctx, &case);
-    dispatch(ctx, comm, send, recv, count, algo);
 }
 
 /// The body of an in-flight nonblocking alltoall (see [`istart`]).
@@ -335,35 +320,17 @@ pub fn istart<'a, T: ShmElem>(
 }
 
 /// Nonblocking form of [`tuned`].
-pub fn ituned<'a, T: ShmElem>(
+pub fn ituned<'a, 's, T: ShmElem>(
     ctx: &mut Ctx,
     comm: &Communicator,
     send: &'a Buf<T>,
     recv: &'a mut Buf<T>,
     count: usize,
-    tuning: &Tuning,
+    select: impl Into<Select<'s>>,
 ) -> IAlltoall<'a, T> {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
     let case = case_for::<T>(ctx, comm, count);
-    let algo = legacy_choice(tuning, &case);
+    let algo = select.into().enter(ctx, Fee::Call, &case);
     istart(ctx, comm, send, recv, count, algo)
-}
-
-/// Nonblocking form of [`with_policy`].
-pub fn iwith_policy<'a, T: ShmElem>(
-    ctx: &mut Ctx,
-    comm: &Communicator,
-    send: &'a Buf<T>,
-    recv: &'a mut Buf<T>,
-    count: usize,
-    policy: &SelectionPolicy,
-) -> IAlltoall<'a, T> {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
-    let case = case_for::<T>(ctx, comm, count);
-    let algo = policy.choose(ctx, &case).to_string();
-    istart(ctx, comm, send, recv, count, &algo)
 }
 
 /// Register this module's algorithms. `total_bytes` is one block.

@@ -17,14 +17,15 @@
 //!   communicators (what MPICH's linear alltoallv does).
 //!
 //! Selection goes through the registry/policy layer like every other
-//! family ([`tuned`], [`with_policy`]), with the `v`-variant bookkeeping
-//! fee; [`istart`]/[`ituned`]/[`iwith_policy`] are the nonblocking forms.
+//! family, with the `v`-variant bookkeeping fee: [`tuned`] and its
+//! nonblocking form [`ituned`] take one [`Select`], a `&Tuning` for the
+//! legacy thresholds or a `&SelectionPolicy` that logs its decision;
+//! [`istart`] starts a named algorithm.
 
 use msim::{Buf, Communicator, Ctx, Drive, ShmElem, WaitError};
 
-use crate::policy::{legacy_choice, SelectionPolicy};
+use crate::policy::{Fee, Select};
 use crate::registry::{AlgorithmRegistry, AlgorithmSpec, CollectiveOp, CommCase};
-use crate::selection::Tuning;
 use crate::split::{run_blocking, DriveOp, IColl};
 use crate::tags;
 use crate::util::displs_of;
@@ -291,49 +292,22 @@ pub fn dispatch<T: ShmElem>(
     ));
 }
 
-/// Runtime selection: linear up to
-/// [`Tuning::alltoallv_linear_max_ranks`], pairwise beyond. Charges the
-/// collective entry fee plus the `v`-variant bookkeeping overhead.
-pub fn tuned<T: ShmElem>(
+/// Runtime selection: under the legacy thresholds, linear up to
+/// [`crate::Tuning::alltoallv_linear_max_ranks`], pairwise beyond.
+/// Charges the collective entry fee plus the `v`-variant bookkeeping
+/// overhead.
+#[allow(clippy::too_many_arguments)] // mirrors the MPI_Alltoallv signature
+pub fn tuned<'s, T: ShmElem>(
     ctx: &mut Ctx,
     comm: &Communicator,
     send: &Buf<T>,
     scounts: &[usize],
     recv: &mut Buf<T>,
     rcounts: &[usize],
-    tuning: &Tuning,
+    select: impl Into<Select<'s>>,
 ) {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
-    ctx.charge_time(tuning.v_overhead_per_rank_us * comm.size() as f64);
     let case = case_for::<T>(ctx, comm, scounts);
-    dispatch(
-        ctx,
-        comm,
-        send,
-        scounts,
-        recv,
-        rcounts,
-        legacy_choice(tuning, &case),
-    );
-}
-
-/// Policy-driven entry point, fee-identical to [`tuned`], decision
-/// recorded in the policy's log and the trace.
-pub fn with_policy<T: ShmElem>(
-    ctx: &mut Ctx,
-    comm: &Communicator,
-    send: &Buf<T>,
-    scounts: &[usize],
-    recv: &mut Buf<T>,
-    rcounts: &[usize],
-    policy: &SelectionPolicy,
-) {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
-    ctx.charge_time(policy.tuning().v_overhead_per_rank_us * comm.size() as f64);
-    let case = case_for::<T>(ctx, comm, scounts);
-    let algo = policy.choose(ctx, &case);
+    let algo = select.into().enter(ctx, Fee::Call, &case);
     dispatch(ctx, comm, send, scounts, recv, rcounts, algo);
 }
 
@@ -396,40 +370,18 @@ pub fn istart<'a, T: ShmElem>(
 
 /// Nonblocking form of [`tuned`].
 #[allow(clippy::too_many_arguments)] // mirrors the MPI_Alltoallv signature
-pub fn ituned<'a, T: ShmElem>(
+pub fn ituned<'a, 's, T: ShmElem>(
     ctx: &mut Ctx,
     comm: &Communicator,
     send: &'a Buf<T>,
     scounts: &[usize],
     recv: &'a mut Buf<T>,
     rcounts: &[usize],
-    tuning: &Tuning,
+    select: impl Into<Select<'s>>,
 ) -> IAlltoallv<'a, T> {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
-    ctx.charge_time(tuning.v_overhead_per_rank_us * comm.size() as f64);
     let case = case_for::<T>(ctx, comm, scounts);
-    let algo = legacy_choice(tuning, &case);
+    let algo = select.into().enter(ctx, Fee::Call, &case);
     istart(ctx, comm, send, scounts, recv, rcounts, algo)
-}
-
-/// Nonblocking form of [`with_policy`].
-#[allow(clippy::too_many_arguments)] // mirrors the MPI_Alltoallv signature
-pub fn iwith_policy<'a, T: ShmElem>(
-    ctx: &mut Ctx,
-    comm: &Communicator,
-    send: &'a Buf<T>,
-    scounts: &[usize],
-    recv: &'a mut Buf<T>,
-    rcounts: &[usize],
-    policy: &SelectionPolicy,
-) -> IAlltoallv<'a, T> {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
-    ctx.charge_time(policy.tuning().v_overhead_per_rank_us * comm.size() as f64);
-    let case = case_for::<T>(ctx, comm, scounts);
-    let algo = policy.choose(ctx, &case).to_string();
-    istart(ctx, comm, send, scounts, recv, rcounts, &algo)
 }
 
 /// Register this module's algorithms. `total_bytes` is everything one

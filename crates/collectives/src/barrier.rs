@@ -7,7 +7,7 @@
 
 use msim::{Communicator, Ctx, Drive, Payload, WaitError};
 
-use crate::policy::{legacy_choice, SelectionPolicy};
+use crate::policy::{Fee, Select};
 use crate::registry::{AlgorithmRegistry, AlgorithmSpec, CollectiveOp, CommCase};
 use crate::selection::Tuning;
 use crate::split::run_blocking;
@@ -118,10 +118,10 @@ pub fn shm_dissemination(ctx: &mut Ctx, comm: &Communicator) {
 /// A drivable barrier with the selection and entry fee of [`tuned`] —
 /// construction charges the fee and picks the flavor; `drive` advances.
 pub fn tuned_sm(ctx: &mut Ctx, comm: &Communicator) -> BarrierSm {
-    let fee = ctx.cost().barrier_entry_us;
-    ctx.charge_time(fee);
     let case = case_for(ctx, comm);
-    match legacy_choice(&Tuning::cray_mpich(), &case) {
+    // The barrier split is node-structural, not threshold-driven, so any
+    // Tuning yields the same legacy choice.
+    match Select::Legacy(&Tuning::cray_mpich()).enter(ctx, Fee::Call, &case) {
         "barrier.shm_dissemination" => BarrierSm::shm(),
         _ => BarrierSm::msg(),
     }
@@ -131,12 +131,7 @@ pub fn tuned_sm(ctx: &mut Ctx, comm: &Communicator) -> BarrierSm {
 /// single-node communicators, message-based dissemination otherwise.
 /// Charges the per-call barrier entry fee.
 pub fn tuned(ctx: &mut Ctx, comm: &Communicator) {
-    let fee = ctx.cost().barrier_entry_us;
-    ctx.charge_time(fee);
-    let case = case_for(ctx, comm);
-    // The barrier split is node-structural, not threshold-driven, so any
-    // Tuning yields the same legacy choice.
-    dispatch(ctx, comm, legacy_choice(&Tuning::cray_mpich(), &case));
+    run_blocking(tuned_sm(ctx, comm).drive(ctx, comm, Drive::Block));
 }
 
 /// The [`CommCase`] one barrier call presents to a selection policy.
@@ -159,15 +154,6 @@ pub fn dispatch(ctx: &mut Ctx, comm: &Communicator, algo: &str) {
         "barrier.shm_dissemination" => shm_dissemination(ctx, comm),
         other => panic!("barrier: unknown algorithm {other:?}"),
     }
-}
-
-/// Policy-driven entry point. Charges the per-call barrier entry fee.
-pub fn with_policy(ctx: &mut Ctx, comm: &Communicator, policy: &SelectionPolicy) {
-    let fee = ctx.cost().barrier_entry_us;
-    ctx.charge_time(fee);
-    let case = case_for(ctx, comm);
-    let algo = policy.choose(ctx, &case);
-    dispatch(ctx, comm, algo);
 }
 
 /// Register this module's algorithms.

@@ -9,9 +9,8 @@
 
 use msim::{Buf, Communicator, Ctx, Drive, ShmElem, WaitError};
 
-use crate::policy::{legacy_choice, SelectionPolicy};
+use crate::policy::{Fee, Select};
 use crate::registry::{ceil_log2, AlgorithmRegistry, AlgorithmSpec, CollectiveOp, CommCase};
-use crate::selection::Tuning;
 use crate::split::{run_blocking, DriveOp, IColl};
 use crate::tags;
 use crate::util::{displs_of, segment_counts};
@@ -258,7 +257,7 @@ impl ChainSm {
 
 /// Segmented chain pipeline: the message travels root → root+1 → … in
 /// segments of `segment_elems`, so all links stream concurrently. The
-/// approach of Träff et al. (paper reference [30]) for very large
+/// approach of Träff et al. (paper reference \[30\]) for very large
 /// messages.
 pub fn pipelined_chain<T: ShmElem>(
     ctx: &mut Ctx,
@@ -320,32 +319,15 @@ pub struct TunedSm {
 
 impl TunedSm {
     /// Fee-and-selection identical to [`tuned`].
-    pub fn tuned<T: ShmElem>(
+    pub fn new<'s, T: ShmElem>(
         ctx: &mut Ctx,
         comm: &Communicator,
         buf: &Buf<T>,
-        tuning: &Tuning,
+        select: impl Into<Select<'s>>,
     ) -> Self {
-        let fee = ctx.cost().coll_entry_us;
-        ctx.charge_time(fee);
         let case = case_for(ctx, comm, buf);
         Self {
-            sm: BcastSm::for_algo::<T>(legacy_choice(tuning, &case)),
-        }
-    }
-
-    /// Fee-and-selection identical to [`with_policy`].
-    pub fn with_policy<T: ShmElem>(
-        ctx: &mut Ctx,
-        comm: &Communicator,
-        buf: &Buf<T>,
-        policy: &SelectionPolicy,
-    ) -> Self {
-        let fee = ctx.cost().coll_entry_us;
-        ctx.charge_time(fee);
-        let case = case_for(ctx, comm, buf);
-        Self {
-            sm: BcastSm::for_algo::<T>(policy.choose(ctx, &case)),
+            sm: BcastSm::for_algo::<T>(select.into().enter(ctx, Fee::Call, &case)),
         }
     }
 
@@ -362,31 +344,32 @@ impl TunedSm {
     }
 }
 
-/// Runtime algorithm selection, MPICH-style: binomial for short messages
-/// or small communicators, scatter+allgather for long messages. Charges
-/// the per-call collective entry fee.
-pub fn tuned<T: ShmElem>(
+/// Runtime algorithm selection: under the legacy thresholds (MPICH-style),
+/// binomial for short messages or small communicators, scatter+allgather
+/// for long messages. Charges the per-call collective entry fee.
+pub fn tuned<'s, T: ShmElem>(
     ctx: &mut Ctx,
     comm: &Communicator,
     buf: &mut Buf<T>,
     root: usize,
-    tuning: &Tuning,
-) {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
-    tuned_uncharged(ctx, comm, buf, root, tuning);
-}
-
-/// The selection logic without the entry fee (internal-stage use).
-pub fn tuned_uncharged<T: ShmElem>(
-    ctx: &mut Ctx,
-    comm: &Communicator,
-    buf: &mut Buf<T>,
-    root: usize,
-    tuning: &Tuning,
+    select: impl Into<Select<'s>>,
 ) {
     let case = case_for(ctx, comm, buf);
-    dispatch(ctx, comm, buf, root, legacy_choice(tuning, &case));
+    let algo = select.into().enter(ctx, Fee::Call, &case);
+    dispatch(ctx, comm, buf, root, algo);
+}
+
+/// [`tuned`] without the entry fee (internal-stage use).
+pub fn tuned_uncharged<'s, T: ShmElem>(
+    ctx: &mut Ctx,
+    comm: &Communicator,
+    buf: &mut Buf<T>,
+    root: usize,
+    select: impl Into<Select<'s>>,
+) {
+    let case = case_for(ctx, comm, buf);
+    let algo = select.into().enter(ctx, Fee::Stage, &case);
+    dispatch(ctx, comm, buf, root, algo);
 }
 
 /// The [`CommCase`] one bcast call presents to a selection policy
@@ -458,48 +441,16 @@ pub fn istart<'a, T: ShmElem>(
 }
 
 /// Nonblocking form of [`tuned`].
-pub fn ituned<'a, T: ShmElem>(
+pub fn ituned<'a, 's, T: ShmElem>(
     ctx: &mut Ctx,
     comm: &Communicator,
     buf: &'a mut Buf<T>,
     root: usize,
-    tuning: &Tuning,
+    select: impl Into<Select<'s>>,
 ) -> IBcast<'a, T> {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
     let case = case_for(ctx, comm, buf);
-    let algo = legacy_choice(tuning, &case);
+    let algo = select.into().enter(ctx, Fee::Call, &case);
     istart(ctx, comm, buf, root, algo)
-}
-
-/// Nonblocking form of [`with_policy`].
-pub fn iwith_policy<'a, T: ShmElem>(
-    ctx: &mut Ctx,
-    comm: &Communicator,
-    buf: &'a mut Buf<T>,
-    root: usize,
-    policy: &SelectionPolicy,
-) -> IBcast<'a, T> {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
-    let case = case_for(ctx, comm, buf);
-    let algo = policy.choose(ctx, &case).to_string();
-    istart(ctx, comm, buf, root, &algo)
-}
-
-/// Policy-driven entry point. Charges the per-call entry fee.
-pub fn with_policy<T: ShmElem>(
-    ctx: &mut Ctx,
-    comm: &Communicator,
-    buf: &mut Buf<T>,
-    root: usize,
-    policy: &SelectionPolicy,
-) {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
-    let case = case_for(ctx, comm, buf);
-    let algo = policy.choose(ctx, &case);
-    dispatch(ctx, comm, buf, root, algo);
 }
 
 /// Register this module's algorithms.
@@ -542,6 +493,7 @@ pub fn register(reg: &mut AlgorithmRegistry) {
 mod tests {
     use super::*;
     use crate::testutil::{datum, run};
+    use crate::Tuning;
 
     fn check_bcast(
         nodes: usize,

@@ -6,22 +6,24 @@
 //!
 //! * the classic algorithms from Thakur, Rabenseifner & Gropp
 //!   ("Optimization of collective communication operations in MPICH",
-//!   the paper's reference [28]): recursive doubling, Bruck, ring,
+//!   the paper's reference \[28\]): recursive doubling, Bruck, ring,
 //!   binomial trees, scatter+allgather broadcast, dissemination barrier,
 //!   Rabenseifner allreduce, pairwise all-to-all;
 //! * irregular (`v`) variants, deliberately implemented with the weaker
-//!   schedules real libraries use — the effect the paper's reference [29]
+//!   schedules real libraries use — the effect the paper's reference \[29\]
 //!   describes and that drives Fig. 8;
 //! * runtime algorithm selection through a trait-based registry
 //!   ([`AlgorithmRegistry`]) of named schedules and pluggable
 //!   [`SelectionPolicy`] kinds: the legacy MPICH/OpenMPI thresholds
 //!   ([`MpiFlavor`], [`Tuning`]), persisted per-cluster tuning tables
 //!   ([`TuningTable`]), and cost-model-driven autotuning, every decision
-//!   recorded in a queryable [`DecisionLog`];
+//!   recorded in a queryable [`DecisionLog`]; each family's selecting
+//!   entry points take one [`Select`], a `&Tuning` or a
+//!   `&SelectionPolicy`;
 //! * SMP-aware hierarchical baselines (gather at a node leader → exchange
 //!   over the bridge communicator → intra-node broadcast), the "naive pure
 //!   MPI" approach of the paper's Fig. 3a, including a multi-leader
-//!   variant (the paper's reference [14]);
+//!   variant (the paper's reference \[14\]);
 //! * [`Hierarchy`] — the two-level communicator splitting of the paper's
 //!   §3 (shared-memory communicator + bridge communicator), reused by the
 //!   hybrid collectives in the `hmpi` crate.
@@ -59,7 +61,7 @@ pub use hierarchy::{seg_bounds, Hierarchy, LeaderSet};
 pub use op::ReduceOp;
 pub use policy::{
     flavor_from_key, flavor_key, legacy_choice, Decision, DecisionLog, FaultPolicy, PolicyKind,
-    SelectionPolicy, TableEntry, TuningTable,
+    Select, SelectionPolicy, TableEntry, TuningTable,
 };
 pub use registry::{AlgorithmRegistry, AlgorithmSpec, CollectiveAlgorithm, CollectiveOp, CommCase};
 pub use selection::{MpiFlavor, Tuning};

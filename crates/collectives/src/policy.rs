@@ -5,9 +5,9 @@
 //!
 //! * [`PolicyKind::Legacy`] — reproduces the MPICH/OpenMPI threshold
 //!   tables of [`Tuning`] bit-for-bit. [`legacy_choice`] is the single
-//!   source of truth for those thresholds; the collective modules'
-//!   `tuned` entry points route through it, so the pre-registry figure
-//!   outputs are unchanged to the last bit.
+//!   source of truth for those thresholds; a collective handed a plain
+//!   `&Tuning` ([`Select::Legacy`]) routes through it without logging,
+//!   so the pre-registry figure outputs are unchanged to the last bit.
 //! * [`PolicyKind::Table`] — looks the case up in a persisted per-cluster
 //!   [`TuningTable`] (JSON under `results/tuning/`), falling back to
 //!   legacy on a miss.
@@ -32,7 +32,9 @@ use crate::selection::{MpiFlavor, Tuning};
 
 /// The pre-registry threshold logic, verbatim. One function so the
 /// thresholds cannot drift between the policy layer and the collective
-/// modules: `tuned` entry points and `PolicyKind::Legacy` both call this.
+/// modules: [`Select::Legacy`] (what every `tuned`, `ituned`,
+/// `TunedSm::new` and `InPlaceSm::new` runs when handed a `&Tuning`) and
+/// `PolicyKind::Legacy` both call this.
 pub fn legacy_choice(tuning: &Tuning, case: &CommCase) -> &'static str {
     let p = case.comm_size;
     let bytes = case.total_bytes;
@@ -515,6 +517,17 @@ impl SelectionPolicy {
             }
             PolicyKind::Table(table) => match table.lookup(case) {
                 Some(entry) => match registry::global().lookup(&entry.algo) {
+                    Some(found) if found.op() != case.op => {
+                        let algo = legacy_choice(&self.tuning, case);
+                        (
+                            algo,
+                            format!(
+                                "table row '{}' is a {} algorithm; legacy fallback",
+                                entry.algo,
+                                found.op().key()
+                            ),
+                        )
+                    }
                     Some(found) if found.applicable(case) => (
                         found.name(),
                         format!(
@@ -589,6 +602,81 @@ impl SelectionPolicy {
                 (algo, why)
             }
         }
+    }
+}
+
+/// How a flat collective picks its algorithm. Every family's `tuned`,
+/// `tuned_uncharged`, `ituned`, `TunedSm::new` and `InPlaceSm::new` take
+/// `impl Into<Select>`, so a `&Tuning` or a `&SelectionPolicy` can be
+/// passed as is.
+#[derive(Debug, Clone, Copy)]
+pub enum Select<'a> {
+    /// The legacy thresholds through [`legacy_choice`]; nothing is logged.
+    Legacy(&'a Tuning),
+    /// [`SelectionPolicy::choose`], which logs and traces the decision.
+    Policy(&'a SelectionPolicy),
+}
+
+impl<'a> From<&'a Tuning> for Select<'a> {
+    fn from(tuning: &'a Tuning) -> Self {
+        Select::Legacy(tuning)
+    }
+}
+
+impl<'a> From<&'a SelectionPolicy> for Select<'a> {
+    fn from(policy: &'a SelectionPolicy) -> Self {
+        Select::Policy(policy)
+    }
+}
+
+/// Which fees a flat collective's selecting step charges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fee {
+    /// A user-facing call: the per-call entry fee first.
+    Call,
+    /// An internal stage of a larger collective, which charged one entry
+    /// fee for the whole call: no entry fee.
+    Stage,
+}
+
+impl<'a> Select<'a> {
+    /// The thresholds behind the pick (a policy's fallback tuning).
+    pub(crate) fn tuning(self) -> &'a Tuning {
+        match self {
+            Select::Legacy(tuning) => tuning,
+            Select::Policy(policy) => policy.tuning(),
+        }
+    }
+
+    /// Pick the algorithm for `case`. Charges no virtual time.
+    pub(crate) fn pick(self, ctx: &Ctx, case: &CommCase) -> &'static str {
+        match self {
+            Select::Legacy(tuning) => legacy_choice(tuning, case),
+            Select::Policy(policy) => policy.choose(ctx, case),
+        }
+    }
+
+    /// Charge a flat collective's fees, in order: the entry fee of a
+    /// [`Fee::Call`] (`MPI_Barrier` has its own), then, for the `v`
+    /// variants, the per-member bookkeeping for the count vectors.
+    pub(crate) fn charge(self, ctx: &mut Ctx, fee: Fee, case: &CommCase) {
+        if fee == Fee::Call {
+            let entry = match case.op {
+                CollectiveOp::Barrier => ctx.cost().barrier_entry_us,
+                _ => ctx.cost().coll_entry_us,
+            };
+            ctx.charge_time(entry);
+        }
+        if matches!(case.op, CollectiveOp::Allgatherv | CollectiveOp::Alltoallv) {
+            ctx.charge_time(self.tuning().v_overhead_per_rank_us * case.comm_size as f64);
+        }
+    }
+
+    /// The selecting step every flat collective runs on entry: charge the
+    /// fees, then pick the algorithm for `case`.
+    pub(crate) fn enter(self, ctx: &mut Ctx, fee: Fee, case: &CommCase) -> &'static str {
+        self.charge(ctx, fee, case);
+        self.pick(ctx, case)
     }
 }
 
@@ -728,6 +816,25 @@ mod tests {
             "{\"cluster\": \"x\", \"entries\": [{\"op\": \"frobnicate\", \"algo\": \"a\"}]}"
         )
         .is_err());
+    }
+
+    #[test]
+    fn table_row_naming_another_ops_algorithm_falls_back_to_legacy() {
+        let t = Tuning::cray_mpich();
+        let table = TuningTable::parse(
+            r#"{"cluster": "x", "entries": [{"op": "allgather", "algo": "sync.barrier"}]}"#,
+        )
+        .unwrap();
+        let policy = SelectionPolicy::table(t.clone(), table);
+        let cost = simnet::CostModel::cray_aries();
+        let c = case(CollectiveOp::Allgather, 6, 2, 1024);
+        let (algo, why) = policy.resolve_with(&cost, &c);
+        assert_eq!(algo, legacy_choice(&t, &c));
+        assert_eq!(
+            why,
+            "table row 'sync.barrier' is a sync algorithm; legacy fallback"
+        );
+        assert_eq!(policy.choose_offline(&cost, &c), "allgather.bruck");
     }
 
     #[test]

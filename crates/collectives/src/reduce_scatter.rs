@@ -10,9 +10,8 @@
 use msim::{Buf, Communicator, Ctx, Drive, ShmElem, WaitError};
 
 use crate::op::ReduceOp;
-use crate::policy::{legacy_choice, SelectionPolicy};
+use crate::policy::{Fee, Select};
 use crate::registry::{AlgorithmRegistry, AlgorithmSpec, CollectiveOp, CommCase};
-use crate::selection::Tuning;
 use crate::split::{run_blocking, DriveOp, IColl};
 use crate::tags;
 use crate::util::displs_of;
@@ -277,27 +276,15 @@ pub struct TunedSm<T: ShmElem> {
 
 impl<T: ShmElem> TunedSm<T> {
     /// Fee-and-selection identical to [`tuned`].
-    pub fn tuned(ctx: &mut Ctx, comm: &Communicator, counts: &[usize], tuning: &Tuning) -> Self {
-        let fee = ctx.cost().coll_entry_us;
-        ctx.charge_time(fee);
-        let case = case_for::<T>(ctx, comm, counts);
-        Self {
-            sm: RsSm::for_algo(legacy_choice(tuning, &case)),
-        }
-    }
-
-    /// Fee-and-selection identical to [`with_policy`].
-    pub fn with_policy(
+    pub fn new<'s>(
         ctx: &mut Ctx,
         comm: &Communicator,
         counts: &[usize],
-        policy: &SelectionPolicy,
+        select: impl Into<Select<'s>>,
     ) -> Self {
-        let fee = ctx.cost().coll_entry_us;
-        ctx.charge_time(fee);
         let case = case_for::<T>(ctx, comm, counts);
         Self {
-            sm: RsSm::for_algo(policy.choose(ctx, &case)),
+            sm: RsSm::for_algo(select.into().enter(ctx, Fee::Call, &case)),
         }
     }
 
@@ -317,30 +304,22 @@ impl<T: ShmElem> TunedSm<T> {
     }
 }
 
-/// Selection: recursive halving on powers of two, pairwise otherwise.
-/// Charges the per-call collective entry fee. (The split is structural —
-/// `tuning` carries no reduce-scatter knob.)
-pub fn tuned<T: ShmElem, O: ReduceOp<T>>(
+/// Selection: under the legacy thresholds, recursive halving on powers
+/// of two, pairwise otherwise. Charges the per-call collective entry fee.
+/// (The split is structural — a `Tuning` carries no reduce-scatter knob.)
+#[allow(clippy::too_many_arguments)] // mirrors the MPI_Reduce_scatter signature
+pub fn tuned<'s, T: ShmElem, O: ReduceOp<T>>(
     ctx: &mut Ctx,
     comm: &Communicator,
     send: &Buf<T>,
     counts: &[usize],
     recv: &mut Buf<T>,
     op: O,
-    tuning: &Tuning,
+    select: impl Into<Select<'s>>,
 ) {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
     let case = case_for::<T>(ctx, comm, counts);
-    dispatch(
-        ctx,
-        comm,
-        send,
-        counts,
-        recv,
-        op,
-        legacy_choice(tuning, &case),
-    );
+    let algo = select.into().enter(ctx, Fee::Call, &case);
+    dispatch(ctx, comm, send, counts, recv, op, algo);
 }
 
 /// The [`CommCase`] one reduce-scatter call presents to a selection
@@ -429,55 +408,18 @@ pub fn istart<'a, T: ShmElem, O: ReduceOp<T>>(
 
 /// Nonblocking form of [`tuned`].
 #[allow(clippy::too_many_arguments)] // mirrors the MPI_Reduce_scatter signature
-pub fn ituned<'a, T: ShmElem, O: ReduceOp<T>>(
+pub fn ituned<'a, 's, T: ShmElem, O: ReduceOp<T>>(
     ctx: &mut Ctx,
     comm: &Communicator,
     send: &'a Buf<T>,
     counts: &[usize],
     recv: &'a mut Buf<T>,
     op: O,
-    tuning: &Tuning,
+    select: impl Into<Select<'s>>,
 ) -> IReduceScatter<'a, T, O> {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
     let case = case_for::<T>(ctx, comm, counts);
-    let algo = legacy_choice(tuning, &case);
+    let algo = select.into().enter(ctx, Fee::Call, &case);
     istart(ctx, comm, send, counts, recv, op, algo)
-}
-
-/// Nonblocking form of [`with_policy`].
-#[allow(clippy::too_many_arguments)] // mirrors the MPI_Reduce_scatter signature
-pub fn iwith_policy<'a, T: ShmElem, O: ReduceOp<T>>(
-    ctx: &mut Ctx,
-    comm: &Communicator,
-    send: &'a Buf<T>,
-    counts: &[usize],
-    recv: &'a mut Buf<T>,
-    op: O,
-    policy: &SelectionPolicy,
-) -> IReduceScatter<'a, T, O> {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
-    let case = case_for::<T>(ctx, comm, counts);
-    let algo = policy.choose(ctx, &case).to_string();
-    istart(ctx, comm, send, counts, recv, op, &algo)
-}
-
-/// Policy-driven entry point. Charges the per-call entry fee.
-pub fn with_policy<T: ShmElem, O: ReduceOp<T>>(
-    ctx: &mut Ctx,
-    comm: &Communicator,
-    send: &Buf<T>,
-    counts: &[usize],
-    recv: &mut Buf<T>,
-    op: O,
-    policy: &SelectionPolicy,
-) {
-    let fee = ctx.cost().coll_entry_us;
-    ctx.charge_time(fee);
-    let case = case_for::<T>(ctx, comm, counts);
-    let algo = policy.choose(ctx, &case);
-    dispatch(ctx, comm, send, counts, recv, op, algo);
 }
 
 /// Register this module's algorithms. `total_bytes` is the full vector.

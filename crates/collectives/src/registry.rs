@@ -445,7 +445,7 @@ pub fn kleader_estimate(e: &Estimator, c: &CommCase, k: usize) -> f64 {
             let node_block = c.total_bytes / nodes;
             let bridge = if k == 1 {
                 // The single-leader bridge exchange is adaptive (Bruck
-                // for short totals, ring for long — `InPlaceSm::tuned`):
+                // for short totals, ring for long — `InPlaceSm::new`):
                 // price it as the better of the two so the k = 1
                 // baseline is not handicapped at small sizes.
                 let bruck = e.copy(node_block)

@@ -33,7 +33,7 @@ pub struct Tuning {
     /// Allgatherv uses Bruck below this total size, ring above — the
     /// irregular variant never gets recursive doubling, which is the
     /// "Allgatherv is less optimized than Allgather" effect of the
-    /// paper's reference [29].
+    /// paper's reference \[29\].
     pub allgatherv_bruck_threshold: usize,
     /// Allreduce switches recursive doubling → Rabenseifner here.
     pub allreduce_rabenseifner_threshold: usize,

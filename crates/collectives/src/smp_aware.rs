@@ -15,7 +15,7 @@
 //! approach eliminates.
 //!
 //! [`multi_leader_allgather`] is the multi-leader variant of the paper's
-//! reference [14] (Kandalla et al.), provided for the ablation benches.
+//! reference \[14\] (Kandalla et al.), provided for the ablation benches.
 
 use msim::{Buf, Communicator, Ctx, ShmElem};
 
@@ -184,7 +184,7 @@ impl SmpAware {
     }
 }
 
-/// Multi-leader SMP-aware allgather (paper reference [14]): each node is
+/// Multi-leader SMP-aware allgather (paper reference \[14\]): each node is
 /// split into `leaders_per_node` contiguous sub-groups, each with its own
 /// leader; all sub-group leaders exchange over one bridge, reducing the
 /// single-leader aggregation bottleneck.

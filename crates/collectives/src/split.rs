@@ -48,11 +48,10 @@ pub trait DriveOp {
 
 /// An in-flight nonblocking collective over a [`DriveOp`] body.
 ///
-/// Created by the per-family `istart`/`ituned`/`iwith_policy` entry
-/// points, which post the first round's sends eagerly (one claim-
-/// suppressed `Poll` drive) before returning — a genuine nonblocking
-/// start. The borrowed receive buffer
-/// stays inside the request until `wait`, so the borrow checker enforces
+/// Created by the per-family `istart`/`ituned` entry points, which post
+/// the first round's sends eagerly (one claim-suppressed `Poll` drive)
+/// before returning — a genuine nonblocking start. The borrowed receive
+/// buffer stays inside the request until `wait`, so the borrow checker enforces
 /// MPI's "don't touch the buffer while the operation is in flight" rule
 /// at compile time.
 pub struct IColl<D: DriveOp> {

@@ -6,7 +6,8 @@
 //! closed-form — no collective is ever validated against another
 //! collective's output.
 //!
-//! Input convention: rank `r` contributes [`datum`]`(r, i)` as element
+//! Input convention: rank `r` contributes
+//! [`datum`](crate::testutil::datum)`(r, i)` as element
 //! `i` of its block, for every collective. The oracles below are the
 //! exact expected outputs under that convention.
 

@@ -1,17 +1,20 @@
-//! Satellite property test for the registry refactor: the `Legacy`
-//! selection policy must pick **exactly** the algorithm the pre-refactor
-//! `Tuning` threshold code picked, for every flavor, communicator size,
-//! ppn and message size — and routing a collective through
-//! `with_policy(legacy)` must charge the same virtual time as the
-//! original `tuned` entry point, down to the last bit.
+//! Property tests for the selection layer: the `Legacy` selection policy
+//! must pick **exactly** the algorithm the pre-registry `Tuning`
+//! threshold code picked, for every flavor, communicator size, ppn and
+//! message size — and a collective's one entry point must run the same
+//! schedule down to the last bit whether its [`Select`] argument is a
+//! `&Tuning` or `&SelectionPolicy::legacy(tuning)`; only the policy arm
+//! records decisions.
 
+use collectives::op::Sum;
 use collectives::testutil::datum;
 use collectives::{
-    allgather, allgatherv, legacy_choice, CollectiveOp, CommCase, MpiFlavor, SelectionPolicy,
-    Tuning,
+    allgather, allgatherv, allreduce, bcast, legacy_choice, CollectiveOp, CommCase, MpiFlavor,
+    Select, SelectionPolicy, Tuning,
 };
-use msim::{Ctx, SimConfig};
+use msim::{Ctx, Request, SimConfig};
 use simnet::rng::{check_cases, Rng64};
+use simnet::trace::{Event, EventKind};
 use simnet::{ClusterSpec, CostModel};
 
 /// The pre-refactor selection logic, restated from the threshold tables
@@ -138,8 +141,8 @@ fn legacy_policy_matches_thresholds_on_seeded_sweep() {
     });
 }
 
-/// `legacy_choice` itself is pinned to the same oracle — the function the
-/// collective `tuned` entry points and the policy both route through.
+/// `legacy_choice` itself is pinned to the same oracle — the function
+/// both `Select::Legacy` and the legacy policy route through.
 #[test]
 fn legacy_choice_function_agrees_with_oracle() {
     for flavor in [MpiFlavor::CrayMpich, MpiFlavor::OpenMpi] {
@@ -160,29 +163,75 @@ fn legacy_choice_function_agrees_with_oracle() {
     }
 }
 
-fn run_times(cores: Vec<usize>, f: impl Fn(&mut Ctx) -> Vec<f64> + Send + Sync) -> Vec<f64> {
-    let cfg = SimConfig::new(ClusterSpec::irregular(cores), CostModel::cray_aries());
-    let r = collectives::testutil::run_cfg(cfg, move |ctx| {
-        let out = f(ctx);
-        (out, ctx.now())
-    });
-    // Check content equality across entry points via the returned data;
-    // times are the bit-identity witness.
-    let mut times: Vec<f64> = r.per_rank.iter().map(|(_, t)| *t).collect();
-    let data: Vec<&Vec<f64>> = r.per_rank.iter().map(|(d, _)| d).collect();
-    for w in data.windows(2) {
-        assert_eq!(w[0].len(), w[1].len());
-    }
-    times.sort_by(f64::total_cmp);
-    times
+/// One traced run on the irregular cluster `cores` under the Cray cost
+/// model: each rank's result, its final clock, and the canonical trace.
+fn run_traced(
+    cores: &[usize],
+    program: impl Fn(&mut Ctx) -> Vec<f64> + Send + Sync,
+) -> (Vec<Vec<f64>>, Vec<f64>, Vec<Event>) {
+    let cfg = SimConfig::new(
+        ClusterSpec::irregular(cores.to_vec()),
+        CostModel::cray_aries(),
+    )
+    .traced();
+    let r = collectives::testutil::run_cfg(cfg, program);
+    (r.per_rank, r.clocks, r.tracer.events())
+}
+
+/// The rank of every `Decision` event of `trace`, in canonical order.
+fn decisions(trace: &[Event]) -> Vec<usize> {
+    trace
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Decision { .. }))
+        .map(|e| e.rank)
+        .collect()
+}
+
+/// Run `program` once handed `&t` and once handed
+/// `&SelectionPolicy::legacy(t)`. The two selection arms must agree to
+/// the bit in results, clocks and the canonical trace with `Decision`
+/// events filtered out. The `Legacy` arm records no decision; the
+/// `Policy` arm records exactly `calls` per rank, in the trace and in the
+/// policy's log alike.
+fn assert_one_path(
+    what: &str,
+    cores: &[usize],
+    t: &Tuning,
+    calls: usize,
+    program: impl Fn(&mut Ctx, Select<'_>) -> Vec<f64> + Send + Sync,
+) {
+    let (data, clocks, trace) = run_traced(cores, |ctx| program(ctx, Select::from(t)));
+    let policy = SelectionPolicy::legacy(t.clone());
+    let (p_data, p_clocks, p_trace) = run_traced(cores, |ctx| program(ctx, Select::from(&policy)));
+    assert_eq!(data, p_data, "{what}: results");
+    assert_eq!(clocks, p_clocks, "{what}: clocks");
+    let strip = |trace: &[Event]| -> Vec<Event> {
+        trace
+            .iter()
+            .filter(|e| !matches!(e.kind, EventKind::Decision { .. }))
+            .cloned()
+            .collect()
+    };
+    assert_eq!(strip(&trace), strip(&p_trace), "{what}: trace");
+    assert!(decisions(&trace).is_empty(), "{what}: legacy arm decided");
+    let ranks: usize = cores.iter().sum();
+    let want: Vec<usize> = (0..ranks)
+        .flat_map(|r| std::iter::repeat_n(r, calls))
+        .collect();
+    assert_eq!(decisions(&p_trace), want, "{what}: traced decisions");
+    assert_eq!(
+        policy.log().len(),
+        ranks * calls,
+        "{what}: logged decisions"
+    );
 }
 
 /// On the irregular `[1, 3, 4]` cluster — the shape that exercises the
-/// non-power-of-two paths — `with_policy(legacy)` must be virtual-time
-/// bit-identical to the pre-refactor `tuned` entry point, across the
-/// allgatherv ring/Bruck boundary.
+/// non-power-of-two paths — `tuned(…, &t)` and
+/// `tuned(…, &SelectionPolicy::legacy(t))` must be bit-identical across
+/// the allgatherv ring/Bruck boundary, blocking and nonblocking.
 #[test]
-fn with_policy_legacy_is_bit_identical_to_tuned_on_irregular_cluster() {
+fn allgatherv_legacy_and_policy_arms_are_bit_identical() {
     let t = Tuning::cray_mpich();
     // Straddle the allgatherv Bruck→ring boundary: total bytes is
     // (8·count)·8, so count = threshold/64 flips the algorithm.
@@ -195,60 +244,100 @@ fn with_policy_legacy_is_bit_identical_to_tuned_on_irregular_cluster() {
         boundary_count + 1,
     ] {
         let counts: Vec<usize> = (0..8).map(|r| count + r % 3).collect();
-        let tuned_times = {
-            let counts = counts.clone();
-            let t = t.clone();
-            run_times(vec![1, 3, 4], move |ctx| {
+        for nonblocking in [false, true] {
+            let what = format!("allgatherv count={count} nonblocking={nonblocking}");
+            assert_one_path(&what, &[1, 3, 4], &t, 1, |ctx, select| {
                 let world = ctx.world();
                 let send = ctx.buf_from_fn(counts[ctx.rank()], |i| datum(ctx.rank(), i));
-                let total: usize = counts.iter().sum();
-                let mut recv = ctx.buf_zeroed::<f64>(total);
-                allgatherv::tuned(ctx, &world, &send, &counts, &mut recv, &t);
+                let mut recv = ctx.buf_zeroed::<f64>(counts.iter().sum());
+                if nonblocking {
+                    allgatherv::ituned(ctx, &world, &send, &counts, &mut recv, select).wait(ctx);
+                } else {
+                    allgatherv::tuned(ctx, &world, &send, &counts, &mut recv, select);
+                }
                 recv.as_slice().unwrap().to_vec()
-            })
-        };
-        let policy_times = {
-            let counts = counts.clone();
-            let policy = SelectionPolicy::legacy(t.clone());
-            run_times(vec![1, 3, 4], move |ctx| {
-                let world = ctx.world();
-                let send = ctx.buf_from_fn(counts[ctx.rank()], |i| datum(ctx.rank(), i));
-                let total: usize = counts.iter().sum();
-                let mut recv = ctx.buf_zeroed::<f64>(total);
-                allgatherv::with_policy(ctx, &world, &send, &counts, &mut recv, &policy);
-                recv.as_slice().unwrap().to_vec()
-            })
-        };
-        assert_eq!(tuned_times, policy_times, "allgatherv count={count}");
+            });
+        }
     }
 }
 
 #[test]
-fn with_policy_legacy_allgather_bit_identical_across_shapes() {
+fn allgather_legacy_and_policy_arms_are_bit_identical_across_shapes() {
+    let t = Tuning::open_mpi();
     for cores in [vec![1, 3, 4], vec![4, 4], vec![2, 2, 2, 2], vec![5]] {
         for count in [1usize, 512, 4096] {
-            let tuned_times = {
-                let cores = cores.clone();
-                run_times(cores, move |ctx| {
+            for nonblocking in [false, true] {
+                let what = format!("allgather {cores:?} count={count} nonblocking={nonblocking}");
+                assert_one_path(&what, &cores, &t, 1, |ctx, select| {
                     let world = ctx.world();
                     let send = ctx.buf_from_fn(count, |i| datum(ctx.rank(), i));
                     let mut recv = ctx.buf_zeroed::<f64>(count * world.size());
-                    allgather::tuned(ctx, &world, &send, &mut recv, &Tuning::open_mpi());
+                    if nonblocking {
+                        allgather::ituned(ctx, &world, &send, &mut recv, select).wait(ctx);
+                    } else {
+                        allgather::tuned(ctx, &world, &send, &mut recv, select);
+                    }
                     recv.as_slice().unwrap().to_vec()
-                })
-            };
-            let policy_times = {
-                let cores = cores.clone();
-                let policy = SelectionPolicy::legacy(Tuning::open_mpi());
-                run_times(cores, move |ctx| {
+                });
+            }
+        }
+    }
+}
+
+/// Bcast across its binomial → scatter+allgather boundary, from a
+/// non-zero root, twice per rank (so the per-call decision count shows).
+#[test]
+fn bcast_legacy_and_policy_arms_are_bit_identical() {
+    let t = Tuning::cray_mpich();
+    let boundary = t.bcast_long_threshold / 8;
+    for cores in [vec![1, 3, 4], vec![4, 4]] {
+        for count in [1usize, boundary - 1, boundary, 3 * boundary] {
+            for nonblocking in [false, true] {
+                let what = format!("bcast {cores:?} count={count} nonblocking={nonblocking}");
+                assert_one_path(&what, &cores, &t, 2, |ctx, select| {
+                    let world = ctx.world();
+                    let mut out = Vec::new();
+                    for root in [3, 0] {
+                        let mut buf = if ctx.rank() == root {
+                            ctx.buf_from_fn(count, |i| datum(root, i))
+                        } else {
+                            ctx.buf_zeroed::<f64>(count)
+                        };
+                        if nonblocking {
+                            bcast::ituned(ctx, &world, &mut buf, root, select).wait(ctx);
+                        } else {
+                            bcast::tuned(ctx, &world, &mut buf, root, select);
+                        }
+                        out.extend_from_slice(buf.as_slice().unwrap());
+                    }
+                    out
+                });
+            }
+        }
+    }
+}
+
+/// Allreduce across its recursive doubling → Rabenseifner boundary.
+#[test]
+fn allreduce_legacy_and_policy_arms_are_bit_identical() {
+    let t = Tuning::cray_mpich();
+    let boundary = t.allreduce_rabenseifner_threshold / 8;
+    for cores in [vec![1, 3, 4], vec![4, 4], vec![5]] {
+        for count in [1usize, boundary - 1, boundary, 4 * boundary] {
+            for nonblocking in [false, true] {
+                let what = format!("allreduce {cores:?} count={count} nonblocking={nonblocking}");
+                assert_one_path(&what, &cores, &t, 1, |ctx, select| {
                     let world = ctx.world();
                     let send = ctx.buf_from_fn(count, |i| datum(ctx.rank(), i));
-                    let mut recv = ctx.buf_zeroed::<f64>(count * world.size());
-                    allgather::with_policy(ctx, &world, &send, &mut recv, &policy);
+                    let mut recv = ctx.buf_zeroed::<f64>(count);
+                    if nonblocking {
+                        allreduce::ituned(ctx, &world, &send, &mut recv, Sum, select).wait(ctx);
+                    } else {
+                        allreduce::tuned(ctx, &world, &send, &mut recv, Sum, select);
+                    }
                     recv.as_slice().unwrap().to_vec()
-                })
-            };
-            assert_eq!(tuned_times, policy_times, "cores={cores:?} count={count}");
+                });
+            }
         }
     }
 }

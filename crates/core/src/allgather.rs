@@ -390,12 +390,9 @@ impl<T: ShmElem> Stage for AgStage<'_, T> {
         let hc = &self.0.hc;
         let (bridge, plan) = self.bridge();
         let sm = match plan {
-            // Same fees either way; a policy additionally gets to pick the
-            // bridge algorithm (and records why).
-            BridgePlan::Blocks(counts) => AgBridge::Tuned(match hc.policy() {
-                Some(policy) => allgatherv::InPlaceSm::with_policy(ctx, bridge, counts, policy),
-                None => allgatherv::InPlaceSm::tuned(ctx, bridge, counts, hc.tuning()),
-            }),
+            BridgePlan::Blocks(counts) => {
+                AgBridge::Tuned(allgatherv::InPlaceSm::new(ctx, bridge, counts, hc.select()))
+            }
             BridgePlan::Stripe(_) => AgBridge::Ring(KRingSm::new(
                 ctx,
                 bridge,

@@ -300,13 +300,7 @@ impl<T: ShmElem, O: ReduceOp<T>> Stage for ArStage<'_, T, O> {
                 .copy_from(0, &Buf::Shared(ar.win.clone()), off, len);
             ctx.charge_copy(len * T::SIZE);
         }
-        // Same fees either way; a policy additionally records why.
-        let sm = match ar.hc.policy() {
-            Some(policy) => {
-                coll_allreduce::TunedSm::with_policy(ctx, bridge, &self.node_acc, policy)
-            }
-            None => coll_allreduce::TunedSm::tuned(ctx, bridge, &self.node_acc, ar.hc.tuning()),
-        };
+        let sm = coll_allreduce::TunedSm::new(ctx, bridge, &self.node_acc, ar.hc.select());
         (sm, Buf::Shared(ar.win.region(off, len)))
     }
 

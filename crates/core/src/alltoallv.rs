@@ -1,7 +1,7 @@
 //! Hybrid all-to-all, regular and irregular (`MPI_Alltoall(v)` over the
 //! paper's recipe) — an extension in the spirit of the paper's conclusion
 //! ("more experiences … are expected to popularize the implementation of
-//! the hybrid MPI+MPI application codes") and of its reference [31]
+//! the hybrid MPI+MPI application codes") and of its reference \[31\]
 //! (Träff & Rougier, hierarchical all-to-all).
 //!
 //! Every rank writes its outgoing blocks straight into a node-shared
@@ -22,7 +22,7 @@
 //! send window holds the own-group slab in the middle of the layout, so
 //! the remote slabs are not one contiguous `sdispls`-described buffer.
 //! The direct slab exchange below is the hierarchical schedule of the
-//! paper's reference [31]; the flat `collectives::alltoallv` algorithms
+//! paper's reference \[31\]; the flat `collectives::alltoallv` algorithms
 //! (pairwise/linear, registry-selectable) remain the pure-MPI baseline.
 
 use collectives::util::displs_of;

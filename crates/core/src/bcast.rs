@@ -195,14 +195,9 @@ impl<T: ShmElem> Stage for BcStage<'_, T> {
         let j = bc.ls.slot.expect("the bridge starts only on slot leaders");
         let (off, len) = seg_bounds(bc.len, j, bc.ls.k);
         let view = Buf::Shared(bc.win.region(off, len));
-        // Same fees either way; a policy additionally gets to pick the
-        // bridge algorithm (and records why). Each stripe's selection
-        // sees its own segment size, so large messages get the
-        // scatter+allgather schedule per stripe.
-        let sm = match bc.hc.policy() {
-            Some(policy) => coll_bcast::TunedSm::with_policy(ctx, bridge, &view, policy),
-            None => coll_bcast::TunedSm::tuned(ctx, bridge, &view, bc.hc.tuning()),
-        };
+        // Each stripe's selection sees its own segment size, so large
+        // messages get the scatter+allgather schedule per stripe.
+        let sm = coll_bcast::TunedSm::new(ctx, bridge, &view, bc.hc.select());
         (sm, view)
     }
 

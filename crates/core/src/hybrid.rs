@@ -3,7 +3,9 @@
 //! "the hierarchical communicator splitting and the allocation of the
 //! shared-memory segment are one-offs").
 
-use collectives::{CollectiveOp, CommCase, FaultPolicy, Hierarchy, SelectionPolicy, Tuning};
+use collectives::{
+    CollectiveOp, CommCase, FaultPolicy, Hierarchy, Select, SelectionPolicy, Tuning,
+};
 use msim::{Communicator, Ctx};
 
 use crate::sync::SyncMethod;
@@ -69,6 +71,18 @@ impl HybridComm {
     /// [`HybridComm::with_policy`].
     pub fn policy(&self) -> Option<&SelectionPolicy> {
         self.policy.as_ref()
+    }
+
+    /// How the flat collectives inside the hybrid ones (the bridge
+    /// exchanges) pick their algorithm: the policy, which records why,
+    /// when built through [`HybridComm::with_policy`]; the legacy
+    /// thresholds of the tuning otherwise. The fees are the same either
+    /// way.
+    pub fn select(&self) -> Select<'_> {
+        match &self.policy {
+            Some(policy) => Select::Policy(policy),
+            None => Select::Legacy(&self.tuning),
+        }
     }
 
     /// Policy-driven hybrid-vs-flat choice for an allgather of

@@ -27,7 +27,7 @@
 //!   [`HyReduceScatter`], [`HyGather`] / [`HyScatter`] — extensions
 //!   following the same recipe,
 //! * [`pipeline::HyAllgatherPipelined`] — the large-message pipelined
-//!   variant the paper's conclusion points to (its reference [30]).
+//!   variant the paper's conclusion points to (its reference \[30\]).
 //!
 //! There is one handle per collective. The sync → bridge → sync sandwich
 //! around every family but the pipeline is written once, in [`envelope`];

@@ -1,7 +1,7 @@
 //! Pipelined large-message hybrid allgather.
 //!
 //! The paper stops its evaluation at 256 KiB and notes that beyond that "a
-//! pipeline method could be applied" (its reference [30], Träff et al.,
+//! pipeline method could be applied" (its reference \[30\], Träff et al.,
 //! "A simple, pipelined algorithm for large, irregular all-gather
 //! problems"). This module provides it: the bridge exchange runs a
 //! segmented ring in which segment `k` of a block is forwarded one ring

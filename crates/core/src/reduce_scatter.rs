@@ -180,11 +180,7 @@ impl<T: ShmElem, O: ReduceOp<T>> Stage for RsStage<'_, T, O> {
     fn start(&mut self, ctx: &mut Ctx) -> Self::Bridge {
         let rs = self.rs;
         let bridge = rs.ls.bridge.as_ref().expect("leaders carry the bridge");
-        // Same fees either way; a policy additionally records why.
-        let sm = match rs.hc.policy() {
-            Some(policy) => coll_rs::TunedSm::with_policy(ctx, bridge, &rs.group_sums, policy),
-            None => coll_rs::TunedSm::tuned(ctx, bridge, &rs.group_sums, rs.hc.tuning()),
-        };
+        let sm = coll_rs::TunedSm::new(ctx, bridge, &rs.group_sums, rs.hc.select());
         (sm, Buf::Shared(rs.win.clone()))
     }
 

@@ -99,7 +99,7 @@ impl Cholesky {
         inv
     }
 
-    /// log(det A) = 2·Σ log L[i,i] (model evidence diagnostics).
+    /// log(det A) = 2·Σ log L\[i,i\] (model evidence diagnostics).
     pub fn log_det(&self) -> f64 {
         (0..self.n()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
     }

@@ -6,7 +6,7 @@
 //! need:
 //!
 //! * [`Mat`] — a column-major dense matrix with views and the usual ops,
-//! * [`gemm`] — blocked, register-tiled matrix multiplication
+//! * [`gemm()`] — blocked, register-tiled matrix multiplication
 //!   (C ← α·A·B + β·C), also over borrowed operands ([`gemm_ref`]),
 //! * [`Cholesky`] — LLᵀ factorization with forward/backward solves,
 //! * [`sample`] — multivariate normal, Wishart (Bartlett) and Gamma

@@ -176,10 +176,11 @@ impl Communicator {
     }
 
     /// `MPI_Comm_shrink` (ULFM): construct the communicator of survivors
-    /// from an [`AgreeOutcome`] produced by [`Ctx::ft_agree`] on this
-    /// communicator. Purely local — every survivor holds the same agreed
-    /// dead set and the same freshly minted context id (`outcome.token`),
-    /// so no further coordination is needed. The fresh id is what
+    /// from an [`AgreeOutcome`](crate::AgreeOutcome) produced by
+    /// [`Ctx::ft_agree`] on this communicator. Purely local — every
+    /// survivor holds the same agreed dead set and the same freshly
+    /// minted context id (`outcome.token`), so no further coordination
+    /// is needed. The fresh id is what
     /// isolates post-recovery traffic from stale packets of the aborted
     /// attempt: they can never match.
     ///

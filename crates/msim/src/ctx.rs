@@ -837,7 +837,7 @@ impl Ctx {
     /// `Arc`-shared result.
     ///
     /// This is the scalability primitive behind topology discovery
-    /// ([`Hierarchy`-style] grouping): computing a node grouping needs
+    /// (`Hierarchy`-style grouping): computing a node grouping needs
     /// every rank's placement, but doing that *per rank* is O(p) work and
     /// O(p) memory times p ranks — quadratic, and the wall that kept
     /// phantom sweeps under ~4k ranks. Exchanging through the rendezvous

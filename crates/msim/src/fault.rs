@@ -323,7 +323,7 @@ impl FaultPlan {
     }
 
     /// Builder: the stall a wait tolerates before declaring a timeout
-    /// (see [`FaultPlan::detect_timeout`]). A stall is never slept, so
+    /// (see `FaultPlan::detect_timeout`). A stall is never slept, so
     /// the budget changes which parked wait expires first, not how long
     /// a run takes.
     pub fn with_detect_timeout(mut self, d: Duration) -> Self {

@@ -5,7 +5,7 @@
 //! the simulator's determinism contract:
 //!
 //! * Every rank that dies from an injected [`crate::KillRule`] marks
-//!   itself dead in the shared [`Liveness`] table *before* its kill panic
+//!   itself dead in the shared `Liveness` table *before* its kill panic
 //!   unwinds (all its prior sends happened-before the mark via the
 //!   mailbox mutex, so an observer that sees the mark and then drains its
 //!   mailbox once more cannot lose a message).
@@ -14,8 +14,8 @@
 //!   parking forever. A death or divert wakes every parked rank to
 //!   recheck, so a failure reaches its waiters as a schedule event.
 //! * Survivors run a *commit* roll-call after every protected operation
-//!   ([`Liveness::commit`]); a failed round diverts every survivor into
-//!   the same recovery epoch, where [`Liveness::agree`] reaches consensus
+//!   (`Liveness::commit`); a failed round diverts every survivor into
+//!   the same recovery epoch, where `Liveness::agree` reaches consensus
 //!   on the dead set and mints a fresh communicator token
 //!   (`Comm_agree` + `Comm_shrink`).
 //!
@@ -23,7 +23,7 @@
 //! recovery control traffic is out-of-band, like the setup collectives
 //! (splits, window allocation) the paper excludes from measurements. A
 //! wait that nothing wakes gives up when the pool has been quiescent for
-//! its budget on the executor's stall clock ([`crate::exec`]). See
+//! its budget on the executor's stall clock (`crate::exec`). See
 //! `docs/fault-tolerance.md`.
 
 use std::collections::{BTreeSet, HashMap};
@@ -145,7 +145,7 @@ impl fmt::Display for WaitError {
 
 impl std::error::Error for WaitError {}
 
-/// Result of a [`Liveness::agree`] consensus round: the dead set every
+/// Result of a `Liveness::agree` consensus round: the dead set every
 /// survivor observed, plus a freshly minted communicator context id for
 /// the shrunk communicator. Matching on a *fresh* id is what isolates a
 /// recovered run from stale packets of the aborted attempt.
@@ -157,10 +157,10 @@ pub struct AgreeOutcome {
     pub token: u32,
 }
 
-/// Result of a grow roll-call ([`Liveness::grow_join`]): the regrown
+/// Result of a grow roll-call (`Liveness::grow_join`): the regrown
 /// membership every participant observed, published exactly once by the
 /// first completing survivor. Spares parked in
-/// [`Liveness::grow_standby`] read the same outcome to learn whether they
+/// `Liveness::grow_standby` read the same outcome to learn whether they
 /// were recruited; recruits seed their recovery drivers from the carried
 /// `epoch` / `op_seq` / `cookie` so post-grow rounds run in lockstep with
 /// the survivors (ULFM's spawn-and-merge, deterministically).
@@ -195,7 +195,7 @@ pub struct GrowOutcome {
     pub retire: bool,
 }
 
-/// Result of a per-operation commit roll-call ([`Liveness::commit`]).
+/// Result of a per-operation commit roll-call (`Liveness::commit`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitOutcome {
     /// Every member completed the protected operation; its results stand.

@@ -4,7 +4,7 @@
 //! The fuzzing harness ([`crate::SchedulePolicy::Adversarial`]) samples
 //! schedules; this module *enumerates* them. Every nondeterministic pick
 //! of the pool (clamped to one worker) — which ready rank runs next — is
-//! routed through a [`Probe`] controller, so a schedule is exactly a
+//! routed through a `Probe` controller, so a schedule is exactly a
 //! sequence of decisions `d_0, d_1, …` ("at the i-th pick, resume rank
 //! `d_i`"). [`explore`]
 //! drives the program through a depth-first search over those decision

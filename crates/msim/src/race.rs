@@ -19,7 +19,7 @@
 //! Message-based barriers (e.g. dissemination) need no special casing:
 //! their happens-before edges arise transitively from their packets.
 //!
-//! After the run, [`RaceState::detect`] sweeps the records of each
+//! After the run, `RaceState::detect` sweeps the records of each
 //! window in element order and reports every pair of overlapping
 //! accesses from different ranks, at least one a write, that are not
 //! ordered by happens-before. Reports are canonically sorted so equal

@@ -24,7 +24,7 @@
 //! per-rank **progress engine**: whenever the rank reaches a park site
 //! (any blocking receive, flag wait, fence or setup exchange), already-
 //! arrived packets for watched keys are claimed into the rank's stash
-//! (see [`crate::Ctx::drain_progress`]). Claiming moves a packet closer
+//! (see `Ctx::drain_progress`). Claiming moves a packet closer
 //! to its request but performs no accounting — clock, trace, race and
 //! heartbeat effects all happen at completion, from the packet's own
 //! fields, so progress is invisible to virtual time by construction.

@@ -3,7 +3,7 @@
 //! The paper assumes SMP-style (block) placement for its main results and
 //! discusses other placements in §6; the hybrid collectives remain correct
 //! for any placement because they derive node membership from the placement
-//! itself (the "node-sorted global rank array" technique of [31]).
+//! itself (the "node-sorted global rank array" technique of \[31\]).
 
 use crate::cost::LinkClass;
 use crate::topology::ClusterSpec;

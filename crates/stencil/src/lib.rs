@@ -3,7 +3,7 @@
 //! The paper's conclusion points to point-to-point communication as the
 //! next place to apply the hybrid MPI+MPI model ("more experiences
 //! (e.g., p2p communications) are expected"), building on Hoefler et
-//! al.'s MPI+MPI halo-exchange paradigm (the paper's reference [10]) —
+//! al.'s MPI+MPI halo-exchange paradigm (the paper's reference \[10\]) —
 //! which the paper calls *suboptimal* because on-node neighbors still
 //! keep halo copies of each other's boundary cells.
 //!

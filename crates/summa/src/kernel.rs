@@ -160,7 +160,7 @@ enum PanelPhase {
     Done,
 }
 
-/// The body of an in-flight [`panel_bcast`] (the nonblocking form used
+/// The body of an in-flight `panel_bcast` (the nonblocking form used
 /// by [`hy_summa_overlap`] to prefetch the next panel during the gemm).
 pub struct IPanelBcastBody {
     hc: HybridComm,
@@ -177,10 +177,7 @@ impl IPanelBcastBody {
                     .window()
                     .region(panels.block_offset(k), panels.block_len(k));
                 let view = Buf::Shared(region);
-                let sm = match hc.policy() {
-                    Some(policy) => bcast::TunedSm::with_policy(ctx, bridge, &view, policy),
-                    None => bcast::TunedSm::tuned(ctx, bridge, &view, hc.tuning()),
-                };
+                let sm = bcast::TunedSm::new(ctx, bridge, &view, hc.select());
                 PanelPhase::Bridge {
                     sm,
                     view,
@@ -286,7 +283,7 @@ impl PanelWindows {
 /// node-shared windows over the row/column communicators (one copy per
 /// node, written once at setup), so a SUMMA broadcast reduces to a
 /// leader-to-leader bridge `MPI_Bcast` of the panel slot plus the
-/// barrier the paper adds after each broadcast ([`panel_bcast`]).
+/// barrier the paper adds after each broadcast (`panel_bcast`).
 pub fn hy_summa(ctx: &mut Ctx, spec: &SummaSpec) -> SummaReport {
     let world = ctx.world();
     hy_summa_on(ctx, &world, spec)

@@ -3,7 +3,8 @@
 //! and the two applications.
 
 use hybrid_mpi::bpmf::{self, hy_bpmf, ori_bpmf, BpmfConfig};
-use hybrid_mpi::collectives::{barrier, smp_aware::SmpAware};
+use hybrid_mpi::collectives::{allgatherv, barrier, run_blocking, smp_aware::SmpAware};
+use hybrid_mpi::msim::Drive;
 use hybrid_mpi::prelude::*;
 use hybrid_mpi::summa::{hy_summa, kernel::expected_c_block, ori_summa, SummaSpec};
 use std::sync::Arc;
@@ -207,13 +208,9 @@ fn paper_fig4_pseudocode_walkthrough() {
             barrier::tuned(ctx, &shm);
             let counts = vec![msg * shm.size(); bridge.size()];
             let mut view = Buf::Shared(win.clone());
-            hybrid_mpi::collectives::allgatherv::tuned_in_place(
-                ctx,
-                bridge,
-                &counts,
-                &mut view,
-                &Tuning::cray_mpich(),
-            );
+            let tuning = Tuning::cray_mpich();
+            let mut exchange = allgatherv::InPlaceSm::new(ctx, bridge, &counts, &tuning);
+            run_blocking(exchange.drive(ctx, bridge, &counts, &mut view, Drive::Block));
             barrier::tuned(ctx, &shm);
         } else {
             barrier::tuned(ctx, &shm);
