@@ -43,12 +43,12 @@
 #           each must yield a shrunk certificate that replays
 #           byte-identically from any base pool width, while
 #           the corrected programs explore clean in exactly one
-#           schedule), the exhaustive sweep tests (every Hy* family x
-#           3 sync methods, plus allgather and allreduce built
-#           `with_leaders(.., 2)`, at 2x2 — DPOR proves one schedule
-#           each), then `bench mcheck`'s full sweep, gated by
-#           MCHECK_BUDGET_S. `--quick` trims that sweep to one family x
-#           one sync (`bench mcheck --quick`).
+#           schedule), then `bench mcheck`'s full sweep (every Hy*
+#           family x 3 sync methods, plus allgather and allreduce built
+#           `with_leaders(.., 2)`, at 2x2 — a cell fails unless DPOR
+#           proves exactly one schedule), gated by MCHECK_BUDGET_S.
+#           `--quick` trims that sweep to one family x one sync
+#           (`bench mcheck --quick`).
 #   ft      fault-tolerance gate (docs/fault-tolerance.md): the kill-
 #           matrix conformance suite (every collective family x every
 #           victim rank x 3 sync methods x regular+irregular layouts x
@@ -243,7 +243,7 @@ EVENTS_BUDGET_S=8.0
 EVENTS_RSS_BUDGET_MIB=512
 
 # Stored wall-clock budget (seconds) for the mcheck stage's exhaustive
-# DPOR sweep (`mcheck --family all`: 8 families x 3 sync methods, real
+# DPOR sweep (`mcheck --family all`: 9 families x 3 sync methods, real
 # data, race detector armed). Measured ~1 s on the reference host; 30 s
 # keeps the gate well clear of load noise while still catching a search
 # blow-up (e.g. a lost happens-before edge turning one schedule into
@@ -251,8 +251,8 @@ EVENTS_RSS_BUDGET_MIB=512
 # family, a bigger default config), re-measure with
 #   cargo run --release -p bench -- mcheck --family all
 # round up generously, and update this in the same PR — never bump it
-# to paper over an unexplained schedule-count regression (the pinned
-# counts in crates/core/tests/mcheck.rs would catch that first).
+# to paper over an unexplained schedule-count regression (the sweep
+# itself fails any cell that explores more than one schedule).
 MCHECK_BUDGET_S=30
 
 # The one harness binary (crates/bench): `bench <command> [args]`.
@@ -303,7 +303,7 @@ stage_race() {
     cargo test -q -p bpmf -p summa --lib race_detector
 }
 
-# Arguments for the mcheck stage's `bench mcheck` sweep: the full 8-family x
+# Arguments for the mcheck stage's `bench mcheck` sweep: the full 9-family x
 # 3-sync grid in a normal run, one family x one sync in `--quick`.
 MCHECK_ARGS=(--family all)
 
@@ -315,13 +315,12 @@ stage_mcheck() {
     # by >= 10x, and the committed certificate artifact must keep
     # replaying (crates/msim/tests/mcheck.rs pins all of it).
     cargo test -q -p msim --test mcheck
-    # Exhaustive sweep tests: every Hy* family x 3 sync methods, plus
-    # the two-leader envelope (allgather and allreduce built
-    # `with_leaders(.., 2)`), real data + armed race detector at 2x2 —
-    # zero violations, exactly one schedule each.
-    cargo test -q -p hmpi-core --test mcheck
-    # The full DPOR sweep through `bench mcheck` (exit is nonzero on any
-    # violation), budget-gated — see the header for the bump procedure.
+    # The full DPOR sweep through `bench mcheck`: every Hy* family x 3
+    # sync methods, plus the two-leader envelope (allgather and allreduce
+    # built `with_leaders(.., 2)`), real data + armed race detector at
+    # 2x2. The exit is nonzero on any violation and on any cell that
+    # explores more than one schedule; budget-gated — see the header
+    # for the bump procedure.
     local t0=$SECONDS
     bench mcheck "${MCHECK_ARGS[@]}"
     local dt=$((SECONDS - t0))

@@ -1,12 +1,17 @@
 //! `bench mcheck` — exhaustive schedule exploration of the shipped
-//! collectives.
+//! collectives, and the workspace's one table of model-check programs.
 //!
 //! Drives every requested `Hy*` family through `msim::explore` (DPOR
 //! with sleep sets) at a small configuration, with real data and the
 //! race detector armed, and reports per-cell statistics: schedules
-//! explored, branches pruned, decision points, max depth. Any violation
-//! prints its shrunk replayable certificate (canonical JSON) and the
-//! command fails.
+//! explored, branches pruned, decision points, max depth. A cell fails
+//! on a violation (its shrunk replayable certificate is printed as
+//! canonical JSON) and, when it runs plain DPOR (no `--naive`, no
+//! `--preempt`), on a search that is capped or explores more than one
+//! schedule: the collectives are fully synchronized, so exactly one
+//! schedule is the determinism contract of `docs/model-checking.md`.
+//! The command fails if any cell does; `tests/mcheck.rs` runs every
+//! family × sync through [`run_family`] and [`verdict`].
 //!
 //! ```bash
 //! cargo run --release -p bench -- mcheck --family all
@@ -16,10 +21,10 @@
 //!
 //! | flag | default | meaning |
 //! |---|---|---|
-//! | `--family F` | `all` | `allgather`, `allgatherv`, `bcast`, `allreduce`, `alltoall`, `gather`, `scatter`, `kleader`, `all` |
+//! | `--family F` | `all` | `allgather`, `allgatherv`, `bcast`, `allreduce`, `alltoall`, `gather`, `scatter`, `kleader` (allgather), `kallreduce`, `all` |
 //! | `--sync S` | all three | `barrier`, `flags`, `p2p` |
 //! | `--nodes N` / `--ppn P` | 2 / 2 | cluster layout |
-//! | `--k K` | 2 | leaders per node for `kleader` |
+//! | `--k K` | 2 | leaders per node for `kleader` and `kallreduce` |
 //! | `--naive` | off | disable DPOR + sleep sets (full enumeration) |
 //! | `--compare` | off | run DPOR and naive side by side, report the pruning ratio |
 //! | `--max N` | 50000 | schedule budget per cell |
@@ -53,7 +58,9 @@ pub const FLAGS: Flags = &[
 
 const COUNT: usize = 3;
 const ROOT: usize = 1;
-const FAMILIES: [&str; 8] = [
+
+/// Every family `--family all` explores.
+pub const FAMILIES: [&str; 9] = [
     "allgather",
     "allgatherv",
     "bcast",
@@ -62,9 +69,27 @@ const FAMILIES: [&str; 8] = [
     "gather",
     "scatter",
     "kleader",
+    "kallreduce",
 ];
 
-fn run_family(
+/// The three on-node synchronization methods, by their `--sync` name.
+pub const SYNCS: [(&str, SyncMethod); 3] = [
+    ("barrier", SyncMethod::Barrier),
+    ("flags", SyncMethod::SharedFlags),
+    ("p2p", SyncMethod::P2p),
+];
+
+/// The configuration every cell explores: `nodes` × `ppn` ranks, real
+/// data, the race detector armed.
+pub fn config(nodes: usize, ppn: usize) -> SimConfig {
+    SimConfig::new(ClusterSpec::regular(nodes, ppn), CostModel::uniform_test())
+        .with_recv_timeout(Duration::from_millis(500))
+        .with_race_detect(true)
+}
+
+/// Explore every schedule of `family` under `sync` (`k` leaders per node
+/// for the multi-leader families).
+pub fn run_family(
     family: &str,
     sync: SyncMethod,
     cfg: &SimConfig,
@@ -77,9 +102,34 @@ fn run_family(
     })
 }
 
+/// Whether a cell passes: no violation and, for a plain DPOR search (no
+/// `naive`, no preemption bound), exactly one schedule, not capped.
+pub fn verdict(report: &ExploreReport, opts: &ExploreOpts) -> Result<(), String> {
+    if let Some(cert) = &report.certificate {
+        return Err(format!(
+            "violation, replayable certificate:\n{}",
+            cert.to_json()
+        ));
+    }
+    let s = &report.stats;
+    let dpor = !opts.naive && opts.preemption_bound.is_none();
+    if dpor && (s.capped || s.schedules != 1) {
+        let capped = if s.capped { ", capped" } else { "" };
+        return Err(format!(
+            "{} schedules{capped}; DPOR must prove exactly one",
+            s.schedules
+        ));
+    }
+    Ok(())
+}
+
 fn collective(ctx: &mut Ctx, family: &str, sync: SyncMethod, k: usize) -> Vec<f64> {
     let world = ctx.world();
-    let hc = HybridComm::with_sync(ctx, &world, Tuning::cray_mpich(), sync);
+    let tuning = match family {
+        "allgatherv" => Tuning::open_mpi(),
+        _ => Tuning::cray_mpich(),
+    };
+    let hc = HybridComm::with_sync(ctx, &world, tuning, sync);
     match family {
         "allgather" => {
             let ag = HyAllgather::<f64>::new(ctx, &hc, COUNT);
@@ -140,6 +190,12 @@ fn collective(ctx: &mut Ctx, family: &str, sync: SyncMethod, k: usize) -> Vec<f6
             ag.execute(ctx);
             (0..ctx.nranks()).flat_map(|r| ag.read_block(r)).collect()
         }
+        "kallreduce" => {
+            let ar = HyAllreduce::<f64>::with_leaders(ctx, &hc, COUNT, k);
+            let contribution = ctx.buf_zeroed::<f64>(COUNT);
+            ar.execute(ctx, &contribution, Sum);
+            ar.read_result()
+        }
         other => panic!("unknown family {other:?}"),
     }
 }
@@ -153,14 +209,9 @@ pub fn run(args: &Args) -> Result<(), String> {
             None => return Err(args.error(&format!("unknown family {f:?}"))),
         },
     };
-    let all_syncs = [
-        ("barrier", SyncMethod::Barrier),
-        ("flags", SyncMethod::SharedFlags),
-        ("p2p", SyncMethod::P2p),
-    ];
-    let syncs: Vec<SyncMethod> = match args.pick("--sync", &all_syncs)? {
+    let syncs: Vec<SyncMethod> = match args.pick("--sync", &SYNCS)? {
         Some(s) => vec![s],
-        None => all_syncs.map(|(_, s)| s).to_vec(),
+        None => SYNCS.map(|(_, s)| s).to_vec(),
     };
     let nodes = args.positive("--nodes")?.unwrap_or(2);
     let ppn = args.positive("--ppn")?.unwrap_or(2);
@@ -175,16 +226,14 @@ pub fn run(args: &Args) -> Result<(), String> {
         (families, syncs)
     };
 
-    let cfg = SimConfig::new(ClusterSpec::regular(nodes, ppn), CostModel::uniform_test())
-        .with_recv_timeout(Duration::from_millis(500))
-        .with_race_detect(true);
+    let cfg = config(nodes, ppn);
 
     println!(
         "mcheck: {nodes}x{ppn} cluster, k={k}, max {max_schedules} schedules/cell{}",
         preempt.map_or(String::new(), |b| format!(", preemption bound {b}"))
     );
 
-    let mut violations = 0u32;
+    let mut failed = 0u32;
     let mut total_schedules = 0u64;
     let mut total_pruned = 0u64;
     for f in &families {
@@ -220,21 +269,20 @@ pub fn run(args: &Args) -> Result<(), String> {
                 );
             }
             println!();
-            if let Some(cert) = report.certificate {
-                violations += 1;
-                eprintln!("  VIOLATION in {f}/{sync:?} — replayable certificate:");
-                eprintln!("{}", cert.to_json());
+            if let Err(why) = verdict(&report, &opts) {
+                failed += 1;
+                eprintln!("  FAILED {f}/{sync:?}: {why}");
             }
         }
     }
 
     println!(
         "mcheck: {} cell(s), {total_schedules} schedule(s) explored, {total_pruned} redundant \
-         branch(es) pruned, {violations} violation(s)",
+         branch(es) pruned, {failed} failing cell(s)",
         families.len() * syncs.len()
     );
-    match violations {
+    match failed {
         0 => Ok(()),
-        n => Err(format!("{n} violation(s)")),
+        n => Err(format!("{n} failing cell(s)")),
     }
 }

@@ -43,7 +43,6 @@ pub mod barrier;
 pub mod bcast;
 pub mod gather;
 pub mod hierarchy;
-pub mod json;
 pub mod op;
 pub mod policy;
 pub mod reduce;
@@ -56,6 +55,11 @@ pub mod smp_aware;
 pub mod split;
 pub mod tags;
 pub mod util;
+
+/// The workspace's JSON codec, defined in `simnet` so that `msim` can
+/// share it; re-exported here, where tuning tables and the bench
+/// artifacts have always imported it.
+pub use simnet::json;
 
 pub use hierarchy::{seg_bounds, Hierarchy, LeaderSet};
 pub use op::ReduceOp;

@@ -358,9 +358,8 @@ pub fn flavor_from_key(key: &str) -> Option<MpiFlavor> {
 
 /// What a fault-aware driver does when a protected operation fails
 /// (a peer dies, diverts into recovery, or a message is lost past all
-/// retransmissions). Carried by [`SelectionPolicy`] so the choice rides
-/// the same object that already steers algorithm selection; consumed by
-/// the `hmpi` crate's fault-tolerant driver.
+/// retransmissions). Set with `FtComm::with_fault` and consumed by the
+/// `hmpi` crate's fault-tolerant driver.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum FaultPolicy {
     /// No recovery: the failure propagates and the run aborts with the
@@ -417,7 +416,6 @@ type AutotuneCache = Arc<Mutex<BTreeMap<(CollectiveOp, usize, usize, u32, usize)
 pub struct SelectionPolicy {
     tuning: Tuning,
     kind: PolicyKind,
-    fault: FaultPolicy,
     log: DecisionLog,
     cache: AutotuneCache,
 }
@@ -444,22 +442,9 @@ impl SelectionPolicy {
         Self {
             tuning,
             kind,
-            fault: FaultPolicy::default(),
             log: DecisionLog::new(),
             cache: Arc::default(),
         }
-    }
-
-    /// Attach a [`FaultPolicy`]: what a fault-aware driver built from
-    /// this policy does when a protected operation fails.
-    pub fn with_fault_policy(mut self, fault: FaultPolicy) -> Self {
-        self.fault = fault;
-        self
-    }
-
-    /// The attached fault policy ([`FaultPolicy::Abort`] by default).
-    pub fn fault_policy(&self) -> FaultPolicy {
-        self.fault
     }
 
     /// The thresholds backing legacy/fallback decisions.

@@ -39,28 +39,12 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-use collectives::{CollectiveOp, FaultPolicy, ReduceOp, SelectionPolicy, Tuning};
+use collectives::{CollectiveOp, FaultPolicy, ReduceOp, Tuning};
 use msim::{CommitOutcome, Communicator, Ctx, ShmElem, WaitError};
 
 use crate::hybrid::HybridComm;
 use crate::sync::SyncMethod;
 use crate::{HyAllgatherv, HyAllreduce, HyBcast};
-
-/// How to rebuild the hybrid context after the communicator shrinks.
-#[derive(Clone)]
-enum Rebuild {
-    Sync(Tuning, SyncMethod),
-    Policy(SelectionPolicy),
-}
-
-impl Rebuild {
-    fn hybrid(&self, ctx: &mut Ctx, comm: &Communicator) -> HybridComm {
-        match self {
-            Rebuild::Sync(tuning, sync) => HybridComm::with_sync(ctx, comm, tuning.clone(), *sync),
-            Rebuild::Policy(policy) => HybridComm::with_policy(ctx, comm, policy.clone()),
-        }
-    }
-}
 
 /// How many node leaders the built-in fault-tolerant collectives
 /// ([`FtComm::allgatherv`] and friends) drive the bridge with.
@@ -119,7 +103,9 @@ struct PoolState {
 /// [`grow`](FtComm::grow) merges replacements back in.
 pub struct FtComm {
     comm: Communicator,
-    rebuild: Rebuild,
+    /// What every attempt rebuilds the [`HybridComm`] hierarchy with.
+    tuning: Tuning,
+    sync: SyncMethod,
     fault: FaultPolicy,
     op_seq: u64,
     leaders: Leaders,
@@ -133,23 +119,9 @@ impl FtComm {
     pub fn new(comm: &Communicator, tuning: Tuning, sync: SyncMethod) -> Self {
         Self {
             comm: comm.clone(),
-            rebuild: Rebuild::Sync(tuning, sync),
+            tuning,
+            sync,
             fault: FaultPolicy::default(),
-            op_seq: 0,
-            leaders: Leaders::default(),
-            pool: None,
-        }
-    }
-
-    /// A fault-tolerant context rebuilding hierarchies through a
-    /// [`SelectionPolicy`]; the fault policy is taken from
-    /// [`SelectionPolicy::fault_policy`].
-    pub fn with_policy(comm: &Communicator, policy: SelectionPolicy) -> Self {
-        let fault = policy.fault_policy();
-        Self {
-            comm: comm.clone(),
-            rebuild: Rebuild::Policy(policy),
-            fault,
             op_seq: 0,
             leaders: Leaders::default(),
             pool: None,
@@ -215,11 +187,6 @@ impl FtComm {
         &self.comm
     }
 
-    /// The active fault policy.
-    pub fn fault_policy(&self) -> FaultPolicy {
-        self.fault
-    }
-
     /// Run one protected round, rebuilding the [`HybridComm`] hierarchy
     /// for every attempt (after a shrink this is what re-elects node
     /// leaders and re-allocates the shared window).
@@ -233,9 +200,9 @@ impl FtComm {
         label: &str,
         mut body: impl FnMut(&mut Ctx, &HybridComm) -> T,
     ) -> T {
-        let rebuild = self.rebuild.clone();
+        let (tuning, sync) = (self.tuning.clone(), self.sync);
         self.run_raw(ctx, label, move |ctx, comm| {
-            let hc = rebuild.hybrid(ctx, comm);
+            let hc = HybridComm::with_sync(ctx, comm, tuning.clone(), sync);
             body(ctx, &hc)
         })
     }

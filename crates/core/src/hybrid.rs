@@ -3,9 +3,7 @@
 //! "the hierarchical communicator splitting and the allocation of the
 //! shared-memory segment are one-offs").
 
-use collectives::{
-    CollectiveOp, CommCase, FaultPolicy, Hierarchy, Select, SelectionPolicy, Tuning,
-};
+use collectives::{CollectiveOp, CommCase, Hierarchy, Select, SelectionPolicy, Tuning};
 use msim::{Communicator, Ctx};
 
 use crate::sync::SyncMethod;
@@ -120,16 +118,6 @@ impl HybridComm {
     ) -> usize {
         let case = CommCase::new(op, self.comm.size(), self.h.num_groups(), total_bytes).windowed();
         collectives::registry::recommended_leaders(ctx.cost(), &case, max_k)
-    }
-
-    /// The fault policy a fault-aware driver should apply to operations
-    /// over this communicator: the one attached to the selection policy,
-    /// or [`FaultPolicy::Abort`] when built without a policy.
-    pub fn fault_policy(&self) -> FaultPolicy {
-        self.policy
-            .as_ref()
-            .map(|p| p.fault_policy())
-            .unwrap_or_default()
     }
 
     /// The parent communicator.

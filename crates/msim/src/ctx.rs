@@ -934,22 +934,6 @@ impl Ctx {
         self.send(comm, dst, tag, payload);
     }
 
-    /// Receive into `buf` at `off`; returns the number of elements
-    /// received.
-    pub fn recv_region<T: ShmElem>(
-        &mut self,
-        comm: &Communicator,
-        src: usize,
-        tag: u32,
-        buf: &mut Buf<T>,
-        off: usize,
-    ) -> usize {
-        let payload = self.recv(comm, src, tag);
-        let elems = payload.len() / T::SIZE;
-        buf.write_payload(off, &payload);
-        elems
-    }
-
     /// Post a nonblocking receive. Matching and completion are deferred
     /// to [`RecvRequest::wait`]; because the clock only advances at the
     /// wait, a receive posted early and waited late models genuine
@@ -975,20 +959,6 @@ impl Ctx {
     ) -> SendRequest {
         self.send(comm, dst, tag, payload);
         SendRequest { _done: true }
-    }
-
-    /// Combined send-then-receive (safe because sends are eager).
-    pub fn sendrecv(
-        &mut self,
-        comm: &Communicator,
-        dst: usize,
-        send_tag: u32,
-        payload: Payload,
-        src: usize,
-        recv_tag: u32,
-    ) -> Payload {
-        self.send(comm, dst, send_tag, payload);
-        self.recv(comm, src, recv_tag)
     }
 
     /// Record a barrier completion in the trace (called by barrier
@@ -1224,16 +1194,6 @@ impl Ctx {
         })
     }
 
-    /// Probe `comm` for an already-failed member: the lowest-ranked
-    /// member (excluding this rank) that is dead or diverted past this
-    /// rank's epoch, if any. Lets a fault-aware driver notice a failure
-    /// at operation entry instead of waiting to block on the victim.
-    /// Always `None` when disarmed.
-    pub fn ft_probe(&self, comm: &Communicator) -> Option<usize> {
-        self.ft_watch(comm)
-            .and_then(|w| w.failed_member(self.global_rank))
-    }
-
     /// Typed liveness probe over `comm` for nonblocking wait loops
     /// ([`crate::Request::ft_check`]): `Err` with the same [`WaitError`]
     /// the blocking paths raise when some member (excluding this rank) is
@@ -1381,20 +1341,6 @@ impl RecvRequest {
             None => ctx.recv(&self.comm, self.src, self.tag),
         }
     }
-
-    /// Wait and write the payload into `buf` at `off`; returns the
-    /// element count received.
-    pub fn wait_into<T: crate::ShmElem>(
-        self,
-        ctx: &mut Ctx,
-        buf: &mut crate::Buf<T>,
-        off: usize,
-    ) -> usize {
-        let payload = self.wait(ctx);
-        let elems = payload.len() / T::SIZE;
-        buf.write_payload(off, &payload);
-        elems
-    }
 }
 
 impl crate::request::Request for RecvRequest {
@@ -1467,9 +1413,4 @@ impl crate::request::Request for SendRequest {
     fn complete(&mut self, _ctx: &mut Ctx) {}
 
     fn into_output(self) -> Self::Output {}
-}
-
-/// Wait on a batch of receives in posting order, returning the payloads.
-pub fn wait_all(ctx: &mut Ctx, requests: Vec<RecvRequest>) -> Vec<Payload> {
-    requests.into_iter().map(|r| r.wait(ctx)).collect()
 }

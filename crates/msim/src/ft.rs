@@ -563,19 +563,6 @@ pub(crate) struct FtWatch {
     pub(crate) epoch: u64,
 }
 
-impl FtWatch {
-    /// First member (excluding `me`) that is dead or diverted past the
-    /// watcher's epoch — the condition on which an armed wait path must
-    /// stop waiting. Deterministic tie-break: lowest global rank wins.
-    pub(crate) fn failed_member(&self, me: usize) -> Option<usize> {
-        self.members
-            .iter()
-            .copied()
-            .filter(|&m| m != me)
-            .find(|&m| self.live.is_dead(m) || self.live.diverted_past(m, self.epoch))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -637,21 +624,6 @@ mod tests {
         l.observe_beat(0, 1);
         assert_eq!(l.last_seen(0), 2);
         assert_eq!(l.last_seen(1), 0);
-    }
-
-    #[test]
-    fn failed_member_skips_self_and_prefers_lowest() {
-        let l = Arc::new(table(4));
-        l.mark_dead(0);
-        l.mark_dead(3);
-        let watch = |members: &[usize]| FtWatch {
-            live: Arc::clone(&l),
-            members: members.to_vec(),
-            epoch: 0,
-        };
-        assert_eq!(watch(&[0, 1, 3]).failed_member(0), Some(3));
-        assert_eq!(watch(&[0, 1, 3]).failed_member(1), Some(0));
-        assert_eq!(watch(&[1, 2]).failed_member(1), None);
     }
 
     /// Every survivor must check in before either completes; the first

@@ -54,7 +54,7 @@ pub mod window;
 pub use buffer::Buf;
 pub use bytes::Bytes;
 pub use comm::Communicator;
-pub use ctx::{wait_all, Ctx, RecvRequest, SendRequest};
+pub use ctx::{Ctx, RecvRequest, SendRequest};
 pub use datatype::Layout;
 pub use elem::ShmElem;
 pub use error::SimError;

@@ -60,6 +60,7 @@ use crate::fault::SchedulePolicy;
 use crate::mailbox::MatchKey;
 use crate::oob::BoardKey;
 use crate::universe::{SimConfig, SimResult, Universe};
+use simnet::json::Json;
 
 // ---------------------------------------------------------------------------
 // The probe: decision control + footprint recording.
@@ -193,15 +194,22 @@ pub enum ViolationKind {
 }
 
 impl ViolationKind {
+    /// This kind's `"kind"` tag in the violation JSON.
+    fn tag(self) -> &'static str {
+        match self {
+            ViolationKind::Deadlock => "deadlock",
+            ViolationKind::Race => "race",
+            ViolationKind::Panic => "panic",
+            ViolationKind::Divergence => "divergence",
+            ViolationKind::Executor => "executor",
+        }
+    }
+
     fn from_tag(tag: &str) -> Option<Self> {
-        Some(match tag {
-            "deadlock" => ViolationKind::Deadlock,
-            "race" => ViolationKind::Race,
-            "panic" => ViolationKind::Panic,
-            "divergence" => ViolationKind::Divergence,
-            "executor" => ViolationKind::Executor,
-            _ => return None,
-        })
+        use ViolationKind::*;
+        [Deadlock, Race, Panic, Divergence, Executor]
+            .into_iter()
+            .find(|k| k.tag() == tag)
     }
 }
 
@@ -216,8 +224,24 @@ impl ViolationKind {
 pub struct Violation {
     /// The violated property.
     pub kind: ViolationKind,
-    /// Canonical JSON (sorted keys, no whitespace) describing it.
+    /// Canonical JSON ([`Json::compact`]) describing it.
     pub json: String,
+}
+
+impl Violation {
+    /// The violation of `kind` described by `fields`, plus its `"kind"`
+    /// tag, as one [`Json::compact`] object.
+    fn new<const N: usize>(kind: ViolationKind, fields: [(&str, Json); N]) -> Self {
+        let mut obj: BTreeMap<String, Json> = fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        obj.insert("kind".into(), Json::Str(kind.tag().into()));
+        Violation {
+            kind,
+            json: Json::Obj(obj).compact(),
+        }
+    }
 }
 
 /// A replayable counterexample: the decision prefix that steers the
@@ -257,296 +281,61 @@ impl fmt::Debug for ScheduleCertificate {
 }
 
 impl ScheduleCertificate {
-    /// Canonical JSON encoding: keys sorted, no whitespace, the
-    /// violation embedded as its (already canonical) JSON string.
+    /// Canonical JSON encoding ([`Json::compact`]: keys sorted, no
+    /// whitespace), the violation embedded as its JSON string.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128);
-        s.push_str("{\"config\":");
-        json_string(&mut s, &self.config);
-        s.push_str(",\"decisions\":[");
-        for (i, d) in self.decisions.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&d.to_string());
-        }
-        s.push_str("],\"program\":");
-        json_string(&mut s, &self.program);
-        s.push_str(",\"version\":");
-        s.push_str(&self.version.to_string());
-        s.push_str(",\"violation\":");
-        json_string(&mut s, &self.violation.json);
-        s.push('}');
-        s
+        let decisions = self.decisions.iter().map(|&d| Json::Num(d as f64));
+        Json::Obj(BTreeMap::from([
+            ("config".into(), Json::Str(self.config.clone())),
+            ("decisions".into(), Json::Arr(decisions.collect())),
+            ("program".into(), Json::Str(self.program.clone())),
+            ("version".into(), Json::Num(self.version.into())),
+            ("violation".into(), Json::Str(self.violation.json.clone())),
+        ]))
+        .compact()
     }
 
-    /// Parse a certificate from its canonical JSON (tolerates
-    /// insignificant whitespace).
+    /// Parse a certificate from its JSON (insignificant whitespace
+    /// allowed).
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let mut p = JsonParser::new(text);
-        let fields = p.object()?;
-        p.end()?;
+        let doc = Json::parse(text)?;
         let get = |k: &str| {
-            fields
-                .get(k)
+            doc.get(k)
                 .ok_or_else(|| format!("certificate is missing the {k:?} field"))
         };
-        let config = get("config")?.as_string()?;
-        let decisions = get("decisions")?.as_usize_array()?;
-        let program = get("program")?.as_string()?;
-        let version = get("version")?.as_u64()?;
+        let string = |k: &str| {
+            get(k)?
+                .as_str()
+                .map(str::to_string)
+                .ok_or_else(|| format!("certificate field {k:?} is not a string"))
+        };
+        let decisions = get("decisions")?
+            .as_arr()
+            .and_then(|a| a.iter().map(Json::as_usize).collect::<Option<_>>())
+            .ok_or("certificate decisions are not an array of ranks")?;
+        let version = get("version")?
+            .as_usize()
+            .ok_or("certificate version is not a non-negative integer")?;
         let version =
             u32::try_from(version).map_err(|_| format!("version {version} is out of range"))?;
-        let vjson = get("violation")?.as_string()?;
+        let vjson = string("violation")?;
         let kind = violation_kind_of(&vjson)
             .ok_or_else(|| format!("unrecognized violation kind in {vjson:?}"))?;
         Ok(Self {
             version,
-            program,
-            config,
+            program: string("program")?,
+            config: string("config")?,
             decisions,
             violation: Violation { kind, json: vjson },
         })
     }
 }
 
-/// Extract the `"kind"` tag out of a canonical violation JSON string,
-/// parsing structurally so user-influenced string fields serialized
-/// ahead of `"kind"` (e.g. `UnsupportedExec`'s `exec`) can never be
-/// mistaken for the tag.
+/// The `"kind"` tag of a violation JSON string. Parsed structurally, so
+/// user-influenced string fields (e.g. `UnsupportedExec`'s `exec`) can
+/// never be mistaken for the tag.
 fn violation_kind_of(json: &str) -> Option<ViolationKind> {
-    let mut p = JsonParser::new(json);
-    let fields = p.object().ok()?;
-    p.end().ok()?;
-    match fields.get("kind")? {
-        JsonValue::String(tag) => ViolationKind::from_tag(tag),
-        _ => None,
-    }
-}
-
-/// Append `value` as a JSON string literal.
-fn json_string(out: &mut String, value: &str) {
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// A parsed JSON scalar or array (the only shapes certificates and
-/// violation descriptions use).
-enum JsonValue {
-    String(String),
-    Number(u64),
-    Array(Vec<JsonValue>),
-}
-
-impl JsonValue {
-    fn as_string(&self) -> Result<String, String> {
-        match self {
-            JsonValue::String(s) => Ok(s.clone()),
-            _ => Err("expected a JSON string".into()),
-        }
-    }
-
-    fn as_u64(&self) -> Result<u64, String> {
-        match self {
-            JsonValue::Number(n) => Ok(*n),
-            _ => Err("expected a JSON number".into()),
-        }
-    }
-
-    fn as_usize_array(&self) -> Result<Vec<usize>, String> {
-        match self {
-            JsonValue::Array(v) => v
-                .iter()
-                .map(|x| x.as_u64().map(|n| n as usize))
-                .collect::<Result<_, _>>()
-                .map_err(|_| "expected a JSON array of numbers".into()),
-            _ => Err("expected a JSON array of numbers".into()),
-        }
-    }
-}
-
-/// Minimal parser for the flat object shapes certificates and
-/// violation descriptions serialize to: one object of string /
-/// non-negative-integer / array (of scalars) fields.
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn object(&mut self) -> Result<BTreeMap<String, JsonValue>, String> {
-        self.expect(b'{')?;
-        let mut fields = BTreeMap::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(fields);
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.insert(key, value);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(fields);
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        if self.peek() != Some(b'[') {
-            return self.scalar();
-        }
-        self.pos += 1;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            items.push(self.scalar()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    /// A string or a number. Arrays hold scalars only, so a nested `[`
-    /// is an error here rather than a recursion: no input depth can
-    /// exhaust the stack.
-    fn scalar(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b'0'..=b'9') => Ok(JsonValue::Number(self.number()?)),
-            Some(b'[') => Err(format!("nested array at byte {}", self.pos)),
-            _ => Err(format!("unsupported JSON value at byte {}", self.pos)),
-        }
-    }
-
-    fn number(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(format!("expected a number at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = std::str::from_utf8(hex)
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            self.pos += 4;
-                        }
-                        _ => return Err("unsupported string escape".into()),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through unchanged.
-                    let s = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn end(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(format!("trailing content at byte {}", self.pos))
-        }
-    }
+    ViolationKind::from_tag(Json::parse(json).ok()?.get("kind")?.as_str()?)
 }
 
 // ---------------------------------------------------------------------------
@@ -589,90 +378,63 @@ fn classify<T: fmt::Debug>(
     match out {
         Ok(res) => {
             let digest = outcome_digest(res);
-            match reference {
-                Some(want) if want != digest => (
-                    Some(Violation {
-                        kind: ViolationKind::Divergence,
-                        json: format!(
-                            "{{\"digest\":\"{digest:016x}\",\"kind\":\"divergence\",\"reference\":\"{want:016x}\"}}"
-                        ),
-                    }),
-                    Some(digest),
-                ),
-                _ => (None, Some(digest)),
-            }
+            let diverged = reference.filter(|&want| want != digest).map(|want| {
+                let hex = |h: u64| Json::Str(format!("{h:016x}"));
+                Violation::new(
+                    ViolationKind::Divergence,
+                    [("digest", hex(digest)), ("reference", hex(want))],
+                )
+            });
+            (diverged, Some(digest))
         }
         Err(e) => (Some(violation_of_error(e)), None),
     }
 }
 
 fn violation_of_error(e: &SimError) -> Violation {
+    let num = |n: usize| Json::Num(n as f64);
+    let text = |s: &str| Json::Str(s.to_string());
     match e {
         SimError::DeadlockSuspected {
             rank,
             comm,
             src,
             tag,
-        } => Violation {
-            kind: ViolationKind::Deadlock,
-            json: format!(
-                "{{\"comm\":{comm},\"kind\":\"deadlock\",\"rank\":{rank},\"src\":{src},\"tag\":{tag}}}"
-            ),
-        },
+        } => Violation::new(
+            ViolationKind::Deadlock,
+            [
+                ("comm", Json::Num((*comm).into())),
+                ("rank", num(*rank)),
+                ("src", num(*src)),
+                ("tag", Json::Num((*tag).into())),
+            ],
+        ),
         SimError::RaceDetected { reports, .. } => {
-            let mut json = String::from("{\"kind\":\"race\",\"reports\":[");
-            for (i, r) in reports.iter().enumerate() {
-                if i > 0 {
-                    json.push(',');
-                }
-                json_string(&mut json, &r.to_string());
-            }
-            json.push_str("]}");
-            Violation {
-                kind: ViolationKind::Race,
-                json,
-            }
+            let reports = reports.iter().map(|r| Json::Str(r.to_string())).collect();
+            Violation::new(ViolationKind::Race, [("reports", Json::Arr(reports))])
         }
-        SimError::RankPanicked { rank, message } => {
-            let mut json = String::from("{\"kind\":\"panic\",\"message\":");
-            json_string(&mut json, message);
-            json.push_str(&format!(",\"rank\":{rank}}}"));
-            Violation {
-                kind: ViolationKind::Panic,
-                json,
-            }
-        }
-        SimError::ExecutorFailure { rank, message, .. } => {
-            let mut json = String::from("{\"kind\":\"executor\",\"message\":");
-            json_string(&mut json, message);
-            json.push_str(&format!(",\"rank\":{rank}}}"));
-            Violation {
-                kind: ViolationKind::Executor,
-                json,
-            }
-        }
-        SimError::UnsupportedExec { exec, feature } => {
-            let mut json = String::from("{\"exec\":");
-            json_string(&mut json, exec);
-            json.push_str(",\"feature\":");
-            json_string(&mut json, feature);
-            json.push_str(",\"kind\":\"executor\"}");
-            Violation {
-                kind: ViolationKind::Executor,
-                json,
-            }
-        }
+        SimError::RankPanicked { rank, message } => Violation::new(
+            ViolationKind::Panic,
+            [("message", text(message)), ("rank", num(*rank))],
+        ),
+        SimError::ExecutorFailure { rank, message, .. } => Violation::new(
+            ViolationKind::Executor,
+            [("message", text(message)), ("rank", num(*rank))],
+        ),
+        SimError::UnsupportedExec { exec, feature } => Violation::new(
+            ViolationKind::Executor,
+            [("exec", text(exec)), ("feature", text(feature))],
+        ),
     }
 }
 
 /// The reference digest a divergence certificate was judged against,
-/// parsed back out of its canonical violation JSON.
+/// parsed back out of its violation JSON.
 fn reference_of(v: &Violation) -> Option<u64> {
     if v.kind != ViolationKind::Divergence {
         return None;
     }
-    let at = v.json.find("\"reference\":\"")? + "\"reference\":\"".len();
-    u64::from_str_radix(v.json.get(at..at + 16)?, 16).ok()
+    u64::from_str_radix(Json::parse(&v.json).ok()?.get("reference")?.as_str()?, 16).ok()
 }
 
 // ---------------------------------------------------------------------------
@@ -1251,16 +1013,102 @@ mod tests {
         assert!(ScheduleCertificate::from_json("{}").is_err());
         assert!(ScheduleCertificate::from_json("{\"version\":1}").is_err());
         assert!(ScheduleCertificate::from_json("not json").is_err());
-        // Arrays hold scalars only: a deep `[` nest is refused, not
-        // recursed into.
+        // A deep `[` nest is refused at the codec's depth cap, not
+        // recursed into until the stack overflows.
         let deep = format!("{{\"decisions\":{}", "[".repeat(100_000));
         let err = ScheduleCertificate::from_json(&deep).unwrap_err();
-        assert_eq!(err, "nested array at byte 14");
+        assert_eq!(err, "nesting deeper than 128 levels at byte 140");
         // A version past u32::MAX is an error, not a truncation to 1.
         let mut json = sample_cert().to_json();
         json = json.replace("\"version\":1", "\"version\":4294967297");
         let err = ScheduleCertificate::from_json(&json).unwrap_err();
         assert!(err.contains("4294967297"), "{err}");
+    }
+
+    /// Every violation kind's JSON, byte for byte. The literals are the
+    /// bytes the hand-written encoder produced before violations were
+    /// built as `Json` objects: certificates compare them exactly.
+    #[test]
+    fn violation_json_is_pinned_byte_for_byte() {
+        use crate::race::{AccessKind, RaceAccess, RaceReport};
+        use simnet::{ClusterSpec, CostModel};
+        let access = |rank, start, kind, syncs: &[&str]| RaceAccess {
+            rank,
+            start,
+            len: 2,
+            kind,
+            recent_syncs: syncs.iter().map(|s| s.to_string()).collect(),
+        };
+        let cases = [
+            (
+                SimError::DeadlockSuspected {
+                    rank: 2,
+                    comm: 7,
+                    src: 1,
+                    tag: 40,
+                },
+                r#"{"comm":7,"kind":"deadlock","rank":2,"src":1,"tag":40}"#,
+            ),
+            (
+                SimError::RaceDetected {
+                    reports: vec![
+                        RaceReport {
+                            window: 0x1_0000_0002,
+                            first: access(0, 4, AccessKind::Write, &[]),
+                            second: access(3, 5, AccessKind::Read, &["recv \"x\"", "fence"]),
+                        },
+                        RaceReport {
+                            window: 7,
+                            first: access(1, 0, AccessKind::Write, &["flag"]),
+                            second: access(2, 1, AccessKind::Write, &[]),
+                        },
+                    ],
+                    fault_context: "plan".into(),
+                },
+                concat!(
+                    r#"{"kind":"race","reports":["window 0x100000002: rank 0 write of [4, 6) "#,
+                    r#"(no prior sync) races with rank 3 read of [5, 7) (after recv \"x\", "#,
+                    r#"fence)","window 0x7: rank 1 write of [0, 2) (after flag) races with "#,
+                    r#"rank 2 write of [1, 3) (no prior sync)"]}"#
+                ),
+            ),
+            (
+                SimError::RankPanicked {
+                    rank: 3,
+                    message: "boom \"q\" \\ bell\u{7}\nline\ttab\r".into(),
+                },
+                r#"{"kind":"panic","message":"boom \"q\" \\ bell\u0007\nline\ttab\r","rank":3}"#,
+            ),
+            (
+                SimError::ExecutorFailure {
+                    rank: 1,
+                    message: "worker \"w\" \\ died\u{1f}\u{0}".into(),
+                    fault_context: "ctx".into(),
+                },
+                r#"{"kind":"executor","message":"worker \"w\" \\ died\u001f\u0000","rank":1}"#,
+            ),
+            (
+                SimError::UnsupportedExec {
+                    exec: "pooled \"p\"".into(),
+                    feature: "switch\\shim\u{1b}".into(),
+                },
+                r#"{"exec":"pooled \"p\"","feature":"switch\\shim\u001b","kind":"executor"}"#,
+            ),
+        ];
+        for (err, want) in &cases {
+            let v = violation_of_error(err);
+            assert_eq!(v.json, *want);
+            assert_eq!(violation_kind_of(&v.json), Some(v.kind));
+        }
+        let cfg = SimConfig::new(ClusterSpec::regular(1, 2), CostModel::uniform_test());
+        let out = Universe::run(cfg, |ctx| ctx.rank());
+        let (v, _) = classify(&out, Some(0x1234));
+        let v = v.expect("a digest other than the reference diverges");
+        assert_eq!(
+            v.json,
+            r#"{"digest":"b7cf28dfcf49863c","kind":"divergence","reference":"0000000000001234"}"#
+        );
+        assert_eq!(reference_of(&v), Some(0x1234));
     }
 
     #[test]
@@ -1364,10 +1212,9 @@ mod tests {
     fn violation_kind_parses_structurally() {
         // A user-influenced field serialized ahead of "kind" must not be
         // mistaken for the tag, even when it embeds one.
-        let mut json = String::from("{\"exec\":");
-        json_string(&mut json, "evil\"kind\":\"deadlock\" payload");
-        json.push_str(",\"feature\":\"f\",\"kind\":\"executor\"}");
-        assert_eq!(violation_kind_of(&json), Some(ViolationKind::Executor));
+        let json =
+            r#"{"exec":"evil\"kind\":\"deadlock\" payload","feature":"f","kind":"executor"}"#;
+        assert_eq!(violation_kind_of(json), Some(ViolationKind::Executor));
         // Race violations carry string arrays.
         assert_eq!(
             violation_kind_of("{\"kind\":\"race\",\"reports\":[\"a\",\"b\"]}"),

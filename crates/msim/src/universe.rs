@@ -931,7 +931,7 @@ mod nonblocking_tests {
             let world = ctx.world();
             if ctx.rank() == 2 {
                 let reqs = vec![ctx.irecv(&world, 0, 7), ctx.irecv(&world, 1, 7)];
-                let payloads = crate::ctx::wait_all(ctx, reqs);
+                let payloads = crate::waitall(ctx, reqs);
                 payloads.iter().map(|p| p.len()).collect::<Vec<_>>()
             } else {
                 let data = vec![0u8; ctx.rank() + 1];

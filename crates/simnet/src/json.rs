@@ -1,15 +1,23 @@
-//! A minimal, dependency-free JSON reader/writer.
+//! A minimal, dependency-free JSON reader/writer: the workspace's one
+//! JSON codec.
 //!
-//! The workspace is hermetic (no external crates), so the tuning-table
-//! serialization in [`crate::policy`] hand-rolls the small JSON subset
-//! it needs: objects, arrays, strings, unsigned integers, floats and
-//! booleans. Escapes beyond `\" \\ \/ \n
-//! \r \t \u` are not produced and not accepted; this is a data format
-//! for our own files, not a general-purpose parser. The files are still
-//! outside input (certificates, tuning tables, artifacts passed to
-//! `--verify`), so malformed text is an `Err`, never a panic: the
-//! recursive-descent parser refuses nesting beyond [`MAX_DEPTH`] instead
-//! of recursing until the stack overflows.
+//! The workspace is hermetic (no external crates), so it hand-rolls the
+//! small JSON subset its files need: objects, arrays, strings, numbers
+//! and booleans. It lives in `simnet`, which depends on nothing, so every
+//! crate above can read through it: `collectives` persists tuning tables
+//! (and re-exports this module as `collectives::json`), `msim::mcheck`
+//! reads and writes schedule certificates and violation descriptions,
+//! and `bench` writes and checks its `BENCH_*.json` artifacts. Escapes
+//! beyond `\" \\ \/ \n \r \t \u` are not produced and not accepted;
+//! this is a data format for our own files, not a general-purpose
+//! parser. The files are still outside input (certificates, tuning
+//! tables, artifacts passed to `--verify`), so malformed text is an
+//! `Err`, never a panic: the recursive-descent parser refuses nesting
+//! beyond [`MAX_DEPTH`] instead of recursing until the stack overflows.
+//!
+//! Both serializers write the canonical form (object keys sorted, one
+//! number and string encoding) through one writer: [`Json::pretty`]
+//! indents, [`Json::compact`] writes no whitespace outside strings.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -101,8 +109,16 @@ impl Json {
     /// (canonical form: object keys sorted, floats via `{}`).
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        write_value(self, 0, &mut out);
+        write_value(self, Some(0), &mut out);
         out.push('\n');
+        out
+    }
+
+    /// Serialize on one line with no whitespace outside strings (the
+    /// same canonical form as [`Json::pretty`], without the layout).
+    pub fn compact(&self) -> String {
+        let mut out = String::new();
+        write_value(self, None, &mut out);
         out
     }
 }
@@ -264,7 +280,9 @@ fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     }
 }
 
-fn write_value(v: &Json, indent: usize, out: &mut String) {
+/// Write `v`, laid out at `indent` levels (`None`: compact, no layout).
+fn write_value(v: &Json, indent: Option<usize>, out: &mut String) {
+    let inner = indent.map(|d| d + 1);
     match v {
         Json::Null => out.push_str("null"),
         Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -286,12 +304,10 @@ fn write_value(v: &Json, indent: usize, out: &mut String) {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push('\n');
-                pad(indent + 1, out);
-                write_value(item, indent + 1, out);
+                newline(inner, out);
+                write_value(item, inner, out);
             }
-            out.push('\n');
-            pad(indent, out);
+            newline(indent, out);
             out.push(']');
         }
         Json::Obj(map) => {
@@ -304,14 +320,12 @@ fn write_value(v: &Json, indent: usize, out: &mut String) {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push('\n');
-                pad(indent + 1, out);
+                newline(inner, out);
                 write_str(k, out);
-                out.push_str(": ");
-                write_value(val, indent + 1, out);
+                out.push_str(if indent.is_some() { ": " } else { ":" });
+                write_value(val, inner, out);
             }
-            out.push('\n');
-            pad(indent, out);
+            newline(indent, out);
             out.push('}');
         }
     }
@@ -335,9 +349,13 @@ fn write_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
-fn pad(indent: usize, out: &mut String) {
-    for _ in 0..indent {
-        out.push_str("  ");
+/// Start a new line at `indent` levels; nothing in the compact form.
+fn newline(indent: Option<usize>, out: &mut String) {
+    if let Some(depth) = indent {
+        out.push('\n');
+        for _ in 0..depth {
+            out.push_str("  ");
+        }
     }
 }
 
@@ -375,6 +393,16 @@ mod tests {
         let once = Json::parse(text).unwrap().pretty();
         let twice = Json::parse(&once).unwrap().pretty();
         assert_eq!(once, twice, "pretty form must be a fixed point");
+    }
+
+    #[test]
+    fn compact_is_the_pretty_form_without_layout() {
+        let text = r#"{"z": [1, "a b", {"k": []}], "a": {}, "m": -2.5}"#;
+        let v = Json::parse(text).unwrap();
+        let compact = v.compact();
+        assert_eq!(compact, r#"{"a":{},"m":-2.5,"z":[1,"a b",{"k":[]}]}"#);
+        assert_eq!(Json::parse(&compact).unwrap(), v);
+        assert_eq!(Json::parse(&compact).unwrap().pretty(), v.pretty());
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! * [`Clock`] — a per-rank deterministic virtual clock in microseconds,
 //! * [`Tracer`] — an optional event trace used by tests to assert *schedule*
 //!   properties (e.g. "the hybrid allgather performs zero intra-node data
-//!   copies").
+//!   copies"),
+//! * [`json`] — the workspace's one JSON reader/writer (tuning tables,
+//!   model-check certificates, BENCH artifacts); it sits here, below
+//!   every other crate, so all of them share it.
 //!
 //! The message-passing runtime itself lives in the `msim` crate; `simnet`
 //! deliberately knows nothing about ranks' program logic, only about where
@@ -29,6 +32,7 @@ pub mod analysis;
 pub mod clock;
 pub mod cost;
 pub mod estimate;
+pub mod json;
 pub mod perturb;
 pub mod placement;
 pub mod rng;
