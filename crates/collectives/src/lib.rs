@@ -57,8 +57,8 @@ pub mod tags;
 pub mod util;
 
 /// The workspace's JSON codec, defined in `simnet` so that `msim` can
-/// share it; re-exported here, where tuning tables and the bench
-/// artifacts have always imported it.
+/// share it; re-exported for the tuning tables and the bench artifacts
+/// that import it from this crate.
 pub use simnet::json;
 
 pub use hierarchy::{seg_bounds, Hierarchy, LeaderSet};
