@@ -320,7 +320,9 @@ stage_mcheck() {
     # built `with_leaders(.., 2)`), real data + armed race detector at
     # 2x2. The exit is nonzero on any violation and on any cell that
     # explores more than one schedule; budget-gated — see the header
-    # for the bump procedure.
+    # for the bump procedure. `bench` is built first, so the budget
+    # times the sweep alone, not a rebuild.
+    cargo build --release -p bench
     local t0=$SECONDS
     bench mcheck "${MCHECK_ARGS[@]}"
     local dt=$((SECONDS - t0))

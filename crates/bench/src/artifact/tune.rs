@@ -60,7 +60,7 @@ fn build_table(cluster: &str, cost: &CostModel, tuning: &Tuning) -> TuningTable 
                         op,
                         comm_le,
                         bytes_le: usize::MAX,
-                        algo: algo.to_string(),
+                        algo,
                     }),
                 }
             }
@@ -88,7 +88,7 @@ fn build_table(cluster: &str, cost: &CostModel, tuning: &Tuning) -> TuningTable 
                         op,
                         comm_le,
                         bytes_le,
-                        algo: algo.to_string(),
+                        algo,
                     }),
                 }
             }

@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use bpmf::{hy_bpmf, ori_bpmf, BpmfConfig, Dataset, SyntheticSpec};
 use cg::{hy_cg, ori_cg, CgSpec};
 use collectives::{allreduce, alltoall, barrier, op::Sum, smp_aware::SmpAware};
-use collectives::{SelectionPolicy, Tuning};
+use collectives::{Algo, SelectionPolicy, Tuning};
 use hmpi::{HyAllgather, HyAllreduce, HyAlltoall, HybridComm, SyncMethod};
 use msim::{Ctx, ExecMode, Payload, SimConfig, Universe};
 use simnet::analysis::{node_traffic_matrix, TrafficStats};
@@ -688,20 +688,17 @@ fn trace_report() -> String {
         HyAllgather::<f64>::new(ctx, &hc, elems).execute(ctx);
     });
     let traced = TrafficStats::of(&r.expect("traced autotune run").tracer.events()).decisions;
-    let mut rows: Vec<(String, String, String, usize)> = Vec::new();
+    let mut rows: Vec<(Algo, String, usize)> = Vec::new();
     for d in policy.log().decisions() {
-        match rows
-            .iter_mut()
-            .find(|(op, algo, _, _)| *op == d.op.key() && *algo == d.algo)
-        {
+        match rows.iter_mut().find(|(algo, _, _)| *algo == d.algo) {
             Some(row) => {
-                row.3 += 1;
+                row.2 += 1;
                 let is_hit = |why: &str| why.contains("cache hit");
-                if (is_hit(&d.why), &d.why) < (is_hit(&row.2), &row.2) {
-                    row.2 = d.why;
+                if (is_hit(&d.why), &d.why) < (is_hit(&row.1), &row.1) {
+                    row.1 = d.why;
                 }
             }
-            None => rows.push((d.op.key().to_string(), d.algo.to_string(), d.why, 1)),
+            None => rows.push((d.algo, d.why, 1)),
         }
     }
     let title = format!(
@@ -710,7 +707,14 @@ fn trace_report() -> String {
     );
     let rows: Vec<Vec<String>> = rows
         .into_iter()
-        .map(|(op, algo, why, n)| vec![op, algo, why, n.to_string()])
+        .map(|(algo, why, n)| {
+            vec![
+                algo.op().key().into(),
+                algo.key().into(),
+                why,
+                n.to_string(),
+            ]
+        })
         .collect();
     out += &render_table(&title, &["op", "algorithm", "why", "ranks"], &rows);
 

@@ -9,7 +9,7 @@
 //! decision log.
 
 use bench::{allgather_latency, AllgatherVariant, Machine};
-use collectives::{CollectiveOp, SelectionPolicy, Tuning};
+use collectives::{Algo, CollectiveOp, SelectionPolicy, Tuning};
 use hmpi::{HyAllgather, HybridComm};
 use msim::{ExecMode, SimConfig, Universe};
 use simnet::{ClusterSpec, Placement};
@@ -192,11 +192,11 @@ fn autotune_win_is_attributable_in_decision_log() {
     let auto_sync = auto.log().algos_for(CollectiveOp::Sync);
     let legacy_sync = legacy.log().algos_for(CollectiveOp::Sync);
     assert!(
-        auto_sync.contains(&"sync.shared_flags"),
+        auto_sync.contains(&Algo::SyncSharedFlags),
         "autotune should pick shared flags, got {auto_sync:?}"
     );
     assert!(
-        legacy_sync.contains(&"sync.barrier"),
+        legacy_sync.contains(&Algo::SyncBarrier),
         "legacy should pick the default barrier, got {legacy_sync:?}"
     );
     assert!(!auto.log().is_empty(), "every decision must be recorded");

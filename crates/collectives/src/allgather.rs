@@ -24,7 +24,7 @@
 use msim::{Buf, Communicator, Ctx, Drive, ShmElem, WaitError};
 
 use crate::policy::{Fee, Select, SelectionPolicy};
-use crate::registry::{AlgorithmRegistry, AlgorithmSpec, CollectiveOp, CommCase};
+use crate::registry::{kleader_spec, Algo, AlgorithmSpec, CollectiveOp, CommCase};
 use crate::split::{run_blocking, DriveOp, IColl};
 use crate::tags;
 
@@ -270,7 +270,7 @@ pub fn ring<T: ShmElem>(ctx: &mut Ctx, comm: &Communicator, send: &Buf<T>, recv:
     run_blocking(RingSm::new().drive(ctx, comm, send, recv, Drive::Block));
 }
 
-/// One allgather schedule as a split-phase machine, selected by name.
+/// One allgather schedule as a split-phase machine.
 #[derive(Debug)]
 enum AgSm<T: ShmElem> {
     Local { done: bool },
@@ -280,15 +280,16 @@ enum AgSm<T: ShmElem> {
 }
 
 impl<T: ShmElem> AgSm<T> {
-    /// # Panics
-    /// Panics on an unknown algorithm name.
-    fn for_algo(algo: &str) -> Self {
+    /// The machine of `algo`. Selection picks only an applicable schedule
+    /// of the case's op, and no flat case is windowed, so no other variant
+    /// reaches here.
+    fn for_algo(algo: Algo) -> Self {
         match algo {
-            "allgather.local" => AgSm::Local { done: false },
-            "allgather.recursive_doubling" => AgSm::Rd(RdSm::new()),
-            "allgather.bruck" => AgSm::Bruck(BruckSm::new()),
-            "allgather.ring" => AgSm::Ring(RingSm::new()),
-            other => panic!("allgather: unknown algorithm {other:?}"),
+            Algo::AllgatherLocal => AgSm::Local { done: false },
+            Algo::AllgatherRecursiveDoubling => AgSm::Rd(RdSm::new()),
+            Algo::AllgatherBruck => AgSm::Bruck(BruckSm::new()),
+            Algo::AllgatherRing => AgSm::Ring(RingSm::new()),
+            other => unreachable!("selection picks a flat allgather schedule, not {other}"),
         }
     }
 
@@ -326,19 +327,20 @@ pub fn case_for<T: ShmElem>(ctx: &Ctx, comm: &Communicator, send: &Buf<T>) -> Co
     )
 }
 
-/// Run the named registered algorithm. The registry holds selection
-/// metadata only (collective kernels are generic over the element type),
-/// so name → kernel happens here.
+/// Run `algo`. The registry holds selection metadata only (collective
+/// kernels are generic over the element type), so schedule → kernel
+/// happens here.
 ///
 /// # Panics
-/// Panics on an unknown name or an inapplicable one (e.g. recursive
-/// doubling on a non-power-of-two communicator).
+/// Panics on a schedule this family does not run (another op's, or a
+/// hybrid one) or an inapplicable one (e.g. recursive doubling on a
+/// non-power-of-two communicator).
 pub fn dispatch<T: ShmElem>(
     ctx: &mut Ctx,
     comm: &Communicator,
     send: &Buf<T>,
     recv: &mut Buf<T>,
-    algo: &str,
+    algo: Algo,
 ) {
     run_blocking(AgSm::for_algo(algo).drive(ctx, comm, send, recv, Drive::Block));
 }
@@ -409,7 +411,7 @@ impl<T: ShmElem> DriveOp for IAllgatherBody<'_, T> {
 /// An in-flight nonblocking allgather (`MPI_Iallgather`).
 pub type IAllgather<'a, T> = IColl<IAllgatherBody<'a, T>>;
 
-/// Start the named algorithm nonblocking: records the request start,
+/// Start `algo` nonblocking: records the request start,
 /// posts the first round's send, and returns a pollable request.
 /// `istart(…) + wait` is bit-identical to [`dispatch`] in results,
 /// virtual clock, and trace (modulo the `Req*` markers).
@@ -418,7 +420,7 @@ pub fn istart<'a, T: ShmElem>(
     comm: &Communicator,
     send: &'a Buf<T>,
     recv: &'a mut Buf<T>,
-    algo: &str,
+    algo: Algo,
 ) -> IAllgather<'a, T> {
     IColl::start(
         ctx,
@@ -445,26 +447,24 @@ pub fn ituned<'a, 's, T: ShmElem>(
     istart(ctx, comm, send, recv, algo)
 }
 
-/// Register this module's algorithms (name, applicability, cost estimate).
-pub fn register(reg: &mut AlgorithmRegistry) {
-    reg.register(AlgorithmSpec {
-        name: "allgather.local",
-        op: CollectiveOp::Allgather,
+/// Every allgather schedule, this module's then the hybrid ones `hmpi`
+/// runs: when each applies and what it costs.
+pub(crate) const SPECS: &[AlgorithmSpec] = &[
+    AlgorithmSpec {
+        algo: Algo::AllgatherLocal,
         applicable: |c| c.comm_size <= 1,
         estimate: |e, c| e.copy(c.total_bytes),
-    });
-    reg.register(AlgorithmSpec {
-        name: "allgather.recursive_doubling",
-        op: CollectiveOp::Allgather,
+    },
+    AlgorithmSpec {
+        algo: Algo::AllgatherRecursiveDoubling,
         applicable: |c| c.comm_size.is_power_of_two(),
         // Own-block copy, then log₂ p rounds of doubling block counts.
         estimate: |e, c| {
             e.copy(c.block_bytes()) + e.doubling_rounds(c.comm_size, c.block_bytes(), c.total_bytes)
         },
-    });
-    reg.register(AlgorithmSpec {
-        name: "allgather.bruck",
-        op: CollectiveOp::Allgather,
+    },
+    AlgorithmSpec {
+        algo: Algo::AllgatherBruck,
         applicable: |_| true,
         // Initial copy into the rotated buffer, ⌈log₂ p⌉ doubling rounds,
         // and the full-buffer inverse rotation at the end.
@@ -473,18 +473,37 @@ pub fn register(reg: &mut AlgorithmRegistry) {
                 + e.doubling_rounds(c.comm_size, c.block_bytes(), c.total_bytes)
                 + e.copy(c.total_bytes)
         },
-    });
-    reg.register(AlgorithmSpec {
-        name: "allgather.ring",
-        op: CollectiveOp::Allgather,
+    },
+    AlgorithmSpec {
+        algo: Algo::AllgatherRing,
         applicable: |_| true,
         // Own-block copy, then p−1 balanced neighbor exchanges.
         estimate: |e, c| {
             e.copy(c.block_bytes())
                 + e.uniform_rounds(c.comm_size.saturating_sub(1), c.block_bytes())
         },
-    });
-}
+    },
+    // The hybrid schedules, which `hmpi` runs over a node-shared window.
+    AlgorithmSpec {
+        algo: Algo::AllgatherHySharedWindow,
+        applicable: |c| c.windowed,
+        // arrive + leader-only bridge ring over node aggregates + release.
+        estimate: |e, c| {
+            let nodes = c.num_nodes.max(1);
+            let node_block = c.total_bytes / nodes;
+            let sync = {
+                let shm = simnet::Estimator::for_span(e.cost(), false);
+                let ppn = c.comm_size.div_ceil(nodes);
+                2.0 * shm.barrier(ppn)
+            };
+            if nodes == 1 {
+                return sync / 2.0;
+            }
+            sync + e.uniform_rounds(nodes - 1, node_block)
+        },
+    },
+    kleader_spec(Algo::AllgatherHyKleader),
+];
 
 #[cfg(test)]
 mod tests {
@@ -570,7 +589,7 @@ mod tests {
     #[test]
     fn nonblocking_istart_wait_matches_blocking() {
         use msim::Request;
-        for algo in ["allgather.bruck", "allgather.ring"] {
+        for algo in [Algo::AllgatherBruck, Algo::AllgatherRing] {
             check(2, 3, 3, |ctx, c, s, r| {
                 let req = istart(ctx, c, s, r, algo);
                 req.wait(ctx);

@@ -23,7 +23,7 @@
 use msim::{Buf, Communicator, Ctx, Drive, ShmElem, WaitError};
 
 use crate::policy::{Fee, Select};
-use crate::registry::{AlgorithmRegistry, AlgorithmSpec, CollectiveOp, CommCase};
+use crate::registry::{kleader_spec, Algo, AlgorithmSpec, CollectiveOp, CommCase};
 use crate::split::{run_blocking, DriveOp, IColl};
 use crate::tags;
 use crate::util::{displs_of, VectorLayout};
@@ -243,7 +243,7 @@ pub fn bruck<T: ShmElem>(
     run_blocking(BruckvSm::new().drive(ctx, comm, Some(send), counts, recv, Drive::Block));
 }
 
-/// One allgatherv schedule as a split-phase machine, selected by name.
+/// One allgatherv schedule as a split-phase machine.
 /// `Local` with a send buffer copies it to the front of `recv`; in place
 /// it is a no-op (the block already sits at its displacement).
 #[derive(Debug)]
@@ -254,14 +254,15 @@ enum AgvSm<T: ShmElem> {
 }
 
 impl<T: ShmElem> AgvSm<T> {
-    /// # Panics
-    /// Panics on an unknown algorithm name.
-    fn for_algo(algo: &str) -> Self {
+    /// The machine of `algo`. Selection picks only an applicable schedule
+    /// of the case's op, and no flat case is windowed, so no other variant
+    /// reaches here.
+    fn for_algo(algo: Algo) -> Self {
         match algo {
-            "allgatherv.local" => AgvSm::Local { done: false },
-            "allgatherv.bruck" => AgvSm::Bruck(BruckvSm::new()),
-            "allgatherv.ring" => AgvSm::Ring(RingvSm::new()),
-            other => panic!("allgatherv: unknown algorithm {other:?}"),
+            Algo::AllgathervLocal => AgvSm::Local { done: false },
+            Algo::AllgathervBruck => AgvSm::Bruck(BruckvSm::new()),
+            Algo::AllgathervRing => AgvSm::Ring(RingvSm::new()),
+            other => unreachable!("selection picks a flat allgatherv schedule, not {other}"),
         }
     }
 
@@ -303,18 +304,19 @@ pub fn case_for<T: ShmElem>(ctx: &Ctx, comm: &Communicator, counts: &[usize]) ->
     )
 }
 
-/// Run the named registered algorithm (see `allgather::dispatch` for the
-/// name → kernel rationale).
+/// Run `algo` (see `allgather::dispatch` for the schedule → kernel
+/// rationale).
 ///
 /// # Panics
-/// Panics on an unknown name.
+/// Panics on a schedule this family does not run: another op's, or a
+/// hybrid one.
 pub fn dispatch<T: ShmElem>(
     ctx: &mut Ctx,
     comm: &Communicator,
     send: &Buf<T>,
     counts: &[usize],
     recv: &mut Buf<T>,
-    algo: &str,
+    algo: Algo,
 ) {
     run_blocking(AgvSm::for_algo(algo).drive(ctx, comm, Some(send), counts, recv, Drive::Block));
 }
@@ -430,7 +432,7 @@ impl<T: ShmElem> DriveOp for IAllgathervBody<'_, T> {
 /// An in-flight nonblocking allgatherv (`MPI_Iallgatherv`).
 pub type IAllgatherv<'a, T> = IColl<IAllgathervBody<'a, T>>;
 
-/// Start the named algorithm nonblocking; `istart(…) + wait` is
+/// Start `algo` nonblocking; `istart(…) + wait` is
 /// bit-identical to [`dispatch`] (modulo the `Req*` trace markers).
 pub fn istart<'a, T: ShmElem>(
     ctx: &mut Ctx,
@@ -438,7 +440,7 @@ pub fn istart<'a, T: ShmElem>(
     send: &'a Buf<T>,
     counts: &[usize],
     recv: &'a mut Buf<T>,
-    algo: &str,
+    algo: Algo,
 ) -> IAllgatherv<'a, T> {
     IColl::start(
         ctx,
@@ -466,17 +468,15 @@ pub fn ituned<'a, 's, T: ShmElem>(
     istart(ctx, comm, send, counts, recv, algo)
 }
 
-/// Register this module's algorithms.
-pub fn register(reg: &mut AlgorithmRegistry) {
-    reg.register(AlgorithmSpec {
-        name: "allgatherv.local",
-        op: CollectiveOp::Allgatherv,
+/// This module's schedules, then the k-leader one `hmpi` runs.
+pub(crate) const SPECS: &[AlgorithmSpec] = &[
+    AlgorithmSpec {
+        algo: Algo::AllgathervLocal,
         applicable: |c| c.comm_size <= 1,
         estimate: |e, c| e.copy(c.total_bytes),
-    });
-    reg.register(AlgorithmSpec {
-        name: "allgatherv.bruck",
-        op: CollectiveOp::Allgatherv,
+    },
+    AlgorithmSpec {
+        algo: Algo::AllgathervBruck,
         applicable: |_| true,
         // Same growth pattern as the regular Bruck, priced at the mean
         // block size (the schedule's steps are bounded by the max block;
@@ -486,26 +486,26 @@ pub fn register(reg: &mut AlgorithmRegistry) {
                 + e.doubling_rounds(c.comm_size, c.block_bytes(), c.total_bytes)
                 + e.copy(c.total_bytes)
         },
-    });
-    reg.register(AlgorithmSpec {
-        name: "allgatherv.ring",
-        op: CollectiveOp::Allgatherv,
+    },
+    AlgorithmSpec {
+        algo: Algo::AllgathervRing,
         applicable: |_| true,
         estimate: |e, c| {
             e.copy(c.block_bytes())
                 + e.uniform_rounds(c.comm_size.saturating_sub(1), c.block_bytes())
         },
-    });
-}
+    },
+    kleader_spec(Algo::AllgathervHyKleader),
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::{datum, expected_allgatherv, run};
 
-    type Algo = fn(&mut Ctx, &Communicator, &Buf<f64>, &[usize], &mut Buf<f64>);
+    type Kernel = fn(&mut Ctx, &Communicator, &Buf<f64>, &[usize], &mut Buf<f64>);
 
-    fn check(nodes: usize, ppn: usize, counts: Vec<usize>, algo: Algo) {
+    fn check(nodes: usize, ppn: usize, counts: Vec<usize>, algo: Kernel) {
         assert_eq!(counts.len(), nodes * ppn);
         let expected = expected_allgatherv(&counts);
         let counts2 = counts.clone();
@@ -550,7 +550,7 @@ mod tests {
     #[test]
     fn tuned_small_and_large() {
         let t = crate::Tuning::cray_mpich();
-        let small: Algo = {
+        let small: Kernel = {
             fn f(ctx: &mut Ctx, c: &Communicator, s: &Buf<f64>, n: &[usize], r: &mut Buf<f64>) {
                 tuned(ctx, c, s, n, r, &crate::Tuning::cray_mpich());
             }
@@ -571,15 +571,15 @@ mod tests {
 
     #[test]
     fn nonblocking_istart_wait_matches_blocking() {
-        let irregular: Algo = {
+        let irregular: Kernel = {
             fn f(ctx: &mut Ctx, c: &Communicator, s: &Buf<f64>, n: &[usize], r: &mut Buf<f64>) {
-                let req = istart(ctx, c, s, n, r, "allgatherv.ring");
+                let req = istart(ctx, c, s, n, r, Algo::AllgathervRing);
                 msim::Request::wait(req, ctx);
             }
             f
         };
         check(2, 2, vec![1, 4, 0, 2], irregular);
-        let brucked: Algo = {
+        let brucked: Kernel = {
             fn f(ctx: &mut Ctx, c: &Communicator, s: &Buf<f64>, n: &[usize], r: &mut Buf<f64>) {
                 let req = ituned(ctx, c, s, n, r, &crate::Tuning::cray_mpich());
                 msim::Request::wait(req, ctx);

@@ -12,7 +12,7 @@ use msim::{Buf, Communicator, Ctx, Drive, ShmElem, WaitError};
 
 use crate::op::ReduceOp;
 use crate::policy::{Fee, Select};
-use crate::registry::{ceil_log2, AlgorithmRegistry, AlgorithmSpec, CollectiveOp, CommCase};
+use crate::registry::{ceil_log2, kleader_spec, Algo, AlgorithmSpec, CollectiveOp, CommCase};
 use crate::split::{run_blocking, DriveOp, IColl};
 use crate::tags;
 use crate::util::{displs_of, segment_counts};
@@ -267,7 +267,7 @@ pub fn rabenseifner<T: ShmElem, O: ReduceOp<T>>(
     run_blocking(RabSm::new().drive(ctx, comm, send, recv, op, Drive::Block));
 }
 
-/// One allreduce algorithm as a split-phase machine, selected by name.
+/// One allreduce algorithm as a split-phase machine.
 #[derive(Debug)]
 enum AllredSm {
     Rd(RdSm),
@@ -275,13 +275,14 @@ enum AllredSm {
 }
 
 impl AllredSm {
-    /// # Panics
-    /// Panics on an unknown algorithm name.
-    fn for_algo(algo: &str) -> Self {
+    /// The machine of `algo`. Selection picks only an applicable schedule
+    /// of the case's op, and no flat case is windowed, so no other variant
+    /// reaches here.
+    fn for_algo(algo: Algo) -> Self {
         match algo {
-            "allreduce.recursive_doubling" => AllredSm::Rd(RdSm::new()),
-            "allreduce.rabenseifner" => AllredSm::Rab(RabSm::new()),
-            other => panic!("allreduce: unknown algorithm {other:?}"),
+            Algo::AllreduceRecursiveDoubling => AllredSm::Rd(RdSm::new()),
+            Algo::AllreduceRabenseifner => AllredSm::Rab(RabSm::new()),
+            other => unreachable!("selection picks a flat allreduce schedule, not {other}"),
         }
     }
 
@@ -365,17 +366,18 @@ pub fn case_for<T: ShmElem>(ctx: &Ctx, comm: &Communicator, send: &Buf<T>) -> Co
     )
 }
 
-/// Run the named registered algorithm.
+/// Run `algo`.
 ///
 /// # Panics
-/// Panics on an unknown name.
+/// Panics on a schedule this family does not run: another op's, or a
+/// hybrid one.
 pub fn dispatch<T: ShmElem, O: ReduceOp<T>>(
     ctx: &mut Ctx,
     comm: &Communicator,
     send: &Buf<T>,
     recv: &mut Buf<T>,
     op: O,
-    algo: &str,
+    algo: Algo,
 ) {
     run_blocking(AllredSm::for_algo(algo).drive(ctx, comm, send, recv, op, Drive::Block));
 }
@@ -405,7 +407,7 @@ impl<T: ShmElem, O: ReduceOp<T>> DriveOp for IAllreduceBody<'_, T, O> {
 /// An in-flight nonblocking allreduce (`MPI_Iallreduce`).
 pub type IAllreduce<'a, T, O> = IColl<IAllreduceBody<'a, T, O>>;
 
-/// Start the named algorithm nonblocking; `istart(…) + wait` is
+/// Start `algo` nonblocking; `istart(…) + wait` is
 /// bit-identical to [`dispatch`] (modulo the `Req*` trace markers).
 pub fn istart<'a, T: ShmElem, O: ReduceOp<T>>(
     ctx: &mut Ctx,
@@ -413,7 +415,7 @@ pub fn istart<'a, T: ShmElem, O: ReduceOp<T>>(
     send: &'a Buf<T>,
     recv: &'a mut Buf<T>,
     op: O,
-    algo: &str,
+    algo: Algo,
 ) -> IAllreduce<'a, T, O> {
     IColl::start(
         ctx,
@@ -441,12 +443,11 @@ pub fn ituned<'a, 's, T: ShmElem, O: ReduceOp<T>>(
     istart(ctx, comm, send, recv, op, algo)
 }
 
-/// Register this module's algorithms. Reduction compute is priced at one
-/// flop per element per combine.
-pub fn register(reg: &mut AlgorithmRegistry) {
-    reg.register(AlgorithmSpec {
-        name: "allreduce.recursive_doubling",
-        op: CollectiveOp::Allreduce,
+/// This module's schedules, then the k-leader one `hmpi` runs.
+/// Reduction compute is priced at one flop per element per combine.
+pub(crate) const SPECS: &[AlgorithmSpec] = &[
+    AlgorithmSpec {
+        algo: Algo::AllreduceRecursiveDoubling,
         applicable: |_| true,
         // log₂ p full-vector exchanges, each followed by a combine.
         estimate: |e, c| {
@@ -454,10 +455,9 @@ pub fn register(reg: &mut AlgorithmRegistry) {
             e.copy(c.total_bytes)
                 + rounds as f64 * (e.msg(c.total_bytes) + e.reduce_compute(c.total_bytes / 8, 1.0))
         },
-    });
-    reg.register(AlgorithmSpec {
-        name: "allreduce.rabenseifner",
-        op: CollectiveOp::Allreduce,
+    },
+    AlgorithmSpec {
+        algo: Algo::AllreduceRabenseifner,
         applicable: |_| true,
         // Recursive-halving reduce-scatter + recursive-doubling allgather:
         // each phase moves <1 vector total instead of log p vectors.
@@ -468,8 +468,9 @@ pub fn register(reg: &mut AlgorithmRegistry) {
                 + e.reduce_compute(c.total_bytes / 8, 1.0)
                 + e.doubling_rounds(p, c.total_bytes / p.max(1), c.total_bytes)
         },
-    });
-}
+    },
+    kleader_spec(Algo::AllreduceHyKleader),
+];
 
 fn prev_power_of_two(n: usize) -> usize {
     debug_assert!(n >= 1);
@@ -486,9 +487,9 @@ mod tests {
     use crate::op::{Min, Sum};
     use crate::testutil::run;
 
-    type Algo = fn(&mut Ctx, &Communicator, &Buf<f64>, &mut Buf<f64>, Sum);
+    type Kernel = fn(&mut Ctx, &Communicator, &Buf<f64>, &mut Buf<f64>, Sum);
 
-    fn check(nodes: usize, ppn: usize, count: usize, algo: Algo) {
+    fn check(nodes: usize, ppn: usize, count: usize, algo: Kernel) {
         let p = nodes * ppn;
         let r = run(nodes, ppn, move |ctx| {
             let world = ctx.world();
@@ -536,7 +537,8 @@ mod tests {
 
     #[test]
     fn tuned_selects_both_paths() {
-        let small: Algo = |ctx, c, s, r, op| tuned(ctx, c, s, r, op, &crate::Tuning::cray_mpich());
+        let small: Kernel =
+            |ctx, c, s, r, op| tuned(ctx, c, s, r, op, &crate::Tuning::cray_mpich());
         check(2, 2, 4, small);
         let big_count = crate::Tuning::cray_mpich().allreduce_rabenseifner_threshold / 8 + 64;
         check(2, 2, big_count, small);
@@ -556,21 +558,24 @@ mod tests {
 
     #[test]
     fn nonblocking_istart_wait_matches_blocking() {
-        for algo in ["allreduce.recursive_doubling", "allreduce.rabenseifner"] {
-            let via_req: Algo = match algo {
-                "allreduce.recursive_doubling" => |ctx, c, s, r, op| {
-                    let req = istart(ctx, c, s, r, op, "allreduce.recursive_doubling");
+        for algo in [
+            Algo::AllreduceRecursiveDoubling,
+            Algo::AllreduceRabenseifner,
+        ] {
+            let via_req: Kernel = match algo {
+                Algo::AllreduceRecursiveDoubling => |ctx, c, s, r, op| {
+                    let req = istart(ctx, c, s, r, op, Algo::AllreduceRecursiveDoubling);
                     msim::Request::wait(req, ctx);
                 },
                 _ => |ctx, c, s, r, op| {
-                    let req = istart(ctx, c, s, r, op, "allreduce.rabenseifner");
+                    let req = istart(ctx, c, s, r, op, Algo::AllreduceRabenseifner);
                     msim::Request::wait(req, ctx);
                 },
             };
             check(2, 2, 9, via_req); // power of two
             check(1, 5, 4, via_req); // odd size (rabenseifner falls back)
         }
-        let tuned_req: Algo = |ctx, c, s, r, op| {
+        let tuned_req: Kernel = |ctx, c, s, r, op| {
             let req = ituned(ctx, c, s, r, op, &crate::Tuning::cray_mpich());
             msim::Request::wait(req, ctx);
         };
@@ -580,7 +585,7 @@ mod tests {
     #[test]
     fn rabenseifner_beats_recursive_doubling_for_long_vectors() {
         let count = 1 << 14;
-        let time = |algo: Algo| {
+        let time = |algo: Kernel| {
             run(4, 2, move |ctx| {
                 let world = ctx.world();
                 let send = ctx.buf_from_fn(count, |i| i as f64);

@@ -12,7 +12,7 @@
 use msim::{Buf, Communicator, Ctx, Drive, ShmElem, WaitError};
 
 use crate::policy::{Fee, Select};
-use crate::registry::{ceil_log2, AlgorithmRegistry, AlgorithmSpec, CollectiveOp, CommCase};
+use crate::registry::{ceil_log2, Algo, AlgorithmSpec, CollectiveOp, CommCase};
 use crate::split::{run_blocking, DriveOp, IColl};
 use crate::tags;
 
@@ -194,7 +194,7 @@ pub fn bruck<T: ShmElem>(
     run_blocking(BruckSm::new().drive(ctx, comm, send, recv, count, Drive::Block));
 }
 
-/// One alltoall schedule as a split-phase machine, selected by name.
+/// One alltoall schedule as a split-phase machine.
 #[derive(Debug)]
 enum A2aSm<T: ShmElem> {
     Pairwise(PairwiseSm),
@@ -202,13 +202,14 @@ enum A2aSm<T: ShmElem> {
 }
 
 impl<T: ShmElem> A2aSm<T> {
-    /// # Panics
-    /// Panics on an unknown algorithm name.
-    fn for_algo(algo: &str) -> Self {
+    /// The machine of `algo`. Selection picks only an applicable schedule
+    /// of the case's op, and no flat case is windowed, so no other variant
+    /// reaches here.
+    fn for_algo(algo: Algo) -> Self {
         match algo {
-            "alltoall.bruck" => A2aSm::Bruck(BruckSm::new()),
-            "alltoall.pairwise" => A2aSm::Pairwise(PairwiseSm::new()),
-            other => panic!("alltoall: unknown algorithm {other:?}"),
+            Algo::AlltoallBruck => A2aSm::Bruck(BruckSm::new()),
+            Algo::AlltoallPairwise => A2aSm::Pairwise(PairwiseSm::new()),
+            other => unreachable!("selection picks a flat alltoall schedule, not {other}"),
         }
     }
 
@@ -257,17 +258,18 @@ pub fn case_for<T: ShmElem>(ctx: &Ctx, comm: &Communicator, count: usize) -> Com
     )
 }
 
-/// Run the named registered algorithm.
+/// Run `algo`.
 ///
 /// # Panics
-/// Panics on an unknown name.
+/// Panics on a schedule this family does not run: another op's, or a
+/// hybrid one.
 pub fn dispatch<T: ShmElem>(
     ctx: &mut Ctx,
     comm: &Communicator,
     send: &Buf<T>,
     recv: &mut Buf<T>,
     count: usize,
-    algo: &str,
+    algo: Algo,
 ) {
     run_blocking(A2aSm::for_algo(algo).drive(ctx, comm, send, recv, count, Drive::Block));
 }
@@ -297,7 +299,7 @@ impl<T: ShmElem> DriveOp for IAlltoallBody<'_, T> {
 /// An in-flight nonblocking alltoall (`MPI_Ialltoall`).
 pub type IAlltoall<'a, T> = IColl<IAlltoallBody<'a, T>>;
 
-/// Start the named algorithm nonblocking; `istart(…) + wait` is
+/// Start `algo` nonblocking; `istart(…) + wait` is
 /// bit-identical to [`dispatch`] (modulo the `Req*` trace markers).
 pub fn istart<'a, T: ShmElem>(
     ctx: &mut Ctx,
@@ -305,7 +307,7 @@ pub fn istart<'a, T: ShmElem>(
     send: &'a Buf<T>,
     recv: &'a mut Buf<T>,
     count: usize,
-    algo: &str,
+    algo: Algo,
 ) -> IAlltoall<'a, T> {
     IColl::start(
         ctx,
@@ -333,11 +335,10 @@ pub fn ituned<'a, 's, T: ShmElem>(
     istart(ctx, comm, send, recv, count, algo)
 }
 
-/// Register this module's algorithms. `total_bytes` is one block.
-pub fn register(reg: &mut AlgorithmRegistry) {
-    reg.register(AlgorithmSpec {
-        name: "alltoall.bruck",
-        op: CollectiveOp::Alltoall,
+/// This module's schedules. `total_bytes` is one block.
+pub(crate) const SPECS: &[AlgorithmSpec] = &[
+    AlgorithmSpec {
+        algo: Algo::AlltoallBruck,
         applicable: |_| true,
         // ⌈log₂ p⌉ rounds of p/2 blocks each, plus two full rotations and
         // per-round pack/unpack of the shipped half.
@@ -347,17 +348,16 @@ pub fn register(reg: &mut AlgorithmRegistry) {
             let half = total / 2;
             e.copy(total) + ceil_log2(p) as f64 * (e.msg(half) + 2.0 * e.copy(half)) + e.copy(total)
         },
-    });
-    reg.register(AlgorithmSpec {
-        name: "alltoall.pairwise",
-        op: CollectiveOp::Alltoall,
+    },
+    AlgorithmSpec {
+        algo: Algo::AlltoallPairwise,
         applicable: |_| true,
         // p−1 single-block exchanges plus the own-block copy.
         estimate: |e, c| {
             e.copy(c.total_bytes) + e.uniform_rounds(c.comm_size.saturating_sub(1), c.total_bytes)
         },
-    });
-}
+    },
+];
 
 #[cfg(test)]
 mod tests {
@@ -419,11 +419,11 @@ mod tests {
     #[test]
     fn nonblocking_istart_wait_matches_blocking() {
         check(2, 3, 2, |ctx, c, s, r, count| {
-            let req = istart(ctx, c, s, r, count, "alltoall.pairwise");
+            let req = istart(ctx, c, s, r, count, Algo::AlltoallPairwise);
             msim::Request::wait(req, ctx);
         });
         check(1, 5, 2, |ctx, c, s, r, count| {
-            let req = istart(ctx, c, s, r, count, "alltoall.bruck");
+            let req = istart(ctx, c, s, r, count, Algo::AlltoallBruck);
             msim::Request::wait(req, ctx);
         });
     }

@@ -20,12 +20,12 @@
 //! family, with the `v`-variant bookkeeping fee: [`tuned`] and its
 //! nonblocking form [`ituned`] take one [`Select`], a `&Tuning` for the
 //! legacy thresholds or a `&SelectionPolicy` that logs its decision;
-//! [`istart`] starts a named algorithm.
+//! [`istart`] starts a given [`crate::Algo`].
 
 use msim::{Buf, Communicator, Ctx, Drive, ShmElem, WaitError};
 
 use crate::policy::{Fee, Select};
-use crate::registry::{AlgorithmRegistry, AlgorithmSpec, CollectiveOp, CommCase};
+use crate::registry::{Algo, AlgorithmSpec, CollectiveOp, CommCase};
 use crate::split::{run_blocking, DriveOp, IColl};
 use crate::tags;
 use crate::util::displs_of;
@@ -220,7 +220,7 @@ pub fn linear<T: ShmElem>(
     run_blocking(LinearVSm::new().drive(ctx, comm, send, scounts, recv, rcounts, Drive::Block));
 }
 
-/// One alltoallv schedule as a split-phase machine, selected by name.
+/// One alltoallv schedule as a split-phase machine.
 #[derive(Debug)]
 enum A2avSm {
     Pairwise(PairwiseVSm),
@@ -228,13 +228,14 @@ enum A2avSm {
 }
 
 impl A2avSm {
-    /// # Panics
-    /// Panics on an unknown algorithm name.
-    fn for_algo(algo: &str) -> Self {
+    /// The machine of `algo`. Selection picks only an applicable schedule
+    /// of the case's op, and no flat case is windowed, so no other variant
+    /// reaches here.
+    fn for_algo(algo: Algo) -> Self {
         match algo {
-            "alltoallv.pairwise" => A2avSm::Pairwise(PairwiseVSm::new()),
-            "alltoallv.linear" => A2avSm::Linear(LinearVSm::new()),
-            other => panic!("alltoallv: unknown algorithm {other:?}"),
+            Algo::AlltoallvPairwise => A2avSm::Pairwise(PairwiseVSm::new()),
+            Algo::AlltoallvLinear => A2avSm::Linear(LinearVSm::new()),
+            other => unreachable!("selection picks a flat alltoallv schedule, not {other}"),
         }
     }
 
@@ -267,10 +268,11 @@ pub fn case_for<T: ShmElem>(ctx: &Ctx, comm: &Communicator, scounts: &[usize]) -
     )
 }
 
-/// Run the named registered algorithm.
+/// Run `algo`.
 ///
 /// # Panics
-/// Panics on an unknown name.
+/// Panics on a schedule this family does not run: another op's, or a
+/// hybrid one.
 #[allow(clippy::too_many_arguments)] // mirrors the MPI_Alltoallv signature
 pub fn dispatch<T: ShmElem>(
     ctx: &mut Ctx,
@@ -279,7 +281,7 @@ pub fn dispatch<T: ShmElem>(
     scounts: &[usize],
     recv: &mut Buf<T>,
     rcounts: &[usize],
-    algo: &str,
+    algo: Algo,
 ) {
     run_blocking(A2avSm::for_algo(algo).drive(
         ctx,
@@ -344,7 +346,7 @@ impl<T: ShmElem> DriveOp for IAlltoallvBody<'_, T> {
 /// An in-flight nonblocking alltoallv (`MPI_Ialltoallv`).
 pub type IAlltoallv<'a, T> = IColl<IAlltoallvBody<'a, T>>;
 
-/// Start the named algorithm nonblocking; `istart(…) + wait` is
+/// Start `algo` nonblocking; `istart(…) + wait` is
 /// bit-identical to [`dispatch`] (modulo the `Req*` trace markers).
 pub fn istart<'a, T: ShmElem>(
     ctx: &mut Ctx,
@@ -353,7 +355,7 @@ pub fn istart<'a, T: ShmElem>(
     scounts: &[usize],
     recv: &'a mut Buf<T>,
     rcounts: &[usize],
-    algo: &str,
+    algo: Algo,
 ) -> IAlltoallv<'a, T> {
     IColl::start(
         ctx,
@@ -384,22 +386,20 @@ pub fn ituned<'a, 's, T: ShmElem>(
     istart(ctx, comm, send, scounts, recv, rcounts, algo)
 }
 
-/// Register this module's algorithms. `total_bytes` is everything one
+/// This module's schedules. `total_bytes` is everything one
 /// rank sends; `block_bytes()` approximates one peer block.
-pub fn register(reg: &mut AlgorithmRegistry) {
-    reg.register(AlgorithmSpec {
-        name: "alltoallv.pairwise",
-        op: CollectiveOp::Alltoallv,
+pub(crate) const SPECS: &[AlgorithmSpec] = &[
+    AlgorithmSpec {
+        algo: Algo::AlltoallvPairwise,
         applicable: |_| true,
         // Own-block copy plus p−1 scheduled single-block exchanges.
         estimate: |e, c| {
             e.copy(c.block_bytes())
                 + e.uniform_rounds(c.comm_size.saturating_sub(1), c.block_bytes())
         },
-    });
-    reg.register(AlgorithmSpec {
-        name: "alltoallv.linear",
-        op: CollectiveOp::Alltoallv,
+    },
+    AlgorithmSpec {
+        algo: Algo::AlltoallvLinear,
         applicable: |_| true,
         // Eager posting overlaps the transits: one full message on the
         // critical path plus per-message injection/drain overheads.
@@ -412,8 +412,8 @@ pub fn register(reg: &mut AlgorithmRegistry) {
                 + e.msg(c.block_bytes())
                 + (p - 2) as f64 * (e.cost().o_send + e.cost().o_recv)
         },
-    });
-}
+    },
+];
 
 #[cfg(test)]
 mod tests {
@@ -486,7 +486,7 @@ mod tests {
 
     #[test]
     fn nonblocking_istart_wait_matches_blocking() {
-        for algo in ["alltoallv.pairwise", "alltoallv.linear"] {
+        for algo in [Algo::AlltoallvPairwise, Algo::AlltoallvLinear] {
             check(2, 2, |ctx, c, s, sc, r, rc| {
                 let req = istart(ctx, c, s, sc, r, rc, algo);
                 msim::Request::wait(req, ctx);
@@ -496,7 +496,7 @@ mod tests {
 
     #[test]
     fn linear_beats_pairwise_on_small_comms() {
-        let time = |name: &'static str| {
+        let time = |algo: Algo| {
             run(2, 2, move |ctx| {
                 let world = ctx.world();
                 let p = world.size();
@@ -505,13 +505,13 @@ mod tests {
                 let rcounts = scounts.clone();
                 let send = ctx.buf_from_fn(64 * p, |i| (me + i) as f64);
                 let mut recv = ctx.buf_zeroed(64 * p);
-                dispatch(ctx, &world, &send, &scounts, &mut recv, &rcounts, name);
+                dispatch(ctx, &world, &send, &scounts, &mut recv, &rcounts, algo);
                 ctx.now()
             })
             .makespan()
         };
-        let t_lin = time("alltoallv.linear");
-        let t_pw = time("alltoallv.pairwise");
+        let t_lin = time(Algo::AlltoallvLinear);
+        let t_pw = time(Algo::AlltoallvPairwise);
         assert!(
             t_lin <= t_pw,
             "eager linear ({t_lin}) should not trail pairwise ({t_pw}) on a small comm"

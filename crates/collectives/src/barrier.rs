@@ -8,7 +8,7 @@
 use msim::{Communicator, Ctx, Drive, Payload, WaitError};
 
 use crate::policy::{Fee, Select};
-use crate::registry::{AlgorithmRegistry, AlgorithmSpec, CollectiveOp, CommCase};
+use crate::registry::{Algo, AlgorithmSpec, CollectiveOp, CommCase};
 use crate::selection::Tuning;
 use crate::split::run_blocking;
 use crate::tags;
@@ -43,6 +43,16 @@ impl BarrierSm {
     /// communicators only).
     pub fn shm() -> Self {
         Self::with_kind(BarrierKind::Flags)
+    }
+
+    /// The machine of `algo`. Selection picks only an applicable schedule
+    /// of the case's op, so no other variant reaches here.
+    fn for_algo(algo: Algo) -> Self {
+        match algo {
+            Algo::BarrierDissemination => Self::msg(),
+            Algo::BarrierShmDissemination => Self::shm(),
+            other => unreachable!("selection picks a barrier schedule, not {other}"),
+        }
     }
 
     fn with_kind(kind: BarrierKind) -> Self {
@@ -121,10 +131,7 @@ pub fn tuned_sm(ctx: &mut Ctx, comm: &Communicator) -> BarrierSm {
     let case = case_for(ctx, comm);
     // The barrier split is node-structural, not threshold-driven, so any
     // Tuning yields the same legacy choice.
-    match Select::Legacy(&Tuning::cray_mpich()).enter(ctx, Fee::Call, &case) {
-        "barrier.shm_dissemination" => BarrierSm::shm(),
-        _ => BarrierSm::msg(),
-    }
+    BarrierSm::for_algo(Select::Legacy(&Tuning::cray_mpich()).enter(ctx, Fee::Call, &case))
 }
 
 /// The default barrier (what `MPI_Barrier` resolves to): flag-based on
@@ -144,36 +151,30 @@ pub fn case_for(ctx: &Ctx, comm: &Communicator) -> CommCase {
     )
 }
 
-/// Run the named registered algorithm.
+/// Run `algo`.
 ///
 /// # Panics
-/// Panics on an unknown name.
-pub fn dispatch(ctx: &mut Ctx, comm: &Communicator, algo: &str) {
-    match algo {
-        "barrier.dissemination" => dissemination(ctx, comm),
-        "barrier.shm_dissemination" => shm_dissemination(ctx, comm),
-        other => panic!("barrier: unknown algorithm {other:?}"),
-    }
+/// Panics on a schedule of another op.
+pub fn dispatch(ctx: &mut Ctx, comm: &Communicator, algo: Algo) {
+    run_blocking(BarrierSm::for_algo(algo).drive(ctx, comm, Drive::Block));
 }
 
-/// Register this module's algorithms.
-pub fn register(reg: &mut AlgorithmRegistry) {
-    reg.register(AlgorithmSpec {
-        name: "barrier.dissemination",
-        op: CollectiveOp::Barrier,
+/// This module's schedules.
+pub(crate) const SPECS: &[AlgorithmSpec] = &[
+    AlgorithmSpec {
+        algo: Algo::BarrierDissemination,
         applicable: |_| true,
         estimate: |e, c| e.barrier(c.comm_size),
-    });
-    reg.register(AlgorithmSpec {
-        name: "barrier.shm_dissemination",
-        op: CollectiveOp::Barrier,
+    },
+    AlgorithmSpec {
+        algo: Algo::BarrierShmDissemination,
         // Flag rounds only exist inside one node.
         applicable: |c| c.num_nodes <= 1,
         estimate: |e, c| {
             simnet::Estimator::new(e.cost(), simnet::LinkClass::SharedMem).barrier(c.comm_size)
         },
-    });
-}
+    },
+];
 
 #[cfg(test)]
 mod tests {

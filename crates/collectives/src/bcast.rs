@@ -10,7 +10,7 @@
 use msim::{Buf, Communicator, Ctx, Drive, ShmElem, WaitError};
 
 use crate::policy::{Fee, Select};
-use crate::registry::{ceil_log2, AlgorithmRegistry, AlgorithmSpec, CollectiveOp, CommCase};
+use crate::registry::{ceil_log2, kleader_spec, Algo, AlgorithmSpec, CollectiveOp, CommCase};
 use crate::split::{run_blocking, DriveOp, IColl};
 use crate::tags;
 use crate::util::{displs_of, segment_counts};
@@ -269,7 +269,7 @@ pub fn pipelined_chain<T: ShmElem>(
     run_blocking(ChainSm::new(segment_elems).drive(ctx, comm, buf, root, Drive::Block));
 }
 
-/// One bcast algorithm as a split-phase machine, selected by name.
+/// One bcast algorithm as a split-phase machine.
 #[derive(Debug)]
 enum BcastSm {
     Binomial(BinomialSm),
@@ -278,17 +278,18 @@ enum BcastSm {
 }
 
 impl BcastSm {
-    /// # Panics
-    /// Panics on an unknown algorithm name.
-    fn for_algo<T: ShmElem>(algo: &str) -> Self {
+    /// The machine of `algo`. Selection picks only an applicable schedule
+    /// of the case's op, and no flat case is windowed, so no other variant
+    /// reaches here.
+    fn for_algo<T: ShmElem>(algo: Algo) -> Self {
         match algo {
-            "bcast.binomial" => BcastSm::Binomial(BinomialSm::new()),
-            "bcast.scatter_allgather" => BcastSm::ScatterAg(ScatterAgSm::new()),
-            "bcast.pipelined_chain" => {
-                // Default segment size when chosen by name: 8 KiB of elements.
+            Algo::BcastBinomial => BcastSm::Binomial(BinomialSm::new()),
+            Algo::BcastScatterAllgather => BcastSm::ScatterAg(ScatterAgSm::new()),
+            Algo::BcastPipelinedChain => {
+                // Default segment size when run by `dispatch`: 8 KiB of elements.
                 BcastSm::Chain(ChainSm::new((8 * 1024 / T::SIZE).max(1)))
             }
-            other => panic!("bcast: unknown algorithm {other:?}"),
+            other => unreachable!("selection picks a flat bcast schedule, not {other}"),
         }
     }
 
@@ -383,16 +384,17 @@ pub fn case_for<T: ShmElem>(ctx: &Ctx, comm: &Communicator, buf: &Buf<T>) -> Com
     )
 }
 
-/// Run the named registered algorithm.
+/// Run `algo`.
 ///
 /// # Panics
-/// Panics on an unknown name.
+/// Panics on a schedule this family does not run: another op's, or a
+/// hybrid one.
 pub fn dispatch<T: ShmElem>(
     ctx: &mut Ctx,
     comm: &Communicator,
     buf: &mut Buf<T>,
     root: usize,
-    algo: &str,
+    algo: Algo,
 ) {
     run_blocking(BcastSm::for_algo::<T>(algo).drive(ctx, comm, buf, root, Drive::Block));
 }
@@ -420,14 +422,14 @@ impl<T: ShmElem> DriveOp for IBcastBody<'_, T> {
 /// An in-flight nonblocking broadcast (`MPI_Ibcast`).
 pub type IBcast<'a, T> = IColl<IBcastBody<'a, T>>;
 
-/// Start the named algorithm nonblocking; `istart(…) + wait` is
+/// Start `algo` nonblocking; `istart(…) + wait` is
 /// bit-identical to [`dispatch`] (modulo the `Req*` trace markers).
 pub fn istart<'a, T: ShmElem>(
     ctx: &mut Ctx,
     comm: &Communicator,
     buf: &'a mut Buf<T>,
     root: usize,
-    algo: &str,
+    algo: Algo,
 ) -> IBcast<'a, T> {
     IColl::start(
         ctx,
@@ -453,18 +455,16 @@ pub fn ituned<'a, 's, T: ShmElem>(
     istart(ctx, comm, buf, root, algo)
 }
 
-/// Register this module's algorithms.
-pub fn register(reg: &mut AlgorithmRegistry) {
-    reg.register(AlgorithmSpec {
-        name: "bcast.binomial",
-        op: CollectiveOp::Bcast,
+/// This module's schedules, then the k-leader one `hmpi` runs.
+pub(crate) const SPECS: &[AlgorithmSpec] = &[
+    AlgorithmSpec {
+        algo: Algo::BcastBinomial,
         applicable: |_| true,
         // ⌈log₂ p⌉ rounds, each forwarding the full message.
         estimate: |e, c| e.uniform_rounds(ceil_log2(c.comm_size), c.total_bytes),
-    });
-    reg.register(AlgorithmSpec {
-        name: "bcast.scatter_allgather",
-        op: CollectiveOp::Bcast,
+    },
+    AlgorithmSpec {
+        algo: Algo::BcastScatterAllgather,
         applicable: |c| c.comm_size > 1,
         // Binomial scatter of halving segments + ring allgather of the
         // p segments (van de Geijn).
@@ -473,21 +473,21 @@ pub fn register(reg: &mut AlgorithmRegistry) {
             e.halving_rounds(p, c.total_bytes)
                 + e.uniform_rounds(p.saturating_sub(1), c.total_bytes / p.max(1))
         },
-    });
-    reg.register(AlgorithmSpec {
-        name: "bcast.pipelined_chain",
-        op: CollectiveOp::Bcast,
+    },
+    AlgorithmSpec {
+        algo: Algo::BcastPipelinedChain,
         // Never auto-selected: the chain's win depends on a segment-size
         // parameter the case descriptor doesn't carry. Explicit dispatch
-        // (or a tuning-table row) can still name it.
+        // can still run it.
         applicable: |_| false,
         estimate: |e, c| {
             let seg = 8 * 1024;
             let segs = c.total_bytes.div_ceil(seg).max(1);
             e.uniform_rounds(segs + c.comm_size.saturating_sub(2), seg.min(c.total_bytes))
         },
-    });
-}
+    },
+    kleader_spec(Algo::BcastHyKleaderSegmented),
+];
 
 #[cfg(test)]
 mod tests {
@@ -612,9 +612,9 @@ mod tests {
     #[test]
     fn nonblocking_istart_wait_matches_blocking() {
         for algo in [
-            "bcast.binomial",
-            "bcast.scatter_allgather",
-            "bcast.pipelined_chain",
+            Algo::BcastBinomial,
+            Algo::BcastScatterAllgather,
+            Algo::BcastPipelinedChain,
         ] {
             check_bcast(2, 3, 13, 1, move |ctx, comm, buf, root| {
                 let req = istart(ctx, comm, buf, root, algo);

@@ -12,8 +12,8 @@
 //! * irregular (`v`) variants, deliberately implemented with the weaker
 //!   schedules real libraries use — the effect the paper's reference \[29\]
 //!   describes and that drives Fig. 8;
-//! * runtime algorithm selection through a trait-based registry
-//!   ([`AlgorithmRegistry`]) of named schedules and pluggable
+//! * runtime algorithm selection through a static registry
+//!   ([`AlgorithmRegistry`]) of typed schedules ([`Algo`]) and pluggable
 //!   [`SelectionPolicy`] kinds: the legacy MPICH/OpenMPI thresholds
 //!   ([`MpiFlavor`], [`Tuning`]), persisted per-cluster tuning tables
 //!   ([`TuningTable`]), and cost-model-driven autotuning, every decision
@@ -67,7 +67,7 @@ pub use policy::{
     flavor_from_key, flavor_key, legacy_choice, Decision, DecisionLog, FaultPolicy, PolicyKind,
     Select, SelectionPolicy, TableEntry, TuningTable,
 };
-pub use registry::{AlgorithmRegistry, AlgorithmSpec, CollectiveAlgorithm, CollectiveOp, CommCase};
+pub use registry::{Algo, AlgorithmRegistry, AlgorithmSpec, CollectiveOp, CommCase};
 pub use selection::{MpiFlavor, Tuning};
 pub use split::{run_blocking, DriveOp, IColl};
 

@@ -10,7 +10,9 @@
 //!   so the pre-registry figure outputs are unchanged to the last bit.
 //! * [`PolicyKind::Table`] — looks the case up in a persisted per-cluster
 //!   [`TuningTable`] (JSON under `results/tuning/`), falling back to
-//!   legacy on a miss.
+//!   legacy on a miss or on a row not applicable to the case. A row
+//!   naming no registered schedule, or another op's, is refused when the
+//!   table is parsed.
 //! * [`PolicyKind::Autotune`] — sweeps the registry's applicable
 //!   candidates through the `simnet` closed-form cost model and picks the
 //!   cheapest, caching the winner per (op, comm shape, size bucket).
@@ -27,7 +29,7 @@ use msim::Ctx;
 use simnet::Estimator;
 
 use crate::json::Json;
-use crate::registry::{self, CollectiveOp, CommCase};
+use crate::registry::{self, Algo, CollectiveOp, CommCase};
 use crate::selection::{MpiFlavor, Tuning};
 
 /// The pre-registry threshold logic, verbatim. One function so the
@@ -35,52 +37,52 @@ use crate::selection::{MpiFlavor, Tuning};
 /// modules: [`Select::Legacy`] (what every `tuned`, `ituned`,
 /// `TunedSm::new` and `InPlaceSm::new` runs when handed a `&Tuning`) and
 /// `PolicyKind::Legacy` both call this.
-pub fn legacy_choice(tuning: &Tuning, case: &CommCase) -> &'static str {
+pub fn legacy_choice(tuning: &Tuning, case: &CommCase) -> Algo {
     let p = case.comm_size;
     let bytes = case.total_bytes;
     match case.op {
         CollectiveOp::Allgather => {
             if case.windowed {
-                return "allgather.hy_shared_window";
+                return Algo::AllgatherHySharedWindow;
             }
             if p <= 1 {
-                "allgather.local"
+                Algo::AllgatherLocal
             } else if p.is_power_of_two() && bytes < tuning.allgather_rd_threshold {
-                "allgather.recursive_doubling"
+                Algo::AllgatherRecursiveDoubling
             } else if !p.is_power_of_two() && bytes < tuning.allgather_bruck_threshold {
-                "allgather.bruck"
+                Algo::AllgatherBruck
             } else {
-                "allgather.ring"
+                Algo::AllgatherRing
             }
         }
         CollectiveOp::Allgatherv => {
             if p <= 1 {
-                "allgatherv.local"
+                Algo::AllgathervLocal
             } else if bytes < tuning.allgatherv_bruck_threshold {
-                "allgatherv.bruck"
+                Algo::AllgathervBruck
             } else {
-                "allgatherv.ring"
+                Algo::AllgathervRing
             }
         }
         CollectiveOp::Bcast => {
             if bytes < tuning.bcast_long_threshold || p < tuning.bcast_min_ranks_for_long {
-                "bcast.binomial"
+                Algo::BcastBinomial
             } else {
-                "bcast.scatter_allgather"
+                Algo::BcastScatterAllgather
             }
         }
         CollectiveOp::Allreduce => {
             if bytes < tuning.allreduce_rabenseifner_threshold {
-                "allreduce.recursive_doubling"
+                Algo::AllreduceRecursiveDoubling
             } else {
-                "allreduce.rabenseifner"
+                Algo::AllreduceRabenseifner
             }
         }
         CollectiveOp::Alltoall => {
             if bytes <= 256 {
-                "alltoall.bruck"
+                Algo::AlltoallBruck
             } else {
-                "alltoall.pairwise"
+                Algo::AlltoallPairwise
             }
         }
         CollectiveOp::Alltoallv => {
@@ -88,28 +90,28 @@ pub fn legacy_choice(tuning: &Tuning, case: &CommCase) -> &'static str {
             // communicators (no packing pays off at that scale) and falls
             // back to the scheduled pairwise exchange beyond it.
             if p <= tuning.alltoallv_linear_max_ranks {
-                "alltoallv.linear"
+                Algo::AlltoallvLinear
             } else {
-                "alltoallv.pairwise"
+                Algo::AlltoallvPairwise
             }
         }
         CollectiveOp::ReduceScatter => {
             if p <= 1 {
-                "reduce_scatter.local"
+                Algo::ReduceScatterLocal
             } else if p.is_power_of_two() {
-                "reduce_scatter.recursive_halving"
+                Algo::ReduceScatterRecursiveHalving
             } else {
-                "reduce_scatter.pairwise"
+                Algo::ReduceScatterPairwise
             }
         }
         CollectiveOp::Barrier => {
             if case.num_nodes <= 1 {
-                "barrier.shm_dissemination"
+                Algo::BarrierShmDissemination
             } else {
-                "barrier.dissemination"
+                Algo::BarrierDissemination
             }
         }
-        CollectiveOp::Sync => "sync.barrier",
+        CollectiveOp::Sync => Algo::SyncBarrier,
     }
 }
 
@@ -126,8 +128,8 @@ pub struct Decision {
     pub num_nodes: usize,
     /// Op-specific byte measure of the case.
     pub total_bytes: usize,
-    /// Winning algorithm name.
-    pub algo: &'static str,
+    /// Winning algorithm.
+    pub algo: Algo,
     /// Which policy kind decided (`"legacy"`, `"table"`, `"autotune"`).
     pub policy: &'static str,
     /// Human-readable reason (threshold comparison or estimate ranking).
@@ -170,12 +172,12 @@ impl DecisionLog {
             .collect()
     }
 
-    /// The distinct algorithm names chosen for `op`, sorted.
-    pub fn algos_for(&self, op: CollectiveOp) -> Vec<&'static str> {
-        let mut names: Vec<&'static str> = self.for_op(op).into_iter().map(|d| d.algo).collect();
-        names.sort_unstable();
-        names.dedup();
-        names
+    /// The distinct algorithms chosen for `op`, sorted by key.
+    pub fn algos_for(&self, op: CollectiveOp) -> Vec<Algo> {
+        let mut algos: Vec<Algo> = self.for_op(op).into_iter().map(|d| d.algo).collect();
+        algos.sort_unstable_by_key(|a| a.key());
+        algos.dedup();
+        algos
     }
 
     /// Number of recorded decisions.
@@ -210,8 +212,8 @@ pub struct TableEntry {
     pub comm_le: usize,
     /// Row matches cases with `total_bytes <= bytes_le`.
     pub bytes_le: usize,
-    /// Algorithm name to run.
-    pub algo: String,
+    /// Algorithm to run, a schedule of `op`.
+    pub algo: Algo,
 }
 
 /// A per-cluster tuning table, serializable to the canonical JSON kept
@@ -265,7 +267,7 @@ impl TuningTable {
                 if e.bytes_le != usize::MAX {
                     row.insert("bytes_le".to_string(), Json::Num(e.bytes_le as f64));
                 }
-                row.insert("algo".to_string(), Json::Str(e.algo.clone()));
+                row.insert("algo".to_string(), Json::Str(e.algo.key().to_string()));
                 Json::Obj(row)
             })
             .collect();
@@ -274,7 +276,8 @@ impl TuningTable {
     }
 
     /// Parse from the JSON schema. Absent `comm_le`/`bytes_le` mean "no
-    /// limit".
+    /// limit". A row whose `algo` is no registered schedule, or one of
+    /// another op, is refused with its index.
     pub fn from_json(json: &Json) -> Result<Self, String> {
         let cluster = json
             .get("cluster")
@@ -293,18 +296,26 @@ impl TuningTable {
             .and_then(Json::as_arr)
             .ok_or("tuning table: missing array field 'entries'")?;
         let mut entries = Vec::with_capacity(rows.len());
-        for row in rows {
+        for (i, row) in rows.iter().enumerate() {
             let op_key = row
                 .get("op")
                 .and_then(Json::as_str)
                 .ok_or("tuning table entry: missing string field 'op'")?;
             let op = CollectiveOp::from_key(op_key)
                 .ok_or_else(|| format!("tuning table entry: unknown op {op_key:?}"))?;
-            let algo = row
+            let name = row
                 .get("algo")
                 .and_then(Json::as_str)
-                .ok_or("tuning table entry: missing string field 'algo'")?
-                .to_string();
+                .ok_or("tuning table entry: missing string field 'algo'")?;
+            let algo = Algo::from_key(name)
+                .ok_or_else(|| format!("tuning table row {i}: no algorithm named {name:?}"))?;
+            if algo.op() != op {
+                return Err(format!(
+                    "tuning table row {i}: {name:?} is a {} algorithm, not {}",
+                    algo.op().key(),
+                    op.key()
+                ));
+            }
             let comm_le = match row.get("comm_le") {
                 Some(v) => v.as_usize().ok_or("tuning table entry: bad 'comm_le'")?,
                 None => usize::MAX,
@@ -404,7 +415,7 @@ impl PolicyKind {
     }
 }
 
-type AutotuneCache = Arc<Mutex<BTreeMap<(CollectiveOp, usize, usize, u32, usize), &'static str>>>;
+type AutotuneCache = Arc<Mutex<BTreeMap<(CollectiveOp, usize, usize, u32, usize), Algo>>>;
 
 /// A complete selection policy: tuning thresholds (for legacy behavior
 /// and fallbacks), the policy kind, and the shared decision log.
@@ -463,9 +474,8 @@ impl SelectionPolicy {
     }
 
     /// Choose the algorithm for `case`, record the decision in the log
-    /// and the trace, and return its registry name. Selection charges no
-    /// virtual time.
-    pub fn choose(&self, ctx: &Ctx, case: &CommCase) -> &'static str {
+    /// and the trace, and return it. Selection charges no virtual time.
+    pub fn choose(&self, ctx: &Ctx, case: &CommCase) -> Algo {
         let (algo, why) = self.resolve(ctx, case);
         self.log.push(Decision {
             rank: ctx.rank(),
@@ -477,21 +487,21 @@ impl SelectionPolicy {
             policy: self.kind.label(),
             why: why.clone(),
         });
-        ctx.trace_decision(case.op.key(), algo, &why);
+        ctx.trace_decision(case.op.key(), algo.key(), &why);
         algo
     }
 
     /// Choose without a running simulation context — used by the offline
     /// `bench tune` autotuner, which sweeps cases against a bare cost model.
-    pub fn choose_offline(&self, cost: &simnet::CostModel, case: &CommCase) -> &'static str {
+    pub fn choose_offline(&self, cost: &simnet::CostModel, case: &CommCase) -> Algo {
         self.resolve_with(cost, case).0
     }
 
-    fn resolve(&self, ctx: &Ctx, case: &CommCase) -> (&'static str, String) {
+    fn resolve(&self, ctx: &Ctx, case: &CommCase) -> (Algo, String) {
         self.resolve_with(ctx.cost(), case)
     }
 
-    fn resolve_with(&self, cost: &simnet::CostModel, case: &CommCase) -> (&'static str, String) {
+    fn resolve_with(&self, cost: &simnet::CostModel, case: &CommCase) -> (Algo, String) {
         match &self.kind {
             PolicyKind::Legacy => {
                 let algo = legacy_choice(&self.tuning, case);
@@ -500,52 +510,27 @@ impl SelectionPolicy {
                     format!("legacy thresholds ({:?})", self.tuning.flavor),
                 )
             }
-            PolicyKind::Table(table) => match table.lookup(case) {
-                Some(entry) => match registry::global().lookup(&entry.algo) {
-                    Some(found) if found.op() != case.op => {
-                        let algo = legacy_choice(&self.tuning, case);
-                        (
-                            algo,
-                            format!(
-                                "table row '{}' is a {} algorithm; legacy fallback",
-                                entry.algo,
-                                found.op().key()
-                            ),
-                        )
-                    }
-                    Some(found) if found.applicable(case) => (
-                        found.name(),
-                        format!(
+            PolicyKind::Table(table) => {
+                let why = match table.lookup(case) {
+                    Some(e)
+                        if registry::global()
+                            .applicable(case)
+                            .any(|s| s.algo == e.algo) =>
+                    {
+                        let why = format!(
                             "table '{}': op={} comm<={} bytes<={}",
                             table.cluster,
-                            entry.op.key(),
-                            entry.comm_le,
-                            entry.bytes_le
-                        ),
-                    ),
-                    Some(_) => {
-                        let algo = legacy_choice(&self.tuning, case);
-                        (
-                            algo,
-                            format!("table row '{}' not applicable; legacy fallback", entry.algo),
-                        )
+                            e.op.key(),
+                            e.comm_le,
+                            e.bytes_le
+                        );
+                        return (e.algo, why);
                     }
-                    None => {
-                        let algo = legacy_choice(&self.tuning, case);
-                        (
-                            algo,
-                            format!("table row '{}' unknown; legacy fallback", entry.algo),
-                        )
-                    }
-                },
-                None => {
-                    let algo = legacy_choice(&self.tuning, case);
-                    (
-                        algo,
-                        format!("table '{}' miss; legacy fallback", table.cluster),
-                    )
-                }
-            },
+                    Some(e) => format!("table row '{}' not applicable; legacy fallback", e.algo),
+                    None => format!("table '{}' miss; legacy fallback", table.cluster),
+                };
+                (legacy_choice(&self.tuning, case), why)
+            }
             PolicyKind::Autotune => {
                 let key = (
                     case.op,
@@ -565,11 +550,11 @@ impl SelectionPolicy {
                 let est = Estimator::for_span(cost, case.spans_nodes());
                 let (algo, why) = match registry::global().best(&est, case) {
                     Some((winner, t)) => (
-                        winner.name(),
+                        winner.algo,
                         format!(
                             "autotune: est {:.3}us over {} candidates",
                             t,
-                            registry::global().applicable(case).len()
+                            registry::global().applicable(case).count()
                         ),
                     ),
                     None => {
@@ -634,7 +619,7 @@ impl<'a> Select<'a> {
     }
 
     /// Pick the algorithm for `case`. Charges no virtual time.
-    pub(crate) fn pick(self, ctx: &Ctx, case: &CommCase) -> &'static str {
+    pub(crate) fn pick(self, ctx: &Ctx, case: &CommCase) -> Algo {
         match self {
             Select::Legacy(tuning) => legacy_choice(tuning, case),
             Select::Policy(policy) => policy.choose(ctx, case),
@@ -659,7 +644,7 @@ impl<'a> Select<'a> {
 
     /// The selecting step every flat collective runs on entry: charge the
     /// fees, then pick the algorithm for `case`.
-    pub(crate) fn enter(self, ctx: &mut Ctx, fee: Fee, case: &CommCase) -> &'static str {
+    pub(crate) fn enter(self, ctx: &mut Ctx, fee: Fee, case: &CommCase) -> Algo {
         self.charge(ctx, fee, case);
         self.pick(ctx, case)
     }
@@ -745,13 +730,13 @@ mod tests {
                     op: CollectiveOp::Allgather,
                     comm_le: 64,
                     bytes_le: 65536,
-                    algo: "allgather.bruck".to_string(),
+                    algo: Algo::AllgatherBruck,
                 },
                 TableEntry {
                     op: CollectiveOp::Allgather,
                     comm_le: usize::MAX,
                     bytes_le: usize::MAX,
-                    algo: "allgather.ring".to_string(),
+                    algo: Algo::AllgatherRing,
                 },
             ],
         };
@@ -772,13 +757,13 @@ mod tests {
                     op: CollectiveOp::Allgather,
                     comm_le: 8,
                     bytes_le: 1024,
-                    algo: "allgather.bruck".to_string(),
+                    algo: Algo::AllgatherBruck,
                 },
                 TableEntry {
                     op: CollectiveOp::Allgather,
                     comm_le: usize::MAX,
                     bytes_le: usize::MAX,
-                    algo: "allgather.ring".to_string(),
+                    algo: Algo::AllgatherRing,
                 },
             ],
         };
@@ -800,26 +785,50 @@ mod tests {
         assert!(TuningTable::parse(
             "{\"cluster\": \"x\", \"entries\": [{\"op\": \"frobnicate\", \"algo\": \"a\"}]}"
         )
-        .is_err());
+        .is_err()); // A bound no usize holds is refused, not saturated to "no limit".
+        assert_eq!(
+            TuningTable::parse(
+                r#"{"cluster": "x", "entries": [{"op": "bcast", "algo": "bcast.binomial", "comm_le": 1e20}]}"#
+            ),
+            Err("tuning table entry: bad 'comm_le'".into())
+        );
     }
 
     #[test]
-    fn table_row_naming_another_ops_algorithm_falls_back_to_legacy() {
+    fn table_rows_naming_no_schedule_of_their_op_are_refused() {
+        let parse = |row: &str| {
+            TuningTable::parse(&format!(
+                r#"{{"cluster": "x", "entries": [{{"op": "bcast", "algo": "bcast.binomial"}}, {row}]}}"#
+            ))
+        };
+        assert_eq!(
+            parse(r#"{"op": "allgather", "algo": "sync.barrier"}"#),
+            Err(r#"tuning table row 1: "sync.barrier" is a sync algorithm, not allgather"#.into())
+        );
+        assert_eq!(
+            parse(r#"{"op": "allgather", "algo": "allgather.frobnicate"}"#),
+            Err(r#"tuning table row 1: no algorithm named "allgather.frobnicate""#.into())
+        );
+        let ok = parse(r#"{"op": "allgather", "algo": "allgather.bruck"}"#).unwrap();
+        assert_eq!(ok.entries[1].algo, Algo::AllgatherBruck);
+    }
+
+    #[test]
+    fn table_row_not_applicable_falls_back_to_legacy() {
         let t = Tuning::cray_mpich();
         let table = TuningTable::parse(
-            r#"{"cluster": "x", "entries": [{"op": "allgather", "algo": "sync.barrier"}]}"#,
+            r#"{"cluster": "x", "entries": [{"op": "allgather", "algo": "allgather.recursive_doubling"}]}"#,
         )
         .unwrap();
         let policy = SelectionPolicy::table(t.clone(), table);
         let cost = simnet::CostModel::cray_aries();
         let c = case(CollectiveOp::Allgather, 6, 2, 1024);
         let (algo, why) = policy.resolve_with(&cost, &c);
-        assert_eq!(algo, legacy_choice(&t, &c));
+        assert_eq!(algo, Algo::AllgatherBruck);
         assert_eq!(
             why,
-            "table row 'sync.barrier' is a sync algorithm; legacy fallback"
+            "table row 'allgather.recursive_doubling' not applicable; legacy fallback"
         );
-        assert_eq!(policy.choose_offline(&cost, &c), "allgather.bruck");
     }
 
     #[test]
@@ -865,14 +874,14 @@ mod tests {
             comm_size: 4,
             num_nodes: 2,
             total_bytes: 64,
-            algo: "allgather.ring",
+            algo: Algo::AllgatherRing,
             policy: "legacy",
             why: "test".to_string(),
         });
         assert_eq!(log.len(), 1);
         assert_eq!(
             log.algos_for(CollectiveOp::Allgather),
-            vec!["allgather.ring"]
+            vec![Algo::AllgatherRing]
         );
         assert!(log.for_op(CollectiveOp::Bcast).is_empty());
         log.clear();

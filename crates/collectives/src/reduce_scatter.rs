@@ -11,7 +11,7 @@ use msim::{Buf, Communicator, Ctx, Drive, ShmElem, WaitError};
 
 use crate::op::ReduceOp;
 use crate::policy::{Fee, Select};
-use crate::registry::{AlgorithmRegistry, AlgorithmSpec, CollectiveOp, CommCase};
+use crate::registry::{Algo, AlgorithmSpec, CollectiveOp, CommCase};
 use crate::split::{run_blocking, DriveOp, IColl};
 use crate::tags;
 use crate::util::displs_of;
@@ -218,7 +218,7 @@ pub fn pairwise<T: ShmElem, O: ReduceOp<T>>(
     run_blocking(PwSm::new().drive(ctx, comm, send, counts, recv, op, Drive::Block));
 }
 
-/// One reduce-scatter algorithm as a split-phase machine, selected by name.
+/// One reduce-scatter algorithm as a split-phase machine.
 #[derive(Debug)]
 enum RsSm<T: ShmElem> {
     Local { done: bool },
@@ -227,14 +227,15 @@ enum RsSm<T: ShmElem> {
 }
 
 impl<T: ShmElem> RsSm<T> {
-    /// # Panics
-    /// Panics on an unknown algorithm name.
-    fn for_algo(algo: &str) -> Self {
+    /// The machine of `algo`. Selection picks only an applicable schedule
+    /// of the case's op, and no flat case is windowed, so no other variant
+    /// reaches here.
+    fn for_algo(algo: Algo) -> Self {
         match algo {
-            "reduce_scatter.local" => RsSm::Local { done: false },
-            "reduce_scatter.recursive_halving" => RsSm::Rh(RhSm::new()),
-            "reduce_scatter.pairwise" => RsSm::Pw(PwSm::new()),
-            other => panic!("reduce_scatter: unknown algorithm {other:?}"),
+            Algo::ReduceScatterLocal => RsSm::Local { done: false },
+            Algo::ReduceScatterRecursiveHalving => RsSm::Rh(RhSm::new()),
+            Algo::ReduceScatterPairwise => RsSm::Pw(PwSm::new()),
+            other => unreachable!("selection picks a flat reduce_scatter schedule, not {other}"),
         }
     }
 
@@ -333,10 +334,11 @@ pub fn case_for<T: ShmElem>(ctx: &Ctx, comm: &Communicator, counts: &[usize]) ->
     )
 }
 
-/// Run the named registered algorithm.
+/// Run `algo`.
 ///
 /// # Panics
-/// Panics on an unknown name.
+/// Panics on a schedule this family does not run: another op's, or a
+/// hybrid one.
 pub fn dispatch<T: ShmElem, O: ReduceOp<T>>(
     ctx: &mut Ctx,
     comm: &Communicator,
@@ -344,7 +346,7 @@ pub fn dispatch<T: ShmElem, O: ReduceOp<T>>(
     counts: &[usize],
     recv: &mut Buf<T>,
     op: O,
-    algo: &str,
+    algo: Algo,
 ) {
     run_blocking(RsSm::for_algo(algo).drive(ctx, comm, send, counts, recv, op, Drive::Block));
 }
@@ -382,7 +384,7 @@ impl<T: ShmElem, O: ReduceOp<T>> DriveOp for IReduceScatterBody<'_, T, O> {
 /// An in-flight nonblocking reduce-scatter (`MPI_Ireduce_scatter`).
 pub type IReduceScatter<'a, T, O> = IColl<IReduceScatterBody<'a, T, O>>;
 
-/// Start the named algorithm nonblocking; `istart(…) + wait` is
+/// Start `algo` nonblocking; `istart(…) + wait` is
 /// bit-identical to [`dispatch`] (modulo the `Req*` trace markers).
 pub fn istart<'a, T: ShmElem, O: ReduceOp<T>>(
     ctx: &mut Ctx,
@@ -391,7 +393,7 @@ pub fn istart<'a, T: ShmElem, O: ReduceOp<T>>(
     counts: &[usize],
     recv: &'a mut Buf<T>,
     op: O,
-    algo: &str,
+    algo: Algo,
 ) -> IReduceScatter<'a, T, O> {
     IColl::start(
         ctx,
@@ -422,17 +424,15 @@ pub fn ituned<'a, 's, T: ShmElem, O: ReduceOp<T>>(
     istart(ctx, comm, send, counts, recv, op, algo)
 }
 
-/// Register this module's algorithms. `total_bytes` is the full vector.
-pub fn register(reg: &mut AlgorithmRegistry) {
-    reg.register(AlgorithmSpec {
-        name: "reduce_scatter.local",
-        op: CollectiveOp::ReduceScatter,
+/// This module's schedules. `total_bytes` is the full vector.
+pub(crate) const SPECS: &[AlgorithmSpec] = &[
+    AlgorithmSpec {
+        algo: Algo::ReduceScatterLocal,
         applicable: |c| c.comm_size <= 1,
         estimate: |e, c| e.copy(c.total_bytes),
-    });
-    reg.register(AlgorithmSpec {
-        name: "reduce_scatter.recursive_halving",
-        op: CollectiveOp::ReduceScatter,
+    },
+    AlgorithmSpec {
+        algo: Algo::ReduceScatterRecursiveHalving,
         applicable: |c| c.comm_size.is_power_of_two(),
         // Full-vector staging copy, log₂ p halving exchanges + combines,
         // own-segment copy out.
@@ -442,10 +442,9 @@ pub fn register(reg: &mut AlgorithmRegistry) {
                 + e.reduce_compute(c.total_bytes / 8, 1.0)
                 + e.copy(c.block_bytes())
         },
-    });
-    reg.register(AlgorithmSpec {
-        name: "reduce_scatter.pairwise",
-        op: CollectiveOp::ReduceScatter,
+    },
+    AlgorithmSpec {
+        algo: Algo::ReduceScatterPairwise,
         applicable: |_| true,
         // p−1 single-segment exchanges, each combined on arrival.
         estimate: |e, c| {
@@ -454,8 +453,8 @@ pub fn register(reg: &mut AlgorithmRegistry) {
                 + e.uniform_rounds(rounds, c.block_bytes())
                 + rounds as f64 * e.reduce_compute(c.block_bytes() / 8, 1.0)
         },
-    });
-}
+    },
+];
 
 #[cfg(test)]
 mod tests {
@@ -463,9 +462,9 @@ mod tests {
     use crate::op::Sum;
     use crate::testutil::run;
 
-    type Algo = fn(&mut Ctx, &Communicator, &Buf<f64>, &[usize], &mut Buf<f64>, Sum);
+    type Kernel = fn(&mut Ctx, &Communicator, &Buf<f64>, &[usize], &mut Buf<f64>, Sum);
 
-    fn check(nodes: usize, ppn: usize, counts: Vec<usize>, algo: Algo) {
+    fn check(nodes: usize, ppn: usize, counts: Vec<usize>, algo: Kernel) {
         let p = nodes * ppn;
         assert_eq!(counts.len(), p);
         let displs = displs_of(&counts);
@@ -522,7 +521,7 @@ mod tests {
 
     #[test]
     fn tuned_both_paths() {
-        let t: Algo =
+        let t: Kernel =
             |ctx, c, s, n, r, op| tuned(ctx, c, s, n, r, op, &crate::Tuning::cray_mpich());
         check(2, 2, vec![2; 4], t);
         check(1, 5, vec![1, 2, 0, 3, 1], t);
@@ -537,17 +536,17 @@ mod tests {
 
     #[test]
     fn nonblocking_istart_wait_matches_blocking() {
-        let rh: Algo = |ctx, c, s, n, r, op| {
-            let req = istart(ctx, c, s, n, r, op, "reduce_scatter.recursive_halving");
+        let rh: Kernel = |ctx, c, s, n, r, op| {
+            let req = istart(ctx, c, s, n, r, op, Algo::ReduceScatterRecursiveHalving);
             msim::Request::wait(req, ctx);
         };
         check(2, 2, vec![1, 4, 0, 2], rh);
-        let pw: Algo = |ctx, c, s, n, r, op| {
-            let req = istart(ctx, c, s, n, r, op, "reduce_scatter.pairwise");
+        let pw: Kernel = |ctx, c, s, n, r, op| {
+            let req = istart(ctx, c, s, n, r, op, Algo::ReduceScatterPairwise);
             msim::Request::wait(req, ctx);
         };
         check(1, 5, vec![1, 2, 0, 3, 1], pw);
-        let t: Algo = |ctx, c, s, n, r, op| {
+        let t: Kernel = |ctx, c, s, n, r, op| {
             let req = ituned(ctx, c, s, n, r, op, &crate::Tuning::cray_mpich());
             msim::Request::wait(req, ctx);
         };

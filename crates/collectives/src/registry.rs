@@ -1,22 +1,19 @@
 //! The collective-algorithm registry: every named schedule in one
 //! catalog, keyed by operation.
 //!
-//! Dispatch used to be scattered across hardcoded thresholds in
-//! `selection.rs` and per-function `match` arms in each collective
-//! module. The registry turns that into data: each algorithm is a
-//! [`CollectiveAlgorithm`] entry — a name (`"allgather.ring"`), the
-//! operation it implements, an applicability predicate over the
-//! [`CommCase`] at hand, and a closed-form cost estimate used by the
-//! autotuning policy to rank candidates (`simnet::Estimator`).
+//! Each schedule is one [`Algo`] variant, its typed identity from the
+//! tuning table to the kernel; its key (`"allgather.ring"`) is parsed
+//! once, at the edge, by [`Algo::from_key`]. An [`AlgorithmSpec`] gives
+//! the schedule an applicability predicate over the [`CommCase`] at hand
+//! and a closed-form cost estimate the autotuning policy ranks candidates
+//! by (`simnet::Estimator`).
 //!
 //! The registry holds *selection metadata only*. Execution stays with
 //! each operation module's `dispatch` function (collective kernels are
 //! generic over the element type, which rules out trait-object
-//! dispatch), so adding an algorithm is: write the kernel, add a
-//! `dispatch` arm, and register one [`AlgorithmSpec`] here.
-
-use std::collections::BTreeMap;
-use std::sync::OnceLock;
+//! dispatch), so adding an algorithm is: add an [`Algo`] variant, write
+//! the kernel, add its `dispatch` arm, and list one [`AlgorithmSpec`] in
+//! the module's `SPECS`.
 
 use simnet::Estimator;
 
@@ -63,18 +60,7 @@ impl CollectiveOp {
 
     /// Parse a string key back to the operation.
     pub fn from_key(key: &str) -> Option<Self> {
-        Some(match key {
-            "allgather" => CollectiveOp::Allgather,
-            "allgatherv" => CollectiveOp::Allgatherv,
-            "bcast" => CollectiveOp::Bcast,
-            "allreduce" => CollectiveOp::Allreduce,
-            "alltoall" => CollectiveOp::Alltoall,
-            "alltoallv" => CollectiveOp::Alltoallv,
-            "reduce_scatter" => CollectiveOp::ReduceScatter,
-            "barrier" => CollectiveOp::Barrier,
-            "sync" => CollectiveOp::Sync,
-            _ => return None,
-        })
+        Self::all().into_iter().find(|op| op.key() == key)
     }
 
     /// All operations, in catalog order.
@@ -158,128 +144,162 @@ impl CommCase {
     }
 }
 
-/// One registered collective algorithm: selection metadata for a named
-/// schedule.
-pub trait CollectiveAlgorithm: Send + Sync {
-    /// Globally unique name, `"<op>.<algorithm>"`.
-    fn name(&self) -> &'static str;
-    /// The operation this algorithm implements.
-    fn op(&self) -> CollectiveOp;
-    /// Whether the schedule can run the given case at all (e.g.
-    /// recursive doubling needs a power-of-two communicator).
-    fn applicable(&self, case: &CommCase) -> bool;
-    /// Closed-form cost estimate (µs) for ranking candidates. Only the
-    /// *ordering* matters; see `simnet::estimate`.
-    fn estimate(&self, est: &Estimator, case: &CommCase) -> f64;
+/// Declares [`Algo`]: one variant per registered schedule, with its
+/// operation and its `"<op>.<algorithm>"` key.
+macro_rules! algos {
+    ($($variant:ident => $op:ident $key:literal,)+) => {
+        /// One registered collective schedule — the typed identity a
+        /// selection hands from the tuning table or policy to the kernel.
+        ///
+        /// Variants are declared op by op in registration order, so
+        /// [`AlgorithmRegistry::best`] breaks ties toward the earlier one.
+        /// Traces, decision logs and tuning tables print [`Algo::key`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Algo {
+            $(#[doc = concat!("`", $key, "`")] $variant,)+
+        }
+
+        impl Algo {
+            /// Every schedule, in declaration order.
+            pub const ALL: &'static [Algo] = &[$(Algo::$variant),+];
+
+            /// The stable `"<op>.<algorithm>"` key.
+            pub fn key(self) -> &'static str {
+                match self {
+                    $(Algo::$variant => $key,)+
+                }
+            }
+
+            /// The operation this schedule implements.
+            pub fn op(self) -> CollectiveOp {
+                match self {
+                    $(Algo::$variant => CollectiveOp::$op,)+
+                }
+            }
+
+            /// Parse a key back to the schedule.
+            pub fn from_key(key: &str) -> Option<Self> {
+                Algo::ALL.iter().copied().find(|a| a.key() == key)
+            }
+        }
+    };
 }
 
-/// A plain-function algorithm entry — the one-line registration format.
+algos! {
+    AllgatherLocal => Allgather "allgather.local",
+    AllgatherRecursiveDoubling => Allgather "allgather.recursive_doubling",
+    AllgatherBruck => Allgather "allgather.bruck",
+    AllgatherRing => Allgather "allgather.ring",
+    AllgatherHySharedWindow => Allgather "allgather.hy_shared_window",
+    AllgatherHyKleader => Allgather "allgather.hy_kleader",
+    AllgathervLocal => Allgatherv "allgatherv.local",
+    AllgathervBruck => Allgatherv "allgatherv.bruck",
+    AllgathervRing => Allgatherv "allgatherv.ring",
+    AllgathervHyKleader => Allgatherv "allgatherv.hy_kleader",
+    BcastBinomial => Bcast "bcast.binomial",
+    BcastScatterAllgather => Bcast "bcast.scatter_allgather",
+    BcastPipelinedChain => Bcast "bcast.pipelined_chain",
+    BcastHyKleaderSegmented => Bcast "bcast.hy_kleader_segmented",
+    AllreduceRecursiveDoubling => Allreduce "allreduce.recursive_doubling",
+    AllreduceRabenseifner => Allreduce "allreduce.rabenseifner",
+    AllreduceHyKleader => Allreduce "allreduce.hy_kleader",
+    AlltoallBruck => Alltoall "alltoall.bruck",
+    AlltoallPairwise => Alltoall "alltoall.pairwise",
+    AlltoallvPairwise => Alltoallv "alltoallv.pairwise",
+    AlltoallvLinear => Alltoallv "alltoallv.linear",
+    ReduceScatterLocal => ReduceScatter "reduce_scatter.local",
+    ReduceScatterRecursiveHalving => ReduceScatter "reduce_scatter.recursive_halving",
+    ReduceScatterPairwise => ReduceScatter "reduce_scatter.pairwise",
+    BarrierDissemination => Barrier "barrier.dissemination",
+    BarrierShmDissemination => Barrier "barrier.shm_dissemination",
+    SyncBarrier => Sync "sync.barrier",
+    SyncSharedFlags => Sync "sync.shared_flags",
+    SyncP2p => Sync "sync.p2p",
+}
+
+impl std::fmt::Display for Algo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.key())
+    }
+}
+
+/// Compares by key, so a test can state the expected pick as a string.
+impl PartialEq<&str> for Algo {
+    fn eq(&self, other: &&str) -> bool {
+        self.key() == *other
+    }
+}
+
+/// Selection metadata for one schedule: when it can run and what it
+/// costs. Each collective module lists its own next to its kernels.
 pub struct AlgorithmSpec {
-    /// Unique `"<op>.<algorithm>"` name.
-    pub name: &'static str,
-    /// Operation implemented.
-    pub op: CollectiveOp,
-    /// Applicability predicate.
+    /// The schedule (its key and operation).
+    pub algo: Algo,
+    /// Whether the schedule can run the given case at all (e.g.
+    /// recursive doubling needs a power-of-two communicator).
     pub applicable: fn(&CommCase) -> bool,
-    /// Closed-form cost estimate (µs).
+    /// Closed-form cost estimate (µs) for ranking candidates. Only the
+    /// *ordering* matters; see `simnet::estimate`.
     pub estimate: fn(&Estimator, &CommCase) -> f64,
 }
 
-impl CollectiveAlgorithm for AlgorithmSpec {
-    fn name(&self) -> &'static str {
-        self.name
+impl AlgorithmSpec {
+    /// The schedule's `"<op>.<algorithm>"` key.
+    pub fn name(&self) -> &'static str {
+        self.algo.key()
     }
-    fn op(&self) -> CollectiveOp {
-        self.op
-    }
-    fn applicable(&self, case: &CommCase) -> bool {
+
+    /// Whether the schedule can run `case`.
+    pub fn applicable(&self, case: &CommCase) -> bool {
         (self.applicable)(case)
     }
-    fn estimate(&self, est: &Estimator, case: &CommCase) -> f64 {
+
+    /// The closed-form cost estimate (µs) of `case`.
+    pub fn estimate(&self, est: &Estimator, case: &CommCase) -> f64 {
         (self.estimate)(est, case)
     }
 }
 
-/// The algorithm catalog: operation → named entries.
-#[derive(Default)]
-pub struct AlgorithmRegistry {
-    by_op: BTreeMap<CollectiveOp, Vec<Box<dyn CollectiveAlgorithm>>>,
-}
+/// Every op's specs, indexed by [`CollectiveOp`] in declaration order:
+/// each collective module's (its hybrid schedules, which `hmpi` runs,
+/// after its flat ones), then the on-node sync flavors.
+static SPECS: [&[AlgorithmSpec]; 9] = [
+    crate::allgather::SPECS,
+    crate::allgatherv::SPECS,
+    crate::bcast::SPECS,
+    crate::allreduce::SPECS,
+    crate::alltoall::SPECS,
+    crate::alltoallv::SPECS,
+    crate::reduce_scatter::SPECS,
+    crate::barrier::SPECS,
+    SYNC,
+];
+
+/// The algorithm catalog: one static table of every module's specs.
+#[derive(Debug)]
+pub struct AlgorithmRegistry;
 
 impl AlgorithmRegistry {
-    /// An empty registry (extend with [`AlgorithmRegistry::register`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register an algorithm. Panics on duplicate names — names are the
-    /// dispatch keys, so collisions are programming errors.
-    pub fn register(&mut self, algo: impl CollectiveAlgorithm + 'static) {
-        let name = algo.name();
-        assert!(
-            self.lookup(name).is_none(),
-            "duplicate algorithm registration: {name}"
-        );
-        self.by_op
-            .entry(algo.op())
-            .or_default()
-            .push(Box::new(algo));
-    }
-
-    /// All registered candidates for `op`, in registration order.
-    pub fn candidates(&self, op: CollectiveOp) -> &[Box<dyn CollectiveAlgorithm>] {
-        self.by_op.get(&op).map(|v| v.as_slice()).unwrap_or(&[])
+    /// The specs of `op`, in [`Algo`] declaration order.
+    pub fn candidates(&self, op: CollectiveOp) -> &'static [AlgorithmSpec] {
+        SPECS[op as usize]
     }
 
     /// The candidates applicable to `case`.
-    pub fn applicable(&self, case: &CommCase) -> Vec<&dyn CollectiveAlgorithm> {
+    pub fn applicable<'c>(
+        &self,
+        case: &'c CommCase,
+    ) -> impl Iterator<Item = &'static AlgorithmSpec> + 'c {
         self.candidates(case.op)
             .iter()
-            .map(|b| b.as_ref())
-            .filter(|a| a.applicable(case))
-            .collect()
-    }
-
-    /// Find an entry by its unique name.
-    pub fn lookup(&self, name: &str) -> Option<&dyn CollectiveAlgorithm> {
-        self.by_op
-            .values()
-            .flat_map(|v| v.iter())
-            .map(|b| b.as_ref())
-            .find(|a| a.name() == name)
-    }
-
-    /// Total number of registered algorithms.
-    pub fn len(&self) -> usize {
-        self.by_op.values().map(Vec::len).sum()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Names of every registered algorithm, sorted.
-    pub fn names(&self) -> Vec<&'static str> {
-        let mut names: Vec<&'static str> = self
-            .by_op
-            .values()
-            .flat_map(|v| v.iter())
-            .map(|b| b.name())
-            .collect();
-        names.sort_unstable();
-        names
+            .filter(move |s| s.applicable(case))
     }
 
     /// The cheapest applicable candidate for `case` under `est`, with its
-    /// estimate. Ties break toward the earlier registration, so results
+    /// estimate. Ties break toward the earlier declaration, so results
     /// are deterministic.
-    pub fn best(
-        &self,
-        est: &Estimator,
-        case: &CommCase,
-    ) -> Option<(&dyn CollectiveAlgorithm, f64)> {
-        let mut best: Option<(&dyn CollectiveAlgorithm, f64)> = None;
+    pub fn best(&self, est: &Estimator, case: &CommCase) -> Option<(&'static AlgorithmSpec, f64)> {
+        let mut best: Option<(&'static AlgorithmSpec, f64)> = None;
         for cand in self.applicable(case) {
             let cost = cand.estimate(est, case);
             match &best {
@@ -291,92 +311,24 @@ impl AlgorithmRegistry {
     }
 }
 
-impl std::fmt::Debug for AlgorithmRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AlgorithmRegistry")
-            .field("algorithms", &self.names())
-            .finish()
-    }
-}
-
-/// The global registry with every built-in algorithm. Each collective
-/// module contributes its own entries through its `register` function.
+/// The registry of every built-in algorithm.
 pub fn global() -> &'static AlgorithmRegistry {
-    static REGISTRY: OnceLock<AlgorithmRegistry> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let mut reg = AlgorithmRegistry::new();
-        crate::allgather::register(&mut reg);
-        crate::allgatherv::register(&mut reg);
-        crate::bcast::register(&mut reg);
-        crate::allreduce::register(&mut reg);
-        crate::alltoall::register(&mut reg);
-        crate::alltoallv::register(&mut reg);
-        crate::reduce_scatter::register(&mut reg);
-        crate::barrier::register(&mut reg);
-        register_hybrid(&mut reg);
-        reg
-    })
+    &AlgorithmRegistry
 }
 
-/// Entries for the hybrid (`hmpi`) layer: the shared-window allgather
-/// schedule and the on-node synchronization flavors. Only metadata lives
-/// here — the implementations are in the `hmpi` crate, which reuses these
-/// names for its decisions.
-fn register_hybrid(reg: &mut AlgorithmRegistry) {
-    reg.register(AlgorithmSpec {
-        name: "allgather.hy_shared_window",
-        op: CollectiveOp::Allgather,
-        applicable: |c| c.windowed,
-        // arrive + leader-only bridge ring over node aggregates + release.
-        estimate: |e, c| {
-            let nodes = c.num_nodes.max(1);
-            let node_block = c.total_bytes / nodes;
-            let sync = {
-                let shm = Estimator::for_span(e.cost(), false);
-                let ppn = c.comm_size.div_ceil(nodes);
-                2.0 * shm.barrier(ppn)
-            };
-            if nodes == 1 {
-                return sync / 2.0;
-            }
-            sync + e.uniform_rounds(nodes - 1, node_block)
-        },
-    });
-    reg.register(AlgorithmSpec {
-        name: "allgather.hy_kleader",
-        op: CollectiveOp::Allgather,
-        applicable: |c| c.windowed && c.leaders >= 2 && c.spans_nodes(),
-        estimate: |e, c| kleader_estimate(e, c, c.leaders),
-    });
-    reg.register(AlgorithmSpec {
-        name: "allgatherv.hy_kleader",
-        op: CollectiveOp::Allgatherv,
-        applicable: |c| c.windowed && c.leaders >= 2 && c.spans_nodes(),
-        estimate: |e, c| kleader_estimate(e, c, c.leaders),
-    });
-    reg.register(AlgorithmSpec {
-        name: "bcast.hy_kleader_segmented",
-        op: CollectiveOp::Bcast,
-        applicable: |c| c.windowed && c.leaders >= 2 && c.spans_nodes(),
-        estimate: |e, c| kleader_estimate(e, c, c.leaders),
-    });
-    reg.register(AlgorithmSpec {
-        name: "allreduce.hy_kleader",
-        op: CollectiveOp::Allreduce,
-        applicable: |c| c.windowed && c.leaders >= 2 && c.spans_nodes(),
-        estimate: |e, c| kleader_estimate(e, c, c.leaders),
-    });
-    reg.register(AlgorithmSpec {
-        name: "sync.barrier",
-        op: CollectiveOp::Sync,
+/// The on-node synchronization flavors of the hybrid collectives. Only
+/// metadata lives here — the implementations are in the `hmpi` crate,
+/// which names these schedules in its decisions.
+const SYNC: &[AlgorithmSpec] = &[
+    AlgorithmSpec {
+        algo: Algo::SyncBarrier,
         applicable: |_| true,
         // arrive + release are each a full MPI_Barrier: entry fee plus a
         // flag-dissemination round ladder.
         estimate: |e, c| 2.0 * (e.cost().barrier_entry_us + e.barrier(c.comm_size)),
-    });
-    reg.register(AlgorithmSpec {
-        name: "sync.shared_flags",
-        op: CollectiveOp::Sync,
+    },
+    AlgorithmSpec {
+        algo: Algo::SyncSharedFlags,
         applicable: |_| true,
         // Fan-in: children post one flag each, leader polls s−1 flags;
         // fan-out: one multicast flag, each child polls once.
@@ -390,10 +342,9 @@ fn register_hybrid(reg: &mut AlgorithmRegistry) {
             let release = m.flag_post_us + m.flag_latency_us + m.flag_poll_us;
             arrive + release
         },
-    });
-    reg.register(AlgorithmSpec {
-        name: "sync.p2p",
-        op: CollectiveOp::Sync,
+    },
+    AlgorithmSpec {
+        algo: Algo::SyncP2p,
         applicable: |_| true,
         // Zero-byte message pairs through the MPI stack, serialized at
         // the leader in both directions.
@@ -404,7 +355,24 @@ fn register_hybrid(reg: &mut AlgorithmRegistry) {
             }
             2.0 * (s - 1) as f64 * e.msg(0)
         },
-    });
+    },
+];
+
+/// The spec of a k-leader hybrid schedule (run by `hmpi`): it needs a
+/// window, two or more leader slots and more than one node, and costs
+/// [`kleader_estimate`] at the case's leader count.
+pub(crate) const fn kleader_spec(algo: Algo) -> AlgorithmSpec {
+    fn applicable(c: &CommCase) -> bool {
+        c.windowed && c.leaders >= 2 && c.spans_nodes()
+    }
+    fn estimate(e: &Estimator, c: &CommCase) -> f64 {
+        kleader_estimate(e, c, c.leaders)
+    }
+    AlgorithmSpec {
+        algo,
+        applicable,
+        estimate,
+    }
 }
 
 /// Extra on-node coordination of the k-leader envelope beyond the plain
@@ -537,40 +505,29 @@ mod tests {
     use super::*;
     use simnet::{CostModel, LinkClass};
 
+    /// The spec of `algo`.
+    fn spec(algo: Algo) -> &'static AlgorithmSpec {
+        let specs = global().candidates(algo.op());
+        specs.iter().find(|s| s.algo == algo).unwrap()
+    }
+
     #[test]
-    fn global_registry_has_every_builtin() {
-        let reg = global();
-        for name in [
-            "allgather.recursive_doubling",
-            "allgather.bruck",
-            "allgather.ring",
-            "allgather.local",
-            "allgather.hy_shared_window",
-            "allgather.hy_kleader",
-            "allgatherv.hy_kleader",
-            "bcast.hy_kleader_segmented",
-            "allreduce.hy_kleader",
-            "allgatherv.bruck",
-            "allgatherv.ring",
-            "allgatherv.local",
-            "bcast.binomial",
-            "bcast.scatter_allgather",
-            "allreduce.recursive_doubling",
-            "allreduce.rabenseifner",
-            "alltoall.bruck",
-            "alltoall.pairwise",
-            "alltoallv.pairwise",
-            "alltoallv.linear",
-            "reduce_scatter.recursive_halving",
-            "reduce_scatter.pairwise",
-            "reduce_scatter.local",
-            "barrier.dissemination",
-            "barrier.shm_dissemination",
-            "sync.barrier",
-            "sync.shared_flags",
-            "sync.p2p",
-        ] {
-            assert!(reg.lookup(name).is_some(), "missing registration: {name}");
+    fn every_algo_round_trips_its_key() {
+        assert_eq!(Algo::ALL.len(), 29);
+        for &algo in Algo::ALL {
+            assert_eq!(Algo::from_key(algo.key()), Some(algo));
+            let (op, _) = algo.key().split_once('.').unwrap();
+            assert_eq!(op, algo.op().key(), "{algo}");
+        }
+        assert_eq!(Algo::from_key("allgather.nonsense"), None);
+    }
+
+    #[test]
+    fn every_algo_has_one_spec_in_declaration_order() {
+        for op in CollectiveOp::all() {
+            let listed: Vec<Algo> = global().candidates(op).iter().map(|s| s.algo).collect();
+            let declared: Vec<Algo> = Algo::ALL.iter().copied().filter(|a| a.op() == op).collect();
+            assert_eq!(listed, declared, "{op:?}");
         }
     }
 
@@ -584,8 +541,7 @@ mod tests {
 
     #[test]
     fn applicability_respects_power_of_two() {
-        let reg = global();
-        let rd = reg.lookup("allgather.recursive_doubling").unwrap();
+        let rd = spec(Algo::AllgatherRecursiveDoubling);
         let pow2 = CommCase::new(CollectiveOp::Allgather, 8, 2, 1024);
         let odd = CommCase::new(CollectiveOp::Allgather, 6, 2, 1024);
         assert!(rd.applicable(&pow2));
@@ -594,8 +550,7 @@ mod tests {
 
     #[test]
     fn windowed_gates_hybrid_schedule() {
-        let reg = global();
-        let hy = reg.lookup("allgather.hy_shared_window").unwrap();
+        let hy = spec(Algo::AllgatherHySharedWindow);
         let case = CommCase::new(CollectiveOp::Allgather, 8, 2, 1024);
         assert!(!hy.applicable(&case));
         assert!(hy.applicable(&case.windowed()));
@@ -610,7 +565,7 @@ mod tests {
         assert!(a.applicable(&case));
         assert!(cost.is_finite() && cost > 0.0);
         let (b, _) = global().best(&est, &case).unwrap();
-        assert_eq!(a.name(), b.name());
+        assert_eq!(a.algo, b.algo);
     }
 
     #[test]
@@ -622,14 +577,8 @@ mod tests {
             let est = Estimator::new(&model, LinkClass::SharedMem);
             for s in [2usize, 3, 6, 12, 16, 24] {
                 let case = CommCase::new(CollectiveOp::Sync, s, 1, 0);
-                let flags = global()
-                    .lookup("sync.shared_flags")
-                    .unwrap()
-                    .estimate(&est, &case);
-                let barrier = global()
-                    .lookup("sync.barrier")
-                    .unwrap()
-                    .estimate(&est, &case);
+                let flags = spec(Algo::SyncSharedFlags).estimate(&est, &case);
+                let barrier = spec(Algo::SyncBarrier).estimate(&est, &case);
                 assert!(flags < barrier, "s={s}: flags {flags} vs barrier {barrier}");
             }
         }
@@ -637,29 +586,28 @@ mod tests {
 
     #[test]
     fn kleader_specs_gate_on_window_leaders_and_span() {
-        let reg = global();
-        for name in [
-            "allgather.hy_kleader",
-            "allgatherv.hy_kleader",
-            "bcast.hy_kleader_segmented",
-            "allreduce.hy_kleader",
+        for algo in [
+            Algo::AllgatherHyKleader,
+            Algo::AllgathervHyKleader,
+            Algo::BcastHyKleaderSegmented,
+            Algo::AllreduceHyKleader,
         ] {
-            let spec = reg.lookup(name).unwrap();
-            let op = spec.op();
+            let spec = spec(algo);
+            let op = algo.op();
             let base = CommCase::new(op, 48, 4, 64 * 1024);
-            assert!(!spec.applicable(&base), "{name}: no window");
-            assert!(!spec.applicable(&base.windowed()), "{name}: k=1");
+            assert!(!spec.applicable(&base), "{algo}: no window");
+            assert!(!spec.applicable(&base.windowed()), "{algo}: k=1");
             assert!(
                 !spec.applicable(
                     &CommCase::new(op, 12, 1, 64 * 1024)
                         .windowed()
                         .with_leaders(4)
                 ),
-                "{name}: single node"
+                "{algo}: single node"
             );
             assert!(
                 spec.applicable(&base.windowed().with_leaders(2)),
-                "{name}: should apply"
+                "{algo}: should apply"
             );
         }
     }
@@ -674,18 +622,12 @@ mod tests {
         let est = Estimator::new(&m, LinkClass::Network);
         for (nodes, ppn, bytes) in [(4usize, 12usize, 96 * 1024usize), (2, 6, 4096), (8, 24, 1)] {
             let case = CommCase::new(CollectiveOp::Allgather, nodes * ppn, nodes, bytes).windowed();
-            let single = global()
-                .lookup("allgather.hy_shared_window")
-                .unwrap()
-                .estimate(&est, &case);
+            let single = spec(Algo::AllgatherHySharedWindow).estimate(&est, &case);
             assert!(kleader_estimate(&est, &case, 1) <= single);
         }
         // Ring-optimal regime: large per-node blocks, exact collapse.
         let case = CommCase::new(CollectiveOp::Allgather, 48, 4, 4 * 1024 * 1024).windowed();
-        let single = global()
-            .lookup("allgather.hy_shared_window")
-            .unwrap()
-            .estimate(&est, &case);
+        let single = spec(Algo::AllgatherHySharedWindow).estimate(&est, &case);
         assert_eq!(kleader_estimate(&est, &case, 1), single);
     }
 
@@ -701,22 +643,6 @@ mod tests {
         // The recommendation never exceeds ppn.
         let thin = CommCase::new(CollectiveOp::Allgather, 8, 4, 16 * 1024 * 1024).windowed();
         assert!(recommended_leaders(&m, &thin, 8) <= 2);
-    }
-
-    #[test]
-    fn duplicate_registration_panics() {
-        let mut reg = AlgorithmRegistry::new();
-        let spec = || AlgorithmSpec {
-            name: "allgather.test_dup",
-            op: CollectiveOp::Allgather,
-            applicable: |_| true,
-            estimate: |_, _| 1.0,
-        };
-        reg.register(spec());
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            reg.register(spec());
-        }));
-        assert!(result.is_err());
     }
 
     #[test]

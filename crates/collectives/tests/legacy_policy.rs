@@ -341,3 +341,52 @@ fn allreduce_legacy_and_policy_arms_are_bit_identical() {
         }
     }
 }
+
+/// Selection hands a flat collective only a schedule its family runs,
+/// which is why each family's `for_algo` may end in `unreachable!`: under
+/// the legacy thresholds of both flavors, the autotuner and both
+/// committed tuning tables, every flat case of every op picks a
+/// non-hybrid schedule of that op that is applicable to the case.
+#[test]
+fn flat_picks_are_applicable_schedules_of_their_op() {
+    use collectives::{registry, TuningTable};
+    let table = |text: &str| TuningTable::parse(text).unwrap();
+    let (cray, nec) = (CostModel::cray_aries(), CostModel::nec_infiniband());
+    let policies = [
+        (SelectionPolicy::legacy(Tuning::cray_mpich()), &cray),
+        (SelectionPolicy::legacy(Tuning::open_mpi()), &nec),
+        (SelectionPolicy::autotune(Tuning::cray_mpich()), &cray),
+        (SelectionPolicy::autotune(Tuning::open_mpi()), &nec),
+        (
+            SelectionPolicy::table(
+                Tuning::cray_mpich(),
+                table(include_str!("../../../results/tuning/cray_aries.json")),
+            ),
+            &cray,
+        ),
+        (
+            SelectionPolicy::table(
+                Tuning::open_mpi(),
+                table(include_str!("../../../results/tuning/nec_infiniband.json")),
+            ),
+            &nec,
+        ),
+    ];
+    for (policy, cost) in &policies {
+        for op in CollectiveOp::all() {
+            for p in [1usize, 2, 3, 4, 6, 8, 24, 48, 96, 384] {
+                for bytes in [0usize, 8, 1024, 65536, 1 << 20, 1 << 24] {
+                    let case = CommCase::new(op, p, p.div_ceil(24), bytes);
+                    let algo = policy.choose_offline(cost, &case);
+                    let what = format!("{:?} {op:?} p={p} bytes={bytes}: {algo}", policy.kind());
+                    assert_eq!(algo.op(), op, "{what}");
+                    assert!(!algo.key().contains(".hy_"), "{what} is hybrid");
+                    assert!(
+                        registry::global().applicable(&case).any(|s| s.algo == algo),
+                        "{what} is not applicable"
+                    );
+                }
+            }
+        }
+    }
+}

@@ -30,12 +30,12 @@
 //! for readers.
 
 use collectives::allgatherv;
-use collectives::{seg_bounds, IColl, LeaderSet};
+use collectives::{seg_bounds, Algo, IColl, LeaderSet};
 use msim::{Buf, Communicator, Ctx, Drive, SharedWindow, ShmElem, WaitError};
 use std::ops::Deref;
 use std::sync::Arc;
 
-use crate::envelope::{HyOp, Open, Stage, RING};
+use crate::envelope::{trace_kleader, HyOp, Open, Stage, RING};
 use crate::hybrid::HybridComm;
 
 /// How per-rank blocks are laid out inside the shared window.
@@ -189,13 +189,11 @@ impl<T: ShmElem> HyAllgatherv<T> {
         layout: BlockLayout,
         plan: Option<BridgePlan>,
     ) -> Self {
-        if ls.k > 1 {
-            let (op, algo) = match layout {
-                BlockLayout::Uniform { .. } => ("allgather", "allgather.hy_kleader"),
-                BlockLayout::Irregular { .. } => ("allgatherv", "allgatherv.hy_kleader"),
-            };
-            ctx.trace_decision(op, algo, &format!("multi-leader handle, k={}", ls.k));
-        }
+        let algo = match layout {
+            BlockLayout::Uniform { .. } => Algo::AllgatherHyKleader,
+            BlockLayout::Irregular { .. } => Algo::AllgathervHyKleader,
+        };
+        trace_kleader(ctx, &ls, algo);
         Self {
             hc: hc.clone(),
             ls,

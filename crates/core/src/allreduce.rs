@@ -28,10 +28,10 @@
 
 use collectives::op::ReduceOp;
 use collectives::{allreduce as coll_allreduce, reduce as coll_reduce};
-use collectives::{seg_bounds, IColl, LeaderSet};
+use collectives::{seg_bounds, Algo, IColl, LeaderSet};
 use msim::{Buf, Ctx, Drive, Payload, SharedWindow, ShmElem, WaitError};
 
-use crate::envelope::{post_signal, step_signal, HyOp, Open, Stage, FILL, GO_ALL};
+use crate::envelope::{post_signal, step_signal, trace_kleader, HyOp, Open, Stage, FILL, GO_ALL};
 use crate::hybrid::HybridComm;
 use crate::sync::{SyncMethod, SyncSm};
 
@@ -64,13 +64,7 @@ impl<T: ShmElem> HyAllreduce<T> {
         let rows = (ls.k > 1).then(|| SharedWindow::allocate(ctx, &h.shm, count));
         let my_len = if hc.is_leader() { count } else { 0 };
         let win = SharedWindow::allocate(ctx, &h.shm, my_len);
-        if ls.k > 1 {
-            ctx.trace_decision(
-                "allreduce",
-                "allreduce.hy_kleader",
-                &format!("multi-leader handle, k={}", ls.k),
-            );
-        }
+        trace_kleader(ctx, &ls, Algo::AllreduceHyKleader);
         Self {
             hc: hc.clone(),
             ls,

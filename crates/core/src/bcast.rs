@@ -15,10 +15,10 @@
 //! window.
 
 use collectives::bcast as coll_bcast;
-use collectives::{seg_bounds, IColl, LeaderSet};
+use collectives::{seg_bounds, Algo, IColl, LeaderSet};
 use msim::{Buf, Ctx, Drive, Payload, SharedWindow, ShmElem, WaitError};
 
-use crate::envelope::{HyOp, Open, Stage, READY};
+use crate::envelope::{trace_kleader, HyOp, Open, Stage, READY};
 use crate::hybrid::HybridComm;
 
 /// A hybrid broadcast handle for messages of a fixed length.
@@ -45,13 +45,7 @@ impl<T: ShmElem> HyBcast<T> {
         let ls = LeaderSet::build(ctx, hc.comm(), h, leaders);
         let my_len = if hc.is_leader() { len } else { 0 };
         let win = SharedWindow::allocate(ctx, &h.shm, my_len);
-        if ls.k > 1 {
-            ctx.trace_decision(
-                "bcast",
-                "bcast.hy_kleader_segmented",
-                &format!("multi-leader handle, k={}", ls.k),
-            );
-        }
+        trace_kleader(ctx, &ls, Algo::BcastHyKleaderSegmented);
         Self {
             hc: hc.clone(),
             ls,

@@ -43,7 +43,7 @@
 //! | `GO_ALL` | `+7` | rank 0 → every on-node rank, before the allreduce fill |
 //! | `RING` | `+16` | striped allgather ring payload, over the stripe bridge |
 
-use collectives::{run_blocking, DriveOp, IColl, LeaderSet};
+use collectives::{run_blocking, Algo, DriveOp, IColl, LeaderSet};
 use msim::{Communicator, Ctx, Drive, Payload, WaitError};
 
 use crate::hybrid::HybridComm;
@@ -56,6 +56,15 @@ pub(crate) const READY: u32 = ML + 4;
 pub(crate) const FILL: u32 = ML + 5;
 pub(crate) const GO_ALL: u32 = ML + 7;
 pub(crate) const RING: u32 = ML + 16;
+
+/// Record, when `ls` has more than one leader slot, that a handle runs
+/// the k-leader schedule `algo`.
+pub(crate) fn trace_kleader(ctx: &Ctx, ls: &LeaderSet, algo: Algo) {
+    if ls.k > 1 {
+        let why = format!("multi-leader handle, k={}", ls.k);
+        ctx.trace_decision(algo.op().key(), algo.key(), &why);
+    }
+}
 
 /// Post one directional envelope signal to on-node rank `dst`.
 pub(crate) fn post_signal(

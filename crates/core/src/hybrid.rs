@@ -3,7 +3,7 @@
 //! "the hierarchical communicator splitting and the allocation of the
 //! shared-memory segment are one-offs").
 
-use collectives::{CollectiveOp, CommCase, Hierarchy, Select, SelectionPolicy, Tuning};
+use collectives::{Algo, CollectiveOp, CommCase, Hierarchy, Select, SelectionPolicy, Tuning};
 use msim::{Communicator, Ctx};
 
 use crate::sync::SyncMethod;
@@ -51,9 +51,10 @@ impl HybridComm {
     pub fn with_policy(ctx: &mut Ctx, comm: &Communicator, policy: SelectionPolicy) -> Self {
         let h = Hierarchy::build(ctx, comm);
         let case = CommCase::new(CollectiveOp::Sync, h.shm.size(), 1, 0);
+        // A Sync case picks one of the three sync schedules.
         let sync = match policy.choose(ctx, &case) {
-            "sync.shared_flags" => SyncMethod::SharedFlags,
-            "sync.p2p" => SyncMethod::P2p,
+            Algo::SyncSharedFlags => SyncMethod::SharedFlags,
+            Algo::SyncP2p => SyncMethod::P2p,
             _ => SyncMethod::Barrier,
         };
         Self {
@@ -98,7 +99,7 @@ impl HybridComm {
         )
         .windowed();
         match &self.policy {
-            Some(policy) => policy.choose(ctx, &case) == "allgather.hy_shared_window",
+            Some(policy) => matches!(policy.choose(ctx, &case), Algo::AllgatherHySharedWindow),
             None => true,
         }
     }
@@ -215,7 +216,7 @@ mod tests {
                 op: CollectiveOp::Allgather,
                 comm_le: usize::MAX,
                 bytes_le: usize::MAX,
-                algo: "allgather.ring".to_string(),
+                algo: Algo::AllgatherRing,
             });
             let hc = HybridComm::with_policy(
                 ctx,

@@ -211,7 +211,7 @@ pub type IHyReduceScatter<'a, T, O> = IColl<HyOp<RsStage<'a, T, O>>>;
 mod tests {
     use super::*;
     use collectives::op::Sum;
-    use collectives::{SelectionPolicy, Tuning};
+    use collectives::{CollectiveOp, SelectionPolicy, Tuning};
     use msim::{Request, SimConfig, Universe};
     use simnet::{ClusterSpec, CostModel};
 
@@ -285,7 +285,7 @@ mod tests {
                 p.log()
                     .decisions()
                     .iter()
-                    .filter(|d| d.algo.starts_with("reduce_scatter."))
+                    .filter(|d| d.algo.op() == CollectiveOp::ReduceScatter)
                     .count()
             })
         })

@@ -393,6 +393,7 @@ fn classify<T: fmt::Debug>(
 
 fn violation_of_error(e: &SimError) -> Violation {
     let num = |n: usize| Json::Num(n as f64);
+    let rank_or_null = |r| if r == usize::MAX { Json::Null } else { num(r) };
     let text = |s: &str| Json::Str(s.to_string());
     match e {
         SimError::DeadlockSuspected {
@@ -419,7 +420,8 @@ fn violation_of_error(e: &SimError) -> Violation {
         ),
         SimError::ExecutorFailure { rank, message, .. } => Violation::new(
             ViolationKind::Executor,
-            [("message", text(message)), ("rank", num(*rank))],
+            // `usize::MAX`: a worker died before resuming any rank.
+            [("message", text(message)), ("rank", rank_or_null(*rank))],
         ),
         SimError::UnsupportedExec { exec, feature } => Violation::new(
             ViolationKind::Executor,
@@ -1023,6 +1025,12 @@ mod tests {
         json = json.replace("\"version\":1", "\"version\":4294967297");
         let err = ScheduleCertificate::from_json(&json).unwrap_err();
         assert!(err.contains("4294967297"), "{err}");
+        // A decision no usize holds is refused, not saturated.
+        let json = sample_cert().to_json().replace("[0,3,1,1]", "[1e20,2]");
+        assert_eq!(
+            ScheduleCertificate::from_json(&json).unwrap_err(),
+            "certificate decisions are not an array of ranks"
+        );
     }
 
     /// Every violation kind's JSON, byte for byte. The literals are the
@@ -1086,6 +1094,14 @@ mod tests {
                     fault_context: "ctx".into(),
                 },
                 r#"{"kind":"executor","message":"worker \"w\" \\ died\u001f\u0000","rank":1}"#,
+            ),
+            (
+                SimError::ExecutorFailure {
+                    rank: usize::MAX,
+                    message: "worker died".into(),
+                    fault_context: "ctx".into(),
+                },
+                r#"{"kind":"executor","message":"worker died","rank":null}"#,
             ),
             (
                 SimError::UnsupportedExec {

@@ -55,10 +55,14 @@ impl Json {
         }
     }
 
-    /// The numeric payload as usize, if this is a non-negative integer.
+    /// The numeric payload as usize, if this is a non-negative integer a
+    /// usize can hold.
     pub fn as_usize(&self) -> Option<usize> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as usize),
+            // `usize::MAX as f64` rounds up to 2^64, the first integer out of range.
+            Json::Num(n) if (0.0..usize::MAX as f64).contains(n) && n.fract() == 0.0 => {
+                Some(*n as usize)
+            }
             _ => None,
         }
     }
@@ -442,5 +446,14 @@ mod tests {
         assert_eq!(Json::Num(7.0).as_usize(), Some(7));
         assert_eq!(Json::Num(7.5).as_usize(), None);
         assert_eq!(Json::Num(-1.0).as_usize(), None);
+    }
+
+    #[test]
+    fn usize_accessor_refuses_what_a_usize_cannot_hold() {
+        assert_eq!(Json::Num(1e20).as_usize(), None);
+        assert_eq!(Json::Num(usize::MAX as f64).as_usize(), None);
+        let half = usize::MAX / 2 + 1;
+        assert_eq!(Json::Num(half as f64).as_usize(), Some(half));
+        assert_eq!(Json::Num(f64::INFINITY).as_usize(), None);
     }
 }
