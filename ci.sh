@@ -18,7 +18,7 @@
 # Stages:
 #   fmt     cargo fmt --check
 #   build   release build of the whole workspace
-#   test    cargo test --workspace (includes the digest fixture every
+#   test    cargo test --workspace (includes the digest fixtures every
 #           pool width and adversarial seed must reproduce, the
 #           pool-width suites and the figure-golden regression tests)
 #   lint    clippy, -D warnings (the workspace lint wall in Cargo.toml:
@@ -83,9 +83,10 @@
 #           count is a constructor argument of the one hybrid handle
 #           per collective, so the general walls (test / race /
 #           overlap stages) already run k in {1,2,4}; this stage
-#           adds the digest fixture (every family x 3 sync methods x
-#           k x 3 layouts, blocking and iexecute: results, clocks and
-#           traces pinned line for line, at pool widths 1 and 2 and
+#           adds the digest fixtures (every family x 3 sync methods x
+#           k x 3 layouts, blocking and iexecute, and every flat
+#           schedule x 3 layouts, dispatch and istart: results, clocks
+#           and traces pinned line for line, at pool widths 1 and 2 and
 #           under the adversarial seeds), what only k >= 2 can show
 #           (uneven [2,3,4] nodes x seeds x pool widths 1 and 2, striped
 #           bridge traffic, race-detector-armed cooperative-fill
@@ -408,6 +409,11 @@ stage_multileader() {
     # on one pool worker, on two, and on two under every adversarial
     # schedule seed.
     MSIM_CONF_SEEDS="$ML_SEEDS" cargo test -q -p hmpi-core --test digests
+    # The same wall for the flat schedules the hybrid bridges build on:
+    # every applicable flat schedule of every family with a dispatch,
+    # 3 layouts, dispatch and istart + wait, against
+    # crates/collectives/tests/fixtures/flat_digests.txt.
+    MSIM_CONF_SEEDS="$ML_SEEDS" cargo test -q -p collectives --test digests
     # What only k >= 2 can show (the k axis itself rides the general
     # walls): uneven [2,3,4] nodes across the fuzz seeds with one and
     # two pool workers bit-identical, striped bridge traffic, and repeated
@@ -518,7 +524,7 @@ describe_stage() {
     mcheck) echo "DPOR model checker: mutant wall + exhaustive Hy* sweep (1 and 2 leaders)" ;;
     ft) echo "fault tolerance: kill matrix, runtime retry, app recovery, BENCH_ft checked" ;;
     overlap) echo "split-phase: iexecute wall, app overlap wins, BENCH_overlap byte-identical" ;;
-    multileader) echo "leader count: digest fixture, uneven-node wall, BENCH_multileader byte-identical" ;;
+    multileader) echo "leader count: hybrid and flat digest fixtures, uneven-node wall, BENCH_multileader byte-identical" ;;
     chaos) echo "chaos soak: seeded fault campaigns + invariant oracle + mutant probe" ;;
     smoke) echo "pinned-seed fault injection + both tuning tables cmp + every results/*.txt cmp" ;;
     perf) echo "wall-clock budgets (96-rank pooled, 65536-rank events ladder), 65536-rank RSS budget, BENCH_scale" ;;

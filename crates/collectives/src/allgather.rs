@@ -12,11 +12,12 @@
 //!   thresholds of a [`crate::Tuning`] or by a [`SelectionPolicy`]: its
 //!   [`Select`] argument takes either.
 //!
-//! Every schedule is a split-phase state machine (see [`crate::split`]);
-//! the blocking functions are thin `Drive::Block` drivers over the
-//! machines, and [`istart`]/[`ituned`] expose the same machines as
-//! nonblocking [`msim::Request`]s (`MPI_Iallgather`), selected the same
-//! way.
+//! Every schedule is a [`crate::rounds::Schedule`] over the uniform
+//! layout, run by the one split-phase driver; the blocking functions
+//! drive it with `Drive::Block`, and [`istart`]/[`ituned`] expose the
+//! same runs as nonblocking [`msim::Request`]s (`MPI_Iallgather`),
+//! selected the same way. Bruck and ring are allgatherv's own, at equal
+//! counts, on this family's tags.
 //!
 //! Every rank contributes `count` elements; the result (p·count elements,
 //! blocks in rank order) lands in `recv` on every rank.
@@ -25,19 +26,9 @@ use msim::{Buf, Communicator, Ctx, Drive, ShmElem, WaitError};
 
 use crate::policy::{Fee, Select, SelectionPolicy};
 use crate::registry::{kleader_spec, Algo, AlgorithmSpec, CollectiveOp, CommCase};
+use crate::rounds::{Layout, Rounds, Schedule};
 use crate::split::{run_blocking, DriveOp, IColl};
 use crate::tags;
-
-fn place_own_block<T: ShmElem>(
-    ctx: &mut Ctx,
-    comm: &Communicator,
-    send: &Buf<T>,
-    recv: &mut Buf<T>,
-) {
-    let count = send.len();
-    recv.copy_from(comm.rank() * count, send, 0, count);
-    ctx.charge_copy(count * T::SIZE);
-}
 
 fn check_args<T: ShmElem>(comm: &Communicator, send: &Buf<T>, recv: &Buf<T>) {
     assert_eq!(
@@ -47,68 +38,42 @@ fn check_args<T: ShmElem>(comm: &Communicator, send: &Buf<T>, recv: &Buf<T>) {
     );
 }
 
-/// Recursive-doubling state machine: in round k, exchange the 2^k blocks
-/// accumulated so far with the partner `rank XOR 2^k`.
-#[derive(Debug)]
-struct RdSm {
-    placed: bool,
-    mask: usize,
-    sent: bool,
+/// The run of `algo`, its arguments checked. Selection picks only an
+/// applicable schedule of the case's op, and no flat case is windowed, so
+/// no other variant reaches here.
+fn for_algo<T: ShmElem>(
+    algo: Algo,
+    comm: &Communicator,
+    send: &Buf<T>,
+    recv: &Buf<T>,
+) -> Rounds<T> {
+    let (schedule, tag) = match algo {
+        Algo::AllgatherLocal => (Schedule::Local, tags::ALLGATHER),
+        Algo::AllgatherRecursiveDoubling => (Schedule::RecursiveDoubling, tags::ALLGATHER),
+        Algo::AllgatherBruck => (Schedule::Bruck, tags::ALLGATHER + 1),
+        Algo::AllgatherRing => (Schedule::Ring, tags::ALLGATHER + 2),
+        other => unreachable!("selection picks a flat allgather schedule, not {other}"),
+    };
+    let run = Rounds::new(schedule, tag, comm.size());
+    check_args(comm, send, recv);
+    run
 }
 
-impl RdSm {
-    fn new() -> Self {
-        Self {
-            placed: false,
-            mask: 1,
-            sent: false,
-        }
-    }
-
-    fn drive<T: ShmElem>(
-        &mut self,
-        ctx: &mut Ctx,
-        comm: &Communicator,
-        send: &Buf<T>,
-        recv: &mut Buf<T>,
-        how: Drive,
-    ) -> Result<bool, WaitError> {
-        let p = comm.size();
-        let me = comm.rank();
-        let count = send.len();
-        if !self.placed {
-            assert!(
-                p.is_power_of_two(),
-                "recursive doubling requires a power-of-two communicator"
-            );
-            check_args(comm, send, recv);
-            place_own_block(ctx, comm, send, recv);
-            self.placed = true;
-        }
-        while self.mask < p {
-            let partner = me ^ self.mask;
-            let my_block_start = me & !(self.mask - 1);
-            let partner_block_start = partner & !(self.mask - 1);
-            if !self.sent {
-                ctx.send_region(
-                    comm,
-                    partner,
-                    tags::ALLGATHER,
-                    recv,
-                    my_block_start * count,
-                    self.mask * count,
-                );
-                self.sent = true;
-            }
-            let Some(payload) = ctx.step_recv(comm, partner, tags::ALLGATHER, how)? else {
-                return Ok(false);
-            };
-            recv.write_payload(partner_block_start * count, &payload);
-            self.mask <<= 1;
-            self.sent = false;
-        }
-        Ok(true)
-    }
+fn drive<T: ShmElem>(
+    run: &mut Rounds<T>,
+    ctx: &mut Ctx,
+    comm: &Communicator,
+    send: &Buf<T>,
+    recv: &mut Buf<T>,
+    how: Drive,
+) -> Result<bool, WaitError> {
+    run.drive(
+        ctx,
+        comm,
+        Layout::Uniform(send.len()),
+        (Some(send), recv),
+        how,
+    )
 }
 
 /// Recursive doubling: in round k, exchange the 2^k blocks accumulated so
@@ -122,199 +87,20 @@ pub fn recursive_doubling<T: ShmElem>(
     send: &Buf<T>,
     recv: &mut Buf<T>,
 ) {
-    run_blocking(RdSm::new().drive(ctx, comm, send, recv, Drive::Block));
-}
-
-/// Bruck state machine: ⌈log₂ p⌉ rounds over a rotated temporary buffer,
-/// then a local inverse rotation into rank order.
-#[derive(Debug)]
-struct BruckSm<T: ShmElem> {
-    tmp: Option<Buf<T>>,
-    filled: usize,
-    dist: usize,
-    sent: bool,
-}
-
-impl<T: ShmElem> BruckSm<T> {
-    fn new() -> Self {
-        Self {
-            tmp: None,
-            filled: 1,
-            dist: 1,
-            sent: false,
-        }
-    }
-
-    fn drive(
-        &mut self,
-        ctx: &mut Ctx,
-        comm: &Communicator,
-        send: &Buf<T>,
-        recv: &mut Buf<T>,
-        how: Drive,
-    ) -> Result<bool, WaitError> {
-        let p = comm.size();
-        let me = comm.rank();
-        let count = send.len();
-        if self.tmp.is_none() {
-            check_args(comm, send, recv);
-            // tmp[j] holds block (me + j) mod p.
-            let mut tmp = ctx.buf_zeroed::<T>(p * count);
-            tmp.copy_from(0, send, 0, count);
-            ctx.charge_copy(count * T::SIZE);
-            self.tmp = Some(tmp);
-        }
-        let tmp = self.tmp.as_mut().unwrap();
-        while self.filled < p {
-            let blocks = self.dist.min(p - self.filled);
-            let dst = (me + p - self.dist) % p;
-            let src = (me + self.dist) % p;
-            if !self.sent {
-                ctx.send_region(comm, dst, tags::ALLGATHER + 1, tmp, 0, blocks * count);
-                self.sent = true;
-            }
-            let Some(payload) = ctx.step_recv(comm, src, tags::ALLGATHER + 1, how)? else {
-                return Ok(false);
-            };
-            tmp.write_payload(self.filled * count, &payload);
-            self.filled += blocks;
-            self.dist <<= 1;
-            self.sent = false;
-        }
-
-        // Local inverse rotation: recv[(me + j) mod p] = tmp[j].
-        for j in 0..p {
-            let block = (me + j) % p;
-            recv.copy_from(block * count, tmp, j * count, count);
-        }
-        ctx.charge_copy(p * count * T::SIZE);
-        Ok(true)
-    }
+    dispatch(ctx, comm, send, recv, Algo::AllgatherRecursiveDoubling);
 }
 
 /// Bruck's algorithm: ⌈log₂ p⌉ rounds over a rotated temporary buffer,
 /// followed by a local rotation into rank order (the rotation is the
 /// overhead that keeps Bruck a short-message algorithm).
 pub fn bruck<T: ShmElem>(ctx: &mut Ctx, comm: &Communicator, send: &Buf<T>, recv: &mut Buf<T>) {
-    run_blocking(BruckSm::new().drive(ctx, comm, send, recv, Drive::Block));
-}
-
-/// Ring state machine: p−1 neighbor-exchange steps, each forwarding the
-/// block received in the previous step.
-#[derive(Debug)]
-struct RingSm {
-    placed: bool,
-    step: usize,
-    sent: bool,
-}
-
-impl RingSm {
-    fn new() -> Self {
-        Self {
-            placed: false,
-            step: 0,
-            sent: false,
-        }
-    }
-
-    fn drive<T: ShmElem>(
-        &mut self,
-        ctx: &mut Ctx,
-        comm: &Communicator,
-        send: &Buf<T>,
-        recv: &mut Buf<T>,
-        how: Drive,
-    ) -> Result<bool, WaitError> {
-        let p = comm.size();
-        let me = comm.rank();
-        let count = send.len();
-        if !self.placed {
-            check_args(comm, send, recv);
-            place_own_block(ctx, comm, send, recv);
-            self.placed = true;
-        }
-        if p == 1 {
-            return Ok(true);
-        }
-        let right = (me + 1) % p;
-        let left = (me + p - 1) % p;
-        while self.step < p - 1 {
-            let s = self.step;
-            let send_block = (me + p - s) % p;
-            let recv_block = (me + p - s - 1) % p;
-            if !self.sent {
-                ctx.send_region(
-                    comm,
-                    right,
-                    tags::ALLGATHER + 2,
-                    recv,
-                    send_block * count,
-                    count,
-                );
-                self.sent = true;
-            }
-            let Some(payload) = ctx.step_recv(comm, left, tags::ALLGATHER + 2, how)? else {
-                return Ok(false);
-            };
-            recv.write_payload(recv_block * count, &payload);
-            self.step += 1;
-            self.sent = false;
-        }
-        Ok(true)
-    }
+    dispatch(ctx, comm, send, recv, Algo::AllgatherBruck);
 }
 
 /// Ring: p−1 neighbor-exchange steps; each step forwards the block
 /// received in the previous step. Bandwidth-optimal for long messages.
 pub fn ring<T: ShmElem>(ctx: &mut Ctx, comm: &Communicator, send: &Buf<T>, recv: &mut Buf<T>) {
-    run_blocking(RingSm::new().drive(ctx, comm, send, recv, Drive::Block));
-}
-
-/// One allgather schedule as a split-phase machine.
-#[derive(Debug)]
-enum AgSm<T: ShmElem> {
-    Local { done: bool },
-    Rd(RdSm),
-    Bruck(BruckSm<T>),
-    Ring(RingSm),
-}
-
-impl<T: ShmElem> AgSm<T> {
-    /// The machine of `algo`. Selection picks only an applicable schedule
-    /// of the case's op, and no flat case is windowed, so no other variant
-    /// reaches here.
-    fn for_algo(algo: Algo) -> Self {
-        match algo {
-            Algo::AllgatherLocal => AgSm::Local { done: false },
-            Algo::AllgatherRecursiveDoubling => AgSm::Rd(RdSm::new()),
-            Algo::AllgatherBruck => AgSm::Bruck(BruckSm::new()),
-            Algo::AllgatherRing => AgSm::Ring(RingSm::new()),
-            other => unreachable!("selection picks a flat allgather schedule, not {other}"),
-        }
-    }
-
-    fn drive(
-        &mut self,
-        ctx: &mut Ctx,
-        comm: &Communicator,
-        send: &Buf<T>,
-        recv: &mut Buf<T>,
-        how: Drive,
-    ) -> Result<bool, WaitError> {
-        match self {
-            AgSm::Local { done } => {
-                if !*done {
-                    check_args(comm, send, recv);
-                    place_own_block(ctx, comm, send, recv);
-                    *done = true;
-                }
-                Ok(true)
-            }
-            AgSm::Rd(sm) => sm.drive(ctx, comm, send, recv, how),
-            AgSm::Bruck(sm) => sm.drive(ctx, comm, send, recv, how),
-            AgSm::Ring(sm) => sm.drive(ctx, comm, send, recv, how),
-        }
-    }
+    dispatch(ctx, comm, send, recv, Algo::AllgatherRing);
 }
 
 /// The [`CommCase`] one allgather call presents to a selection policy.
@@ -342,7 +128,8 @@ pub fn dispatch<T: ShmElem>(
     recv: &mut Buf<T>,
     algo: Algo,
 ) {
-    run_blocking(AgSm::for_algo(algo).drive(ctx, comm, send, recv, Drive::Block));
+    let mut run = for_algo(algo, comm, send, recv);
+    run_blocking(drive(&mut run, ctx, comm, send, recv, Drive::Block));
 }
 
 /// Run the algorithm `select` picks: under the legacy thresholds,
@@ -393,14 +180,14 @@ pub struct IAllgatherBody<'a, T: ShmElem> {
     comm: Communicator,
     send: &'a Buf<T>,
     recv: &'a mut Buf<T>,
-    sm: AgSm<T>,
+    run: Rounds<T>,
 }
 
 impl<T: ShmElem> DriveOp for IAllgatherBody<'_, T> {
     const OP: &'static str = "iallgather";
 
     fn drive_op(&mut self, ctx: &mut Ctx, how: Drive) -> Result<bool, WaitError> {
-        self.sm.drive(ctx, &self.comm, self.send, self.recv, how)
+        drive(&mut self.run, ctx, &self.comm, self.send, self.recv, how)
     }
 
     fn ft_check(&self, ctx: &Ctx) -> Result<(), WaitError> {
@@ -427,8 +214,8 @@ pub fn istart<'a, T: ShmElem>(
         IAllgatherBody {
             comm: comm.clone(),
             send,
+            run: for_algo(algo, comm, send, recv),
             recv,
-            sm: AgSm::for_algo(algo),
         },
     )
 }

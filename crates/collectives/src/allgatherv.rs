@@ -12,11 +12,12 @@
 //! [`crate::Tuning::v_overhead_per_rank_us`] bookkeeping charge in
 //! [`tuned`].
 //!
-//! Both schedules are split-phase state machines (see [`crate::split`]);
-//! the blocking entry points are thin `Drive::Block` drivers,
-//! [`istart`]/[`ituned`] expose the machines as nonblocking requests, and
-//! [`InPlaceSm`] is the drivable in-place form the hybrid bridge exchange
-//! builds on. [`tuned`], [`ituned`] and [`InPlaceSm::new`] each take one
+//! Both schedules are [`crate::rounds::Schedule`]s over the counts and
+//! their displacements (computed once per call), run by the one
+//! split-phase driver: the blocking entry points drive it with
+//! `Drive::Block`, [`istart`]/[`ituned`] expose the runs as nonblocking
+//! requests, and [`InPlaceSm`] is the drivable in-place form the hybrid
+//! bridge exchange builds on. [`tuned`], [`ituned`] and [`InPlaceSm::new`] each take one
 //! [`Select`]: a `&Tuning` for the legacy thresholds or a
 //! `&SelectionPolicy` that logs its decision.
 
@@ -24,9 +25,10 @@ use msim::{Buf, Communicator, Ctx, Drive, ShmElem, WaitError};
 
 use crate::policy::{Fee, Select};
 use crate::registry::{kleader_spec, Algo, AlgorithmSpec, CollectiveOp, CommCase};
+use crate::rounds::{Layout, Rounds, Schedule};
 use crate::split::{run_blocking, DriveOp, IColl};
 use crate::tags;
-use crate::util::{displs_of, VectorLayout};
+use crate::util::displs_of;
 
 fn check_args<T: ShmElem>(comm: &Communicator, send: &Buf<T>, counts: &[usize], recv: &Buf<T>) {
     assert_eq!(counts.len(), comm.size(), "one count per rank required");
@@ -35,6 +37,10 @@ fn check_args<T: ShmElem>(comm: &Communicator, send: &Buf<T>, counts: &[usize], 
         counts[comm.rank()],
         "send length must equal counts[rank]"
     );
+    check_total(counts, recv);
+}
+
+fn check_total<T: ShmElem>(counts: &[usize], recv: &Buf<T>) {
     assert_eq!(
         recv.len(),
         counts.iter().sum::<usize>(),
@@ -42,87 +48,41 @@ fn check_args<T: ShmElem>(comm: &Communicator, send: &Buf<T>, counts: &[usize], 
     );
 }
 
-fn check_in_place_args<T: ShmElem>(comm: &Communicator, counts: &[usize], recv: &Buf<T>) {
-    assert_eq!(counts.len(), comm.size(), "one count per rank required");
-    assert_eq!(
-        recv.len(),
-        counts.iter().sum::<usize>(),
-        "recv must hold the full result"
-    );
+/// The run of `algo` (see `allgather`'s `for_algo`).
+fn for_algo<T: ShmElem>(algo: Algo, p: usize) -> Rounds<T> {
+    let (schedule, tag) = match algo {
+        Algo::AllgathervLocal => (Schedule::Local, tags::ALLGATHERV),
+        Algo::AllgathervBruck => (Schedule::Bruck, tags::ALLGATHERV + 1),
+        Algo::AllgathervRing => (Schedule::Ring, tags::ALLGATHERV),
+        other => unreachable!("selection picks a flat allgatherv schedule, not {other}"),
+    };
+    Rounds::new(schedule, tag, p)
 }
 
-/// Ring allgatherv state machine: p−1 neighbor-exchange steps with
-/// per-block sizes. With `send = None` it runs in place (own block
-/// already at its displacement in `recv`).
-#[derive(Debug)]
-struct RingvSm {
-    placed: bool,
-    step: usize,
-    sent: bool,
-}
-
-impl RingvSm {
-    fn new() -> Self {
-        Self {
-            placed: false,
-            step: 0,
-            sent: false,
+/// Run `algo` to completion, with a send buffer or (`send = None`) in
+/// place.
+fn run<T: ShmElem>(
+    ctx: &mut Ctx,
+    comm: &Communicator,
+    send: Option<&Buf<T>>,
+    counts: &[usize],
+    recv: &mut Buf<T>,
+    algo: Algo,
+) {
+    let mut run = for_algo(algo, comm.size());
+    match send {
+        Some(s) => check_args(comm, s, counts, recv),
+        None => {
+            assert_eq!(counts.len(), comm.size(), "one count per rank required");
+            check_total(counts, recv);
         }
     }
-
-    fn drive<T: ShmElem>(
-        &mut self,
-        ctx: &mut Ctx,
-        comm: &Communicator,
-        send: Option<&Buf<T>>,
-        counts: &[usize],
-        recv: &mut Buf<T>,
-        how: Drive,
-    ) -> Result<bool, WaitError> {
-        let p = comm.size();
-        let me = comm.rank();
-        if !self.placed {
-            match send {
-                Some(s) => {
-                    check_args(comm, s, counts, recv);
-                    let displs = displs_of(counts);
-                    recv.copy_from(displs[me], s, 0, counts[me]);
-                    ctx.charge_copy(counts[me] * T::SIZE);
-                }
-                None => check_in_place_args(comm, counts, recv),
-            }
-            self.placed = true;
-        }
-        if p == 1 {
-            return Ok(true);
-        }
-        let displs = displs_of(counts);
-        let right = (me + 1) % p;
-        let left = (me + p - 1) % p;
-        while self.step < p - 1 {
-            let s = self.step;
-            let send_block = (me + p - s) % p;
-            let recv_block = (me + p - s - 1) % p;
-            if !self.sent {
-                ctx.send_region(
-                    comm,
-                    right,
-                    tags::ALLGATHERV,
-                    recv,
-                    displs[send_block],
-                    counts[send_block],
-                );
-                self.sent = true;
-            }
-            let Some(payload) = ctx.step_recv(comm, left, tags::ALLGATHERV, how)? else {
-                return Ok(false);
-            };
-            recv.write_payload(displs[recv_block], &payload);
-            self.step += 1;
-            self.sent = false;
-        }
-        Ok(true)
-    }
+    let displs = displs_of(counts);
+    let layout = Layout::Counts {
+        counts,
+        displs: &displs,
+    };
+    run_blocking(run.drive(ctx, comm, layout, (send, recv), Drive::Block));
 }
 
 /// Ring allgatherv: p−1 neighbor-exchange steps with per-block sizes.
@@ -133,7 +93,7 @@ pub fn ring<T: ShmElem>(
     counts: &[usize],
     recv: &mut Buf<T>,
 ) {
-    run_blocking(RingvSm::new().drive(ctx, comm, Some(send), counts, recv, Drive::Block));
+    run(ctx, comm, Some(send), counts, recv, Algo::AllgathervRing);
 }
 
 /// Ring allgatherv with `MPI_IN_PLACE` semantics: each rank's own block
@@ -146,89 +106,7 @@ pub fn ring_in_place<T: ShmElem>(
     counts: &[usize],
     recv: &mut Buf<T>,
 ) {
-    run_blocking(RingvSm::new().drive::<T>(ctx, comm, None, counts, recv, Drive::Block));
-}
-
-/// Bruck allgatherv state machine: ⌈log₂ p⌉ rounds over a rotated
-/// temporary, then a local rotation into rank order. With `send = None`
-/// it runs in place.
-#[derive(Debug)]
-struct BruckvSm<T: ShmElem> {
-    tmp: Option<Buf<T>>,
-    filled: usize,
-    dist: usize,
-    sent: bool,
-}
-
-impl<T: ShmElem> BruckvSm<T> {
-    fn new() -> Self {
-        Self {
-            tmp: None,
-            filled: 1,
-            dist: 1,
-            sent: false,
-        }
-    }
-
-    fn drive(
-        &mut self,
-        ctx: &mut Ctx,
-        comm: &Communicator,
-        send: Option<&Buf<T>>,
-        counts: &[usize],
-        recv: &mut Buf<T>,
-        how: Drive,
-    ) -> Result<bool, WaitError> {
-        let p = comm.size();
-        let me = comm.rank();
-        let VectorLayout { displs, total, .. } = VectorLayout::new(counts.to_vec());
-
-        // Rotated layout: slot j holds block (me + j) mod p.
-        let rot_counts: Vec<usize> = (0..p).map(|j| counts[(me + j) % p]).collect();
-        let rot_displs = displs_of(&rot_counts);
-
-        if self.tmp.is_none() {
-            match send {
-                Some(s) => check_args(comm, s, counts, recv),
-                None => check_in_place_args(comm, counts, recv),
-            }
-            let mut tmp = ctx.buf_zeroed::<T>(total);
-            match send {
-                Some(s) => tmp.copy_from(0, s, 0, counts[me]),
-                None => tmp.copy_from(0, recv, displs[me], counts[me]),
-            }
-            ctx.charge_copy(counts[me] * T::SIZE);
-            self.tmp = Some(tmp);
-        }
-        let tmp = self.tmp.as_mut().unwrap();
-
-        while self.filled < p {
-            let blocks = self.dist.min(p - self.filled);
-            let dst = (me + p - self.dist) % p;
-            let src = (me + self.dist) % p;
-            if !self.sent {
-                let send_len = rot_displs[blocks - 1] + rot_counts[blocks - 1];
-                ctx.send_region(comm, dst, tags::ALLGATHERV + 1, tmp, 0, send_len);
-                self.sent = true;
-            }
-            let Some(payload) = ctx.step_recv(comm, src, tags::ALLGATHERV + 1, how)? else {
-                return Ok(false);
-            };
-            tmp.write_payload(rot_displs[self.filled], &payload);
-            self.filled += blocks;
-            self.dist <<= 1;
-            self.sent = false;
-        }
-
-        // Un-rotate into rank order.
-        #[allow(clippy::needless_range_loop)] // offset arithmetic over two displacement tables
-        for j in 0..p {
-            let block = (me + j) % p;
-            recv.copy_from(displs[block], tmp, rot_displs[j], counts[block]);
-        }
-        ctx.charge_copy(total * T::SIZE);
-        Ok(true)
-    }
+    run(ctx, comm, None, counts, recv, Algo::AllgathervRing);
 }
 
 /// Bruck allgatherv: ⌈log₂ p⌉ rounds over a rotated temporary, then a
@@ -240,57 +118,7 @@ pub fn bruck<T: ShmElem>(
     counts: &[usize],
     recv: &mut Buf<T>,
 ) {
-    run_blocking(BruckvSm::new().drive(ctx, comm, Some(send), counts, recv, Drive::Block));
-}
-
-/// One allgatherv schedule as a split-phase machine.
-/// `Local` with a send buffer copies it to the front of `recv`; in place
-/// it is a no-op (the block already sits at its displacement).
-#[derive(Debug)]
-enum AgvSm<T: ShmElem> {
-    Local { done: bool },
-    Bruck(BruckvSm<T>),
-    Ring(RingvSm),
-}
-
-impl<T: ShmElem> AgvSm<T> {
-    /// The machine of `algo`. Selection picks only an applicable schedule
-    /// of the case's op, and no flat case is windowed, so no other variant
-    /// reaches here.
-    fn for_algo(algo: Algo) -> Self {
-        match algo {
-            Algo::AllgathervLocal => AgvSm::Local { done: false },
-            Algo::AllgathervBruck => AgvSm::Bruck(BruckvSm::new()),
-            Algo::AllgathervRing => AgvSm::Ring(RingvSm::new()),
-            other => unreachable!("selection picks a flat allgatherv schedule, not {other}"),
-        }
-    }
-
-    fn drive(
-        &mut self,
-        ctx: &mut Ctx,
-        comm: &Communicator,
-        send: Option<&Buf<T>>,
-        counts: &[usize],
-        recv: &mut Buf<T>,
-        how: Drive,
-    ) -> Result<bool, WaitError> {
-        match self {
-            AgvSm::Local { done } => {
-                if !*done {
-                    if let Some(s) = send {
-                        check_args(comm, s, counts, recv);
-                        recv.copy_from(0, s, 0, counts[0]);
-                        ctx.charge_copy(counts[0] * T::SIZE);
-                    }
-                    *done = true;
-                }
-                Ok(true)
-            }
-            AgvSm::Bruck(sm) => sm.drive(ctx, comm, send, counts, recv, how),
-            AgvSm::Ring(sm) => sm.drive(ctx, comm, send, counts, recv, how),
-        }
-    }
+    run(ctx, comm, Some(send), counts, recv, Algo::AllgathervBruck);
 }
 
 /// The [`CommCase`] one allgatherv call presents to a selection policy
@@ -318,7 +146,7 @@ pub fn dispatch<T: ShmElem>(
     recv: &mut Buf<T>,
     algo: Algo,
 ) {
-    run_blocking(AgvSm::for_algo(algo).drive(ctx, comm, Some(send), counts, recv, Drive::Block));
+    run(ctx, comm, Some(send), counts, recv, algo);
 }
 
 /// Runtime selection for the irregular variant: under the legacy
@@ -361,7 +189,8 @@ pub fn tuned_uncharged<'s, T: ShmElem>(
 /// chosen schedule.
 #[derive(Debug)]
 pub struct InPlaceSm<T: ShmElem> {
-    sm: Option<AgvSm<T>>,
+    /// The displacements of `counts`, and the picked schedule's run.
+    run: Option<(Vec<usize>, Rounds<T>)>,
 }
 
 impl<T: ShmElem> InPlaceSm<T> {
@@ -378,10 +207,12 @@ impl<T: ShmElem> InPlaceSm<T> {
         let case = case_for::<T>(ctx, comm, counts);
         select.charge(ctx, Fee::Call, &case);
         if comm.size() == 1 {
-            return Self { sm: None };
+            return Self { run: None };
         }
+        let run = for_algo(select.pick(ctx, &case), comm.size());
+        assert_eq!(counts.len(), comm.size(), "one count per rank required");
         Self {
-            sm: Some(AgvSm::for_algo(select.pick(ctx, &case))),
+            run: Some((displs_of(counts), run)),
         }
     }
 
@@ -394,10 +225,16 @@ impl<T: ShmElem> InPlaceSm<T> {
         recv: &mut Buf<T>,
         how: Drive,
     ) -> Result<bool, WaitError> {
-        match &mut self.sm {
-            None => Ok(true),
-            Some(sm) => sm.drive(ctx, comm, None, counts, recv, how),
-        }
+        let Some((displs, run)) = &mut self.run else {
+            return Ok(true);
+        };
+        let layout = Layout::Counts { counts, displs };
+        assert_eq!(
+            recv.len(),
+            layout.total(counts.len()),
+            "recv must hold the full result"
+        );
+        run.drive(ctx, comm, layout, (None, recv), how)
     }
 }
 
@@ -406,22 +243,21 @@ pub struct IAllgathervBody<'a, T: ShmElem> {
     comm: Communicator,
     send: &'a Buf<T>,
     counts: Vec<usize>,
+    displs: Vec<usize>,
     recv: &'a mut Buf<T>,
-    sm: AgvSm<T>,
+    run: Rounds<T>,
 }
 
 impl<T: ShmElem> DriveOp for IAllgathervBody<'_, T> {
     const OP: &'static str = "iallgatherv";
 
     fn drive_op(&mut self, ctx: &mut Ctx, how: Drive) -> Result<bool, WaitError> {
-        self.sm.drive(
-            ctx,
-            &self.comm,
-            Some(self.send),
-            &self.counts,
-            self.recv,
-            how,
-        )
+        let layout = Layout::Counts {
+            counts: &self.counts,
+            displs: &self.displs,
+        };
+        self.run
+            .drive(ctx, &self.comm, layout, (Some(self.send), self.recv), how)
     }
 
     fn ft_check(&self, ctx: &Ctx) -> Result<(), WaitError> {
@@ -442,14 +278,17 @@ pub fn istart<'a, T: ShmElem>(
     recv: &'a mut Buf<T>,
     algo: Algo,
 ) -> IAllgatherv<'a, T> {
+    let run = for_algo(algo, comm.size());
+    check_args(comm, send, counts, recv);
     IColl::start(
         ctx,
         IAllgathervBody {
             comm: comm.clone(),
             send,
             counts: counts.to_vec(),
+            displs: displs_of(counts),
             recv,
-            sm: AgvSm::for_algo(algo),
+            run,
         },
     )
 }

@@ -2,10 +2,11 @@
 //!
 //! [`pairwise`] is the long-message pairwise exchange (p−1 steps, XOR
 //! partner order on power-of-two sizes, shifted otherwise); [`bruck`] is
-//! the log-round short-message algorithm. Both are split-phase state
-//! machines (see [`crate::split`]); the blocking functions are thin
-//! `Drive::Block` drivers and [`istart`]/[`ituned`] expose the machines
-//! as nonblocking requests (`MPI_Ialltoall`). [`tuned`] and [`ituned`]
+//! the log-round short-message algorithm. Both are
+//! [`crate::rounds::Schedule`]s over the uniform layout, run by the one
+//! split-phase driver: the blocking functions drive it with
+//! `Drive::Block` and [`istart`]/[`ituned`] expose the runs as
+//! nonblocking requests (`MPI_Ialltoall`). [`tuned`] and [`ituned`]
 //! take one [`Select`]: a `&Tuning` for the legacy thresholds or a
 //! `&SelectionPolicy` that logs its decision.
 
@@ -13,6 +14,7 @@ use msim::{Buf, Communicator, Ctx, Drive, ShmElem, WaitError};
 
 use crate::policy::{Fee, Select};
 use crate::registry::{ceil_log2, Algo, AlgorithmSpec, CollectiveOp, CommCase};
+use crate::rounds::{Layout, Rounds, Schedule};
 use crate::split::{run_blocking, DriveOp, IColl};
 use crate::tags;
 
@@ -22,62 +24,22 @@ fn check_args<T: ShmElem>(comm: &Communicator, send: &Buf<T>, recv: &Buf<T>, cou
     assert_eq!(recv.len(), p * count, "recv must hold p blocks");
 }
 
-/// Pairwise-exchange state machine: p−1 rounds; in round k exchange
-/// directly with the XOR partner (power-of-two) or the rank k away.
-#[derive(Debug)]
-struct PairwiseSm {
-    placed: bool,
-    k: usize,
-    sent: bool,
-}
-
-impl PairwiseSm {
-    fn new() -> Self {
-        Self {
-            placed: false,
-            k: 1,
-            sent: false,
-        }
-    }
-
-    fn drive<T: ShmElem>(
-        &mut self,
-        ctx: &mut Ctx,
-        comm: &Communicator,
-        send: &Buf<T>,
-        recv: &mut Buf<T>,
-        count: usize,
-        how: Drive,
-    ) -> Result<bool, WaitError> {
-        let p = comm.size();
-        let me = comm.rank();
-        if !self.placed {
-            check_args(comm, send, recv, count);
-            recv.copy_from(me * count, send, me * count, count);
-            ctx.charge_copy(count * T::SIZE);
-            self.placed = true;
-        }
-        while self.k < p {
-            let k = self.k;
-            let (dst, src) = if p.is_power_of_two() {
-                let partner = me ^ k;
-                (partner, partner)
-            } else {
-                ((me + k) % p, (me + p - k) % p)
-            };
-            if !self.sent {
-                ctx.send_region(comm, dst, tags::ALLTOALL, send, dst * count, count);
-                self.sent = true;
-            }
-            let Some(payload) = ctx.step_recv(comm, src, tags::ALLTOALL, how)? else {
-                return Ok(false);
-            };
-            recv.write_payload(src * count, &payload);
-            self.k += 1;
-            self.sent = false;
-        }
-        Ok(true)
-    }
+/// The run of `algo`, its arguments checked (see `allgather`'s
+/// `for_algo`).
+fn for_algo<T: ShmElem>(
+    algo: Algo,
+    comm: &Communicator,
+    send: &Buf<T>,
+    recv: &Buf<T>,
+    count: usize,
+) -> Rounds<T> {
+    let (schedule, tag) = match algo {
+        Algo::AlltoallBruck => (Schedule::AlltoallBruck, tags::ALLTOALL + 1),
+        Algo::AlltoallPairwise => (Schedule::Pairwise, tags::ALLTOALL),
+        other => unreachable!("selection picks a flat alltoall schedule, not {other}"),
+    };
+    check_args(comm, send, recv, count);
+    Rounds::new(schedule, tag, comm.size())
 }
 
 /// Pairwise exchange: p−1 rounds; in round k exchange directly with the
@@ -89,96 +51,7 @@ pub fn pairwise<T: ShmElem>(
     recv: &mut Buf<T>,
     count: usize,
 ) {
-    run_blocking(PairwiseSm::new().drive(ctx, comm, send, recv, count, Drive::Block));
-}
-
-/// Bruck all-to-all state machine: local rotation, ⌈log₂ p⌉ pack/ship/
-/// unpack rounds, inverse rotation.
-#[derive(Debug)]
-struct BruckSm<T: ShmElem> {
-    tmp: Option<Buf<T>>,
-    pack: Option<Buf<T>>,
-    k: usize,
-    sent: bool,
-}
-
-impl<T: ShmElem> BruckSm<T> {
-    fn new() -> Self {
-        Self {
-            tmp: None,
-            pack: None,
-            k: 1,
-            sent: false,
-        }
-    }
-
-    fn drive(
-        &mut self,
-        ctx: &mut Ctx,
-        comm: &Communicator,
-        send: &Buf<T>,
-        recv: &mut Buf<T>,
-        count: usize,
-        how: Drive,
-    ) -> Result<bool, WaitError> {
-        let p = comm.size();
-        let me = comm.rank();
-        if self.tmp.is_none() {
-            check_args(comm, send, recv, count);
-            // Phase 1: local rotation — tmp[j] = block for rank (me + j) mod p.
-            let mut tmp = ctx.buf_zeroed::<T>(p * count);
-            for j in 0..p {
-                tmp.copy_from(j * count, send, ((me + j) % p) * count, count);
-            }
-            ctx.charge_copy(p * count * T::SIZE);
-            self.tmp = Some(tmp);
-            self.pack = Some(ctx.buf_zeroed::<T>(p * count));
-        }
-        let tmp = self.tmp.as_mut().unwrap();
-        let pack = self.pack.as_mut().unwrap();
-
-        // Phase 2: log rounds. In round k, send every block whose index has
-        // bit k set to rank me + 2^k (they travel toward their destination).
-        while self.k < p {
-            let k = self.k;
-            let dst = (me + k) % p;
-            let src = (me + p - k) % p;
-            let indices: Vec<usize> = (0..p).filter(|j| j & k != 0).collect();
-            if !self.sent {
-                for (slot, &j) in indices.iter().enumerate() {
-                    pack.copy_from(slot * count, tmp, j * count, count);
-                }
-                ctx.charge_copy(indices.len() * count * T::SIZE);
-                ctx.send_region(
-                    comm,
-                    dst,
-                    tags::ALLTOALL + 1,
-                    pack,
-                    0,
-                    indices.len() * count,
-                );
-                self.sent = true;
-            }
-            let Some(payload) = ctx.step_recv(comm, src, tags::ALLTOALL + 1, how)? else {
-                return Ok(false);
-            };
-            pack.write_payload(0, &payload);
-            for (slot, &j) in indices.iter().enumerate() {
-                tmp.copy_from(j * count, pack, slot * count, count);
-            }
-            ctx.charge_copy(indices.len() * count * T::SIZE);
-            self.k <<= 1;
-            self.sent = false;
-        }
-
-        // Phase 3: inverse rotation. After phase 2, tmp[j] holds the block
-        // sent by rank (me - j + p) mod p.
-        for j in 0..p {
-            recv.copy_from(((me + p - j) % p) * count, tmp, j * count, count);
-        }
-        ctx.charge_copy(p * count * T::SIZE);
-        Ok(true)
-    }
+    dispatch(ctx, comm, send, recv, count, Algo::AlltoallPairwise);
 }
 
 /// Bruck all-to-all: ⌈log₂ p⌉ rounds; each round ships all blocks whose
@@ -191,42 +64,7 @@ pub fn bruck<T: ShmElem>(
     recv: &mut Buf<T>,
     count: usize,
 ) {
-    run_blocking(BruckSm::new().drive(ctx, comm, send, recv, count, Drive::Block));
-}
-
-/// One alltoall schedule as a split-phase machine.
-#[derive(Debug)]
-enum A2aSm<T: ShmElem> {
-    Pairwise(PairwiseSm),
-    Bruck(BruckSm<T>),
-}
-
-impl<T: ShmElem> A2aSm<T> {
-    /// The machine of `algo`. Selection picks only an applicable schedule
-    /// of the case's op, and no flat case is windowed, so no other variant
-    /// reaches here.
-    fn for_algo(algo: Algo) -> Self {
-        match algo {
-            Algo::AlltoallBruck => A2aSm::Bruck(BruckSm::new()),
-            Algo::AlltoallPairwise => A2aSm::Pairwise(PairwiseSm::new()),
-            other => unreachable!("selection picks a flat alltoall schedule, not {other}"),
-        }
-    }
-
-    fn drive(
-        &mut self,
-        ctx: &mut Ctx,
-        comm: &Communicator,
-        send: &Buf<T>,
-        recv: &mut Buf<T>,
-        count: usize,
-        how: Drive,
-    ) -> Result<bool, WaitError> {
-        match self {
-            A2aSm::Pairwise(sm) => sm.drive(ctx, comm, send, recv, count, how),
-            A2aSm::Bruck(sm) => sm.drive(ctx, comm, send, recv, count, how),
-        }
-    }
+    dispatch(ctx, comm, send, recv, count, Algo::AlltoallBruck);
 }
 
 /// Runtime selection: under the legacy thresholds (MPICH-style), Bruck
@@ -271,7 +109,9 @@ pub fn dispatch<T: ShmElem>(
     count: usize,
     algo: Algo,
 ) {
-    run_blocking(A2aSm::for_algo(algo).drive(ctx, comm, send, recv, count, Drive::Block));
+    let mut run = for_algo(algo, comm, send, recv, count);
+    let bufs = (Some(send), recv);
+    run_blocking(run.drive(ctx, comm, Layout::Uniform(count), bufs, Drive::Block));
 }
 
 /// The body of an in-flight nonblocking alltoall (see [`istart`]).
@@ -280,15 +120,16 @@ pub struct IAlltoallBody<'a, T: ShmElem> {
     send: &'a Buf<T>,
     recv: &'a mut Buf<T>,
     count: usize,
-    sm: A2aSm<T>,
+    run: Rounds<T>,
 }
 
 impl<T: ShmElem> DriveOp for IAlltoallBody<'_, T> {
     const OP: &'static str = "ialltoall";
 
     fn drive_op(&mut self, ctx: &mut Ctx, how: Drive) -> Result<bool, WaitError> {
-        self.sm
-            .drive(ctx, &self.comm, self.send, self.recv, self.count, how)
+        let bufs = (Some(self.send), &mut *self.recv);
+        self.run
+            .drive(ctx, &self.comm, Layout::Uniform(self.count), bufs, how)
     }
 
     fn ft_check(&self, ctx: &Ctx) -> Result<(), WaitError> {
@@ -314,9 +155,9 @@ pub fn istart<'a, T: ShmElem>(
         IAlltoallBody {
             comm: comm.clone(),
             send,
+            run: for_algo(algo, comm, send, recv, count),
             recv,
             count,
-            sm: A2aSm::for_algo(algo),
         },
     )
 }

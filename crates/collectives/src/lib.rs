@@ -48,6 +48,7 @@ pub mod policy;
 pub mod reduce;
 pub mod reduce_scatter;
 pub mod registry;
+pub mod rounds;
 pub mod scan;
 pub mod scatter;
 pub mod selection;

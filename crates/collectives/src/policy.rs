@@ -35,7 +35,8 @@ use crate::selection::{MpiFlavor, Tuning};
 /// The pre-registry threshold logic, verbatim. One function so the
 /// thresholds cannot drift between the policy layer and the collective
 /// modules: [`Select::Legacy`] (what every `tuned`, `ituned`,
-/// `TunedSm::new` and `InPlaceSm::new` runs when handed a `&Tuning`) and
+/// `TunedSm::new` and `allgatherv::InPlaceSm::new` runs when handed a
+/// `&Tuning`) and
 /// `PolicyKind::Legacy` both call this.
 pub fn legacy_choice(tuning: &Tuning, case: &CommCase) -> Algo {
     let p = case.comm_size;
@@ -477,6 +478,7 @@ impl SelectionPolicy {
     /// and the trace, and return it. Selection charges no virtual time.
     pub fn choose(&self, ctx: &Ctx, case: &CommCase) -> Algo {
         let (algo, why) = self.resolve(ctx, case);
+        ctx.trace_decision(case.op.key(), algo.key(), &why);
         self.log.push(Decision {
             rank: ctx.rank(),
             op: case.op,
@@ -485,9 +487,8 @@ impl SelectionPolicy {
             total_bytes: case.total_bytes,
             algo,
             policy: self.kind.label(),
-            why: why.clone(),
+            why,
         });
-        ctx.trace_decision(case.op.key(), algo.key(), &why);
         algo
     }
 
@@ -576,9 +577,11 @@ impl SelectionPolicy {
 }
 
 /// How a flat collective picks its algorithm. Every family's `tuned`,
-/// `tuned_uncharged`, `ituned`, `TunedSm::new` and `InPlaceSm::new` take
-/// `impl Into<Select>`, so a `&Tuning` or a `&SelectionPolicy` can be
-/// passed as is.
+/// `tuned_uncharged`, `ituned`, `TunedSm::new` and
+/// `allgatherv::InPlaceSm::new` take `impl Into<Select>`, so a `&Tuning`
+/// or a `&SelectionPolicy` can be passed as is. The hybrid k-leader
+/// stripe, which always rings, charges the in-place exchange's fees
+/// through [`Select::charge`] without picking.
 #[derive(Debug, Clone, Copy)]
 pub enum Select<'a> {
     /// The legacy thresholds through [`legacy_choice`]; nothing is logged.
@@ -601,7 +604,7 @@ impl<'a> From<&'a SelectionPolicy> for Select<'a> {
 
 /// Which fees a flat collective's selecting step charges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Fee {
+pub enum Fee {
     /// A user-facing call: the per-call entry fee first.
     Call,
     /// An internal stage of a larger collective, which charged one entry
@@ -629,7 +632,7 @@ impl<'a> Select<'a> {
     /// Charge a flat collective's fees, in order: the entry fee of a
     /// [`Fee::Call`] (`MPI_Barrier` has its own), then, for the `v`
     /// variants, the per-member bookkeeping for the count vectors.
-    pub(crate) fn charge(self, ctx: &mut Ctx, fee: Fee, case: &CommCase) {
+    pub fn charge(self, ctx: &mut Ctx, fee: Fee, case: &CommCase) {
         if fee == Fee::Call {
             let entry = match case.op {
                 CollectiveOp::Barrier => ctx.cost().barrier_entry_us,

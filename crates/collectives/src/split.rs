@@ -16,10 +16,13 @@
 //! * `Drive::Deadline` blocks but surfaces the typed
 //!   [`WaitError`] paths (peer death, divert, detection timeout).
 //!
-//! Machines keep their loop variables (`mask`, `filled`, round indices)
-//! as fields plus a `sent` flag per round, preserving the monoliths'
-//! send-then-receive order: the round's send is posted exactly once, then
-//! the receive is attempted under the caller's drive mode.
+//! The exchange schedules (allgather, allgatherv, alltoall) are data run
+//! by one driver, [`crate::rounds::Rounds`], which holds the round cursor
+//! and whether the round's send is posted: each round's send goes out
+//! exactly once, then its receive is attempted under the caller's drive
+//! mode. The other families' machines keep their loop variables as
+//! fields plus a `sent` flag per round, in the same send-then-receive
+//! order.
 //!
 //! [`IColl`] wraps a machine body into an [`msim::Request`], adding the
 //! request-lifecycle trace markers (`ReqStart`/`ReqComplete`) that only

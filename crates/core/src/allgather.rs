@@ -30,6 +30,8 @@
 //! for readers.
 
 use collectives::allgatherv;
+use collectives::policy::Fee;
+use collectives::rounds::{Layout, Rounds, Schedule};
 use collectives::{seg_bounds, Algo, IColl, LeaderSet};
 use msim::{Buf, Communicator, Ctx, Drive, SharedWindow, ShmElem, WaitError};
 use std::ops::Deref;
@@ -283,73 +285,14 @@ impl<T: ShmElem> HyAllgatherv<T> {
     }
 }
 
-/// In-place ring over a stripe bridge with explicit per-node
-/// displacements: step `s` forwards block `(me + p − s) mod p` to the
-/// right neighbor while receiving block `(me + p − s − 1) mod p` from the
-/// left — the allgatherv ring restricted to this stripe's segments of the
-/// shared window. Construction charges the same entry and per-member
-/// bookkeeping fees as the tuned `k = 1` exchange.
-#[derive(Debug)]
-pub struct KRingSm {
-    step: usize,
-    sent: bool,
-}
-
-impl KRingSm {
-    fn new(ctx: &mut Ctx, bridge: &Communicator, v_overhead_per_rank_us: f64) -> Self {
-        let fee = ctx.cost().coll_entry_us;
-        ctx.charge_time(fee);
-        ctx.charge_time(v_overhead_per_rank_us * bridge.size() as f64);
-        Self {
-            step: 0,
-            sent: false,
-        }
-    }
-
-    fn drive<T: ShmElem>(
-        &mut self,
-        ctx: &mut Ctx,
-        comm: &Communicator,
-        (displs, counts): &(Vec<usize>, Vec<usize>),
-        recv: &mut Buf<T>,
-        how: Drive,
-    ) -> Result<bool, WaitError> {
-        let p = comm.size();
-        let me = comm.rank();
-        let right = (me + 1) % p;
-        let left = (me + p - 1) % p;
-        while self.step + 1 < p {
-            let send_block = (me + p - self.step) % p;
-            let recv_block = (me + p - self.step - 1) % p;
-            if !self.sent {
-                ctx.send_region(
-                    comm,
-                    right,
-                    RING,
-                    recv,
-                    displs[send_block],
-                    counts[send_block],
-                );
-                self.sent = true;
-            }
-            let Some(payload) = ctx.step_recv(comm, left, RING, how)? else {
-                return Ok(false);
-            };
-            recv.write_payload(displs[recv_block], &payload);
-            self.step += 1;
-            self.sent = false;
-        }
-        Ok(true)
-    }
-}
-
-/// The bridge exchange of one slot leader. Two algorithms survive because
-/// each wins on its side: `k = 1` keeps the library's tuned Bruck/ring
-/// selection over whole node blocks (the paper's Figs. 7–9), a stripe
-/// needs explicit displacements into every node block.
+/// The bridge exchange of one slot leader. Two survive because each wins
+/// on its side: `k = 1` keeps the library's tuned Bruck/ring selection
+/// over whole node blocks (the paper's Figs. 7–9); a stripe rings its
+/// segment of every node block, at explicit displacements, on the
+/// library's one ring.
 pub enum AgBridge<T: ShmElem> {
     Tuned(allgatherv::InPlaceSm<T>),
-    Ring(KRingSm),
+    Ring(Rounds<T>),
 }
 
 /// The allgather(v) bridge stage (see [`HyAllgatherv::iexecute`]).
@@ -391,11 +334,12 @@ impl<T: ShmElem> Stage for AgStage<'_, T> {
             BridgePlan::Blocks(counts) => {
                 AgBridge::Tuned(allgatherv::InPlaceSm::new(ctx, bridge, counts, hc.select()))
             }
-            BridgePlan::Stripe(_) => AgBridge::Ring(KRingSm::new(
-                ctx,
-                bridge,
-                hc.tuning().v_overhead_per_rank_us,
-            )),
+            BridgePlan::Stripe(stripe) => {
+                // The fees of the tuned k = 1 exchange; the stripe always rings.
+                let case = allgatherv::case_for::<T>(ctx, bridge, &stripe.1);
+                hc.select().charge(ctx, Fee::Call, &case);
+                AgBridge::Ring(Rounds::new(Schedule::Ring, RING, bridge.size()))
+            }
         };
         (sm, Buf::Shared(self.0.win.clone()))
     }
@@ -410,8 +354,10 @@ impl<T: ShmElem> Stage for AgStage<'_, T> {
             (AgBridge::Tuned(sm), (bridge, BridgePlan::Blocks(counts))) => {
                 sm.drive(ctx, bridge, counts, view, how)
             }
-            (AgBridge::Ring(sm), (bridge, BridgePlan::Stripe(stripe))) => {
-                sm.drive(ctx, bridge, stripe, view, how)
+            (AgBridge::Ring(ring), (bridge, BridgePlan::Stripe(stripe))) => {
+                let (displs, counts) = &**stripe;
+                let layout = Layout::Counts { counts, displs };
+                ring.drive(ctx, bridge, layout, (None, view), how)
             }
             _ => unreachable!("the bridge machine follows the handle's plan"),
         }

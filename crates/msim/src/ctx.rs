@@ -972,15 +972,13 @@ impl Ctx {
     /// Record an algorithm-selection decision (policy layer). Charges no
     /// virtual time — selection is free, only the chosen schedule costs.
     pub fn trace_decision(&self, op: &str, algo: &str, why: &str) {
-        self.shared.tracer.record(
-            self.global_rank,
-            self.clock.now(),
-            EventKind::Decision {
+        self.shared
+            .tracer
+            .record_with(self.global_rank, self.clock.now(), || EventKind::Decision {
                 op: op.to_string(),
                 algo: algo.to_string(),
                 why: why.to_string(),
-            },
-        );
+            });
     }
 
     /// Record the start of a nonblocking request and return its per-rank
@@ -991,28 +989,26 @@ impl Ctx {
     pub fn trace_req_start(&mut self, op: &str) -> u64 {
         let id = self.req_seq;
         self.req_seq += 1;
-        self.shared.tracer.record(
-            self.global_rank,
-            self.clock.now(),
-            EventKind::ReqStart {
+        self.shared
+            .tracer
+            .record_with(self.global_rank, self.clock.now(), || EventKind::ReqStart {
                 op: op.to_string(),
                 id,
-            },
-        );
+            });
         id
     }
 
     /// Record the completion of the nonblocking request `id` (pairs with
     /// [`Ctx::trace_req_start`]). Charges no virtual time.
     pub fn trace_req_complete(&self, op: &str, id: u64) {
-        self.shared.tracer.record(
-            self.global_rank,
-            self.clock.now(),
-            EventKind::ReqComplete {
-                op: op.to_string(),
-                id,
-            },
-        );
+        self.shared
+            .tracer
+            .record_with(self.global_rank, self.clock.now(), || {
+                EventKind::ReqComplete {
+                    op: op.to_string(),
+                    id,
+                }
+            });
     }
 
     /// Whether the fault-tolerance machinery is armed for this run (some

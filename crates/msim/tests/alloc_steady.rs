@@ -3,11 +3,14 @@
 //! A clock-free guard for the host cost of a message: once a universe is
 //! warm (mailbox tables grown, communicator node counts cached), ring
 //! messages, shared-flag pairs and world barriers allocate nothing — no
-//! per-key queue, no per-call node list. Counted by a global allocator
-//! wrapper, so the assertion is exact and immune to host load.
+//! per-key queue, no per-call node list. Nor, on an untraced run, do the
+//! tracing helpers of policy decisions and nonblocking requests: they
+//! build no event. Counted by a global allocator wrapper, so the
+//! assertion is exact and immune to host load.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use collectives::barrier;
 use msim::{Ctx, ExecMode, Payload, SimConfig, Universe};
@@ -55,6 +58,14 @@ static GLOBAL: Counting = Counting;
 const RANKS: usize = 8;
 const UNSET: u64 = u64::MAX;
 
+/// The counter is process-wide, so one test measures at a time, and a
+/// failing test panics (and captures its backtrace) before the next one
+/// measures.
+fn alone() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// `reps` rounds of the mix; one round is 10 ring messages, 10 flag pairs
 /// with the on-node neighbour and a world barrier. Tags advance per
 /// message, and the barriers are a ring's length of messages apart, so
@@ -83,12 +94,19 @@ fn rounds(ctx: &mut Ctx, tag0: u32, reps: u32) {
 }
 
 /// Allocations made by all ranks together between the end of the warm-up
-/// round and the end of the measured one. The pool under test runs every
+/// round and the end of the measured one (see [`allocs_after`]).
+fn steady_allocs(exec: ExecMode) -> u64 {
+    let _alone = alone();
+    allocs_after(exec, |ctx| rounds(ctx, 0, 1), |ctx| rounds(ctx, 20, 100))
+}
+
+/// Allocations made by all ranks together while running `measured`,
+/// after each ran `warm` and a fence. The pool under test runs every
 /// rank on one thread, so "the first rank out of the fence" and
 /// "the last rank to finish" are well-defined points: everything the
 /// fence allocates happens at deposit time, before the first, and a rank
 /// that returns only frees.
-fn steady_allocs(exec: ExecMode) -> u64 {
+fn allocs_after(exec: ExecMode, warm: fn(&mut Ctx), measured: fn(&mut Ctx)) -> u64 {
     let start = AtomicU64::new(UNSET);
     let end = AtomicU64::new(UNSET);
     let finished = AtomicUsize::new(0);
@@ -96,12 +114,12 @@ fn steady_allocs(exec: ExecMode) -> u64 {
         .phantom()
         .with_exec(exec);
     let result = Universe::run(cfg, |ctx| {
-        rounds(ctx, 0, 1);
+        warm(ctx);
         let world = ctx.world();
         ctx.oob_fence(&world);
         let now = ALLOCS.load(Ordering::Relaxed);
         let _ = start.compare_exchange(UNSET, now, Ordering::Relaxed, Ordering::Relaxed);
-        rounds(ctx, 20, 100);
+        measured(ctx);
         if finished.fetch_add(1, Ordering::Relaxed) == RANKS - 1 {
             end.store(ALLOCS.load(Ordering::Relaxed), Ordering::Relaxed);
         }
@@ -117,5 +135,29 @@ fn warm_message_path_does_not_allocate() {
     assert!(
         allocs < 16,
         "{allocs} allocations for 8 x (1000 messages + 1000 flag pairs + 100 barriers)"
+    );
+}
+
+/// `reps` policy decisions and nonblocking request starts and completions,
+/// as the tracing helpers see them.
+fn trace_helpers(ctx: &mut Ctx, reps: u32) {
+    for _ in 0..reps {
+        ctx.trace_decision("allgather", "allgather.ring", "legacy thresholds (Mpich)");
+        let id = ctx.trace_req_start("iallgather");
+        ctx.trace_req_complete("iallgather", id);
+    }
+}
+
+#[test]
+fn untraced_trace_helpers_do_not_allocate() {
+    let _alone = alone();
+    let allocs = allocs_after(
+        ExecMode::Pooled { workers: Some(1) },
+        |ctx| trace_helpers(ctx, 1),
+        |ctx| trace_helpers(ctx, 100),
+    );
+    assert!(
+        allocs < 16,
+        "{allocs} allocations for 8 x 100 untraced (decision + request start + completion)"
     );
 }

@@ -147,7 +147,14 @@ impl Tracer {
 
     /// Record an event (no-op when disabled).
     pub fn record(&self, rank: usize, time: f64, kind: EventKind) {
+        self.record_with(rank, time, || kind);
+    }
+
+    /// Record the event `kind()` builds, calling it only when enabled: an
+    /// event that owns strings costs nothing on an untraced run.
+    pub fn record_with(&self, rank: usize, time: f64, kind: impl FnOnce() -> EventKind) {
         if let Some(log) = &self.inner {
+            let kind = kind();
             // Ranks may be killed (fault injection) while other ranks keep
             // tracing, so ignore lock poisoning: the Vec is never left in a
             // torn state by a panic outside the guard scope.
