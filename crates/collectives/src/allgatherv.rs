@@ -17,9 +17,9 @@
 //! split-phase driver: the blocking entry points drive it with
 //! `Drive::Block`, [`istart`]/[`ituned`] expose the runs as nonblocking
 //! requests, and [`InPlaceSm`] is the drivable in-place form the hybrid
-//! bridge exchange builds on. [`tuned`], [`ituned`] and [`InPlaceSm::new`] each take one
-//! [`Select`]: a `&Tuning` for the legacy thresholds or a
-//! `&SelectionPolicy` that logs its decision.
+//! bridge exchange builds on. [`tuned`], [`ituned`] and
+//! [`InPlaceSm::new`] each take one [`Select`]: a `&Tuning` for the
+//! legacy thresholds or a `&SelectionPolicy` that logs its decision.
 
 use msim::{Buf, Communicator, Ctx, Drive, ShmElem, WaitError};
 
@@ -30,17 +30,21 @@ use crate::split::{run_blocking, DriveOp, IColl};
 use crate::tags;
 use crate::util::displs_of;
 
-fn check_args<T: ShmElem>(comm: &Communicator, send: &Buf<T>, counts: &[usize], recv: &Buf<T>) {
+/// `send = None`: in place.
+fn check_args<T: ShmElem>(
+    comm: &Communicator,
+    send: Option<&Buf<T>>,
+    counts: &[usize],
+    recv: &Buf<T>,
+) {
     assert_eq!(counts.len(), comm.size(), "one count per rank required");
-    assert_eq!(
-        send.len(),
-        counts[comm.rank()],
-        "send length must equal counts[rank]"
-    );
-    check_total(counts, recv);
-}
-
-fn check_total<T: ShmElem>(counts: &[usize], recv: &Buf<T>) {
+    if let Some(send) = send {
+        assert_eq!(
+            send.len(),
+            counts[comm.rank()],
+            "send length must equal counts[rank]"
+        );
+    }
     assert_eq!(
         recv.len(),
         counts.iter().sum::<usize>(),
@@ -70,13 +74,7 @@ fn run<T: ShmElem>(
     algo: Algo,
 ) {
     let mut run = for_algo(algo, comm.size());
-    match send {
-        Some(s) => check_args(comm, s, counts, recv),
-        None => {
-            assert_eq!(counts.len(), comm.size(), "one count per rank required");
-            check_total(counts, recv);
-        }
-    }
+    check_args(comm, send, counts, recv);
     let displs = displs_of(counts);
     let layout = Layout::Counts {
         counts,
@@ -210,7 +208,6 @@ impl<T: ShmElem> InPlaceSm<T> {
             return Self { run: None };
         }
         let run = for_algo(select.pick(ctx, &case), comm.size());
-        assert_eq!(counts.len(), comm.size(), "one count per rank required");
         Self {
             run: Some((displs_of(counts), run)),
         }
@@ -228,12 +225,8 @@ impl<T: ShmElem> InPlaceSm<T> {
         let Some((displs, run)) = &mut self.run else {
             return Ok(true);
         };
+        check_args(comm, None, counts, recv);
         let layout = Layout::Counts { counts, displs };
-        assert_eq!(
-            recv.len(),
-            layout.total(counts.len()),
-            "recv must hold the full result"
-        );
         run.drive(ctx, comm, layout, (None, recv), how)
     }
 }
@@ -279,7 +272,7 @@ pub fn istart<'a, T: ShmElem>(
     algo: Algo,
 ) -> IAllgatherv<'a, T> {
     let run = for_algo(algo, comm.size());
-    check_args(comm, send, counts, recv);
+    check_args(comm, Some(send), counts, recv);
     IColl::start(
         ctx,
         IAllgathervBody {

@@ -1,8 +1,8 @@
 //! Exchange schedules as data, and the one driver that runs them.
 //!
 //! A [`Schedule`] is a pure function of `(p, me, layout, round)`: for one
-//! round it names the send (peer and [`Region`]), the receive (peer and
-//! region) and the local [`Copies`] around them, or `None` once the
+//! round it names the send (peer and region), the receive (peer and
+//! region) and the local copies around them, or `None` once the
 //! schedule is done. It also names the copies before round 0 (own-block
 //! placement, Bruck's seed of its rotated temporary, alltoall-Bruck's
 //! rotation) and after the last round (the inverse rotations). Nothing
@@ -38,7 +38,7 @@ pub enum Layout<'a> {
 
 impl Layout<'_> {
     /// Elements of block `r`.
-    pub fn count(self, r: usize) -> usize {
+    pub(crate) fn count(self, r: usize) -> usize {
         match self {
             Layout::Uniform(count) => count,
             Layout::Counts { counts, .. } => counts[r],
@@ -46,7 +46,7 @@ impl Layout<'_> {
     }
 
     /// Offset of block `r`.
-    pub fn displ(self, r: usize) -> usize {
+    pub(crate) fn displ(self, r: usize) -> usize {
         match self {
             Layout::Uniform(count) => r * count,
             Layout::Counts { displs, .. } => displs[r],
@@ -55,7 +55,7 @@ impl Layout<'_> {
 
     /// Where the last of `p` blocks ends: the whole buffer when the
     /// blocks lie back to back.
-    pub fn total(self, p: usize) -> usize {
+    pub(crate) fn total(self, p: usize) -> usize {
         self.displ(p - 1) + self.count(p - 1)
     }
 
@@ -75,7 +75,7 @@ impl Layout<'_> {
 
 /// Which buffer a region lies in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Buffer {
+pub(crate) enum Buffer {
     /// The caller's send buffer.
     Send,
     /// The caller's result buffer.
@@ -86,13 +86,13 @@ pub enum Buffer {
 
 /// `len` elements at offset `off` of `buf`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Region {
+pub(crate) struct Region {
     /// The buffer.
-    pub buf: Buffer,
+    pub(crate) buf: Buffer,
     /// First element.
-    pub off: usize,
+    pub(crate) off: usize,
     /// Element count.
-    pub len: usize,
+    pub(crate) len: usize,
 }
 
 impl Region {
@@ -104,16 +104,16 @@ impl Region {
 /// One side of a round's message: the peer and the region sent from or
 /// received into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Xfer {
+pub(crate) struct Xfer {
     /// Communicator rank of the peer.
-    pub peer: usize,
+    pub(crate) peer: usize,
     /// The region.
-    pub region: Region,
+    pub(crate) region: Region,
 }
 
 /// A set of block copies, charged as one copy of their summed length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Copies {
+pub(crate) enum Copies {
     /// One block: `.0` into `.1`.
     Block(Region, Region),
     /// Send block `(me + j) mod p` into slot `j` of the temporary, for
@@ -128,7 +128,7 @@ pub enum Copies {
     /// Alltoall Bruck's round `k`: every slot whose index has bit `k` set,
     /// in order, into the pack area after the slots.
     Pack(usize),
-    /// The inverse of [`Copies::Pack`].
+    /// The inverse of `Pack`.
     Unpack(usize),
 }
 
@@ -139,7 +139,7 @@ fn packed(p: usize, k: usize) -> usize {
 
 impl Copies {
     /// Number of block copies.
-    pub fn count(self, p: usize) -> usize {
+    pub(crate) fn count(self, p: usize) -> usize {
         match self {
             Copies::Block(..) => 1,
             Copies::Rotate | Copies::Unrotate | Copies::Unreverse => p,
@@ -148,7 +148,13 @@ impl Copies {
     }
 
     /// Copy `i`: `(from, to)`.
-    pub fn block(self, p: usize, me: usize, layout: Layout<'_>, i: usize) -> (Region, Region) {
+    pub(crate) fn block(
+        self,
+        p: usize,
+        me: usize,
+        layout: Layout<'_>,
+        i: usize,
+    ) -> (Region, Region) {
         // Slot j of the rotated temporary holds block (me + j) mod p.
         let slot = |j: usize| {
             Region::new(
@@ -179,15 +185,15 @@ impl Copies {
 /// One round: post `send`, receive into `recv`, with `pack` copies before
 /// the send and `unpack` copies after the receive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Round {
+pub(crate) struct Round {
     /// The message this rank sends.
-    pub send: Xfer,
+    pub(crate) send: Xfer,
     /// The message this rank receives.
-    pub recv: Xfer,
+    pub(crate) recv: Xfer,
     /// Copies before the send.
-    pub pack: Option<Copies>,
+    pub(crate) pack: Option<Copies>,
     /// Copies after the receive.
-    pub unpack: Option<Copies>,
+    pub(crate) unpack: Option<Copies>,
 }
 
 /// The exchange schedules: allgather(v) `Local`, `RecursiveDoubling`,
@@ -216,7 +222,7 @@ pub enum Schedule {
 
 impl Schedule {
     /// Elements of the temporary the schedule needs, if any.
-    pub fn scratch(self, p: usize, layout: Layout<'_>) -> Option<usize> {
+    pub(crate) fn scratch(self, p: usize, layout: Layout<'_>) -> Option<usize> {
         match self {
             Schedule::Bruck => Some(layout.total(p)),
             // The rotated blocks, then the pack area.
@@ -227,7 +233,7 @@ impl Schedule {
 
     /// Copies before round 0. `in_place`: there is no send buffer and the
     /// own block already sits in the result.
-    pub fn prologue(self, me: usize, layout: Layout<'_>, in_place: bool) -> Option<Copies> {
+    pub(crate) fn prologue(self, me: usize, layout: Layout<'_>, in_place: bool) -> Option<Copies> {
         let (off, len) = (layout.displ(me), layout.count(me));
         let own = Region::new(Buffer::Recv, off, len);
         let from = Region::new(Buffer::Send, 0, len);
@@ -246,7 +252,7 @@ impl Schedule {
     }
 
     /// Round `r` of rank `me`, or `None` once the schedule is done.
-    pub fn round(self, p: usize, me: usize, layout: Layout<'_>, r: usize) -> Option<Round> {
+    pub(crate) fn round(self, p: usize, me: usize, layout: Layout<'_>, r: usize) -> Option<Round> {
         let at = |buf, b: usize| Region::new(buf, layout.displ(b), layout.count(b));
         let xfer = |peer, region| Xfer { peer, region };
         let plain = |send, recv| Round {
@@ -317,7 +323,7 @@ impl Schedule {
     }
 
     /// Copies after the last round.
-    pub fn epilogue(self) -> Option<Copies> {
+    pub(crate) fn epilogue(self) -> Option<Copies> {
         match self {
             Schedule::Bruck => Some(Copies::Unrotate),
             Schedule::AlltoallBruck => Some(Copies::Unreverse),
