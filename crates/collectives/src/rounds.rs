@@ -507,8 +507,8 @@ mod tests {
     /// Walk `s` on `p` ranks; return the number of rounds. Checks that
     /// sends and receives pair up with equal lengths round by round, that
     /// every result element is written exactly once (an in-place own block
-    /// by Bruck only) and ends holding its block, and that
-    /// Bruck's temporary is written at most once per element.
+    /// by Bruck only) and ends holding its block, and that Bruck's
+    /// temporary is written at most once per element.
     fn walk(s: Schedule, p: usize, layout: Layout<'_>, len: usize, in_place: bool) -> usize {
         let alltoall = matches!(s, Schedule::Pairwise | Schedule::AlltoallBruck);
         let label =
