@@ -1,12 +1,14 @@
 //! The steady-state message path does not allocate.
 //!
 //! A clock-free guard for the host cost of a message: once a universe is
-//! warm (mailbox tables grown, communicator node counts cached), ring
-//! messages, shared-flag pairs and world barriers allocate nothing — no
-//! per-key queue, no per-call node list. Nor, on an untraced run, do the
-//! tracing helpers of policy decisions and nonblocking requests: they
-//! build no event. Counted by a global allocator wrapper, so the
-//! assertion is exact and immune to host load.
+//! warm (mailbox tables and packet slabs grown, communicator node counts
+//! cached), ring messages, shared-flag pairs and world barriers allocate
+//! nothing — no per-call node list — and neither does a sender running
+//! ahead under one key: its packets queue in slab nodes the mailbox
+//! already has. Nor, on an untraced run, do the tracing helpers of policy
+//! decisions and nonblocking requests: they build no event. Counted by a
+//! global allocator wrapper, so the assertion is exact and immune to host
+//! load.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -135,6 +137,46 @@ fn warm_message_path_does_not_allocate() {
     assert!(
         allocs < 16,
         "{allocs} allocations for 8 x (1000 messages + 1000 flag pairs + 100 barriers)"
+    );
+}
+
+/// Packets a ring burst queues under one key: one less than the eight
+/// slab nodes a mailbox keeps once it empties, because an acknowledgement
+/// can land beside the burst.
+const BURST: u32 = 7;
+
+/// `reps` ring bursts: every rank sends [`BURST`] messages to its right
+/// neighbour under one tag, takes the left one's, acknowledges them to
+/// the left and waits for the right one's acknowledgement. That is a
+/// flat ring's pipeline with the sender running ahead by a whole burst,
+/// but never by two: the next burst waits for the acknowledgement.
+fn bursts(ctx: &mut Ctx, reps: u32) {
+    let world = ctx.world();
+    let n = world.size();
+    let (right, left) = ((ctx.rank() + 1) % n, (ctx.rank() + n - 1) % n);
+    for _ in 0..reps {
+        for _ in 0..BURST {
+            ctx.send(&world, right, 1, Payload::Phantom(64));
+        }
+        for _ in 0..BURST {
+            ctx.recv(&world, left, 1);
+        }
+        ctx.send(&world, left, 2, Payload::empty());
+        ctx.recv(&world, right, 2);
+    }
+}
+
+#[test]
+fn a_sender_running_ahead_under_one_key_does_not_allocate() {
+    let _alone = alone();
+    let allocs = allocs_after(
+        ExecMode::Pooled { workers: Some(1) },
+        |ctx| bursts(ctx, 1),
+        |ctx| bursts(ctx, 100),
+    );
+    assert!(
+        allocs < 16,
+        "{allocs} allocations for 8 x 100 bursts of {BURST} messages under one key"
     );
 }
 
