@@ -40,16 +40,17 @@ const NIL: u32 = u32::MAX;
 const MIN_ENTRIES: usize = 8;
 
 /// Most keys a table of `entries` holds before it doubles: three
-/// quarters full, where a linear probe stays short. A rank's mailbox
-/// rarely holds more than eight keys at once, so most tables never
-/// leave their first allocation.
+/// quarters full, where a linear probe stays short. Four in five
+/// mailboxes of a 4096-rank world never hold more than six keys at once,
+/// so they never leave their first allocation.
 fn max_keys(entries: usize) -> usize {
     entries / 4 * 3
 }
 
-/// Slab nodes a table keeps once it empties. A larger slab — a ring
-/// burst, a flood under one key — is swapped for a fresh one this size
-/// then, so the heap does not keep every rank's deepest burst at once.
+/// Slab nodes a table keeps once it has drained. A larger slab — a ring
+/// burst, a flood under one key — is compacted into a fresh one this
+/// size as it drains, so the heap does not keep every rank's deepest
+/// burst at once.
 const SLAB_FLOOR: usize = 8;
 
 /// The packets of one key, oldest first, as a list through the slab.
@@ -75,9 +76,14 @@ const VACANT: Entry = (
 /// key reaches. The entry of a table of half the size is the same bits
 /// but the last. (On the never-allocated table the shift is zero, and
 /// nobody reads the index.)
+///
+/// No two fields that sit side by side in the key meet in one operand:
+/// the compiler would read them with one 8-byte load, and a key just
+/// written field by field cannot be forwarded to it from the store
+/// buffer — that stall was the hottest sampled instruction of a receive.
 fn home(key: MatchKey, size: usize) -> usize {
     let (comm, src, tag) = key;
-    let x = (u64::from(tag) << 32 | u64::from(src)) ^ u64::from(comm).rotate_right(20);
+    let x = (u64::from(tag) << 32 | u64::from(comm)) ^ u64::from(src) << 16;
     (x.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - size.trailing_zeros())) as usize
 }
 
@@ -114,9 +120,6 @@ pub(crate) struct SlotMap {
     len: u32,
     /// Nodes held by no key (see [`SlotMap::hold`]).
     loose: u32,
-    /// Capacity of the last slab swapped out at the floor: where the
-    /// next burst past the floor grows to at once.
-    burst: u32,
 }
 
 impl Default for SlotMap {
@@ -128,7 +131,6 @@ impl Default for SlotMap {
             keys: 0,
             len: 0,
             loose: 0,
-            burst: 0,
         }
     }
 }
@@ -178,48 +180,73 @@ impl SlotMap {
     }
 
     /// Grow the slab from one node: doubling up to four, then by half
-    /// (1, 2, 4, 6, 9, 13, …), except that a slab past the floor goes
-    /// straight to the size the last burst reached. A mailbox that only
-    /// ever holds a handed packet or a lone message keeps one node; the
-    /// usual depth of five to eight costs less than under doubling
-    /// (`scale_events` peak live heap 5.2 MB against 5.7); and a ring
-    /// burst, which comes back every call, regrows in one step.
+    /// (1, 2, 4, 6, 9, 13, …). A mailbox that only ever holds a handed
+    /// packet or a lone message keeps one node, and the usual depth of
+    /// five to thirteen costs less than under doubling (`scale_events`
+    /// peak live heap 5.2 MB against 5.7).
     #[cold]
     #[inline(never)]
     fn grow_slab(&mut self) {
         let cap = self.slab.capacity();
-        let burst = self.burst as usize;
-        self.slab.reserve_exact(match cap {
-            0..4 => cap.max(1),
-            _ if cap >= SLAB_FLOOR && burst > cap => burst - cap,
-            _ => cap / 2,
-        });
+        self.slab
+            .reserve_exact(if cap < 4 { cap.max(1) } else { cap / 2 });
+        // Node indices are `u32`, with `NIL` reserved.
+        assert!(
+            self.slab.capacity() < NIL as usize,
+            "a slab of 2^32 packets"
+        );
     }
 
-    /// Free node `n`, returning its packet; an emptied table swaps out a
-    /// slab grown past [`SLAB_FLOOR`].
+    /// Free node `n`, returning its packet. A slab grown past
+    /// [`SLAB_FLOOR`] is compacted once it holds half that many packets.
     #[inline]
     fn release(&mut self, n: u32) -> Packet {
         let node = &mut self.slab[n as usize];
         let packet = node.packet.take().expect("a held node has a packet");
         node.next = self.free;
         self.free = n;
-        if self.len + self.loose == 0 && self.slab.capacity() > SLAB_FLOOR {
-            self.drop_slab();
+        let cap = self.slab.capacity();
+        if cap > SLAB_FLOOR && self.loose == 0 && self.len as usize <= SLAB_FLOOR / 2 {
+            self.compact();
         }
         packet
     }
 
-    /// Swap the emptied slab for a fresh one of [`SLAB_FLOOR`] nodes,
-    /// noting the size it reached. Not `shrink_to`: a block shrunk in
-    /// place keeps the head of the old one, and those heads, left between
-    /// freed bursts, kept the allocator from reusing the space
-    /// (`stream_pooled` peak RSS 5.3 → 7.5 MiB).
+    /// Move the queued packets into a fresh slab of [`SLAB_FLOOR`] nodes,
+    /// threading each key's FIFO anew, and free the old one. So a burst
+    /// is released as it drains even while other keys keep the table
+    /// from emptying: released only with an empty table, the slabs of
+    /// the leaders' bridge ring stayed at their deepest (262144 ranks:
+    /// 2225 MiB of peak RSS against 1691 before the slab). A fresh
+    /// slab, not `shrink_to`: a block shrunk in place keeps the head of
+    /// the old one, and those heads, left between freed bursts, kept the
+    /// allocator from reusing the space (`stream_pooled` peak RSS 5.3 →
+    /// 7.5 MiB). Compacting at a quarter full instead, to twice the
+    /// packets left, cost the ring probe about 5 %. Handed nodes are
+    /// never moved, since the waiter holds their index: a slab holding
+    /// one waits for the next pop.
     #[cold]
     #[inline(never)]
-    fn drop_slab(&mut self) {
-        self.burst = self.slab.capacity() as u32;
-        self.slab = Vec::with_capacity(SLAB_FLOOR);
+    fn compact(&mut self) {
+        let mut slab = Vec::with_capacity(SLAB_FLOOR);
+        for (_, fifo) in self.entries.iter_mut().filter(|e| e.1.head != NIL) {
+            let mut n = fifo.head;
+            fifo.head = slab.len() as u32;
+            loop {
+                let node = &mut self.slab[n as usize];
+                slab.push(Node {
+                    packet: node.packet.take(),
+                    next: slab.len() as u32 + 1,
+                });
+                if n == fifo.tail {
+                    break;
+                }
+                n = node.next;
+            }
+            fifo.tail = slab.len() as u32 - 1;
+            slab[fifo.tail as usize].next = NIL;
+        }
+        self.slab = slab;
         self.free = NIL;
     }
 
