@@ -232,15 +232,14 @@ SCALE_BUDGET_S=1.0
 EVENTS_BUDGET_S=8.0
 
 # Stored peak-RSS budget (MiB) for the same 65536-rank events point
-# (perf stage; bump procedure in the header). Measured 392.3-392.4 MiB
-# (three `taskset -c 0` sweeps) with each rank's stack canary in its
-# neighbour's top stack page; the layout that gave every canary a page
-# of its own read 665.0-665.1 MiB (two sweeps, back to back). 512 sits
-# between the two, so a slide back to two pages per rank (+256 MiB at
-# this point) trips the gate. The packet handoff slot makes a mailbox
-# 48 bytes larger (128 B; +3 MiB at this point by arithmetic): the
-# `taskset -c 0` sweep with it read 392.4 MiB, the commit before it
-# 392.45 MiB.
+# (perf stage; bump procedure in the header). Measured 378.5-378.6 MiB
+# (a `taskset -c 0` sweep and the point alone) with each rank's stack
+# canary in its neighbour's top stack page and the mailboxes matching
+# through an open-addressed table over a packet slab (a 96 B mailbox);
+# the commit before the table read 391.1-391.2 MiB the same way, and
+# the layout that gave every canary a page of its own 665.0-665.1 MiB.
+# 512 sits between the two layouts, so a slide back to two pages per
+# rank (+256 MiB at this point) trips the gate.
 EVENTS_RSS_BUDGET_MIB=512
 
 # Stored wall-clock budget (seconds) for the mcheck stage's exhaustive

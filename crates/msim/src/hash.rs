@@ -4,12 +4,13 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiply-rotate hash of a few small integers. Every key it hashes is
-/// minted by the simulator itself — match keys (context ids, ranks,
-/// tags), rendezvous board keys, per-communicator and per-destination
-/// sequence counters — never taken from outside the program, so
-/// SipHash's protection against crafted collisions buys nothing here and
-/// costs two rounds per lookup. Nothing iterates a map built on it (every
-/// access names its key), so no observable order depends on the hasher.
+/// minted by the simulator itself — rendezvous board keys,
+/// per-communicator and per-destination sequence counters — never taken
+/// from outside the program, so SipHash's protection against crafted
+/// collisions buys nothing here and costs two rounds per lookup. Nothing
+/// iterates a map built on it (every access names its key), so no
+/// observable order depends on the hasher. (The mailboxes match on a
+/// table of their own, `mailbox::SlotMap`.)
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct KeyHasher(u64);
 

@@ -198,7 +198,8 @@ impl SlotMap {
     }
 
     /// Free node `n`, returning its packet. A slab grown past
-    /// [`SLAB_FLOOR`] is compacted once it holds half that many packets.
+    /// [`SLAB_FLOOR`] is compacted once it holds at most half that many
+    /// packets.
     #[inline]
     fn release(&mut self, n: u32) -> Packet {
         let node = &mut self.slab[n as usize];

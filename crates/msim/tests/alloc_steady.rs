@@ -72,8 +72,7 @@ fn alone() -> MutexGuard<'static, ()> {
 /// with the on-node neighbour and a world barrier. Tags advance per
 /// message, and the barriers are a ring's length of messages apart, so
 /// a rank running ahead never queues a second packet under a key its
-/// peer has not drained — the one case that (by design) spills into an
-/// allocated queue.
+/// peer has not drained ([`bursts`] covers that case).
 fn rounds(ctx: &mut Ctx, tag0: u32, reps: u32) {
     let world = ctx.world();
     let n = world.size();
