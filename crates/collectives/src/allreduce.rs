@@ -7,105 +7,20 @@
 //!   allgather (recursive doubling); bandwidth-optimal for long messages
 //!   (power-of-two sizes, falls back otherwise);
 //! * [`tuned`] — MPICH-style selection.
+//!
+//! Both are [`crate::rounds::Schedule`]s over the whole vector, cut into
+//! balanced blocks, run by the one split-phase driver with combining
+//! receives; [`istart`]/[`ituned`] expose the same runs as nonblocking
+//! [`msim::Request`]s (`MPI_Iallreduce`).
 
 use msim::{Buf, Communicator, Ctx, Drive, ShmElem, WaitError};
 
 use crate::op::ReduceOp;
 use crate::policy::{Fee, Select};
 use crate::registry::{ceil_log2, kleader_spec, Algo, AlgorithmSpec, CollectiveOp, CommCase};
+use crate::rounds::{Layout, Rounds, Schedule};
 use crate::split::{run_blocking, DriveOp, IColl};
 use crate::tags;
-use crate::util::{displs_of, segment_counts};
-
-/// Split-phase recursive-doubling allreduce: fold the excess ranks into
-/// the nearest power of two, log₂ rounds of full-vector exchanges, then
-/// unfold.
-#[derive(Debug)]
-struct RdSm {
-    placed: bool,
-    fold_done: bool,
-    mask: usize,
-    sent: bool,
-}
-
-impl RdSm {
-    fn new() -> Self {
-        Self {
-            placed: false,
-            fold_done: false,
-            mask: 1,
-            sent: false,
-        }
-    }
-
-    fn drive<T: ShmElem, O: ReduceOp<T>>(
-        &mut self,
-        ctx: &mut Ctx,
-        comm: &Communicator,
-        send: &Buf<T>,
-        recv: &mut Buf<T>,
-        op: O,
-        how: Drive,
-    ) -> Result<bool, WaitError> {
-        let p = comm.size();
-        let me = comm.rank();
-        let count = send.len();
-        if !self.placed {
-            assert_eq!(recv.len(), count, "recv must match send length");
-            recv.copy_from(0, send, 0, count);
-            ctx.charge_copy(count * T::SIZE);
-            self.placed = true;
-        }
-        if p == 1 {
-            return Ok(true);
-        }
-
-        // Fold down to the largest power of two ≤ p: ranks [pof2, p) send
-        // their vector to (me - pof2) and sit out the doubling rounds.
-        let pof2 = prev_power_of_two(p);
-        let rem = p - pof2;
-        if !self.fold_done {
-            if me >= pof2 {
-                ctx.send_region(comm, me - pof2, tags::ALLREDUCE, recv, 0, count);
-            } else if me < rem {
-                let Some(payload) = ctx.step_recv(comm, me + pof2, tags::ALLREDUCE, how)? else {
-                    return Ok(false);
-                };
-                recv.combine_payload(0, &payload, |a, b| op.combine(a, b));
-                ctx.compute(count as f64 * O::FLOPS_PER_ELEM);
-            }
-            self.fold_done = true;
-        }
-
-        if me < pof2 {
-            while self.mask < pof2 {
-                let partner = me ^ self.mask;
-                if !self.sent {
-                    ctx.send_region(comm, partner, tags::ALLREDUCE + 1, recv, 0, count);
-                    self.sent = true;
-                }
-                let Some(payload) = ctx.step_recv(comm, partner, tags::ALLREDUCE + 1, how)? else {
-                    return Ok(false);
-                };
-                recv.combine_payload(0, &payload, |a, b| op.combine(a, b));
-                ctx.compute(count as f64 * O::FLOPS_PER_ELEM);
-                self.mask <<= 1;
-                self.sent = false;
-            }
-        }
-
-        // Unfold: send the final vector back to the folded-out ranks.
-        if me < rem {
-            ctx.send_region(comm, me + pof2, tags::ALLREDUCE + 2, recv, 0, count);
-        } else if me >= pof2 {
-            let Some(payload) = ctx.step_recv(comm, me - pof2, tags::ALLREDUCE + 2, how)? else {
-                return Ok(false);
-            };
-            recv.write_payload(0, &payload);
-        }
-        Ok(true)
-    }
-}
 
 /// Recursive-doubling allreduce for any communicator size (non-powers of
 /// two pre-fold the highest ranks into the lower half, then unfold).
@@ -116,142 +31,7 @@ pub fn recursive_doubling<T: ShmElem, O: ReduceOp<T>>(
     recv: &mut Buf<T>,
     op: O,
 ) {
-    run_blocking(RdSm::new().drive(ctx, comm, send, recv, op, Drive::Block));
-}
-
-/// Split-phase Rabenseifner: recursive-halving reduce-scatter, then
-/// recursive-doubling allgather of the reduced segments. Non-power-of-two
-/// communicators fall back to an inner [`RdSm`].
-#[derive(Debug)]
-struct RabSm {
-    started: bool,
-    fallback: Option<RdSm>,
-    placed: bool,
-    // Halving phase: owned segment range [lo, hi) and the current mask.
-    lo: usize,
-    hi: usize,
-    mask: usize,
-    halving_done: bool,
-    sent: bool,
-    // Doubling phase: held segment range and the current mask.
-    dmask: usize,
-    have_lo: usize,
-    have_hi: usize,
-}
-
-impl RabSm {
-    fn new() -> Self {
-        Self {
-            started: false,
-            fallback: None,
-            placed: false,
-            lo: 0,
-            hi: 0,
-            mask: 0,
-            halving_done: false,
-            sent: false,
-            dmask: 1,
-            have_lo: 0,
-            have_hi: 0,
-        }
-    }
-
-    fn drive<T: ShmElem, O: ReduceOp<T>>(
-        &mut self,
-        ctx: &mut Ctx,
-        comm: &Communicator,
-        send: &Buf<T>,
-        recv: &mut Buf<T>,
-        op: O,
-        how: Drive,
-    ) -> Result<bool, WaitError> {
-        let p = comm.size();
-        if !self.started {
-            if !p.is_power_of_two() || p == 1 {
-                self.fallback = Some(RdSm::new());
-            } else {
-                self.lo = 0;
-                self.hi = p;
-                self.mask = p / 2;
-            }
-            self.started = true;
-        }
-        if let Some(fb) = self.fallback.as_mut() {
-            return fb.drive(ctx, comm, send, recv, op, how);
-        }
-        let me = comm.rank();
-        let count = send.len();
-        let counts = segment_counts(count, p);
-        let displs = displs_of(&counts);
-        if !self.placed {
-            assert_eq!(recv.len(), count, "recv must match send length");
-            recv.copy_from(0, send, 0, count);
-            ctx.charge_copy(count * T::SIZE);
-            self.placed = true;
-        }
-
-        // Reduce-scatter by recursive halving: after round k my "owned"
-        // range of segments halves; I send the half I am giving up and
-        // combine the half I keep.
-        while !self.halving_done {
-            let partner = me ^ self.mask;
-            let mid = self.lo + (self.hi - self.lo) / 2;
-            let (keep, give) = if me & self.mask == 0 {
-                ((self.lo, mid), (mid, self.hi))
-            } else {
-                ((mid, self.hi), (self.lo, mid))
-            };
-            let give_off = displs[give.0];
-            let give_len = displs[give.1 - 1] + counts[give.1 - 1] - give_off;
-            let keep_off = displs[keep.0];
-            if !self.sent {
-                ctx.send_region(comm, partner, tags::ALLREDUCE + 3, recv, give_off, give_len);
-                self.sent = true;
-            }
-            let Some(payload) = ctx.step_recv(comm, partner, tags::ALLREDUCE + 3, how)? else {
-                return Ok(false);
-            };
-            recv.combine_payload(keep_off, &payload, |a, b| op.combine(a, b));
-            ctx.compute((payload.len() / T::SIZE) as f64 * O::FLOPS_PER_ELEM);
-            self.lo = keep.0;
-            self.hi = keep.1;
-            self.sent = false;
-            if self.mask == 1 {
-                debug_assert_eq!(self.hi - self.lo, 1, "each rank owns exactly one segment");
-                self.have_lo = self.lo;
-                self.have_hi = self.hi;
-                self.halving_done = true;
-            } else {
-                self.mask >>= 1;
-            }
-        }
-
-        // Allgather the reduced segments by recursive doubling. After k
-        // rounds each rank holds the `dmask`-wide aligned block of
-        // segments containing its own; the partner's block is the sibling
-        // block have_lo XOR dmask.
-        while self.dmask < p {
-            let partner = me ^ self.dmask;
-            let my_off = displs[self.have_lo];
-            let my_len = displs[self.have_hi - 1] + counts[self.have_hi - 1] - my_off;
-            if !self.sent {
-                ctx.send_region(comm, partner, tags::ALLREDUCE + 4, recv, my_off, my_len);
-                self.sent = true;
-            }
-            let Some(payload) = ctx.step_recv(comm, partner, tags::ALLREDUCE + 4, how)? else {
-                return Ok(false);
-            };
-            let p_lo = self.have_lo ^ self.dmask;
-            let p_hi = p_lo + self.dmask;
-            recv.write_payload(displs[p_lo], &payload);
-            self.have_lo = self.have_lo.min(p_lo);
-            self.have_hi = self.have_hi.max(p_hi);
-            self.dmask <<= 1;
-            self.sent = false;
-        }
-        debug_assert_eq!((self.have_lo, self.have_hi), (0, p));
-        Ok(true)
-    }
+    dispatch(ctx, comm, send, recv, op, Algo::AllreduceRecursiveDoubling);
 }
 
 /// Rabenseifner's algorithm (power-of-two sizes): recursive-halving
@@ -264,69 +44,50 @@ pub fn rabenseifner<T: ShmElem, O: ReduceOp<T>>(
     recv: &mut Buf<T>,
     op: O,
 ) {
-    run_blocking(RabSm::new().drive(ctx, comm, send, recv, op, Drive::Block));
+    dispatch(ctx, comm, send, recv, op, Algo::AllreduceRabenseifner);
 }
 
-/// One allreduce algorithm as a split-phase machine.
+/// A drivable allreduce: [`TunedSm::new`] charges the entry fee of
+/// [`tuned`] and picks the schedule; `drive` advances. Public so the
+/// hybrid layer (`hmpi`) can poll its bridge allreduce inside its own
+/// split-phase machines.
 #[derive(Debug)]
-enum AllredSm {
-    Rd(RdSm),
-    Rab(RabSm),
+pub struct TunedSm<T: ShmElem> {
+    run: Rounds<T>,
 }
 
-impl AllredSm {
-    /// The machine of `algo`. Selection picks only an applicable schedule
-    /// of the case's op, and no flat case is windowed, so no other variant
-    /// reaches here.
-    fn for_algo(algo: Algo) -> Self {
-        match algo {
-            Algo::AllreduceRecursiveDoubling => AllredSm::Rd(RdSm::new()),
-            Algo::AllreduceRabenseifner => AllredSm::Rab(RabSm::new()),
-            other => unreachable!("selection picks a flat allreduce schedule, not {other}"),
-        }
-    }
-
-    fn drive<T: ShmElem, O: ReduceOp<T>>(
-        &mut self,
-        ctx: &mut Ctx,
-        comm: &Communicator,
-        send: &Buf<T>,
-        recv: &mut Buf<T>,
-        op: O,
-        how: Drive,
-    ) -> Result<bool, WaitError> {
-        match self {
-            AllredSm::Rd(sm) => sm.drive(ctx, comm, send, recv, op, how),
-            AllredSm::Rab(sm) => sm.drive(ctx, comm, send, recv, op, how),
-        }
-    }
-}
-
-/// A drivable allreduce with the selection and entry fee of [`tuned`] —
-/// construction charges the fee and picks the algorithm; `drive`
-/// advances. Public so the hybrid layer (`hmpi`) can poll its bridge
-/// allreduce inside its own split-phase machines.
-#[derive(Debug)]
-pub struct TunedSm {
-    sm: AllredSm,
-}
-
-impl TunedSm {
+impl<T: ShmElem> TunedSm<T> {
     /// Fee-and-selection identical to [`tuned`].
-    pub fn new<'s, T: ShmElem>(
+    pub fn new<'s>(
         ctx: &mut Ctx,
         comm: &Communicator,
         send: &Buf<T>,
         select: impl Into<Select<'s>>,
     ) -> Self {
         let case = case_for(ctx, comm, send);
+        Self::for_algo(select.into().enter(ctx, Fee::Call, &case), comm)
+    }
+
+    /// The run of `algo`. Selection picks only an applicable schedule of
+    /// the case's op, and no flat case is windowed, so no other variant
+    /// reaches here. Rabenseifner off powers of two (one rank included)
+    /// runs recursive doubling.
+    fn for_algo(algo: Algo, comm: &Communicator) -> Self {
+        let p = comm.size();
+        let schedule = match algo {
+            Algo::AllreduceRabenseifner if p.is_power_of_two() && p > 1 => Schedule::Rabenseifner,
+            Algo::AllreduceRecursiveDoubling | Algo::AllreduceRabenseifner => {
+                Schedule::ReduceDoubling
+            }
+            other => unreachable!("selection picks a flat allreduce schedule, not {other}"),
+        };
         Self {
-            sm: AllredSm::for_algo(select.into().enter(ctx, Fee::Call, &case)),
+            run: Rounds::new(schedule, tags::ALLREDUCE, p),
         }
     }
 
     /// Advance; `Ok(true)` once the allreduce completed.
-    pub fn drive<T: ShmElem, O: ReduceOp<T>>(
+    pub fn drive<O: ReduceOp<T>>(
         &mut self,
         ctx: &mut Ctx,
         comm: &Communicator,
@@ -335,7 +96,13 @@ impl TunedSm {
         op: O,
         how: Drive,
     ) -> Result<bool, WaitError> {
-        self.sm.drive(ctx, comm, send, recv, op, how)
+        assert_eq!(recv.len(), send.len(), "recv must match send length");
+        let layout = Layout::Balanced {
+            total: send.len(),
+            parts: comm.size(),
+        };
+        self.run
+            .drive_reduce(ctx, comm, layout, (Some(send), recv), op, how)
     }
 }
 
@@ -379,7 +146,8 @@ pub fn dispatch<T: ShmElem, O: ReduceOp<T>>(
     op: O,
     algo: Algo,
 ) {
-    run_blocking(AllredSm::for_algo(algo).drive(ctx, comm, send, recv, op, Drive::Block));
+    let mut sm = TunedSm::for_algo(algo, comm);
+    run_blocking(sm.drive(ctx, comm, send, recv, op, Drive::Block));
 }
 
 /// The body of an in-flight nonblocking allreduce (see [`istart`]).
@@ -388,7 +156,7 @@ pub struct IAllreduceBody<'a, T: ShmElem, O: ReduceOp<T>> {
     send: &'a Buf<T>,
     recv: &'a mut Buf<T>,
     op: O,
-    sm: AllredSm,
+    sm: TunedSm<T>,
 }
 
 impl<T: ShmElem, O: ReduceOp<T>> DriveOp for IAllreduceBody<'_, T, O> {
@@ -424,7 +192,7 @@ pub fn istart<'a, T: ShmElem, O: ReduceOp<T>>(
             send,
             recv,
             op,
-            sm: AllredSm::for_algo(algo),
+            sm: TunedSm::for_algo(algo, comm),
         },
     )
 }
@@ -471,15 +239,6 @@ pub(crate) const SPECS: &[AlgorithmSpec] = &[
     },
     kleader_spec(Algo::AllreduceHyKleader),
 ];
-
-fn prev_power_of_two(n: usize) -> usize {
-    debug_assert!(n >= 1);
-    let mut p = 1;
-    while p * 2 <= n {
-        p *= 2;
-    }
-    p
-}
 
 #[cfg(test)]
 mod tests {

@@ -7,7 +7,7 @@
 use msim::{Buf, Communicator, Ctx, ShmElem};
 
 use crate::tags;
-use crate::util::VectorLayout;
+use crate::util::displs_of;
 
 /// Binomial-tree gather of `count` elements per rank to `root`. On the
 /// root, `recv` receives p·count elements in rank order; on other ranks
@@ -101,7 +101,8 @@ pub fn linear_v<T: ShmElem>(
         counts[me],
         "send length must equal counts[rank]"
     );
-    let VectorLayout { displs, total, .. } = VectorLayout::new(counts.to_vec());
+    let displs = displs_of(counts);
+    let total: usize = counts.iter().sum();
     if me == root {
         assert_eq!(recv.len(), total, "root recv must hold the total");
         recv.copy_from(displs[me], send, 0, counts[me]);

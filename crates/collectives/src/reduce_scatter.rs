@@ -6,130 +6,21 @@
 //! * [`pairwise`] — p−1 rounds, any communicator size, good for long
 //!   vectors on non-powers of two;
 //! * [`tuned`] — selection with the per-call entry fee.
+//!
+//! Every schedule is a [`crate::rounds::Schedule`] over the counts and their
+//! displacements (computed once per call), run by the one split-phase
+//! driver with combining receives; [`istart`]/[`ituned`] expose the same
+//! runs as nonblocking [`msim::Request`]s (`MPI_Ireduce_scatter`).
 
 use msim::{Buf, Communicator, Ctx, Drive, ShmElem, WaitError};
 
 use crate::op::ReduceOp;
 use crate::policy::{Fee, Select};
 use crate::registry::{Algo, AlgorithmSpec, CollectiveOp, CommCase};
+use crate::rounds::{Layout, Rounds, Schedule};
 use crate::split::{run_blocking, DriveOp, IColl};
 use crate::tags;
 use crate::util::displs_of;
-
-fn check_args<T: ShmElem>(comm: &Communicator, send: &Buf<T>, counts: &[usize], recv: &Buf<T>) {
-    assert_eq!(counts.len(), comm.size(), "one count per rank required");
-    assert_eq!(
-        send.len(),
-        counts.iter().sum::<usize>(),
-        "send must hold the full vector"
-    );
-    assert_eq!(
-        recv.len(),
-        counts[comm.rank()],
-        "recv must hold this rank's segment"
-    );
-}
-
-/// Split-phase recursive halving: the scratch accumulator lives in the
-/// machine, each round exchanges and combines half of the remaining range
-/// with the XOR partner.
-#[derive(Debug)]
-struct RhSm<T: ShmElem> {
-    started: bool,
-    acc: Option<Buf<T>>,
-    lo: usize,
-    hi: usize,
-    mask: usize,
-    halving_done: bool,
-    sent: bool,
-}
-
-impl<T: ShmElem> RhSm<T> {
-    fn new() -> Self {
-        Self {
-            started: false,
-            acc: None,
-            lo: 0,
-            hi: 0,
-            mask: 0,
-            halving_done: false,
-            sent: false,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)] // mirrors the MPI_Reduce_scatter signature
-    fn drive<O: ReduceOp<T>>(
-        &mut self,
-        ctx: &mut Ctx,
-        comm: &Communicator,
-        send: &Buf<T>,
-        counts: &[usize],
-        recv: &mut Buf<T>,
-        op: O,
-        how: Drive,
-    ) -> Result<bool, WaitError> {
-        let p = comm.size();
-        let me = comm.rank();
-        let displs = displs_of(counts);
-        if !self.started {
-            assert!(
-                p.is_power_of_two(),
-                "recursive halving requires a power-of-two communicator"
-            );
-            check_args(comm, send, counts, recv);
-            let total: usize = counts.iter().sum();
-            // Work in a scratch accumulator initialized with our full vector.
-            let mut acc = ctx.buf_zeroed::<T>(total);
-            acc.copy_from(0, send, 0, total);
-            ctx.charge_copy(total * T::SIZE);
-            self.acc = Some(acc);
-            self.lo = 0;
-            self.hi = p;
-            self.mask = p / 2;
-            self.halving_done = p == 1;
-            self.started = true;
-        }
-        let acc = self.acc.as_mut().expect("started");
-
-        while !self.halving_done {
-            let partner = me ^ self.mask;
-            let mid = self.lo + (self.hi - self.lo) / 2;
-            let (keep, give) = if me & self.mask == 0 {
-                ((self.lo, mid), (mid, self.hi))
-            } else {
-                ((mid, self.hi), (self.lo, mid))
-            };
-            let give_off = displs[give.0];
-            let give_len = if give.1 == 0 {
-                0
-            } else {
-                displs[give.1 - 1] + counts[give.1 - 1] - give_off
-            };
-            let keep_off = displs[keep.0];
-            if !self.sent {
-                ctx.send_region(comm, partner, tags::REDUCE + 16, acc, give_off, give_len);
-                self.sent = true;
-            }
-            let Some(payload) = ctx.step_recv(comm, partner, tags::REDUCE + 16, how)? else {
-                return Ok(false);
-            };
-            acc.combine_payload(keep_off, &payload, |a, b| op.combine(a, b));
-            ctx.compute((payload.len() / T::SIZE) as f64 * O::FLOPS_PER_ELEM);
-            self.lo = keep.0;
-            self.hi = keep.1;
-            self.sent = false;
-            if self.mask == 1 {
-                debug_assert_eq!((self.lo + 1, self.hi), (me + 1, me + 1));
-                self.halving_done = true;
-            } else {
-                self.mask >>= 1;
-            }
-        }
-        recv.copy_from(0, acc, displs[me], counts[me]);
-        ctx.charge_copy(counts[me] * T::SIZE);
-        Ok(true)
-    }
-}
 
 /// Recursive halving (power-of-two sizes only): each round exchanges and
 /// combines half of the remaining range with the XOR partner.
@@ -144,64 +35,8 @@ pub fn recursive_halving<T: ShmElem, O: ReduceOp<T>>(
     recv: &mut Buf<T>,
     op: O,
 ) {
-    run_blocking(RhSm::new().drive(ctx, comm, send, counts, recv, op, Drive::Block));
-}
-
-/// Split-phase pairwise exchange reduce-scatter.
-#[derive(Debug)]
-struct PwSm {
-    placed: bool,
-    k: usize,
-    sent: bool,
-}
-
-impl PwSm {
-    fn new() -> Self {
-        Self {
-            placed: false,
-            k: 1,
-            sent: false,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)] // mirrors the MPI_Reduce_scatter signature
-    fn drive<T: ShmElem, O: ReduceOp<T>>(
-        &mut self,
-        ctx: &mut Ctx,
-        comm: &Communicator,
-        send: &Buf<T>,
-        counts: &[usize],
-        recv: &mut Buf<T>,
-        op: O,
-        how: Drive,
-    ) -> Result<bool, WaitError> {
-        let p = comm.size();
-        let me = comm.rank();
-        let displs = displs_of(counts);
-        if !self.placed {
-            check_args(comm, send, counts, recv);
-            recv.copy_from(0, send, displs[me], counts[me]);
-            ctx.charge_copy(counts[me] * T::SIZE);
-            self.placed = true;
-        }
-        while self.k < p {
-            let k = self.k;
-            let dst = (me + k) % p;
-            let src = (me + p - k) % p;
-            if !self.sent {
-                ctx.send_region(comm, dst, tags::REDUCE + 17, send, displs[dst], counts[dst]);
-                self.sent = true;
-            }
-            let Some(payload) = ctx.step_recv(comm, src, tags::REDUCE + 17, how)? else {
-                return Ok(false);
-            };
-            recv.combine_payload(0, &payload, |a, b| op.combine(a, b));
-            ctx.compute((payload.len() / T::SIZE) as f64 * O::FLOPS_PER_ELEM);
-            self.k += 1;
-            self.sent = false;
-        }
-        Ok(true)
-    }
+    let algo = Algo::ReduceScatterRecursiveHalving;
+    dispatch(ctx, comm, send, counts, recv, op, algo);
 }
 
 /// Pairwise exchange: in round k, send the segment owned by `me + k` to
@@ -215,64 +50,19 @@ pub fn pairwise<T: ShmElem, O: ReduceOp<T>>(
     recv: &mut Buf<T>,
     op: O,
 ) {
-    run_blocking(PwSm::new().drive(ctx, comm, send, counts, recv, op, Drive::Block));
+    let algo = Algo::ReduceScatterPairwise;
+    dispatch(ctx, comm, send, counts, recv, op, algo);
 }
 
-/// One reduce-scatter algorithm as a split-phase machine.
-#[derive(Debug)]
-enum RsSm<T: ShmElem> {
-    Local { done: bool },
-    Rh(RhSm<T>),
-    Pw(PwSm),
-}
-
-impl<T: ShmElem> RsSm<T> {
-    /// The machine of `algo`. Selection picks only an applicable schedule
-    /// of the case's op, and no flat case is windowed, so no other variant
-    /// reaches here.
-    fn for_algo(algo: Algo) -> Self {
-        match algo {
-            Algo::ReduceScatterLocal => RsSm::Local { done: false },
-            Algo::ReduceScatterRecursiveHalving => RsSm::Rh(RhSm::new()),
-            Algo::ReduceScatterPairwise => RsSm::Pw(PwSm::new()),
-            other => unreachable!("selection picks a flat reduce_scatter schedule, not {other}"),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)] // mirrors the MPI_Reduce_scatter signature
-    fn drive<O: ReduceOp<T>>(
-        &mut self,
-        ctx: &mut Ctx,
-        comm: &Communicator,
-        send: &Buf<T>,
-        counts: &[usize],
-        recv: &mut Buf<T>,
-        op: O,
-        how: Drive,
-    ) -> Result<bool, WaitError> {
-        match self {
-            RsSm::Local { done } => {
-                if !*done {
-                    check_args(comm, send, counts, recv);
-                    recv.copy_from(0, send, 0, counts[0]);
-                    ctx.charge_copy(counts[0] * T::SIZE);
-                    *done = true;
-                }
-                Ok(true)
-            }
-            RsSm::Rh(sm) => sm.drive(ctx, comm, send, counts, recv, op, how),
-            RsSm::Pw(sm) => sm.drive(ctx, comm, send, counts, recv, op, how),
-        }
-    }
-}
-
-/// A drivable reduce-scatter with the selection and entry fee of
-/// [`tuned`] — construction charges the fee and picks the algorithm;
-/// `drive` advances. Public so the hybrid layer (`hmpi`) can poll its
-/// bridge reduce-scatter inside its own split-phase machines.
+/// A drivable reduce-scatter: [`TunedSm::new`] charges the entry fee of
+/// [`tuned`] and picks the schedule; `drive` advances. Public so the
+/// hybrid layer (`hmpi`) can poll its bridge reduce-scatter inside its
+/// own split-phase machines.
 #[derive(Debug)]
 pub struct TunedSm<T: ShmElem> {
-    sm: RsSm<T>,
+    run: Rounds<T>,
+    /// The displacements of the call's counts.
+    displs: Vec<usize>,
 }
 
 impl<T: ShmElem> TunedSm<T> {
@@ -284,8 +74,25 @@ impl<T: ShmElem> TunedSm<T> {
         select: impl Into<Select<'s>>,
     ) -> Self {
         let case = case_for::<T>(ctx, comm, counts);
+        let algo = select.into().enter(ctx, Fee::Call, &case);
+        Self::for_algo(algo, comm, counts)
+    }
+
+    /// The run of `algo` over `counts`. Selection picks only an
+    /// applicable schedule of the case's op, and no flat case is
+    /// windowed, so no other variant reaches here.
+    fn for_algo(algo: Algo, comm: &Communicator, counts: &[usize]) -> Self {
+        let schedule = match algo {
+            Algo::ReduceScatterLocal => Schedule::Local,
+            Algo::ReduceScatterRecursiveHalving => Schedule::RecursiveHalving,
+            Algo::ReduceScatterPairwise => Schedule::ReducePairwise,
+            other => unreachable!("selection picks a flat reduce_scatter schedule, not {other}"),
+        };
+        let run = Rounds::new(schedule, tags::REDUCE + 16, comm.size());
+        assert_eq!(counts.len(), comm.size(), "one count per rank required");
         Self {
-            sm: RsSm::for_algo(select.into().enter(ctx, Fee::Call, &case)),
+            run,
+            displs: displs_of(counts),
         }
     }
 
@@ -301,7 +108,19 @@ impl<T: ShmElem> TunedSm<T> {
         op: O,
         how: Drive,
     ) -> Result<bool, WaitError> {
-        self.sm.drive(ctx, comm, send, counts, recv, op, how)
+        let layout = Layout::Counts {
+            counts,
+            displs: &self.displs,
+        };
+        let total = layout.total(comm.size());
+        assert_eq!(send.len(), total, "send must hold the full vector");
+        assert_eq!(
+            recv.len(),
+            counts[comm.rank()],
+            "recv must hold this rank's segment"
+        );
+        self.run
+            .drive_reduce(ctx, comm, layout, (Some(send), recv), op, how)
     }
 }
 
@@ -348,7 +167,8 @@ pub fn dispatch<T: ShmElem, O: ReduceOp<T>>(
     op: O,
     algo: Algo,
 ) {
-    run_blocking(RsSm::for_algo(algo).drive(ctx, comm, send, counts, recv, op, Drive::Block));
+    let mut sm = TunedSm::for_algo(algo, comm, counts);
+    run_blocking(sm.drive(ctx, comm, send, counts, recv, op, Drive::Block));
 }
 
 /// The body of an in-flight nonblocking reduce-scatter (see [`istart`]).
@@ -358,7 +178,7 @@ pub struct IReduceScatterBody<'a, T: ShmElem, O: ReduceOp<T>> {
     counts: Vec<usize>,
     recv: &'a mut Buf<T>,
     op: O,
-    sm: RsSm<T>,
+    sm: TunedSm<T>,
 }
 
 impl<T: ShmElem, O: ReduceOp<T>> DriveOp for IReduceScatterBody<'_, T, O> {
@@ -403,7 +223,7 @@ pub fn istart<'a, T: ShmElem, O: ReduceOp<T>>(
             counts: counts.to_vec(),
             recv,
             op,
-            sm: RsSm::for_algo(algo),
+            sm: TunedSm::for_algo(algo, comm, counts),
         },
     )
 }

@@ -1,18 +1,24 @@
-//! Exchange schedules as data, and the one driver that runs them.
+//! Exchange and reduce schedules as data, and the one driver that runs
+//! them.
 //!
 //! A [`Schedule`] is a pure function of `(p, me, layout, round)`: for one
 //! round it names the send (peer and region), the receive (peer and
-//! region) and the local copies around them, or `None` once the
-//! schedule is done. It also names the copies before round 0 (own-block
-//! placement, Bruck's seed of its rotated temporary, alltoall-Bruck's
-//! rotation) and after the last round (the inverse rotations). Nothing
-//! here allocates; this is the schedule-as-data design of libNBC
-//! (Hoefler, Lumsdaine and Rehm, SC'07).
+//! region, and whether the payload overwrites the region or is combined
+//! into it by the caller's reduction) and the local copies around them,
+//! or `None` once the schedule is done. A round may lack either side: the
+//! fold and unfold of recursive-doubling allreduce are one-sided. A
+//! schedule also names the copies before round 0 (own-block placement,
+//! Bruck's seed of its rotated temporary, alltoall-Bruck's rotation, a
+//! reduction's staging copy) and after the last round (the inverse
+//! rotations, reduce-scatter's copy out). Nothing here allocates; this is
+//! the schedule-as-data design of libNBC (Hoefler, Lumsdaine and Rehm,
+//! SC'07).
 //!
 //! [`Rounds`] is the one split-phase driver: it holds the round cursor and
 //! whether the current round's send is posted, and performs each round as
-//! post-send, then `step_recv` under the caller's [`Drive`]. Blocking
-//! entry points are `run_blocking` of a `Drive::Block` drive.
+//! post-send, then `step_recv` under the caller's [`Drive`]. A combining
+//! receive charges one op per element after the combine. Blocking entry
+//! points are `run_blocking` of a `Drive::Block` drive.
 //!
 //! A [`Layout`] says where each block sits. At `Uniform(count)` the ring
 //! and Bruck of allgather are exactly those of allgatherv over equal
@@ -21,6 +27,8 @@
 //! which the driver carries, differs.
 
 use msim::{Buf, Communicator, Ctx, Drive, ShmElem, WaitError};
+
+use crate::op::ReduceOp;
 
 /// Where rank `r`'s block sits in a buffer laid out by rank.
 #[derive(Debug, Clone, Copy)]
@@ -34,6 +42,14 @@ pub enum Layout<'a> {
         /// Offset of each block.
         displs: &'a [usize],
     },
+    /// `total` elements in `parts` blocks back to back, the first
+    /// `total % parts` of them one element longer.
+    Balanced {
+        /// Elements in all.
+        total: usize,
+        /// Number of blocks.
+        parts: usize,
+    },
 }
 
 impl Layout<'_> {
@@ -42,6 +58,7 @@ impl Layout<'_> {
         match self {
             Layout::Uniform(count) => count,
             Layout::Counts { counts, .. } => counts[r],
+            Layout::Balanced { total, parts } => total / parts + usize::from(r < total % parts),
         }
     }
 
@@ -50,6 +67,7 @@ impl Layout<'_> {
         match self {
             Layout::Uniform(count) => r * count,
             Layout::Counts { displs, .. } => displs[r],
+            Layout::Balanced { total, parts } => r * (total / parts) + r.min(total % parts),
         }
     }
 
@@ -59,9 +77,10 @@ impl Layout<'_> {
         self.displ(p - 1) + self.count(p - 1)
     }
 
-    /// Elements of blocks `a .. a + n`, which must lie back to back.
-    fn span(self, a: usize, n: usize) -> usize {
-        self.displ(a + n - 1) + self.count(a + n - 1) - self.displ(a)
+    /// Blocks `a .. a + n`, which must lie back to back, in `buf`.
+    fn span(self, buf: Buffer, a: usize, n: usize) -> Region {
+        let end = self.displ(a + n - 1) + self.count(a + n - 1);
+        Region::new(buf, self.displ(a), end - self.displ(a))
     }
 
     /// Offset of slot `j` (`0 ≤ j ≤ p`) in rank `me`'s rotated temporary,
@@ -182,23 +201,50 @@ impl Copies {
     }
 }
 
-/// One round: post `send`, receive into `recv`, with `pack` copies before
-/// the send and `unpack` copies after the receive.
+/// What a round's receive does with its region.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Mode {
+    /// The payload overwrites the region.
+    Overwrite,
+    /// The payload is combined into the region by the caller's
+    /// reduction, which is then charged per element.
+    Combine,
+}
+
+/// One round: post `send`, receive into `recv` by `mode`, with `pack`
+/// copies before the send and `unpack` copies after the receive. A rank
+/// with no part in a round has neither side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Round {
-    /// The message this rank sends.
-    pub(crate) send: Xfer,
-    /// The message this rank receives.
-    pub(crate) recv: Xfer,
+    /// The message this rank sends, if any.
+    pub(crate) send: Option<Xfer>,
+    /// The message this rank receives, if any.
+    pub(crate) recv: Option<Xfer>,
+    /// What the receive does with its region.
+    pub(crate) mode: Mode,
     /// Copies before the send.
     pub(crate) pack: Option<Copies>,
     /// Copies after the receive.
     pub(crate) unpack: Option<Copies>,
 }
 
-/// The exchange schedules: allgather(v) `Local`, `RecursiveDoubling`,
-/// `Bruck` and `Ring` over the result buffer, and the alltoall
-/// `Pairwise` and `AlltoallBruck` from the send buffer.
+impl Round {
+    fn new(send: Option<Xfer>, recv: Option<Xfer>, mode: Mode) -> Self {
+        Self {
+            send,
+            recv,
+            mode,
+            pack: None,
+            unpack: None,
+        }
+    }
+}
+
+/// The schedules: allgather(v) `Local`, `RecursiveDoubling`, `Bruck` and
+/// `Ring` over the result buffer, the alltoall `Pairwise` and
+/// `AlltoallBruck` from the send buffer, the allreduce `ReduceDoubling`
+/// and `Rabenseifner` over the whole vector, and the reduce-scatter
+/// `RecursiveHalving` and `ReducePairwise`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
     /// Own-block placement only (one-member communicators).
@@ -218,13 +264,30 @@ pub enum Schedule {
     /// ⌈log₂ p⌉ rounds, each shipping every block whose distance to its
     /// destination has bit k set, with a local rotation before and after.
     AlltoallBruck,
+    /// Allreduce for any p: the ranks from 2^⌊log₂ p⌋ up fold their
+    /// vector into the rank that many below, the rest exchange and
+    /// combine full vectors with `me XOR 2^k` for log₂ rounds, and an
+    /// unfold hands the folded ranks the result.
+    ReduceDoubling,
+    /// Rabenseifner's allreduce: recursive halving in place over the
+    /// result, then `RecursiveDoubling` of the reduced blocks.
+    /// Power-of-two communicators only.
+    Rabenseifner,
+    /// Reduce-scatter over a full-vector temporary: log₂ p rounds, each
+    /// sending the half of the held blocks the XOR partner keeps and
+    /// combining the half this rank keeps. Power-of-two communicators
+    /// only.
+    RecursiveHalving,
+    /// Reduce-scatter in p − 1 steps: send block `me + k` to its owner,
+    /// combine block `me` from rank `me − k` into the result.
+    ReducePairwise,
 }
 
 impl Schedule {
     /// Elements of the temporary the schedule needs, if any.
     pub(crate) fn scratch(self, p: usize, layout: Layout<'_>) -> Option<usize> {
         match self {
-            Schedule::Bruck => Some(layout.total(p)),
+            Schedule::Bruck | Schedule::RecursiveHalving => Some(layout.total(p)),
             // The rotated blocks, then the pack area.
             Schedule::AlltoallBruck => Some(2 * layout.total(p)),
             _ => None,
@@ -233,10 +296,17 @@ impl Schedule {
 
     /// Copies before round 0. `in_place`: there is no send buffer and the
     /// own block already sits in the result.
-    pub(crate) fn prologue(self, me: usize, layout: Layout<'_>, in_place: bool) -> Option<Copies> {
+    pub(crate) fn prologue(
+        self,
+        p: usize,
+        me: usize,
+        layout: Layout<'_>,
+        in_place: bool,
+    ) -> Option<Copies> {
         let (off, len) = (layout.displ(me), layout.count(me));
         let own = Region::new(Buffer::Recv, off, len);
         let from = Region::new(Buffer::Send, 0, len);
+        let all = |buf| Region::new(buf, 0, layout.total(p));
         match self {
             Schedule::Local | Schedule::RecursiveDoubling | Schedule::Ring if !in_place => {
                 Some(Copies::Block(from, own))
@@ -248,28 +318,28 @@ impl Schedule {
             }
             Schedule::Pairwise => Some(Copies::Block(Region { off, ..from }, own)),
             Schedule::AlltoallBruck => Some(Copies::Rotate),
+            Schedule::ReduceDoubling | Schedule::Rabenseifner => {
+                Some(Copies::Block(all(Buffer::Send), all(Buffer::Recv)))
+            }
+            Schedule::RecursiveHalving => Some(Copies::Block(all(Buffer::Send), all(Buffer::Tmp))),
+            Schedule::ReducePairwise => Some(Copies::Block(
+                Region { off, ..from },
+                Region { off: 0, ..own },
+            )),
         }
     }
 
     /// Round `r` of rank `me`, or `None` once the schedule is done.
     pub(crate) fn round(self, p: usize, me: usize, layout: Layout<'_>, r: usize) -> Option<Round> {
         let at = |buf, b: usize| Region::new(buf, layout.displ(b), layout.count(b));
-        let xfer = |peer, region| Xfer { peer, region };
-        let plain = |send, recv| Round {
-            send,
-            recv,
-            pack: None,
-            unpack: None,
-        };
+        let xfer = |peer, region| Some(Xfer { peer, region });
+        let plain = |send, recv| Round::new(send, recv, Mode::Overwrite);
         match self {
             Schedule::Local => None,
             Schedule::RecursiveDoubling => {
                 let mask = 1usize.checked_shl(r as u32).filter(|&m| m < p)?;
                 let partner = me ^ mask;
-                let held = |q: usize| {
-                    let first = q & !(mask - 1);
-                    Region::new(Buffer::Recv, layout.displ(first), layout.span(first, mask))
-                };
+                let held = |q: usize| layout.span(Buffer::Recv, q & !(mask - 1), mask);
                 Some(plain(xfer(partner, held(me)), xfer(partner, held(partner))))
             }
             Schedule::Bruck => {
@@ -313,22 +383,99 @@ impl Schedule {
                 let area =
                     Region::new(Buffer::Tmp, layout.total(p), packed(p, k) * layout.count(0));
                 Some(Round {
-                    send: xfer((me + k) % p, area),
-                    recv: xfer((me + p - k) % p, area),
                     pack: Some(Copies::Pack(k)),
                     unpack: Some(Copies::Unpack(k)),
+                    ..plain(xfer((me + k) % p, area), xfer((me + p - k) % p, area))
                 })
+            }
+            Schedule::ReduceDoubling => {
+                let pof2 = 1 << p.ilog2();
+                let (rem, log) = (p - pof2, pof2.trailing_zeros() as usize);
+                let all = Region::new(Buffer::Recv, 0, layout.total(p));
+                let one = |peer| xfer(peer, all);
+                let (send, recv, mode) = match r {
+                    // Fold.
+                    0 if me >= pof2 => (one(me - pof2), None, Mode::Combine),
+                    0 if me < rem => (None, one(me + pof2), Mode::Combine),
+                    r if (1..=log).contains(&r) && me < pof2 => {
+                        let partner = me ^ (1 << (r - 1));
+                        (one(partner), one(partner), Mode::Combine)
+                    }
+                    // Unfold.
+                    r if r == log + 1 && me < rem => (one(me + pof2), None, Mode::Overwrite),
+                    r if r == log + 1 && me >= pof2 => (None, one(me - pof2), Mode::Overwrite),
+                    r if r <= log + 1 => (None, None, Mode::Overwrite),
+                    _ => return None,
+                };
+                Some(Round::new(send, recv, mode))
+            }
+            Schedule::Rabenseifner => {
+                let log = p.trailing_zeros() as usize;
+                match r.checked_sub(log) {
+                    None => Some(halving(p, me, layout, r, Buffer::Recv)),
+                    Some(r) => Schedule::RecursiveDoubling.round(p, me, layout, r),
+                }
+            }
+            Schedule::RecursiveHalving => {
+                (r < p.trailing_zeros() as usize).then(|| halving(p, me, layout, r, Buffer::Tmp))
+            }
+            Schedule::ReducePairwise => {
+                let k = r + 1;
+                if k >= p {
+                    return None;
+                }
+                let (dst, src) = ((me + k) % p, (me + p - k) % p);
+                let own = Region::new(Buffer::Recv, 0, layout.count(me));
+                Some(Round::new(
+                    xfer(dst, at(Buffer::Send, dst)),
+                    xfer(src, own),
+                    Mode::Combine,
+                ))
             }
         }
     }
 
     /// Copies after the last round.
-    pub(crate) fn epilogue(self) -> Option<Copies> {
+    pub(crate) fn epilogue(self, me: usize, layout: Layout<'_>) -> Option<Copies> {
         match self {
             Schedule::Bruck => Some(Copies::Unrotate),
             Schedule::AlltoallBruck => Some(Copies::Unreverse),
+            Schedule::RecursiveHalving => {
+                let len = layout.count(me);
+                Some(Copies::Block(
+                    Region::new(Buffer::Tmp, layout.displ(me), len),
+                    Region::new(Buffer::Recv, 0, len),
+                ))
+            }
             _ => None,
         }
+    }
+}
+
+/// Round `r` of recursive halving over `buf` (power-of-two `p`): with
+/// `mask = p / 2^(r+1)`, send the aligned run of `mask` blocks the XOR
+/// partner keeps and combine its copy of the run holding block `me`.
+fn halving(p: usize, me: usize, layout: Layout<'_>, r: usize, buf: Buffer) -> Round {
+    let mask = p >> (r + 1);
+    let partner = me ^ mask;
+    let held = |q: usize| layout.span(buf, q & !(mask - 1), mask);
+    let xfer = |region| {
+        Some(Xfer {
+            peer: partner,
+            region,
+        })
+    };
+    Round::new(xfer(held(partner)), xfer(held(me)), Mode::Combine)
+}
+
+/// The reduction an exchange schedule is driven with: it has no
+/// combining receive, so nothing calls it.
+#[derive(Debug, Clone, Copy)]
+struct Exchange;
+
+impl<T: ShmElem> ReduceOp<T> for Exchange {
+    fn combine(self, _: T, _: T) -> T {
+        unreachable!("an exchange schedule combines nothing")
     }
 }
 
@@ -347,11 +494,16 @@ impl<T: ShmElem> Rounds<T> {
     /// A run of `schedule` on a `p`-member communicator, sending on `tag`.
     ///
     /// # Panics
-    /// Panics on recursive doubling over a `p` that is not a power of two.
+    /// Panics on recursive doubling, Rabenseifner or recursive halving
+    /// over a `p` that is not a power of two.
     pub fn new(schedule: Schedule, tag: u32, p: usize) -> Self {
+        let halves = matches!(
+            schedule,
+            Schedule::RecursiveDoubling | Schedule::Rabenseifner | Schedule::RecursiveHalving
+        );
         assert!(
-            schedule != Schedule::RecursiveDoubling || p.is_power_of_two(),
-            "recursive doubling requires a power-of-two communicator"
+            !halves || p.is_power_of_two(),
+            "{schedule:?} requires a power-of-two communicator"
         );
         Self {
             schedule,
@@ -363,15 +515,28 @@ impl<T: ShmElem> Rounds<T> {
         }
     }
 
-    /// Advance under `how`; `Ok(true)` when the schedule completed. The
-    /// result buffer is `recv`, laid out by `layout`; `send = None` runs
-    /// in place.
+    /// Advance an exchange schedule under `how`; `Ok(true)` when it
+    /// completed. The result buffer is `recv`, laid out by `layout`;
+    /// `send = None` runs in place.
     pub fn drive(
         &mut self,
         ctx: &mut Ctx,
         comm: &Communicator,
         layout: Layout<'_>,
+        bufs: (Option<&Buf<T>>, &mut Buf<T>),
+        how: Drive,
+    ) -> Result<bool, WaitError> {
+        self.drive_reduce(ctx, comm, layout, bufs, Exchange, how)
+    }
+
+    /// [`Rounds::drive`] of any schedule, combining by `op`.
+    pub(crate) fn drive_reduce<O: ReduceOp<T>>(
+        &mut self,
+        ctx: &mut Ctx,
+        comm: &Communicator,
+        layout: Layout<'_>,
         (send, recv): (Option<&Buf<T>>, &mut Buf<T>),
+        op: O,
         how: Drive,
     ) -> Result<bool, WaitError> {
         let (p, me) = (comm.size(), comm.rank());
@@ -380,7 +545,7 @@ impl<T: ShmElem> Rounds<T> {
         if !self.started {
             self.started = true;
             self.tmp = s.scratch(p, layout).map(|len| ctx.buf_zeroed(len));
-            if let Some(c) = s.prologue(me, layout, send.is_none()) {
+            if let Some(c) = s.prologue(p, me, layout, send.is_none()) {
                 copy(ctx, blocks(c), send, recv, &mut self.tmp);
             }
         }
@@ -389,23 +554,32 @@ impl<T: ShmElem> Rounds<T> {
                 if let Some(c) = round.pack {
                     copy(ctx, blocks(c), send, recv, &mut self.tmp);
                 }
-                let Xfer { peer, region } = round.send;
-                let from = match (region.buf, &self.tmp) {
-                    (Buffer::Send, _) => sent(send),
-                    (Buffer::Recv, _) => &*recv,
-                    (Buffer::Tmp, tmp) => tmp.as_ref().expect("the schedule has a temporary"),
-                };
-                ctx.send_region(comm, peer, self.tag, from, region.off, region.len);
+                if let Some(Xfer { peer, region }) = round.send {
+                    let from = match (region.buf, &self.tmp) {
+                        (Buffer::Send, _) => sent(send),
+                        (Buffer::Recv, _) => &*recv,
+                        (Buffer::Tmp, tmp) => tmp.as_ref().expect("the schedule has a temporary"),
+                    };
+                    ctx.send_region(comm, peer, self.tag, from, region.off, region.len);
+                }
                 self.posted = true;
             }
-            let Some(payload) = ctx.step_recv(comm, round.recv.peer, self.tag, how)? else {
-                return Ok(false);
-            };
-            let to = round.recv.region;
-            match (to.buf, &mut self.tmp) {
-                (Buffer::Recv, _) => recv.write_payload(to.off, &payload),
-                (Buffer::Tmp, Some(tmp)) => tmp.write_payload(to.off, &payload),
-                (buf, _) => unreachable!("no schedule receives into {buf:?}"),
+            if let Some(Xfer { peer, region: to }) = round.recv {
+                let Some(payload) = ctx.step_recv(comm, peer, self.tag, how)? else {
+                    return Ok(false);
+                };
+                let dst = match (to.buf, &mut self.tmp) {
+                    (Buffer::Recv, _) => &mut *recv,
+                    (Buffer::Tmp, Some(tmp)) => tmp,
+                    (buf, _) => unreachable!("no schedule receives into {buf:?}"),
+                };
+                match round.mode {
+                    Mode::Overwrite => dst.write_payload(to.off, &payload),
+                    Mode::Combine => {
+                        dst.combine_payload(to.off, &payload, |a, b| op.combine(a, b));
+                        ctx.compute(to.len as f64 * O::FLOPS_PER_ELEM);
+                    }
+                }
             }
             if let Some(c) = round.unpack {
                 copy(ctx, blocks(c), send, recv, &mut self.tmp);
@@ -413,7 +587,7 @@ impl<T: ShmElem> Rounds<T> {
             self.round += 1;
             self.posted = false;
         }
-        if let Some(c) = s.epilogue() {
+        if let Some(c) = s.epilogue(me, layout) {
             copy(ctx, blocks(c), send, recv, &mut self.tmp);
         }
         Ok(true)
@@ -453,15 +627,17 @@ fn copy<T: ShmElem>(
 mod tests {
     //! The schedules as data, walked with no simulator: every rank's
     //! rounds run in lockstep over symbolic buffers whose elements are
-    //! labelled by the block they came from.
+    //! labelled by the ranks whose contributions they hold.
 
     use super::*;
-    use crate::util::displs_of;
+    use crate::util::{displs_of, segment_counts};
     use simnet::rng::Rng64;
 
-    /// `(origin rank, destination rank, element)`; allgather blocks have
-    /// destination 0.
-    type Label = Option<(usize, usize, usize)>;
+    /// `(contributors, destination rank, element)`: a bitmask of the ranks
+    /// combined into the element (one bit for a block moved unreduced);
+    /// allgather blocks and reduced vectors have destination 0. Reduced
+    /// elements are numbered across the whole vector.
+    type Label = Option<(u64, usize, usize)>;
 
     #[derive(Default)]
     struct Rank {
@@ -482,15 +658,26 @@ mod tests {
             buf[r.off..r.off + r.len].to_vec()
         }
 
-        fn write(&mut self, r: Region, data: &[Label]) {
+        fn write(&mut self, r: Region, data: &[Label], mode: Mode) {
             let (buf, writes) = match r.buf {
                 Buffer::Recv => (&mut self.recv, &mut self.recv_writes),
                 Buffer::Tmp => (&mut self.tmp, &mut self.tmp_writes),
                 Buffer::Send => panic!("a schedule wrote its send buffer"),
             };
-            buf[r.off..r.off + r.len].copy_from_slice(data);
-            for w in &mut writes[r.off..r.off + r.len] {
-                *w += 1;
+            assert_eq!(r.len, data.len());
+            for (i, &got) in data.iter().enumerate() {
+                let at = &mut buf[r.off + i];
+                *at = match mode {
+                    Mode::Overwrite => got,
+                    Mode::Combine => {
+                        let ((a, da, ea), (b, db, eb)) =
+                            (at.expect("combine into a set element"), got.expect("set"));
+                        assert_eq!((da, ea), (db, eb), "combined two different elements");
+                        assert_eq!(a & b, 0, "element {ea} combines a contribution twice");
+                        Some((a | b, da, ea))
+                    }
+                };
+                writes[r.off + i] += 1;
             }
         }
 
@@ -499,24 +686,37 @@ mod tests {
                 let (from, to) = c.block(p, me, layout, i);
                 assert_eq!(from.len, to.len, "{c:?} copy {i}");
                 let data = self.read(from);
-                self.write(to, &data);
+                self.write(to, &data, Mode::Overwrite);
             }
         }
     }
 
     /// Walk `s` on `p` ranks; return the number of rounds. Checks that
-    /// sends and receives pair up with equal lengths round by round, that
-    /// every result element is written exactly once (an in-place own block
-    /// by Bruck only) and ends holding its block, and that Bruck's
-    /// temporary is written at most once per element.
+    /// every send pairs with a receive of equal length round by round and
+    /// every receive with a send. For the exchange schedules, every result
+    /// element is written exactly once (an in-place own block by Bruck
+    /// only) and ends holding its block, and Bruck's temporary is written
+    /// at most once per element. For the reduce schedules, every combine
+    /// joins two disjoint contributor sets of one element, and every
+    /// result element ends with all `p` contributors.
     fn walk(s: Schedule, p: usize, layout: Layout<'_>, len: usize, in_place: bool) -> usize {
+        use Schedule::{Rabenseifner, RecursiveHalving, ReduceDoubling, ReducePairwise};
         let alltoall = matches!(s, Schedule::Pairwise | Schedule::AlltoallBruck);
+        let scatter = matches!(s, RecursiveHalving | ReducePairwise);
+        let reduce = scatter || matches!(s, ReduceDoubling | Rabenseifner);
+        let bit = |r: usize| 1u64 << r;
+        let all = u64::MAX >> (64 - p);
         let label =
-            |r: usize, d: usize, b: usize| (0..layout.count(b)).map(move |i| Some((r, d, i)));
+            |r: usize, d: usize, b: usize| (0..layout.count(b)).map(move |i| Some((bit(r), d, i)));
         let mut ranks: Vec<Rank> = (0..p)
             .map(|me| {
+                let len = if scatter { layout.count(me) } else { len };
                 let mut rank = Rank {
-                    send: if alltoall {
+                    send: if reduce {
+                        (0..layout.total(p))
+                            .map(|i| Some((bit(me), 0, i)))
+                            .collect()
+                    } else if alltoall {
                         (0..p).flat_map(|d| label(me, d, d)).collect()
                     } else {
                         label(me, 0, me).collect()
@@ -532,7 +732,7 @@ mod tests {
                     let off = own.off;
                     rank.recv[off..off + own.len].copy_from_slice(&rank.send);
                 }
-                if let Some(c) = s.prologue(me, layout, in_place) {
+                if let Some(c) = s.prologue(p, me, layout, in_place) {
                     rank.copy(c, p, me, layout);
                 }
                 rank
@@ -548,25 +748,31 @@ mod tests {
                 .into_iter()
                 .map(|x| x.expect("every rank runs the same number of rounds"))
                 .collect();
+            let at = format!("{s:?} p={p} round {r}");
             for (me, round) in rounds.iter().enumerate() {
-                let (to, sent) = (round.send.peer, round.send.region);
-                let got = rounds[to].recv;
-                assert_eq!(got.peer, me, "{s:?} p={p} round {r}: {me} sends to {to}");
-                assert_eq!(
-                    got.region.len, sent.len,
-                    "{s:?} p={p} round {r}: {me} → {to}"
-                );
+                if let Some(Xfer { peer: to, region }) = round.send {
+                    let got = rounds[to].recv.filter(|got| got.peer == me);
+                    let got = got.unwrap_or_else(|| panic!("{at}: {to} ignores {me}"));
+                    assert_eq!(got.region.len, region.len, "{at}: {me} → {to}");
+                }
+                if let Some(Xfer { peer: from, .. }) = round.recv {
+                    let sent = rounds[from].send.is_some_and(|x| x.peer == me);
+                    assert!(sent, "{at}: {me} waits on {from}");
+                }
             }
             for (me, round) in rounds.iter().enumerate() {
                 if let Some(c) = round.pack {
                     ranks[me].copy(c, p, me, layout);
                 }
             }
-            let msgs: Vec<Vec<Label>> = (0..p)
-                .map(|me| ranks[me].read(rounds[me].send.region))
+            let msgs: Vec<Option<Vec<Label>>> = (0..p)
+                .map(|me| rounds[me].send.map(|x| ranks[me].read(x.region)))
                 .collect();
             for (me, round) in rounds.iter().enumerate() {
-                ranks[me].write(round.recv.region, &msgs[round.recv.peer]);
+                if let Some(Xfer { peer, region }) = round.recv {
+                    let msg = msgs[peer].as_ref().expect("paired above");
+                    ranks[me].write(region, msg, round.mode);
+                }
                 if let Some(c) = round.unpack {
                     ranks[me].copy(c, p, me, layout);
                 }
@@ -574,8 +780,16 @@ mod tests {
             r += 1;
         }
         for (me, rank) in ranks.iter_mut().enumerate() {
-            if let Some(c) = s.epilogue() {
+            if let Some(c) = s.epilogue(me, layout) {
                 rank.copy(c, p, me, layout);
+            }
+            if reduce {
+                let first = if scatter { layout.displ(me) } else { 0 };
+                for (i, &got) in rank.recv.iter().enumerate() {
+                    let want = Some((all, 0, first + i));
+                    assert_eq!(got, want, "{s:?} p={p}: rank {me} element {i}");
+                }
+                continue;
             }
             for b in 0..p {
                 let region = Region::new(Buffer::Recv, layout.displ(b), layout.count(b));
@@ -652,5 +866,63 @@ mod tests {
             );
         }
         assert_eq!(walk(Schedule::Local, 1, Layout::Uniform(3), 3, false), 0);
+    }
+
+    #[test]
+    fn every_reduce_schedule_combines_each_contribution_once_in_its_round_count() {
+        let mut rng = Rng64::new(46);
+        for p in 1..=64 {
+            let count = rng.usize_in(0, 4);
+            let counts = rng.vec_usize(p, 0, 5);
+            let displs = displs_of(&counts);
+            let total: usize = counts.iter().sum();
+            let vector = Layout::Counts {
+                counts: &counts,
+                displs: &displs,
+            };
+            // Whole vectors in balanced blocks: p·count elements, then a
+            // total that leaves a remainder (and fewer elements than
+            // ranks when p is large).
+            let even = Layout::Balanced {
+                total: p * count,
+                parts: p,
+            };
+            let odd = Layout::Balanced {
+                total: rng.usize_in(1, 3 * p),
+                parts: p,
+            };
+            let log = p.ilog2() as usize;
+            for layout in [even, odd] {
+                let len = layout.total(p);
+                let rd = walk(Schedule::ReduceDoubling, p, layout, len, false);
+                assert_eq!(rd, log + 2, "fold, log₂ exchanges, unfold");
+                if p.is_power_of_two() {
+                    let rab = walk(Schedule::Rabenseifner, p, layout, len, false);
+                    assert_eq!(rab, 2 * log);
+                }
+            }
+            for layout in [Layout::Uniform(count), vector] {
+                let pw = walk(Schedule::ReducePairwise, p, layout, total, false);
+                assert_eq!(pw, p - 1);
+                if p.is_power_of_two() {
+                    let rh = walk(Schedule::RecursiveHalving, p, layout, total, false);
+                    assert_eq!(rh, log);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn balanced_blocks_are_the_segment_counts() {
+        for total in [0, 1, 7, 16, 100] {
+            for parts in [1, 2, 3, 8, 24] {
+                let counts = segment_counts(total, parts);
+                let displs = displs_of(&counts);
+                let layout = Layout::Balanced { total, parts };
+                for r in 0..parts {
+                    assert_eq!((layout.count(r), layout.displ(r)), (counts[r], displs[r]));
+                }
+            }
+        }
     }
 }

@@ -12,39 +12,6 @@ pub fn displs_of(counts: &[usize]) -> Vec<usize> {
     d
 }
 
-/// A counts vector together with its derived displacements and total —
-/// the triple every irregular (`v`) collective computes. One type so
-/// allgatherv, gatherv and the hybrid window layout can't drift apart on
-/// the prefix-sum convention.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VectorLayout {
-    /// Per-rank element counts.
-    pub counts: Vec<usize>,
-    /// Exclusive prefix sums of `counts` (MPI displacements).
-    pub displs: Vec<usize>,
-    /// Sum of all counts.
-    pub total: usize,
-}
-
-impl VectorLayout {
-    /// Derive displacements and the total from `counts`.
-    pub fn new(counts: Vec<usize>) -> Self {
-        let displs = displs_of(&counts);
-        let total = counts.iter().sum();
-        Self {
-            counts,
-            displs,
-            total,
-        }
-    }
-
-    /// The half-open element range `[displs[r], displs[r]+counts[r])`
-    /// belonging to rank `r`.
-    pub fn range_of(&self, r: usize) -> std::ops::Range<usize> {
-        self.displs[r]..self.displs[r] + self.counts[r]
-    }
-}
-
 /// Split `len` elements into `p` balanced segments (remainder spread over
 /// the lowest indices).
 pub fn segment_counts(len: usize, p: usize) -> Vec<usize> {
@@ -61,15 +28,6 @@ mod tests {
     fn displs_are_exclusive_prefix_sums() {
         assert_eq!(displs_of(&[2, 0, 3, 1]), vec![0, 2, 2, 5]);
         assert_eq!(displs_of(&[]), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn vector_layout_derives_displs_and_total() {
-        let lay = VectorLayout::new(vec![2, 0, 3, 1]);
-        assert_eq!(lay.displs, vec![0, 2, 2, 5]);
-        assert_eq!(lay.total, 6);
-        assert_eq!(lay.range_of(2), 2..5);
-        assert_eq!(lay.range_of(1), 2..2);
     }
 
     #[test]

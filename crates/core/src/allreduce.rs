@@ -202,7 +202,7 @@ impl<'a, T: ShmElem, O: ReduceOp<T>> ArStage<'a, T, O> {
 
 impl<T: ShmElem, O: ReduceOp<T>> Stage for ArStage<'_, T, O> {
     const OP: &'static str = "ihyallreduce";
-    type Bridge = (coll_allreduce::TunedSm, Buf<T>);
+    type Bridge = (coll_allreduce::TunedSm<T>, Buf<T>);
 
     fn hc(&self) -> &HybridComm {
         &self.ar.hc

@@ -6,20 +6,37 @@
 //! nothing — no per-call node list — and neither does a sender running
 //! ahead under one key: its packets queue in slab nodes the mailbox
 //! already has. Nor, on an untraced run, do the tracing helpers of policy
-//! decisions and nonblocking requests: they build no event. Counted by a
-//! global allocator wrapper, so the assertion is exact and immune to host
-//! load.
+//! decisions and nonblocking requests: they build no event. Nor do warm
+//! phantom allreduces: their rounds and balanced blocks are computed, not
+//! stored. Counted by a global allocator wrapper, per thread, on the one
+//! pool worker that runs every rank, so the assertion is exact and immune
+//! to host load and to the test harness starting or finishing other tests
+//! meanwhile.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use collectives::barrier;
+use collectives::{allreduce, barrier, op::Sum, Algo};
 use msim::{Ctx, ExecMode, Payload, SimConfig, Universe};
 use simnet::{ClusterSpec, CostModel};
 
-/// Allocations (and reallocations) made by the process so far.
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations (and reallocations) made by this thread so far.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one allocation on this thread. The counter has no destructor,
+/// so it is there for the thread's whole life.
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// This thread's allocations so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 struct Counting;
 
@@ -28,20 +45,20 @@ struct Counting;
 // that touches no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's contract for `alloc` is `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's contract for `alloc_zeroed` is
         // `System.alloc_zeroed`'s.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: `ptr` came from this allocator, i.e. from `System`,
         // with `layout`, as the caller's contract for `realloc` states.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -60,9 +77,9 @@ static GLOBAL: Counting = Counting;
 const RANKS: usize = 8;
 const UNSET: u64 = u64::MAX;
 
-/// The counter is process-wide, so one test measures at a time, and a
-/// failing test panics (and captures its backtrace) before the next one
-/// measures.
+/// One test measures at a time, so no other universe's ranks run on the
+/// measured worker, and a failing test panics (and captures its
+/// backtrace) before the next one measures.
 fn alone() -> MutexGuard<'static, ()> {
     static SERIAL: Mutex<()> = Mutex::new(());
     SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
@@ -104,9 +121,10 @@ fn steady_allocs(exec: ExecMode) -> u64 {
 /// Allocations made by all ranks together while running `measured`,
 /// after each ran `warm` and a fence. The pool under test runs every
 /// rank on one thread, so "the first rank out of the fence" and
-/// "the last rank to finish" are well-defined points: everything the
-/// fence allocates happens at deposit time, before the first, and a rank
-/// that returns only frees.
+/// "the last rank to finish" are well-defined points, and that thread's
+/// counter sees every allocation of every rank: everything the fence
+/// allocates happens at deposit time, before the first, and a rank that
+/// returns only frees.
 fn allocs_after(exec: ExecMode, warm: fn(&mut Ctx), measured: fn(&mut Ctx)) -> u64 {
     let start = AtomicU64::new(UNSET);
     let end = AtomicU64::new(UNSET);
@@ -118,11 +136,11 @@ fn allocs_after(exec: ExecMode, warm: fn(&mut Ctx), measured: fn(&mut Ctx)) -> u
         warm(ctx);
         let world = ctx.world();
         ctx.oob_fence(&world);
-        let now = ALLOCS.load(Ordering::Relaxed);
+        let now = allocs();
         let _ = start.compare_exchange(UNSET, now, Ordering::Relaxed, Ordering::Relaxed);
         measured(ctx);
         if finished.fetch_add(1, Ordering::Relaxed) == RANKS - 1 {
-            end.store(ALLOCS.load(Ordering::Relaxed), Ordering::Relaxed);
+            end.store(allocs(), Ordering::Relaxed);
         }
     })
     .unwrap();
@@ -200,5 +218,35 @@ fn untraced_trace_helpers_do_not_allocate() {
     assert!(
         allocs < 16,
         "{allocs} allocations for 8 x 100 untraced (decision + request start + completion)"
+    );
+}
+
+/// `reps` phantom allreduces of 1024 elements by each flat schedule; at
+/// p = 8 Rabenseifner runs its own halving and doubling rounds.
+fn allreduces(ctx: &mut Ctx, reps: u32) {
+    let world = ctx.world();
+    let send = ctx.buf_zeroed::<f64>(1024);
+    let mut recv = ctx.buf_zeroed(1024);
+    for _ in 0..reps {
+        for algo in [
+            Algo::AllreduceRecursiveDoubling,
+            Algo::AllreduceRabenseifner,
+        ] {
+            allreduce::dispatch(ctx, &world, &send, &mut recv, Sum, algo);
+        }
+    }
+}
+
+#[test]
+fn warm_phantom_allreduces_do_not_allocate() {
+    let _alone = alone();
+    let allocs = allocs_after(
+        ExecMode::Pooled { workers: Some(1) },
+        |ctx| allreduces(ctx, 1),
+        |ctx| allreduces(ctx, 100),
+    );
+    assert!(
+        allocs < 16,
+        "{allocs} allocations for 8 x 100 phantom allreduces by each schedule"
     );
 }

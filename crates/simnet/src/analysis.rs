@@ -2,10 +2,8 @@
 //!
 //! Used by the structural tests (e.g. "zero intra-node payload traffic")
 //! and by the `trace_report` harness to characterize an algorithm's
-//! schedule: message counts and volumes per link class, per-rank
-//! activity, and the node-to-node traffic matrix.
-
-use std::collections::HashMap;
+//! schedule: message counts and volumes per link class, and the
+//! node-to-node traffic matrix.
 
 use crate::placement::RankMap;
 use crate::trace::{Event, EventKind};
@@ -77,38 +75,6 @@ pub fn node_traffic_matrix(events: &[Event], map: &RankMap) -> Vec<Vec<usize>> {
         }
     }
     m
-}
-
-/// Per-rank activity: (messages sent, payload bytes sent, copy bytes,
-/// flops), indexed by global rank.
-pub fn per_rank_activity(events: &[Event], nranks: usize) -> Vec<(usize, usize, usize, f64)> {
-    let mut v = vec![(0usize, 0usize, 0usize, 0.0f64); nranks];
-    for e in events {
-        let slot = &mut v[e.rank];
-        match e.kind {
-            EventKind::Send { bytes, .. } => {
-                slot.0 += 1;
-                slot.1 += bytes;
-            }
-            EventKind::Copy { bytes } => slot.2 += bytes,
-            EventKind::Compute { flops } => slot.3 += flops,
-            _ => {}
-        }
-    }
-    v
-}
-
-/// Histogram of message sizes (bytes → count), payload sends only.
-pub fn message_size_histogram(events: &[Event]) -> HashMap<usize, usize> {
-    let mut h = HashMap::new();
-    for e in events {
-        if let EventKind::Send { bytes, .. } = e.kind {
-            if bytes > 0 {
-                *h.entry(bytes).or_insert(0) += 1;
-            }
-        }
-    }
-    h
 }
 
 #[cfg(test)]
@@ -188,32 +154,6 @@ mod tests {
         assert_eq!(m[0][1], 58); // 0 -> 2 plus 1 -> 3
         assert_eq!(m[1][0], 0);
         assert_eq!(m[1][1], 0);
-    }
-
-    #[test]
-    fn per_rank_rollup() {
-        let a = per_rank_activity(&sample_events(), 4);
-        assert_eq!(a[0], (2, 150, 0, 0.0));
-        assert_eq!(a[1], (1, 8, 0, 0.0));
-        assert_eq!(a[2], (0, 0, 64, 0.0));
-        assert_eq!(a[3], (0, 0, 0, 1000.0));
-    }
-
-    #[test]
-    fn histogram_ignores_empty_messages() {
-        let mut events = sample_events();
-        events.push(ev(
-            2,
-            EventKind::Send {
-                to: 0,
-                bytes: 0,
-                intra: false,
-            },
-        ));
-        let h = message_size_histogram(&events);
-        assert_eq!(h.get(&100), Some(&1));
-        assert_eq!(h.get(&0), None);
-        assert_eq!(h.len(), 3);
     }
 
     #[test]

@@ -358,6 +358,85 @@ fn every_hybrid_family_matches_its_oracle_at_one_and_two_leaders() {
     }
 }
 
+/// Every flat allreduce and reduce_scatter schedule the registry calls
+/// applicable, run through `dispatch` and through `istart + wait` with
+/// real data, matches its closed-form oracle. On `regular(2,4)`
+/// Rabenseifner and recursive halving run their own rounds; on
+/// `regular(1,6)` Rabenseifner falls back to recursive doubling's fold,
+/// and reduce_scatter takes the pairwise exchange. Five allreduce
+/// elements leave some balanced blocks empty, and the reduce_scatter
+/// counts hold zeros.
+#[test]
+fn every_flat_reducing_schedule_matches_its_oracle_blocking_and_nonblocking() {
+    use hybrid_mpi::collectives::{
+        allreduce, op::Sum, reduce_scatter, registry, testutil as oracle, CollectiveOp, CommCase,
+    };
+    use hybrid_mpi::msim::Request;
+
+    const N: usize = 5;
+    for (nodes, ppn) in [(2, 4), (1, 6)] {
+        let p = nodes * ppn;
+        let applicable = |op| -> Vec<_> {
+            let case = CommCase::new(op, p, nodes, 0);
+            registry::global()
+                .applicable(&case)
+                .map(|s| s.algo)
+                .collect()
+        };
+        let allreduces = applicable(CollectiveOp::Allreduce);
+        let scatters = applicable(CollectiveOp::ReduceScatter);
+        assert_eq!(allreduces.len(), 2, "recursive doubling and Rabenseifner");
+        assert!(!scatters.is_empty());
+        for nonblocking in [false, true] {
+            let cfg = SimConfig::new(ClusterSpec::regular(nodes, ppn), CostModel::uniform_test());
+            let (ars, rss) = (allreduces.clone(), scatters.clone());
+            let out = Universe::run(cfg, move |ctx| {
+                let (world, me) = (ctx.world(), ctx.rank());
+                let mut got = Vec::new();
+                for &algo in &ars {
+                    let send = ctx.buf_from_fn(N, |i| oracle::datum(me, i));
+                    let mut recv = ctx.buf_zeroed(N);
+                    if nonblocking {
+                        allreduce::istart(ctx, &world, &send, &mut recv, Sum, algo).wait(ctx);
+                    } else {
+                        allreduce::dispatch(ctx, &world, &send, &mut recv, Sum, algo);
+                    }
+                    got.push((algo, recv.as_slice().unwrap().to_vec()));
+                }
+                let counts = oracle::vcounts(p);
+                for &algo in &rss {
+                    let send = ctx.buf_from_fn(counts.iter().sum(), |i| oracle::datum(me, i));
+                    let mut recv = ctx.buf_zeroed(counts[me]);
+                    if nonblocking {
+                        reduce_scatter::istart(ctx, &world, &send, &counts, &mut recv, Sum, algo)
+                            .wait(ctx);
+                    } else {
+                        reduce_scatter::dispatch(ctx, &world, &send, &counts, &mut recv, Sum, algo);
+                    }
+                    got.push((algo, recv.as_slice().unwrap().to_vec()));
+                }
+                got
+            })
+            .unwrap();
+            let counts = oracle::vcounts(p);
+            assert!(counts.contains(&0));
+            for (rank, got) in out.per_rank.iter().enumerate() {
+                assert_eq!(got.len(), allreduces.len() + scatters.len());
+                for (algo, g) in got {
+                    let want = if allreduces.contains(algo) {
+                        oracle::expected_allreduce_sum(p, N)
+                    } else {
+                        oracle::expected_reduce_scatter(rank, p, &counts)
+                    };
+                    let what =
+                        format!("{algo} {nodes}x{ppn} nonblocking={nonblocking} rank {rank}");
+                    oracle::assert_close(g, &want, &what);
+                }
+            }
+        }
+    }
+}
+
 /// The orders the two tests below run a universe in, against the
 /// one-worker baseline: two workers popping one flat FIFO, then two
 /// workers drawing every pick by adversarial schedule seeds 0-3.
