@@ -410,8 +410,7 @@ stage_multileader() {
     MSIM_CONF_SEEDS="$ML_SEEDS" cargo test -q -p hmpi-core --test digests
     # The same wall for the flat schedules the hybrid bridges build on:
     # every applicable flat schedule of every family with a dispatch,
-    # and the never-selected pipelined-chain bcast, 3 layouts, dispatch
-    # and istart + wait, against
+    # 3 layouts, dispatch and istart + wait, against
     # crates/collectives/tests/fixtures/flat_digests.txt.
     MSIM_CONF_SEEDS="$ML_SEEDS" cargo test -q -p collectives --test digests
     # What only k >= 2 can show (the k axis itself rides the general

@@ -7,14 +7,17 @@
 //! matrix to be consistent: `scounts[d]` on rank `s` must equal
 //! `rcounts[s]` on rank `d`.
 //!
-//! This family is *natively* split-phase — the first in the crate written
-//! directly against [`msim::Drive`] rather than ported from a monolith:
-//!
 //! * [`pairwise`] — p−1 scheduled rounds (shifted partners), one
 //!   outstanding message per round; bounds memory pressure at scale;
 //! * [`linear`] — posts all p−1 sends eagerly, then drains the receives
 //!   in deterministic order; saves the per-round latency on small
 //!   communicators (what MPICH's linear alltoallv does).
+//!
+//! Both are [`crate::rounds::Schedule`]s from the send buffer laid out by
+//! the send counts into the result laid out by the receive counts (one
+//! layout of 2p blocks, its displacements computed once per call), run
+//! by the one split-phase driver with the own-block copy as its
+//! prologue.
 //!
 //! Selection goes through the registry/policy layer like every other
 //! family, with the `v`-variant bookkeeping fee: [`tuned`] and its
@@ -26,6 +29,7 @@ use msim::{Buf, Communicator, Ctx, Drive, ShmElem, WaitError};
 
 use crate::policy::{Fee, Select};
 use crate::registry::{Algo, AlgorithmSpec, CollectiveOp, CommCase};
+use crate::rounds::{Layout, Rounds, Schedule};
 use crate::split::{run_blocking, DriveOp, IColl};
 use crate::tags;
 use crate::util::displs_of;
@@ -57,76 +61,14 @@ fn check_args<T: ShmElem>(
     );
 }
 
-fn place_own_block<T: ShmElem>(
-    ctx: &mut Ctx,
-    comm: &Communicator,
-    send: &Buf<T>,
-    scounts: &[usize],
-    recv: &mut Buf<T>,
-    rcounts: &[usize],
-) {
-    let me = comm.rank();
-    let sdispls = displs_of(scounts);
-    let rdispls = displs_of(rcounts);
-    recv.copy_from(rdispls[me], send, sdispls[me], scounts[me]);
-    ctx.charge_copy(scounts[me] * T::SIZE);
-}
-
-/// Pairwise-exchange state machine: p−1 scheduled rounds with shifted
-/// partners, one outstanding message per round.
-#[derive(Debug)]
-struct PairwiseVSm {
-    placed: bool,
-    k: usize,
-    sent: bool,
-}
-
-impl PairwiseVSm {
-    fn new() -> Self {
-        Self {
-            placed: false,
-            k: 1,
-            sent: false,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)] // mirrors the MPI_Alltoallv signature
-    fn drive<T: ShmElem>(
-        &mut self,
-        ctx: &mut Ctx,
-        comm: &Communicator,
-        send: &Buf<T>,
-        scounts: &[usize],
-        recv: &mut Buf<T>,
-        rcounts: &[usize],
-        how: Drive,
-    ) -> Result<bool, WaitError> {
-        let p = comm.size();
-        let me = comm.rank();
-        if !self.placed {
-            check_args(comm, send, scounts, recv, rcounts);
-            place_own_block(ctx, comm, send, scounts, recv, rcounts);
-            self.placed = true;
-        }
-        let sdispls = displs_of(scounts);
-        let rdispls = displs_of(rcounts);
-        while self.k < p {
-            let k = self.k;
-            let dst = (me + k) % p;
-            let src = (me + p - k) % p;
-            if !self.sent {
-                ctx.send_region(comm, dst, tags::ALLTOALLV, send, sdispls[dst], scounts[dst]);
-                self.sent = true;
-            }
-            let Some(payload) = ctx.step_recv(comm, src, tags::ALLTOALLV, how)? else {
-                return Ok(false);
-            };
-            recv.write_payload(rdispls[src], &payload);
-            self.k += 1;
-            self.sent = false;
-        }
-        Ok(true)
-    }
+/// The run of `algo` (see `allgather`'s `for_algo`).
+fn for_algo<T: ShmElem>(algo: Algo, p: usize) -> Rounds<T> {
+    let (schedule, tag) = match algo {
+        Algo::AlltoallvPairwise => (Schedule::Shifted, tags::ALLTOALLV),
+        Algo::AlltoallvLinear => (Schedule::Linear, tags::ALLTOALLV + 1),
+        other => unreachable!("selection picks a flat alltoallv schedule, not {other}"),
+    };
+    Rounds::new(schedule, tag, p)
 }
 
 /// Pairwise alltoallv: p−1 scheduled rounds, partner `me + k` out and
@@ -139,72 +81,15 @@ pub fn pairwise<T: ShmElem>(
     recv: &mut Buf<T>,
     rcounts: &[usize],
 ) {
-    run_blocking(PairwiseVSm::new().drive(ctx, comm, send, scounts, recv, rcounts, Drive::Block));
-}
-
-/// Linear (eager) state machine: all p−1 sends posted up front, receives
-/// drained in the pairwise order. The natural nonblocking schedule — a
-/// `Poll` drive after start has every send already in flight.
-#[derive(Debug)]
-struct LinearVSm {
-    placed: bool,
-    posted: bool,
-    k: usize,
-}
-
-impl LinearVSm {
-    fn new() -> Self {
-        Self {
-            placed: false,
-            posted: false,
-            k: 1,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)] // mirrors the MPI_Alltoallv signature
-    fn drive<T: ShmElem>(
-        &mut self,
-        ctx: &mut Ctx,
-        comm: &Communicator,
-        send: &Buf<T>,
-        scounts: &[usize],
-        recv: &mut Buf<T>,
-        rcounts: &[usize],
-        how: Drive,
-    ) -> Result<bool, WaitError> {
-        let p = comm.size();
-        let me = comm.rank();
-        if !self.placed {
-            check_args(comm, send, scounts, recv, rcounts);
-            place_own_block(ctx, comm, send, scounts, recv, rcounts);
-            self.placed = true;
-        }
-        let sdispls = displs_of(scounts);
-        let rdispls = displs_of(rcounts);
-        if !self.posted {
-            for k in 1..p {
-                let dst = (me + k) % p;
-                ctx.send_region(
-                    comm,
-                    dst,
-                    tags::ALLTOALLV + 1,
-                    send,
-                    sdispls[dst],
-                    scounts[dst],
-                );
-            }
-            self.posted = true;
-        }
-        while self.k < p {
-            let src = (me + p - self.k) % p;
-            let Some(payload) = ctx.step_recv(comm, src, tags::ALLTOALLV + 1, how)? else {
-                return Ok(false);
-            };
-            recv.write_payload(rdispls[src], &payload);
-            self.k += 1;
-        }
-        Ok(true)
-    }
+    dispatch(
+        ctx,
+        comm,
+        send,
+        scounts,
+        recv,
+        rcounts,
+        Algo::AlltoallvPairwise,
+    );
 }
 
 /// Linear alltoallv: every send posted eagerly, then the p−1 receives
@@ -217,44 +102,15 @@ pub fn linear<T: ShmElem>(
     recv: &mut Buf<T>,
     rcounts: &[usize],
 ) {
-    run_blocking(LinearVSm::new().drive(ctx, comm, send, scounts, recv, rcounts, Drive::Block));
-}
-
-/// One alltoallv schedule as a split-phase machine.
-#[derive(Debug)]
-enum A2avSm {
-    Pairwise(PairwiseVSm),
-    Linear(LinearVSm),
-}
-
-impl A2avSm {
-    /// The machine of `algo`. Selection picks only an applicable schedule
-    /// of the case's op, and no flat case is windowed, so no other variant
-    /// reaches here.
-    fn for_algo(algo: Algo) -> Self {
-        match algo {
-            Algo::AlltoallvPairwise => A2avSm::Pairwise(PairwiseVSm::new()),
-            Algo::AlltoallvLinear => A2avSm::Linear(LinearVSm::new()),
-            other => unreachable!("selection picks a flat alltoallv schedule, not {other}"),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)] // mirrors the MPI_Alltoallv signature
-    fn drive<T: ShmElem>(
-        &mut self,
-        ctx: &mut Ctx,
-        comm: &Communicator,
-        send: &Buf<T>,
-        scounts: &[usize],
-        recv: &mut Buf<T>,
-        rcounts: &[usize],
-        how: Drive,
-    ) -> Result<bool, WaitError> {
-        match self {
-            A2avSm::Pairwise(sm) => sm.drive(ctx, comm, send, scounts, recv, rcounts, how),
-            A2avSm::Linear(sm) => sm.drive(ctx, comm, send, scounts, recv, rcounts, how),
-        }
-    }
+    dispatch(
+        ctx,
+        comm,
+        send,
+        scounts,
+        recv,
+        rcounts,
+        Algo::AlltoallvLinear,
+    );
 }
 
 /// The [`CommCase`] one alltoallv call presents to a selection policy
@@ -283,15 +139,8 @@ pub fn dispatch<T: ShmElem>(
     rcounts: &[usize],
     algo: Algo,
 ) {
-    run_blocking(A2avSm::for_algo(algo).drive(
-        ctx,
-        comm,
-        send,
-        scounts,
-        recv,
-        rcounts,
-        Drive::Block,
-    ));
+    let mut body = IAlltoallvBody::new(comm, send, scounts, recv, rcounts, algo);
+    run_blocking(body.drive_op(ctx, Drive::Block));
 }
 
 /// Runtime selection: under the legacy thresholds, linear up to
@@ -313,29 +162,52 @@ pub fn tuned<'s, T: ShmElem>(
     dispatch(ctx, comm, send, scounts, recv, rcounts, algo);
 }
 
-/// The body of an in-flight nonblocking alltoallv (see [`istart`]).
+/// The body of an in-flight nonblocking alltoallv (see [`istart`]);
+/// [`dispatch`] drives one to completion.
 pub struct IAlltoallvBody<'a, T: ShmElem> {
     comm: Communicator,
     send: &'a Buf<T>,
-    scounts: Vec<usize>,
     recv: &'a mut Buf<T>,
-    rcounts: Vec<usize>,
-    sm: A2avSm,
+    /// The receive counts, then the send counts: the blocks of the
+    /// result, then of the send buffer.
+    counts: Vec<usize>,
+    /// Their displacements, each side from 0.
+    displs: Vec<usize>,
+    run: Rounds<T>,
+}
+
+impl<'a, T: ShmElem> IAlltoallvBody<'a, T> {
+    fn new(
+        comm: &Communicator,
+        send: &'a Buf<T>,
+        scounts: &[usize],
+        recv: &'a mut Buf<T>,
+        rcounts: &[usize],
+        algo: Algo,
+    ) -> Self {
+        let run = for_algo(algo, comm.size());
+        check_args(comm, send, scounts, recv, rcounts);
+        Self {
+            comm: comm.clone(),
+            send,
+            recv,
+            counts: [rcounts, scounts].concat(),
+            displs: [displs_of(rcounts), displs_of(scounts)].concat(),
+            run,
+        }
+    }
 }
 
 impl<T: ShmElem> DriveOp for IAlltoallvBody<'_, T> {
     const OP: &'static str = "ialltoallv";
 
     fn drive_op(&mut self, ctx: &mut Ctx, how: Drive) -> Result<bool, WaitError> {
-        self.sm.drive(
-            ctx,
-            &self.comm,
-            self.send,
-            &self.scounts,
-            self.recv,
-            &self.rcounts,
-            how,
-        )
+        let layout = Layout::Counts {
+            counts: &self.counts,
+            displs: &self.displs,
+        };
+        let bufs = (Some(self.send), &mut *self.recv);
+        self.run.drive(ctx, &self.comm, layout, bufs, how)
     }
 
     fn ft_check(&self, ctx: &Ctx) -> Result<(), WaitError> {
@@ -357,17 +229,8 @@ pub fn istart<'a, T: ShmElem>(
     rcounts: &[usize],
     algo: Algo,
 ) -> IAlltoallv<'a, T> {
-    IColl::start(
-        ctx,
-        IAlltoallvBody {
-            comm: comm.clone(),
-            send,
-            scounts: scounts.to_vec(),
-            recv,
-            rcounts: rcounts.to_vec(),
-            sm: A2avSm::for_algo(algo),
-        },
-    )
+    let body = IAlltoallvBody::new(comm, send, scounts, recv, rcounts, algo);
+    IColl::start(ctx, body)
 }
 
 /// Nonblocking form of [`tuned`].

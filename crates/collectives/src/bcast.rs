@@ -3,187 +3,26 @@
 //! * [`binomial`] — binomial tree, best for short messages;
 //! * [`scatter_allgather`] — van de Geijn: binomial scatter of segments
 //!   followed by a ring allgather, best for long messages;
-//! * [`pipelined_chain`] — segmented chain pipeline (the approach the
-//!   paper's conclusion cites from Träff et al. for very large messages);
 //! * [`tuned`] — MPICH/OpenMPI-style runtime selection.
+//!
+//! Both are [`crate::rounds::Schedule`]s from the root, over the message
+//! cut into balanced blocks indexed relative to the root, run in place by
+//! the one split-phase driver; [`istart`]/[`ituned`] expose the same runs
+//! as nonblocking [`msim::Request`]s (`MPI_Ibcast`).
 
 use msim::{Buf, Communicator, Ctx, Drive, ShmElem, WaitError};
 
 use crate::policy::{Fee, Select};
 use crate::registry::{ceil_log2, kleader_spec, Algo, AlgorithmSpec, CollectiveOp, CommCase};
+use crate::rounds::{Layout, Rounds, Schedule};
 use crate::split::{run_blocking, DriveOp, IColl};
 use crate::tags;
-use crate::util::{displs_of, segment_counts};
-
-/// Split-phase binomial-tree broadcast. The only suspension point is the
-/// single receive from the parent; the child forwards are posted in one
-/// burst once the data is in hand.
-#[derive(Debug)]
-struct BinomialSm;
-
-impl BinomialSm {
-    fn new() -> Self {
-        Self
-    }
-
-    fn drive<T: ShmElem>(
-        &mut self,
-        ctx: &mut Ctx,
-        comm: &Communicator,
-        buf: &mut Buf<T>,
-        root: usize,
-        how: Drive,
-    ) -> Result<bool, WaitError> {
-        let p = comm.size();
-        let me = comm.rank();
-        assert!(root < p, "bcast root {root} out of range");
-        if p == 1 {
-            return Ok(true);
-        }
-        let rr = (me + p - root) % p;
-        let len = buf.len();
-
-        // Receive from the parent (unless root).
-        let mut mask = 1usize;
-        while mask < p {
-            if rr & mask != 0 {
-                let parent = (rr - mask + root) % p;
-                let src = comm
-                    .local_of(comm.global_of(parent))
-                    .expect("parent is a member");
-                let Some(payload) = ctx.step_recv(comm, src, tags::BCAST, how)? else {
-                    return Ok(false);
-                };
-                buf.write_payload(0, &payload);
-                break;
-            }
-            mask <<= 1;
-        }
-        // Forward to children, highest distance first.
-        mask >>= 1;
-        while mask > 0 {
-            if rr & mask == 0 && rr + mask < p {
-                let child = (rr + mask + root) % p;
-                ctx.send_region(comm, child, tags::BCAST, buf, 0, len);
-            }
-            mask >>= 1;
-        }
-        Ok(true)
-    }
-}
 
 /// Binomial-tree broadcast: ⌈log₂ p⌉ rounds; in round `k` every rank that
 /// already holds the data forwards it to the rank `2^k` away (in
 /// root-relative space).
 pub fn binomial<T: ShmElem>(ctx: &mut Ctx, comm: &Communicator, buf: &mut Buf<T>, root: usize) {
-    run_blocking(BinomialSm::new().drive(ctx, comm, buf, root, Drive::Block));
-}
-
-/// Split-phase van de Geijn broadcast: binomial scatter of segments
-/// (recursive range splitting, at most one receive), then a ring
-/// allgather of the p segments.
-#[derive(Debug)]
-struct ScatterAgSm {
-    started: bool,
-    // Scatter phase: the relative range [lo, hi) still to split.
-    lo: usize,
-    hi: usize,
-    // Ring phase.
-    step: usize,
-    sent: bool,
-}
-
-impl ScatterAgSm {
-    fn new() -> Self {
-        Self {
-            started: false,
-            lo: 0,
-            hi: 0,
-            step: 0,
-            sent: false,
-        }
-    }
-
-    fn drive<T: ShmElem>(
-        &mut self,
-        ctx: &mut Ctx,
-        comm: &Communicator,
-        buf: &mut Buf<T>,
-        root: usize,
-        how: Drive,
-    ) -> Result<bool, WaitError> {
-        let p = comm.size();
-        let me = comm.rank();
-        assert!(root < p, "bcast root {root} out of range");
-        if p == 1 {
-            return Ok(true);
-        }
-        if !self.started {
-            self.hi = p;
-            self.started = true;
-        }
-        let rr = (me + p - root) % p;
-        let counts = segment_counts(buf.len(), p);
-        let displs = displs_of(&counts);
-
-        // Binomial scatter by recursive range splitting: the holder of
-        // relative range [lo, hi) is relative rank lo; at each split it
-        // hands the upper part to `mid`. Each rank receives at most once
-        // (the round it becomes a range leader), so the receive is the
-        // only suspension point and retries land back on it.
-        while self.hi - self.lo > 1 {
-            let mid = self.lo + (self.hi - self.lo).div_ceil(2);
-            let upper_off = displs[mid];
-            let upper_len = displs[self.hi - 1] + counts[self.hi - 1] - upper_off;
-            if rr < mid {
-                if rr == self.lo {
-                    let dst = (mid + root) % p;
-                    ctx.send_region(comm, dst, tags::BCAST + 1, buf, upper_off, upper_len);
-                }
-                self.hi = mid;
-            } else {
-                if rr == mid {
-                    let src = (self.lo + root) % p;
-                    let Some(payload) = ctx.step_recv(comm, src, tags::BCAST + 1, how)? else {
-                        return Ok(false);
-                    };
-                    buf.write_payload(upper_off, &payload);
-                }
-                self.lo = mid;
-            }
-        }
-
-        // Ring allgather over relative ids: step s sends the segment
-        // received at step s-1 (starting with our own) to the right
-        // neighbor. A single tag suffices: matching is FIFO per
-        // (source, tag), and each step receives exactly one in-order
-        // segment from the left neighbor.
-        let right = (rr + 1 + root) % p;
-        let left = (rr + p - 1 + root) % p;
-        while self.step < p - 1 {
-            let s = self.step;
-            let send_seg = (rr + p - s) % p;
-            let recv_seg = (rr + p - s - 1) % p;
-            if !self.sent {
-                ctx.send_region(
-                    comm,
-                    right,
-                    tags::BCAST + 2,
-                    buf,
-                    displs[send_seg],
-                    counts[send_seg],
-                );
-                self.sent = true;
-            }
-            let Some(payload) = ctx.step_recv(comm, left, tags::BCAST + 2, how)? else {
-                return Ok(false);
-            };
-            buf.write_payload(displs[recv_seg], &payload);
-            self.step += 1;
-            self.sent = false;
-        }
-        Ok(true)
-    }
+    dispatch(ctx, comm, buf, root, Algo::BcastBinomial);
 }
 
 /// van de Geijn broadcast: scatter the message as `p` segments down a
@@ -196,117 +35,7 @@ pub fn scatter_allgather<T: ShmElem>(
     buf: &mut Buf<T>,
     root: usize,
 ) {
-    run_blocking(ScatterAgSm::new().drive(ctx, comm, buf, root, Drive::Block));
-}
-
-/// Split-phase segmented chain pipeline. Per segment: receive from the
-/// predecessor (the suspension point), then forward to the successor.
-#[derive(Debug)]
-struct ChainSm {
-    segment_elems: usize,
-    s: usize,
-}
-
-impl ChainSm {
-    fn new(segment_elems: usize) -> Self {
-        assert!(segment_elems > 0, "segment size must be positive");
-        Self {
-            segment_elems,
-            s: 0,
-        }
-    }
-
-    fn drive<T: ShmElem>(
-        &mut self,
-        ctx: &mut Ctx,
-        comm: &Communicator,
-        buf: &mut Buf<T>,
-        root: usize,
-        how: Drive,
-    ) -> Result<bool, WaitError> {
-        let p = comm.size();
-        let me = comm.rank();
-        assert!(root < p, "bcast root {root} out of range");
-        if p == 1 {
-            return Ok(true);
-        }
-        let rr = (me + p - root) % p;
-        let len = buf.len();
-        let nseg = len.div_ceil(self.segment_elems).max(1);
-        let next = (me + 1) % p;
-        let prev = (me + p - 1) % p;
-        // One tag for the whole stream: segments from the predecessor
-        // arrive in order (FIFO per (source, tag)).
-        while self.s < nseg {
-            let off = self.s * self.segment_elems;
-            let seg_len = self.segment_elems.min(len - off);
-            if rr > 0 {
-                let Some(payload) = ctx.step_recv(comm, prev, tags::BCAST + 8, how)? else {
-                    return Ok(false);
-                };
-                buf.write_payload(off, &payload);
-            }
-            if rr + 1 < p {
-                ctx.send_region(comm, next, tags::BCAST + 8, buf, off, seg_len);
-            }
-            self.s += 1;
-        }
-        Ok(true)
-    }
-}
-
-/// Segmented chain pipeline: the message travels root → root+1 → … in
-/// segments of `segment_elems`, so all links stream concurrently. The
-/// approach of Träff et al. (paper reference \[30\]) for very large
-/// messages.
-pub fn pipelined_chain<T: ShmElem>(
-    ctx: &mut Ctx,
-    comm: &Communicator,
-    buf: &mut Buf<T>,
-    root: usize,
-    segment_elems: usize,
-) {
-    run_blocking(ChainSm::new(segment_elems).drive(ctx, comm, buf, root, Drive::Block));
-}
-
-/// One bcast algorithm as a split-phase machine.
-#[derive(Debug)]
-enum BcastSm {
-    Binomial(BinomialSm),
-    ScatterAg(ScatterAgSm),
-    Chain(ChainSm),
-}
-
-impl BcastSm {
-    /// The machine of `algo`. Selection picks only an applicable schedule
-    /// of the case's op, and no flat case is windowed, so no other variant
-    /// reaches here.
-    fn for_algo<T: ShmElem>(algo: Algo) -> Self {
-        match algo {
-            Algo::BcastBinomial => BcastSm::Binomial(BinomialSm::new()),
-            Algo::BcastScatterAllgather => BcastSm::ScatterAg(ScatterAgSm::new()),
-            Algo::BcastPipelinedChain => {
-                // Default segment size when run by `dispatch`: 8 KiB of elements.
-                BcastSm::Chain(ChainSm::new((8 * 1024 / T::SIZE).max(1)))
-            }
-            other => unreachable!("selection picks a flat bcast schedule, not {other}"),
-        }
-    }
-
-    fn drive<T: ShmElem>(
-        &mut self,
-        ctx: &mut Ctx,
-        comm: &Communicator,
-        buf: &mut Buf<T>,
-        root: usize,
-        how: Drive,
-    ) -> Result<bool, WaitError> {
-        match self {
-            BcastSm::Binomial(sm) => sm.drive(ctx, comm, buf, root, how),
-            BcastSm::ScatterAg(sm) => sm.drive(ctx, comm, buf, root, how),
-            BcastSm::Chain(sm) => sm.drive(ctx, comm, buf, root, how),
-        }
-    }
+    dispatch(ctx, comm, buf, root, Algo::BcastScatterAllgather);
 }
 
 /// A drivable bcast with the selection and entry fee of [`tuned`] —
@@ -314,26 +43,36 @@ impl BcastSm {
 /// advances. Public so the hybrid layer (`hmpi`) can poll its bridge
 /// broadcast inside its own split-phase machines.
 #[derive(Debug)]
-pub struct TunedSm {
-    sm: BcastSm,
+pub struct TunedSm<T: ShmElem> {
+    algo: Algo,
+    /// The run from the root, built at the first drive, which names it.
+    run: Option<Rounds<T>>,
 }
 
-impl TunedSm {
+impl<T: ShmElem> TunedSm<T> {
     /// Fee-and-selection identical to [`tuned`].
-    pub fn new<'s, T: ShmElem>(
+    pub fn new<'s>(
         ctx: &mut Ctx,
         comm: &Communicator,
         buf: &Buf<T>,
         select: impl Into<Select<'s>>,
     ) -> Self {
         let case = case_for(ctx, comm, buf);
-        Self {
-            sm: BcastSm::for_algo::<T>(select.into().enter(ctx, Fee::Call, &case)),
-        }
+        Self::for_algo(select.into().enter(ctx, Fee::Call, &case))
+    }
+
+    fn for_algo(algo: Algo) -> Self {
+        Self { algo, run: None }
     }
 
     /// Advance; `Ok(true)` once the broadcast completed.
-    pub fn drive<T: ShmElem>(
+    ///
+    /// # Panics
+    /// Panics on a `root` outside the communicator, and on a schedule this
+    /// family does not run. Selection picks only an applicable schedule
+    /// of the case's op, and no flat case is windowed, so no other
+    /// variant reaches here.
+    pub fn drive(
         &mut self,
         ctx: &mut Ctx,
         comm: &Communicator,
@@ -341,7 +80,23 @@ impl TunedSm {
         root: usize,
         how: Drive,
     ) -> Result<bool, WaitError> {
-        self.sm.drive(ctx, comm, buf, root, how)
+        let (p, algo) = (comm.size(), self.algo);
+        let run = self.run.get_or_insert_with(|| {
+            assert!(root < p, "bcast root {root} out of range");
+            let (schedule, tag) = match algo {
+                Algo::BcastBinomial => (Schedule::Binomial { root }, tags::BCAST),
+                Algo::BcastScatterAllgather => {
+                    (Schedule::ScatterAllgather { root }, tags::BCAST + 1)
+                }
+                other => unreachable!("selection picks a flat bcast schedule, not {other}"),
+            };
+            Rounds::new(schedule, tag, p)
+        });
+        let layout = Layout::Balanced {
+            total: buf.len(),
+            parts: p,
+        };
+        run.drive(ctx, comm, layout, (None, buf), how)
     }
 }
 
@@ -396,7 +151,7 @@ pub fn dispatch<T: ShmElem>(
     root: usize,
     algo: Algo,
 ) {
-    run_blocking(BcastSm::for_algo::<T>(algo).drive(ctx, comm, buf, root, Drive::Block));
+    run_blocking(TunedSm::for_algo(algo).drive(ctx, comm, buf, root, Drive::Block));
 }
 
 /// The body of an in-flight nonblocking broadcast (see [`istart`]).
@@ -404,7 +159,7 @@ pub struct IBcastBody<'a, T: ShmElem> {
     comm: Communicator,
     buf: &'a mut Buf<T>,
     root: usize,
-    sm: BcastSm,
+    sm: TunedSm<T>,
 }
 
 impl<T: ShmElem> DriveOp for IBcastBody<'_, T> {
@@ -437,7 +192,7 @@ pub fn istart<'a, T: ShmElem>(
             comm: comm.clone(),
             buf,
             root,
-            sm: BcastSm::for_algo::<T>(algo),
+            sm: TunedSm::for_algo(algo),
         },
     )
 }
@@ -472,18 +227,6 @@ pub(crate) const SPECS: &[AlgorithmSpec] = &[
             let p = c.comm_size;
             e.halving_rounds(p, c.total_bytes)
                 + e.uniform_rounds(p.saturating_sub(1), c.total_bytes / p.max(1))
-        },
-    },
-    AlgorithmSpec {
-        algo: Algo::BcastPipelinedChain,
-        // Never auto-selected: the chain's win depends on a segment-size
-        // parameter the case descriptor doesn't carry. Explicit dispatch
-        // can still run it.
-        applicable: |_| false,
-        estimate: |e, c| {
-            let seg = 8 * 1024;
-            let segs = c.total_bytes.div_ceil(seg).max(1);
-            e.uniform_rounds(segs + c.comm_size.saturating_sub(2), seg.min(c.total_bytes))
         },
     },
     kleader_spec(Algo::BcastHyKleaderSegmented),
@@ -544,18 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_chain_correct() {
-        for seg in [1, 3, 8, 100] {
-            check_bcast(2, 3, 17, 0, move |ctx, comm, buf, root| {
-                pipelined_chain(ctx, comm, buf, root, seg)
-            });
-            check_bcast(2, 2, 8, 2, move |ctx, comm, buf, root| {
-                pipelined_chain(ctx, comm, buf, root, seg)
-            });
-        }
-    }
-
-    #[test]
     fn tuned_picks_binomial_then_scatter_allgather() {
         let tuning = Tuning::cray_mpich();
         // Small message → binomial; verify both correctness paths.
@@ -590,20 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn segment_counts_cover_everything() {
-        for len in [0usize, 1, 7, 16, 17] {
-            for p in [1usize, 2, 3, 5, 8] {
-                let counts = segment_counts(len, p);
-                assert_eq!(counts.iter().sum::<usize>(), len);
-                assert_eq!(counts.len(), p);
-                let max = counts.iter().max().unwrap();
-                let min = counts.iter().min().unwrap();
-                assert!(max - min <= 1, "balanced split");
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn bad_root_panics() {
         check_bcast(1, 2, 4, 5, binomial::<f64>);
@@ -611,11 +328,7 @@ mod tests {
 
     #[test]
     fn nonblocking_istart_wait_matches_blocking() {
-        for algo in [
-            Algo::BcastBinomial,
-            Algo::BcastScatterAllgather,
-            Algo::BcastPipelinedChain,
-        ] {
+        for algo in [Algo::BcastBinomial, Algo::BcastScatterAllgather] {
             check_bcast(2, 3, 13, 1, move |ctx, comm, buf, root| {
                 let req = istart(ctx, comm, buf, root, algo);
                 msim::Request::wait(req, ctx);

@@ -198,7 +198,6 @@ algos! {
     AllgathervHyKleader => Allgatherv "allgatherv.hy_kleader",
     BcastBinomial => Bcast "bcast.binomial",
     BcastScatterAllgather => Bcast "bcast.scatter_allgather",
-    BcastPipelinedChain => Bcast "bcast.pipelined_chain",
     BcastHyKleaderSegmented => Bcast "bcast.hy_kleader_segmented",
     AllreduceRecursiveDoubling => Allreduce "allreduce.recursive_doubling",
     AllreduceRabenseifner => Allreduce "allreduce.rabenseifner",
@@ -514,7 +513,7 @@ mod tests {
 
     #[test]
     fn every_algo_round_trips_its_key() {
-        assert_eq!(Algo::ALL.len(), 29);
+        assert_eq!(Algo::ALL.len(), 28);
         for &algo in Algo::ALL {
             assert_eq!(Algo::from_key(algo.key()), Some(algo));
             let (op, _) = algo.key().split_once('.').unwrap();

@@ -5,13 +5,15 @@
 //! round it names the send (peer and region), the receive (peer and
 //! region, and whether the payload overwrites the region or is combined
 //! into it by the caller's reduction) and the local copies around them,
-//! or `None` once the schedule is done. A round may lack either side: the
-//! fold and unfold of recursive-doubling allreduce are one-sided. A
-//! schedule also names the copies before round 0 (own-block placement,
-//! Bruck's seed of its rotated temporary, alltoall-Bruck's rotation, a
-//! reduction's staging copy) and after the last round (the inverse
-//! rotations, reduce-scatter's copy out). Nothing here allocates; this is
-//! the schedule-as-data design of libNBC (Hoefler, Lumsdaine and Rehm,
+//! or `None` once the schedule is done. A round may lack either side or
+//! both: the fold and unfold of recursive-doubling allreduce and linear
+//! alltoallv's eager sends are one-sided, and a binomial bcast rank sits
+//! out the rounds before it holds the message. A schedule also names the
+//! copies before round 0 (own-block placement, Bruck's seed of its
+//! rotated temporary, alltoall-Bruck's rotation, a reduction's staging
+//! copy) and after the last round (the inverse rotations,
+//! reduce-scatter's copy out). Nothing here allocates; this is the
+//! schedule-as-data design of libNBC (Hoefler, Lumsdaine and Rehm,
 //! SC'07).
 //!
 //! [`Rounds`] is the one split-phase driver: it holds the round cursor and
@@ -24,7 +26,12 @@
 //! and Bruck of allgather are exactly those of allgatherv over equal
 //! counts, so one ring and one Bruck serve allgather, allgatherv (with or
 //! without a send buffer) and the hybrid k-leader stripe; only the tag,
-//! which the driver carries, differs.
+//! which the driver carries, differs. Alltoallv's blocks lie by its send
+//! counts in the send buffer and by its receive counts in the result, so
+//! its layout has 2p blocks: the result's, then the send buffer's. A
+//! rooted schedule (the bcasts) indexes blocks and peers relative to its
+//! root and maps peers back in one place, so van de Geijn's allgather
+//! half is the ring of `Ring` over root-relative blocks.
 
 use msim::{Buf, Communicator, Ctx, Drive, ShmElem, WaitError};
 
@@ -74,7 +81,10 @@ impl Layout<'_> {
     /// Where the last of `p` blocks ends: the whole buffer when the
     /// blocks lie back to back.
     pub(crate) fn total(self, p: usize) -> usize {
-        self.displ(p - 1) + self.count(p - 1)
+        match self {
+            Layout::Balanced { total, .. } => total,
+            _ => self.displ(p - 1) + self.count(p - 1),
+        }
     }
 
     /// Blocks `a .. a + n`, which must lie back to back, in `buf`.
@@ -242,9 +252,10 @@ impl Round {
 
 /// The schedules: allgather(v) `Local`, `RecursiveDoubling`, `Bruck` and
 /// `Ring` over the result buffer, the alltoall `Pairwise` and
-/// `AlltoallBruck` from the send buffer, the allreduce `ReduceDoubling`
-/// and `Rabenseifner` over the whole vector, and the reduce-scatter
-/// `RecursiveHalving` and `ReducePairwise`.
+/// `AlltoallBruck` and the alltoallv `Shifted` and `Linear` from the send
+/// buffer, the bcast `Binomial` and `ScatterAllgather` in place, the
+/// allreduce `ReduceDoubling` and `Rabenseifner` over the whole vector,
+/// and the reduce-scatter `RecursiveHalving` and `ReducePairwise`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
     /// Own-block placement only (one-member communicators).
@@ -264,6 +275,29 @@ pub enum Schedule {
     /// ⌈log₂ p⌉ rounds, each shipping every block whose distance to its
     /// destination has bit k set, with a local rotation before and after.
     AlltoallBruck,
+    /// p − 1 direct exchanges, in round k sending to the rank k away and
+    /// receiving from the rank k back, for every p. Layout blocks `p..2p`
+    /// are the send buffer's (alltoallv's send counts), blocks `0..p` the
+    /// result's.
+    Shifted,
+    /// The p − 1 sends of `Shifted` posted eagerly, one per round, then
+    /// its p − 1 receives drained in the same order.
+    Linear,
+    /// Binomial-tree bcast from `root`: ⌈log₂ p⌉ rounds, round j moving
+    /// the whole buffer the distance `2^(⌈log₂ p⌉ − 1 − j)`. A rank
+    /// receives in the round of its lowest set bit and forwards in every
+    /// later one.
+    Binomial {
+        /// The rank that holds the message.
+        root: usize,
+    },
+    /// van de Geijn's bcast from `root`: a binomial scatter of the
+    /// balanced blocks by recursive range splitting (⌈log₂ p⌉ rounds),
+    /// then a `Ring` allgather of them.
+    ScatterAllgather {
+        /// The rank that holds the message.
+        root: usize,
+    },
     /// Allreduce for any p: the ranks from 2^⌊log₂ p⌋ up fold their
     /// vector into the rank that many below, the rest exchange and
     /// combine full vectors with `me XOR 2^k` for log₂ rounds, and an
@@ -317,7 +351,12 @@ impl Schedule {
                 Some(Copies::Block(if in_place { own } else { from }, seed))
             }
             Schedule::Pairwise => Some(Copies::Block(Region { off, ..from }, own)),
+            Schedule::Shifted | Schedule::Linear => {
+                let off = layout.displ(p + me);
+                Some(Copies::Block(Region { off, ..from }, own))
+            }
             Schedule::AlltoallBruck => Some(Copies::Rotate),
+            Schedule::Binomial { .. } | Schedule::ScatterAllgather { .. } => None,
             Schedule::ReduceDoubling | Schedule::Rabenseifner => {
                 Some(Copies::Block(all(Buffer::Send), all(Buffer::Recv)))
             }
@@ -353,16 +392,7 @@ impl Schedule {
                     xfer((me + dist) % p, got),
                 ))
             }
-            Schedule::Ring => {
-                if r + 1 >= p {
-                    return None;
-                }
-                let (send_block, recv_block) = ((me + p - r) % p, (me + p - r - 1) % p);
-                Some(plain(
-                    xfer((me + 1) % p, at(Buffer::Recv, send_block)),
-                    xfer((me + p - 1) % p, at(Buffer::Recv, recv_block)),
-                ))
-            }
+            Schedule::Ring => ring(p, me, me, layout, r),
             Schedule::Pairwise => {
                 let k = r + 1;
                 if k >= p {
@@ -377,6 +407,25 @@ impl Schedule {
                     xfer(dst, at(Buffer::Send, dst)),
                     xfer(src, at(Buffer::Recv, src)),
                 ))
+            }
+            Schedule::Shifted | Schedule::Linear => {
+                // Linear runs the sends of rounds 0..p−1, then the receives.
+                let (k, sends, recvs) = match self {
+                    Schedule::Shifted => (r + 1, true, true),
+                    _ if r + 1 < p => (r + 1, true, false),
+                    _ => (r + 2 - p, false, true),
+                };
+                if k >= p {
+                    return None;
+                }
+                let (dst, src) = ((me + k) % p, (me + p - k) % p);
+                Some(plain(
+                    xfer(dst, at(Buffer::Send, p + dst)).filter(|_| sends),
+                    xfer(src, at(Buffer::Recv, src)).filter(|_| recvs),
+                ))
+            }
+            Schedule::Binomial { root } | Schedule::ScatterAllgather { root } => {
+                self.rooted(p, me, root, layout, r)
             }
             Schedule::AlltoallBruck => {
                 let k = 1usize.checked_shl(r as u32).filter(|&k| k < p)?;
@@ -435,6 +484,66 @@ impl Schedule {
         }
     }
 
+    /// Round `r` of a rooted schedule from `root`: blocks are indexed
+    /// relative to the root, and so is `rr`; `xfer` maps a root-relative
+    /// peer back to its communicator rank, the one place that does. The
+    /// ring's neighbours need no mapping: `rr ± 1` is `me ± 1`. Out of
+    /// line, so the frame of [`Schedule::round`] stays small.
+    #[inline(never)]
+    fn rooted(
+        self,
+        p: usize,
+        me: usize,
+        root: usize,
+        layout: Layout<'_>,
+        r: usize,
+    ) -> Option<Round> {
+        let shift = |q: usize, by: usize| if q + by < p { q + by } else { q + by - p };
+        let rr = shift(me, p - root);
+        let log = p.next_power_of_two().trailing_zeros() as usize;
+        let one = |send, recv| Some(Round::new(send, recv, Mode::Overwrite));
+        let xfer = |q, region| {
+            Some(Xfer {
+                peer: shift(q, root),
+                region,
+            })
+        };
+        if let Schedule::Binomial { .. } = self {
+            let mask = 1 << log.checked_sub(r + 1)?;
+            let all = Region::new(Buffer::Recv, 0, layout.total(p));
+            // Bits of rr below 2·mask: none, it holds the message by now;
+            // mask alone, it gets it now.
+            return match rr & (2 * mask - 1) {
+                0 if rr + mask < p => one(xfer(rr + mask, all), None),
+                low if low == mask => one(None, xfer(rr - mask, all)),
+                _ => one(None, None),
+            };
+        }
+        if r >= log {
+            return ring(p, me, rr, layout, r - log);
+        }
+        // Replay the range splits down to depth r: [lo, hi) holds rr, and
+        // its leader lo hands the upper part to mid.
+        let mid = |lo: usize, hi: usize| lo + (hi - lo).div_ceil(2);
+        let (mut lo, mut hi) = (0, p);
+        for _ in 0..r {
+            let m = mid(lo, hi);
+            (lo, hi) = if rr < m { (lo, m) } else { (m, hi) };
+        }
+        let m = mid(lo, hi);
+        if hi - lo < 2 {
+            return one(None, None);
+        }
+        let upper = layout.span(Buffer::Recv, m, hi - m);
+        if rr == lo {
+            one(xfer(m, upper), None)
+        } else if rr == m {
+            one(None, xfer(lo, upper))
+        } else {
+            one(None, None)
+        }
+    }
+
     /// Copies after the last round.
     pub(crate) fn epilogue(self, me: usize, layout: Layout<'_>) -> Option<Copies> {
         match self {
@@ -450,6 +559,28 @@ impl Schedule {
             _ => None,
         }
     }
+}
+
+/// Round `r` of the ring at rank `me`, whose own block is `own`: forward
+/// block `own − r` to `me + 1` and take block `own − r − 1` from `me − 1`.
+#[inline]
+fn ring(p: usize, me: usize, own: usize, layout: Layout<'_>, r: usize) -> Option<Round> {
+    if r + 1 >= p {
+        return None;
+    }
+    let at = |b: usize| Region::new(Buffer::Recv, layout.displ(b), layout.count(b));
+    let (send_block, recv_block) = ((own + p - r) % p, (own + p - r - 1) % p);
+    let xfer = |peer, b| {
+        Some(Xfer {
+            peer,
+            region: at(b),
+        })
+    };
+    Some(Round::new(
+        xfer((me + 1) % p, send_block),
+        xfer((me + p - 1) % p, recv_block),
+        Mode::Overwrite,
+    ))
 }
 
 /// Round `r` of recursive halving over `buf` (power-of-two `p`): with
@@ -629,8 +760,10 @@ mod tests {
     //! rounds run in lockstep over symbolic buffers whose elements are
     //! labelled by the ranks whose contributions they hold.
 
+    use std::collections::VecDeque;
+
     use super::*;
-    use crate::util::{displs_of, segment_counts};
+    use crate::util::displs_of;
     use simnet::rng::Rng64;
 
     /// `(contributors, destination rank, element)`: a bitmask of the ranks
@@ -691,37 +824,72 @@ mod tests {
         }
     }
 
-    /// Walk `s` on `p` ranks; return the number of rounds. Checks that
-    /// every send pairs with a receive of equal length round by round and
-    /// every receive with a send. For the exchange schedules, every result
-    /// element is written exactly once (an in-place own block by Bruck
-    /// only) and ends holding its block, and Bruck's temporary is written
-    /// at most once per element. For the reduce schedules, every combine
+    /// Walk `s` on `p` ranks, every rank's blocks laid out by `layout` (see
+    /// [`walk_with`]).
+    fn walk(s: Schedule, p: usize, layout: Layout<'_>, len: usize, in_place: bool) -> usize {
+        walk_with(s, p, |_| layout, len, in_place)
+    }
+
+    /// Walk `s` on `p` ranks, rank `me`'s blocks laid out by
+    /// `layouts(me)` and its result at least `len` elements long; return
+    /// the number of rounds. Each round every rank sends, then every rank
+    /// receives the oldest message from its peer (FIFO per source and
+    /// destination, as one tag per schedule matches): one sent in this
+    /// round or an earlier one, as long as the region, or the walk stalls.
+    /// No message is left unreceived. For the exchange schedules, every
+    /// result element is written exactly once (an in-place own block by
+    /// Bruck only) and ends holding its block, and Bruck's temporary is
+    /// written at most once per element. A bcast leaves every element of
+    /// every rank holding the root's; a binomial writes it once off the
+    /// root and never on it, van de Geijn at least once off the root and
+    /// at most twice anywhere. For the reduce schedules, every combine
     /// joins two disjoint contributor sets of one element, and every
     /// result element ends with all `p` contributors.
-    fn walk(s: Schedule, p: usize, layout: Layout<'_>, len: usize, in_place: bool) -> usize {
+    fn walk_with<'a>(
+        s: Schedule,
+        p: usize,
+        layouts: impl Fn(usize) -> Layout<'a>,
+        len: usize,
+        in_place: bool,
+    ) -> usize {
         use Schedule::{Rabenseifner, RecursiveHalving, ReduceDoubling, ReducePairwise};
-        let alltoall = matches!(s, Schedule::Pairwise | Schedule::AlltoallBruck);
+        // Alltoallv's send blocks are its layout's blocks p..2p.
+        let v = matches!(s, Schedule::Shifted | Schedule::Linear);
+        let alltoall = v || matches!(s, Schedule::Pairwise | Schedule::AlltoallBruck);
+        let root = match s {
+            Schedule::Binomial { root } | Schedule::ScatterAllgather { root } => Some(root),
+            _ => None,
+        };
+        let root_binomial = matches!(s, Schedule::Binomial { .. });
         let scatter = matches!(s, RecursiveHalving | ReducePairwise);
         let reduce = scatter || matches!(s, ReduceDoubling | Rabenseifner);
         let bit = |r: usize| 1u64 << r;
         let all = u64::MAX >> (64 - p);
-        let label =
-            |r: usize, d: usize, b: usize| (0..layout.count(b)).map(move |i| Some((bit(r), d, i)));
+        let label = |r: usize, d: usize, n: usize| (0..n).map(move |i| Some((bit(r), d, i)));
         let mut ranks: Vec<Rank> = (0..p)
             .map(|me| {
-                let len = if scatter { layout.count(me) } else { len };
+                let layout = layouts(me);
+                let sent = |d: usize| layout.count(if v { p + d } else { d });
+                let len = if scatter {
+                    layout.count(me)
+                } else {
+                    len.max(layout.total(p))
+                };
                 let mut rank = Rank {
                     send: if reduce {
                         (0..layout.total(p))
                             .map(|i| Some((bit(me), 0, i)))
                             .collect()
                     } else if alltoall {
-                        (0..p).flat_map(|d| label(me, d, d)).collect()
+                        (0..p).flat_map(|d| label(me, d, sent(d))).collect()
                     } else {
-                        label(me, 0, me).collect()
+                        label(me, 0, layout.count(me)).collect()
                     },
-                    recv: vec![None; len],
+                    recv: if root == Some(me) {
+                        label(me, 0, len).collect()
+                    } else {
+                        vec![None; len]
+                    },
                     tmp: vec![None; s.scratch(p, layout).unwrap_or(0)],
                     ..Rank::default()
                 };
@@ -738,9 +906,12 @@ mod tests {
                 rank
             })
             .collect();
+        // Messages in flight, oldest first, at `from * p + to`.
+        let mut queues: Vec<VecDeque<Vec<Label>>> = vec![VecDeque::new(); p * p];
         let mut r = 0;
         loop {
-            let rounds: Vec<Option<Round>> = (0..p).map(|me| s.round(p, me, layout, r)).collect();
+            let rounds: Vec<Option<Round>> =
+                (0..p).map(|me| s.round(p, me, layouts(me), r)).collect();
             if rounds.iter().all(Option::is_none) {
                 break;
             }
@@ -750,36 +921,32 @@ mod tests {
                 .collect();
             let at = format!("{s:?} p={p} round {r}");
             for (me, round) in rounds.iter().enumerate() {
-                if let Some(Xfer { peer: to, region }) = round.send {
-                    let got = rounds[to].recv.filter(|got| got.peer == me);
-                    let got = got.unwrap_or_else(|| panic!("{at}: {to} ignores {me}"));
-                    assert_eq!(got.region.len, region.len, "{at}: {me} → {to}");
-                }
-                if let Some(Xfer { peer: from, .. }) = round.recv {
-                    let sent = rounds[from].send.is_some_and(|x| x.peer == me);
-                    assert!(sent, "{at}: {me} waits on {from}");
-                }
-            }
-            for (me, round) in rounds.iter().enumerate() {
                 if let Some(c) = round.pack {
-                    ranks[me].copy(c, p, me, layout);
+                    ranks[me].copy(c, p, me, layouts(me));
+                }
+                if let Some(Xfer { peer, region }) = round.send {
+                    queues[me * p + peer].push_back(ranks[me].read(region));
                 }
             }
-            let msgs: Vec<Option<Vec<Label>>> = (0..p)
-                .map(|me| rounds[me].send.map(|x| ranks[me].read(x.region)))
-                .collect();
             for (me, round) in rounds.iter().enumerate() {
                 if let Some(Xfer { peer, region }) = round.recv {
-                    let msg = msgs[peer].as_ref().expect("paired above");
-                    ranks[me].write(region, msg, round.mode);
+                    let msg = queues[peer * p + me]
+                        .pop_front()
+                        .unwrap_or_else(|| panic!("{at}: {me} stalls on {peer}"));
+                    assert_eq!(msg.len(), region.len, "{at}: {peer} → {me}");
+                    ranks[me].write(region, &msg, round.mode);
                 }
                 if let Some(c) = round.unpack {
-                    ranks[me].copy(c, p, me, layout);
+                    ranks[me].copy(c, p, me, layouts(me));
                 }
             }
             r += 1;
         }
+        if let Some(i) = queues.iter().position(|q| !q.is_empty()) {
+            panic!("{s:?} p={p}: {} never receives from {}", i % p, i / p);
+        }
         for (me, rank) in ranks.iter_mut().enumerate() {
+            let layout = layouts(me);
             if let Some(c) = s.epilogue(me, layout) {
                 rank.copy(c, p, me, layout);
             }
@@ -791,13 +958,22 @@ mod tests {
                 }
                 continue;
             }
+            if let Some(root) = root {
+                let want: Vec<Label> = label(root, 0, rank.recv.len()).collect();
+                assert_eq!(rank.recv, want, "{s:?} p={p}: rank {me}");
+                // van de Geijn's ring brings again what its scatter handed
+                // on, and the root its own blocks.
+                let once = u32::from(me != root);
+                let most = if root_binomial { once } else { 2 };
+                let writes = &rank.recv_writes;
+                let ok = writes.iter().all(|&w| (once..=most).contains(&w));
+                assert!(ok, "{s:?} p={p}: rank {me} writes {writes:?}");
+                continue;
+            }
             for b in 0..p {
                 let region = Region::new(Buffer::Recv, layout.displ(b), layout.count(b));
-                let want: Vec<Label> = if alltoall {
-                    label(b, me, me).collect()
-                } else {
-                    label(b, 0, b).collect()
-                };
+                let to = if alltoall { me } else { 0 };
+                let want: Vec<Label> = label(b, to, region.len).collect();
                 assert_eq!(rank.read(region), want, "{s:?} p={p}: rank {me} block {b}");
                 let writes = &rank.recv_writes[region.off..region.off + region.len];
                 // Only Bruck's inverse rotation rewrites an in-place own block.
@@ -913,15 +1089,78 @@ mod tests {
     }
 
     #[test]
+    fn every_bcast_schedule_hands_every_rank_the_root_message_in_its_round_count() {
+        let mut rng = Rng64::new(47);
+        for p in 1..=40 {
+            let log = log2_ceil(p);
+            // Fewer elements than ranks (empty blocks), then more.
+            for len in [rng.usize_in(0, p + 1), rng.usize_in(p, 4 * p)] {
+                let layout = Layout::Balanced {
+                    total: len,
+                    parts: p,
+                };
+                for root in [0, p / 2, p - 1] {
+                    let binomial = Schedule::Binomial { root };
+                    assert_eq!(walk(binomial, p, layout, len, false), log);
+                    let vdg = Schedule::ScatterAllgather { root };
+                    assert_eq!(walk(vdg, p, layout, len, false), log + p - 1);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn both_alltoallv_schedules_deliver_every_block_once_in_their_round_count() {
+        let mut rng = Rng64::new(48);
+        for p in 1..=40 {
+            // sends[s][d]: what rank s sends rank d, zeros included.
+            let sends: Vec<Vec<usize>> = (0..p).map(|_| rng.vec_usize(p, 0, 4)).collect();
+            let recvs: Vec<Vec<usize>> = (0..p)
+                .map(|d| (0..p).map(|s| sends[s][d]).collect())
+                .collect();
+            // Rank me's layout: its result's blocks, then its send buffer's.
+            let counts: Vec<Vec<usize>> = (0..p)
+                .map(|me| [&recvs[me][..], &sends[me]].concat())
+                .collect();
+            let displs: Vec<Vec<usize>> = (0..p)
+                .map(|me| [displs_of(&recvs[me]), displs_of(&sends[me])].concat())
+                .collect();
+            let layouts = |me: usize| Layout::Counts {
+                counts: &counts[me],
+                displs: &displs[me],
+            };
+            assert_eq!(walk_with(Schedule::Shifted, p, layouts, 0, false), p - 1);
+            assert_eq!(
+                walk_with(Schedule::Linear, p, layouts, 0, false),
+                2 * (p - 1)
+            );
+        }
+    }
+
+    /// The reference split of `len` elements into `p` segments, the
+    /// remainder spread over the lowest.
+    fn segment_counts(len: usize, p: usize) -> Vec<usize> {
+        let (base, rem) = (len / p, len % p);
+        (0..p).map(|i| base + usize::from(i < rem)).collect()
+    }
+
+    #[test]
     fn balanced_blocks_are_the_segment_counts() {
-        for total in [0, 1, 7, 16, 100] {
-            for parts in [1, 2, 3, 8, 24] {
+        for total in [0, 1, 7, 16, 17, 100] {
+            for parts in [1, 2, 3, 5, 8, 24] {
                 let counts = segment_counts(total, parts);
                 let displs = displs_of(&counts);
                 let layout = Layout::Balanced { total, parts };
                 for r in 0..parts {
                     assert_eq!((layout.count(r), layout.displ(r)), (counts[r], displs[r]));
                 }
+                // Every element in one block, the blocks within one of
+                // each other.
+                let got: Vec<usize> = (0..parts).map(|r| layout.count(r)).collect();
+                assert_eq!(got.iter().sum::<usize>(), total);
+                assert_eq!(layout.total(parts), total);
+                let (max, min) = (got.iter().max().unwrap(), got.iter().min().unwrap());
+                assert!(max - min <= 1, "balanced split");
             }
         }
     }

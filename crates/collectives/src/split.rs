@@ -17,13 +17,13 @@
 //!   [`WaitError`] paths (peer death, divert, detection timeout).
 //!
 //! The exchange and reducing schedules (allgather, allgatherv, alltoall,
-//! allreduce, reduce_scatter) are data run by one driver,
-//! [`crate::rounds::Rounds`], which holds the round cursor and whether
-//! the round's send is posted: each round's send goes out exactly once,
-//! then its receive, which overwrites its region or combines into it, is
-//! attempted under the caller's drive mode. The other families' machines
-//! keep their loop variables as fields plus a `sent` flag per round, in
-//! the same send-then-receive order.
+//! alltoallv, bcast, allreduce, reduce_scatter) are data run by one
+//! driver, [`crate::rounds::Rounds`], which holds the round cursor and
+//! whether the round's send is posted: each round's send goes out
+//! exactly once, then its receive, which overwrites its region or
+//! combines into it, is attempted under the caller's drive mode. The
+//! barrier's machine keeps its loop variables as fields plus a `sent`
+//! flag per round, in the same send-then-receive order.
 //!
 //! [`IColl`] wraps a machine body into an [`msim::Request`], adding the
 //! request-lifecycle trace markers (`ReqStart`/`ReqComplete`) that only

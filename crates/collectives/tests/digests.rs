@@ -7,8 +7,7 @@
 //! A cell is one flat [`Algo`] of a family with a `dispatch` (barrier
 //! included) on one of `regular(2,4)`, `regular(4,6)` and
 //! `irregular([1,3,4])`, wherever the registry calls the schedule
-//! applicable to that communicator, plus the schedules no selection
-//! reaches ([`EXPLICIT_ONLY`]) on all three. Fixed-count families move 5
+//! applicable to that communicator. Fixed-count families move 5
 //! elements per rank (per block for alltoall); allgatherv, alltoallv and
 //! reduce_scatter use [`vcounts`], which holds zeros.
 //! `fixtures/flat_digests.txt` holds one line per cell, and both the
@@ -179,11 +178,6 @@ fn applicable(op: CollectiveOp, spec: &ClusterSpec) -> Vec<Algo> {
         .collect()
 }
 
-/// Flat schedules the registry never calls applicable (their win
-/// depends on a parameter the case does not carry), which an explicit
-/// `dispatch` or `istart` still runs: pinned on every spec all the same.
-const EXPLICIT_ONLY: [Algo; 1] = [Algo::BcastPipelinedChain];
-
 /// How one leg of the wall runs every cell: the pool width and the
 /// schedule policy its picks follow.
 #[derive(Clone, Copy)]
@@ -216,8 +210,7 @@ fn recompute(leg: Leg) -> String {
     let mut out = String::new();
     for (op, prog, has_istart) in FAMILIES {
         for (spec_name, spec) in specs() {
-            let explicit = EXPLICIT_ONLY.into_iter().filter(|a| a.op() == op);
-            for algo in applicable(op, &spec).into_iter().chain(explicit) {
+            for algo in applicable(op, &spec) {
                 let blocking = digest(spec.clone(), prog, algo, false, leg);
                 let line = format!("{algo} {spec_name} {blocking:016x}");
                 if has_istart {

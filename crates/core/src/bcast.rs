@@ -150,7 +150,7 @@ impl<'a, T: ShmElem> BcStage<'a, T> {
 
 impl<T: ShmElem> Stage for BcStage<'_, T> {
     const OP: &'static str = "ihybcast";
-    type Bridge = (coll_bcast::TunedSm, Buf<T>);
+    type Bridge = (coll_bcast::TunedSm<T>, Buf<T>);
 
     fn hc(&self) -> &HybridComm {
         &self.bc.hc

@@ -213,22 +213,25 @@ impl<T: ShmElem> Buf<T> {
             off + elems <= self.len(),
             "combine region out of bounds at offset {off}"
         );
-        match (self, payload) {
-            (Buf::Real(v), Payload::Real(b)) => {
-                let mut tmp = vec![T::default(); elems];
-                bytes_to_slice(b, &mut tmp);
-                for (slot, incoming) in v[off..off + elems].iter_mut().zip(tmp) {
-                    *slot = op(*slot, incoming);
+        let Payload::Real(b) = payload else { return };
+        assert_eq!(
+            b.len() % T::SIZE,
+            0,
+            "byte length does not match element count"
+        );
+        let incoming = b.chunks_exact(T::SIZE).map(T::read_le);
+        match self {
+            Buf::Real(v) => {
+                for (slot, x) in v[off..off + elems].iter_mut().zip(incoming) {
+                    *slot = op(*slot, x);
                 }
             }
-            (Buf::Shared(w), Payload::Real(b)) => {
-                let mut tmp = vec![T::default(); elems];
-                bytes_to_slice(b, &mut tmp);
-                for (i, incoming) in tmp.into_iter().enumerate() {
-                    w.write(off + i, op(w.read(off + i), incoming));
+            Buf::Shared(w) => {
+                for (i, x) in incoming.enumerate() {
+                    w.write(off + i, op(w.read(off + i), x));
                 }
             }
-            _ => {}
+            Buf::Phantom(_) => {}
         }
     }
 }
@@ -310,6 +313,14 @@ mod tests {
         let p = Buf::Real(vec![10.0f64, 20.0]).payload_all();
         b.combine_payload(0, &p, |a, x| a + x);
         assert_eq!(b.as_slice().unwrap(), &[11.0, 22.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match")]
+    fn combine_of_a_ragged_payload_panics() {
+        let mut b = Buf::Real(vec![1.0f64, 2.0]);
+        let p = Payload::Real(Bytes::from(vec![0u8; 12]));
+        b.combine_payload(0, &p, |a, x| a + x);
     }
 
     #[test]

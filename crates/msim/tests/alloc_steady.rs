@@ -7,18 +7,18 @@
 //! ahead under one key: its packets queue in slab nodes the mailbox
 //! already has. Nor, on an untraced run, do the tracing helpers of policy
 //! decisions and nonblocking requests: they build no event. Nor do warm
-//! phantom allreduces: their rounds and balanced blocks are computed, not
-//! stored. Counted by a global allocator wrapper, per thread, on the one
-//! pool worker that runs every rank, so the assertion is exact and immune
-//! to host load and to the test harness starting or finishing other tests
-//! meanwhile.
+//! phantom allreduces and bcasts: their rounds and balanced blocks are
+//! computed, not stored. Counted by a global allocator wrapper, per
+//! thread, on the one pool worker that runs every rank, so the assertion
+//! is exact and immune to host load and to the test harness starting or
+//! finishing other tests meanwhile.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use collectives::{allreduce, barrier, op::Sum, Algo};
+use collectives::{allreduce, barrier, bcast, op::Sum, Algo};
 use msim::{Ctx, ExecMode, Payload, SimConfig, Universe};
 use simnet::{ClusterSpec, CostModel};
 
@@ -248,5 +248,35 @@ fn warm_phantom_allreduces_do_not_allocate() {
     assert!(
         allocs < 16,
         "{allocs} allocations for 8 x 100 phantom allreduces by each schedule"
+    );
+}
+
+/// `reps` phantom broadcasts of 1024 elements from rank 3 by each flat
+/// schedule: the binomial tree, and van de Geijn's scatter of balanced
+/// blocks, then its ring. A barrier follows each: a binomial root only
+/// sends, so without one it would run a hundred broadcasts ahead and
+/// deepen its children's queues past what a warm slab holds.
+fn bcasts(ctx: &mut Ctx, reps: u32) {
+    let world = ctx.world();
+    let mut buf = ctx.buf_zeroed::<f64>(1024);
+    for _ in 0..reps {
+        for algo in [Algo::BcastBinomial, Algo::BcastScatterAllgather] {
+            bcast::dispatch(ctx, &world, &mut buf, 3, algo);
+            barrier::tuned(ctx, &world);
+        }
+    }
+}
+
+#[test]
+fn warm_phantom_bcasts_do_not_allocate() {
+    let _alone = alone();
+    let allocs = allocs_after(
+        ExecMode::Pooled { workers: Some(1) },
+        |ctx| bcasts(ctx, 1),
+        |ctx| bcasts(ctx, 100),
+    );
+    assert!(
+        allocs < 16,
+        "{allocs} allocations for 8 x 100 phantom bcasts by each schedule"
     );
 }

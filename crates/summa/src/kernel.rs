@@ -151,7 +151,7 @@ fn panel_bcast(ctx: &mut Ctx, hc: &HybridComm, panels: &HyAllgatherv<f64>, k: us
 enum PanelPhase {
     /// Leaders: bridge broadcast of the panel slot, window to window.
     Bridge {
-        sm: bcast::TunedSm,
+        sm: bcast::TunedSm<f64>,
         view: Buf<f64>,
         root_group: usize,
     },

@@ -437,6 +437,94 @@ fn every_flat_reducing_schedule_matches_its_oracle_blocking_and_nonblocking() {
     }
 }
 
+/// The bcast and alltoallv schedules, rounds on the one driver like the
+/// reducing ones above: every registry-applicable flat one, blocking and
+/// as `istart + wait`, with real data against its oracle. Bcast moves 5
+/// elements from roots 0 and p − 1, so some balanced blocks are empty;
+/// alltoallv's counts ([`vcounts`](hybrid_mpi::collectives::testutil::vcounts))
+/// hold zeros.
+#[test]
+fn every_flat_bcast_and_alltoallv_schedule_matches_its_oracle_blocking_and_nonblocking() {
+    use hybrid_mpi::collectives::{
+        alltoallv, bcast, registry, testutil as oracle, util::displs_of, CollectiveOp, CommCase,
+    };
+    use hybrid_mpi::msim::Request;
+
+    const N: usize = 5;
+    for (nodes, ppn) in [(2, 4), (1, 6)] {
+        let p = nodes * ppn;
+        let applicable = |op| -> Vec<_> {
+            let case = CommCase::new(op, p, nodes, 0);
+            registry::global()
+                .applicable(&case)
+                .map(|s| s.algo)
+                .collect()
+        };
+        let bcasts = applicable(CollectiveOp::Bcast);
+        let a2avs = applicable(CollectiveOp::Alltoallv);
+        assert_eq!(bcasts.len(), 2, "binomial and scatter-allgather");
+        assert_eq!(a2avs.len(), 2, "pairwise and linear");
+        // Rank s sends counts[d] elements to rank d: its elements
+        // displs[d].. of datum(s, ·).
+        let counts = oracle::vcounts(p);
+        let displs = displs_of(&counts);
+        assert!(counts.contains(&0) && N < p);
+        for nonblocking in [false, true] {
+            let cfg = SimConfig::new(ClusterSpec::regular(nodes, ppn), CostModel::uniform_test());
+            let (bs, avs, sc) = (bcasts.clone(), a2avs.clone(), counts.clone());
+            let out = Universe::run(cfg, move |ctx| {
+                let (world, me) = (ctx.world(), ctx.rank());
+                let mut got = Vec::new();
+                for &algo in &bs {
+                    for root in [0, p - 1] {
+                        let mut buf = if me == root {
+                            ctx.buf_from_fn(N, |i| oracle::datum(root, i))
+                        } else {
+                            ctx.buf_zeroed(N)
+                        };
+                        if nonblocking {
+                            bcast::istart(ctx, &world, &mut buf, root, algo).wait(ctx);
+                        } else {
+                            bcast::dispatch(ctx, &world, &mut buf, root, algo);
+                        }
+                        got.push((algo, root, buf.as_slice().unwrap().to_vec()));
+                    }
+                }
+                let rc = vec![sc[me]; p];
+                for &algo in &avs {
+                    let send = ctx.buf_from_fn(sc.iter().sum(), |i| oracle::datum(me, i));
+                    let mut recv = ctx.buf_zeroed(rc.iter().sum());
+                    if nonblocking {
+                        alltoallv::istart(ctx, &world, &send, &sc, &mut recv, &rc, algo).wait(ctx);
+                    } else {
+                        alltoallv::dispatch(ctx, &world, &send, &sc, &mut recv, &rc, algo);
+                    }
+                    got.push((algo, 0, recv.as_slice().unwrap().to_vec()));
+                }
+                got
+            })
+            .unwrap();
+            for (rank, got) in out.per_rank.iter().enumerate() {
+                assert_eq!(got.len(), 2 * bcasts.len() + a2avs.len());
+                for (algo, root, g) in got {
+                    let want = if bcasts.contains(algo) {
+                        oracle::expected_bcast(*root, N)
+                    } else {
+                        (0..p)
+                            .flat_map(|s| (0..counts[rank]).map(move |j| (s, j)))
+                            .map(|(s, j)| oracle::datum(s, displs[rank] + j))
+                            .collect()
+                    };
+                    let what = format!(
+                        "{algo} root {root} {nodes}x{ppn} nonblocking={nonblocking} rank {rank}"
+                    );
+                    assert_eq!(g, &want, "{what}");
+                }
+            }
+        }
+    }
+}
+
 /// The orders the two tests below run a universe in, against the
 /// one-worker baseline: two workers popping one flat FIFO, then two
 /// workers drawing every pick by adversarial schedule seeds 0-3.
